@@ -19,9 +19,10 @@ gens = deform.sl2_bose_map(sp, params)
 rel = braid.build_relations("sl", 2, q, WEYL)
 
 print("deformed-relation residuals (bosonic sl(2) map, cutoff 8):")
-for row in verify.dcr_residuals(gens, rel):
+rows = verify.dcr_residuals(gens, rel)
+for row in rows:
     print(f"  {row.name:24s} {row.residual:.3e}")
-oracle = verify.cross_oracle(gens, rel)
+oracle = verify.cross_oracle(rows)
 print(f"-> the {oracle['winner']!r} candidate wins "
       f"({oracle['winner_residual']:.1e} vs {oracle['loser_residual']:.1e}); "
       f"exactly one passes: {oracle['unique']}\n")
@@ -51,7 +52,7 @@ print("one-sided map is not *-compatible:",
 spf = fock.build_space(2, Statistics.FERMI)
 gf = deform.sl2_fermi_map(spf, DeformParams(q, CLIFFORD))
 relf = braid.build_relations("sl", 2, q, CLIFFORD)
-worst = verify.cross_oracle(gf, relf, degree=0)["winner_residual"]
+worst = verify.cross_oracle(verify.dcr_residuals(gf, relf, degree=0))["winner_residual"]
 print(f"\nfermionic sl(2) map, winning cross residual: {worst:.2e}")
 
 # sl(3): the per-mode candidate map is accepted or rejected only by the
@@ -60,5 +61,5 @@ sp3 = fock.build_space(3, Statistics.BOSE, cutoff=5)
 rel3 = braid.build_relations("sl", 3, q, WEYL)
 for ordering in ("above", "below"):
     g3 = deform.sln_candidate_map(sp3, DeformParams(q, WEYL), ordering)
-    res = verify.cross_oracle(g3, rel3)["winner_residual"]
+    res = verify.cross_oracle(verify.dcr_residuals(g3, rel3))["winner_residual"]
     print(f"sl(3) candidate, ordering {ordering!r}: {res:.2e}")

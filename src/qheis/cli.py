@@ -2,8 +2,8 @@
 
     qheis suite <id> [--q <f> ...] [--cutoff <int>] [--modes <int>]
                      [--sign +|-] [--eps <f> ...] [--n <f> ...]
-                     [--hbar2 <c> ...] [--tol <f>] [--jobs <int>]
-                     [--out <path>] [--config <path>]
+                     [--hbar2 <c> ...] [--tol <f>] [--out <path>]
+                     [--config <path>]
 
 Flags override values from the optional JSON config file, which in turn
 override the per-suite defaults.  The process exits 0 iff every case of
@@ -51,8 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="scalar KZ deformation parameters (complex, e.g. 0.1j)")
     sp.add_argument("--tol", type=float, default=None,
                     help="override every case tolerance")
-    sp.add_argument("--jobs", type=int, default=None,
-                    help="concurrent unit evaluations")
     sp.add_argument("--out", default=None, help="write the JSON report here")
     sp.add_argument("--config", default=None,
                     help="JSON file with the same keys as the flags")
@@ -70,7 +68,7 @@ def main(argv=None) -> int:
                 overrides.update(json.load(fh))
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read config {args.config}: {exc}")
-    for key in ("q", "cutoff", "modes", "sign", "eps", "n", "hbar2", "tol", "jobs"):
+    for key in ("q", "cutoff", "modes", "sign", "eps", "n", "hbar2", "tol"):
         val = getattr(args, key)
         if val is not None:
             overrides[key] = val

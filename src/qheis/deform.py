@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockSpace, LinOp, Statistics, annihilator, creator, diag_fn
-from .qspecial import CLIFFORD, WEYL, DeformParams, qnum, y_sln
+from .qspecial import CLIFFORD, DeformParams, qnum, y_sln
 
 
 @dataclass
@@ -190,13 +190,10 @@ def inner_automorphism(gens: DeformedGenerators, alpha: LinOp) -> tuple[Deformed
 
 def hermiticity_residual(gens: DeformedGenerators, degree: int = 0) -> float:
     """max_i || (A^i)+ - A+_i || on the safe subspace (compact case, real q)."""
-    from .fock import safe_projector
+    from .verify import projected_norms
 
-    p = safe_projector(gens.space, degree).matrix
-    return max(
-        float(np.linalg.norm(p @ (a.matrix.conj().T - ap.matrix) @ p, 2))
-        for a, ap in zip(gens.a_ops, gens.aplus_ops)
-    )
+    return max(projected_norms(gens.space, a.matrix.conj().T - ap.matrix, degree)[0]
+               for a, ap in zip(gens.a_ops, gens.aplus_ops))
 
 
 def classical_generators(space: FockSpace, params: DeformParams) -> DeformedGenerators:

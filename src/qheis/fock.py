@@ -8,8 +8,9 @@ dense complex matrix wrapped in a :class:`LinOp` which also carries its
 particle-number grade g (meaning [n_tot, X] = g X).
 
 Truncation contract: an operator identity of creator-degree d is exact
-only on the subspace with total occupation <= cutoff - d.  The
-projector onto that subspace is :func:`safe_projector`, and all residual
+only on the subspace with total occupation <= cutoff - d
+(:meth:`FockSpace.safe_mask`).  The projector onto that subspace is
+:func:`safe_projector`, and all residual
 computations in the verification modules conjugate by it.  Defects of
 the truncation are confined to the discarded top shells.
 """
@@ -66,6 +67,10 @@ class FockSpace:
 
     def total_occupations(self) -> np.ndarray:
         return np.array([sum(t) for t in self.basis], dtype=float)
+
+    def safe_mask(self, degree: int) -> np.ndarray:
+        """Basis states with total occupation <= cutoff - degree."""
+        return self.total_occupations() <= self.cutoff - degree
 
     def _check_mode(self, i: int) -> None:
         if not 1 <= i <= self.modes:
@@ -181,8 +186,7 @@ def safe_projector(space: FockSpace, degree: int) -> LinOp:
     """
     if degree < 0 or degree > space.cutoff:
         raise ValueError(f"degree {degree} outside 0..{space.cutoff}")
-    mask = space.total_occupations() <= space.cutoff - degree
-    return LinOp(space, np.diag(mask.astype(complex)), grade=0)
+    return LinOp(space, np.diag(space.safe_mask(degree).astype(complex)), grade=0)
 
 
 def diag_fn(space: FockSpace, f: Callable[[tuple[int, ...]], complex]) -> LinOp:

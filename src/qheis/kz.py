@@ -32,9 +32,8 @@ Gamma(-s eta n) / (Gamma(1+s eta) Gamma(1-s eta)) = -s n/[n]_q), and l2
 is the exact consequence of l1 and l3.  Both numerical routes (closed
 forms, trajectory) are checked against these expressions.
 
-Operator side.  On C^N x C^N x Fock with P the permutation matrix,
-A = 1 x e_ij x a+_j a^i and B = e_ij x 1 x a+_j a^i, the coassociator
-matrix is
+Operator side.  On C^N x C^N x Fock with P the permutation matrix and
+A = 1 x e_ij x a+_j a^i, the coassociator matrix is
 
     M = lim_{x0,y0 -> 0} x0^(-eta P) OrdExp[ eta int (P/x + A/(x-1)) dx ]
         y0^(eta A),
@@ -61,10 +60,10 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from .fock import FockSpace, Statistics, annihilator, creator, safe_projector
+from .fock import FockSpace, Statistics, annihilator, creator
 from .liealg import permutation_matrix
 from .qspecial import DeformParams, gauss_2f1, gauss_2f1_deriv, qnum
-from .verify import CaseResult, projected_norms
+from .verify import CaseResult, max_norms, projected_norms
 
 
 class IntegrationError(RuntimeError):
@@ -350,12 +349,11 @@ class KZOperatorSystem:
     n: int
     p_big: np.ndarray
     a_big: np.ndarray
-    b_big: np.ndarray
     aa_blocks: np.ndarray  # (N, N, D, D): the tensor a^i a^j
 
 
 def build_operator_system(space: FockSpace) -> KZOperatorSystem:
-    """Assemble P, A, B on C^N x C^N x Fock for an sl(N) bosonic space."""
+    """Assemble P and A on C^N x C^N x Fock for an sl(N) bosonic space."""
     if space.statistics is not Statistics.BOSE:
         raise ValueError("operator system needs a bosonic space")
     n, d = space.modes, space.dim
@@ -363,20 +361,18 @@ def build_operator_system(space: FockSpace) -> KZOperatorSystem:
     ap = [creator(space, i).matrix for i in range(1, n + 1)]
     eye_n = np.eye(n)
     a_big = np.zeros((n * n * d, n * n * d), dtype=complex)
-    b_big = np.zeros_like(a_big)
     for i in range(n):
         for j in range(n):
             e_ij = np.zeros((n, n))
             e_ij[i, j] = 1.0
             op = ap[j] @ an[i]
             a_big += np.kron(np.kron(eye_n, e_ij), op)
-            b_big += np.kron(np.kron(e_ij, eye_n), op)
     p_big = np.kron(permutation_matrix(n), np.eye(d))
     aa = np.empty((n, n, d, d), dtype=complex)
     for i in range(n):
         for j in range(n):
             aa[i, j] = an[i] @ an[j]
-    return KZOperatorSystem(space, n, p_big, a_big, b_big, aa)
+    return KZOperatorSystem(space, n, p_big, a_big, aa)
 
 
 def coassociator_matrix(system: KZOperatorSystem, hbar2: complex, eps: float,
@@ -417,16 +413,10 @@ def acts_trivially_residual(system: KZOperatorSystem, m: np.ndarray,
                             degree: int = 2) -> float:
     """|| M . (aa) - aa || over the N^2 components, safe-projected."""
     mb = _blocks(system, m)
-    worst = 0.0
-    for i in range(system.n):
-        for j in range(system.n):
-            acc = np.zeros_like(system.aa_blocks[0, 0])
-            for k in range(system.n):
-                for l in range(system.n):
-                    acc += mb[i, j, k, l] @ system.aa_blocks[k, l]
-            r, _ = projected_norms(system.space, acc - system.aa_blocks[i, j], degree)
-            worst = max(worst, r)
-    return worst
+    n, aa = system.n, system.aa_blocks
+    defects = (sum(mb[i, j, k, l] @ aa[k, l] for k in range(n) for l in range(n)) - aa[i, j]
+               for i in range(n) for j in range(n))
+    return max_norms(projected_norms(system.space, r, degree) for r in defects)[0]
 
 
 def invariance_residual(system: KZOperatorSystem, m: np.ndarray, data,
@@ -436,6 +426,8 @@ def invariance_residual(system: KZOperatorSystem, m: np.ndarray, data,
 
     n, d = system.n, system.space.dim
     eye_n, eye_d = np.eye(n), np.eye(d)
+    # project the Fock factor of the commutator norm
+    big_mask = np.tile(system.space.safe_mask(degree), n * n)
     worst = 0.0
     for lbl in data.basis_labels:
         r = rho(data, lbl)
@@ -444,9 +436,6 @@ def invariance_residual(system: KZOperatorSystem, m: np.ndarray, data,
                   + np.kron(np.kron(eye_n, r), eye_d)
                   + np.kron(np.kron(eye_n, eye_n), s))
         comm = m @ delta2 - delta2 @ m
-        # project the Fock factor of the commutator norm
-        mask = system.space.total_occupations() <= system.space.cutoff - degree
-        big_mask = np.kron(np.ones(n * n), mask.astype(float)) > 0.5
         sub = comm[np.ix_(big_mask, big_mask)]
         worst = max(worst, float(np.linalg.norm(sub, 2)))
     return worst
@@ -503,14 +492,13 @@ def coassociator_relation_check(system: KZOperatorSystem, params: DeformParams,
     if cond > 1e8:
         raise ValueError(f"coassociator matrix numerically singular (cond={cond:.2e})")
     minv = np.linalg.inv(m)
-    u_big = np.kron(permutation_matrix(n), np.eye(d))
     v_big = np.kron(cross_matrix_v(system, q, params.sign), np.eye(d))
-    mu = _blocks(system, minv @ u_big @ m)
+    mu = _blocks(system, minv @ system.p_big @ m)
     mv = _blocks(system, minv @ v_big @ m)
     a_t, ap_t = dressed_generators(system, params, dressing)
 
     eye = np.eye(d, dtype=complex)
-    worst = [0.0, 0.0, 0.0]
+    norms = [[], [], []]
     for i in range(n):
         for j in range(n):
             r1 = a_t[i] @ a_t[j]
@@ -521,11 +509,8 @@ def coassociator_relation_check(system: KZOperatorSystem, params: DeformParams,
                     r1 -= s * mu[j, i, l, mm] @ (a_t[mm] @ a_t[l])
                     r2 -= s * (ap_t[l] @ ap_t[mm]) @ mu[l, mm, i, j]
                     r3 -= s * ap_t[l] @ mv[i, l, j, mm] @ a_t[mm]
-            for k, r in enumerate((r1, r2, r3)):
-                sp, _ = projected_norms(space, r, degree)
-                worst[k] = max(worst[k], sp)
-    return [
-        CaseResult("coassoc_relation_aa", worst[0], tol, {"cond_M": cond}),
-        CaseResult("coassoc_relation_apap", worst[1], tol, {"cond_M": cond}),
-        CaseResult("coassoc_relation_cross", worst[2], tol, {"cond_M": cond}),
-    ]
+            for group, r in zip(norms, (r1, r2, r3)):
+                group.append(projected_norms(space, r, degree))
+    return [CaseResult(name, max_norms(group)[0], tol, {"cond_M": cond})
+            for name, group in zip(("coassoc_relation_aa", "coassoc_relation_apap",
+                                    "coassoc_relation_cross"), norms)]

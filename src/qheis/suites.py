@@ -3,22 +3,19 @@
 A suite is a named bundle of residual checks over a validated
 configuration.  Reports serialize to JSON with sorted keys and floats
 printed with 17 significant digits, so identical configurations produce
-byte-identical files.  Suites decompose into independent units that may
-run concurrently (--jobs); the reduction into the report is ordered, so
-concurrency never changes the output.
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import braid, deform, kz, liealg, soshift, verify
-from .fock import Statistics, build_space, diag_fn, grade_defect
+from .fock import Statistics, build_space, grade_defect
 from .qspecial import (CLIFFORD, WEYL, DeformParams, connection_residual,
                        gauss_2f1, gauss_2f1_deriv, hyper_ode_residual, qgamma,
                        qgamma_tilde, qnum, qbracket, reflection_residual,
@@ -41,7 +38,6 @@ class SuiteConfig:
     hbar2: tuple = (0.05, 0.1j)       # scalar KZ deformation parameters
     tol: float | None = None          # global tolerance override
     out: str | None = None
-    jobs: int = 1
 
     def __post_init__(self):
         if self.suite not in SUITE_IDS:
@@ -50,8 +46,8 @@ class SuiteConfig:
             raise ValueError("sign must be +1 or -1")
         if any(q <= 0 for q in self.q):
             raise ValueError("q values must be positive")
-        if self.cutoff < 1 or self.modes < 1 or self.jobs < 1:
-            raise ValueError("cutoff, modes and jobs must be positive")
+        if self.cutoff < 1 or self.modes < 1:
+            raise ValueError("cutoff and modes must be positive")
 
 
 DEFAULTS = {
@@ -89,9 +85,9 @@ def _negative_control(name: str, residual: float, floor: float = 1e-2,
 def _dcr_with_oracle(gens, rel, tol, degree=2):
     """dcr rows with the two cross candidates folded into a winner row and
     a negative-control row (exactly one candidate is expected to pass)."""
-    rows = [r for r in verify.dcr_residuals(gens, rel, tol=tol, degree=degree)
-            if not r.name.startswith("dcr_cross")]
-    oracle = verify.cross_oracle(gens, rel, tol=tol, degree=degree)
+    rows = verify.dcr_residuals(gens, rel, tol=tol, degree=degree)
+    oracle = verify.cross_oracle(rows)
+    rows = [r for r in rows if not r.name.startswith("dcr_cross")]
     rows.append(CaseResult("dcr_cross_winner", oracle["winner_residual"], tol,
                            {"candidate": oracle["winner"],
                             "loser_residual": oracle["loser_residual"]}))
@@ -114,13 +110,13 @@ def _suite_sl2_bose(cfg: SuiteConfig):
         params = DeformParams(q, WEYL)
         gens = deform.sl2_bose_map(space, params)
         rel = braid.build_relations("sl", 2, q, WEYL)
-        rows = [replace_name(r, f"q={q:g}/{r.name}")
+        rows = [replace(r, name=f"q={q:g}/{r.name}")
                 for r in _dcr_with_oracle(gens, rel, tol=1e-10)]
-        rows += [replace_name(r, f"q={q:g}/{r.name}")
+        rows += [replace(r, name=f"q={q:g}/{r.name}")
                  for r in verify.number_op_check(gens, tol=1e-10)]
         rows.append(CaseResult(f"q={q:g}/hermiticity",
                                deform.hermiticity_residual(gens), 1e-12))
-        rows += [replace_name(r, f"q={q:g}/{r.name}")
+        rows += [replace(r, name=f"q={q:g}/{r.name}")
                  for r in verify.invariant_commutant_check(gens, data, tol=1e-11)]
         rows.append(CaseResult(
             f"q={q:g}/grade_bookkeeping",
@@ -167,13 +163,13 @@ def _suite_sl2_fermi(cfg: SuiteConfig):
         params = DeformParams(q, CLIFFORD)
         gens = deform.sl2_fermi_map(space, params)
         rel = braid.build_relations("sl", 2, q, CLIFFORD)
-        rows = [replace_name(r, f"q={q:g}/{r.name}")
+        rows = [replace(r, name=f"q={q:g}/{r.name}")
                 for r in _dcr_with_oracle(gens, rel, tol=1e-12, degree=0)]
-        rows += [replace_name(r, f"q={q:g}/{r.name}")
+        rows += [replace(r, name=f"q={q:g}/{r.name}")
                  for r in verify.number_op_check(gens, tol=1e-12)]
         rows.append(CaseResult(f"q={q:g}/hermiticity",
                                deform.hermiticity_residual(gens), 1e-12))
-        rows += [replace_name(r, f"q={q:g}/{r.name}")
+        rows += [replace(r, name=f"q={q:g}/{r.name}")
                  for r in verify.invariant_commutant_check(gens, data, tol=1e-12)]
         return rows
 
@@ -191,8 +187,8 @@ def _suite_sln(cfg: SuiteConfig):
         results = {}
         for ordering in ("above", "below"):
             gens = deform.sln_candidate_map(space, params, ordering)
-            oracle = verify.cross_oracle(gens, rel, tol=1e-10)
             full = verify.dcr_residuals(gens, rel, tol=1e-10)
+            oracle = verify.cross_oracle(full)
             worst = max(r.residual for r in full
                         if not r.name.startswith("dcr_cross")
                         or r.name == f"dcr_cross[{oracle['winner']}]")
@@ -225,7 +221,7 @@ def _suite_son_orbital(cfg: SuiteConfig):
 
     def functional(q):
         params = DeformParams(q, WEYL)
-        return [replace_name(r, f"q={q:g}/{r.name}")
+        return [replace(r, name=f"q={q:g}/{r.name}")
                 for r in soshift.verify_y_son(orb, params, tol=1e-10)]
 
     def classical_metric():
@@ -233,7 +229,7 @@ def _suite_son_orbital(cfg: SuiteConfig):
         params = DeformParams(1.0, WEYL)
         gens = deform.classical_generators(space, params)
         eye = np.eye(cfg.modes, dtype=complex)
-        return [replace_name(r, f"q=1/{r.name}")
+        return [replace(r, name=f"q=1/{r.name}")
                 for r in verify.metric_invariant_check(
                     gens.a_ops, gens.aplus_ops, eye, eye, 1.0, tol=1e-12)]
 
@@ -249,7 +245,7 @@ def _suite_qspecial(cfg: SuiteConfig):
         rows = []
         worst_prod = 0.0
         for q in (0.5, 0.9):
-            for a in (0.5, 1.5, 2.5, 7.25, 13.5, 19.5):
+            for a in (0.5, 0.75, 1.5, 2.5, 7.25, 13.5, 19.5):
                 lhs = qgamma(a + 1, q)
                 rhs = qnum(a, q) * qgamma(a, q)
                 worst_prod = max(worst_prod, abs(lhs - rhs) / abs(lhs))
@@ -263,7 +259,7 @@ def _suite_qspecial(cfg: SuiteConfig):
         rows.append(CaseResult("qgamma_integer_recurrence", worst, 1e-12))
         worst = 0.0
         for q in (0.5, 0.9):
-            for a in (1.5, 2.5, 5.0, 10.25, 19.5):
+            for a in (0.75, 1.5, 2.5, 5.0, 7.25, 10.25, 19.5):
                 lhs = qgamma_tilde(a + 1, q)
                 rhs = qbracket(a, q) * qgamma_tilde(a, q)
                 worst = max(worst, abs(lhs - rhs) / abs(lhs))
@@ -274,9 +270,11 @@ def _suite_qspecial(cfg: SuiteConfig):
         pts = [0.3 + 0.1j, -1.7 + 0.4j, 2.2 - 0.9j, 0.05 + 1.0j]
         pts += [a + b * 1j for a in (0.25, 0.75, 1.25, 1.75)
                 for b in (-0.5, 0.1, 0.5, 1.5)]
-        worst = max(reflection_residual(p) for p in pts[:20])
+        pts += [a + b * 1j for a in (0.25, 0.7, 1.3, -1.6, 2.2)
+                for b in (-0.9, 0.1, 0.5, 1.5)]
+        worst = max(reflection_residual(p) for p in pts)
         return [CaseResult("gamma_reflection_identity", worst, 1e-12,
-                           {"grid_points": 20})]
+                           {"grid_points": len(pts)})]
 
     def hyper():
         rows = []
@@ -407,7 +405,7 @@ def _suite_kz_operator(cfg: SuiteConfig):
     def classical_control():
         m = kz.coassociator_matrix(system, 0.0, eps)
         params = DeformParams(1.0, WEYL)
-        return [replace_name(r, f"q=1/{r.name}")
+        return [replace(r, name=f"q=1/{r.name}")
                 for r in kz.coassociator_relation_check(system, params, m,
                                                         tol=1e-12)]
 
@@ -465,37 +463,19 @@ _BUILDERS = {
 }
 
 
-def replace_name(case: CaseResult, name: str) -> CaseResult:
-    return CaseResult(name, case.residual, case.tolerance, case.metadata)
-
-
 def run_suite(cfg: SuiteConfig) -> Report:
-    """Execute a suite.  Units run concurrently up to cfg.jobs; a unit that
-    raises is recorded as a failed case with the diagnostic, and the run
-    continues."""
+    """Execute a suite.  A unit that raises is recorded as a failed case
+    with the diagnostic, and the run continues."""
     params, units = _BUILDERS[cfg.suite](cfg)
-
-    def safe(callable_):
-        try:
-            return callable_()
-        except Exception as exc:  # noqa: BLE001 - converted into a failed case
-            return exc
-
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            outcomes = list(pool.map(safe, [u for _, u in units]))
-    else:
-        outcomes = [safe(u) for _, u in units]
-
     cases: list[CaseResult] = []
-    for (name, _), outcome in zip(units, outcomes):
-        if isinstance(outcome, Exception):
+    for name, unit in units:
+        try:
+            cases.extend(unit())
+        except Exception as exc:  # noqa: BLE001 - converted into a failed case
             cases.append(CaseResult(f"{name}/EXECUTION", 1e30, 0.0,
-                                    {"error": f"{type(outcome).__name__}: {outcome}"}))
-        else:
-            cases.extend(outcome)
+                                    {"error": f"{type(exc).__name__}: {exc}"}))
     if cfg.tol is not None:
-        cases = [CaseResult(c.name, c.residual, cfg.tol, c.metadata) for c in cases]
+        cases = [replace(c, tolerance=cfg.tol) for c in cases]
     return Report(suite=cfg.suite, params=params, cases=cases)
 
 

@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__
 from .braid import RelationMatrices
 from .deform import DeformedGenerators
-from .fock import safe_projector
 from .liealg import LieData, sigma_basis
 from .qspecial import WEYL, qnum
 
@@ -66,19 +65,20 @@ class Report:
 
 def projected_norms(space, m: np.ndarray, degree: int) -> tuple[float, float]:
     """(spectral, frobenius) norm of P m P with P the degree-d safe projector."""
-    mask = space.total_occupations() <= space.cutoff - degree
+    mask = space.safe_mask(degree)
     sub = m[np.ix_(mask, mask)]
     if sub.size == 0:
         return 0.0, 0.0
     return float(np.linalg.norm(sub, 2)), float(np.linalg.norm(sub))
 
 
-def _case(space, name, m, degree, tol, **meta) -> CaseResult:
-    spec, fro = projected_norms(space, m, degree)
-    meta = dict(meta)
-    meta["frobenius"] = fro
-    meta["safe_degree"] = degree
-    return CaseResult(name, spec, tol, meta)
+def max_norms(norm_pairs) -> tuple[float, float]:
+    """(largest spectral, largest frobenius) over an iterable of
+    projected_norms results; (0, 0) when it is empty."""
+    spec = fro = 0.0
+    for s, f in norm_pairs:
+        spec, fro = max(spec, s), max(fro, f)
+    return spec, fro
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +97,6 @@ def quadratic_residual_matrices(gens: DeformedGenerators, rel: RelationMatrices)
     def idx(i, j):
         return i * n + j
 
-    ann = np.zeros((dim, dim), dtype=complex)
-    cre = np.zeros((dim, dim), dtype=complex)
-    worst_ann = worst_cre = 0.0
     res_ann, res_cre = [], []
     for i in range(n):
         for j in range(n):
@@ -148,42 +145,30 @@ def dcr_residuals(gens: DeformedGenerators, rel: RelationMatrices,
     space = gens.space
     res_ann, res_cre, cross = quadratic_residual_matrices(gens, rel)
 
-    def group_norm(mats):
-        spec = fro = 0.0
-        for m in mats:
-            s, f = projected_norms(space, m, degree)
-            spec, fro = max(spec, s), max(fro, f)
-        return spec, fro
+    def row(name, mats):
+        s, f = max_norms(projected_norms(space, m, degree) for m in mats)
+        return CaseResult(name, s, tol, {"frobenius": f, "safe_degree": degree})
 
-    rows = []
-    s, f = group_norm(res_ann)
-    rows.append(CaseResult("dcr_aa", s, tol, {"frobenius": f, "safe_degree": degree}))
-    s, f = group_norm(res_cre)
-    rows.append(CaseResult("dcr_apap", s, tol, {"frobenius": f, "safe_degree": degree}))
-    for name, mats in cross.items():
-        s, f = group_norm(mats)
-        rows.append(CaseResult(f"dcr_cross[{name}]", s, tol,
-                               {"frobenius": f, "safe_degree": degree}))
+    rows = [row("dcr_aa", res_ann), row("dcr_apap", res_cre)]
+    rows += [row(f"dcr_cross[{name}]", mats) for name, mats in cross.items()]
     return rows
 
 
-def cross_oracle(gens: DeformedGenerators, rel: RelationMatrices,
-                 tol: float = 1e-10, degree: int = 2) -> dict:
-    """Decide empirically which cross candidate the generators satisfy.
+def cross_oracle(rows: list[CaseResult]) -> dict:
+    """Decide empirically which cross candidate a generator set satisfies,
+    from the dcr_cross[...] rows of its dcr_residuals.
 
     Returns winner name, winner/loser residuals, and whether exactly one
-    candidate passed (the expected asymmetry).
+    candidate passed its tolerance (the expected asymmetry).
     """
-    rows = {r.name: r.residual for r in dcr_residuals(gens, rel, tol, degree)
-            if r.name.startswith("dcr_cross")}
-    ranked = sorted(rows.items(), key=lambda kv: kv[1])
-    winner, win_res = ranked[0]
-    loser, lose_res = ranked[-1]
+    ranked = sorted((r for r in rows if r.name.startswith("dcr_cross")),
+                    key=lambda r: r.residual)
+    winner, loser = ranked[0], ranked[-1]
     return {
-        "winner": winner.split("[")[1].rstrip("]"),
-        "winner_residual": win_res,
-        "loser_residual": lose_res,
-        "unique": bool(win_res <= tol < lose_res),
+        "winner": winner.name.split("[")[1].rstrip("]"),
+        "winner_residual": winner.residual,
+        "loser_residual": loser.residual,
+        "unique": bool(winner.passed and not loser.passed),
     }
 
 
@@ -211,14 +196,13 @@ def number_op_check(gens: DeformedGenerators, tol: float = 1e-10,
         degree = 0 if space.statistics is Statistics.FERMI else 2
     q2s = gens.params.q_real ** (2 * gens.params.sign)
     nh = gens.number_operator().matrix
-    spec_up = fro_up = spec_dn = fro_dn = 0.0
-    for a, ap in zip(gens.a_ops, gens.aplus_ops):
-        r_up = nh @ ap.matrix - ap.matrix - q2s * (ap.matrix @ nh)
-        r_dn = nh @ a.matrix - (1.0 / q2s) * (-a.matrix + a.matrix @ nh)
-        s, f = projected_norms(space, r_up, degree)
-        spec_up, fro_up = max(spec_up, s), max(fro_up, f)
-        s, f = projected_norms(space, r_dn, degree)
-        spec_dn, fro_dn = max(spec_dn, s), max(fro_dn, f)
+    spec_up, fro_up = max_norms(
+        projected_norms(space, nh @ ap.matrix - ap.matrix - q2s * (ap.matrix @ nh), degree)
+        for ap in gens.aplus_ops)
+    spec_dn, fro_dn = max_norms(
+        projected_norms(space, nh @ a.matrix - (1.0 / q2s) * (-a.matrix + a.matrix @ nh),
+                        degree)
+        for a in gens.a_ops)
     out = [
         CaseResult("qnumber_creator_relation", spec_up, tol,
                    {"frobenius": fro_up, "safe_degree": degree}),
@@ -262,9 +246,7 @@ def metric_invariant_check(a_ops, aplus_ops, c_lower: np.ndarray,
     aca = sum(c_lower[j, i] * (a[i] @ a[j]) for i in range(n) for j in range(n))
     apcap = sum(c_upper[i, j] * (ap[i] @ ap[j]) for i in range(n) for j in range(n))
     factor = 1.0 + q ** (2 - n)
-    rows = []
-    worst = [0.0, 0.0, 0.0, 0.0]
-    fros = [0.0, 0.0, 0.0, 0.0]
+    norms = [[], [], [], []]
     for i in range(n):
         r1 = aca @ a[i] - a[i] @ aca
         r2 = apcap @ ap[i] - ap[i] @ apcap
@@ -272,12 +254,13 @@ def metric_invariant_check(a_ops, aplus_ops, c_lower: np.ndarray,
             - factor * sum(c_lower[i, j] * a[j] for j in range(n))
         r4 = a[i] @ apcap - q**2 * (apcap @ a[i]) \
             - factor * sum(c_upper[i, j] * ap[j] for j in range(n))
-        for k, r in enumerate((r1, r2, r3, r4)):
-            s, f = projected_norms(space, r, 2)
-            worst[k], fros[k] = max(worst[k], s), max(fros[k], f)
+        for group, r in zip(norms, (r1, r2, r3, r4)):
+            group.append(projected_norms(space, r, 2))
     names = ["metric_inv_aa_commute", "metric_inv_apap_commute",
              "metric_inv_cross_lower", "metric_inv_cross_upper"]
-    for name, s, f in zip(names, worst, fros):
+    rows = []
+    for name, group in zip(names, norms):
+        s, f = max_norms(group)
         rows.append(CaseResult(name, s, tol, {"frobenius": f, "safe_degree": 2}))
     return rows
 
@@ -302,10 +285,8 @@ def invariant_commutant_check(gens: DeformedGenerators, data: LieData,
                            for k, v in extra_invariants.items()})
     rows = []
     for name, inv in invariants.items():
-        worst = fro = 0.0
-        for mat in smats.values():
-            s, f = projected_norms(space, mat @ inv - inv @ mat, 2)
-            worst, fro = max(worst, s), max(fro, f)
+        worst, fro = max_norms(projected_norms(space, mat @ inv - inv @ mat, 2)
+                               for mat in smats.values())
         rows.append(CaseResult(f"commutant[{name}]", worst, tol,
                                {"frobenius": fro, "safe_degree": 2}))
     return rows

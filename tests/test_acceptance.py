@@ -1,21 +1,37 @@
 """Acceptance criteria, one test per criterion.
 
-Each test prints a single CRITERION line so a bare `pytest -s
-tests/test_acceptance.py` doubles as the acceptance report.  Tolerances
-are fixed here, not configurable.
+Each criterion is a thin assertion over the rows of a suite report, so
+every check is defined once, in the suites.  Each report is computed
+once per module and timed; a criterion's runtime bound applies to the
+run_suite call that produced its report.  Each test prints a single
+CRITERION line so a bare `pytest -s tests/test_acceptance.py` doubles as
+the acceptance report.  Thresholds are fixed here, not configurable.
 """
 
-import math
 import time
+from functools import lru_cache
 
-import numpy as np
-import pytest
+from qheis import suites
 
-from qheis import braid, deform, fock, kz, liealg, soshift, verify
-from qheis.fock import Statistics
-from qheis.qspecial import (CLIFFORD, WEYL, DeformParams, connection_residual,
-                            hyper_ode_residual, qbracket, qgamma,
-                            qgamma_tilde, qnum, reflection_residual)
+
+@lru_cache(maxsize=None)
+def _run(suite, **overrides):
+    """(report, run_suite seconds) for a suite at its defaults plus overrides."""
+    cfg = suites.make_config(suite, **overrides)
+    t0 = time.perf_counter()
+    report = suites.run_suite(cfg)
+    return report, time.perf_counter() - t0
+
+
+def _rows(report, *names):
+    """The cases whose name, after any unit prefix, is one of names."""
+    rows = [c for c in report.cases if c.name.rsplit("/", 1)[-1] in names]
+    assert rows, f"{report.suite} has no case named {names}"
+    return rows
+
+
+def _worst(report, *names):
+    return max(c.residual for c in _rows(report, *names))
 
 
 def _report(num, label, passed, detail):
@@ -25,37 +41,20 @@ def _report(num, label, passed, detail):
 
 
 def test_criterion_01_sl2_fermi_dcr():
-    t0 = time.perf_counter()
-    space = fock.build_space(2, Statistics.FERMI)
-    worst = 0.0
-    for q in (0.7, 1.3):
-        gens = deform.sl2_fermi_map(space, DeformParams(q, CLIFFORD))
-        rel = braid.build_relations("sl", 2, q, CLIFFORD)
-        rows = verify.dcr_residuals(gens, rel, degree=0)
-        oracle = verify.cross_oracle(gens, rel, degree=0)
-        worst = max(worst, oracle["winner_residual"],
-                    *[r.residual for r in rows
-                      if not r.name.startswith("dcr_cross")])
-    dt = time.perf_counter() - t0
+    report, dt = _run("sl2-fermi")
+    worst = _worst(report, "dcr_aa", "dcr_apap", "dcr_cross_winner")
     _report(1, "fermionic sl(2) map, full 4-dim space",
             worst < 1e-12 and dt < 1.0,
             f"max residual {worst:.2e} (tol 1e-12), runtime {dt:.2f}s (< 1s)")
 
 
 def test_criterion_02_sl2_bose_dcr():
-    t0 = time.perf_counter()
-    space = fock.build_space(2, Statistics.BOSE, 8)
-    worst, unique = 0.0, True
-    for q in (0.7, 1.3):
-        gens = deform.sl2_bose_map(space, DeformParams(q, WEYL))
-        rel = braid.build_relations("sl", 2, q, WEYL)
-        rows = verify.dcr_residuals(gens, rel)
-        oracle = verify.cross_oracle(gens, rel)
-        unique = unique and oracle["unique"]
-        worst = max(worst, oracle["winner_residual"],
-                    *[r.residual for r in rows
-                      if not r.name.startswith("dcr_cross")])
-    dt = time.perf_counter() - t0
+    report, dt = _run("sl2-bose")
+    worst = _worst(report, "dcr_aa", "dcr_apap", "dcr_cross_winner")
+    # exactly one cross candidate passes: the winner does, the loser does not
+    unique = (_worst(report, "dcr_cross_winner") <= 1e-10
+              < min(c.metadata["raw_residual"]
+                    for c in _rows(report, "cross_negative_control")))
     _report(2, "bosonic sl(2) map, cutoff 8, safe subspace",
             worst < 1e-10 and unique and dt < 10.0,
             f"max residual {worst:.2e} (tol 1e-10), exactly-one-candidate: "
@@ -63,14 +62,10 @@ def test_criterion_02_sl2_bose_dcr():
 
 
 def test_criterion_03_qnumber_operator():
-    space = fock.build_space(2, Statistics.BOSE, 8)
-    worst_spec, worst_rel = 0.0, 0.0
-    for q in (0.7, 1.3):
-        gens = deform.sl2_bose_map(space, DeformParams(q, WEYL))
-        rows = {r.name: r.residual for r in verify.number_op_check(gens)}
-        worst_spec = max(worst_spec, rows["qnumber_spectrum"])
-        worst_rel = max(worst_rel, rows["qnumber_creator_relation"],
-                        rows["qnumber_annihilator_relation"])
+    report, _ = _run("sl2-bose")
+    worst_spec = _worst(report, "qnumber_spectrum")
+    worst_rel = _worst(report, "qnumber_creator_relation",
+                       "qnumber_annihilator_relation")
     _report(3, "q-number operator spectrum and relations",
             worst_spec < 1e-12 and worst_rel < 1e-10,
             f"spectrum dev {worst_spec:.2e} (tol 1e-12), relation residual "
@@ -78,47 +73,25 @@ def test_criterion_03_qnumber_operator():
 
 
 def test_criterion_04_prior_work_reconciliation():
-    space = fock.build_space(2, Statistics.BOSE, 6)
-    worst = 0.0
-    for q in (0.7, 1.3):
-        params = DeformParams(q, WEYL)
-        gens = deform.sl2_bose_map(space, params)
-        alpha = deform.sl2_alpha_intertwiner(space, params)
-        conj, _ = deform.inner_automorphism(gens, alpha)
-        oneside = deform.sl2_bose_onesided_map(space, params)
-        worst = max(worst, max(
-            np.abs(a.matrix - b.matrix).max()
-            for a, b in list(zip(conj.a_ops, oneside.a_ops))
-            + list(zip(conj.aplus_ops, oneside.aplus_ops))))
+    # a spectral norm, so it bounds the entrywise deviation
+    report, _ = _run("sl2-bose", cutoff=6)
+    worst = _worst(report, "alpha_reproduces_onesided_map")
     _report(4, "alpha-conjugation reproduces the one-sided generators",
-            worst < 1e-12, f"entrywise deviation {worst:.2e} (tol 1e-12)")
+            worst < 1e-12, f"spectral-norm deviation {worst:.2e} (tol 1e-12)")
 
 
 def test_criterion_05_hermiticity():
-    space = fock.build_space(2, Statistics.BOSE, 8)
-    worst = max(deform.hermiticity_residual(
-        deform.sl2_bose_map(space, DeformParams(q, WEYL))) for q in (0.7, 1.3))
-    spacef = fock.build_space(2, Statistics.FERMI)
-    worst = max(worst, max(deform.hermiticity_residual(
-        deform.sl2_fermi_map(spacef, DeformParams(q, CLIFFORD)))
-        for q in (0.7, 1.3)))
+    worst = max(_worst(_run(suite)[0], "hermiticity")
+                for suite in ("sl2-bose", "sl2-fermi"))
     _report(5, "*-structure of the sqrt(y)-dressed maps at real q",
             worst < 1e-12, f"max ||(A^i)+ - A+_i|| = {worst:.2e} (tol 1e-12)")
 
 
 def test_criterion_06_sl3_candidate_oracle():
-    space = fock.build_space(3, Statistics.BOSE, 5)
-    params = DeformParams(1.3, WEYL)
-    rel = braid.build_relations("sl", 3, 1.3, WEYL)
-    res = {}
-    for ordering in ("above", "below"):
-        gens = deform.sln_candidate_map(space, params, ordering)
-        oracle = verify.cross_oracle(gens, rel)
-        rows = verify.dcr_residuals(gens, rel)
-        res[ordering] = max(oracle["winner_residual"],
-                            *[r.residual for r in rows
-                              if not r.name.startswith("dcr_cross")])
-    good, bad = min(res.values()), max(res.values())
+    report, _ = _run("slN")
+    good = max(c.residual for c in report.cases if "/candidate_dcr[" in c.name)
+    bad = min(c.metadata["raw_residual"] for c in report.cases
+              if "/candidate_negative_control[" in c.name)
     _report(6, "sl(3) candidate map ordering oracle",
             good < 1e-10 and bad > 1e-2,
             f"passing ordering residual {good:.2e} (tol 1e-10), failing "
@@ -126,14 +99,10 @@ def test_criterion_06_sl3_candidate_oracle():
 
 
 def test_criterion_07_braid_matrices():
-    worst_alg, worst_lim = 0.0, 0.0
-    for family, n in (("sl", 2), ("sl", 3), ("so", 3), ("so", 4)):
-        for q in (0.7, 1.3):
-            d = braid.build_relations(family, n, q, WEYL).diagnostics
-            worst_alg = max(worst_alg, d["yang_baxter"], d["characteristic"])
-        rel1 = braid.build_relations(family, n, 1.0 + 1e-8, WEYL)
-        worst_lim = max(worst_lim, float(np.abs(
-            rel1.rhat - liealg.permutation_matrix(n)).max()))
+    # classical_limit is a spectral norm, so it bounds the entrywise deviation
+    report, _ = _run("braid")
+    worst_alg = _worst(report, "yang_baxter", "characteristic")
+    worst_lim = _worst(report, "classical_limit")
     _report(7, "braid matrices: Yang-Baxter, characteristic, q->1",
             worst_alg < 1e-12 and worst_lim < 1e-6,
             f"algebraic residual {worst_alg:.2e} (tol 1e-12), classical "
@@ -141,26 +110,12 @@ def test_criterion_07_braid_matrices():
 
 
 def test_criterion_08_qspecial():
-    worst_rec = 0.0
-    for q in (0.5, 0.9):
-        for a in (0.75, 2.5, 7.25, 19.5):
-            worst_rec = max(worst_rec,
-                            abs(qgamma(a + 1, q) - qnum(a, q) * qgamma(a, q))
-                            / abs(qgamma(a + 1, q)),
-                            abs(qgamma_tilde(a + 1, q)
-                                - qbracket(a, q) * qgamma_tilde(a, q))
-                            / abs(qgamma_tilde(a + 1, q)))
-    for q in (1.1, 2.0):
-        for a in range(1, 21):
-            worst_rec = max(worst_rec,
-                            abs(qgamma(a + 1, q) - qnum(a, q) * qgamma(a, q))
-                            / abs(qgamma(a + 1, q)))
-    grid = [a + b * 1j for a in (0.25, 0.7, 1.3, -1.6, 2.2)
-            for b in (-0.9, 0.1, 0.5, 1.5)]
-    worst_refl = max(reflection_residual(p) for p in grid)
-    worst_conn = connection_residual(0.1, -0.1, 1.3, 0.5)
-    worst_ode = max(hyper_ode_residual(0.1, -0.1, 1.3, z)
-                    for z in np.linspace(0.05, 0.65, 13))
+    report, _ = _run("qspecial")
+    worst_rec = _worst(report, "qgamma_product_recurrence",
+                       "qgamma_tilde_recurrence", "qgamma_integer_recurrence")
+    worst_refl = _worst(report, "gamma_reflection_identity")
+    worst_conn = _worst(report, "hyper_connection_selfconsistency")
+    worst_ode = _worst(report, "hyper_ode_termwise")
     _report(8, "q-special functions",
             worst_rec < 1e-12 and worst_refl < 1e-12
             and worst_conn < 1e-10 and worst_ode < 1e-9,
@@ -169,27 +124,11 @@ def test_criterion_08_qspecial():
 
 
 def test_criterion_09_kz_scalar():
-    t0 = time.perf_counter()
-    worst = {"traj": 0.0, "comb": 0.0, "closed": 0.0, "trajroute": 0.0}
-    xs = np.linspace(0.02, 0.98, 33)
-    for n in (2.0, 3.0, 5.0):
-        for hbar2 in (0.05, 0.1j):
-            for sign in (+1, -1):
-                p = kz.KZScalarParams(n=n, hbar2=hbar2, sign=sign, eps=1e-8)
-                traj = kz.integrate_scalar(p)
-                worst["traj"] = max(worst["traj"], max(
-                    np.abs(np.array(traj(x))
-                           - np.array(kz.closed_form_f(p, x))).max()
-                    for x in xs))
-                worst["comb"] = max(worst["comb"],
-                                    kz.combination_identity_residual(p, traj, xs))
-                lims = kz.extract_limits(p, traj)
-                ref = np.array(lims["reference"])
-                worst["closed"] = max(worst["closed"], float(
-                    np.abs(np.array(lims["closed"]) - ref).max()))
-                worst["trajroute"] = max(worst["trajroute"], float(
-                    np.abs(np.array(lims["trajectory"]) - ref).max()))
-    dt = time.perf_counter() - t0
+    report, dt = _run("kz-scalar")
+    worst = {"traj": _worst(report, "trajectory_vs_closed_forms"),
+             "comb": _worst(report, "combination_identity"),
+             "closed": _worst(report, "limits_closed_route"),
+             "trajroute": _worst(report, "limits_trajectory_route")}
     ok = (worst["traj"] < 1e-8 and worst["comb"] < 1e-8
           and worst["closed"] < 1e-10 and worst["trajroute"] < 1e-6
           and dt < 30.0)
@@ -202,27 +141,15 @@ def test_criterion_09_kz_scalar():
 
 
 def test_criterion_10_coassociator():
-    t0 = time.perf_counter()
-    space = fock.build_space(2, Statistics.BOSE, 5)
-    system = kz.build_operator_system(space)
-    eye = np.eye(system.p_big.shape[0])
-
-    def hbar2_of(h):
-        return h / (math.pi * 1j)
-
-    n1 = np.linalg.norm(kz.coassociator_matrix(system, hbar2_of(0.1), 1e-5) - eye, 2)
-    n2 = np.linalg.norm(kz.coassociator_matrix(system, hbar2_of(0.05), 1e-5) - eye, 2)
-    ratio = n1 / n2
-    m = kz.coassociator_matrix(system, hbar2_of(0.1), 1e-6)
-    triv = kz.acts_trivially_residual(system, m)
-    params = DeformParams(math.e**0.1, WEYL)
-    rows = kz.coassociator_relation_check(system, params, m, tol=1e-6)
-    worst_rel = max(r.residual for r in rows)
-    m0 = kz.coassociator_matrix(system, 0.0, 1e-6)
-    rows0 = kz.coassociator_relation_check(system, DeformParams(1.0, WEYL),
-                                           m0, tol=1e-12)
-    worst_cl = max(r.residual for r in rows0)
-    dt = time.perf_counter() - t0
+    report, dt = _run("kz-operator")
+    relations = ("coassoc_relation_aa", "coassoc_relation_apap",
+                 "coassoc_relation_cross")
+    ratio = _rows(report, "coassoc_h2_scaling")[0].metadata["ratio"]
+    triv = _worst(report, "coassoc_acts_trivially_on_aa")
+    worst_rel = max(c.residual for c in _rows(report, *relations)
+                    if not c.name.startswith("q=1/"))
+    worst_cl = max(c.residual for c in _rows(report, *relations)
+                   if c.name.startswith("q=1/"))
     ok = (3.2 < ratio < 4.8 and triv < 1e-6 and worst_rel < 1e-6
           and worst_cl < 1e-12 and dt < 120.0)
     _report(10, "coassociator matrix M (N=2, cutoff 5)",
@@ -233,19 +160,13 @@ def test_criterion_10_coassociator():
 
 
 def test_criterion_11_so_orbital():
-    worst_eige, worst_comm, worst_y = 0.0, 0.0, 0.0
-    for n in (3, 4):
-        orb = soshift.build_orbital(fock.build_space(n, Statistics.BOSE, 6))
-        comm = {r.name: r.residual for r in soshift.l2_commutator_residuals(orb)}
-        worst_comm = max(worst_comm, comm["l2_commutes_aa"],
-                         comm["l2_commutes_apap"])
-        for s in (+1, -1):
-            rows = {r.name: r.residual
-                    for r in soshift.shift_operator_residuals(orb, s)}
-            worst_eige = max(worst_eige, rows[f"shift_eigen_relations[s={s:+d}]"])
-        for q in (0.7, 1.3):
-            rows = soshift.verify_y_son(orb, DeformParams(q, WEYL))
-            worst_y = max(worst_y, max(r.residual for r in rows))
+    reports = [_run("soN-orbital", cutoff=6, modes=n)[0] for n in (3, 4)]
+    worst_eige = max(_worst(r, "shift_eigen_relations[s=+1]",
+                            "shift_eigen_relations[s=-1]") for r in reports)
+    worst_comm = max(_worst(r, "l2_commutes_aa", "l2_commutes_apap")
+                     for r in reports)
+    worst_y = max(_worst(r, *(f"y_so_functional_eq{k}" for k in range(1, 5)))
+                  for r in reports)
     _report(11, "so(N) orbital machinery, N in {3,4}, cutoff 6",
             worst_eige < 1e-10 and worst_comm < 1e-12 and worst_y < 1e-10,
             f"shift relations {worst_eige:.2e} (1e-10), scalar commutators "
@@ -253,11 +174,8 @@ def test_criterion_11_so_orbital():
 
 
 def test_criterion_12_metric_invariants_classical():
-    space = fock.build_space(3, Statistics.BOSE, 6)
-    gens = deform.classical_generators(space, DeformParams(1.0, WEYL))
-    eye = np.eye(3, dtype=complex)
-    rows = verify.metric_invariant_check(gens.a_ops, gens.aplus_ops,
-                                         eye, eye, 1.0, tol=1e-12)
-    worst = max(r.residual for r in rows)
+    report, _ = _run("soN-orbital", cutoff=6, modes=3)
+    worst = max(c.residual for c in report.cases
+                if c.name.startswith("q=1/metric_inv_"))
     _report(12, "quadratic metric invariants at q=1 (classical generators)",
             worst < 1e-12, f"max residual {worst:.2e} (tol 1e-12)")

@@ -107,8 +107,8 @@ def test_inner_automorphism(bose_space):
 
     alpha = fock.diag_fn(bose_space, lambda t: q ** (t[0] + t[1]))
     conj, _ = deform.inner_automorphism(gens, alpha)
-    before = verify.cross_oracle(gens, rel)["winner_residual"]
-    after = verify.cross_oracle(conj, rel)["winner_residual"]
+    before = verify.cross_oracle(verify.dcr_residuals(gens, rel))["winner_residual"]
+    after = verify.cross_oracle(verify.dcr_residuals(conj, rel))["winner_residual"]
     assert after < max(10 * before, 1e-12)
 
     singular = fock.diag_fn(bose_space, lambda t: 1e-20 if sum(t) > 3 else 1.0)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from qheis import cli, suites
+from qheis import cli, suites, verify
 from qheis.verify import CaseResult, Report
 
 
@@ -52,11 +52,20 @@ def test_report_roundtrip_and_determinism(tmp_path):
         assert parsed["tolerance"] == case.tolerance
 
 
-def test_jobs_do_not_change_the_report():
-    cfg1 = suites.make_config("braid", q=(1.3,))
-    cfg2 = suites.make_config("braid", q=(1.3,), jobs=4)
-    assert (suites.report_to_json(suites.run_suite(cfg1))
-            == suites.report_to_json(suites.run_suite(cfg2)))
+def test_dcr_products_built_once_per_generator_set(monkeypatch):
+    built = []
+    original = verify.quadratic_residual_matrices
+
+    def counting(gens, rel):
+        built.append(gens)
+        return original(gens, rel)
+
+    monkeypatch.setattr(verify, "quadratic_residual_matrices", counting)
+    # slN: one set per ordering; sl2-*: one set per q
+    for suite, sets in (("slN", 2), ("sl2-bose", 2), ("sl2-fermi", 2)):
+        built.clear()
+        suites.run_suite(suites.make_config(suite))
+        assert len(built) == sets == len({id(g) for g in built}), suite
 
 
 def test_tolerance_override():
@@ -94,9 +103,18 @@ def test_cli_failure_exit_code(tmp_path):
     assert code == 1
 
 
-def test_cli_unknown_suite_usage_error():
+@pytest.mark.parametrize("argv, config", [
+    (["suite", "does-not-exist"], None),
+    (["suite", "braid", "--jobs", "2"], None),
+    (["suite", "braid"], {"jobs": 2}),
+], ids=["unknown-suite", "jobs-flag", "jobs-config-key"])
+def test_cli_unknown_suite_usage_error(tmp_path, argv, config):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
     with pytest.raises(SystemExit) as exc:
-        cli.main(["suite", "does-not-exist"])
+        cli.main(argv)
     assert exc.value.code == 2
 
 

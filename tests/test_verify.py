@@ -37,7 +37,7 @@ def test_oracle_uniqueness_and_stability():
         for q in (0.7, 1.3):
             gens = deform.sl2_bose_map(sp, DeformParams(q, WEYL))
             rel = braid.build_relations("sl", 2, q, WEYL)
-            oracle = verify.cross_oracle(gens, rel)
+            oracle = verify.cross_oracle(verify.dcr_residuals(gens, rel))
             assert oracle["unique"]
             assert oracle["winner_residual"] < 1e-10
             assert oracle["loser_residual"] > 1e-2
@@ -53,7 +53,8 @@ def test_residuals_shrink_with_cutoff():
         sp = fock.build_space(2, Statistics.BOSE, cutoff)
         gens = deform.sl2_bose_map(sp, DeformParams(1.3, WEYL))
         rel = braid.build_relations("sl", 2, 1.3, WEYL)
-        worst[cutoff] = verify.cross_oracle(gens, rel)["winner_residual"]
+        worst[cutoff] = verify.cross_oracle(
+            verify.dcr_residuals(gens, rel))["winner_residual"]
     assert worst[8] <= max(2.0 * worst[5], 1e-13)
 
 
@@ -62,7 +63,7 @@ def test_fermi_dcr_exact():
     for q in (0.7, 1.3):
         gens = deform.sl2_fermi_map(sp, DeformParams(q, CLIFFORD))
         rel = braid.build_relations("sl", 2, q, CLIFFORD)
-        oracle = verify.cross_oracle(gens, rel, degree=0)
+        oracle = verify.cross_oracle(verify.dcr_residuals(gens, rel, degree=0))
         assert oracle["winner_residual"] < 1e-13
 
 
