@@ -39,7 +39,14 @@ A = 1 x e_ij x a+_j a^i, the coassociator matrix is
         y0^(eta A),
 
 computed as the fundamental solution of the linear operator ODE (not by
-product discretization).  M = 1 + O(h^2), acts trivially on the
+product discretization).  A conserves the total occupation and P acts
+only on C^N x C^N, so P, A, the propagator and both endpoint factors are
+block diagonal over the occupation shells k of Fock: shell k has size
+N^2 C(k+N-1, N-1) (4(k+1) at N = 2).  One ODE evolves the concatenated
+shell blocks, and the endpoint factors are closed forms per shell:
+y0^(eta A) from the eigendecomposition of the real symmetric A block,
+and x0^(-eta P) = cosh(c) 1 + sinh(c) P with c = -eta log x0, since
+P^2 = 1.  M = 1 + zeta(2) eta^2 [P, A] + O(h^3), acts trivially on the
 doubly-contravariant tensor a^i a^j, commutes with the image of the
 two-fold coproduct, and conjugates the numeric matrices U = P and
 V = q^s P q^P into the matrices governing the deformed exchange
@@ -58,10 +65,10 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
+from scipy.linalg import expm  # noqa: F401  (the benchmark tracer wraps kz.expm)
 
 from .fock import FockSpace, Statistics, annihilator, creator
-from .liealg import permutation_matrix
+from .liealg import permutation_matrix, rho, sigma
 from .qspecial import DeformParams, gauss_2f1, gauss_2f1_deriv, qnum
 from .verify import CaseResult, max_norms, projected_norms
 
@@ -343,6 +350,27 @@ def extract_limits(params: KZScalarParams, traj=None,
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class KZShell:
+    """One occupation shell of C^N x C^N x Fock: its indices in the full
+    space, the blocks of P and A there, and the eigendecomposition
+    A = vecs diag(vals) vecs^T of the real symmetric A block."""
+
+    idx: np.ndarray
+    p: np.ndarray
+    a: np.ndarray
+    a_vals: np.ndarray
+    a_vecs: np.ndarray
+
+    def exp_a(self, c: complex) -> np.ndarray:
+        """exp(c A) on this shell."""
+        return (self.a_vecs * np.exp(c * self.a_vals)) @ self.a_vecs.T
+
+    def exp_p(self, c: complex) -> np.ndarray:
+        """exp(c P) on this shell; P^2 = 1."""
+        return np.cosh(c) * np.eye(self.idx.size) + np.sinh(c) * self.p
+
+
 @dataclass
 class KZOperatorSystem:
     space: FockSpace
@@ -350,6 +378,9 @@ class KZOperatorSystem:
     p_big: np.ndarray
     a_big: np.ndarray
     aa_blocks: np.ndarray  # (N, N, D, D): the tensor a^i a^j
+    an: list               # annihilator matrices a^1 .. a^N
+    ap: list               # creator matrices a+_1 .. a+_N
+    shells: tuple          # KZShell per total occupation 0 .. cutoff
 
 
 def build_operator_system(space: FockSpace) -> KZOperatorSystem:
@@ -372,27 +403,46 @@ def build_operator_system(space: FockSpace) -> KZOperatorSystem:
     for i in range(n):
         for j in range(n):
             aa[i, j] = an[i] @ an[j]
-    return KZOperatorSystem(space, n, p_big, a_big, aa)
+    shell_of = np.tile(space.total_occupations(), n * n)
+    shells = []
+    for k in np.unique(shell_of):
+        idx = np.flatnonzero(shell_of == k)
+        a_k = a_big[np.ix_(idx, idx)].real
+        shells.append(KZShell(idx, p_big[np.ix_(idx, idx)], a_k, *np.linalg.eigh(a_k)))
+    return KZOperatorSystem(space, n, p_big, a_big, aa, an, ap, tuple(shells))
 
 
 def coassociator_matrix(system: KZOperatorSystem, hbar2: complex, eps: float,
                         rtol: float = 1e-12, atol: float = 1e-14) -> np.ndarray:
     """M at regularization eps: x0 = y0 = eps, power-law prefactors exactly
-    as in the path-ordered integral, interior by the linear operator ODE."""
-    if hbar2 == 0:
-        return np.eye(system.p_big.shape[0], dtype=complex)
-    dim = system.p_big.shape[0]
-    y0 = expm(math.log(eps) * hbar2 * system.a_big).reshape(-1)
+    as in the path-ordered integral, interior by the linear operator ODE.
 
-    p, a = system.p_big, system.a_big
+    The ODE state is the concatenation of the shell blocks of the
+    propagator; the dense M is assembled from them at the end."""
+    dim = system.p_big.shape[0]
+    if hbar2 == 0:
+        return np.eye(dim, dtype=complex)
+    shells = system.shells
+    c = math.log(eps) * hbar2
+    terms = [(hbar2 * sh.p, hbar2 * sh.a) for sh in shells]
+    sizes = [sh.idx.size for sh in shells]
+    ends = np.cumsum([s * s for s in sizes])
+    slices = [slice(e - s * s, e) for s, e in zip(sizes, ends)]
+    y0 = np.concatenate([sh.exp_a(c).reshape(-1) for sh in shells])
 
     def rhs(x, y):
-        g = y.reshape(dim, dim)
-        return (hbar2 * (p / x + a / (x - 1.0)) @ g).reshape(-1)
+        out = np.empty_like(y)
+        ix, ix1 = 1.0 / x, 1.0 / (x - 1.0)
+        for (hp, ha), s, sl in zip(terms, sizes, slices):
+            np.matmul(hp * ix + ha * ix1, y[sl].reshape(s, s), out=out[sl].reshape(s, s))
+        return out
 
     sol = _TwoLegSolution(rhs, y0, eps, 1.0 - eps, rtol=rtol, atol=atol)
-    g_end = sol(eps).reshape(dim, dim)
-    return expm(-math.log(eps) * hbar2 * system.p_big) @ g_end
+    y_end = sol(eps)
+    m = np.zeros((dim, dim), dtype=complex)
+    for sh, s, sl in zip(shells, sizes, slices):
+        m[np.ix_(sh.idx, sh.idx)] = sh.exp_p(-c) @ y_end[sl].reshape(s, s)
+    return m
 
 
 def coassociator_with_error(system: KZOperatorSystem, hbar2: complex,
@@ -422,8 +472,6 @@ def acts_trivially_residual(system: KZOperatorSystem, m: np.ndarray,
 def invariance_residual(system: KZOperatorSystem, m: np.ndarray, data,
                         degree: int = 2) -> float:
     """|| [M, image of the two-fold coproduct of X] || over Lie basis X."""
-    from .liealg import rho, sigma
-
     n, d = system.n, system.space.dim
     eye_n, eye_d = np.eye(n), np.eye(d)
     # project the Fock factor of the commutator norm
@@ -465,10 +513,8 @@ def dressed_generators(system: KZOperatorSystem, params: DeformParams,
     itilde = np.array([qnum(v + 1.0, q2s).real / (v + 1.0) for v in nvec]) / i_vals
     di = np.diag(i_vals.astype(complex))
     dit = np.diag(itilde.astype(complex))
-    an = [annihilator(space, i).matrix for i in range(1, space.modes + 1)]
-    ap = [creator(space, i).matrix for i in range(1, space.modes + 1)]
-    a_t = [di @ m for m in an]
-    ap_t = [m @ dit for m in ap]
+    a_t = [di @ m for m in system.an]
+    ap_t = [m @ dit for m in system.ap]
     return a_t, ap_t
 
 

@@ -381,8 +381,20 @@ def _suite_kz_operator(cfg: SuiteConfig):
         n1 = np.linalg.norm(m_h - eye, 2)
         n2 = np.linalg.norm(m_h2 - eye, 2)
         ratio = n1 / n2
+        # M - 1 = zeta(2) eta^2 [P, A] + O(h^3), read off the half-h matrix
+        h2_term = math.pi**2 / 6 * hbar2_of(h / 2)**2 * (
+            system.p_big @ system.a_big - system.a_big @ system.p_big)
+        scale = np.linalg.norm(h2_term, 2)
+
+        def h2_defect(sign):
+            return np.linalg.norm(m_h2 - eye - sign * h2_term, 2) / scale
+
         return [CaseResult("coassoc_h2_scaling", abs(ratio - 4.0), 0.8,
-                           {"ratio": ratio, "norm_h": n1, "norm_half_h": n2})]
+                           {"ratio": ratio, "norm_h": n1, "norm_half_h": n2}),
+                CaseResult("coassoc_h2_coefficient", h2_defect(+1), 0.3,
+                           {"norm_h2_term": scale}),
+                _negative_control("coassoc_h2_coefficient_wrong_sign_control",
+                                  h2_defect(-1), floor=0.3)]
 
     def main_checks():
         m, err = kz.coassociator_with_error(system, hbar2_of(h), 2 * eps)

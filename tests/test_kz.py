@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from qheis import fock, kz, liealg
 from qheis.fock import Statistics
@@ -110,9 +112,15 @@ def test_coassociator_h2_scaling(op_system):
     eye = np.eye(op_system.p_big.shape[0])
     n1 = np.linalg.norm(kz.coassociator_matrix(op_system, hbar2_of(0.1), 1e-5)
                         - eye, 2)
-    n2 = np.linalg.norm(kz.coassociator_matrix(op_system, hbar2_of(0.05), 1e-5)
-                        - eye, 2)
+    m_half = kz.coassociator_matrix(op_system, hbar2_of(0.05), 1e-5) - eye
+    n2 = np.linalg.norm(m_half, 2)
     assert 3.2 < n1 / n2 < 4.8
+    # M - 1 = zeta(2) eta^2 [P, A] + O(h^3); the wrong sign is off by ~2
+    p, a = op_system.p_big, op_system.a_big
+    term = math.pi**2 / 6 * hbar2_of(0.05)**2 * (p @ a - a @ p)
+    scale = np.linalg.norm(term, 2)
+    assert np.linalg.norm(m_half - term, 2) / scale < 0.3
+    assert np.linalg.norm(m_half + term, 2) / scale > 1.5
 
 
 def test_coassociator_eps_stability(op_system):
@@ -157,6 +165,54 @@ def test_coassociator_wrong_sign_control(op_system, m_matrix):
     params = DeformParams(math.e**0.1, CLIFFORD)
     rows = kz.coassociator_relation_check(op_system, params, m_matrix, tol=1e-6)
     assert max(r.residual for r in rows) > 1e-2
+
+
+def _dense_coassociator(system, hbar2, eps):
+    """M from the full N^2 D x N^2 D ODE, integrated in the logistic
+    coordinate x = 1/(1 + e^-t), where dx/dt = x(1-x) removes both
+    endpoint singularities of P/x + A/(x-1)."""
+    p, a = system.p_big, system.a_big
+    dim = p.shape[0]
+
+    def rhs(t, y):
+        x = 1.0 / (1.0 + math.exp(-t))
+        return (hbar2 * ((1.0 - x) * p - x * a) @ y.reshape(dim, dim)).reshape(-1)
+
+    def logit(x):
+        return math.log(x / (1.0 - x))
+
+    y0 = expm(math.log(eps) * hbar2 * a).reshape(-1)
+    sol = solve_ivp(rhs, (logit(1.0 - eps), logit(eps)), y0, method="DOP853",
+                    rtol=1e-12, atol=1e-14)
+    assert sol.success
+    return expm(-math.log(eps) * hbar2 * p) @ sol.y[:, -1].reshape(dim, dim)
+
+
+@pytest.mark.parametrize("modes,cutoff", [(2, 3), (3, 2)])
+def test_coassociator_matches_dense_oracle(modes, cutoff):
+    system = kz.build_operator_system(fock.build_space(modes, Statistics.BOSE, cutoff))
+    m = kz.coassociator_matrix(system, hbar2_of(0.1), 1e-5)
+    assert np.linalg.norm(m - _dense_coassociator(system, hbar2_of(0.1), 1e-5), 2) <= 1e-10
+    shell_of = np.tile(system.space.total_occupations(), modes * modes)
+    off_shell = shell_of[:, None] != shell_of[None, :]
+    assert off_shell.any()
+    assert np.all(m[off_shell] == 0)
+
+
+def test_coassociator_ode_state_is_the_shell_blocks(op_system, monkeypatch):
+    # N=2, cutoff 5: shells of size 4(k+1), k = 0..5, hold 16 * 91 = 1456
+    # entries; the full 84 x 84 propagator would hold 7056
+    sizes = []
+    real_solve_ivp = kz.solve_ivp
+
+    def recording(fun, t_span, y0, **kw):
+        sizes.append(y0.size)
+        return real_solve_ivp(fun, t_span, y0, **kw)
+
+    monkeypatch.setattr(kz, "solve_ivp", recording)
+    kz.coassociator_matrix(op_system, hbar2_of(0.1), 1e-5)
+    assert sizes and all(s == 1456 for s in sizes)
+    assert [sh.idx.size for sh in op_system.shells] == [4, 8, 12, 16, 20, 24]
 
 
 def test_operator_system_validation():
