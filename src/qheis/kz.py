@@ -53,8 +53,9 @@ V = q^s P q^P into the matrices governing the deformed exchange
 relations of the dressed generators a~^i = I(n) a^i,
 a~+_i = a+_i I~(n), I~(n) = (n+1)_{q^(2s)} / ((n+1) I(n)).
 
-All endpoint integrations substitute log coordinates near 0 and 1, so
-the step count is independent of eps.
+Every integration runs in the logistic coordinate t = log(x/(1-x)).
+There dx/dt = x(1-x) cancels the simple poles at x = 0 and x = 1, so one
+solve covers (0, 1) and the step count is independent of eps.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from scipy.linalg import expm  # noqa: F401  (the benchmark tracer wraps kz.expm
 
 from .fock import FockSpace, Statistics, annihilator, creator
 from .liealg import permutation_matrix, rho, sigma
-from .qspecial import DeformParams, gauss_2f1, gauss_2f1_deriv, qnum
+from .qspecial import DeformParams, gamma, gauss_2f1, gauss_2f1_deriv, qnum, rgamma
 from .verify import CaseResult, max_norms, projected_norms
 
 
@@ -116,47 +117,33 @@ def limits_reference(params: KZScalarParams) -> tuple[complex, complex, complex]
 
 
 # ---------------------------------------------------------------------------
-# log-coordinate integration of d y/dx = rhs(x) y on [x_lo, x_hi]
+# logistic-coordinate integration of dy/dx = rhs(x, y) on [x_lo, x_hi]
 # ---------------------------------------------------------------------------
 
 
-class _TwoLegSolution:
-    """Dense solution of a linear ODE integrated from 1-eps down to x_lo,
-    split at 1/2 with logarithmic coordinates on both legs."""
+def _logit(x: float) -> float:
+    return math.log(x / (1.0 - x))
 
-    def __init__(self, rhs: Callable[[float, np.ndarray], np.ndarray],
-                 y_start: np.ndarray, x_lo: float, x_hi: float,
-                 rtol: float = 1e-12, atol: float = 1e-14):
-        if not (0 < x_lo < 0.5 < x_hi < 1):
-            raise ValueError("need x_lo < 1/2 < x_hi inside (0, 1)")
 
-        def rhs_u(u, y):
-            # u = log(1-x), leg near x = 1
-            x = 1.0 - math.exp(u)
-            return -(1.0 - x) * rhs(x, y)
+def _logistic_leg(rhs: Callable[[float, np.ndarray], np.ndarray], y_start: np.ndarray,
+                  x_lo: float, x_hi: float, dense_output: bool = False,
+                  rtol: float = 1e-12, atol: float = 1e-14):
+    """Integrate dy/dx = rhs(x, y) from x_hi down to x_lo in one DOP853
+    solve in t = log(x/(1-x)), whose rhs x(1-x) rhs(x, y) is regular at
+    both endpoints when rhs has simple poles there.  Returns scipy's
+    solution object; its times are t values."""
+    if not 0 < x_lo < x_hi < 1:
+        raise ValueError("need 0 < x_lo < x_hi < 1")
 
-        def rhs_t(t, y):
-            # t = log(x), leg near x = 0
-            x = math.exp(t)
-            return x * rhs(x, y)
+    def rhs_t(t, y):
+        x = 1.0 / (1.0 + math.exp(-t))
+        return x * (1.0 - x) * rhs(x, y)
 
-        kw = dict(method="DOP853", rtol=rtol, atol=atol, dense_output=True)
-        solA = solve_ivp(rhs_u, (math.log(1.0 - x_hi), math.log(0.5)), y_start, **kw)
-        if not solA.success:
-            raise IntegrationError(f"leg near 1 failed: {solA.message}")
-        y_half = solA.y[:, -1]
-        solB = solve_ivp(rhs_t, (math.log(0.5), math.log(x_lo)), y_half, **kw)
-        if not solB.success:
-            raise IntegrationError(f"leg near 0 failed: {solB.message}")
-        self._solA, self._solB = solA, solB
-        self.x_lo, self.x_hi = x_lo, x_hi
-
-    def __call__(self, x: float) -> np.ndarray:
-        if not self.x_lo - 1e-15 <= x <= self.x_hi + 1e-15:
-            raise ValueError(f"x = {x} outside integrated range")
-        if x >= 0.5:
-            return self._solA.sol(math.log(1.0 - x))
-        return self._solB.sol(math.log(x))
+    sol = solve_ivp(rhs_t, (_logit(x_hi), _logit(x_lo)), y_start, method="DOP853",
+                    rtol=rtol, atol=atol, dense_output=dense_output)
+    if not sol.success:
+        raise IntegrationError(f"integration failed: {sol.message}")
+    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +166,8 @@ def _scalar_rhs(params: KZScalarParams):
     return rhs
 
 
-def integrate_scalar(params: KZScalarParams, x_lo: float | None = None) -> _TwoLegSolution:
+def integrate_scalar(params: KZScalarParams,
+                     x_lo: float | None = None) -> Callable[[float], np.ndarray]:
     """Integrate the scalar system from x = 1-eps down to x_lo (default eps).
 
     Each component is seeded at 1-eps with its own leading asymptotic:
@@ -187,7 +175,8 @@ def integrate_scalar(params: KZScalarParams, x_lo: float | None = None) -> _TwoL
     condition, and f1, f3 (which vanish at x = 1) with the first
     nonvanishing power eps^(1 + s eta (n-1)) of the closed forms, so the
     seeding error is O(eps^2) relative and the trajectory can be compared
-    to the closed forms at the 1e-8 level.  Returns a dense callable.
+    to the closed forms at the 1e-8 level.  Returns the dense trajectory
+    x -> (f1, f2, f3), which raises ValueError outside [x_lo, 1-eps].
     """
     eps = params.eps
     x_lo = eps if x_lo is None else x_lo
@@ -197,7 +186,15 @@ def integrate_scalar(params: KZScalarParams, x_lo: float | None = None) -> _TwoL
     f1 = (eta / (1.0 + s * eta * n)) * eps ** (1.0 + kappa)
     f3 = -f1 / (n + 1.0)
     y0 = np.array([f1, f2, f3], dtype=complex)
-    return _TwoLegSolution(_scalar_rhs(params), y0, x_lo, 1.0 - eps)
+    x_hi = 1.0 - eps
+    sol = _logistic_leg(_scalar_rhs(params), y0, x_lo, x_hi, dense_output=True)
+
+    def traj(x: float) -> np.ndarray:
+        if not x_lo - 1e-15 <= x <= x_hi + 1e-15:
+            raise ValueError(f"x = {x} outside integrated range")
+        return sol.sol(_logit(x))
+
+    return traj
 
 
 def closed_form_f(params: KZScalarParams, x: float) -> tuple[complex, complex, complex]:
@@ -313,8 +310,6 @@ def limits_closed_route(params: KZScalarParams) -> tuple[complex, complex, compl
     gamma arithmetic; agreement with limits_reference (which is sine
     arithmetic) is a nontrivial reflection-identity check.
     """
-    from .qspecial import gamma, rgamma
-
     n, eta, s = params.n, params.hbar2, params.sign
     a = s * eta
     l1 = n * eta * gamma(1.0 + a * n) * gamma(-a * n) * rgamma(1.0 + a) * rgamma(1.0 - a)
@@ -437,8 +432,7 @@ def coassociator_matrix(system: KZOperatorSystem, hbar2: complex, eps: float,
             np.matmul(hp * ix + ha * ix1, y[sl].reshape(s, s), out=out[sl].reshape(s, s))
         return out
 
-    sol = _TwoLegSolution(rhs, y0, eps, 1.0 - eps, rtol=rtol, atol=atol)
-    y_end = sol(eps)
+    y_end = _logistic_leg(rhs, y0, eps, 1.0 - eps, rtol=rtol, atol=atol).y[:, -1]
     m = np.zeros((dim, dim), dtype=complex)
     for sh, s, sl in zip(shells, sizes, slices):
         m[np.ix_(sh.idx, sh.idx)] = sh.exp_p(-c) @ y_end[sl].reshape(s, s)
@@ -455,8 +449,8 @@ def coassociator_with_error(system: KZOperatorSystem, hbar2: complex,
 
 def _blocks(system: KZOperatorSystem, big: np.ndarray) -> np.ndarray:
     n, d = system.n, system.space.dim
-    return big.reshape(n, n, d, n, n, d).transpose(0, 1, 3, 4, 2, 5)
     # -> indexed [i, k (row pair), j, l (col pair), fock_row, fock_col]
+    return big.reshape(n, n, d, n, n, d).transpose(0, 1, 3, 4, 2, 5)
 
 
 def acts_trivially_residual(system: KZOperatorSystem, m: np.ndarray,

@@ -110,16 +110,12 @@ def _suite_sl2_bose(cfg: SuiteConfig):
         params = DeformParams(q, WEYL)
         gens = deform.sl2_bose_map(space, params)
         rel = braid.build_relations("sl", 2, q, WEYL)
-        rows = [replace(r, name=f"q={q:g}/{r.name}")
-                for r in _dcr_with_oracle(gens, rel, tol=1e-10)]
-        rows += [replace(r, name=f"q={q:g}/{r.name}")
-                 for r in verify.number_op_check(gens, tol=1e-10)]
-        rows.append(CaseResult(f"q={q:g}/hermiticity",
-                               deform.hermiticity_residual(gens), 1e-12))
-        rows += [replace(r, name=f"q={q:g}/{r.name}")
-                 for r in verify.invariant_commutant_check(gens, data, tol=1e-11)]
+        rows = _dcr_with_oracle(gens, rel, tol=1e-10)
+        rows += verify.number_op_check(gens, tol=1e-10)
+        rows.append(CaseResult("hermiticity", deform.hermiticity_residual(gens), 1e-12))
+        rows += verify.invariant_commutant_check(gens, data, tol=1e-11)
         rows.append(CaseResult(
-            f"q={q:g}/grade_bookkeeping",
+            "grade_bookkeeping",
             max(grade_defect(x) for x in gens.a_ops + gens.aplus_ops), 1e-13))
         # conjugating by alpha must reproduce the one-sided generators
         alpha = deform.sl2_alpha_intertwiner(space, params)
@@ -128,10 +124,10 @@ def _suite_sl2_bose(cfg: SuiteConfig):
         dev = max(np.linalg.norm(a.matrix - b.matrix, 2)
                   for a, b in list(zip(conj.a_ops, oneside.a_ops))
                   + list(zip(conj.aplus_ops, oneside.aplus_ops)))
-        rows.append(CaseResult(f"q={q:g}/alpha_reproduces_onesided_map", dev,
+        rows.append(CaseResult("alpha_reproduces_onesided_map", dev,
                                1e-12, {"cond_alpha": cond}))
         rows.append(CaseResult(
-            f"q={q:g}/onesided_hermiticity_nonzero_control",
+            "onesided_hermiticity_nonzero_control",
             1.0 / max(deform.hermiticity_residual(oneside), 1e-30), 1e3,
             {"note": "one-sided dressing is not *-compatible"}))
         return rows
@@ -163,14 +159,10 @@ def _suite_sl2_fermi(cfg: SuiteConfig):
         params = DeformParams(q, CLIFFORD)
         gens = deform.sl2_fermi_map(space, params)
         rel = braid.build_relations("sl", 2, q, CLIFFORD)
-        rows = [replace(r, name=f"q={q:g}/{r.name}")
-                for r in _dcr_with_oracle(gens, rel, tol=1e-12, degree=0)]
-        rows += [replace(r, name=f"q={q:g}/{r.name}")
-                 for r in verify.number_op_check(gens, tol=1e-12)]
-        rows.append(CaseResult(f"q={q:g}/hermiticity",
-                               deform.hermiticity_residual(gens), 1e-12))
-        rows += [replace(r, name=f"q={q:g}/{r.name}")
-                 for r in verify.invariant_commutant_check(gens, data, tol=1e-12)]
+        rows = _dcr_with_oracle(gens, rel, tol=1e-12, degree=0)
+        rows += verify.number_op_check(gens, tol=1e-12)
+        rows.append(CaseResult("hermiticity", deform.hermiticity_residual(gens), 1e-12))
+        rows += verify.invariant_commutant_check(gens, data, tol=1e-12)
         return rows
 
     units = [(f"q={q:g}", lambda q=q: unit(q)) for q in cfg.q]
@@ -195,14 +187,12 @@ def _suite_sln(cfg: SuiteConfig):
             results[ordering] = (worst, oracle)
         passing = min(results, key=lambda k: results[k][0])
         failing = "below" if passing == "above" else "above"
-        rows = [
-            CaseResult(f"q={q:g}/candidate_dcr[{passing}]",
-                       results[passing][0], 1e-10,
+        return [
+            CaseResult(f"candidate_dcr[{passing}]", results[passing][0], 1e-10,
                        {"cross_winner": results[passing][1]["winner"]}),
-            _negative_control(f"q={q:g}/candidate_negative_control[{failing}]",
+            _negative_control(f"candidate_negative_control[{failing}]",
                               results[failing][0]),
         ]
-        return rows
 
     units = [(f"q={q:g}", lambda q=q: unit(q)) for q in cfg.q]
     return {"family": "sl", "N": cfg.modes, "statistics": "bose",
@@ -220,22 +210,19 @@ def _suite_son_orbital(cfg: SuiteConfig):
         return rows
 
     def functional(q):
-        params = DeformParams(q, WEYL)
-        return [replace(r, name=f"q={q:g}/{r.name}")
-                for r in soshift.verify_y_son(orb, params, tol=1e-10)]
+        return soshift.verify_y_son(orb, DeformParams(q, WEYL), tol=1e-10)
 
     def classical_metric():
         # the four metric-invariant relations for the classical generators
         params = DeformParams(1.0, WEYL)
         gens = deform.classical_generators(space, params)
         eye = np.eye(cfg.modes, dtype=complex)
-        return [replace(r, name=f"q=1/{r.name}")
-                for r in verify.metric_invariant_check(
-                    gens.a_ops, gens.aplus_ops, eye, eye, 1.0, tol=1e-12)]
+        return verify.metric_invariant_check(gens.a_ops, gens.aplus_ops, eye, eye,
+                                             1.0, tol=1e-12)
 
     units = [("structure", structural)]
     units += [(f"q={q:g}", lambda q=q: functional(q)) for q in cfg.q]
-    units.append(("classical-metric", classical_metric))
+    units.append(("q=1", classical_metric))
     return {"family": "so", "N": cfg.modes, "statistics": "bose",
             "cutoff": cfg.cutoff, "q": list(cfg.q), "sign": WEYL}, units
 
@@ -331,24 +318,22 @@ def _suite_kz_scalar(cfg: SuiteConfig):
         p = kz.KZScalarParams(n=n, hbar2=hbar2, sign=sign, eps=eps)
         traj = kz.integrate_scalar(p, x_lo=1e-8)
         xs = np.linspace(0.02, 0.98, 33)
-        tag = f"n={n:g},hbar2={hbar2},s={sign:+d}"
         sup = max(np.abs(np.array(traj(x)) - np.array(kz.closed_form_f(p, x))).max()
                   for x in xs)
         rows = [
-            CaseResult(f"{tag}/trajectory_vs_closed_forms", float(sup), 1e-8),
-            CaseResult(f"{tag}/combination_identity",
+            CaseResult("trajectory_vs_closed_forms", float(sup), 1e-8),
+            CaseResult("combination_identity",
                        kz.combination_identity_residual(p, traj, xs), 1e-8),
-            CaseResult(f"{tag}/riccati",
-                       kz.riccati_residual(p, traj, xs[::4]), 1e-8),
-            CaseResult(f"{tag}/closed_forms_satisfy_ode",
+            CaseResult("riccati", kz.riccati_residual(p, traj, xs[::4]), 1e-8),
+            CaseResult("closed_forms_satisfy_ode",
                        kz.scalar_ode_residual(p, (0.2, 0.5, 0.8)), 1e-9),
         ]
         lims = kz.extract_limits(p, traj)
         ref = np.array(lims["reference"])
-        rows.append(CaseResult(f"{tag}/limits_closed_route",
+        rows.append(CaseResult("limits_closed_route",
                                float(np.abs(np.array(lims["closed"]) - ref).max()),
                                1e-10))
-        rows.append(CaseResult(f"{tag}/limits_trajectory_route",
+        rows.append(CaseResult("limits_trajectory_route",
                                float(np.abs(np.array(lims["trajectory"]) - ref).max()),
                                1e-6))
         return rows
@@ -416,13 +401,10 @@ def _suite_kz_operator(cfg: SuiteConfig):
 
     def classical_control():
         m = kz.coassociator_matrix(system, 0.0, eps)
-        params = DeformParams(1.0, WEYL)
-        return [replace(r, name=f"q=1/{r.name}")
-                for r in kz.coassociator_relation_check(system, params, m,
-                                                        tol=1e-12)]
+        return kz.coassociator_relation_check(system, DeformParams(1.0, WEYL), m,
+                                              tol=1e-12)
 
-    units = [("scaling", scaling), ("main", main_checks),
-             ("classical", classical_control)]
+    units = [("scaling", scaling), ("main", main_checks), ("q=1", classical_control)]
     return {"family": "sl", "N": cfg.modes, "cutoff": cfg.cutoff, "q": q,
             "h": h, "eps": eps}, units
 
@@ -433,28 +415,26 @@ def _suite_braid(cfg: SuiteConfig):
     def unit(family, n, q):
         rel = braid.build_relations(family, n, q, WEYL)
         d = rel.diagnostics
-        tag = f"{family}{n}/q={q:g}"
         rows = [
-            CaseResult(f"{tag}/yang_baxter", d["yang_baxter"], 1e-12),
-            CaseResult(f"{tag}/characteristic", d["characteristic"], 1e-12),
-            CaseResult(f"{tag}/projector_completeness",
-                       d["projector_completeness"], 1e-12),
-            CaseResult(f"{tag}/projector_orthogonality",
+            CaseResult("yang_baxter", d["yang_baxter"], 1e-12),
+            CaseResult("characteristic", d["characteristic"], 1e-12),
+            CaseResult("projector_completeness", d["projector_completeness"], 1e-12),
+            CaseResult("projector_orthogonality",
                        d["projector_orthogonality"], 1e-12,
                        {"ranks": d["projector_ranks"]}),
         ]
         rel1 = braid.build_relations(family, n, 1.0 + 1e-8, WEYL)
         rows.append(CaseResult(
-            f"{tag}/classical_limit",
+            "classical_limit",
             float(np.linalg.norm(rel1.rhat - liealg.permutation_matrix(n), 2)),
             1e-6))
         if family == "so":
-            rows.append(CaseResult(f"{tag}/metric_normalization",
+            rows.append(CaseResult("metric_normalization",
                                    d["metric_normalization"], 1e-12))
-            rows.append(CaseResult(f"{tag}/metric_vs_trace_projector",
+            rows.append(CaseResult("metric_vs_trace_projector",
                                    d["trace_projector_vs_metric"], 1e-10))
             rows.append(CaseResult(
-                f"{tag}/metric_classical_limit",
+                "metric_classical_limit",
                 float(np.linalg.norm(rel1.metric_lower - np.eye(n), 2)), 1e-6))
         return rows
 
@@ -476,13 +456,14 @@ _BUILDERS = {
 
 
 def run_suite(cfg: SuiteConfig) -> Report:
-    """Execute a suite.  A unit that raises is recorded as a failed case
-    with the diagnostic, and the run continues."""
+    """Execute a suite.  Each case is named <unit>/<row>.  A unit that
+    raises is recorded as a failed case with the diagnostic, and the run
+    continues."""
     params, units = _BUILDERS[cfg.suite](cfg)
     cases: list[CaseResult] = []
     for name, unit in units:
         try:
-            cases.extend(unit())
+            cases.extend(replace(r, name=f"{name}/{r.name}") for r in unit())
         except Exception as exc:  # noqa: BLE001 - converted into a failed case
             cases.append(CaseResult(f"{name}/EXECUTION", 1e30, 0.0,
                                     {"error": f"{type(exc).__name__}: {exc}"}))

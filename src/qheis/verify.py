@@ -186,8 +186,12 @@ def number_op_check(gens: DeformedGenerators, tol: float = 1e-10,
         N_h A^i  = q^{-2s} (-A^i + A^i N_h)
 
     plus, for bosonic maps, the spectrum check that N_h is diagonal with
-    entries (n)_{q^{2s}}.  The safe degree defaults to 2 on bosonic
-    spaces and 0 on fermionic ones (which have no truncation defects).
+    entries (n)_{q^{2s}}.  The spectrum residual is the largest entrywise
+    deviation divided by max(1, max |(n)_{q^{2s}}|), so that it measures
+    rounding relative to the eigenvalues at every cutoff; the metadata
+    keep the raw deviation and the scale.  The safe degree defaults to 2
+    on bosonic spaces and 0 on fermionic ones (which have no truncation
+    defects).
     """
     from .fock import Statistics
 
@@ -214,9 +218,10 @@ def number_op_check(gens: DeformedGenerators, tol: float = 1e-10,
         expected = np.array([qnum(t, q2s).real for t in space.total_occupations()])
         dev = np.abs(np.diag(nh).real - expected)
         off = nh - np.diag(np.diag(nh))
-        out.append(CaseResult(
-            "qnumber_spectrum", float(max(dev.max(), np.abs(off).max())),
-            spectrum_tol, {"safe_degree": 0}))
+        raw = float(max(dev.max(), np.abs(off).max()))
+        scale = max(1.0, float(np.abs(expected).max()))
+        out.append(CaseResult("qnumber_spectrum", raw / scale, spectrum_tol,
+                              {"safe_degree": 0, "raw_residual": raw, "scale": scale}))
     return out
 
 

@@ -1,11 +1,15 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from qheis import cli, suites, verify
 from qheis.verify import CaseResult, Report
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_make_config_defaults_and_overrides():
@@ -88,6 +92,32 @@ def test_failed_unit_becomes_failed_case(monkeypatch):
     assert "ZeroDivisionError" in rep.cases[0].metadata["error"]
 
 
+@pytest.mark.parametrize("suite", suites.SUITE_IDS)
+def test_case_names_start_with_their_unit(suite, monkeypatch):
+    # run_suite names each case <unit>/<row>; the rows carry no prefix
+    rows = {}
+    build = suites._BUILDERS[suite]
+
+    def recording(cfg):
+        params, units = build(cfg)
+
+        def record(name, unit):
+            out = unit()
+            rows[name] = [r.name for r in out]
+            return out
+
+        return params, [(name, lambda name=name, unit=unit: record(name, unit))
+                        for name, unit in units]
+
+    monkeypatch.setitem(suites._BUILDERS, suite, recording)
+    names = [c.name for c in suites.run_suite(suites.make_config(suite)).cases]
+    assert len(set(names)) == len(names)
+    assert sorted(names) == sorted(f"{unit}/{row}" for unit, unit_rows in rows.items()
+                                   for row in unit_rows)
+    assert not any(row.startswith(f"{unit}/")
+                   for unit, unit_rows in rows.items() for row in unit_rows)
+
+
 def test_cli_success_and_report(tmp_path):
     out = tmp_path / "rep.json"
     code = cli.main(["suite", "qspecial", "--out", str(out)])
@@ -131,7 +161,8 @@ def test_cli_config_file_and_flag_override(tmp_path):
 
 
 def test_cli_entry_point_installed():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-m", "qheis.cli", "suite",
-                           "qspecial"], capture_output=True, text=True)
+                           "qspecial"], env=env, capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["suite"] == "qspecial"

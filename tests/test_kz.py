@@ -201,18 +201,38 @@ def test_coassociator_matches_dense_oracle(modes, cutoff):
 
 def test_coassociator_ode_state_is_the_shell_blocks(op_system, monkeypatch):
     # N=2, cutoff 5: shells of size 4(k+1), k = 0..5, hold 16 * 91 = 1456
-    # entries; the full 84 x 84 propagator would hold 7056
-    sizes = []
+    # entries; the full 84 x 84 propagator would hold 7056.  One solve
+    # covers (eps, 1-eps), and only its endpoint is read.
+    calls = []
     real_solve_ivp = kz.solve_ivp
 
     def recording(fun, t_span, y0, **kw):
-        sizes.append(y0.size)
+        calls.append((y0.size, kw.get("dense_output", False)))
         return real_solve_ivp(fun, t_span, y0, **kw)
 
     monkeypatch.setattr(kz, "solve_ivp", recording)
     kz.coassociator_matrix(op_system, hbar2_of(0.1), 1e-5)
-    assert sizes and all(s == 1456 for s in sizes)
+    assert calls == [(1456, False)]
     assert [sh.idx.size for sh in op_system.shells] == [4, 8, 12, 16, 20, 24]
+
+
+def test_scalar_trajectory_range():
+    p = kz.KZScalarParams(n=2, hbar2=0.05, sign=+1, eps=1e-6)
+    traj = kz.integrate_scalar(p, x_lo=1e-3)
+    traj(1e-3)
+    traj(1 - 1e-6)
+    for x in (5e-4, 1 - 5e-7, 0.0, 1.0):
+        with pytest.raises(ValueError):
+            traj(x)
+
+
+def test_logistic_leg_rejects_empty_interval():
+    def rhs(x, y):
+        return y / x
+
+    for x_lo, x_hi in ((0.5, 0.5), (0.6, 0.4), (0.0, 0.5), (0.5, 1.0)):
+        with pytest.raises(ValueError):
+            kz._logistic_leg(rhs, np.ones(1), x_lo, x_hi)
 
 
 def test_operator_system_validation():

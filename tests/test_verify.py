@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,23 @@ def test_number_op_relations():
     gens1 = deform.classical_generators(sp, DeformParams(1.0, WEYL))
     nh = gens1.number_operator().matrix
     assert np.linalg.norm(nh - fock.total_number(sp).matrix) < 1e-13
+
+
+@pytest.mark.parametrize("q", [0.7, 1.3])
+def test_qnumber_spectrum_scale_aware(q):
+    # the spectrum residual is relative to max(1, max |(n)_{q^2}|): the true
+    # map passes at every cutoff, a map built at 1.01 q fails at every cutoff
+    for cutoff in range(4, 17):
+        sp = fock.build_space(2, Statistics.BOSE, cutoff)
+        gens = deform.sl2_bose_map(sp, DeformParams(q, WEYL))
+        off = dataclasses.replace(deform.sl2_bose_map(sp, DeformParams(1.01 * q, WEYL)),
+                                  params=gens.params)
+        good, bad = (next(r for r in verify.number_op_check(g)
+                          if r.name == "qnumber_spectrum") for g in (gens, off))
+        assert good.passed, (cutoff, good.residual)
+        assert not bad.passed, (cutoff, bad.residual)
+        assert good.metadata["scale"] >= 1.0
+        assert good.residual == good.metadata["raw_residual"] / good.metadata["scale"]
 
 
 def classical_so_set(n, cutoff):
