@@ -16,13 +16,13 @@ print(f"bosonic space: {sp.modes} modes, cutoff {sp.cutoff}, dim {sp.dim}")
 print("first basis states:", sp.basis[:5])
 
 a1, ap1 = fock.annihilator(sp, 1), fock.creator(sp, 1)
-comm = fock.commutator(a1, ap1) - np.eye(sp.dim)
+comm = fock.commutator(a1, ap1).toarray() - np.eye(sp.dim)
 
 # On the full truncated space the canonical commutator has a defect --
 # but only on the top shell, where a+ has nowhere to go.
 print("\n||[a, a+] - 1|| on the full space:   ",
       f"{np.linalg.norm(comm, 2):.3e}   (top-shell artifact)")
-safe = fock.safe_projector(sp, 1).matrix
+safe = fock.safe_projector(sp, 1).matrix.toarray()
 print("same after degree-1 safe projection: ",
       f"{np.linalg.norm(safe @ comm @ safe, 2):.3e}")
 
@@ -31,7 +31,7 @@ print("same after degree-1 safe projection: ",
 spf = fock.build_space(3, Statistics.FERMI)
 worst = max(
     np.linalg.norm(fock.anticommutator(fock.annihilator(spf, i),
-                                       fock.creator(spf, j))
+                                       fock.creator(spf, j)).toarray()
                    - (np.eye(spf.dim) if i == j else 0.0), 2)
     for i in range(1, 4) for j in range(1, 4))
 print(f"\nfermionic space dim {spf.dim}; worst CAR residual: {worst:.3e}")

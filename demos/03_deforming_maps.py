@@ -41,7 +41,7 @@ print("hermiticity residual:", f"{deform.hermiticity_residual(gens):.2e}")
 alpha = deform.sl2_alpha_intertwiner(sp, params)
 conj, cond = deform.inner_automorphism(gens, alpha)
 oneside = deform.sl2_bose_onesided_map(sp, params)
-dev = max(np.abs(a.matrix - b.matrix).max()
+dev = max(np.abs((a.matrix - b.matrix).data).max(initial=0.0)
           for a, b in zip(conj.aplus_ops, oneside.aplus_ops))
 print(f"\nalpha-conjugation reproduces the one-sided map: {dev:.2e} "
       f"(cond alpha = {cond:.1f})")

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .fock import FockSpace, LinOp, Statistics, annihilator, creator, diag_fn
 from .qspecial import CLIFFORD, DeformParams, qnum, y_sln
@@ -174,13 +175,15 @@ def inner_automorphism(gens: DeformedGenerators, alpha: LinOp) -> tuple[Deformed
 
     Returns the new set together with the condition number of alpha
     (relations are preserved exactly in exact arithmetic; roundoff can be
-    amplified by cond(alpha)).
+    amplified by cond(alpha)).  The guard and the inverse work on a dense
+    copy of alpha; the inverse is stored sparse again (a diagonal alpha
+    has a diagonal inverse).
     """
-    am = alpha.matrix
-    cond = float(np.linalg.cond(am))
+    dense = alpha.matrix.toarray()
+    cond = float(np.linalg.cond(dense))
     if not np.isfinite(cond) or cond > 1e14:
         raise ValueError(f"alpha numerically singular (cond = {cond:.3e})")
-    inv = np.linalg.inv(am)
+    am, inv = alpha.matrix, sparse.csr_array(np.linalg.inv(dense))
     a_ops = [LinOp(gens.space, am @ a.matrix @ inv, grade=-1) for a in gens.a_ops]
     aplus_ops = [LinOp(gens.space, am @ a.matrix @ inv, grade=+1) for a in gens.aplus_ops]
     out = DeformedGenerators(gens.space, gens.params, a_ops, aplus_ops,

@@ -4,15 +4,19 @@ The carrier space for everything in this package is a Fock space over N
 bosonic or fermionic modes, truncated at a maximum total occupation.
 Basis states are occupation tuples (n_1, ..., n_N) in lexicographic
 order, so reports are bit-for-bit reproducible.  Every operator is a
-dense complex matrix wrapped in a :class:`LinOp` which also carries its
-particle-number grade g (meaning [n_tot, X] = g X).
+sparse complex CSR array (``scipy.sparse.csr_array``) wrapped in a
+:class:`LinOp` which also carries its particle-number grade g (meaning
+[n_tot, X] = g X).  Generators are diagonal dressings times ladder
+operators, so they store at most one entry per basis state; products
+and sums of them stay sparse.  Each state's shell (its total occupation)
+is computed once, as :attr:`FockSpace.shell`.
 
 Truncation contract: an operator identity of creator-degree d is exact
 only on the subspace with total occupation <= cutoff - d
 (:meth:`FockSpace.safe_mask`).  The projector onto that subspace is
-:func:`safe_projector`, and all residual
-computations in the verification modules conjugate by it.  Defects of
-the truncation are confined to the discarded top shells.
+:func:`safe_projector`; the verification modules measure every residual
+restricted to it (``verify.projected_norms``).  Defects of the
+truncation are confined to the discarded top shells.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
+from scipy import sparse
 
 
 class Statistics(Enum):
@@ -52,6 +57,7 @@ class FockSpace:
     cutoff: int
     basis: tuple[tuple[int, ...], ...]
     index: dict = field(repr=False, hash=False, compare=False)
+    shell: np.ndarray = field(repr=False, hash=False, compare=False)  # n_tot per state
 
     @property
     def dim(self) -> int:
@@ -66,11 +72,11 @@ class FockSpace:
         return np.array([t[i - 1] for t in self.basis], dtype=float)
 
     def total_occupations(self) -> np.ndarray:
-        return np.array([sum(t) for t in self.basis], dtype=float)
+        return self.shell.astype(float)
 
     def safe_mask(self, degree: int) -> np.ndarray:
         """Basis states with total occupation <= cutoff - degree."""
-        return self.total_occupations() <= self.cutoff - degree
+        return self.shell <= self.cutoff - degree
 
     def _check_mode(self, i: int) -> None:
         if not 1 <= i <= self.modes:
@@ -79,18 +85,20 @@ class FockSpace:
 
 @dataclass
 class LinOp:
-    """Dense complex operator on a FockSpace, with optional grade.
+    """Sparse complex operator on a FockSpace, with optional grade.
 
+    The matrix is always a complex ``scipy.sparse.csr_array``; any other
+    input (dense or another sparse format) is converted on construction.
     grade g means [n_tot, X] = g X, i.e. X is block-off-diagonal between
     total-number eigenspaces with offset g.
     """
 
     space: FockSpace
-    matrix: np.ndarray
+    matrix: sparse.csr_array
     grade: Optional[int] = None
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
+        self.matrix = sparse.csr_array(self.matrix, dtype=complex)
         d = self.space.dim
         if self.matrix.shape != (d, d):
             raise ValueError(f"matrix shape {self.matrix.shape} != ({d}, {d})")
@@ -101,7 +109,7 @@ class LinOp:
         return LinOp(self.space, self.matrix.conj().T, g)
 
     def __matmul__(self, other):
-        o = other.matrix if isinstance(other, LinOp) else np.asarray(other)
+        o = other.matrix if isinstance(other, LinOp) else other
         g = None
         if isinstance(other, LinOp) and self.grade is not None and other.grade is not None:
             g = self.grade + other.grade
@@ -138,7 +146,34 @@ def build_space(modes: int, statistics: Statistics, cutoff: int | None = None) -
         basis = _bose_basis(modes, cutoff)
         assert len(basis) == math.comb(modes + cutoff, modes)
     index = {t: k for k, t in enumerate(basis)}
-    return FockSpace(modes, statistics, cutoff, basis, index)
+    shell = np.array([sum(t) for t in basis], dtype=int)
+    shell.flags.writeable = False
+    return FockSpace(modes, statistics, cutoff, basis, index, shell)
+
+
+def _diag(values: np.ndarray) -> sparse.csr_array:
+    """Diagonal CSR array; zero diagonal entries are not stored."""
+    return sparse.diags_array(values, format="csr", dtype=complex)
+
+
+def _ladder(space: FockSpace, i: int, step: int, grade: int) -> LinOp:
+    """Row t of the mode-i ladder operator holds its one entry in the
+    column of t + step e_i (when that state exists), so the CSR arrays
+    are written directly, one state at a time."""
+    space._check_mode(i)
+    k = i - 1
+    fermi = space.statistics is Statistics.FERMI
+    indptr, indices, vals = [0], [], []
+    for t in space.basis:
+        other = t[:k] + (t[k] + step,) + t[k + 1:]
+        col = space.index.get(other)
+        if col is not None:
+            indices.append(col)
+            vals.append((-1.0) ** sum(t[:k]) if fermi else math.sqrt(max(t[k], other[k])))
+        indptr.append(len(indices))
+    m = sparse.csr_array((np.array(vals, dtype=complex), indices, indptr),
+                         shape=(space.dim, space.dim))
+    return LinOp(space, m, grade=grade)
 
 
 def annihilator(space: FockSpace, i: int) -> LinOp:
@@ -148,34 +183,22 @@ def annihilator(space: FockSpace, i: int) -> LinOp:
     convention with sign (-1)**(n_1 + ... + n_{i-1}), which makes the
     anticommutation relations exact on the full space.
     """
-    space._check_mode(i)
-    m = np.zeros((space.dim, space.dim), dtype=complex)
-    k = i - 1
-    for col, t in enumerate(space.basis):
-        if t[k] == 0:
-            continue
-        target = t[:k] + (t[k] - 1,) + t[k + 1:]
-        row = space.index[target]
-        if space.statistics is Statistics.FERMI:
-            m[row, col] = (-1.0) ** sum(t[:k])
-        else:
-            m[row, col] = math.sqrt(t[k])
-    return LinOp(space, m, grade=-1)
+    return _ladder(space, i, +1, grade=-1)
 
 
 def creator(space: FockSpace, i: int) -> LinOp:
     """Mode-i creator: the conjugate transpose of the annihilator."""
-    return annihilator(space, i).dag
+    return _ladder(space, i, -1, grade=+1)
 
 
 def number_op(space: FockSpace, i: int) -> LinOp:
     """Diagonal operator n_i."""
-    return LinOp(space, np.diag(space.occupations(i)).astype(complex), grade=0)
+    return LinOp(space, _diag(space.occupations(i)), grade=0)
 
 
 def total_number(space: FockSpace) -> LinOp:
     """Diagonal operator n = sum_i n_i."""
-    return LinOp(space, np.diag(space.total_occupations()).astype(complex), grade=0)
+    return LinOp(space, _diag(space.shell), grade=0)
 
 
 def safe_projector(space: FockSpace, degree: int) -> LinOp:
@@ -186,7 +209,7 @@ def safe_projector(space: FockSpace, degree: int) -> LinOp:
     """
     if degree < 0 or degree > space.cutoff:
         raise ValueError(f"degree {degree} outside 0..{space.cutoff}")
-    return LinOp(space, np.diag(space.safe_mask(degree).astype(complex)), grade=0)
+    return LinOp(space, _diag(space.safe_mask(degree)), grade=0)
 
 
 def diag_fn(space: FockSpace, f: Callable[[tuple[int, ...]], complex]) -> LinOp:
@@ -201,26 +224,28 @@ def diag_fn(space: FockSpace, f: Callable[[tuple[int, ...]], complex]) -> LinOp:
         if not np.isfinite(v):
             raise ValueError(f"diag_fn value not finite at state {t}")
         vals[k] = v
-    return LinOp(space, np.diag(vals), grade=0)
+    return LinOp(space, _diag(vals), grade=0)
 
 
-def commutator(x, y) -> np.ndarray:
+def commutator(x, y):
     a = x.matrix if isinstance(x, LinOp) else x
     b = y.matrix if isinstance(y, LinOp) else y
     return a @ b - b @ a
 
 
-def anticommutator(x, y) -> np.ndarray:
+def anticommutator(x, y):
     a = x.matrix if isinstance(x, LinOp) else x
     b = y.matrix if isinstance(y, LinOp) else y
     return a @ b + b @ a
 
 
 def grade_defect(op: LinOp) -> float:
-    """Relative norm of [n_tot, X] - g X; zero for a correctly graded X."""
+    """Relative Frobenius norm of [n_tot, X] - g X; zero for a correctly
+    graded X.  Entry (r, c) of [n_tot, X] is (shell_r - shell_c) X_rc."""
     if op.grade is None:
         raise ValueError("operator carries no grade")
-    n = total_number(op.space).matrix
-    num = np.linalg.norm(commutator(n, op.matrix) - op.grade * op.matrix)
-    den = np.linalg.norm(op.matrix)
+    m = op.matrix.tocoo()
+    shell = op.space.shell
+    num = np.linalg.norm((shell[m.row] - shell[m.col] - op.grade) * m.data)
+    den = np.linalg.norm(m.data)
     return float(num / den) if den > 0 else 0.0

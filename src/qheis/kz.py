@@ -69,7 +69,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm  # noqa: F401  (the benchmark tracer wraps kz.expm)
 
 from .fock import FockSpace, Statistics, annihilator, creator
-from .liealg import permutation_matrix, rho, sigma
+from .liealg import permutation_matrix, rho, sigma_basis
 from .qspecial import DeformParams, gamma, gauss_2f1, gauss_2f1_deriv, qnum, rgamma
 from .verify import CaseResult, max_norms, projected_norms
 
@@ -383,8 +383,8 @@ def build_operator_system(space: FockSpace) -> KZOperatorSystem:
     if space.statistics is not Statistics.BOSE:
         raise ValueError("operator system needs a bosonic space")
     n, d = space.modes, space.dim
-    an = [annihilator(space, i).matrix for i in range(1, n + 1)]
-    ap = [creator(space, i).matrix for i in range(1, n + 1)]
+    an = [annihilator(space, i).matrix.toarray() for i in range(1, n + 1)]
+    ap = [creator(space, i).matrix.toarray() for i in range(1, n + 1)]
     eye_n = np.eye(n)
     a_big = np.zeros((n * n * d, n * n * d), dtype=complex)
     for i in range(n):
@@ -471,9 +471,9 @@ def invariance_residual(system: KZOperatorSystem, m: np.ndarray, data,
     # project the Fock factor of the commutator norm
     big_mask = np.tile(system.space.safe_mask(degree), n * n)
     worst = 0.0
-    for lbl in data.basis_labels:
+    for lbl, s in sigma_basis(system.space, data).items():
         r = rho(data, lbl)
-        s = sigma(system.space, data, lbl).matrix
+        s = s.toarray()
         delta2 = (np.kron(np.kron(r, eye_n), eye_d)
                   + np.kron(np.kron(eye_n, r), eye_d)
                   + np.kron(np.kron(eye_n, eye_n), s))

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
+from scipy import sparse
 
 from .fock import FockSpace, LinOp, Statistics, annihilator, creator, commutator
 
@@ -79,22 +80,32 @@ def rho(data: LieData, x) -> np.ndarray:
 
 def sigma(space: FockSpace, data: LieData, x) -> LinOp:
     """Bilinear oscillator realization sigma(x) = rho(x)^i_j a+_i a^j."""
+    return LinOp(space, _sigma_basis(space, data, [x])[0], grade=0)
+
+
+def _sigma_basis(space: FockSpace, data: LieData, elements) -> list[sparse.csr_array]:
+    """sigma of each Lie element, building the mode ladders once."""
     if space.modes != data.n:
         raise ValueError(f"space has {space.modes} modes, algebra needs {data.n}")
-    r = rho(data, x)
     ap = [creator(space, i).matrix for i in range(1, data.n + 1)]
     an = [annihilator(space, j).matrix for j in range(1, data.n + 1)]
-    m = np.zeros((space.dim, space.dim), dtype=complex)
-    for i in range(data.n):
-        for j in range(data.n):
-            if r[i, j] != 0:
-                m += r[i, j] * (ap[i] @ an[j])
-    return LinOp(space, m, grade=0)
+    out = []
+    for x in elements:
+        r = rho(data, x)
+        m = sparse.csr_array((space.dim, space.dim), dtype=complex)
+        for i in range(data.n):
+            for j in range(data.n):
+                if r[i, j] != 0:
+                    m = m + r[i, j] * (ap[i] @ an[j])
+        out.append(m)
+    return out
 
 
-def sigma_basis(space: FockSpace, data: LieData) -> dict[tuple[int, int], np.ndarray]:
-    """sigma on every basis label, as raw matrices (memoized per call site)."""
-    return {lbl: sigma(space, data, lbl).matrix for lbl in data.basis_labels}
+def sigma_basis(space: FockSpace, data: LieData) -> dict[tuple[int, int], sparse.csr_array]:
+    """sigma on every basis label, as raw sparse matrices (built afresh on
+    every call)."""
+    labels = data.basis_labels
+    return dict(zip(labels, _sigma_basis(space, data, labels)))
 
 
 def casimir_sigma(space: FockSpace, data: LieData) -> LinOp:
@@ -108,18 +119,18 @@ def casimir_sigma(space: FockSpace, data: LieData) -> LinOp:
             i.e. -sum_{i<j} sigma(L_ij)^2.
     """
     s = sigma_basis(space, data)
-    m = np.zeros((space.dim, space.dim), dtype=complex)
+    m = sparse.csr_array((space.dim, space.dim), dtype=complex)
     if data.family == "sl":
         for i in range(1, data.n + 1):
             for j in range(1, data.n + 1):
-                m += s[(i, j)] @ s[(j, i)]
+                m = m + s[(i, j)] @ s[(j, i)]
         closed = casimir_sl_closed_form(space, data)
-        defect = float(np.abs(m - np.diag(closed)).max())
+        defect = float(np.abs((m - sparse.diags_array(closed)).data).max(initial=0.0))
         if defect > 1e-10:
             raise AssertionError(f"Casimir closed form violated: {defect:.3e}")
     else:
         for lbl, mat in s.items():
-            m -= mat @ mat
+            m = m - mat @ mat
     return LinOp(space, m, grade=0)
 
 

@@ -32,20 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
-from .fock import FockSpace, LinOp, Statistics, annihilator, creator
+from .fock import FockSpace, LinOp, Statistics, _diag, annihilator, creator
 from .qspecial import DeformParams, y_son_ratio
 from .verify import CaseResult, max_norms, projected_norms
-
-
-def _scalar_pair(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
-    """(a.a, a+.a+) with the identity metric."""
-    n = space.modes
-    aa = np.zeros((space.dim, space.dim), dtype=complex)
-    for i in range(1, n + 1):
-        ai = annihilator(space, i).matrix
-        aa += ai @ ai
-    return aa, aa.conj().T
 
 
 @dataclass
@@ -54,8 +45,10 @@ class OrbitalData:
     l2: LinOp
     l: LinOp
     spectral_grid: list  # (n, l, multiplicity) triples
-    aa: np.ndarray
-    apap: np.ndarray
+    aa: sparse.csr_array     # a.a with the identity metric
+    apap: sparse.csr_array   # a+.a+
+    an: list                 # annihilator matrices a^1 .. a^N
+    ap: list                 # creator matrices a+_1 .. a+_N
 
 
 def build_orbital(space: FockSpace, clamp: float = 1e-10) -> OrbitalData:
@@ -70,23 +63,29 @@ def build_orbital(space: FockSpace, clamp: float = 1e-10) -> OrbitalData:
     if space.cutoff < 4:
         raise ValueError("cutoff >= 4 required for the shift-equation grid")
     n_modes = space.modes
-    aa, apap = _scalar_pair(space)
+    an = [annihilator(space, i).matrix for i in range(1, n_modes + 1)]
+    ap = [creator(space, i).matrix for i in range(1, n_modes + 1)]
+    aa = sum(a @ a for a in an)
+    apap = aa.conj().T.tocsr()
     ntot = space.total_occupations()
     shift = (ntot + n_modes / 2.0 - 1.0) ** 2
-    l2 = np.diag(shift).astype(complex) - apap @ aa
+    l2 = _diag(shift) - apap @ aa
 
-    lmat = np.zeros_like(l2)
+    # l is block diagonal over the shells: assemble it from the shell blocks
+    rows, cols, vals = [], [], []
     grid: dict[tuple[float, float], int] = {}
     for n_val in sorted(set(ntot)):
         sel = np.where(ntot == n_val)[0]
-        block = l2[np.ix_(sel, sel)]
+        block = l2[sel][:, sel].toarray()
         evals, evecs = np.linalg.eigh(block)
         if evals.min() < -clamp:
             raise ValueError(f"l^2 eigenvalue {evals.min():.3e} below -{clamp:g} "
                              f"in the n={n_val} block")
         evals = np.clip(evals, 0.0, None)
         lvals = np.sqrt(evals)
-        lmat[np.ix_(sel, sel)] = (evecs * lvals) @ evecs.conj().T
+        rows.append(np.repeat(sel, sel.size))
+        cols.append(np.tile(sel, sel.size))
+        vals.append(((evecs * lvals) @ evecs.conj().T).ravel())
         for lv in lvals:
             key = None
             for (gn, gl) in list(grid):
@@ -98,8 +97,10 @@ def build_orbital(space: FockSpace, clamp: float = 1e-10) -> OrbitalData:
             else:
                 grid[key] += 1
     spectral_grid = sorted((n, l, m) for (n, l), m in grid.items())
+    lmat = sparse.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                            shape=l2.shape)
     return OrbitalData(space, LinOp(space, l2, grade=0), LinOp(space, lmat, grade=0),
-                       spectral_grid, aa, apap)
+                       spectral_grid, aa, apap, an, ap)
 
 
 def l2_commutator_residuals(orb: OrbitalData, tol: float = 1e-12) -> list[CaseResult]:
@@ -122,16 +123,16 @@ def l2_commutator_residuals(orb: OrbitalData, tol: float = 1e-12) -> list[CaseRe
     s, f = projected_norms(space, l2 @ orb.apap - orb.apap @ l2, 2)
     rows.append(CaseResult("l2_commutes_apap", s, tol, {"frobenius": f, "safe_degree": 2}))
 
+    d_a1, d_a2, d_p1, d_p2 = (_diag(2 * nvec + nn + c) for c in (-3, 1, -1, 3))
     norms_a, norms_ap = [], []
     for i in range(1, nn + 1):
-        ai = annihilator(space, i).matrix
-        api = creator(space, i).matrix
+        ai, api = orb.an[i - 1], orb.ap[i - 1]
         comm_a = l2 @ ai - ai @ l2
         comm_ap = l2 @ api - api @ l2
-        form_a1 = -ai @ np.diag(2 * nvec + nn - 3).astype(complex) + 2 * (api @ orb.aa)
-        form_a2 = -ai @ np.diag(2 * nvec + nn + 1).astype(complex) + 2 * (orb.aa @ api)
-        form_p1 = api @ np.diag(2 * nvec + nn - 1).astype(complex) - 2 * (orb.apap @ ai)
-        form_p2 = api @ np.diag(2 * nvec + nn + 3).astype(complex) - 2 * (ai @ orb.apap)
+        form_a1 = -ai @ d_a1 + 2 * (api @ orb.aa)
+        form_a2 = -ai @ d_a2 + 2 * (orb.aa @ api)
+        form_p1 = api @ d_p1 - 2 * (orb.apap @ ai)
+        form_p2 = api @ d_p2 - 2 * (ai @ orb.apap)
         norms_a += [projected_norms(space, comm_a - form, 2) for form in (form_a1, form_a2)]
         norms_ap += [projected_norms(space, comm_ap - form, 2) for form in (form_p1, form_p2)]
     rows.append(CaseResult("l2_mixed_commutator_a", max_norms(norms_a)[0], 10 * tol,
@@ -151,12 +152,10 @@ def shift_operators(orb: OrbitalData, sign: int) -> tuple[list[LinOp], list[LinO
         raise ValueError("sign must be +1 or -1")
     space = orb.space
     nn = space.modes
-    diag = np.diag(space.total_occupations() + nn / 2.0 - 1.0).astype(complex) \
-        + sign * orb.l.matrix
+    diag = _diag(space.total_occupations() + nn / 2.0 - 1.0) + sign * orb.l.matrix
     alpha_down, alpha_up = [], []
     for i in range(1, nn + 1):
-        ai = annihilator(space, i).matrix
-        api = creator(space, i).matrix
+        ai, api = orb.an[i - 1], orb.ap[i - 1]
         alpha_down.append(LinOp(space, ai @ diag - api @ orb.aa, grade=-1))
         alpha_up.append(LinOp(space, api @ diag - orb.apap @ ai, grade=+1))
     return alpha_down, alpha_up
@@ -173,14 +172,12 @@ def shift_operator_residuals(orb: OrbitalData, sign: int,
     space = orb.space
     nn = space.modes
     alpha_down, alpha_up = shift_operators(orb, sign)
-    diag2 = np.diag(space.total_occupations() + nn / 2.0 + 1.0).astype(complex) \
-        + sign * orb.l.matrix
+    diag2 = _diag(space.total_occupations() + nn / 2.0 + 1.0) + sign * orb.l.matrix
     lmat = orb.l.matrix
-    eye = np.eye(space.dim)
+    eye = sparse.eye_array(space.dim, format="csr")
     norms_order, norms_eige = [], []
     for i in range(1, nn + 1):
-        ai = annihilator(space, i).matrix
-        api = creator(space, i).matrix
+        ai, api = orb.an[i - 1], orb.ap[i - 1]
         down, up = alpha_down[i - 1].matrix, alpha_up[i - 1].matrix
         norms_order += [projected_norms(space, down - (ai @ diag2 - orb.aa @ api), 2),
                         projected_norms(space, up - (api @ diag2 - ai @ orb.apap), 2)]

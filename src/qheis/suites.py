@@ -117,31 +117,40 @@ def _suite_sl2_bose(cfg: SuiteConfig):
         rows.append(CaseResult(
             "grade_bookkeeping",
             max(grade_defect(x) for x in gens.a_ops + gens.aplus_ops), 1e-13))
-        # conjugating by alpha must reproduce the one-sided generators
+        return rows
+
+    def generator_distance(g1, g0):
+        # largest spectral norm of a generator difference, on the whole space
+        return max(verify.projected_norms(space, a.matrix - b.matrix, 0)[0]
+                   for a, b in zip(g1.a_ops + g1.aplus_ops, g0.a_ops + g0.aplus_ops))
+
+    def alpha_unit(q):
+        # conjugating by alpha must reproduce the one-sided generators; its
+        # own unit, so that an ill-conditioned alpha erases no sibling row
+        params = DeformParams(q, WEYL)
+        gens = deform.sl2_bose_map(space, params)
         alpha = deform.sl2_alpha_intertwiner(space, params)
         conj, cond = deform.inner_automorphism(gens, alpha)
         oneside = deform.sl2_bose_onesided_map(space, params)
-        dev = max(np.linalg.norm(a.matrix - b.matrix, 2)
-                  for a, b in list(zip(conj.a_ops, oneside.a_ops))
-                  + list(zip(conj.aplus_ops, oneside.aplus_ops)))
-        rows.append(CaseResult("alpha_reproduces_onesided_map", dev,
-                               1e-12, {"cond_alpha": cond}))
-        rows.append(CaseResult(
-            "onesided_hermiticity_nonzero_control",
-            1.0 / max(deform.hermiticity_residual(oneside), 1e-30), 1e3,
-            {"note": "one-sided dressing is not *-compatible"}))
-        return rows
+        return [
+            CaseResult("alpha_reproduces_onesided_map",
+                       generator_distance(conj, oneside), 1e-12, {"cond_alpha": cond}),
+            CaseResult("onesided_hermiticity_nonzero_control",
+                       1.0 / max(deform.hermiticity_residual(oneside), 1e-30), 1e3,
+                       {"note": "one-sided dressing is not *-compatible"}),
+        ]
 
-    units = [(f"q={q:g}", lambda q=q: unit(q)) for q in cfg.q]
+    units = []
+    for q in cfg.q:
+        units.append((f"q={q:g}", lambda q=q: unit(q)))
+        units.append((f"q={q:g}/alpha", lambda q=q: alpha_unit(q)))
 
     def extra():
         # classical-limit scaling: deviation from identity is O(q - 1)
         def devnorm(e):
             g1 = deform.sl2_bose_map(space, DeformParams(1.0 + e, WEYL))
             g0 = deform.classical_generators(space, DeformParams(1.0, WEYL))
-            return max(np.linalg.norm(a.matrix - b.matrix, 2)
-                       for a, b in zip(g1.a_ops + g1.aplus_ops,
-                                       g0.a_ops + g0.aplus_ops))
+            return generator_distance(g1, g0)
         ratio = devnorm(1e-3) / devnorm(5e-4)
         return [CaseResult("classical_limit_linear_scaling", abs(ratio - 2.0), 0.5,
                            {"ratio": ratio})]

@@ -3,7 +3,17 @@
 Each check returns CaseResult rows (name, residual, tolerance, pass,
 metadata).  Residuals are spectral norms of the identity's defect after
 conjugation by the safe projector of the appropriate creator degree;
-the Frobenius norm is recorded alongside for diagnostics.
+the Frobenius norm is recorded alongside for diagnostics.  Defects are
+sparse CSR arrays, built without any dense D x D intermediate.
+
+How the norms are computed (:func:`projected_norms`): the stored nonzero
+entries of the defect that lie inside the safe subspace are grouped by
+the (row shell, column shell) pair they sit in, and pairs that share a
+row shell or a column shell are joined into one component.  Different
+components occupy disjoint rows and disjoint columns, so the defect is
+their orthogonal direct sum: its spectral norm is the largest spectral
+norm among the component blocks (each a small dense SVD), exactly, for
+any mix of grades.  The Frobenius norm is taken from the stored entries.
 
 Index conventions for the quadratic relations, with Pi the annihilating
 projector and Pt a cross candidate:
@@ -22,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from . import __version__
 from .braid import RelationMatrices
@@ -63,13 +74,68 @@ class Report:
         return all(c.passed for c in self.cases)
 
 
-def projected_norms(space, m: np.ndarray, degree: int) -> tuple[float, float]:
-    """(spectral, frobenius) norm of P m P with P the degree-d safe projector."""
+def _shell_components(row_shell: np.ndarray, col_shell: np.ndarray, k: int) -> np.ndarray:
+    """Component of each entry, numbered 0, 1, ...: row shells and column
+    shells (k of each) are joined by every (row shell, column shell) pair
+    that occurs among the entries."""
+    root = list(range(2 * k))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    occurs = np.zeros(k * k, dtype=bool)
+    occurs[row_shell * k + col_shell] = True
+    for pair in np.flatnonzero(occurs).tolist():
+        root[find(pair // k)] = find(k + pair % k)
+    root_of_entry = np.array([find(r) for r in range(k)])[row_shell]
+    used = np.zeros(2 * k, dtype=bool)
+    used[root_of_entry] = True
+    return (np.cumsum(used) - 1)[root_of_entry]
+
+
+def _local_index(comp: np.ndarray, idx: np.ndarray, n_comp: int, dim: int):
+    """Position of each entry's index among the distinct indices of its
+    component, and the number of distinct indices of each component."""
+    key = comp * dim + idx
+    occurs = np.zeros(n_comp * dim, dtype=bool)
+    occurs[key] = True
+    counts = occurs.reshape(n_comp, dim).sum(axis=1)
+    start = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    return np.cumsum(occurs)[key] - 1 - start[comp], counts
+
+
+def projected_norms(space, m, degree: int) -> tuple[float, float]:
+    """(spectral, frobenius) norm of P m P with P the degree-d safe projector.
+
+    m may be dense or sparse.  The result is exact: the spectral norm is
+    the largest over the shell-pair component blocks of P m P (see the
+    module docstring), the Frobenius norm comes from the stored entries.
+    """
+    if sparse.issparse(m):
+        m = sparse.csr_array(m)
+        m.sum_duplicates()
+        rows, cols, vals = np.repeat(np.arange(space.dim), np.diff(m.indptr)), m.indices, m.data
+    else:
+        rows, cols = np.nonzero(m)
+        vals = m[rows, cols]
     mask = space.safe_mask(degree)
-    sub = m[np.ix_(mask, mask)]
-    if sub.size == 0:
+    keep = mask[rows] & mask[cols] & (vals != 0)
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    if vals.size == 0:
         return 0.0, 0.0
-    return float(np.linalg.norm(sub, 2)), float(np.linalg.norm(sub))
+    comp = _shell_components(space.shell[rows], space.shell[cols], space.cutoff + 1)
+    n_comp = int(comp.max()) + 1
+    ri, n_rows = _local_index(comp, rows, n_comp, space.dim)
+    ci, n_cols = _local_index(comp, cols, n_comp, space.dim)
+    spec = 0.0
+    for b in range(n_comp):
+        sel = comp == b
+        block = np.zeros((n_rows[b], n_cols[b]), dtype=complex)
+        block[ri[sel], ci[sel]] = vals[sel]
+        spec = max(spec, float(np.linalg.svd(block, compute_uv=False)[0]))
+    return spec, float(np.linalg.norm(vals))
 
 
 def max_norms(norm_pairs) -> tuple[float, float]:
@@ -87,12 +153,18 @@ def max_norms(norm_pairs) -> tuple[float, float]:
 
 
 def quadratic_residual_matrices(gens: DeformedGenerators, rel: RelationMatrices):
-    """Raw defect matrices of the three relation groups (before projection)."""
+    """Raw sparse defect matrices of the three relation groups (before
+    projection).  Each quadratic product of generators is formed once."""
     n = gens.n
     a = [x.matrix for x in gens.a_ops]
     ap = [x.matrix for x in gens.aplus_ops]
     dim = gens.space.dim
     pi = rel.annihilating_projector
+    pairs = [(k, l) for k in range(n) for l in range(n)]
+    a_a = {(k, l): a[k] @ a[l] for k, l in pairs}
+    ap_ap = {(k, l): ap[k] @ ap[l] for k, l in pairs}
+    ap_a = {(k, l): ap[k] @ a[l] for k, l in pairs}
+    zero = sparse.csr_array((dim, dim), dtype=complex)
 
     def idx(i, j):
         return i * n + j
@@ -100,32 +172,31 @@ def quadratic_residual_matrices(gens: DeformedGenerators, rel: RelationMatrices)
     res_ann, res_cre = [], []
     for i in range(n):
         for j in range(n):
-            m1 = np.zeros((dim, dim), dtype=complex)
-            m2 = np.zeros((dim, dim), dtype=complex)
-            for k in range(n):
-                for l in range(n):
-                    c1 = pi[idx(i, j), idx(k, l)]
-                    if c1 != 0:
-                        m1 += c1 * (a[l] @ a[k])
-                    c2 = pi[idx(k, l), idx(i, j)]
-                    if c2 != 0:
-                        m2 += c2 * (ap[k] @ ap[l])
+            m1 = m2 = zero
+            for k, l in pairs:
+                c1 = pi[idx(i, j), idx(k, l)]
+                if c1 != 0:
+                    m1 = m1 + c1 * a_a[l, k]
+                c2 = pi[idx(k, l), idx(i, j)]
+                if c2 != 0:
+                    m2 = m2 + c2 * ap_ap[k, l]
             res_ann.append(m1)
             res_cre.append(m2)
 
     cross = {}
     s = 1.0 if rel.sign == WEYL else -1.0
-    eye = np.eye(dim, dtype=complex)
+    eye = sparse.eye_array(dim, dtype=complex, format="csr")
     for name, pt in rel.cross_candidates.items():
         mats = []
         for i in range(n):
             for j in range(n):
-                m = a[i] @ ap[j] - (1.0 if i == j else 0.0) * eye
-                for h in range(n):
-                    for k in range(n):
-                        c = pt[idx(i, h), idx(j, k)]
-                        if c != 0:
-                            m -= s * c * (ap[h] @ a[k])
+                m = a[i] @ ap[j]
+                if i == j:
+                    m = m - eye
+                for h, k in pairs:
+                    c = pt[idx(i, h), idx(j, k)]
+                    if c != 0:
+                        m = m - s * c * ap_a[h, k]
                 mats.append(m)
         cross[name] = mats
     return res_ann, res_cre, cross
@@ -216,9 +287,10 @@ def number_op_check(gens: DeformedGenerators, tol: float = 1e-10,
 
     if gens.space.statistics is Statistics.BOSE:
         expected = np.array([qnum(t, q2s).real for t in space.total_occupations()])
-        dev = np.abs(np.diag(nh).real - expected)
-        off = nh - np.diag(np.diag(nh))
-        raw = float(max(dev.max(), np.abs(off).max()))
+        dev = np.abs(nh.diagonal().real - expected)
+        c = nh.tocoo()
+        off = np.abs(c.data[c.row != c.col])
+        raw = float(max(dev.max(), off.max(initial=0.0)))
         scale = max(1.0, float(np.abs(expected).max()))
         out.append(CaseResult("qnumber_spectrum", raw / scale, spectrum_tol,
                               {"safe_degree": 0, "raw_residual": raw, "scale": scale}))

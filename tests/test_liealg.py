@@ -59,7 +59,7 @@ def test_rho_representation_property(family, n):
 def test_sigma_is_a_homomorphism(family, n, stat, cut):
     data = liealg.LieData(family, n)
     sp = fock.build_space(n, stat, cut)
-    smats = liealg.sigma_basis(sp, data)
+    smats = {lbl: m.toarray() for lbl, m in liealg.sigma_basis(sp, data).items()}
     worst = 0.0
     for (i, j), mx in smats.items():
         for (h, k), my in smats.items():
@@ -85,12 +85,12 @@ def test_sigma_jordan_schwinger_form_and_vacuum():
     sp = fock.build_space(2, Statistics.BOSE, 4)
     data = liealg.LieData("sl", 2)
     # the raising element acts as a+_1 a^2
-    jplus = liealg.sigma(sp, data, (1, 2)).matrix
-    direct = fock.creator(sp, 1).matrix @ fock.annihilator(sp, 2).matrix
+    jplus = liealg.sigma(sp, data, (1, 2)).matrix.toarray()
+    direct = fock.creator(sp, 1).matrix.toarray() @ fock.annihilator(sp, 2).matrix.toarray()
     assert fro(jplus - direct) < 1e-14
     vac = sp.state_index((0, 0))
     for lbl in data.basis_labels:
-        col = liealg.sigma(sp, data, lbl).matrix[:, vac]
+        col = liealg.sigma(sp, data, lbl).matrix.toarray()[:, vac]
         assert np.linalg.norm(col) < 1e-14
 
 
@@ -98,7 +98,7 @@ def test_casimir_closed_form():
     # bosonic sl(2): eigenvalue on the n = 1 shell is 1*(2+1-1) - 1/2
     sp = fock.build_space(2, Statistics.BOSE, 5)
     data = liealg.LieData("sl", 2)
-    cas = liealg.casimir_sigma(sp, data).matrix
+    cas = liealg.casimir_sigma(sp, data).matrix.toarray()
     k = sp.state_index((1, 0))
     assert abs(cas[k, k] - 1.5) < 1e-13
     vac = sp.state_index((0, 0))
@@ -106,7 +106,7 @@ def test_casimir_closed_form():
     # fermionic sl(3) against the closed form n(N - n + 1) - n^2/N
     spf = fock.build_space(3, Statistics.FERMI)
     dataf = liealg.LieData("sl", 3)
-    casf = liealg.casimir_sigma(spf, dataf).matrix
+    casf = liealg.casimir_sigma(spf, dataf).matrix.toarray()
     closed = liealg.casimir_sl_closed_form(spf, dataf)
     assert fro(casf - np.diag(closed)) < 1e-12
 
@@ -130,19 +130,19 @@ def test_t_matrix_properties():
 def test_classical_action():
     sp = fock.build_space(2, Statistics.BOSE, 5)
     data = liealg.LieData("sl", 2)
-    safe = fock.safe_projector(sp, 2).matrix
+    safe = fock.safe_projector(sp, 2).matrix.toarray()
 
     ap2 = fock.creator(sp, 2)
-    acted = liealg.classical_action(sp, data, (1, 2), ap2).matrix
-    ap1 = fock.creator(sp, 1).matrix
+    acted = liealg.classical_action(sp, data, (1, 2), ap2).matrix.toarray()
+    ap1 = fock.creator(sp, 1).matrix.toarray()
     assert np.linalg.norm(safe @ (acted - ap1) @ safe) < 1e-13
 
     ident = fock.LinOp(sp, np.eye(sp.dim), grade=0)
-    assert fro(liealg.classical_action(sp, data, (1, 2), ident).matrix) < 1e-14
+    assert fro(liealg.classical_action(sp, data, (1, 2), ident).matrix.toarray()) < 1e-14
 
     n = fock.total_number(sp)
     for lbl in data.basis_labels:
-        assert fro(liealg.classical_action(sp, data, lbl, n).matrix) < 1e-13
+        assert fro(liealg.classical_action(sp, data, lbl, n).matrix.toarray()) < 1e-13
 
 
 def test_covariance_of_creators():
@@ -150,10 +150,10 @@ def test_covariance_of_creators():
     for family, n in (("sl", 3), ("so", 3)):
         data = liealg.LieData(family, n)
         sp = fock.build_space(n, Statistics.BOSE, 4)
-        safe = fock.safe_projector(sp, 2).matrix
-        ap = [fock.creator(sp, i).matrix for i in range(1, n + 1)]
+        safe = fock.safe_projector(sp, 2).matrix.toarray()
+        ap = [fock.creator(sp, i).matrix.toarray() for i in range(1, n + 1)]
         for lbl in data.basis_labels:
-            s = liealg.sigma(sp, data, lbl).matrix
+            s = liealg.sigma(sp, data, lbl).matrix.toarray()
             r = liealg.rho(data, lbl)
             for i in range(n):
                 lhs = s @ ap[i] - ap[i] @ s

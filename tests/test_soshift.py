@@ -38,13 +38,13 @@ def test_l2_commutators(orb3, orb4):
 
 
 def test_l_is_positive_root(orb3):
-    l2 = orb3.l2.matrix
-    lmat = orb3.l.matrix
+    l2 = orb3.l2.matrix.toarray()
+    lmat = orb3.l.matrix.toarray()
     assert np.linalg.norm(lmat @ lmat - l2, 2) < 1e-10
     evals = np.linalg.eigvalsh(lmat)
     assert evals.min() > -1e-10
     # l commutes with the total number and with l^2
-    n = fock.total_number(orb3.space).matrix
+    n = fock.total_number(orb3.space).matrix.toarray()
     assert np.linalg.norm(lmat @ n - n @ lmat) < 1e-10
     assert np.linalg.norm(lmat @ l2 - l2 @ lmat) < 1e-9
 
