@@ -1,11 +1,13 @@
 """The coassociator matrix M from the operator path-ordered integral.
 
 M is the fundamental solution of the operator KZ equation with
-power-law endpoint prefactors.  P and A both preserve the total
-occupation k of the Fock factor, so the equation is integrated on the
-occupation-shell blocks of M only (one ODE over their concatenation),
-and the endpoint prefactors are closed forms per shell: an eigenbasis of
-the symmetric A block, and cosh/sinh of P since P^2 = 1.  M is
+power-law endpoint prefactors.  P and A both conserve the sl(N) weight
+e_a + e_b + occ of a basis vector (a, b, occ) of C^N x C^N x Fock, so
+the equation is integrated on the weight blocks of M only (one ODE over
+all of them, the blocks of each size stacked), and the endpoint
+prefactors are closed forms per block: an eigenbasis of the symmetric A
+block, and cosh/sinh of P since P^2 = 1.  M comes back as its weight
+blocks; its norms are the largest block norm.  M is
 1 + zeta(2) eta^2 [P, A] + O(h^3), acts trivially on the
 doubly-contravariant tensor a^i a^j, and conjugates the numeric
 relation matrices into the ones the dressed generators satisfy --
@@ -23,11 +25,12 @@ from qheis.qspecial import WEYL, CLIFFORD, DeformParams
 
 space = fock.build_space(2, Statistics.BOSE, cutoff=5)
 system = kz.build_operator_system(space)
-dim = system.p_big.shape[0]
+blocks = system.blocks
+dim = blocks.dim
 print(f"operator system on C^2 x C^2 x Fock: total dimension {dim}")
-sizes = [sh.idx.size for sh in system.shells]
-print(f"occupation-shell blocks k = 0..{len(sizes) - 1}: sizes {sizes},",
-      f"{sum(s * s for s in sizes)} ODE state entries instead of {dim * dim}")
+sizes = {shape[1]: shape[0] for _, shape in blocks.stacks}
+print(f"{sum(sizes.values())} weight blocks, count by size {sizes}:",
+      f"{blocks.rows.size} ODE state entries instead of {dim * dim}")
 
 
 def hbar2_of(h):
@@ -36,19 +39,22 @@ def hbar2_of(h):
 
 h = 0.1
 m, err = kz.coassociator_with_error(system, hbar2_of(h), 2e-6)
-print(f"\nM at h = {h}:  ||M - 1|| = {np.linalg.norm(m - np.eye(dim), 2):.4e}")
+print(f"\nM at h = {h}:  ||M - 1|| = {blocks.norm(m - blocks.eye):.4e}")
 print(f"stability under halving the endpoint cutoff: {err:.1e}")
 
 # M - 1 is second order in h: halving h divides the norm by about four.
-n1 = np.linalg.norm(kz.coassociator_matrix(system, hbar2_of(h), 1e-5) - np.eye(dim), 2)
-m_half = kz.coassociator_matrix(system, hbar2_of(h / 2), 1e-5)
-n2 = np.linalg.norm(m_half - np.eye(dim), 2)
+n1 = blocks.norm(kz.coassociator_matrix(system, hbar2_of(h), 1e-5) - blocks.eye)
+m_half = kz.coassociator_matrix(system, hbar2_of(h / 2), 1e-5) - blocks.eye
+n2 = blocks.norm(m_half)
 print(f"h^2 scaling: ||M(h)-1|| / ||M(h/2)-1|| = {n1 / n2:.2f}")
 # ... and its h^2 coefficient is zeta(2) times the commutator of the residues
-pa = system.p_big @ system.a_big - system.a_big @ system.p_big
+pa = blocks.matmul(system.p, system.a) - blocks.matmul(system.a, system.p)
 h2_term = math.pi**2 / 6 * hbar2_of(h / 2)**2 * pa
 print("relative deviation of M(h/2) - 1 from zeta(2) eta^2 [P, A]:",
-      f"{np.linalg.norm(m_half - np.eye(dim) - h2_term, 2) / np.linalg.norm(h2_term, 2):.3f}")
+      f"{blocks.norm(m_half - h2_term) / blocks.norm(h2_term):.3f}")
+
+# M is stored as its weight blocks; off them the full matrix is exactly zero.
+print(f"stored entries of M: {blocks.to_sparse(m).nnz} of {dim * dim}")
 
 print("\nM acts trivially on a^i a^j:",
       f"{kz.acts_trivially_residual(system, m):.1e}")

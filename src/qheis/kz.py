@@ -8,10 +8,11 @@ Scalar side.  With s = +-1 (Weyl/Clifford) and eta := 2*hbar the system
     f2' = eta [  f1/(1-x) - s ((n-1)/(1-x) + 1/x) f2 ]
     f3' = eta [ -s f1/(1-x) + f2/x - s (1/(1-x) - 1/x)(n-1) f3 ]
 
-is integrated from x = 1-eps (seeded with the leading asymptotics
-f2 ~ (1-x)^(s eta (n-1)), f1 = f3 = 0) down to small x.  The combination
-f1 + s f2 + (n+1) f3 equals s [x(1-x)]^(s eta (n-1)) exactly, f1/f2
-satisfies a Riccati equation, and the closed forms are
+is integrated from x = 1-eps (seeded with the expansion of the closed
+forms below at 1-x, see integrate_scalar; f2 ~ (1-x)^(s eta (n-1)),
+f1, f3 -> 0) down to small x.  The combination f1 + s f2 + (n+1) f3
+equals s [x(1-x)]^(s eta (n-1)) exactly, f1/f2 satisfies a Riccati
+equation, and the closed forms are
 
     f2 = x^(-s eta) (1-x)^(s eta (n-1)) F(s eta, -s eta, 1 + s eta n; 1-x)
     f1 = (eta/(1 + s eta n)) F(1+s eta, 1-s eta, 2+s eta n; 1-x)
@@ -39,14 +40,22 @@ A = 1 x e_ij x a+_j a^i, the coassociator matrix is
         y0^(eta A),
 
 computed as the fundamental solution of the linear operator ODE (not by
-product discretization).  A conserves the total occupation and P acts
-only on C^N x C^N, so P, A, the propagator and both endpoint factors are
-block diagonal over the occupation shells k of Fock: shell k has size
-N^2 C(k+N-1, N-1) (4(k+1) at N = 2).  One ODE evolves the concatenated
-shell blocks, and the endpoint factors are closed forms per shell:
-y0^(eta A) from the eigendecomposition of the real symmetric A block,
-and x0^(-eta P) = cosh(c) 1 + sinh(c) P with c = -eta log x0, since
-P^2 = 1.  M = 1 + zeta(2) eta^2 [P, A] + O(h^3), acts trivially on the
+product discretization).  P and A both conserve the sl(N) weight
+e_a + e_b + occ of a basis vector (a, b, occ), so P, A, the propagator,
+both endpoint factors and M are block diagonal over the weights, and no
+block is larger than N^2.  The blocks of one size are stacked into an
+(n_blocks, s, s) array; one ODE evolves all of them (266 entries at
+N = 2, cutoff 5, against 7,056 for the full 84 x 84 propagator), and the
+endpoint factors are closed forms per block: y0^(eta A) from the batched
+eigendecomposition of the real symmetric A blocks, and
+x0^(-eta P) = cosh(c) 1 + sinh(c) P with c = -eta log x0, since P^2 = 1.
+M is returned as its weight blocks (WeightBlocks), and every check
+works on them: norms of a block-diagonal operator are the largest block
+norm (a direct sum), inverses and conjugations go block by block, and
+contractions with Fock operators use the blocks as the stored entries
+of a sparse matrix.
+
+M = 1 + zeta(2) eta^2 [P, A] + O(h^3), acts trivially on the
 doubly-contravariant tensor a^i a^j, commutes with the image of the
 two-fold coproduct, and conjugates the numeric matrices U = P and
 V = q^s P q^P into the matrices governing the deformed exchange
@@ -65,13 +74,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm  # noqa: F401  (the benchmark tracer wraps kz.expm)
 
 from .fock import FockSpace, Statistics, annihilator, creator
-from .liealg import permutation_matrix, rho, sigma_basis
+from .liealg import coproduct_rep, permutation_matrix, sigma_basis
 from .qspecial import DeformParams, gamma, gauss_2f1, gauss_2f1_deriv, qnum, rgamma
-from .verify import CaseResult, max_norms, projected_norms
+from .verify import CaseResult, direct_sum_norms, max_norms, projected_norms
 
 
 class IntegrationError(RuntimeError):
@@ -168,25 +178,32 @@ def _scalar_rhs(params: KZScalarParams):
 
 def integrate_scalar(params: KZScalarParams,
                      x_lo: float | None = None) -> Callable[[float], np.ndarray]:
-    """Integrate the scalar system from x = 1-eps down to x_lo (default eps).
+    """Integrate the scalar system from x_hi = 1-eps down to x_lo (default eps).
 
-    Each component is seeded at 1-eps with its own leading asymptotic:
-    f2 = eps^(s eta (n-1)) exactly as prescribed by the boundary
-    condition, and f1, f3 (which vanish at x = 1) with the first
-    nonvanishing power eps^(1 + s eta (n-1)) of the closed forms, so the
-    seeding error is O(eps^2) relative and the trajectory can be compared
-    to the closed forms at the 1e-8 level.  Returns the dense trajectory
-    x -> (f1, f2, f3), which raises ValueError outside [x_lo, 1-eps].
+    The seed is the expansion of the closed forms at e = 1 - x_hi, which
+    is exact in floating point (so e is the true distance to x = 1, not
+    the rounded eps):
+
+        f2 = x_hi^(-s eta) e^kappa (1 - (s eta)^2 e / (1 + s eta n)),
+        f1 = (eta / (1 + s eta n)) x_hi^(-s eta) e^(1 + kappa),
+        f3 = (s (x_hi e)^kappa - f1 - s f2) / (n + 1),
+
+    kappa = s eta (n-1), f3 from the exact combination
+    f1 + s f2 + (n+1) f3 = s [x(1-x)]^kappa.  The neglected terms are
+    O(e^2) absolute, far below the integration error, so the trajectory
+    rows measure the solve.  Returns the dense trajectory
+    x -> (f1, f2, f3), which raises ValueError outside [x_lo, x_hi].
     """
-    eps = params.eps
-    x_lo = eps if x_lo is None else x_lo
+    x_lo = params.eps if x_lo is None else x_lo
     n, eta, s = params.n, params.hbar2, params.sign
-    kappa = s * eta * (n - 1.0)
-    f2 = eps**kappa
-    f1 = (eta / (1.0 + s * eta * n)) * eps ** (1.0 + kappa)
-    f3 = -f1 / (n + 1.0)
+    a = s * eta
+    kappa = a * (n - 1.0)
+    x_hi = 1.0 - params.eps
+    e = 1.0 - x_hi
+    f2 = x_hi**(-a) * e**kappa * (1.0 - a * a * e / (1.0 + a * n))
+    f1 = (eta / (1.0 + a * n)) * x_hi**(-a) * e ** (1.0 + kappa)
+    f3 = (s * (x_hi * e)**kappa - f1 - s * f2) / (n + 1.0)
     y0 = np.array([f1, f2, f3], dtype=complex)
-    x_hi = 1.0 - eps
     sol = _logistic_leg(_scalar_rhs(params), y0, x_lo, x_hi, dense_output=True)
 
     def traj(x: float) -> np.ndarray:
@@ -346,36 +363,102 @@ def extract_limits(params: KZScalarParams, traj=None,
 
 
 @dataclass(frozen=True)
-class KZShell:
-    """One occupation shell of C^N x C^N x Fock: its indices in the full
-    space, the blocks of P and A there, and the eigendecomposition
-    A = vecs diag(vals) vecs^T of the real symmetric A block."""
+class WeightBlocks:
+    """The weight blocks of C^N x C^N x Fock, and the flat storage of an
+    operator that is block diagonal over them.
 
-    idx: np.ndarray
-    p: np.ndarray
-    a: np.ndarray
-    a_vals: np.ndarray
-    a_vecs: np.ndarray
+    Such an operator is one flat array: block after block, each block
+    row-major, the blocks ordered by size so that the blocks of one size
+    s form the contiguous stack ``flat[sl].reshape(n_blocks, s, s)`` of
+    one ``stacks`` entry.  rows and cols are the full-space row and column
+    of each flat entry; block_of numbers the block of each basis vector."""
 
-    def exp_a(self, c: complex) -> np.ndarray:
-        """exp(c A) on this shell."""
-        return (self.a_vecs * np.exp(c * self.a_vals)) @ self.a_vecs.T
+    dim: int
+    block_of: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    stacks: tuple  # (slice of the flat array, (n_blocks, s, s)) per size s
 
-    def exp_p(self, c: complex) -> np.ndarray:
-        """exp(c P) on this shell; P^2 = 1."""
-        return np.cosh(c) * np.eye(self.idx.size) + np.sinh(c) * self.p
+    @property
+    def eye(self) -> np.ndarray:
+        return (self.rows == self.cols).astype(float)
+
+    def views(self, x: np.ndarray) -> list[np.ndarray]:
+        """The (n_blocks, s, s) stacks of a flat operator."""
+        return [x[sl].reshape(shape) for sl, shape in self.stacks]
+
+    def join(self, stacks) -> np.ndarray:
+        return np.concatenate([b.reshape(-1) for b in stacks])
+
+    def matmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self.join([u @ v for u, v in zip(self.views(x), self.views(y))])
+
+    def singular_values(self, x: np.ndarray) -> np.ndarray:
+        return np.concatenate([np.linalg.svd(u, compute_uv=False).reshape(-1)
+                               for u in self.views(x)])
+
+    def norm(self, x: np.ndarray) -> float:
+        """Spectral norm: the largest over the blocks (a direct sum)."""
+        return float(self.singular_values(x).max())
+
+    def to_sparse(self, x: np.ndarray) -> sparse.csr_array:
+        """The full-space operator, with the blocks as its stored entries."""
+        return sparse.csr_array((x, (self.rows, self.cols)), shape=(self.dim, self.dim))
+
+    def gather(self, op) -> np.ndarray:
+        """The flat blocks of a sparse full-space operator; ValueError if
+        it has an entry between two different weights."""
+        op = sparse.csr_array(op)
+        coo = op.tocoo()
+        if np.any(self.block_of[coo.row] != self.block_of[coo.col]):
+            raise ValueError("operator does not conserve the weight")
+        return op[self.rows, self.cols]
 
 
-@dataclass
+def _weight_blocks(weights: np.ndarray) -> WeightBlocks:
+    """Group the basis vectors by weight (one row of weights each)."""
+    dim = weights.shape[0]
+    block_of = np.unique(weights, axis=0, return_inverse=True)[1].reshape(-1)
+    sizes = np.bincount(block_of)
+    # the basis vectors by block size, then block; in index order within a block
+    members = np.lexsort((block_of, sizes[block_of]))
+    rows, cols, stacks = [], [], []
+    at = flat = 0
+    for s in np.unique(sizes).tolist():
+        n_blocks = int(np.count_nonzero(sizes == s))
+        idx = members[at:at + n_blocks * s].reshape(n_blocks, s)
+        rows.append(np.repeat(idx, s, axis=1).reshape(-1))
+        cols.append(np.tile(idx, (1, s)).reshape(-1))
+        stacks.append((slice(flat, flat + n_blocks * s * s), (n_blocks, s, s)))
+        at += n_blocks * s
+        flat += n_blocks * s * s
+    return WeightBlocks(dim, block_of, np.concatenate(rows), np.concatenate(cols),
+                        tuple(stacks))
+
+
+@dataclass(frozen=True)
 class KZOperatorSystem:
+    """P and A on C^N x C^N x Fock as flat weight blocks (see WeightBlocks),
+    with the eigendecomposition A = vecs diag(vals) vecs^T of each stack of
+    real symmetric A blocks, and the Fock ladders a^i, a+_i (sparse)."""
+
     space: FockSpace
     n: int
-    p_big: np.ndarray
-    a_big: np.ndarray
-    aa_blocks: np.ndarray  # (N, N, D, D): the tensor a^i a^j
-    an: list               # annihilator matrices a^1 .. a^N
-    ap: list               # creator matrices a+_1 .. a+_N
-    shells: tuple          # KZShell per total occupation 0 .. cutoff
+    blocks: WeightBlocks
+    p: np.ndarray
+    a: np.ndarray
+    a_eig: tuple  # (vals (n_blocks, s), vecs (n_blocks, s, s)) per stack
+    an: list      # annihilators a^1 .. a^N
+    ap: list      # creators a+_1 .. a+_N
+
+    def exp_a(self, c: complex) -> np.ndarray:
+        """exp(c A), flat."""
+        return self.blocks.join([(vecs * np.exp(c * vals)[:, None, :]) @ vecs.transpose(0, 2, 1)
+                                 for vals, vecs in self.a_eig])
+
+    def exp_p(self, c: complex) -> np.ndarray:
+        """exp(c P), flat; P^2 = 1."""
+        return np.cosh(c) * self.blocks.eye + np.sinh(c) * self.p
 
 
 def build_operator_system(space: FockSpace) -> KZOperatorSystem:
@@ -383,60 +466,55 @@ def build_operator_system(space: FockSpace) -> KZOperatorSystem:
     if space.statistics is not Statistics.BOSE:
         raise ValueError("operator system needs a bosonic space")
     n, d = space.modes, space.dim
-    an = [annihilator(space, i).matrix.toarray() for i in range(1, n + 1)]
-    ap = [creator(space, i).matrix.toarray() for i in range(1, n + 1)]
-    eye_n = np.eye(n)
-    a_big = np.zeros((n * n * d, n * n * d), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            e_ij = np.zeros((n, n))
-            e_ij[i, j] = 1.0
-            op = ap[j] @ an[i]
-            a_big += np.kron(np.kron(eye_n, e_ij), op)
-    p_big = np.kron(permutation_matrix(n), np.eye(d))
-    aa = np.empty((n, n, d, d), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            aa[i, j] = an[i] @ an[j]
-    shell_of = np.tile(space.total_occupations(), n * n)
-    shells = []
-    for k in np.unique(shell_of):
-        idx = np.flatnonzero(shell_of == k)
-        a_k = a_big[np.ix_(idx, idx)].real
-        shells.append(KZShell(idx, p_big[np.ix_(idx, idx)], a_k, *np.linalg.eigh(a_k)))
-    return KZOperatorSystem(space, n, p_big, a_big, aa, an, ap, tuple(shells))
+    an = [annihilator(space, i).matrix for i in range(1, n + 1)]
+    ap = [creator(space, i).matrix for i in range(1, n + 1)]
+    e = np.eye(n)
+    p_sparse = sparse.kron(permutation_matrix(n), sparse.eye_array(d))
+    a_sparse = sum(sparse.kron(np.kron(e, np.outer(e[i], e[j])), ap[j] @ an[i])
+                   for i in range(n) for j in range(n))
+    # the weight of (a, b, occ) is e_a + e_b + occ
+    pair_weights = (e[:, None, :] + e[None, :, :]).reshape(n * n, 1, n)
+    weights = (pair_weights + np.array(space.basis)[None, :, :]).reshape(n * n * d, n)
+    blocks = _weight_blocks(weights)
+    p, a = blocks.gather(p_sparse).real, blocks.gather(a_sparse).real
+    a_eig = tuple(np.linalg.eigh(stack) for stack in blocks.views(a))
+    return KZOperatorSystem(space, n, blocks, p, a, a_eig, an, ap)
 
 
 def coassociator_matrix(system: KZOperatorSystem, hbar2: complex, eps: float,
                         rtol: float = 1e-12, atol: float = 1e-14) -> np.ndarray:
-    """M at regularization eps: x0 = y0 = eps, power-law prefactors exactly
-    as in the path-ordered integral, interior by the linear operator ODE.
+    """M at regularization eps, as its flat weight blocks: x0 = y0 = eps,
+    power-law prefactors exactly as in the path-ordered integral, interior
+    by the linear operator ODE.
 
-    The ODE state is the concatenation of the shell blocks of the
-    propagator; the dense M is assembled from them at the end."""
-    dim = system.p_big.shape[0]
+    The ODE state is the weight blocks of the propagator; each rhs call
+    forms the real P/x + A/(x-1) once over all of them, makes one batched
+    matmul per block size and scales the result by hbar2.  A real matrix
+    times a complex one is a real matmul on the complex one's (s, 2s)
+    float view, which for these tiny blocks is several times faster than
+    a complex matmul."""
+    blocks = system.blocks
     if hbar2 == 0:
-        return np.eye(dim, dtype=complex)
-    shells = system.shells
+        return blocks.eye.astype(complex)
     c = math.log(eps) * hbar2
-    terms = [(hbar2 * sh.p, hbar2 * sh.a) for sh in shells]
-    sizes = [sh.idx.size for sh in shells]
-    ends = np.cumsum([s * s for s in sizes])
-    slices = [slice(e - s * s, e) for s, e in zip(sizes, ends)]
-    y0 = np.concatenate([sh.exp_a(c).reshape(-1) for sh in shells])
+    p, a = system.p, system.a
+    # per block size: the slice and shape of the real coefficient's stack,
+    # and of the (s, 2s) float view of the complex state's stack
+    layout = [(sl, shape, slice(2 * sl.start, 2 * sl.stop), (*shape[:2], 2 * shape[2]))
+              for sl, shape in blocks.stacks]
 
     def rhs(x, y):
+        g = p * (1.0 / x) + a * (1.0 / (x - 1.0))
         out = np.empty_like(y)
-        ix, ix1 = 1.0 / x, 1.0 / (x - 1.0)
-        for (hp, ha), s, sl in zip(terms, sizes, slices):
-            np.matmul(hp * ix + ha * ix1, y[sl].reshape(s, s), out=out[sl].reshape(s, s))
+        y_f, out_f = np.ascontiguousarray(y).view(float), out.view(float)
+        for sl, shape, sl_f, shape_f in layout:
+            np.matmul(g[sl].reshape(shape), y_f[sl_f].reshape(shape_f),
+                      out=out_f[sl_f].reshape(shape_f))
+        out *= hbar2
         return out
 
-    y_end = _logistic_leg(rhs, y0, eps, 1.0 - eps, rtol=rtol, atol=atol).y[:, -1]
-    m = np.zeros((dim, dim), dtype=complex)
-    for sh, s, sl in zip(shells, sizes, slices):
-        m[np.ix_(sh.idx, sh.idx)] = sh.exp_p(-c) @ y_end[sl].reshape(s, s)
-    return m
+    y_end = _logistic_leg(rhs, system.exp_a(c), eps, 1.0 - eps, rtol=rtol, atol=atol).y[:, -1]
+    return blocks.matmul(system.exp_p(-c), y_end)
 
 
 def coassociator_with_error(system: KZOperatorSystem, hbar2: complex,
@@ -444,42 +522,43 @@ def coassociator_with_error(system: KZOperatorSystem, hbar2: complex,
     """M at eps/2 together with ||M(eps) - M(eps/2)|| as the error estimate."""
     m1 = coassociator_matrix(system, hbar2, eps)
     m2 = coassociator_matrix(system, hbar2, eps / 2.0)
-    return m2, float(np.linalg.norm(m1 - m2, 2))
+    return m2, system.blocks.norm(m1 - m2)
 
 
-def _blocks(system: KZOperatorSystem, big: np.ndarray) -> np.ndarray:
-    n, d = system.n, system.space.dim
-    # -> indexed [i, k (row pair), j, l (col pair), fock_row, fock_col]
-    return big.reshape(n, n, d, n, n, d).transpose(0, 1, 3, 4, 2, 5)
+def _fock_blocks(big, d: int) -> list:
+    """The D x D blocks of a sparse operator between sums of Fock spaces,
+    row-major over the block grid."""
+    big = sparse.csr_array(big)
+    rows, cols = big.shape
+    return [big[r:r + d, c:c + d] for r in range(0, rows, d) for c in range(0, cols, d)]
 
 
 def acts_trivially_residual(system: KZOperatorSystem, m: np.ndarray,
                             degree: int = 2) -> float:
-    """|| M . (aa) - aa || over the N^2 components, safe-projected."""
-    mb = _blocks(system, m)
-    n, aa = system.n, system.aa_blocks
-    defects = (sum(mb[i, j, k, l] @ aa[k, l] for k in range(n) for l in range(n)) - aa[i, j]
-               for i in range(n) for j in range(n))
-    return max_norms(projected_norms(system.space, r, degree) for r in defects)[0]
+    """|| M . (aa) - aa || over the N^2 components, safe-projected: aa is
+    the column of the Fock operators a^i a^j, block (i, j) at pair i N + j."""
+    n, an = system.n, system.an
+    aa = sparse.vstack([an[i] @ an[j] for i in range(n) for j in range(n)])
+    defect = system.blocks.to_sparse(m) @ aa - aa
+    return max_norms(projected_norms(system.space, r, degree)
+                     for r in _fock_blocks(defect, system.space.dim))[0]
 
 
 def invariance_residual(system: KZOperatorSystem, m: np.ndarray, data,
                         degree: int = 2) -> float:
-    """|| [M, image of the two-fold coproduct of X] || over Lie basis X."""
+    """|| [M, image of the two-fold coproduct of X] || over Lie basis X,
+    with the Fock factor safe-projected.  The image of X moves each weight
+    by the weight of X, so the commutator is a direct sum over the weight
+    blocks it maps between and its norm the largest of theirs."""
     n, d = system.n, system.space.dim
-    eye_n, eye_d = np.eye(n), np.eye(d)
-    # project the Fock factor of the commutator norm
-    big_mask = np.tile(system.space.safe_mask(degree), n * n)
+    eye_pairs, eye_d = sparse.eye_array(n * n), sparse.eye_array(d)
+    big_m = system.blocks.to_sparse(m)
+    safe = np.tile(system.space.safe_mask(degree), n * n)
     worst = 0.0
     for lbl, s in sigma_basis(system.space, data).items():
-        r = rho(data, lbl)
-        s = s.toarray()
-        delta2 = (np.kron(np.kron(r, eye_n), eye_d)
-                  + np.kron(np.kron(eye_n, r), eye_d)
-                  + np.kron(np.kron(eye_n, eye_n), s))
-        comm = m @ delta2 - delta2 @ m
-        sub = comm[np.ix_(big_mask, big_mask)]
-        worst = max(worst, float(np.linalg.norm(sub, 2)))
+        delta2 = sparse.kron(coproduct_rep(data, lbl), eye_d) + sparse.kron(eye_pairs, s)
+        comm = big_m @ delta2 - delta2 @ big_m
+        worst = max(worst, direct_sum_norms(comm, system.blocks.block_of, safe)[0])
     return worst
 
 
@@ -505,8 +584,8 @@ def dressed_generators(system: KZOperatorSystem, params: DeformParams,
     nvec = space.total_occupations()
     i_vals = np.array([1.0 if dressing is None else dressing(v) for v in nvec])
     itilde = np.array([qnum(v + 1.0, q2s).real / (v + 1.0) for v in nvec]) / i_vals
-    di = np.diag(i_vals.astype(complex))
-    dit = np.diag(itilde.astype(complex))
+    di = sparse.diags_array(i_vals.astype(complex))
+    dit = sparse.diags_array(itilde.astype(complex))
     a_t = [di @ m for m in system.an]
     ap_t = [m @ dit for m in system.ap]
     return a_t, ap_t
@@ -523,34 +602,38 @@ def coassociator_relation_check(system: KZOperatorSystem, params: DeformParams,
       (1) a~^i a~^j   = s (M^-1 P M)^{ji}_{lm} a~^m a~^l
       (2) a~+_i a~+_j = s a~+_l a~+_m (M^-1 P M)^{lm}_{ij}
       (3) a~^i a~+_j  = delta^i_j + s a~+_l (M^-1 V M)^{il}_{jm} a~^m
+
+    cond(M), M^-1 and the conjugated U = P and V are taken block by block
+    over the weights; the contractions with the Fock operators are sparse
+    products of the full-space U, V with columns and rows of operators.
     """
     space = system.space
     n, d = system.n, space.dim
+    blocks = system.blocks
     s = float(params.sign)
-    q = params.q_real
-    cond = float(np.linalg.cond(m))
+    sv = blocks.singular_values(m)
+    cond = float(sv.max() / sv.min())
     if cond > 1e8:
         raise ValueError(f"coassociator matrix numerically singular (cond={cond:.2e})")
-    minv = np.linalg.inv(m)
-    v_big = np.kron(cross_matrix_v(system, q, params.sign), np.eye(d))
-    mu = _blocks(system, minv @ system.p_big @ m)
-    mv = _blocks(system, minv @ v_big @ m)
+    minv = blocks.join([np.linalg.inv(u) for u in blocks.views(m)])
+    v = blocks.gather(sparse.kron(cross_matrix_v(system, params.q_real, params.sign),
+                                  sparse.eye_array(d)))
+    mu = blocks.to_sparse(blocks.matmul(minv, blocks.matmul(system.p, m)))
+    mv = blocks.to_sparse(blocks.matmul(minv, blocks.matmul(v, m)))
     a_t, ap_t = dressed_generators(system, params, dressing)
 
-    eye = np.eye(d, dtype=complex)
-    norms = [[], [], []]
-    for i in range(n):
-        for j in range(n):
-            r1 = a_t[i] @ a_t[j]
-            r2 = ap_t[i] @ ap_t[j]
-            r3 = a_t[i] @ ap_t[j] - (1.0 if i == j else 0.0) * eye
-            for l in range(n):
-                for mm in range(n):
-                    r1 -= s * mu[j, i, l, mm] @ (a_t[mm] @ a_t[l])
-                    r2 -= s * (ap_t[l] @ ap_t[mm]) @ mu[l, mm, i, j]
-                    r3 -= s * ap_t[l] @ mv[i, l, j, mm] @ a_t[mm]
-            for group, r in zip(norms, (r1, r2, r3)):
-                group.append(projected_norms(space, r, degree))
-    return [CaseResult(name, max_norms(group)[0], tol, {"cond_M": cond})
-            for name, group in zip(("coassoc_relation_aa", "coassoc_relation_apap",
-                                    "coassoc_relation_cross"), norms)]
+    # (1) is (1 - s U) aa = 0 for the column aa of blocks a~^j a~^i, (2) is
+    # apap (1 - s U) = 0 for the row apap of blocks a~+_i a~+_j, block
+    # (i, j) at pair i N + j; (3) sums over l, m inside each (i, j) block
+    pairs = [divmod(k, n) for k in range(n * n)]
+    aa = sparse.vstack([a_t[j] @ a_t[i] for i, j in pairs])
+    apap = sparse.hstack([ap_t[i] @ ap_t[j] for i, j in pairs])
+    a_col, ap_row, eye_n = sparse.vstack(a_t), sparse.hstack(ap_t), sparse.eye_array(n)
+    defects = (aa - s * (mu @ aa),
+               apap - s * (apap @ mu),
+               a_col @ ap_row - sparse.eye_array(n * d)
+               - s * (sparse.kron(eye_n, ap_row) @ mv @ sparse.kron(eye_n, a_col)))
+    return [CaseResult(name, max_norms(projected_norms(space, r, degree)
+                                       for r in _fock_blocks(big, d))[0], tol, {"cond_M": cond})
+            for name, big in zip(("coassoc_relation_aa", "coassoc_relation_apap",
+                                  "coassoc_relation_cross"), defects)]

@@ -14,6 +14,8 @@ components occupy disjoint rows and disjoint columns, so the defect is
 their orthogonal direct sum: its spectral norm is the largest spectral
 norm among the component blocks (each a small dense SVD), exactly, for
 any mix of grades.  The Frobenius norm is taken from the stored entries.
+The same rule, with other labels than shells, is :func:`direct_sum_norms`
+(``kz`` labels the basis of C^N x C^N x Fock by sl(N) weight).
 
 Index conventions for the quadratic relations, with Pi the annihilating
 projector and Pt a cross candidate:
@@ -74,9 +76,9 @@ class Report:
         return all(c.passed for c in self.cases)
 
 
-def _shell_components(row_shell: np.ndarray, col_shell: np.ndarray, k: int) -> np.ndarray:
-    """Component of each entry, numbered 0, 1, ...: row shells and column
-    shells (k of each) are joined by every (row shell, column shell) pair
+def _label_components(row_label: np.ndarray, col_label: np.ndarray, k: int) -> np.ndarray:
+    """Component of each entry, numbered 0, 1, ...: row labels and column
+    labels (k of each) are joined by every (row label, column label) pair
     that occurs among the entries."""
     root = list(range(2 * k))
 
@@ -86,10 +88,10 @@ def _shell_components(row_shell: np.ndarray, col_shell: np.ndarray, k: int) -> n
         return x
 
     occurs = np.zeros(k * k, dtype=bool)
-    occurs[row_shell * k + col_shell] = True
+    occurs[row_label * k + col_label] = True
     for pair in np.flatnonzero(occurs).tolist():
         root[find(pair // k)] = find(k + pair % k)
-    root_of_entry = np.array([find(r) for r in range(k)])[row_shell]
+    root_of_entry = np.array([find(r) for r in range(k)])[row_label]
     used = np.zeros(2 * k, dtype=bool)
     used[root_of_entry] = True
     return (np.cumsum(used) - 1)[root_of_entry]
@@ -106,29 +108,31 @@ def _local_index(comp: np.ndarray, idx: np.ndarray, n_comp: int, dim: int):
     return np.cumsum(occurs)[key] - 1 - start[comp], counts
 
 
-def projected_norms(space, m, degree: int) -> tuple[float, float]:
-    """(spectral, frobenius) norm of P m P with P the degree-d safe projector.
+def direct_sum_norms(m, label: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
+    """(spectral, frobenius) norm of m restricted to the rows and columns in
+    mask, for a matrix whose rows and columns carry the integer labels
+    label (one per index, the same for rows and columns).
 
-    m may be dense or sparse.  The result is exact: the spectral norm is
-    the largest over the shell-pair component blocks of P m P (see the
-    module docstring), the Frobenius norm comes from the stored entries.
+    m may be dense or sparse.  The result is exact: entries are grouped
+    into components by their (row label, column label) pairs as described
+    in the module docstring, and the spectral norm is the largest over the
+    component blocks; the Frobenius norm comes from the stored entries.
     """
     if sparse.issparse(m):
         m = sparse.csr_array(m)
         m.sum_duplicates()
-        rows, cols, vals = np.repeat(np.arange(space.dim), np.diff(m.indptr)), m.indices, m.data
+        rows, cols, vals = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices, m.data
     else:
         rows, cols = np.nonzero(m)
         vals = m[rows, cols]
-    mask = space.safe_mask(degree)
     keep = mask[rows] & mask[cols] & (vals != 0)
     rows, cols, vals = rows[keep], cols[keep], vals[keep]
     if vals.size == 0:
         return 0.0, 0.0
-    comp = _shell_components(space.shell[rows], space.shell[cols], space.cutoff + 1)
+    comp = _label_components(label[rows], label[cols], int(label.max()) + 1)
     n_comp = int(comp.max()) + 1
-    ri, n_rows = _local_index(comp, rows, n_comp, space.dim)
-    ci, n_cols = _local_index(comp, cols, n_comp, space.dim)
+    ri, n_rows = _local_index(comp, rows, n_comp, label.size)
+    ci, n_cols = _local_index(comp, cols, n_comp, label.size)
     spec = 0.0
     for b in range(n_comp):
         sel = comp == b
@@ -136,6 +140,16 @@ def projected_norms(space, m, degree: int) -> tuple[float, float]:
         block[ri[sel], ci[sel]] = vals[sel]
         spec = max(spec, float(np.linalg.svd(block, compute_uv=False)[0]))
     return spec, float(np.linalg.norm(vals))
+
+
+def projected_norms(space, m, degree: int) -> tuple[float, float]:
+    """(spectral, frobenius) norm of P m P with P the degree-d safe projector.
+
+    m may be dense or sparse.  The result is exact: the direct-sum norm
+    over the shell-pair component blocks of P m P (:func:`direct_sum_norms`
+    with each state labelled by its shell).
+    """
+    return direct_sum_norms(m, space.shell, space.safe_mask(degree))
 
 
 def max_norms(norm_pairs) -> tuple[float, float]:

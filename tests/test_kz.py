@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from qheis import fock, kz, liealg
+from qheis import fock, kz, liealg, suites
 from qheis.fock import Statistics
 from qheis.qspecial import CLIFFORD, WEYL, DeformParams
 
@@ -109,18 +110,17 @@ def m_matrix(op_system):
 
 
 def test_coassociator_h2_scaling(op_system):
-    eye = np.eye(op_system.p_big.shape[0])
-    n1 = np.linalg.norm(kz.coassociator_matrix(op_system, hbar2_of(0.1), 1e-5)
-                        - eye, 2)
-    m_half = kz.coassociator_matrix(op_system, hbar2_of(0.05), 1e-5) - eye
-    n2 = np.linalg.norm(m_half, 2)
+    blocks = op_system.blocks
+    n1 = blocks.norm(kz.coassociator_matrix(op_system, hbar2_of(0.1), 1e-5) - blocks.eye)
+    m_half = kz.coassociator_matrix(op_system, hbar2_of(0.05), 1e-5) - blocks.eye
+    n2 = blocks.norm(m_half)
     assert 3.2 < n1 / n2 < 4.8
     # M - 1 = zeta(2) eta^2 [P, A] + O(h^3); the wrong sign is off by ~2
-    p, a = op_system.p_big, op_system.a_big
-    term = math.pi**2 / 6 * hbar2_of(0.05)**2 * (p @ a - a @ p)
-    scale = np.linalg.norm(term, 2)
-    assert np.linalg.norm(m_half - term, 2) / scale < 0.3
-    assert np.linalg.norm(m_half + term, 2) / scale > 1.5
+    p, a = op_system.p, op_system.a
+    term = math.pi**2 / 6 * hbar2_of(0.05)**2 * (blocks.matmul(p, a) - blocks.matmul(a, p))
+    scale = blocks.norm(term)
+    assert blocks.norm(m_half - term) / scale < 0.3
+    assert blocks.norm(m_half + term) / scale > 1.5
 
 
 def test_coassociator_eps_stability(op_system):
@@ -154,7 +154,7 @@ def test_coassociator_relations(op_system, m_matrix):
 
 def test_coassociator_classical_control(op_system):
     m = kz.coassociator_matrix(op_system, 0.0, 1e-6)
-    assert np.linalg.norm(m - np.eye(m.shape[0])) == 0.0
+    assert np.array_equal(m, op_system.blocks.eye)
     params = DeformParams(1.0, WEYL)
     rows = kz.coassociator_relation_check(op_system, params, m, tol=1e-12)
     for row in rows:
@@ -167,11 +167,29 @@ def test_coassociator_wrong_sign_control(op_system, m_matrix):
     assert max(r.residual for r in rows) > 1e-2
 
 
-def _dense_coassociator(system, hbar2, eps):
+def _dense_p_a(space):
+    """P and A = 1 x e_ij x a+_j a^i as dense N^2 D x N^2 D matrices."""
+    n, d = space.modes, space.dim
+    an = [fock.annihilator(space, i).matrix.toarray() for i in range(1, n + 1)]
+    ap = [fock.creator(space, i).matrix.toarray() for i in range(1, n + 1)]
+    e = np.eye(n)
+    a = sum(np.kron(np.kron(e, np.outer(e[i], e[j])), ap[j] @ an[i])
+            for i in range(n) for j in range(n))
+    return np.kron(liealg.permutation_matrix(n), np.eye(d)), a
+
+
+def _weights(space):
+    """The sl(N) weight e_a + e_b + occ of each basis vector (a, b, occ)."""
+    n = space.modes
+    occ = np.array(space.basis)
+    return np.array([np.eye(n)[a] + np.eye(n)[b] + o
+                     for a in range(n) for b in range(n) for o in occ])
+
+
+def _dense_coassociator(p, a, hbar2, eps):
     """M from the full N^2 D x N^2 D ODE, integrated in the logistic
     coordinate x = 1/(1 + e^-t), where dx/dt = x(1-x) removes both
     endpoint singularities of P/x + A/(x-1)."""
-    p, a = system.p_big, system.a_big
     dim = p.shape[0]
 
     def rhs(t, y):
@@ -188,21 +206,48 @@ def _dense_coassociator(system, hbar2, eps):
     return expm(-math.log(eps) * hbar2 * p) @ sol.y[:, -1].reshape(dim, dim)
 
 
+@pytest.mark.parametrize("modes,cutoff", [(2, 5), (3, 3), (4, 2)])
+def test_p_and_a_conserve_the_weight(modes, cutoff):
+    space = fock.build_space(modes, Statistics.BOSE, cutoff)
+    p, a = _dense_p_a(space)
+    w = _weights(space)
+    for op in (p, a):
+        rows, cols = np.nonzero(op)
+        assert rows.size and np.array_equal(w[rows], w[cols])
+    # the flat weight blocks of the system are exactly these P and A
+    system = kz.build_operator_system(space)
+    blocks = system.blocks
+    assert np.array_equal(blocks.to_sparse(system.p).toarray(), p)
+    assert np.array_equal(blocks.to_sparse(system.a).toarray(), a)
+    assert np.array_equal(w[blocks.rows], w[blocks.cols])
+    assert max(shape[1] for _, shape in blocks.stacks) <= modes * modes
+
+
+def test_weight_blocks_reject_a_weight_changing_operator(op_system):
+    blocks = op_system.blocks
+    hop = sparse.kron(sparse.eye_array(4), fock.creator(op_system.space, 1).matrix)
+    with pytest.raises(ValueError):
+        blocks.gather(hop)
+
+
 @pytest.mark.parametrize("modes,cutoff", [(2, 3), (3, 2)])
 def test_coassociator_matches_dense_oracle(modes, cutoff):
-    system = kz.build_operator_system(fock.build_space(modes, Statistics.BOSE, cutoff))
-    m = kz.coassociator_matrix(system, hbar2_of(0.1), 1e-5)
-    assert np.linalg.norm(m - _dense_coassociator(system, hbar2_of(0.1), 1e-5), 2) <= 1e-10
-    shell_of = np.tile(system.space.total_occupations(), modes * modes)
-    off_shell = shell_of[:, None] != shell_of[None, :]
-    assert off_shell.any()
-    assert np.all(m[off_shell] == 0)
+    space = fock.build_space(modes, Statistics.BOSE, cutoff)
+    system = kz.build_operator_system(space)
+    m = system.blocks.to_sparse(kz.coassociator_matrix(system, hbar2_of(0.1), 1e-5)).toarray()
+    p, a = _dense_p_a(space)
+    assert np.linalg.norm(m - _dense_coassociator(p, a, hbar2_of(0.1), 1e-5), 2) <= 1e-10
+    w = _weights(space)
+    off_weight = np.any(w[:, None, :] != w[None, :, :], axis=2)
+    assert off_weight.any()
+    assert np.all(m[off_weight] == 0)
 
 
-def test_coassociator_ode_state_is_the_shell_blocks(op_system, monkeypatch):
-    # N=2, cutoff 5: shells of size 4(k+1), k = 0..5, hold 16 * 91 = 1456
-    # entries; the full 84 x 84 propagator would hold 7056.  One solve
-    # covers (eps, 1-eps), and only its endpoint is read.
+def test_coassociator_ode_state_is_the_weight_blocks(op_system, monkeypatch):
+    # N=2, cutoff 5: 33 weight blocks of sizes 1-4 hold 266 entries; the
+    # occupation-shell blocks would hold 1456 and the full 84 x 84
+    # propagator 7056.  One solve covers (eps, 1-eps), and only its
+    # endpoint is read.
     calls = []
     real_solve_ivp = kz.solve_ivp
 
@@ -212,8 +257,32 @@ def test_coassociator_ode_state_is_the_shell_blocks(op_system, monkeypatch):
 
     monkeypatch.setattr(kz, "solve_ivp", recording)
     kz.coassociator_matrix(op_system, hbar2_of(0.1), 1e-5)
-    assert calls == [(1456, False)]
-    assert [sh.idx.size for sh in op_system.shells] == [4, 8, 12, 16, 20, 24]
+    assert calls == [(266, False)]
+
+
+def test_kz_operator_at_three_modes():
+    report = suites.run_suite(suites.make_config("kz-operator", modes=3, cutoff=3))
+    assert len(report.cases) == 13
+    assert all(c.passed for c in report.cases), [c.name for c in report.cases if not c.passed]
+
+
+def test_scalar_trajectory_rows_see_the_integrator(monkeypatch):
+    rows = ("trajectory_vs_closed_forms", "combination_identity")
+
+    def trajectory_rows():
+        report = suites.run_suite(suites.make_config("kz-scalar"))
+        return [c for c in report.cases if c.name.split("/")[-1] in rows]
+
+    good = trajectory_rows()
+    assert len(good) == 24
+    assert all(c.residual < 1e-11 and c.passed for c in good)
+    # the same rows from a solve at rtol 1e-6 must all fail
+    real_solve_ivp = kz.solve_ivp
+    monkeypatch.setattr(kz, "solve_ivp",
+                        lambda *a, **kw: real_solve_ivp(*a, **{**kw, "rtol": 1e-6}))
+    loose = trajectory_rows()
+    assert len(loose) == 24
+    assert not any(c.passed for c in loose)
 
 
 def test_scalar_trajectory_range():
