@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as _sp
 
 TWO_PI_I = 2j * math.pi
 
@@ -137,7 +136,10 @@ def qgamma_tilde(a, q, tol: float = 1e-17):
 
 def gamma(a) -> complex:
     """Euler gamma (complex); raises at poles."""
-    v = complex(_sp.gamma(complex(a)))
+    # scipy.special is imported on first use, so suites that never call
+    # gamma or rgamma do not pay for its import at start-up
+    from scipy.special import gamma as _gamma
+    v = complex(_gamma(complex(a)))
     if not np.isfinite(v.real) or not np.isfinite(v.imag):
         raise ValueError(f"gamma pole or overflow at a = {a}")
     return v
@@ -145,7 +147,8 @@ def gamma(a) -> complex:
 
 def rgamma(a) -> complex:
     """Reciprocal gamma 1/Gamma(a); entire, zero at the poles of Gamma."""
-    return complex(_sp.rgamma(complex(a)))
+    from scipy.special import rgamma as _rgamma
+    return complex(_rgamma(complex(a)))
 
 
 def beta(a, b) -> complex:

@@ -73,7 +73,7 @@ def build_orbital(space: FockSpace, clamp: float = 1e-10) -> OrbitalData:
 
     # l is block diagonal over the shells: assemble it from the shell blocks
     rows, cols, vals = [], [], []
-    grid: dict[tuple[float, float], int] = {}
+    grid: list[tuple[float, float, int]] = []
     for n_val in sorted(set(ntot)):
         sel = np.where(ntot == n_val)[0]
         block = l2[sel][:, sel].toarray()
@@ -86,17 +86,12 @@ def build_orbital(space: FockSpace, clamp: float = 1e-10) -> OrbitalData:
         rows.append(np.repeat(sel, sel.size))
         cols.append(np.tile(sel, sel.size))
         vals.append(((evecs * lvals) @ evecs.conj().T).ravel())
+        shell: dict[float, int] = {}  # distinct l of this shell -> multiplicity
         for lv in lvals:
-            key = None
-            for (gn, gl) in list(grid):
-                if gn == n_val and abs(gl - lv) < 1e-8:
-                    key = (gn, gl)
-                    break
-            if key is None:
-                grid[(float(n_val), float(lv))] = 1
-            else:
-                grid[key] += 1
-    spectral_grid = sorted((n, l, m) for (n, l), m in grid.items())
+            gl = next((gl for gl in shell if abs(gl - lv) < 1e-8), float(lv))
+            shell[gl] = shell.get(gl, 0) + 1
+        grid += [(float(n_val), gl, m) for gl, m in shell.items()]
+    spectral_grid = sorted(grid)
     lmat = sparse.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                             shape=l2.shape)
     return OrbitalData(space, LinOp(space, l2, grade=0), LinOp(space, lmat, grade=0),
@@ -191,8 +186,19 @@ def shift_operator_residuals(orb: OrbitalData, sign: int,
     ]
 
 
-def _on_grid(grid, n, l) -> bool:
-    return any(abs(gn - n) < 1e-6 and abs(gl - l) < 1e-6 for gn, gl, _ in grid)
+def _grid_by_n(grid) -> dict[int, list[tuple[float, float]]]:
+    """The (n, l) points of a spectral grid keyed on round(n); the grid's n
+    values are total occupations, so every point lands under its own n."""
+    by_n: dict[int, list[tuple[float, float]]] = {}
+    for gn, gl, _ in grid:
+        by_n.setdefault(round(gn), []).append((gn, gl))
+    return by_n
+
+
+def _on_grid(by_n: dict[int, list[tuple[float, float]]], n, l) -> bool:
+    """Whether (n, l) is within 1e-6 in both coordinates of a grid point."""
+    return any(abs(gn - n) < 1e-6 and abs(gl - l) < 1e-6
+               for gn, gl in by_n.get(round(n), ()))
 
 
 def verify_y_son(orb: OrbitalData, params: DeformParams,
@@ -213,6 +219,7 @@ def verify_y_son(orb: OrbitalData, params: DeformParams,
         # y(n2, l2) / y(n1, l1)
         return y_son_ratio(n1, l1, n2, l2, nn, q)
 
+    by_n = _grid_by_n(orb.spectral_grid)
     worst = [0.0, 0.0, 0.0, 0.0]
     counts = [0, 0, 0, 0]
     for n, l, _ in orb.spectral_grid:
@@ -226,7 +233,7 @@ def verify_y_son(orb: OrbitalData, params: DeformParams,
         ]
         for k, top1, bot1, top2, bot2, coeff1, coeff2 in eqs:
             pts = [top1, bot1, top2, bot2]
-            if not all(_on_grid(orb.spectral_grid, *p) for p in pts):
+            if not all(_on_grid(by_n, *p) for p in pts):
                 continue
             r1 = ratio(*bot1, *top1)
             r2 = ratio(*bot2, *top2)

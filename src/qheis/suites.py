@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import braid, deform, kz, liealg, soshift, verify
+from . import braid, deform, liealg, soshift, verify
 from .fock import Statistics, build_space, grade_defect
 from .qspecial import (CLIFFORD, WEYL, DeformParams, connection_residual,
                        gauss_2f1, gauss_2f1_deriv, hyper_ode_residual, qgamma,
@@ -321,6 +321,7 @@ def _suite_qspecial(cfg: SuiteConfig):
 
 
 def _suite_kz_scalar(cfg: SuiteConfig):
+    from . import kz  # kz loads scipy.integrate and scipy.linalg; only the kz suites need it
     eps = min(cfg.eps)
 
     def unit(n, hbar2, sign):
@@ -358,6 +359,7 @@ def _suite_kz_scalar(cfg: SuiteConfig):
 
 
 def _suite_kz_operator(cfg: SuiteConfig):
+    from . import kz
     space = build_space(cfg.modes, Statistics.BOSE, cfg.cutoff)
     system = kz.build_operator_system(space)
     data = liealg.LieData("sl", cfg.modes)

@@ -128,6 +128,15 @@ def test_coassociator_eps_stability(op_system):
     assert err < 1e-6
 
 
+def test_extrapolated_coassociator_is_closer_to_the_limit(op_system, m_matrix):
+    # the regularization error of M(eps) is linear in eps; the Richardson
+    # value 2 M(1e-6) - M(2e-6) must be far closer to M(1e-8) than M(1e-6) is
+    m, _ = kz.coassociator_with_error(op_system, hbar2_of(0.1), 2e-6)
+    m_ref = kz.coassociator_matrix(op_system, hbar2_of(0.1), 1e-8)
+    norm = op_system.blocks.norm
+    assert 10 * norm(m - m_ref) <= norm(m_matrix - m_ref)
+
+
 def test_coassociator_acts_trivially(op_system, m_matrix):
     assert kz.acts_trivially_residual(op_system, m_matrix) < 1e-6
 
@@ -262,6 +271,16 @@ def test_coassociator_ode_state_is_the_weight_blocks(op_system, monkeypatch):
 
 def test_kz_operator_at_three_modes():
     report = suites.run_suite(suites.make_config("kz-operator", modes=3, cutoff=3))
+    assert len(report.cases) == 13
+    assert all(c.passed for c in report.cases), [c.name for c in report.cases if not c.passed]
+
+
+@pytest.mark.parametrize("overrides", [{}, {"q": (0.9946,)}, {"q": (1.2157,)}, {"cutoff": 8}],
+                         ids=["defaults", "q=0.9946", "q=1.2157", "cutoff=8"])
+def test_kz_operator_passes_every_case(overrides):
+    # at cutoff 8, relation_cross reads 1.7e-6 > 1e-6 on M(eps/2) and 5e-8
+    # on the extrapolated M
+    report = suites.run_suite(suites.make_config("kz-operator", **overrides))
     assert len(report.cases) == 13
     assert all(c.passed for c in report.cases), [c.name for c in report.cases if not c.passed]
 

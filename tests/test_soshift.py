@@ -77,6 +77,27 @@ def test_y_functional_equations(orb3, orb4, q):
             assert row.metadata["points"] > 0
 
 
+def _on_grid_by_scan(grid, n, l):
+    # the reference: a linear scan of the whole grid
+    return any(abs(gn - n) < 1e-6 and abs(gl - l) < 1e-6 for gn, gl, _ in grid)
+
+
+def test_grid_lookup_matches_linear_scan(orb3, orb4):
+    for orb in (orb3, orb4):
+        grid = orb.spectral_grid
+        by_n = soshift._grid_by_n(grid)
+        queries = []
+        for gn, gl, _ in grid:
+            for dn in (-2, -1, 0, 1, 2):
+                for dl in (-1, 0, 1):
+                    queries.append((gn + dn, gl + dl))
+            for d in (-2e-6, -5e-7, 5e-7, 2e-6):
+                queries += [(gn + d, gl), (gn, gl + d), (gn + d, gl + d)]
+        found = [soshift._on_grid(by_n, n, l) for n, l in queries]
+        assert found == [_on_grid_by_scan(grid, n, l) for n, l in queries]
+        assert any(found) and not all(found)
+
+
 def test_y_equations_classical_reduction(orb3):
     # at q = 1 every y-ratio is 1 and each equation reads s - t = 2
     rows = soshift.verify_y_son(orb3, DeformParams(1.0, WEYL), tol=1e-12)
