@@ -269,14 +269,9 @@ def test_coassociator_ode_state_is_the_weight_blocks(op_system, monkeypatch):
     assert calls == [(266, False)]
 
 
-def test_kz_operator_at_three_modes():
-    report = suites.run_suite(suites.make_config("kz-operator", modes=3, cutoff=3))
-    assert len(report.cases) == 13
-    assert all(c.passed for c in report.cases), [c.name for c in report.cases if not c.passed]
-
-
-@pytest.mark.parametrize("overrides", [{}, {"q": (0.9946,)}, {"q": (1.2157,)}, {"cutoff": 8}],
-                         ids=["defaults", "q=0.9946", "q=1.2157", "cutoff=8"])
+@pytest.mark.parametrize("overrides", [{}, {"q": (0.9946,)}, {"q": (1.2157,)},
+                                       {"modes": 3, "cutoff": 3}, {"cutoff": 8}],
+                         ids=["defaults", "q=0.9946", "q=1.2157", "modes=3-cutoff=3", "cutoff=8"])
 def test_kz_operator_passes_every_case(overrides):
     # at cutoff 8, relation_cross reads 1.7e-6 > 1e-6 on M(eps/2) and 5e-8
     # on the extrapolated M
