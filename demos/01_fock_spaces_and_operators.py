@@ -22,7 +22,7 @@ comm = fock.commutator(a1, ap1).toarray() - np.eye(sp.dim)
 # but only on the top shell, where a+ has nowhere to go.
 print("\n||[a, a+] - 1|| on the full space:   ",
       f"{np.linalg.norm(comm, 2):.3e}   (top-shell artifact)")
-safe = fock.safe_projector(sp, 1).matrix.toarray()
+safe = fock.safe_projector(sp, 1).toarray()
 print("same after degree-1 safe projection: ",
       f"{np.linalg.norm(safe @ comm @ safe, 2):.3e}")
 
@@ -42,8 +42,8 @@ print(f"\nfermionic space dim {spf.dim}; worst CAR residual: {worst:.3e}")
 q = 1.3
 dress = fock.diag_fn(sp, lambda t: q ** t[1])
 print("\nq^(n_2) diagonal on state (0, 3):",
-      dress.matrix[sp.state_index((0, 3)), sp.state_index((0, 3))].real)
+      dress[sp.state_index((0, 3)), sp.state_index((0, 3))].real)
 
 # Grade bookkeeping: [n_tot, X] = g X identifies creators (+1),
 # annihilators (-1), and invariants (0).
-print("grade defect of a+_1:", f"{fock.grade_defect(ap1):.2e}")
+print("grade defect of a+_1:", f"{fock.grade_defect(sp, ap1, +1):.2e}")

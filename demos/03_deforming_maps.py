@@ -28,7 +28,7 @@ print(f"-> the {oracle['winner']!r} candidate wins "
       f"exactly one passes: {oracle['unique']}\n")
 
 # The deformed number operator is diagonal with q-integer entries.
-nh = gens.number_operator().matrix
+nh = gens.number_operator()
 print("N_h eigenvalue on the n = 3 shell:",
       f"{nh[sp.state_index((2, 1)), sp.state_index((2, 1))].real:.6f}",
       " vs (3)_{q^2} =", f"{qnum(3, q * q).real:.6f}")
@@ -41,7 +41,7 @@ print("hermiticity residual:", f"{deform.hermiticity_residual(gens):.2e}")
 alpha = deform.sl2_alpha_intertwiner(sp, params)
 conj, cond = deform.inner_automorphism(gens, alpha)
 oneside = deform.sl2_bose_onesided_map(sp, params)
-dev = max(np.abs((a.matrix - b.matrix).data).max(initial=0.0)
+dev = max(np.abs((a - b).data).max(initial=0.0)
           for a, b in zip(conj.aplus_ops, oneside.aplus_ops))
 print(f"\nalpha-conjugation reproduces the one-sided map: {dev:.2e} "
       f"(cond alpha = {cond:.1f})")

@@ -2,12 +2,13 @@
 
     qheis suite <id> [--q <f> ...] [--cutoff <int>] [--modes <int>]
                      [--sign +|-] [--eps <f> ...] [--n <f> ...]
-                     [--hbar2 <c> ...] [--tol <f>] [--out <path>]
-                     [--config <path>]
+                     [--hbar2 <c> ...] [--out <path>] [--config <path>]
 
 Flags override values from the optional JSON config file, which in turn
-override the per-suite defaults.  The process exits 0 iff every case of
-the executed suite passed, 1 otherwise, 2 on usage errors.
+override the per-suite defaults.  Every case keeps the tolerance its
+check defines.  The process exits 0 iff every case of the executed suite
+passed, 1 otherwise, 2 on usage errors (an unknown flag or config key
+among them).
 """
 
 from __future__ import annotations
@@ -49,8 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="number eigenvalues for the scalar KZ suite")
     sp.add_argument("--hbar2", type=complex, nargs="+", default=None,
                     help="scalar KZ deformation parameters (complex, e.g. 0.1j)")
-    sp.add_argument("--tol", type=float, default=None,
-                    help="override every case tolerance")
     sp.add_argument("--out", default=None, help="write the JSON report here")
     sp.add_argument("--config", default=None,
                     help="JSON file with the same keys as the flags")
@@ -68,7 +67,7 @@ def main(argv=None) -> int:
                 overrides.update(json.load(fh))
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read config {args.config}: {exc}")
-    for key in ("q", "cutoff", "modes", "sign", "eps", "n", "hbar2", "tol"):
+    for key in ("q", "cutoff", "modes", "sign", "eps", "n", "hbar2"):
         val = getattr(args, key)
         if val is not None:
             overrides[key] = val

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .fock import FockSpace, LinOp, Statistics, annihilator, creator, diag_fn
+from .fock import FockSpace, Statistics, diag_fn
 from .qspecial import CLIFFORD, DeformParams, qnum, y_sln
 
 
@@ -38,18 +38,17 @@ class DeformedGenerators:
 
     space: FockSpace
     params: DeformParams
-    a_ops: list[LinOp]       # grade -1
-    aplus_ops: list[LinOp]   # grade +1
+    a_ops: list[sparse.csr_array]       # grade -1
+    aplus_ops: list[sparse.csr_array]   # grade +1
     dressing: str
 
     @property
     def n(self) -> int:
         return self.space.modes
 
-    def number_operator(self) -> LinOp:
+    def number_operator(self) -> sparse.csr_array:
         """N_h = sum_i A+_i A^i (grade 0)."""
-        m = sum(ap.matrix @ a.matrix for ap, a in zip(self.aplus_ops, self.a_ops))
-        return LinOp(self.space, m, grade=0)
+        return sum(ap @ a for ap, a in zip(self.aplus_ops, self.a_ops))
 
 
 def _sqrt_ratio(n_i: float, q: float, at_zero: float = 1.0) -> float:
@@ -89,8 +88,8 @@ def sln_candidate_map(
             return _sqrt_ratio(t[i - 1], q, at_zero) * q ** sum(t[j] for j in tail)
 
         d = diag_fn(space, dress)
-        aplus_ops.append(LinOp(space, d.matrix @ creator(space, i).matrix, grade=+1))
-        a_ops.append(LinOp(space, annihilator(space, i).matrix @ d.matrix, grade=-1))
+        aplus_ops.append(d @ space.ap[i - 1])
+        a_ops.append(space.an[i - 1] @ d)
     return DeformedGenerators(space, params, a_ops, aplus_ops,
                               dressing=f"sqrt-ratio, tail={ordering}")
 
@@ -114,15 +113,8 @@ def sl2_fermi_map(space: FockSpace, params: DeformParams) -> DeformedGenerators:
         raise ValueError("sl2_fermi_map needs the Clifford sign convention")
     q = params.q_real
     d1 = diag_fn(space, lambda t: q ** (-t[1]))
-    one = diag_fn(space, lambda t: 1.0)
-    a_ops = [
-        LinOp(space, annihilator(space, 1).matrix @ d1.matrix, grade=-1),
-        LinOp(space, annihilator(space, 2).matrix @ one.matrix, grade=-1),
-    ]
-    aplus_ops = [
-        LinOp(space, d1.matrix @ creator(space, 1).matrix, grade=+1),
-        LinOp(space, one.matrix @ creator(space, 2).matrix, grade=+1),
-    ]
+    a_ops = [space.an[0] @ d1, space.an[1]]
+    aplus_ops = [d1 @ space.ap[0], space.ap[1]]
     return DeformedGenerators(space, params, a_ops, aplus_ops,
                               dressing="sl(2) fermionic exponential dressing")
 
@@ -146,19 +138,13 @@ def sl2_bose_onesided_map(space: FockSpace, params: DeformParams) -> DeformedGen
     d_up = diag_fn(space, lambda t: q ** t[1])
     d1 = diag_fn(space, lambda t: ratio(t[0]) * q ** t[1])
     d2 = diag_fn(space, lambda t: ratio(t[1]))
-    aplus_ops = [
-        LinOp(space, d_up.matrix @ creator(space, 1).matrix, grade=+1),
-        LinOp(space, creator(space, 2).matrix, grade=+1),
-    ]
-    a_ops = [
-        LinOp(space, annihilator(space, 1).matrix @ d1.matrix, grade=-1),
-        LinOp(space, annihilator(space, 2).matrix @ d2.matrix, grade=-1),
-    ]
+    aplus_ops = [d_up @ space.ap[0], space.ap[1]]
+    a_ops = [space.an[0] @ d1, space.an[1] @ d2]
     return DeformedGenerators(space, params, a_ops, aplus_ops,
                               dressing="sl(2) one-sided dressing (u = y, v = 1)")
 
 
-def sl2_alpha_intertwiner(space: FockSpace, params: DeformParams) -> LinOp:
+def sl2_alpha_intertwiner(space: FockSpace, params: DeformParams) -> sparse.csr_array:
     """Diagonal alpha with alpha . sl2_bose_map . alpha^-1 = one-sided map.
 
     alpha = sqrt(y(n_1) y(n_2)) with y(m) = Gamma(m+1)/Gamma_{q^2}(m+1),
@@ -170,7 +156,8 @@ def sl2_alpha_intertwiner(space: FockSpace, params: DeformParams) -> LinOp:
     return diag_fn(space, lambda t: np.sqrt((y_sln(t[0], q) * y_sln(t[1], q)).real))
 
 
-def inner_automorphism(gens: DeformedGenerators, alpha: LinOp) -> tuple[DeformedGenerators, float]:
+def inner_automorphism(gens: DeformedGenerators,
+                       alpha: sparse.csr_array) -> tuple[DeformedGenerators, float]:
     """Conjugate a generator set: A -> alpha A alpha^-1.
 
     Returns the new set together with the condition number of alpha
@@ -179,14 +166,14 @@ def inner_automorphism(gens: DeformedGenerators, alpha: LinOp) -> tuple[Deformed
     copy of alpha; the inverse is stored sparse again (a diagonal alpha
     has a diagonal inverse).
     """
-    dense = alpha.matrix.toarray()
+    dense = alpha.toarray()
     cond = float(np.linalg.cond(dense))
     if not np.isfinite(cond) or cond > 1e14:
         raise ValueError(f"alpha numerically singular (cond = {cond:.3e})")
-    am, inv = alpha.matrix, sparse.csr_array(np.linalg.inv(dense))
-    a_ops = [LinOp(gens.space, am @ a.matrix @ inv, grade=-1) for a in gens.a_ops]
-    aplus_ops = [LinOp(gens.space, am @ a.matrix @ inv, grade=+1) for a in gens.aplus_ops]
-    out = DeformedGenerators(gens.space, gens.params, a_ops, aplus_ops,
+    inv = sparse.csr_array(np.linalg.inv(dense))
+    out = DeformedGenerators(gens.space, gens.params,
+                             [alpha @ a @ inv for a in gens.a_ops],
+                             [alpha @ ap @ inv for ap in gens.aplus_ops],
                              dressing=gens.dressing + " (conjugated)")
     return out, cond
 
@@ -195,12 +182,11 @@ def hermiticity_residual(gens: DeformedGenerators, degree: int = 0) -> float:
     """max_i || (A^i)+ - A+_i || on the safe subspace (compact case, real q)."""
     from .verify import projected_norms
 
-    return max(projected_norms(gens.space, a.matrix.conj().T - ap.matrix, degree)[0]
+    return max(projected_norms(gens.space, a.conj().T - ap, degree)[0]
                for a, ap in zip(gens.a_ops, gens.aplus_ops))
 
 
 def classical_generators(space: FockSpace, params: DeformParams) -> DeformedGenerators:
     """The undeformed generators packaged as a (trivially) deformed set."""
-    a_ops = [annihilator(space, i) for i in range(1, space.modes + 1)]
-    aplus_ops = [creator(space, i) for i in range(1, space.modes + 1)]
-    return DeformedGenerators(space, params, a_ops, aplus_ops, dressing="classical")
+    return DeformedGenerators(space, params, list(space.an), list(space.ap),
+                              dressing="classical")

@@ -3,13 +3,15 @@
 The carrier space for everything in this package is a Fock space over N
 bosonic or fermionic modes, truncated at a maximum total occupation.
 Basis states are occupation tuples (n_1, ..., n_N) in lexicographic
-order, so reports are bit-for-bit reproducible.  Every operator is a
-sparse complex CSR array (``scipy.sparse.csr_array``) wrapped in a
-:class:`LinOp` which also carries its particle-number grade g (meaning
-[n_tot, X] = g X).  Generators are diagonal dressings times ladder
-operators, so they store at most one entry per basis state; products
-and sums of them stay sparse.  Each state's shell (its total occupation)
-is computed once, as :attr:`FockSpace.shell`.
+order, so reports are bit-for-bit reproducible.  Every Fock operator is
+a complex ``scipy.sparse.csr_array``.  Generators are diagonal dressings
+times ladder operators, so they store at most one entry per basis state;
+products and sums of them stay sparse.  Each state's shell (its total
+occupation) is computed once, as :attr:`FockSpace.shell`, and each space
+builds its N annihilators and N creators once, as the read-only
+:attr:`FockSpace.an` and :attr:`FockSpace.ap`.  The particle-number
+grade g of an operator X (meaning [n_tot, X] = g X) is not stored;
+:func:`grade_defect` measures it.
 
 Truncation contract: an operator identity of creator-degree d is exact
 only on the subspace with total occupation <= cutoff - d
@@ -25,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -47,7 +49,8 @@ def _fermi_basis(modes: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class FockSpace:
-    """Occupation-number basis for N modes with a total-occupation cutoff.
+    """Occupation-number basis for N modes with a total-occupation cutoff,
+    with its mode ladders.
 
     For fermions the cutoff is forced to N (each mode holds 0 or 1).
     """
@@ -58,6 +61,8 @@ class FockSpace:
     basis: tuple[tuple[int, ...], ...]
     index: dict = field(repr=False, hash=False, compare=False)
     shell: np.ndarray = field(repr=False, hash=False, compare=False)  # n_tot per state
+    an: tuple = field(repr=False, hash=False, compare=False)  # a^1 .. a^N
+    ap: tuple = field(repr=False, hash=False, compare=False)  # a+_1 .. a+_N
 
     @property
     def dim(self) -> int:
@@ -83,61 +88,16 @@ class FockSpace:
             raise ValueError(f"mode index {i} out of range 1..{self.modes}")
 
 
-@dataclass
-class LinOp:
-    """Sparse complex operator on a FockSpace, with optional grade.
-
-    The matrix is always a complex ``scipy.sparse.csr_array``; any other
-    input (dense or another sparse format) is converted on construction.
-    grade g means [n_tot, X] = g X, i.e. X is block-off-diagonal between
-    total-number eigenspaces with offset g.
-    """
-
-    space: FockSpace
-    matrix: sparse.csr_array
-    grade: Optional[int] = None
-
-    def __post_init__(self):
-        self.matrix = sparse.csr_array(self.matrix, dtype=complex)
-        d = self.space.dim
-        if self.matrix.shape != (d, d):
-            raise ValueError(f"matrix shape {self.matrix.shape} != ({d}, {d})")
-
-    @property
-    def dag(self) -> "LinOp":
-        g = None if self.grade is None else -self.grade
-        return LinOp(self.space, self.matrix.conj().T, g)
-
-    def __matmul__(self, other):
-        o = other.matrix if isinstance(other, LinOp) else other
-        g = None
-        if isinstance(other, LinOp) and self.grade is not None and other.grade is not None:
-            g = self.grade + other.grade
-        return LinOp(self.space, self.matrix @ o, g)
-
-    def __add__(self, other):
-        o = other.matrix if isinstance(other, LinOp) else other
-        g = self.grade if (isinstance(other, LinOp) and other.grade == self.grade) else None
-        return LinOp(self.space, self.matrix + o, g)
-
-    def __sub__(self, other):
-        o = other.matrix if isinstance(other, LinOp) else other
-        g = self.grade if (isinstance(other, LinOp) and other.grade == self.grade) else None
-        return LinOp(self.space, self.matrix - o, g)
-
-    def __rmul__(self, scalar):
-        return LinOp(self.space, scalar * self.matrix, self.grade)
-
-
 def build_space(modes: int, statistics: Statistics, cutoff: int | None = None) -> FockSpace:
-    """Build a truncated Fock space.
+    """Build a truncated Fock space and its N annihilators and N creators.
 
     Bose: all occupation tuples with sum <= cutoff, dim = C(N+cutoff, N).
     Fermi: the full hypercube {0,1}^N, dim = 2^N (cutoff ignored).
     """
     if modes < 1:
         raise ValueError("need at least one mode")
-    if statistics is Statistics.FERMI:
+    fermi = statistics is Statistics.FERMI
+    if fermi:
         basis = _fermi_basis(modes)
         cutoff = modes
     else:
@@ -148,7 +108,9 @@ def build_space(modes: int, statistics: Statistics, cutoff: int | None = None) -
     index = {t: k for k, t in enumerate(basis)}
     shell = np.array([sum(t) for t in basis], dtype=int)
     shell.flags.writeable = False
-    return FockSpace(modes, statistics, cutoff, basis, index, shell)
+    an = tuple(_ladder(basis, index, fermi, k, +1) for k in range(modes))
+    ap = tuple(_ladder(basis, index, fermi, k, -1) for k in range(modes))
+    return FockSpace(modes, statistics, cutoff, basis, index, shell, an, ap)
 
 
 def _diag(values: np.ndarray) -> sparse.csr_array:
@@ -156,52 +118,53 @@ def _diag(values: np.ndarray) -> sparse.csr_array:
     return sparse.diags_array(values, format="csr", dtype=complex)
 
 
-def _ladder(space: FockSpace, i: int, step: int, grade: int) -> LinOp:
-    """Row t of the mode-i ladder operator holds its one entry in the
-    column of t + step e_i (when that state exists), so the CSR arrays
+def _ladder(basis, index: dict, fermi: bool, k: int, step: int) -> sparse.csr_array:
+    """Read-only mode-(k+1) ladder operator.  Row t holds its one entry in
+    the column of t + step e_k (when that state exists), so the CSR arrays
     are written directly, one state at a time."""
-    space._check_mode(i)
-    k = i - 1
-    fermi = space.statistics is Statistics.FERMI
     indptr, indices, vals = [0], [], []
-    for t in space.basis:
+    for t in basis:
         other = t[:k] + (t[k] + step,) + t[k + 1:]
-        col = space.index.get(other)
+        col = index.get(other)
         if col is not None:
             indices.append(col)
             vals.append((-1.0) ** sum(t[:k]) if fermi else math.sqrt(max(t[k], other[k])))
         indptr.append(len(indices))
     m = sparse.csr_array((np.array(vals, dtype=complex), indices, indptr),
-                         shape=(space.dim, space.dim))
-    return LinOp(space, m, grade=grade)
+                         shape=(len(basis), len(basis)))
+    for arr in (m.data, m.indices, m.indptr):
+        arr.flags.writeable = False
+    return m
 
 
-def annihilator(space: FockSpace, i: int) -> LinOp:
-    """Mode-i annihilator (1-based i).
+def annihilator(space: FockSpace, i: int) -> sparse.csr_array:
+    """Mode-i annihilator (1-based i), the space's stored read-only array.
 
     Bose: lowers n_i with amplitude sqrt(n_i).  Fermi: Jordan-Wigner
     convention with sign (-1)**(n_1 + ... + n_{i-1}), which makes the
     anticommutation relations exact on the full space.
     """
-    return _ladder(space, i, +1, grade=-1)
+    space._check_mode(i)
+    return space.an[i - 1]
 
 
-def creator(space: FockSpace, i: int) -> LinOp:
+def creator(space: FockSpace, i: int) -> sparse.csr_array:
     """Mode-i creator: the conjugate transpose of the annihilator."""
-    return _ladder(space, i, -1, grade=+1)
+    space._check_mode(i)
+    return space.ap[i - 1]
 
 
-def number_op(space: FockSpace, i: int) -> LinOp:
+def number_op(space: FockSpace, i: int) -> sparse.csr_array:
     """Diagonal operator n_i."""
-    return LinOp(space, _diag(space.occupations(i)), grade=0)
+    return _diag(space.occupations(i))
 
 
-def total_number(space: FockSpace) -> LinOp:
+def total_number(space: FockSpace) -> sparse.csr_array:
     """Diagonal operator n = sum_i n_i."""
-    return LinOp(space, _diag(space.shell), grade=0)
+    return _diag(space.shell)
 
 
-def safe_projector(space: FockSpace, degree: int) -> LinOp:
+def safe_projector(space: FockSpace, degree: int) -> sparse.csr_array:
     """Orthogonal projector onto total occupation <= cutoff - degree.
 
     Identities of creator-degree `degree` are asserted only after
@@ -209,10 +172,10 @@ def safe_projector(space: FockSpace, degree: int) -> LinOp:
     """
     if degree < 0 or degree > space.cutoff:
         raise ValueError(f"degree {degree} outside 0..{space.cutoff}")
-    return LinOp(space, _diag(space.safe_mask(degree)), grade=0)
+    return _diag(space.safe_mask(degree))
 
 
-def diag_fn(space: FockSpace, f: Callable[[tuple[int, ...]], complex]) -> LinOp:
+def diag_fn(space: FockSpace, f: Callable[[tuple[int, ...]], complex]) -> sparse.csr_array:
     """Diagonal operator with entries f(occupation tuple); exact.
 
     This is the functional calculus used for all invariant dressings.
@@ -224,28 +187,22 @@ def diag_fn(space: FockSpace, f: Callable[[tuple[int, ...]], complex]) -> LinOp:
         if not np.isfinite(v):
             raise ValueError(f"diag_fn value not finite at state {t}")
         vals[k] = v
-    return LinOp(space, _diag(vals), grade=0)
+    return _diag(vals)
 
 
 def commutator(x, y):
-    a = x.matrix if isinstance(x, LinOp) else x
-    b = y.matrix if isinstance(y, LinOp) else y
-    return a @ b - b @ a
+    return x @ y - y @ x
 
 
 def anticommutator(x, y):
-    a = x.matrix if isinstance(x, LinOp) else x
-    b = y.matrix if isinstance(y, LinOp) else y
-    return a @ b + b @ a
+    return x @ y + y @ x
 
 
-def grade_defect(op: LinOp) -> float:
-    """Relative Frobenius norm of [n_tot, X] - g X; zero for a correctly
-    graded X.  Entry (r, c) of [n_tot, X] is (shell_r - shell_c) X_rc."""
-    if op.grade is None:
-        raise ValueError("operator carries no grade")
-    m = op.matrix.tocoo()
-    shell = op.space.shell
-    num = np.linalg.norm((shell[m.row] - shell[m.col] - op.grade) * m.data)
+def grade_defect(space: FockSpace, op, grade: int) -> float:
+    """Relative Frobenius norm of [n_tot, X] - g X; zero for an X of grade
+    g.  Entry (r, c) of [n_tot, X] is (shell_r - shell_c) X_rc."""
+    m = sparse.coo_array(op)
+    shell = space.shell
+    num = np.linalg.norm((shell[m.row] - shell[m.col] - grade) * m.data)
     den = np.linalg.norm(m.data)
     return float(num / den) if den > 0 else 0.0

@@ -78,7 +78,7 @@ from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm  # noqa: F401  (the benchmark tracer wraps kz.expm)
 
-from .fock import FockSpace, Statistics, annihilator, creator
+from .fock import FockSpace, Statistics
 from .liealg import coproduct_rep, permutation_matrix, sigma_basis
 from .qspecial import DeformParams, gamma, gauss_2f1, gauss_2f1_deriv, qnum, rgamma
 from .verify import CaseResult, direct_sum_norms, max_norms, projected_norms
@@ -440,7 +440,7 @@ def _weight_blocks(weights: np.ndarray) -> WeightBlocks:
 class KZOperatorSystem:
     """P and A on C^N x C^N x Fock as flat weight blocks (see WeightBlocks),
     with the eigendecomposition A = vecs diag(vals) vecs^T of each stack of
-    real symmetric A blocks, and the Fock ladders a^i, a+_i (sparse)."""
+    real symmetric A blocks."""
 
     space: FockSpace
     n: int
@@ -448,8 +448,6 @@ class KZOperatorSystem:
     p: np.ndarray
     a: np.ndarray
     a_eig: tuple  # (vals (n_blocks, s), vecs (n_blocks, s, s)) per stack
-    an: list      # annihilators a^1 .. a^N
-    ap: list      # creators a+_1 .. a+_N
 
     def exp_a(self, c: complex) -> np.ndarray:
         """exp(c A), flat."""
@@ -466,8 +464,7 @@ def build_operator_system(space: FockSpace) -> KZOperatorSystem:
     if space.statistics is not Statistics.BOSE:
         raise ValueError("operator system needs a bosonic space")
     n, d = space.modes, space.dim
-    an = [annihilator(space, i).matrix for i in range(1, n + 1)]
-    ap = [creator(space, i).matrix for i in range(1, n + 1)]
+    an, ap = space.an, space.ap
     e = np.eye(n)
     p_sparse = sparse.kron(permutation_matrix(n), sparse.eye_array(d))
     a_sparse = sum(sparse.kron(np.kron(e, np.outer(e[i], e[j])), ap[j] @ an[i])
@@ -478,7 +475,7 @@ def build_operator_system(space: FockSpace) -> KZOperatorSystem:
     blocks = _weight_blocks(weights)
     p, a = blocks.gather(p_sparse).real, blocks.gather(a_sparse).real
     a_eig = tuple(np.linalg.eigh(stack) for stack in blocks.views(a))
-    return KZOperatorSystem(space, n, blocks, p, a, a_eig, an, ap)
+    return KZOperatorSystem(space, n, blocks, p, a, a_eig)
 
 
 def coassociator_matrix(system: KZOperatorSystem, hbar2: complex, eps: float,
@@ -543,7 +540,7 @@ def acts_trivially_residual(system: KZOperatorSystem, m: np.ndarray,
                             degree: int = 2) -> float:
     """|| M . (aa) - aa || over the N^2 components, safe-projected: aa is
     the column of the Fock operators a^i a^j, block (i, j) at pair i N + j."""
-    n, an = system.n, system.an
+    n, an = system.n, system.space.an
     aa = sparse.vstack([an[i] @ an[j] for i in range(n) for j in range(n)])
     defect = system.blocks.to_sparse(m) @ aa - aa
     return max_norms(projected_norms(system.space, r, degree)
@@ -592,8 +589,8 @@ def dressed_generators(system: KZOperatorSystem, params: DeformParams,
     itilde = np.array([qnum(v + 1.0, q2s).real / (v + 1.0) for v in nvec]) / i_vals
     di = sparse.diags_array(i_vals.astype(complex))
     dit = sparse.diags_array(itilde.astype(complex))
-    a_t = [di @ m for m in system.an]
-    ap_t = [m @ dit for m in system.ap]
+    a_t = [di @ m for m in space.an]
+    ap_t = [m @ dit for m in space.ap]
     return a_t, ap_t
 
 

@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 from scipy import sparse
 
-from .fock import FockSpace, LinOp, Statistics, annihilator, creator, commutator
+from .fock import FockSpace, Statistics, commutator
 
 
 @dataclass(frozen=True)
@@ -78,17 +78,16 @@ def rho(data: LieData, x) -> np.ndarray:
     return _label_matrix(data, i, j)
 
 
-def sigma(space: FockSpace, data: LieData, x) -> LinOp:
+def sigma(space: FockSpace, data: LieData, x) -> sparse.csr_array:
     """Bilinear oscillator realization sigma(x) = rho(x)^i_j a+_i a^j."""
-    return LinOp(space, _sigma_basis(space, data, [x])[0], grade=0)
+    return _sigma_basis(space, data, [x])[0]
 
 
 def _sigma_basis(space: FockSpace, data: LieData, elements) -> list[sparse.csr_array]:
-    """sigma of each Lie element, building the mode ladders once."""
+    """sigma of each Lie element."""
     if space.modes != data.n:
         raise ValueError(f"space has {space.modes} modes, algebra needs {data.n}")
-    ap = [creator(space, i).matrix for i in range(1, data.n + 1)]
-    an = [annihilator(space, j).matrix for j in range(1, data.n + 1)]
+    ap, an = space.ap, space.an
     out = []
     for x in elements:
         r = rho(data, x)
@@ -108,7 +107,7 @@ def sigma_basis(space: FockSpace, data: LieData) -> dict[tuple[int, int], sparse
     return dict(zip(labels, _sigma_basis(space, data, labels)))
 
 
-def casimir_sigma(space: FockSpace, data: LieData) -> LinOp:
+def casimir_sigma(space: FockSpace, data: LieData) -> sparse.csr_array:
     """Image of the quadratic Casimir under sigma.
 
     sl(N):  sigma(E_ij E_ji) summed over all i, j; the result is checked
@@ -131,7 +130,7 @@ def casimir_sigma(space: FockSpace, data: LieData) -> LinOp:
     else:
         for lbl, mat in s.items():
             m = m - mat @ mat
-    return LinOp(space, m, grade=0)
+    return m
 
 
 def casimir_sl_closed_form(space: FockSpace, data: LieData) -> np.ndarray:
@@ -180,11 +179,11 @@ def coproduct_rep(data: LieData, x) -> np.ndarray:
     return np.kron(r, eye) + np.kron(eye, r)
 
 
-def classical_action(space: FockSpace, data: LieData, x, b: LinOp) -> LinOp:
+def classical_action(space: FockSpace, data: LieData, x,
+                     b: sparse.csr_array) -> sparse.csr_array:
     """Action of a Lie element on a Fock operator: the commutator [sigma(x), b].
 
     Only Lie-algebra elements are accepted (labels or linear combinations);
     the extension to general enveloping elements is out of scope.
     """
-    sx = sigma(space, data, x)
-    return LinOp(space, commutator(sx, b), grade=b.grade)
+    return commutator(sigma(space, data, x), b)

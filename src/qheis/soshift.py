@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .fock import FockSpace, LinOp, Statistics, _diag, annihilator, creator
+from .fock import FockSpace, Statistics, _diag
 from .qspecial import DeformParams, y_son_ratio
 from .verify import CaseResult, max_norms, projected_norms
 
@@ -42,13 +42,11 @@ from .verify import CaseResult, max_norms, projected_norms
 @dataclass
 class OrbitalData:
     space: FockSpace
-    l2: LinOp
-    l: LinOp
+    l2: sparse.csr_array
+    l: sparse.csr_array
     spectral_grid: list  # (n, l, multiplicity) triples
     aa: sparse.csr_array     # a.a with the identity metric
     apap: sparse.csr_array   # a+.a+
-    an: list                 # annihilator matrices a^1 .. a^N
-    ap: list                 # creator matrices a+_1 .. a+_N
 
 
 def build_orbital(space: FockSpace, clamp: float = 1e-10) -> OrbitalData:
@@ -63,9 +61,7 @@ def build_orbital(space: FockSpace, clamp: float = 1e-10) -> OrbitalData:
     if space.cutoff < 4:
         raise ValueError("cutoff >= 4 required for the shift-equation grid")
     n_modes = space.modes
-    an = [annihilator(space, i).matrix for i in range(1, n_modes + 1)]
-    ap = [creator(space, i).matrix for i in range(1, n_modes + 1)]
-    aa = sum(a @ a for a in an)
+    aa = sum(a @ a for a in space.an)
     apap = aa.conj().T.tocsr()
     ntot = space.total_occupations()
     shift = (ntot + n_modes / 2.0 - 1.0) ** 2
@@ -94,8 +90,7 @@ def build_orbital(space: FockSpace, clamp: float = 1e-10) -> OrbitalData:
     spectral_grid = sorted(grid)
     lmat = sparse.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                             shape=l2.shape)
-    return OrbitalData(space, LinOp(space, l2, grade=0), LinOp(space, lmat, grade=0),
-                       spectral_grid, aa, apap, an, ap)
+    return OrbitalData(space, l2, lmat, spectral_grid, aa, apap)
 
 
 def l2_commutator_residuals(orb: OrbitalData, tol: float = 1e-12) -> list[CaseResult]:
@@ -110,7 +105,7 @@ def l2_commutator_residuals(orb: OrbitalData, tol: float = 1e-12) -> list[CaseRe
     """
     space = orb.space
     nn = space.modes
-    l2 = orb.l2.matrix
+    l2 = orb.l2
     nvec = space.total_occupations()
     rows = []
     s, f = projected_norms(space, l2 @ orb.aa - orb.aa @ l2, 2)
@@ -120,8 +115,7 @@ def l2_commutator_residuals(orb: OrbitalData, tol: float = 1e-12) -> list[CaseRe
 
     d_a1, d_a2, d_p1, d_p2 = (_diag(2 * nvec + nn + c) for c in (-3, 1, -1, 3))
     norms_a, norms_ap = [], []
-    for i in range(1, nn + 1):
-        ai, api = orb.an[i - 1], orb.ap[i - 1]
+    for ai, api in zip(space.an, space.ap):
         comm_a = l2 @ ai - ai @ l2
         comm_ap = l2 @ api - api @ l2
         form_a1 = -ai @ d_a1 + 2 * (api @ orb.aa)
@@ -137,7 +131,8 @@ def l2_commutator_residuals(orb: OrbitalData, tol: float = 1e-12) -> list[CaseRe
     return rows
 
 
-def shift_operators(orb: OrbitalData, sign: int) -> tuple[list[LinOp], list[LinOp]]:
+def shift_operators(orb: OrbitalData,
+                    sign: int) -> tuple[list[sparse.csr_array], list[sparse.csr_array]]:
     """The l-shifting combinations (alpha^i_s list, alpha+_i,s list), s = sign.
 
     Purely classical objects (no q anywhere).  Built from the first
@@ -147,12 +142,9 @@ def shift_operators(orb: OrbitalData, sign: int) -> tuple[list[LinOp], list[LinO
         raise ValueError("sign must be +1 or -1")
     space = orb.space
     nn = space.modes
-    diag = _diag(space.total_occupations() + nn / 2.0 - 1.0) + sign * orb.l.matrix
-    alpha_down, alpha_up = [], []
-    for i in range(1, nn + 1):
-        ai, api = orb.an[i - 1], orb.ap[i - 1]
-        alpha_down.append(LinOp(space, ai @ diag - api @ orb.aa, grade=-1))
-        alpha_up.append(LinOp(space, api @ diag - orb.apap @ ai, grade=+1))
+    diag = _diag(space.total_occupations() + nn / 2.0 - 1.0) + sign * orb.l
+    alpha_down = [ai @ diag - api @ orb.aa for ai, api in zip(space.an, space.ap)]
+    alpha_up = [api @ diag - orb.apap @ ai for ai, api in zip(space.an, space.ap)]
     return alpha_down, alpha_up
 
 
@@ -167,13 +159,11 @@ def shift_operator_residuals(orb: OrbitalData, sign: int,
     space = orb.space
     nn = space.modes
     alpha_down, alpha_up = shift_operators(orb, sign)
-    diag2 = _diag(space.total_occupations() + nn / 2.0 + 1.0) + sign * orb.l.matrix
-    lmat = orb.l.matrix
+    diag2 = _diag(space.total_occupations() + nn / 2.0 + 1.0) + sign * orb.l
+    lmat = orb.l
     eye = sparse.eye_array(space.dim, format="csr")
     norms_order, norms_eige = [], []
-    for i in range(1, nn + 1):
-        ai, api = orb.an[i - 1], orb.ap[i - 1]
-        down, up = alpha_down[i - 1].matrix, alpha_up[i - 1].matrix
+    for ai, api, down, up in zip(space.an, space.ap, alpha_down, alpha_up):
         norms_order += [projected_norms(space, down - (ai @ diag2 - orb.aa @ api), 2),
                         projected_norms(space, up - (api @ diag2 - ai @ orb.apap), 2)]
         norms_eige += [projected_norms(space, lmat @ up - up @ (lmat + sign * eye), 2),

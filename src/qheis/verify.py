@@ -170,8 +170,7 @@ def quadratic_residual_matrices(gens: DeformedGenerators, rel: RelationMatrices)
     """Raw sparse defect matrices of the three relation groups (before
     projection).  Each quadratic product of generators is formed once."""
     n = gens.n
-    a = [x.matrix for x in gens.a_ops]
-    ap = [x.matrix for x in gens.aplus_ops]
+    a, ap = gens.a_ops, gens.aplus_ops
     dim = gens.space.dim
     pi = rel.annihilating_projector
     pairs = [(k, l) for k in range(n) for l in range(n)]
@@ -284,13 +283,12 @@ def number_op_check(gens: DeformedGenerators, tol: float = 1e-10,
     if degree is None:
         degree = 0 if space.statistics is Statistics.FERMI else 2
     q2s = gens.params.q_real ** (2 * gens.params.sign)
-    nh = gens.number_operator().matrix
+    nh = gens.number_operator()
     spec_up, fro_up = max_norms(
-        projected_norms(space, nh @ ap.matrix - ap.matrix - q2s * (ap.matrix @ nh), degree)
+        projected_norms(space, nh @ ap - ap - q2s * (ap @ nh), degree)
         for ap in gens.aplus_ops)
     spec_dn, fro_dn = max_norms(
-        projected_norms(space, nh @ a.matrix - (1.0 / q2s) * (-a.matrix + a.matrix @ nh),
-                        degree)
+        projected_norms(space, nh @ a - (1.0 / q2s) * (-a + a @ nh), degree)
         for a in gens.a_ops)
     out = [
         CaseResult("qnumber_creator_relation", spec_up, tol,
@@ -316,7 +314,7 @@ def number_op_check(gens: DeformedGenerators, tol: float = 1e-10,
 # ---------------------------------------------------------------------------
 
 
-def metric_invariant_check(a_ops, aplus_ops, c_lower: np.ndarray,
+def metric_invariant_check(gens: DeformedGenerators, c_lower: np.ndarray,
                            c_upper: np.ndarray, q: float,
                            tol: float = 1e-12) -> list[CaseResult]:
     """Relations of the quadratic invariants A.C.A and A+.C.A+:
@@ -330,10 +328,9 @@ def metric_invariant_check(a_ops, aplus_ops, c_lower: np.ndarray,
     q = 1 with C the identity, where all four reduce to Weyl-algebra
     identities.
     """
-    a = [x.matrix for x in a_ops]
-    ap = [x.matrix for x in aplus_ops]
-    space = a_ops[0].space
-    n = len(a)
+    a, ap = gens.a_ops, gens.aplus_ops
+    space = gens.space
+    n = gens.n
     aca = sum(c_lower[j, i] * (a[i] @ a[j]) for i in range(n) for j in range(n))
     apcap = sum(c_upper[i, j] * (ap[i] @ ap[j]) for i in range(n) for j in range(n))
     factor = 1.0 + q ** (2 - n)
@@ -370,10 +367,9 @@ def invariant_commutant_check(gens: DeformedGenerators, data: LieData,
     """
     space = gens.space
     smats = sigma_basis(space, data)
-    invariants = {"qnumber_operator": gens.number_operator().matrix}
+    invariants = {"qnumber_operator": gens.number_operator()}
     if extra_invariants:
-        invariants.update({k: (v.matrix if hasattr(v, "matrix") else v)
-                           for k, v in extra_invariants.items()})
+        invariants.update(extra_invariants)
     rows = []
     for name, inv in invariants.items():
         worst, fro = max_norms(projected_norms(space, mat @ inv - inv @ mat, 2)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from qheis import braid, deform, fock, verify
 from qheis.fock import Statistics
@@ -17,7 +18,7 @@ def fermi_space():
 
 
 def entrywise_dev(g1, g2):
-    return max(np.abs(a.matrix.toarray() - b.matrix.toarray()).max()
+    return max(np.abs(a.toarray() - b.toarray()).max()
                for a, b in zip(g1.a_ops + g1.aplus_ops, g2.a_ops + g2.aplus_ops))
 
 
@@ -32,19 +33,19 @@ def test_bose_map_matrix_elements(bose_space):
     gens = deform.sl2_bose_map(bose_space, DeformParams(q, WEYL))
     src = bose_space.state_index((0, 1))
     tgt = bose_space.state_index((0, 2))
-    amp = gens.aplus_ops[1].matrix.toarray()[tgt, src]
+    amp = gens.aplus_ops[1].toarray()[tgt, src]
     assert abs(amp - np.sqrt(qnum(2, q * q).real)) < 1e-14
     # vacuum and one-particle states coincide with the classical ones
     vac = bose_space.state_index((0, 0))
     for i, ap in enumerate(gens.aplus_ops, start=1):
-        classical = fock.creator(bose_space, i).matrix.toarray()[:, vac]
-        assert np.linalg.norm(ap.matrix.toarray()[:, vac] - classical) < 1e-14
+        classical = fock.creator(bose_space, i).toarray()[:, vac]
+        assert np.linalg.norm(ap.toarray()[:, vac] - classical) < 1e-14
 
 
 def test_bose_number_operator_spectrum(bose_space):
     q = 1.3
     gens = deform.sl2_bose_map(bose_space, DeformParams(q, WEYL))
-    nh = gens.number_operator().matrix.toarray()
+    nh = gens.number_operator().toarray()
     ntot = bose_space.total_occupations()
     expected = np.array([qnum(v, q * q).real for v in ntot])
     assert np.abs(np.diag(nh).real - expected).max() < 1e-12
@@ -64,9 +65,9 @@ def test_fermi_map(fermi_space):
     # A+_1 |0,1> = q^-1 |1,1>
     src = fermi_space.state_index((0, 1))
     tgt = fermi_space.state_index((1, 1))
-    assert abs(gens.aplus_ops[0].matrix.toarray()[tgt, src] - 1 / q) < 1e-15
+    assert abs(gens.aplus_ops[0].toarray()[tgt, src] - 1 / q) < 1e-15
     # nilpotency is inherited
-    sq = gens.aplus_ops[0].matrix.toarray() @ gens.aplus_ops[0].matrix.toarray()
+    sq = gens.aplus_ops[0].toarray() @ gens.aplus_ops[0].toarray()
     assert np.linalg.norm(sq) == 0.0
 
 
@@ -100,7 +101,7 @@ def test_inner_automorphism(bose_space):
     gens = deform.sl2_bose_map(bose_space, params)
     rel = braid.build_relations("sl", 2, q, WEYL)
 
-    ident = fock.LinOp(bose_space, np.eye(bose_space.dim), grade=0)
+    ident = sparse.eye_array(bose_space.dim, dtype=complex, format="csr")
     same, cond = deform.inner_automorphism(gens, ident)
     assert cond == 1.0
     assert entrywise_dev(same, gens) == 0.0
@@ -121,9 +122,9 @@ def test_alpha_intertwiner(bose_space):
     params = DeformParams(q, WEYL)
     alpha = deform.sl2_alpha_intertwiner(bose_space, params)
     vac = bose_space.state_index((0, 0))
-    assert abs(alpha.matrix.toarray()[vac, vac] - 1.0) < 1e-15
+    assert abs(alpha.toarray()[vac, vac] - 1.0) < 1e-15
     k = bose_space.state_index((2, 0))
-    assert abs(alpha.matrix.toarray()[k, k] - np.sqrt(2 / (1 + q * q))) < 1e-14
+    assert abs(alpha.toarray()[k, k] - np.sqrt(2 / (1 + q * q))) < 1e-14
 
     gens = deform.sl2_bose_map(bose_space, params)
     conj, _ = deform.inner_automorphism(gens, alpha)
@@ -142,16 +143,16 @@ def test_hermiticity(bose_space):
 def test_grades(bose_space):
     gens = deform.sl2_bose_map(bose_space, DeformParams(0.7, WEYL))
     for a in gens.a_ops:
-        assert a.grade == -1 and fock.grade_defect(a) < 1e-13
+        assert fock.grade_defect(bose_space, a, -1) < 1e-13
     for ap in gens.aplus_ops:
-        assert ap.grade == +1 and fock.grade_defect(ap) < 1e-13
+        assert fock.grade_defect(bose_space, ap, +1) < 1e-13
 
 
 def test_classical_limit_linear_scaling(bose_space):
     def dev(eps):
         g1 = deform.sl2_bose_map(bose_space, DeformParams(1.0 + eps, WEYL))
         g0 = deform.classical_generators(bose_space, DeformParams(1.0, WEYL))
-        return max(np.linalg.norm(a.matrix.toarray() - b.matrix.toarray(), 2)
+        return max(np.linalg.norm(a.toarray() - b.toarray(), 2)
                    for a, b in zip(g1.a_ops + g1.aplus_ops,
                                    g0.a_ops + g0.aplus_ops))
 

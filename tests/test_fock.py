@@ -38,7 +38,7 @@ def test_index_and_basis_are_mutually_inverse(modes, cutoff, fermi):
 
 def test_bose_number_eigenvalues():
     sp = fock.build_space(2, Statistics.BOSE, 4)
-    ada = fock.creator(sp, 1).matrix.toarray() @ fock.annihilator(sp, 1).matrix.toarray()
+    ada = fock.creator(sp, 1).toarray() @ fock.annihilator(sp, 1).toarray()
     for k, t in enumerate(sp.basis):
         assert abs(ada[k, k] - t[0]) < 1e-14
 
@@ -58,7 +58,7 @@ def test_fermi_car_exact_on_full_space():
 
 def test_bose_ccr_on_safe_subspace():
     sp = fock.build_space(2, Statistics.BOSE, 3)
-    p = fock.safe_projector(sp, 1).matrix.toarray()
+    p = fock.safe_projector(sp, 1).toarray()
     for i in (1, 2):
         for j in (1, 2):
             comm = fock.commutator(fock.annihilator(sp, i), fock.creator(sp, j)).toarray()
@@ -73,32 +73,32 @@ def test_bose_ccr_on_safe_subspace():
 
 def test_number_operators():
     sp = fock.build_space(2, Statistics.BOSE, 4)
-    n = fock.total_number(sp).matrix.toarray()
+    n = fock.total_number(sp).toarray()
     vac = sp.state_index((0, 0))
     assert n[vac, vac] == 0
     k = sp.state_index((1, 2))
     assert n[k, k] == 3
-    summed = sum(fock.creator(sp, i).matrix.toarray() @ fock.annihilator(sp, i).matrix.toarray()
+    summed = sum(fock.creator(sp, i).toarray() @ fock.annihilator(sp, i).toarray()
                  for i in (1, 2))
     assert np.linalg.norm(summed - n) < 1e-13
 
 
 def test_safe_projector_ranks():
     sp = fock.build_space(1, Statistics.BOSE, 3)
-    assert np.allclose(fock.safe_projector(sp, 0).matrix.toarray(), np.eye(4))
-    vac = fock.safe_projector(sp, 3).matrix.toarray()
+    assert np.allclose(fock.safe_projector(sp, 0).toarray(), np.eye(4))
+    vac = fock.safe_projector(sp, 3).toarray()
     assert np.isclose(np.trace(vac).real, 1.0)
-    assert np.isclose(np.trace(fock.safe_projector(sp, 1).matrix.toarray()).real, 3.0)
+    assert np.isclose(np.trace(fock.safe_projector(sp, 1).toarray()).real, 3.0)
     with pytest.raises(ValueError):
         fock.safe_projector(sp, 4)
 
 
 def test_diag_fn():
     sp = fock.build_space(2, Statistics.BOSE, 3)
-    assert np.allclose(fock.diag_fn(sp, lambda t: 1.0).matrix.toarray(), np.eye(sp.dim))
+    assert np.allclose(fock.diag_fn(sp, lambda t: 1.0).toarray(), np.eye(sp.dim))
     d = fock.diag_fn(sp, lambda t: 2.0 ** t[1])
     k = sp.state_index((0, 3))
-    assert d.matrix.toarray()[k, k] == 8.0
+    assert d.toarray()[k, k] == 8.0
     # diagonal functions commute with the number operators
     for i in (1, 2):
         assert np.linalg.norm(
@@ -113,10 +113,21 @@ def test_adjointness_and_grades():
         for i in (1, 2):
             a = fock.annihilator(sp, i)
             ap = fock.creator(sp, i)
-            assert np.array_equal(ap.matrix.toarray(), a.matrix.toarray().conj().T)
-            assert a.grade == -1 and ap.grade == +1
-            assert fock.grade_defect(a) < 1e-13
-            assert fock.grade_defect(ap) < 1e-13
+            assert np.array_equal(ap.toarray(), a.toarray().conj().T)
+            assert fock.grade_defect(sp, a, -1) < 1e-13
+            assert fock.grade_defect(sp, ap, +1) < 1e-13
+            # the grade is measured, not stored: the wrong one shows
+            assert fock.grade_defect(sp, a, +1) > 1
+
+
+def test_ladders_are_stored_read_only():
+    sp = fock.build_space(2, Statistics.BOSE, 3)
+    assert fock.annihilator(sp, 2) is sp.an[1]
+    assert fock.creator(sp, 1) is sp.ap[0]
+    for op in sp.an + sp.ap:
+        for arr in (op.data, op.indices, op.indptr):
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
 
 
 def test_mode_index_out_of_range():

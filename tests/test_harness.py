@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qheis import cli, suites, verify
+from qheis import cli, deform, fock, suites, verify
 from qheis.verify import CaseResult, Report
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,11 +72,26 @@ def test_dcr_products_built_once_per_generator_set(monkeypatch):
         assert len(built) == sets == len({id(g) for g in built}), suite
 
 
-def test_tolerance_override():
-    cfg = suites.make_config("qspecial", tol=1e-30)
-    rep = suites.run_suite(cfg)
-    assert all(c.tolerance == 1e-30 for c in rep.cases)
-    assert not rep.all_passed
+@pytest.mark.parametrize("suite", ["sl2-bose", "sl2-fermi", "slN", "soN-orbital",
+                                   "kz-operator"])
+def test_ladders_built_once_per_space(suite, monkeypatch):
+    # every operator reuses the 2N ladders its space built
+    spaces, ladders = [], []
+    build_space, ladder = fock.build_space, fock._ladder
+
+    def counting_build(*args, **kwargs):
+        spaces.append(build_space(*args, **kwargs))
+        return spaces[-1]
+
+    def counting_ladder(*args, **kwargs):
+        ladders.append(args)
+        return ladder(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "build_space", counting_build)
+    monkeypatch.setattr(fock, "_ladder", counting_ladder)
+    assert suites.run_suite(suites.make_config(suite)).all_passed
+    assert spaces
+    assert len(ladders) == sum(2 * sp.modes for sp in spaces)
 
 
 def test_failed_unit_becomes_failed_case(monkeypatch):
@@ -107,6 +122,24 @@ def test_ill_conditioned_alpha_erases_no_sibling_row():
     assert [c.name for c in failed_units] == ["q=1.3/alpha/EXECUTION"]
     assert "alpha" in failed_units[0].metadata["error"]
     assert "cond" in failed_units[0].metadata["error"]
+
+
+def test_onesided_hermiticity_control_discriminates(monkeypatch):
+    # encoded like every negative control: floor / raw residual against 1
+    def control_rows():
+        report = suites.run_suite(suites.make_config("sl2-bose", cutoff=6))
+        return [c for c in report.cases
+                if c.name.endswith("/onesided_hermiticity_nonzero_control")]
+
+    rows = control_rows()
+    assert len(rows) == 2 and all(c.passed for c in rows)
+    for c in rows:
+        assert c.tolerance == 1.0 and c.metadata["required_floor"] == 1e-3
+        assert c.residual == 1e-3 / c.metadata["raw_residual"]
+    # a *-compatible map in place of the one-sided one must fail the control
+    monkeypatch.setattr(deform, "sl2_bose_onesided_map", deform.sl2_bose_map)
+    rows = control_rows()
+    assert len(rows) == 2 and not any(c.passed for c in rows)
 
 
 @pytest.mark.parametrize("suite", suites.SUITE_IDS)
@@ -144,17 +177,26 @@ def test_cli_success_and_report(tmp_path):
     assert all(c["pass"] for c in doc["cases"])
 
 
-def test_cli_failure_exit_code(tmp_path):
+def test_cli_failure_exit_code(tmp_path, monkeypatch):
+    def failing(_cfg):
+        return {}, [("unit", lambda: [CaseResult("too_large", 1.0, 1e-3)])]
+
+    monkeypatch.setitem(suites._BUILDERS, "qspecial", failing)
     out = tmp_path / "rep.json"
-    code = cli.main(["suite", "qspecial", "--tol", "1e-30", "--out", str(out)])
+    code = cli.main(["suite", "qspecial", "--out", str(out)])
     assert code == 1
+    assert [c["pass"] for c in json.loads(out.read_text())["cases"]] == [False]
 
 
 @pytest.mark.parametrize("argv, config", [
     (["suite", "does-not-exist"], None),
     (["suite", "braid", "--jobs", "2"], None),
     (["suite", "braid"], {"jobs": 2}),
-], ids=["unknown-suite", "jobs-flag", "jobs-config-key"])
+    (["suite", "qspecial", "--tol", "1e-8"], None),
+    (["suite", "qspecial"], {"tol": 1e-8}),
+    (["suite", "kz-operator", "--cutoff", "2"], None),
+], ids=["unknown-suite", "jobs-flag", "jobs-config-key", "tol-flag", "tol-config-key",
+        "kz-operator-cutoff-2"])
 def test_cli_unknown_suite_usage_error(tmp_path, argv, config):
     if config is not None:
         path = tmp_path / "cfg.json"

@@ -75,8 +75,8 @@ def test_generators_and_defects_are_sparse():
     for ordering in ("above", "below"):
         gens = deform.sln_candidate_map(space, DeformParams(q, WEYL), ordering)
         for op in gens.a_ops + gens.aplus_ops:
-            assert isinstance(op.matrix, sparse.csr_array)
-            assert op.matrix.nnz <= space.dim
+            assert isinstance(op, sparse.csr_array)
+            assert op.nnz <= space.dim
         ann, cre, cross = verify.quadratic_residual_matrices(gens, rel)
         defects = ann + cre + [m for mats in cross.values() for m in mats]
         assert len(defects) == 4 * 16

@@ -88,8 +88,8 @@ def test_number_op_relations():
             assert row.passed, (row.name, row.residual)
     # q = 1: the deformed number operator is the classical one
     gens1 = deform.classical_generators(sp, DeformParams(1.0, WEYL))
-    nh = gens1.number_operator().matrix.toarray()
-    assert np.linalg.norm(nh - fock.total_number(sp).matrix.toarray()) < 1e-13
+    nh = gens1.number_operator().toarray()
+    assert np.linalg.norm(nh - fock.total_number(sp).toarray()) < 1e-13
 
 
 @pytest.mark.parametrize("q", [0.7, 1.3])
@@ -120,8 +120,7 @@ def test_metric_invariants_classical():
     # Weyl-algebra identities, e.g. [a.a, a+_i] = 2 a^i and [a.a, a^i] = 0
     sp, gens = classical_so_set(3, 6)
     eye = np.eye(3, dtype=complex)
-    rows = verify.metric_invariant_check(gens.a_ops, gens.aplus_ops,
-                                         eye, eye, 1.0, tol=1e-12)
+    rows = verify.metric_invariant_check(gens, eye, eye, 1.0, tol=1e-12)
     for row in rows:
         assert row.passed, (row.name, row.residual)
 
@@ -132,8 +131,9 @@ def test_metric_invariants_negative_control():
     # perturb one annihilator; the residual must scale with the perturbation
     delta = 1e-3
     bad = list(gens.a_ops)
-    bad[0] = fock.LinOp(sp, bad[0].matrix + delta * fock.creator(sp, 1).matrix.T, -1)
-    rows = verify.metric_invariant_check(bad, gens.aplus_ops, eye, eye, 1.0)
+    bad[0] = bad[0] + delta * fock.creator(sp, 1).T
+    rows = verify.metric_invariant_check(dataclasses.replace(gens, a_ops=bad),
+                                         eye, eye, 1.0)
     worst = max(r.residual for r in rows)
     assert 1e-4 < worst < 1.0
 
@@ -154,7 +154,7 @@ def test_invariant_commutant_with_supplied_quadratics():
     # so(3): the scalar products a.a and a+.a+ are invariants as well
     sp, gens = classical_so_set(3, 5)
     data = liealg.LieData("so", 3)
-    aa = sum(a.matrix @ a.matrix for a in gens.a_ops)
+    aa = sum(a @ a for a in gens.a_ops)
     extra = {"a.a": aa, "a+.a+": aa.conj().T}
     rows = verify.invariant_commutant_check(gens, data, tol=1e-12,
                                             extra_invariants=extra)
