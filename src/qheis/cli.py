@@ -1,14 +1,17 @@
 """Command-line entry point.
 
     qheis suite <id> [--q <f> ...] [--cutoff <int>] [--modes <int>]
-                     [--sign +|-] [--eps <f> ...] [--n <f> ...]
-                     [--hbar2 <c> ...] [--out <path>] [--config <path>]
+                     [--eps <f>] [--n <f> ...] [--hbar2 <c> ...]
+                     [--out <path>] [--config <path>]
 
-Flags override values from the optional JSON config file, which in turn
-override the per-suite defaults.  Every case keeps the tolerance its
-check defines.  The process exits 0 iff every case of the executed suite
-passed, 1 otherwise, 2 on usage errors (an unknown flag or config key
-among them).
+The parameter flags are those of ``suites.PARAMS``; a suite accepts only
+the ones it reads (the keys of ``suites.DEFAULTS[id]``), at no less than
+its ``suites.MINIMA``.  Flags override values from the optional JSON
+config file, which in turn override the per-suite defaults.  Every case
+keeps the tolerance its check defines.  The process exits 0 iff every
+case of the executed suite passed, 1 otherwise, 2 on usage errors (an
+unknown flag, a config key or flag the suite does not read, or a value
+out of range among them).
 """
 
 from __future__ import annotations
@@ -17,15 +20,7 @@ import argparse
 import json
 import sys
 
-from .suites import SUITE_IDS, make_config, run_suite, emit_report, report_to_json
-
-
-def _parse_sign(text: str) -> int:
-    if text in ("+", "+1", "weyl"):
-        return +1
-    if text in ("-", "-1", "clifford"):
-        return -1
-    raise argparse.ArgumentTypeError("sign must be '+' or '-'")
+from .suites import PARAMS, SUITE_IDS, make_config, run_suite, emit_report, report_to_json
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -37,19 +32,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("suite", help="run a verification suite")
     sp.add_argument("id", choices=SUITE_IDS, metavar="id",
                     help=f"one of: {', '.join(SUITE_IDS)}")
-    sp.add_argument("--q", type=float, nargs="+", default=None,
-                    help="deformation parameter values")
-    sp.add_argument("--cutoff", type=int, default=None,
-                    help="maximum total occupation of the Fock space")
-    sp.add_argument("--modes", type=int, default=None, help="number of modes N")
-    sp.add_argument("--sign", type=_parse_sign, default=None,
-                    help="+ (Weyl) or - (Clifford)")
-    sp.add_argument("--eps", type=float, nargs="+", default=None,
-                    help="endpoint regularization distances")
-    sp.add_argument("--n", type=float, nargs="+", default=None,
-                    help="number eigenvalues for the scalar KZ suite")
-    sp.add_argument("--hbar2", type=complex, nargs="+", default=None,
-                    help="scalar KZ deformation parameters (complex, e.g. 0.1j)")
+    for name, (typ, many, text) in PARAMS.items():
+        sp.add_argument(f"--{name}", type=typ, nargs="+" if many else None,
+                        default=None, help=text)
     sp.add_argument("--out", default=None, help="write the JSON report here")
     sp.add_argument("--config", default=None,
                     help="JSON file with the same keys as the flags")
@@ -67,16 +52,10 @@ def main(argv=None) -> int:
                 overrides.update(json.load(fh))
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read config {args.config}: {exc}")
-    for key in ("q", "cutoff", "modes", "sign", "eps", "n", "hbar2"):
-        val = getattr(args, key)
-        if val is not None:
-            overrides[key] = val
-    for key in ("q", "eps", "n", "hbar2"):
-        if key in overrides and not isinstance(overrides[key], (list, tuple)):
-            overrides[key] = [overrides[key]]
-        if key in overrides:
-            cast = complex if key == "hbar2" else float
-            overrides[key] = tuple(cast(v) for v in overrides[key])
+    out = overrides.pop("out", None)  # cli's own key, not a suite parameter
+    out = args.out or out
+    overrides.update((key, getattr(args, key)) for key in PARAMS
+                     if getattr(args, key) is not None)
 
     try:
         cfg = make_config(args.id, **overrides)
@@ -85,7 +64,6 @@ def main(argv=None) -> int:
         parser.error(str(exc))
         return 2  # unreachable; parser.error exits
 
-    out = args.out or overrides.get("out")
     if out:
         emit_report(report, out)
     else:

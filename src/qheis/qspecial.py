@@ -57,10 +57,6 @@ class DeformParams:
         object.__setattr__(self, "h", cmath.log(self.q))
         object.__setattr__(self, "hbar", self.h / TWO_PI_I)
 
-    @classmethod
-    def from_h(cls, h: complex, sign: int = WEYL) -> "DeformParams":
-        return cls(cmath.exp(h), sign)
-
     @property
     def q_real(self) -> float:
         if abs(self.q.imag if isinstance(self.q, complex) else 0.0) > 1e-14:

@@ -49,11 +49,11 @@ class OrbitalData:
     apap: sparse.csr_array   # a+.a+
 
 
-def build_orbital(space: FockSpace, clamp: float = 1e-10) -> OrbitalData:
+def build_orbital(space: FockSpace) -> OrbitalData:
     """Diagonalize l^2 within each total-number eigenspace and take the
     spectral square root.
 
-    Eigenvalues in [-clamp, 0) are clamped to zero; anything below -clamp
+    Eigenvalues in [-1e-10, 0) are clamped to zero; anything below -1e-10
     signals a bug (l^2 is expected positive semidefinite here) and raises.
     """
     if space.statistics is not Statistics.BOSE or space.modes < 3:
@@ -74,8 +74,8 @@ def build_orbital(space: FockSpace, clamp: float = 1e-10) -> OrbitalData:
         sel = np.where(ntot == n_val)[0]
         block = l2[sel][:, sel].toarray()
         evals, evecs = np.linalg.eigh(block)
-        if evals.min() < -clamp:
-            raise ValueError(f"l^2 eigenvalue {evals.min():.3e} below -{clamp:g} "
+        if evals.min() < -1e-10:
+            raise ValueError(f"l^2 eigenvalue {evals.min():.3e} below -1e-10 "
                              f"in the n={n_val} block")
         evals = np.clip(evals, 0.0, None)
         lvals = np.sqrt(evals)
@@ -148,9 +148,7 @@ def shift_operators(orb: OrbitalData,
     return alpha_down, alpha_up
 
 
-def shift_operator_residuals(orb: OrbitalData, sign: int,
-                             tol_order: float = 1e-12,
-                             tol_eige: float = 1e-10) -> list[CaseResult]:
+def shift_operator_residuals(orb: OrbitalData, sign: int) -> list[CaseResult]:
     """Two checks per sign: the double equalities defining each alpha
     (its two equivalent orderings agree), and the eigen-shift relations
 
@@ -170,9 +168,9 @@ def shift_operator_residuals(orb: OrbitalData, sign: int,
                        projected_norms(space, lmat @ down - down @ (lmat - sign * eye), 2)]
     return [
         CaseResult(f"shift_orderings_agree[s={sign:+d}]", max_norms(norms_order)[0],
-                   tol_order, {"safe_degree": 2}),
+                   1e-12, {"safe_degree": 2}),
         CaseResult(f"shift_eigen_relations[s={sign:+d}]", max_norms(norms_eige)[0],
-                   tol_eige, {"safe_degree": 2}),
+                   1e-10, {"safe_degree": 2}),
     ]
 
 

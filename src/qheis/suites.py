@@ -22,51 +22,83 @@ from .qspecial import (CLIFFORD, WEYL, DeformParams, connection_residual,
                        y_sln, y_son_ratio)
 from .verify import CaseResult, Report
 
-SUITE_IDS = ("sl2-bose", "sl2-fermi", "slN", "soN-orbital", "qspecial",
-             "kz-scalar", "kz-operator", "braid")
+# The suite parameters: name -> (type, takes several values, help text).
+PARAMS = {
+    "q": (float, True, "deformation parameter values"),
+    "cutoff": (int, False, "maximum total occupation of the Fock space"),
+    "modes": (int, False, "number of modes N"),
+    "eps": (float, False, "endpoint regularization distance"),
+    "n": (float, True, "number eigenvalues for the scalar KZ suite"),
+    "hbar2": (complex, True, "scalar KZ deformation parameters (complex, e.g. 0.1j)"),
+}
+
+# The parameters each suite reads, with their defaults.
+DEFAULTS = {
+    "sl2-bose": {"q": (0.7, 1.3), "cutoff": 8},
+    "sl2-fermi": {"q": (0.7, 1.3)},
+    "slN": {"q": (1.3,), "cutoff": 5, "modes": 3},
+    "soN-orbital": {"q": (0.7, 1.3), "cutoff": 6, "modes": 3},
+    "qspecial": {"q": (0.5, 0.9, 1.1, 2.0)},
+    "kz-scalar": {"eps": 1e-8, "n": (2.0, 3.0, 5.0), "hbar2": (0.05, 0.1j)},
+    "kz-operator": {"q": (math.e**0.1,), "cutoff": 5, "modes": 2, "eps": 1e-6},
+    "braid": {"q": (0.7, 1.3)},
+}
+SUITE_IDS = tuple(DEFAULTS)
+
+# Smallest sizes at which every negative control can fail: a degree-2 safe
+# subspace beyond the vacuum, a deformed sl(N), the so(N) shift grid.
+MINIMA = {
+    "sl2-bose": {"cutoff": 3},
+    "slN": {"cutoff": 3, "modes": 2},
+    "soN-orbital": {"cutoff": 4, "modes": 3},
+    "kz-operator": {"cutoff": 3, "modes": 2},
+}
 
 
 @dataclass(frozen=True)
 class SuiteConfig:
+    """The parameters of one suite run, as make_config checked them; a
+    parameter the suite does not read is None."""
+
     suite: str
-    q: tuple = (0.7, 1.3)
-    cutoff: int = 8
-    modes: int = 2
-    sign: int = WEYL
-    eps: tuple = (1e-6,)
-    n: tuple = (2.0, 3.0, 5.0)        # scalar KZ number eigenvalues
-    hbar2: tuple = (0.05, 0.1j)       # scalar KZ deformation parameters
-    out: str | None = None
-
-    def __post_init__(self):
-        if self.suite not in SUITE_IDS:
-            raise ValueError(f"unknown suite {self.suite!r}; choose from {SUITE_IDS}")
-        if self.sign not in (WEYL, CLIFFORD):
-            raise ValueError("sign must be +1 or -1")
-        if any(q <= 0 for q in self.q):
-            raise ValueError("q values must be positive")
-        if self.cutoff < 1 or self.modes < 1:
-            raise ValueError("cutoff and modes must be positive")
+    q: tuple | None = None
+    cutoff: int | None = None
+    modes: int | None = None
+    eps: float | None = None
+    n: tuple | None = None
+    hbar2: tuple | None = None
 
 
-DEFAULTS = {
-    "sl2-bose": {"cutoff": 8, "modes": 2, "q": (0.7, 1.3), "sign": WEYL},
-    "sl2-fermi": {"cutoff": 2, "modes": 2, "q": (0.7, 1.3), "sign": CLIFFORD},
-    "slN": {"cutoff": 5, "modes": 3, "q": (1.3,), "sign": WEYL},
-    "soN-orbital": {"cutoff": 6, "modes": 3, "q": (0.7, 1.3), "sign": WEYL},
-    "qspecial": {"q": (0.5, 0.9, 1.1, 2.0)},
-    "kz-scalar": {"eps": (1e-8,)},
-    "kz-operator": {"cutoff": 5, "modes": 2, "q": (math.e**0.1,), "sign": WEYL,
-                    "eps": (1e-6,)},
-    "braid": {"q": (0.7, 1.3)},
-}
+def _coerce(name: str, value):
+    """A value as PARAMS declares it: a tuple when the parameter takes
+    several values, a single value otherwise."""
+    typ, many, _ = PARAMS[name]
+    if many:
+        return tuple(map(typ, value if isinstance(value, (list, tuple)) else [value]))
+    if isinstance(value, (list, tuple)) or (typ is int and int(value) != value):
+        raise ValueError(f"{name} takes one {typ.__name__}, not {value!r}")
+    return typ(value)
 
 
 def make_config(suite: str, **overrides) -> SuiteConfig:
-    """SuiteConfig with per-suite defaults applied, then user overrides."""
-    base = dict(DEFAULTS.get(suite, {}))
-    base.update({k: v for k, v in overrides.items() if v is not None})
-    return SuiteConfig(suite=suite, **base)
+    """The suite's DEFAULTS with overrides applied.  Raises ValueError for
+    an unknown suite, a parameter the suite does not read, or a value out
+    of range."""
+    if suite not in SUITE_IDS:
+        raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_IDS}")
+    declared = DEFAULTS[suite]
+    unread = sorted(set(overrides) - set(declared))
+    if unread:
+        raise ValueError(f"{suite} does not read {', '.join(unread)}; "
+                         f"it reads {', '.join(declared)}")
+    values = {**declared, **{k: _coerce(k, v) for k, v in overrides.items()}}
+    if any(q <= 0 for q in values.get("q", ())):
+        raise ValueError("q values must be positive")
+    for name, least in MINIMA.get(suite, {}).items():
+        if values[name] < least:
+            raise ValueError(f"{suite} needs {name} >= {least}; below it a "
+                             f"negative control cannot fail")
+    return SuiteConfig(suite=suite, **values)
 
 
 def _negative_control(name: str, residual: float, floor: float = 1e-2,
@@ -126,7 +158,7 @@ def _suite_sl2_bose(cfg: SuiteConfig):
 
     def alpha_unit(q):
         # conjugating by alpha must reproduce the one-sided generators; its
-        # own unit, so that an ill-conditioned alpha erases no sibling row
+        # own unit, so that a failure here erases no sibling row
         params = DeformParams(q, WEYL)
         gens = deform.sl2_bose_map(space, params)
         alpha = deform.sl2_alpha_intertwiner(space, params)
@@ -321,10 +353,11 @@ def _suite_qspecial(cfg: SuiteConfig):
 
 def _suite_kz_scalar(cfg: SuiteConfig):
     from . import kz  # kz loads scipy.integrate and scipy.linalg; only the kz suites need it
-    eps = min(cfg.eps)
+    # built here, so that an out-of-range n, hbar2 or eps is a usage error
+    params = [kz.KZScalarParams(n=n, hbar2=hbar2, sign=sign, eps=cfg.eps)
+              for n in cfg.n for hbar2 in cfg.hbar2 for sign in (+1, -1)]
 
-    def unit(n, hbar2, sign):
-        p = kz.KZScalarParams(n=n, hbar2=hbar2, sign=sign, eps=eps)
+    def unit(p):
         traj = kz.integrate_scalar(p, x_lo=1e-8)
         xs = np.linspace(0.02, 0.98, 33)
         sup = max(np.abs(np.array(traj(x)) - np.array(kz.closed_form_f(p, x))).max()
@@ -347,28 +380,22 @@ def _suite_kz_scalar(cfg: SuiteConfig):
                                1e-6))
         return rows
 
-    units = []
-    for n in cfg.n:
-        for hbar2 in cfg.hbar2:
-            for sign in (+1, -1):
-                units.append((f"n={n:g},hbar2={hbar2},s={sign:+d}",
-                              lambda n=n, h=hbar2, s=sign: unit(n, h, s)))
+    units = [(f"n={p.n:g},hbar2={p.hbar2},s={p.sign:+d}", lambda p=p: unit(p))
+             for p in params]
     return {"n": list(cfg.n), "hbar2": [str(h) for h in cfg.hbar2],
-            "eps": eps}, units
+            "eps": cfg.eps}, units
 
 
 def _suite_kz_operator(cfg: SuiteConfig):
-    if cfg.cutoff < 3:
-        # the degree-2 safe subspace would be the vacuum alone, where every
-        # relation defect vanishes and the wrong-sign control cannot fail
-        raise ValueError("kz-operator needs cutoff >= 3")
+    if len(cfg.q) != 1:
+        raise ValueError(f"kz-operator takes one q value, not {len(cfg.q)}")
     from . import kz
     space = build_space(cfg.modes, Statistics.BOSE, cfg.cutoff)
     system = kz.build_operator_system(space)
     data = liealg.LieData("sl", cfg.modes)
     q = cfg.q[0]
     h = math.log(q)
-    eps = min(cfg.eps)
+    eps = cfg.eps
 
     def hbar2_of(hh):
         return hh / (math.pi * 1j)

@@ -262,7 +262,6 @@ def cross_oracle(rows: list[CaseResult]) -> dict:
 
 
 def number_op_check(gens: DeformedGenerators, tol: float = 1e-10,
-                    spectrum_tol: float = 1e-12,
                     degree: int | None = None) -> list[CaseResult]:
     """Relations of the deformed number operator N_h = A+_i A^i:
 
@@ -271,8 +270,8 @@ def number_op_check(gens: DeformedGenerators, tol: float = 1e-10,
 
     plus, for bosonic maps, the spectrum check that N_h is diagonal with
     entries (n)_{q^{2s}}.  The spectrum residual is the largest entrywise
-    deviation divided by max(1, max |(n)_{q^{2s}}|), so that it measures
-    rounding relative to the eigenvalues at every cutoff; the metadata
+    deviation divided by max(1, max |(n)_{q^{2s}}|), held to 1e-12, so that
+    it measures rounding relative to the eigenvalues at every cutoff; the metadata
     keep the raw deviation and the scale.  The safe degree defaults to 2
     on bosonic spaces and 0 on fermionic ones (which have no truncation
     defects).
@@ -304,7 +303,7 @@ def number_op_check(gens: DeformedGenerators, tol: float = 1e-10,
         off = np.abs(c.data[c.row != c.col])
         raw = float(max(dev.max(), off.max(initial=0.0)))
         scale = max(1.0, float(np.abs(expected).max()))
-        out.append(CaseResult("qnumber_spectrum", raw / scale, spectrum_tol,
+        out.append(CaseResult("qnumber_spectrum", raw / scale, 1e-12,
                               {"safe_degree": 0, "raw_residual": raw, "scale": scale}))
     return out
 

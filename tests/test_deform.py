@@ -112,9 +112,23 @@ def test_inner_automorphism(bose_space):
     after = verify.cross_oracle(verify.dcr_residuals(conj, rel))["winner_residual"]
     assert after < max(10 * before, 1e-12)
 
-    singular = fock.diag_fn(bose_space, lambda t: 1e-20 if sum(t) > 3 else 1.0)
-    with pytest.raises(ValueError):
-        deform.inner_automorphism(gens, singular)
+    # a diagonal alpha is exact at any spread: cond 1e20 is measured, not refused
+    spread = fock.diag_fn(bose_space, lambda t: 1e-20 if sum(t) > 3 else 1.0)
+    _, cond = deform.inner_automorphism(gens, spread)
+    assert cond == 1e20
+
+
+@pytest.mark.parametrize("entry", ["off-diagonal", 0.0, np.nan, np.inf])
+def test_inner_automorphism_rejects_alpha(bose_space, entry):
+    gens = deform.sl2_bose_map(bose_space, DeformParams(1.3, WEYL))
+    d = np.ones(bose_space.dim, dtype=complex)
+    if entry == "off-diagonal":
+        alpha = sparse.diags_array([d, d[1:]], offsets=[0, 1], format="csr")
+    else:
+        d[-1] = entry
+        alpha = sparse.diags_array(d, format="csr")
+    with pytest.raises(ValueError, match="diagonal"):
+        deform.inner_automorphism(gens, alpha)
 
 
 def test_alpha_intertwiner(bose_space):

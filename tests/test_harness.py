@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -107,21 +109,33 @@ def test_failed_unit_becomes_failed_case(monkeypatch):
     assert "ZeroDivisionError" in rep.cases[0].metadata["error"]
 
 
-def test_ill_conditioned_alpha_erases_no_sibling_row():
-    # at cutoff 20, cond(alpha) at q=1.3 is about 8.7e15 and the guard in
-    # deform.inner_automorphism raises; only the alpha unit may fail with it
+def test_ill_conditioned_alpha_erases_no_sibling_row(monkeypatch):
+    # at cutoff 20, cond(alpha) at q=1.3 is about 8.7e15; the diagonal
+    # conjugation is exact regardless, so the alpha row is measured
     # (presence, not passing: some q=1.3 rows miss their absolute tolerance)
-    report = suites.run_suite(suites.make_config("sl2-bose", cutoff=20))
+    sibling_rows = ("dcr_aa", "dcr_apap", "dcr_cross_winner", "cross_negative_control",
+                    "qnumber_creator_relation", "qnumber_annihilator_relation",
+                    "qnumber_spectrum", "hermiticity", "commutant[qnumber_operator]",
+                    "grade_bookkeeping")
+    cases = {c.name: c for c in
+             suites.run_suite(suites.make_config("sl2-bose", cutoff=20)).cases}
+    assert not [name for name in cases if name.endswith("/EXECUTION")]
+    assert cases["q=1.3/alpha/alpha_reproduces_onesided_map"].metadata["cond_alpha"] > 1e15
+
+    # an alpha unit that raises fails alone; its sibling rows all stay
+    def refuse(gens, alpha):
+        raise ValueError("alpha refused")
+
+    monkeypatch.setattr(deform, "inner_automorphism", refuse)
+    report = suites.run_suite(suites.make_config("sl2-bose", cutoff=6))
     names = {c.name for c in report.cases}
-    for row in ("dcr_aa", "dcr_apap", "dcr_cross_winner", "cross_negative_control",
-                "qnumber_creator_relation", "qnumber_annihilator_relation",
-                "qnumber_spectrum", "hermiticity", "commutant[qnumber_operator]",
-                "grade_bookkeeping"):
-        assert f"q=1.3/{row}" in names, row
+    for q in ("0.7", "1.3"):
+        for row in sibling_rows:
+            assert f"q={q}/{row}" in names, row
     failed_units = [c for c in report.cases if c.name.endswith("/EXECUTION")]
-    assert [c.name for c in failed_units] == ["q=1.3/alpha/EXECUTION"]
-    assert "alpha" in failed_units[0].metadata["error"]
-    assert "cond" in failed_units[0].metadata["error"]
+    assert [c.name for c in failed_units] == ["q=0.7/alpha/EXECUTION",
+                                              "q=1.3/alpha/EXECUTION"]
+    assert all("alpha refused" in c.metadata["error"] for c in failed_units)
 
 
 def test_onesided_hermiticity_control_discriminates(monkeypatch):
@@ -195,8 +209,22 @@ def test_cli_failure_exit_code(tmp_path, monkeypatch):
     (["suite", "qspecial", "--tol", "1e-8"], None),
     (["suite", "qspecial"], {"tol": 1e-8}),
     (["suite", "kz-operator", "--cutoff", "2"], None),
+    (["suite", "sl2-bose", "--sign", "-"], None),
+    (["suite", "slN", "--cutoff", "2"], None),
+    (["suite", "slN", "--modes", "1"], None),
+    (["suite", "sl2-bose", "--cutoff", "2"], None),
+    (["suite", "soN-orbital", "--modes", "2"], None),
+    (["suite", "kz-operator", "--q", "0.9", "1.2"], None),
+    (["suite", "kz-scalar", "--eps", "1e-9"], None),
+    (["suite", "kz-scalar", "--eps", "1e-6", "1e-7"], None),
+    (["suite", "kz-scalar"], {"eps": [1e-6, 1e-7]}),
+    (["suite", "kz-scalar", "--n", "0.5"], None),
+    (["suite", "kz-scalar", "--hbar2", "0.5"], None),
 ], ids=["unknown-suite", "jobs-flag", "jobs-config-key", "tol-flag", "tol-config-key",
-        "kz-operator-cutoff-2"])
+        "kz-operator-cutoff-2", "sign-flag", "slN-cutoff-2", "slN-modes-1",
+        "sl2-bose-cutoff-2", "soN-orbital-modes-2", "kz-operator-two-q",
+        "kz-scalar-eps-1e-9", "kz-scalar-two-eps", "kz-scalar-two-eps-config-key",
+        "kz-scalar-n-0.5", "kz-scalar-hbar2-0.5"])
 def test_cli_unknown_suite_usage_error(tmp_path, argv, config):
     if config is not None:
         path = tmp_path / "cfg.json"
@@ -205,6 +233,87 @@ def test_cli_unknown_suite_usage_error(tmp_path, argv, config):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+
+
+def _pairs(declared):
+    return [(suite, name) for suite in suites.SUITE_IDS for name in suites.PARAMS
+            if (name in suites.DEFAULTS[suite]) == declared]
+
+
+def _changed_value(suite, name):
+    """A JSON value of parameter `name` other than the suite's default."""
+    if name in ("cutoff", "modes"):
+        return suites.DEFAULTS[suite].get(name, 3) + 1
+    return {"q": [1.1], "eps": 1e-5, "n": [4.0], "hbar2": [0.1]}[name]
+
+
+def _cli_argv(tmp_path, suite, name, value, form):
+    """argv setting `name` to `value` by a flag or by a config key."""
+    argv = ["suite", suite, "--out", str(tmp_path / "rep.json")]
+    if form == "flag":
+        return argv + [f"--{name}", *map(str, value if isinstance(value, list) else [value])]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({name: value}))
+    return argv + ["--config", str(path)]
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("suite, name", _pairs(declared=False))
+def test_cli_undeclared_parameter_usage_error(tmp_path, suite, name, form):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(_cli_argv(tmp_path, suite, name, _changed_value(suite, name), form))
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("suite, name", _pairs(declared=True))
+def test_cli_declared_parameter_reaches_report(tmp_path, monkeypatch, suite, name, form):
+    # the builder alone sets the report's params; its units are not run
+    build = suites._BUILDERS[suite]
+    monkeypatch.setitem(suites._BUILDERS, suite, lambda cfg: (build(cfg)[0], []))
+
+    def params(argv):
+        assert cli.main(argv) == 0
+        return json.loads((tmp_path / "rep.json").read_text())["params"]
+
+    default = params(["suite", suite, "--out", str(tmp_path / "rep.json")])
+    changed = params(_cli_argv(tmp_path, suite, name, _changed_value(suite, name), form))
+    assert changed != default
+
+
+def _suite_subparser():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices["suite"]
+
+
+@pytest.mark.parametrize("doc", ["README.md", "cli docstring"])
+def test_docs_synopsis_names_the_cli_flags(doc):
+    text = (ROOT / doc).read_text() if doc == "README.md" else cli.__doc__
+    synopsis = re.search(r"qheis suite <id> (.*?)(\n\n|```)", text, re.S).group(1)
+    documented = {name: "..." in rest
+                  for name, rest in re.findall(r"\[--(\w+)([^\]]*)\]", synopsis)}
+    flags = {opt[2:]: action.nargs == "+" for action in _suite_subparser()._actions
+             for opt in action.option_strings if opt.startswith("--") and opt != "--help"}
+    assert documented == flags
+
+
+def test_readme_parameter_table_matches_the_schema():
+    rows = {}
+    for line in (ROOT / "README.md").read_text().splitlines():
+        cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+        if len(cells) == 4 and cells[0].strip("`") in suites.SUITE_IDS:
+            rows[cells[0].strip("`")] = cells
+    assert sorted(rows) == sorted(suites.SUITE_IDS)
+    for suite, cells in rows.items():
+        defaults = {}
+        for name, values in re.findall(r"`--(\w+) ([^`]*)`", cells[1]):
+            typ, many, _ = suites.PARAMS[name]
+            parsed = tuple(typ(v) for v in values.split())
+            defaults[name] = parsed if many else parsed[0]
+        assert defaults == suites.DEFAULTS[suite], suite
+        minima = {name: int(v) for name, v in re.findall(r"`--(\w+) (\d+)`", cells[2])}
+        assert minima == suites.MINIMA.get(suite, {}), suite
 
 
 def test_cli_config_file_and_flag_override(tmp_path):
