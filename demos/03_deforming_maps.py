@@ -52,7 +52,7 @@ print("one-sided map is not *-compatible:",
 spf = fock.build_space(2, Statistics.FERMI)
 gf = deform.sl2_fermi_map(spf, DeformParams(q, CLIFFORD))
 relf = braid.build_relations("sl", 2, q, CLIFFORD)
-worst = verify.cross_oracle(verify.dcr_residuals(gf, relf, degree=0))["winner_residual"]
+worst = verify.cross_oracle(verify.dcr_residuals(gf, relf))["winner_residual"]
 print(f"\nfermionic sl(2) map, winning cross residual: {worst:.2e}")
 
 # sl(3): the per-mode candidate map is accepted or rejected only by the

@@ -17,8 +17,6 @@ deformed exchange relations.
 
 import math
 
-import numpy as np
-
 from qheis import fock, kz, liealg
 from qheis.fock import Statistics
 from qheis.qspecial import WEYL, CLIFFORD, DeformParams

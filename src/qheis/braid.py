@@ -148,9 +148,6 @@ class RelationMatrices:
 
 def _sl_projectors(rhat: np.ndarray, q: float) -> list:
     eye = np.eye(rhat.shape[0], dtype=complex)
-    if q == 1.0:
-        p = rhat  # Rhat = P at q = 1
-        return [(1.0, (eye + p) / 2.0), (-1.0, (eye - p) / 2.0)]
     sym = (rhat + eye / q) / (q + 1.0 / q)
     anti = (q * eye - rhat) / (q + 1.0 / q)
     return [(q, sym), (-1.0 / q, anti)]
@@ -198,7 +195,7 @@ def build_relations(family: str, n: int, q: float, sign: int = WEYL) -> Relation
     eye2 = np.eye(n * n, dtype=complex)
 
     if family == "sl":
-        rhat = sl_rhat(n, q) if q != 1.0 else permutation_matrix(n)
+        rhat = sl_rhat(n, q)
         char = np.linalg.norm((rhat - q * eye2) @ (rhat + eye2 / q), 2)
         projectors = _sl_projectors(rhat, q)
         anni = projectors[1][1] if sign == WEYL else projectors[0][1]

@@ -178,11 +178,12 @@ def inner_automorphism(gens: DeformedGenerators,
     return out, cond
 
 
-def hermiticity_residual(gens: DeformedGenerators, degree: int = 0) -> float:
-    """max_i || (A^i)+ - A+_i || on the safe subspace (compact case, real q)."""
+def hermiticity_residual(gens: DeformedGenerators) -> float:
+    """max_i || (A^i)+ - A+_i || on the whole space (compact case, real q):
+    an identity of creator degree 0."""
     from .verify import projected_norms
 
-    return max(projected_norms(gens.space, a.conj().T - ap, degree)[0]
+    return max(projected_norms(gens.space, a.conj().T - ap, 0)
                for a, ap in zip(gens.a_ops, gens.aplus_ops))
 
 

@@ -13,12 +13,14 @@ builds its N annihilators and N creators once, as the read-only
 grade g of an operator X (meaning [n_tot, X] = g X) is not stored;
 :func:`grade_defect` measures it.
 
-Truncation contract: an operator identity of creator-degree d is exact
-only on the subspace with total occupation <= cutoff - d
-(:meth:`FockSpace.safe_mask`).  The projector onto that subspace is
-:func:`safe_projector`; the verification modules measure every residual
-restricted to it (``verify.projected_norms``).  Defects of the
-truncation are confined to the discarded top shells.
+Truncation contract: on a bosonic space an operator identity of
+creator-degree d is exact only on the subspace with total occupation
+<= cutoff - d; a fermionic space is not truncated, so every identity is
+exact on all of it (:meth:`FockSpace.safe_mask`).  The projector onto
+that subspace is :func:`safe_projector`; the verification modules
+measure every residual restricted to it (``verify.projected_norms``),
+and each check states only the creator degree of its identity.  Defects
+of the truncation are confined to the discarded top bosonic shells.
 """
 
 from __future__ import annotations
@@ -80,7 +82,11 @@ class FockSpace:
         return self.shell.astype(float)
 
     def safe_mask(self, degree: int) -> np.ndarray:
-        """Basis states with total occupation <= cutoff - degree."""
+        """Basis states on which an identity of creator-degree `degree` is
+        exact: total occupation <= cutoff - degree on a bosonic space,
+        every state on a fermionic one."""
+        if self.statistics is Statistics.FERMI:
+            return np.ones(self.dim, dtype=bool)
         return self.shell <= self.cutoff - degree
 
     def _check_mode(self, i: int) -> None:

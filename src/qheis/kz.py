@@ -81,11 +81,21 @@ from scipy.linalg import expm  # noqa: F401  (the benchmark tracer wraps kz.expm
 from .fock import FockSpace, Statistics
 from .liealg import coproduct_rep, permutation_matrix, sigma_basis
 from .qspecial import DeformParams, gamma, gauss_2f1, gauss_2f1_deriv, qnum, rgamma
-from .verify import CaseResult, direct_sum_norms, max_norms, projected_norms
+from .verify import CaseResult, direct_sum_norms, projected_norms
 
 
 class IntegrationError(RuntimeError):
     pass
+
+
+EPS_RANGE = (1e-8, 1e-3)  # the endpoint regularization distances the KZ checks accept
+
+
+def check_eps(eps: float) -> None:
+    """Raise ValueError unless eps lies in EPS_RANGE."""
+    lo, hi = EPS_RANGE
+    if not lo <= eps <= hi:
+        raise ValueError(f"eps must lie in [{lo:g}, {hi:g}]")
 
 
 @dataclass(frozen=True)
@@ -106,8 +116,7 @@ class KZScalarParams:
             raise ValueError("sign must be +1 or -1")
         if abs(self.hbar2) > 0.2:
             raise ValueError("|hbar2| <= 0.2 required (perturbative regime)")
-        if not 1e-8 <= self.eps <= 1e-3:
-            raise ValueError("eps must lie in [1e-8, 1e-3]")
+        check_eps(self.eps)
 
 
 def qbracket_of_eta(n: float, hbar2: complex) -> complex:
@@ -536,32 +545,32 @@ def _fock_blocks(big, d: int) -> list:
     return [big[r:r + d, c:c + d] for r in range(0, rows, d) for c in range(0, cols, d)]
 
 
-def acts_trivially_residual(system: KZOperatorSystem, m: np.ndarray,
-                            degree: int = 2) -> float:
-    """|| M . (aa) - aa || over the N^2 components, safe-projected: aa is
-    the column of the Fock operators a^i a^j, block (i, j) at pair i N + j."""
+def acts_trivially_residual(system: KZOperatorSystem, m: np.ndarray) -> float:
+    """|| M . (aa) - aa || over the N^2 components, safe-projected at
+    creator degree 2: aa is the column of the Fock operators a^i a^j,
+    block (i, j) at pair i N + j."""
     n, an = system.n, system.space.an
     aa = sparse.vstack([an[i] @ an[j] for i in range(n) for j in range(n)])
     defect = system.blocks.to_sparse(m) @ aa - aa
-    return max_norms(projected_norms(system.space, r, degree)
-                     for r in _fock_blocks(defect, system.space.dim))[0]
+    return max(projected_norms(system.space, r, 2)
+               for r in _fock_blocks(defect, system.space.dim))
 
 
-def invariance_residual(system: KZOperatorSystem, m: np.ndarray, data,
-                        degree: int = 2) -> float:
+def invariance_residual(system: KZOperatorSystem, m: np.ndarray, data) -> float:
     """|| [M, image of the two-fold coproduct of X] || over Lie basis X,
-    with the Fock factor safe-projected.  The image of X moves each weight
-    by the weight of X, so the commutator is a direct sum over the weight
-    blocks it maps between and its norm the largest of theirs."""
+    with the Fock factor safe-projected at creator degree 2.  The image of
+    X moves each weight by the weight of X, so the commutator is a direct
+    sum over the weight blocks it maps between and its norm the largest of
+    theirs."""
     n, d = system.n, system.space.dim
     eye_pairs, eye_d = sparse.eye_array(n * n), sparse.eye_array(d)
     big_m = system.blocks.to_sparse(m)
-    safe = np.tile(system.space.safe_mask(degree), n * n)
+    safe = np.tile(system.space.safe_mask(2), n * n)
     worst = 0.0
     for lbl, s in sigma_basis(system.space, data).items():
         delta2 = sparse.kron(coproduct_rep(data, lbl), eye_d) + sparse.kron(eye_pairs, s)
         comm = big_m @ delta2 - delta2 @ big_m
-        worst = max(worst, direct_sum_norms(comm, system.blocks.block_of, safe)[0])
+        worst = max(worst, direct_sum_norms(comm, system.blocks.block_of, safe))
     return worst
 
 
@@ -597,10 +606,10 @@ def dressed_generators(system: KZOperatorSystem, params: DeformParams,
 def coassociator_relation_check(system: KZOperatorSystem, params: DeformParams,
                                 m: np.ndarray,
                                 dressing: Callable[[float], float] | None = None,
-                                tol: float = 1e-6,
-                                degree: int = 2) -> list[CaseResult]:
+                                tol: float = 1e-6) -> list[CaseResult]:
     """Residuals of the three exchange relations of the dressed generators,
-    with the relation matrices conjugated by M:
+    with the relation matrices conjugated by M, safe-projected at creator
+    degree 2:
 
       (1) a~^i a~^j   = s (M^-1 P M)^{ji}_{lm} a~^m a~^l
       (2) a~+_i a~+_j = s a~+_l a~+_m (M^-1 P M)^{lm}_{ij}
@@ -636,7 +645,7 @@ def coassociator_relation_check(system: KZOperatorSystem, params: DeformParams,
                apap - s * (apap @ mu),
                a_col @ ap_row - sparse.eye_array(n * d)
                - s * (sparse.kron(eye_n, ap_row) @ mv @ sparse.kron(eye_n, a_col)))
-    return [CaseResult(name, max_norms(projected_norms(space, r, degree)
-                                       for r in _fock_blocks(big, d))[0], tol, {"cond_M": cond})
+    return [CaseResult(name, max(projected_norms(space, r, 2) for r in _fock_blocks(big, d)),
+                       tol, {"cond_M": cond})
             for name, big in zip(("coassoc_relation_aa", "coassoc_relation_apap",
                                   "coassoc_relation_cross"), defects)]

@@ -113,10 +113,10 @@ def _negative_control(name: str, residual: float, floor: float = 1e-2,
     return CaseResult(name, val, 1.0, meta)
 
 
-def _dcr_with_oracle(gens, rel, tol, degree=2):
+def _dcr_with_oracle(gens, rel, tol):
     """dcr rows with the two cross candidates folded into a winner row and
     a negative-control row (exactly one candidate is expected to pass)."""
-    rows = verify.dcr_residuals(gens, rel, tol=tol, degree=degree)
+    rows = verify.dcr_residuals(gens, rel, tol=tol)
     oracle = verify.cross_oracle(rows)
     rows = [r for r in rows if not r.name.startswith("dcr_cross")]
     rows.append(CaseResult("dcr_cross_winner", oracle["winner_residual"], tol,
@@ -153,7 +153,7 @@ def _suite_sl2_bose(cfg: SuiteConfig):
 
     def generator_distance(g1, g0):
         # largest spectral norm of a generator difference, on the whole space
-        return max(verify.projected_norms(space, a - b, 0)[0]
+        return max(verify.projected_norms(space, a - b, 0)
                    for a, b in zip(g1.a_ops + g1.aplus_ops, g0.a_ops + g0.aplus_ops))
 
     def alpha_unit(q):
@@ -200,7 +200,7 @@ def _suite_sl2_fermi(cfg: SuiteConfig):
         params = DeformParams(q, CLIFFORD)
         gens = deform.sl2_fermi_map(space, params)
         rel = braid.build_relations("sl", 2, q, CLIFFORD)
-        rows = _dcr_with_oracle(gens, rel, tol=1e-12, degree=0)
+        rows = _dcr_with_oracle(gens, rel, tol=1e-12)
         rows += verify.number_op_check(gens, tol=1e-12)
         rows.append(CaseResult("hermiticity", deform.hermiticity_residual(gens), 1e-12))
         rows += verify.invariant_commutant_check(gens, data, tol=1e-12)
@@ -390,6 +390,7 @@ def _suite_kz_operator(cfg: SuiteConfig):
     if len(cfg.q) != 1:
         raise ValueError(f"kz-operator takes one q value, not {len(cfg.q)}")
     from . import kz
+    kz.check_eps(cfg.eps)  # here, so that an out-of-range eps is a usage error
     space = build_space(cfg.modes, Statistics.BOSE, cfg.cutoff)
     system = kz.build_operator_system(space)
     data = liealg.LieData("sl", cfg.modes)

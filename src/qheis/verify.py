@@ -2,9 +2,9 @@
 
 Each check returns CaseResult rows (name, residual, tolerance, pass,
 metadata).  Residuals are spectral norms of the identity's defect after
-conjugation by the safe projector of the appropriate creator degree;
-the Frobenius norm is recorded alongside for diagnostics.  Defects are
-sparse CSR arrays, built without any dense D x D intermediate.
+conjugation by the safe projector of the identity's creator degree.
+Defects are sparse CSR arrays, built without any dense D x D
+intermediate.
 
 How the norms are computed (:func:`projected_norms`): the stored nonzero
 entries of the defect that lie inside the safe subspace are grouped by
@@ -13,9 +13,9 @@ row shell or a column shell are joined into one component.  Different
 components occupy disjoint rows and disjoint columns, so the defect is
 their orthogonal direct sum: its spectral norm is the largest spectral
 norm among the component blocks (each a small dense SVD), exactly, for
-any mix of grades.  The Frobenius norm is taken from the stored entries.
-The same rule, with other labels than shells, is :func:`direct_sum_norms`
-(``kz`` labels the basis of C^N x C^N x Fock by sl(N) weight).
+any mix of grades.  The same rule, with other labels than shells, is
+:func:`direct_sum_norms` (``kz`` labels the basis of C^N x C^N x Fock by
+sl(N) weight).
 
 Index conventions for the quadratic relations, with Pi the annihilating
 projector and Pt a cross candidate:
@@ -108,27 +108,22 @@ def _local_index(comp: np.ndarray, idx: np.ndarray, n_comp: int, dim: int):
     return np.cumsum(occurs)[key] - 1 - start[comp], counts
 
 
-def direct_sum_norms(m, label: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
-    """(spectral, frobenius) norm of m restricted to the rows and columns in
-    mask, for a matrix whose rows and columns carry the integer labels
-    label (one per index, the same for rows and columns).
+def direct_sum_norms(m, label: np.ndarray, mask: np.ndarray) -> float:
+    """Spectral norm of the sparse matrix m restricted to the rows and
+    columns in mask, for a matrix whose rows and columns carry the integer
+    labels label (one per index, the same for rows and columns).
 
-    m may be dense or sparse.  The result is exact: entries are grouped
-    into components by their (row label, column label) pairs as described
-    in the module docstring, and the spectral norm is the largest over the
-    component blocks; the Frobenius norm comes from the stored entries.
+    The result is exact: entries are grouped into components by their
+    (row label, column label) pairs as described in the module docstring,
+    and the norm is the largest over the component blocks.
     """
-    if sparse.issparse(m):
-        m = sparse.csr_array(m)
-        m.sum_duplicates()
-        rows, cols, vals = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices, m.data
-    else:
-        rows, cols = np.nonzero(m)
-        vals = m[rows, cols]
+    m = sparse.csr_array(m)
+    m.sum_duplicates()
+    rows, cols, vals = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices, m.data
     keep = mask[rows] & mask[cols] & (vals != 0)
     rows, cols, vals = rows[keep], cols[keep], vals[keep]
     if vals.size == 0:
-        return 0.0, 0.0
+        return 0.0
     comp = _label_components(label[rows], label[cols], int(label.max()) + 1)
     n_comp = int(comp.max()) + 1
     ri, n_rows = _local_index(comp, rows, n_comp, label.size)
@@ -139,26 +134,18 @@ def direct_sum_norms(m, label: np.ndarray, mask: np.ndarray) -> tuple[float, flo
         block = np.zeros((n_rows[b], n_cols[b]), dtype=complex)
         block[ri[sel], ci[sel]] = vals[sel]
         spec = max(spec, float(np.linalg.svd(block, compute_uv=False)[0]))
-    return spec, float(np.linalg.norm(vals))
+    return spec
 
 
-def projected_norms(space, m, degree: int) -> tuple[float, float]:
-    """(spectral, frobenius) norm of P m P with P the degree-d safe projector.
+def projected_norms(space, m, degree: int) -> float:
+    """Spectral norm of P m P for the sparse m, with P the degree-d safe
+    projector of the space (:meth:`fock.FockSpace.safe_mask`).
 
-    m may be dense or sparse.  The result is exact: the direct-sum norm
-    over the shell-pair component blocks of P m P (:func:`direct_sum_norms`
-    with each state labelled by its shell).
+    The result is exact: the direct-sum norm over the shell-pair component
+    blocks of P m P (:func:`direct_sum_norms` with each state labelled by
+    its shell).
     """
     return direct_sum_norms(m, space.shell, space.safe_mask(degree))
-
-
-def max_norms(norm_pairs) -> tuple[float, float]:
-    """(largest spectral, largest frobenius) over an iterable of
-    projected_norms results; (0, 0) when it is empty."""
-    spec = fro = 0.0
-    for s, f in norm_pairs:
-        spec, fro = max(spec, s), max(fro, f)
-    return spec, fro
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +203,9 @@ def quadratic_residual_matrices(gens: DeformedGenerators, rel: RelationMatrices)
 
 
 def dcr_residuals(gens: DeformedGenerators, rel: RelationMatrices,
-                  tol: float = 1e-10, degree: int = 2) -> list[CaseResult]:
-    """Residual rows for the deformed commutation relations.
+                  tol: float = 1e-10) -> list[CaseResult]:
+    """Residual rows for the deformed commutation relations, identities of
+    creator degree 2.
 
     Three groups: annihilating projector against A (x) A, against
     A+ (x) A+, and the cross relation for each carried candidate.
@@ -230,8 +218,8 @@ def dcr_residuals(gens: DeformedGenerators, rel: RelationMatrices,
     res_ann, res_cre, cross = quadratic_residual_matrices(gens, rel)
 
     def row(name, mats):
-        s, f = max_norms(projected_norms(space, m, degree) for m in mats)
-        return CaseResult(name, s, tol, {"frobenius": f, "safe_degree": degree})
+        return CaseResult(name, max(projected_norms(space, m, 2) for m in mats), tol,
+                          {"safe_degree": 2})
 
     rows = [row("dcr_aa", res_ann), row("dcr_apap", res_cre)]
     rows += [row(f"dcr_cross[{name}]", mats) for name, mats in cross.items()]
@@ -261,8 +249,7 @@ def cross_oracle(rows: list[CaseResult]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def number_op_check(gens: DeformedGenerators, tol: float = 1e-10,
-                    degree: int | None = None) -> list[CaseResult]:
+def number_op_check(gens: DeformedGenerators, tol: float = 1e-10) -> list[CaseResult]:
     """Relations of the deformed number operator N_h = A+_i A^i:
 
         N_h A+_i = A+_i + q^{2s} A+_i N_h
@@ -272,28 +259,21 @@ def number_op_check(gens: DeformedGenerators, tol: float = 1e-10,
     entries (n)_{q^{2s}}.  The spectrum residual is the largest entrywise
     deviation divided by max(1, max |(n)_{q^{2s}}|), held to 1e-12, so that
     it measures rounding relative to the eigenvalues at every cutoff; the metadata
-    keep the raw deviation and the scale.  The safe degree defaults to 2
-    on bosonic spaces and 0 on fermionic ones (which have no truncation
-    defects).
+    keep the raw deviation and the scale.  The two relations are
+    identities of creator degree 2.
     """
     from .fock import Statistics
 
     space = gens.space
-    if degree is None:
-        degree = 0 if space.statistics is Statistics.FERMI else 2
     q2s = gens.params.q_real ** (2 * gens.params.sign)
     nh = gens.number_operator()
-    spec_up, fro_up = max_norms(
-        projected_norms(space, nh @ ap - ap - q2s * (ap @ nh), degree)
-        for ap in gens.aplus_ops)
-    spec_dn, fro_dn = max_norms(
-        projected_norms(space, nh @ a - (1.0 / q2s) * (-a + a @ nh), degree)
-        for a in gens.a_ops)
     out = [
-        CaseResult("qnumber_creator_relation", spec_up, tol,
-                   {"frobenius": fro_up, "safe_degree": degree}),
-        CaseResult("qnumber_annihilator_relation", spec_dn, tol,
-                   {"frobenius": fro_dn, "safe_degree": degree}),
+        CaseResult("qnumber_creator_relation",
+                   max(projected_norms(space, nh @ ap - ap - q2s * (ap @ nh), 2)
+                       for ap in gens.aplus_ops), tol, {"safe_degree": 2}),
+        CaseResult("qnumber_annihilator_relation",
+                   max(projected_norms(space, nh @ a - (1.0 / q2s) * (-a + a @ nh), 2)
+                       for a in gens.a_ops), tol, {"safe_degree": 2}),
     ]
 
     if gens.space.statistics is Statistics.BOSE:
@@ -345,11 +325,8 @@ def metric_invariant_check(gens: DeformedGenerators, c_lower: np.ndarray,
             group.append(projected_norms(space, r, 2))
     names = ["metric_inv_aa_commute", "metric_inv_apap_commute",
              "metric_inv_cross_lower", "metric_inv_cross_upper"]
-    rows = []
-    for name, group in zip(names, norms):
-        s, f = max_norms(group)
-        rows.append(CaseResult(name, s, tol, {"frobenius": f, "safe_degree": 2}))
-    return rows
+    return [CaseResult(name, max(group), tol, {"safe_degree": 2})
+            for name, group in zip(names, norms)]
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +346,7 @@ def invariant_commutant_check(gens: DeformedGenerators, data: LieData,
     invariants = {"qnumber_operator": gens.number_operator()}
     if extra_invariants:
         invariants.update(extra_invariants)
-    rows = []
-    for name, inv in invariants.items():
-        worst, fro = max_norms(projected_norms(space, mat @ inv - inv @ mat, 2)
-                               for mat in smats.values())
-        rows.append(CaseResult(f"commutant[{name}]", worst, tol,
-                               {"frobenius": fro, "safe_degree": 2}))
-    return rows
+    return [CaseResult(f"commutant[{name}]",
+                       max(projected_norms(space, mat @ inv - inv @ mat, 2)
+                           for mat in smats.values()), tol, {"safe_degree": 2})
+            for name, inv in invariants.items()]

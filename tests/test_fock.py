@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -91,6 +89,14 @@ def test_safe_projector_ranks():
     assert np.isclose(np.trace(fock.safe_projector(sp, 1).toarray()).real, 3.0)
     with pytest.raises(ValueError):
         fock.safe_projector(sp, 4)
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3])
+def test_fermionic_spaces_are_all_safe(modes):
+    # a fermionic space is not truncated: every identity holds on all of it
+    sp = fock.build_space(modes, Statistics.FERMI)
+    for degree in (0, 1, 2, sp.cutoff, sp.cutoff + 1, sp.cutoff + 5):
+        assert sp.safe_mask(degree).tolist() == [True] * sp.dim
 
 
 def test_diag_fn():

@@ -96,6 +96,28 @@ def test_ladders_built_once_per_space(suite, monkeypatch):
     assert len(ladders) == sum(2 * sp.modes for sp in spaces)
 
 
+@pytest.mark.parametrize("sizes", ["defaults", "minima"])
+def test_every_safe_subspace_a_check_uses_has_two_states(sizes, monkeypatch):
+    # a check restricted to a single state (the vacuum) cannot tell an
+    # invariant from a non-invariant operator, so its negative result is vacuous
+    kept = []
+    safe_mask = fock.FockSpace.safe_mask
+
+    def recording(space, degree):
+        mask = safe_mask(space, degree)
+        kept.append((space.statistics, space.cutoff, degree, int(mask.sum())))
+        return mask
+
+    monkeypatch.setattr(fock.FockSpace, "safe_mask", recording)
+    for suite in suites.SUITE_IDS:
+        kept.clear()
+        overrides = suites.MINIMA.get(suite, {}) if sizes == "minima" else {}
+        suites.run_suite(suites.make_config(suite, **overrides))
+        assert all(n >= 2 for *_, n in kept), (suite, min(kept, key=lambda k: k[-1]))
+        if suite in ("sl2-bose", "sl2-fermi", "slN", "soN-orbital", "kz-operator"):
+            assert kept, suite
+
+
 def test_failed_unit_becomes_failed_case(monkeypatch):
     cfg = suites.make_config("qspecial")
 
@@ -220,11 +242,14 @@ def test_cli_failure_exit_code(tmp_path, monkeypatch):
     (["suite", "kz-scalar"], {"eps": [1e-6, 1e-7]}),
     (["suite", "kz-scalar", "--n", "0.5"], None),
     (["suite", "kz-scalar", "--hbar2", "0.5"], None),
+    (["suite", "kz-operator", "--eps", "0"], None),
+    (["suite", "kz-operator", "--eps", "0.3"], None),
 ], ids=["unknown-suite", "jobs-flag", "jobs-config-key", "tol-flag", "tol-config-key",
         "kz-operator-cutoff-2", "sign-flag", "slN-cutoff-2", "slN-modes-1",
         "sl2-bose-cutoff-2", "soN-orbital-modes-2", "kz-operator-two-q",
         "kz-scalar-eps-1e-9", "kz-scalar-two-eps", "kz-scalar-two-eps-config-key",
-        "kz-scalar-n-0.5", "kz-scalar-hbar2-0.5"])
+        "kz-scalar-n-0.5", "kz-scalar-hbar2-0.5", "kz-operator-eps-0",
+        "kz-operator-eps-0.3"])
 def test_cli_unknown_suite_usage_error(tmp_path, argv, config):
     if config is not None:
         path = tmp_path / "cfg.json"

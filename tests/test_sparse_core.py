@@ -30,10 +30,8 @@ def random_graded(space, grades, rng, density=0.5):
 
 def dense_oracle(space, m, degree):
     mask = space.safe_mask(degree)
-    sub = np.asarray(m.toarray() if sparse.issparse(m) else m)[np.ix_(mask, mask)]
-    if sub.size == 0:
-        return 0.0, 0.0
-    return np.linalg.norm(sub, 2), np.linalg.norm(sub)
+    sub = m.toarray()[np.ix_(mask, mask)]
+    return np.linalg.norm(sub, 2) if sub.size else 0.0
 
 
 def assert_close(got, want):
@@ -48,24 +46,26 @@ def test_projected_norms_match_dense_oracle(key, grades):
     for degree in (0, 1, 2):
         for _ in range(3):
             m = random_graded(space, grades, rng)
-            spec, fro = verify.projected_norms(space, m, degree)
-            want_spec, want_fro = dense_oracle(space, m, degree)
-            assert_close(spec, want_spec)
-            assert_close(fro, want_fro)
-            # a dense input gives the same numbers
-            assert verify.projected_norms(space, m.toarray(), degree) == (spec, fro)
+            assert_close(verify.projected_norms(space, m, degree),
+                         dense_oracle(space, m, degree))
 
 
 @pytest.mark.parametrize("key", SPACES)
 def test_projected_norms_zero_and_empty(key):
     space = fock.build_space(*SPACES[key])
     d = space.dim
-    assert verify.projected_norms(space, sparse.csr_array((d, d), dtype=complex), 0) == (0.0, 0.0)
-    assert verify.projected_norms(space, np.zeros((d, d)), 1) == (0.0, 0.0)
-    # degree above the cutoff: the safe subspace is empty
+    for degree in (0, 1):
+        assert verify.projected_norms(space, sparse.csr_array((d, d), dtype=complex),
+                                      degree) == 0.0
     m = random_graded(space, (-1, 0, 1), np.random.default_rng(7))
     assert m.nnz > 0
-    assert verify.projected_norms(space, m, space.cutoff + 1) == (0.0, 0.0)
+    above = verify.projected_norms(space, m, space.cutoff + 1)
+    if space.statistics is Statistics.BOSE:
+        # degree above the cutoff: the safe subspace is empty
+        assert above == 0.0
+    else:
+        # a fermionic space is safe at every degree
+        assert above == verify.projected_norms(space, m, 0) > 0.0
 
 
 def test_generators_and_defects_are_sparse():

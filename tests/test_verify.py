@@ -65,7 +65,7 @@ def test_fermi_dcr_exact():
     for q in (0.7, 1.3):
         gens = deform.sl2_fermi_map(sp, DeformParams(q, CLIFFORD))
         rel = braid.build_relations("sl", 2, q, CLIFFORD)
-        oracle = verify.cross_oracle(verify.dcr_residuals(gens, rel, degree=0))
+        oracle = verify.cross_oracle(verify.dcr_residuals(gens, rel))
         assert oracle["winner_residual"] < 1e-13
 
 
@@ -162,6 +162,19 @@ def test_invariant_commutant_with_supplied_quadratics():
                                       "commutant[a.a]", "commutant[a+.a+]"}
     for row in rows:
         assert row.passed
+
+
+def test_fermionic_commutant_check_can_fail():
+    # on the fermionic space the check sees all four states, so the
+    # non-invariant a+_1 a^2 fails it while N_h stays in the commutant
+    sp = fock.build_space(2, Statistics.FERMI)
+    data = liealg.LieData("sl", 2)
+    gens = deform.sl2_fermi_map(sp, DeformParams(1.3, CLIFFORD))
+    rows = {r.name: r for r in verify.invariant_commutant_check(
+        gens, data, tol=1e-12, extra_invariants={"non_invariant": sp.ap[0] @ sp.an[1]})}
+    assert rows["commutant[qnumber_operator]"].passed
+    assert not rows["commutant[non_invariant]"].passed
+    assert rows["commutant[non_invariant]"].residual > 0.5
 
 
 def test_qnumber_sign_tied_to_statistics():
