@@ -16,11 +16,11 @@ grade g of an operator X (meaning [n_tot, X] = g X) is not stored;
 Truncation contract: on a bosonic space an operator identity of
 creator-degree d is exact only on the subspace with total occupation
 <= cutoff - d; a fermionic space is not truncated, so every identity is
-exact on all of it (:meth:`FockSpace.safe_mask`).  The projector onto
-that subspace is :func:`safe_projector`; the verification modules
-measure every residual restricted to it (``verify.projected_norms``),
-and each check states only the creator degree of its identity.  Defects
-of the truncation are confined to the discarded top bosonic shells.
+exact on all of it.  :meth:`FockSpace.safe_mask` marks the states of
+that subspace; the verification modules measure every residual
+restricted to it (``verify.projected_norms``), and each check states
+only the creator degree of its identity.  Defects of the truncation are
+confined to the discarded top bosonic shells.
 """
 
 from __future__ import annotations
@@ -168,17 +168,6 @@ def number_op(space: FockSpace, i: int) -> sparse.csr_array:
 def total_number(space: FockSpace) -> sparse.csr_array:
     """Diagonal operator n = sum_i n_i."""
     return _diag(space.shell)
-
-
-def safe_projector(space: FockSpace, degree: int) -> sparse.csr_array:
-    """Orthogonal projector onto total occupation <= cutoff - degree.
-
-    Identities of creator-degree `degree` are asserted only after
-    conjugation by this projector.
-    """
-    if degree < 0 or degree > space.cutoff:
-        raise ValueError(f"degree {degree} outside 0..{space.cutoff}")
-    return _diag(space.safe_mask(degree))
 
 
 def diag_fn(space: FockSpace, f: Callable[[tuple[int, ...]], complex]) -> sparse.csr_array:

@@ -558,10 +558,9 @@ def acts_trivially_residual(system: KZOperatorSystem, m: np.ndarray) -> float:
 
 def invariance_residual(system: KZOperatorSystem, m: np.ndarray, data) -> float:
     """|| [M, image of the two-fold coproduct of X] || over Lie basis X,
-    with the Fock factor safe-projected at creator degree 2.  The image of
-    X moves each weight by the weight of X, so the commutator is a direct
-    sum over the weight blocks it maps between and its norm the largest of
-    theirs."""
+    with the Fock factor safe-projected at creator degree 2.  Each norm is
+    exact (:func:`verify.direct_sum_norms` splits the commutator along its
+    own sparsity graph; no weight labels are passed)."""
     n, d = system.n, system.space.dim
     eye_pairs, eye_d = sparse.eye_array(n * n), sparse.eye_array(d)
     big_m = system.blocks.to_sparse(m)
@@ -570,7 +569,7 @@ def invariance_residual(system: KZOperatorSystem, m: np.ndarray, data) -> float:
     for lbl, s in sigma_basis(system.space, data).items():
         delta2 = sparse.kron(coproduct_rep(data, lbl), eye_d) + sparse.kron(eye_pairs, s)
         comm = big_m @ delta2 - delta2 @ big_m
-        worst = max(worst, direct_sum_norms(comm, system.blocks.block_of, safe))
+        worst = max(worst, direct_sum_norms(comm, safe))
     return worst
 
 

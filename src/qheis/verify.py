@@ -6,16 +6,17 @@ conjugation by the safe projector of the identity's creator degree.
 Defects are sparse CSR arrays, built without any dense D x D
 intermediate.
 
-How the norms are computed (:func:`projected_norms`): the stored nonzero
-entries of the defect that lie inside the safe subspace are grouped by
-the (row shell, column shell) pair they sit in, and pairs that share a
-row shell or a column shell are joined into one component.  Different
-components occupy disjoint rows and disjoint columns, so the defect is
-their orthogonal direct sum: its spectral norm is the largest spectral
-norm among the component blocks (each a small dense SVD), exactly, for
-any mix of grades.  The same rule, with other labels than shells, is
-:func:`direct_sum_norms` (``kz`` labels the basis of C^N x C^N x Fock by
-sl(N) weight).
+How the norms are computed (:func:`direct_sum_norms`): the stored
+nonzero entries of the defect that lie inside the safe subspace are the
+edges of a bipartite graph that joins the row and the column of each
+entry.  Its connected components occupy disjoint rows and disjoint
+columns, so the defect is their orthogonal direct sum, and its spectral
+norm is the largest spectral norm among the component blocks, exactly,
+for any matrix and with no labels supplied by the caller.  An entry
+alone in its row and its column is a 1 x 1 block and reads its modulus;
+every other component is a small dense SVD.  The paper's generators are
+diagonal dressings times ladder operators, so the defects of the sl(N)
+relations are partial permutations times a diagonal and need no SVD.
 
 Index conventions for the quadratic relations, with Pi the annihilating
 projector and Pt a cross candidate:
@@ -39,6 +40,7 @@ from scipy import sparse
 from . import __version__
 from .braid import RelationMatrices
 from .deform import DeformedGenerators
+from .fock import Statistics
 from .liealg import LieData, sigma_basis
 from .qspecial import WEYL, qnum
 
@@ -76,76 +78,61 @@ class Report:
         return all(c.passed for c in self.cases)
 
 
-def _label_components(row_label: np.ndarray, col_label: np.ndarray, k: int) -> np.ndarray:
-    """Component of each entry, numbered 0, 1, ...: row labels and column
-    labels (k of each) are joined by every (row label, column label) pair
-    that occurs among the entries."""
-    root = list(range(2 * k))
-
-    def find(x):
-        while root[x] != x:
-            x = root[x]
-        return x
-
-    occurs = np.zeros(k * k, dtype=bool)
-    occurs[row_label * k + col_label] = True
-    for pair in np.flatnonzero(occurs).tolist():
-        root[find(pair // k)] = find(k + pair % k)
-    root_of_entry = np.array([find(r) for r in range(k)])[row_label]
-    used = np.zeros(2 * k, dtype=bool)
-    used[root_of_entry] = True
-    return (np.cumsum(used) - 1)[root_of_entry]
-
-
-def _local_index(comp: np.ndarray, idx: np.ndarray, n_comp: int, dim: int):
-    """Position of each entry's index among the distinct indices of its
-    component, and the number of distinct indices of each component."""
-    key = comp * dim + idx
-    occurs = np.zeros(n_comp * dim, dtype=bool)
-    occurs[key] = True
-    counts = occurs.reshape(n_comp, dim).sum(axis=1)
-    start = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    return np.cumsum(occurs)[key] - 1 - start[comp], counts
+def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Connected component of each entry (rows[k], cols[k]) in the
+    bipartite graph that joins row r to column c for every entry, as the
+    smallest node of the component (rows are nodes 0..n-1, columns
+    n..2n-1).  Min-label propagation with pointer jumping: each sweep
+    gives both ends of every entry the smaller of their labels, then
+    replaces each label by the label of the node it names."""
+    u, v = rows, cols + n
+    label = np.arange(2 * n)
+    while True:
+        low = np.minimum(label[u], label[v])
+        new = label.copy()
+        np.minimum.at(new, u, low)
+        np.minimum.at(new, v, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label[u]
+        label = new
 
 
-def direct_sum_norms(m, label: np.ndarray, mask: np.ndarray) -> float:
-    """Spectral norm of the sparse matrix m restricted to the rows and
-    columns in mask, for a matrix whose rows and columns carry the integer
-    labels label (one per index, the same for rows and columns).
+def direct_sum_norms(m, mask: np.ndarray) -> float:
+    """Spectral norm of the sparse square matrix m restricted to the rows
+    and columns in mask.
 
-    The result is exact: entries are grouped into components by their
-    (row label, column label) pairs as described in the module docstring,
-    and the norm is the largest over the component blocks.
+    The result is exact for any matrix: the entries are split into the
+    components of their sparsity graph as described in the module
+    docstring, and the norm is the largest over the component blocks.
     """
     m = sparse.csr_array(m)
     m.sum_duplicates()
     rows, cols, vals = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices, m.data
     keep = mask[rows] & mask[cols] & (vals != 0)
     rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    alone = (np.bincount(rows)[rows] == 1) & (np.bincount(cols)[cols] == 1)
+    spec = float(np.abs(vals[alone]).max(initial=0.0))
+    rows, cols, vals = rows[~alone], cols[~alone], vals[~alone]
     if vals.size == 0:
-        return 0.0
-    comp = _label_components(label[rows], label[cols], int(label.max()) + 1)
-    n_comp = int(comp.max()) + 1
-    ri, n_rows = _local_index(comp, rows, n_comp, label.size)
-    ci, n_cols = _local_index(comp, cols, n_comp, label.size)
-    spec = 0.0
-    for b in range(n_comp):
-        sel = comp == b
-        block = np.zeros((n_rows[b], n_cols[b]), dtype=complex)
-        block[ri[sel], ci[sel]] = vals[sel]
+        return spec
+    comp = _components(rows, cols, m.shape[0])
+    order = np.argsort(comp, kind="stable")
+    cuts = np.flatnonzero(np.diff(comp[order])) + 1
+    for r, c, v in zip(*(np.split(x[order], cuts) for x in (rows, cols, vals))):
+        r_at, ri = np.unique(r, return_inverse=True)
+        c_at, ci = np.unique(c, return_inverse=True)
+        block = np.zeros((r_at.size, c_at.size), dtype=complex)
+        block[ri, ci] = v
         spec = max(spec, float(np.linalg.svd(block, compute_uv=False)[0]))
     return spec
 
 
 def projected_norms(space, m, degree: int) -> float:
-    """Spectral norm of P m P for the sparse m, with P the degree-d safe
-    projector of the space (:meth:`fock.FockSpace.safe_mask`).
-
-    The result is exact: the direct-sum norm over the shell-pair component
-    blocks of P m P (:func:`direct_sum_norms` with each state labelled by
-    its shell).
-    """
-    return direct_sum_norms(m, space.shell, space.safe_mask(degree))
+    """Spectral norm of P m P for the sparse m, with P the projector onto
+    the states of :meth:`fock.FockSpace.safe_mask` at creator degree
+    `degree` (exact, by :func:`direct_sum_norms`)."""
+    return direct_sum_norms(m, space.safe_mask(degree))
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +249,6 @@ def number_op_check(gens: DeformedGenerators, tol: float = 1e-10) -> list[CaseRe
     keep the raw deviation and the scale.  The two relations are
     identities of creator degree 2.
     """
-    from .fock import Statistics
-
     space = gens.space
     q2s = gens.params.q_real ** (2 * gens.params.sign)
     nh = gens.number_operator()

@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PROBE = """
 import json, os, sys
 HEAVY = ("qheis.kz", "scipy.integrate", "scipy.optimize", "scipy.linalg",
-         "scipy.special")
+         "scipy.special", "scipy.sparse.csgraph", "scipy.sparse.linalg")
 
 def loaded():
     return [m for m in HEAVY if m in sys.modules]

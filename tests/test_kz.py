@@ -252,6 +252,28 @@ def test_coassociator_matches_dense_oracle(modes, cutoff):
     assert np.all(m[off_weight] == 0)
 
 
+def test_invariance_residual_matches_dense_oracle():
+    # a random weight-preserving M commutes with no coproduct image, so
+    # the norm compared is O(1), not rounding
+    space = fock.build_space(2, Statistics.BOSE, 3)
+    system = kz.build_operator_system(space)
+    data = liealg.LieData("sl", 2)
+    rng = np.random.default_rng(11)
+    size = system.blocks.rows.size
+    m = rng.normal(size=size) + 1j * rng.normal(size=size)
+    big_m = system.blocks.to_sparse(m).toarray()
+    safe = np.tile(space.safe_mask(2), 4)
+    want = 0.0
+    for lbl, s in liealg.sigma_basis(space, data).items():
+        delta2 = (np.kron(liealg.coproduct_rep(data, lbl), np.eye(space.dim))
+                  + np.kron(np.eye(4), s.toarray()))
+        comm = (big_m @ delta2 - delta2 @ big_m)[np.ix_(safe, safe)]
+        want = max(want, np.linalg.norm(comm, 2))
+    assert want > 0.1
+    got = kz.invariance_residual(system, m, data)
+    assert abs(got - want) <= 1e-12 * want, (got, want)
+
+
 def test_coassociator_ode_state_is_the_weight_blocks(op_system, monkeypatch):
     # N=2, cutoff 5: 33 weight blocks of sizes 1-4 hold 266 entries; the
     # occupation-shell blocks would hold 1456 and the full 84 x 84

@@ -131,12 +131,12 @@ def test_t_matrix_properties():
 def test_classical_action():
     sp = fock.build_space(2, Statistics.BOSE, 5)
     data = liealg.LieData("sl", 2)
-    safe = fock.safe_projector(sp, 2).toarray()
+    safe = np.ix_(sp.safe_mask(2), sp.safe_mask(2))
 
     ap2 = fock.creator(sp, 2)
     acted = liealg.classical_action(sp, data, (1, 2), ap2).toarray()
     ap1 = fock.creator(sp, 1).toarray()
-    assert np.linalg.norm(safe @ (acted - ap1) @ safe) < 1e-13
+    assert np.linalg.norm((acted - ap1)[safe]) < 1e-13
 
     ident = sparse.eye_array(sp.dim, dtype=complex, format="csr")
     assert fro(liealg.classical_action(sp, data, (1, 2), ident).toarray()) < 1e-14
@@ -151,7 +151,7 @@ def test_covariance_of_creators():
     for family, n in (("sl", 3), ("so", 3)):
         data = liealg.LieData(family, n)
         sp = fock.build_space(n, Statistics.BOSE, 4)
-        safe = fock.safe_projector(sp, 2).toarray()
+        safe = np.ix_(sp.safe_mask(2), sp.safe_mask(2))
         ap = [fock.creator(sp, i).toarray() for i in range(1, n + 1)]
         for lbl in data.basis_labels:
             s = liealg.sigma(sp, data, lbl).toarray()
@@ -159,7 +159,7 @@ def test_covariance_of_creators():
             for i in range(n):
                 lhs = s @ ap[i] - ap[i] @ s
                 rhs = sum(r[j, i] * ap[j] for j in range(n))
-                assert np.linalg.norm(safe @ (lhs - rhs) @ safe, 2) < 1e-12
+                assert np.linalg.norm((lhs - rhs)[safe], 2) < 1e-12
 
 
 def test_label_validation():

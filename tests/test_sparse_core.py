@@ -1,4 +1,4 @@
-"""The sparse operator core: exact shell-block norms and sparsity guards."""
+"""The sparse operator core: exact direct-sum norms and sparsity guards."""
 
 import numpy as np
 import pytest
@@ -17,15 +17,34 @@ SPACES = {
 GRADES = [(-2,), (-1,), (0,), (1,), (2,), (-1, 0, 2), (-2, 1), (-2, -1, 0, 1, 2)]
 
 
+def random_on(keep, rng):
+    """Random complex sparse matrix with its entries where keep is True."""
+    rows, cols = np.nonzero(keep)
+    vals = rng.normal(size=rows.size) + 1j * rng.normal(size=rows.size)
+    return sparse.csr_array((vals, (rows, cols)), shape=keep.shape)
+
+
 def random_graded(space, grades, rng, density=0.5):
     """Random complex sparse matrix whose entries map shell k to k + g for
     g in grades."""
     shell = space.shell
     allowed = np.isin(shell[:, None] - shell[None, :], grades)
-    keep = allowed & (rng.random(allowed.shape) < density)
-    rows, cols = np.nonzero(keep)
-    vals = rng.normal(size=rows.size) + 1j * rng.normal(size=rows.size)
-    return sparse.csr_array((vals, (rows, cols)), shape=allowed.shape)
+    return random_on(allowed & (rng.random(allowed.shape) < density), rng)
+
+
+def random_pattern(space, rng, per_row):
+    """Random complex sparse matrix with about per_row entries in each row,
+    placed with no regard to shells."""
+    return random_on(rng.random((space.dim, space.dim)) < per_row / space.dim, rng)
+
+
+def safe_chain(space, degree, rng):
+    """Bidiagonal matrix that joins each safe state to the next one, so
+    that its entries form one component over the whole safe subspace."""
+    idx = np.flatnonzero(space.safe_mask(degree))
+    keep = np.zeros((space.dim, space.dim), dtype=bool)
+    keep[idx, idx] = keep[idx[:-1], idx[1:]] = True
+    return random_on(keep, rng)
 
 
 def dense_oracle(space, m, degree):
@@ -44,8 +63,10 @@ def test_projected_norms_match_dense_oracle(key, grades):
     space = fock.build_space(*SPACES[key])
     rng = np.random.default_rng([ord(ch) for ch in f"{key}{grades}"])
     for degree in (0, 1, 2):
-        for _ in range(3):
-            m = random_graded(space, grades, rng)
+        inputs = [random_graded(space, grades, rng) for _ in range(3)]
+        inputs += [random_pattern(space, rng, per_row) for per_row in (1, 3)]
+        inputs.append(safe_chain(space, degree, rng))
+        for m in inputs:
             assert_close(verify.projected_norms(space, m, degree),
                          dense_oracle(space, m, degree))
 
@@ -83,8 +104,19 @@ def test_generators_and_defects_are_sparse():
         assert all(sparse.issparse(m) for m in defects)
 
 
-def test_sln_at_n4_cutoff8():
-    # D = 495: out of reach for the dense engine, two cases both passing
+def test_sln_at_n4_cutoff8(monkeypatch):
+    # D = 495: out of reach for the dense engine, two cases both passing.
+    # Each defect there is a partial permutation times a diagonal, so every
+    # component of its sparsity graph is one entry and no norm needs an SVD.
+    svd_calls = []
+    real_svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        svd_calls.append(1)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
     report = suites.run_suite(suites.make_config("slN", modes=4, cutoff=8))
     assert len(report.cases) == 2
     assert report.all_passed, [(c.name, c.residual) for c in report.cases]
+    assert not svd_calls
