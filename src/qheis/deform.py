@@ -34,13 +34,12 @@ from .qspecial import CLIFFORD, DeformParams, qnum, y_sln
 
 @dataclass
 class DeformedGenerators:
-    """A set of N deformed annihilators/creators plus its provenance."""
+    """A set of N deformed annihilators/creators on a Fock space."""
 
     space: FockSpace
     params: DeformParams
     a_ops: list[sparse.csr_array]       # grade -1
     aplus_ops: list[sparse.csr_array]   # grade +1
-    dressing: str
 
     @property
     def n(self) -> int:
@@ -90,8 +89,7 @@ def sln_candidate_map(
         d = diag_fn(space, dress)
         aplus_ops.append(d @ space.ap[i - 1])
         a_ops.append(space.an[i - 1] @ d)
-    return DeformedGenerators(space, params, a_ops, aplus_ops,
-                              dressing=f"sqrt-ratio, tail={ordering}")
+    return DeformedGenerators(space, params, a_ops, aplus_ops)
 
 
 def sl2_bose_map(space: FockSpace, params: DeformParams) -> DeformedGenerators:
@@ -100,9 +98,7 @@ def sl2_bose_map(space: FockSpace, params: DeformParams) -> DeformedGenerators:
         raise ValueError("sl2_bose_map needs a 2-mode bosonic space")
     if space.cutoff < 3:
         raise ValueError("cutoff >= 3 required for meaningful degree-2 checks")
-    gens = sln_candidate_map(space, params, ordering="above")
-    gens.dressing = "sl(2) symmetric sqrt(y) dressing"
-    return gens
+    return sln_candidate_map(space, params, ordering="above")
 
 
 def sl2_fermi_map(space: FockSpace, params: DeformParams) -> DeformedGenerators:
@@ -115,8 +111,7 @@ def sl2_fermi_map(space: FockSpace, params: DeformParams) -> DeformedGenerators:
     d1 = diag_fn(space, lambda t: q ** (-t[1]))
     a_ops = [space.an[0] @ d1, space.an[1]]
     aplus_ops = [d1 @ space.ap[0], space.ap[1]]
-    return DeformedGenerators(space, params, a_ops, aplus_ops,
-                              dressing="sl(2) fermionic exponential dressing")
+    return DeformedGenerators(space, params, a_ops, aplus_ops)
 
 
 def sl2_bose_onesided_map(space: FockSpace, params: DeformParams) -> DeformedGenerators:
@@ -140,8 +135,7 @@ def sl2_bose_onesided_map(space: FockSpace, params: DeformParams) -> DeformedGen
     d2 = diag_fn(space, lambda t: ratio(t[1]))
     aplus_ops = [d_up @ space.ap[0], space.ap[1]]
     a_ops = [space.an[0] @ d1, space.an[1] @ d2]
-    return DeformedGenerators(space, params, a_ops, aplus_ops,
-                              dressing="sl(2) one-sided dressing (u = y, v = 1)")
+    return DeformedGenerators(space, params, a_ops, aplus_ops)
 
 
 def sl2_alpha_intertwiner(space: FockSpace, params: DeformParams) -> sparse.csr_array:
@@ -173,8 +167,7 @@ def inner_automorphism(gens: DeformedGenerators,
     inv = sparse.diags_array(1.0 / d, format="csr")
     out = DeformedGenerators(gens.space, gens.params,
                              [alpha @ a @ inv for a in gens.a_ops],
-                             [alpha @ ap @ inv for ap in gens.aplus_ops],
-                             dressing=gens.dressing + " (conjugated)")
+                             [alpha @ ap @ inv for ap in gens.aplus_ops])
     return out, cond
 
 
@@ -189,5 +182,4 @@ def hermiticity_residual(gens: DeformedGenerators) -> float:
 
 def classical_generators(space: FockSpace, params: DeformParams) -> DeformedGenerators:
     """The undeformed generators packaged as a (trivially) deformed set."""
-    return DeformedGenerators(space, params, list(space.an), list(space.ap),
-                              dressing="classical")
+    return DeformedGenerators(space, params, list(space.an), list(space.ap))

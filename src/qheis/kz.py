@@ -81,7 +81,7 @@ from scipy.linalg import expm  # noqa: F401  (the benchmark tracer wraps kz.expm
 from .fock import FockSpace, Statistics
 from .liealg import coproduct_rep, permutation_matrix, sigma_basis
 from .qspecial import DeformParams, gamma, gauss_2f1, gauss_2f1_deriv, qnum, rgamma
-from .verify import CaseResult, direct_sum_norms, projected_norms
+from .verify import CaseResult, direct_sum_norms, projected_norms, quadratic_residual_matrices
 
 
 class IntegrationError(RuntimeError):
@@ -145,12 +145,11 @@ def _logit(x: float) -> float:
 
 
 def _logistic_leg(rhs: Callable[[float, np.ndarray], np.ndarray], y_start: np.ndarray,
-                  x_lo: float, x_hi: float, dense_output: bool = False,
-                  rtol: float = 1e-12, atol: float = 1e-14):
+                  x_lo: float, x_hi: float, dense_output: bool = False):
     """Integrate dy/dx = rhs(x, y) from x_hi down to x_lo in one DOP853
-    solve in t = log(x/(1-x)), whose rhs x(1-x) rhs(x, y) is regular at
-    both endpoints when rhs has simple poles there.  Returns scipy's
-    solution object; its times are t values."""
+    solve (rtol 1e-12, atol 1e-14) in t = log(x/(1-x)), whose rhs
+    x(1-x) rhs(x, y) is regular at both endpoints when rhs has simple
+    poles there.  Returns scipy's solution object; its times are t values."""
     if not 0 < x_lo < x_hi < 1:
         raise ValueError("need 0 < x_lo < x_hi < 1")
 
@@ -159,7 +158,7 @@ def _logistic_leg(rhs: Callable[[float, np.ndarray], np.ndarray], y_start: np.nd
         return x * (1.0 - x) * rhs(x, y)
 
     sol = solve_ivp(rhs_t, (_logit(x_hi), _logit(x_lo)), y_start, method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=dense_output)
+                    rtol=1e-12, atol=1e-14, dense_output=dense_output)
     if not sol.success:
         raise IntegrationError(f"integration failed: {sol.message}")
     return sol
@@ -344,26 +343,22 @@ def limits_closed_route(params: KZScalarParams) -> tuple[complex, complex, compl
     return l1, l2, l3
 
 
-def extract_limits(params: KZScalarParams, traj=None,
-                   eps_list=(1e-4, 1e-5, 1e-6)) -> dict:
+def extract_limits(params: KZScalarParams, traj) -> dict:
     """The three limits by both routes, plus the reference expressions.
 
     closed route: analytic x -> 0 limit of the closed forms through the
     connection formula (limits_closed_route).  trajectory route: rescaled
-    combinations evaluated on the integrated trajectory at the eps_list
-    ladder and extrapolated (iterated Aitken, which handles the unknown
-    complex correction exponents).
+    combinations evaluated on the integrated trajectory traj at
+    x = 1e-4, 1e-5, 1e-6 and extrapolated (iterated Aitken, which handles
+    the unknown complex correction exponents).
     """
-    n, eta, s = params.n, params.hbar2, params.sign
-    kappa = s * eta * (n - 1.0)
-    out = {
+    kappa = params.sign * params.hbar2 * (params.n - 1.0)
+    traj_seq = [combinations(params, traj(x)) * x**(-kappa) for x in (1e-4, 1e-5, 1e-6)]
+    return {
         "closed": limits_closed_route(params),
         "reference": limits_reference(params),
+        "trajectory": tuple(_aitken([v[k] for v in traj_seq]) for k in range(3)),
     }
-    if traj is not None:
-        traj_seq = [combinations(params, traj(x)) * x**(-kappa) for x in eps_list]
-        out["trajectory"] = tuple(_aitken([v[k] for v in traj_seq]) for k in range(3))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +482,7 @@ def build_operator_system(space: FockSpace) -> KZOperatorSystem:
     return KZOperatorSystem(space, n, blocks, p, a, a_eig)
 
 
-def coassociator_matrix(system: KZOperatorSystem, hbar2: complex, eps: float,
-                        rtol: float = 1e-12, atol: float = 1e-14) -> np.ndarray:
+def coassociator_matrix(system: KZOperatorSystem, hbar2: complex, eps: float) -> np.ndarray:
     """M at regularization eps, as its flat weight blocks: x0 = y0 = eps,
     power-law prefactors exactly as in the path-ordered integral, interior
     by the linear operator ODE.
@@ -519,7 +513,7 @@ def coassociator_matrix(system: KZOperatorSystem, hbar2: complex, eps: float,
         out *= hbar2
         return out
 
-    y_end = _logistic_leg(rhs, system.exp_a(c), eps, 1.0 - eps, rtol=rtol, atol=atol).y[:, -1]
+    y_end = _logistic_leg(rhs, system.exp_a(c), eps, 1.0 - eps).y[:, -1]
     return blocks.matmul(system.exp_p(-c), y_end)
 
 
@@ -537,23 +531,13 @@ def coassociator_with_error(system: KZOperatorSystem, hbar2: complex,
     return 2.0 * m2 - m1, system.blocks.norm(m1 - m2)
 
 
-def _fock_blocks(big, d: int) -> list:
-    """The D x D blocks of a sparse operator between sums of Fock spaces,
-    row-major over the block grid."""
-    big = sparse.csr_array(big)
-    rows, cols = big.shape
-    return [big[r:r + d, c:c + d] for r in range(0, rows, d) for c in range(0, cols, d)]
-
-
 def acts_trivially_residual(system: KZOperatorSystem, m: np.ndarray) -> float:
     """|| M . (aa) - aa || over the N^2 components, safe-projected at
     creator degree 2: aa is the column of the Fock operators a^i a^j,
     block (i, j) at pair i N + j."""
     n, an = system.n, system.space.an
     aa = sparse.vstack([an[i] @ an[j] for i in range(n) for j in range(n)])
-    defect = system.blocks.to_sparse(m) @ aa - aa
-    return max(projected_norms(system.space, r, 2)
-               for r in _fock_blocks(defect, system.space.dim))
+    return projected_norms(system.space, system.blocks.to_sparse(m) @ aa - aa, 2)
 
 
 def invariance_residual(system: KZOperatorSystem, m: np.ndarray, data) -> float:
@@ -615,13 +599,14 @@ def coassociator_relation_check(system: KZOperatorSystem, params: DeformParams,
       (3) a~^i a~+_j  = delta^i_j + s a~+_l (M^-1 V M)^{il}_{jm} a~^m
 
     cond(M), M^-1 and the conjugated U = P and V are taken block by block
-    over the weights; the contractions with the Fock operators are sparse
-    products of the full-space U, V with columns and rows of operators.
+    over the weights; the contraction with the Fock operators is
+    :func:`verify.quadratic_residual_matrices`, with the relation operator
+    1 - s M^-1 P M for (1) and (2) and the cross candidate M^-1 V M.
     """
     space = system.space
     n, d = system.n, space.dim
     blocks = system.blocks
-    s = float(params.sign)
+    s = params.sign
     sv = blocks.singular_values(m)
     cond = float(sv.max() / sv.min())
     if cond > 1e8:
@@ -632,19 +617,8 @@ def coassociator_relation_check(system: KZOperatorSystem, params: DeformParams,
     mu = blocks.to_sparse(blocks.matmul(minv, blocks.matmul(system.p, m)))
     mv = blocks.to_sparse(blocks.matmul(minv, blocks.matmul(v, m)))
     a_t, ap_t = dressed_generators(system, params, dressing)
-
-    # (1) is (1 - s U) aa = 0 for the column aa of blocks a~^j a~^i, (2) is
-    # apap (1 - s U) = 0 for the row apap of blocks a~+_i a~+_j, block
-    # (i, j) at pair i N + j; (3) sums over l, m inside each (i, j) block
-    pairs = [divmod(k, n) for k in range(n * n)]
-    aa = sparse.vstack([a_t[j] @ a_t[i] for i, j in pairs])
-    apap = sparse.hstack([ap_t[i] @ ap_t[j] for i, j in pairs])
-    a_col, ap_row, eye_n = sparse.vstack(a_t), sparse.hstack(ap_t), sparse.eye_array(n)
-    defects = (aa - s * (mu @ aa),
-               apap - s * (apap @ mu),
-               a_col @ ap_row - sparse.eye_array(n * d)
-               - s * (sparse.kron(eye_n, ap_row) @ mv @ sparse.kron(eye_n, a_col)))
-    return [CaseResult(name, max(projected_norms(space, r, 2) for r in _fock_blocks(big, d)),
-                       tol, {"cond_M": cond})
-            for name, big in zip(("coassoc_relation_aa", "coassoc_relation_apap",
-                                  "coassoc_relation_cross"), defects)]
+    rel = sparse.eye_array(n * n * d) - s * mu
+    aa, apap, cross = quadratic_residual_matrices(a_t, ap_t, rel, rel, {"cross": mv}, s)
+    names = ("coassoc_relation_aa", "coassoc_relation_apap", "coassoc_relation_cross")
+    return [CaseResult(name, projected_norms(space, defect, 2), tol, {"cond_M": cond})
+            for name, defect in zip(names, (aa, apap, cross["cross"]))]

@@ -1,10 +1,10 @@
 """The residual engine: every algebraic identity becomes a number.
 
 Each check returns CaseResult rows (name, residual, tolerance, pass,
-metadata).  Residuals are spectral norms of the identity's defect after
-conjugation by the safe projector of the identity's creator degree.
-Defects are sparse CSR arrays, built without any dense D x D
-intermediate.
+metadata).  Residuals are spectral norms of the identity's defect
+restricted to the safe states (:meth:`fock.FockSpace.safe_mask`) of the
+identity's creator degree.  Defects are sparse CSR arrays, built without
+any dense D x D intermediate.
 
 How the norms are computed (:func:`direct_sum_norms`): the stored
 nonzero entries of the defect that lie inside the safe subspace are the
@@ -17,17 +17,27 @@ alone in its row and its column is a 1 x 1 block and reads its modulus;
 every other component is a small dense SVD.  The paper's generators are
 diagonal dressings times ladder operators, so the defects of the sl(N)
 relations are partial permutations times a diagonal and need no SVD.
+A stack of D x D defects is measured as the direct sum of its blocks
+(:func:`projected_norms`), so its residual is the largest block norm.
 
-Index conventions for the quadratic relations, with Pi the annihilating
-projector and Pt a cross candidate:
+The quadratic exchange relations (:func:`quadratic_residual_matrices`).
+Pairs of mode indices (i, j) are numbered i N + j, and a relation
+operator is an N^2 D x N^2 D sparse matrix whose D x D block (ij, kl) is
+its entry R^{ij}_{kl}, a Fock operator; a numeric N^2 x N^2 matrix R
+enters as kron(R, 1_D).  For relation operators Ra (annihilators), Rc
+(creators) and a cross candidate X, the three defects are
 
-  annihilators:   sum_{kl} Pi^{ij}_{kl} A^l A^k        = 0
-  creators:       sum_{kl} Pi^{kl}_{ij} A+_k A+_l      = 0
-  cross:          A^i A+_j - delta^i_j -+ sum_{hk} Pt^{ih}_{jk} A+_h A^k = 0
+  annihilators:   sum_{kl} Ra^{ij}_{kl} A^l A^k
+  creators:       sum_{kl} A+_k A+_l Rc^{kl}_{ij}
+  cross:          A^i A+_j - delta^i_j - s sum_{hk} A+_h X^{ih}_{jk} A^k
 
-(the flip in the annihilator contraction mirrors the transposed index
-pattern of the exchange relations; both patterns are fixed once by the
-explicit sl(2) maps and then apply uniformly).
+with s = +1 (Weyl) or -1 (Clifford).  The deforming maps use the numeric
+Ra = Rc = Pi, the annihilating projector, and X = Pt, a cross candidate
+(:func:`dcr_residuals`); the coassociator uses Ra = Rc = 1 - s M^-1 P M
+and X = M^-1 V M (``kz.coassociator_relation_check``).  The flip in the
+annihilator contraction mirrors the transposed index pattern of the
+exchange relations; both patterns are fixed once by the explicit sl(2)
+maps and then apply uniformly.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ from .braid import RelationMatrices
 from .deform import DeformedGenerators
 from .fock import Statistics
 from .liealg import LieData, sigma_basis
-from .qspecial import WEYL, qnum
+from .qspecial import qnum
 
 
 @dataclass(frozen=True)
@@ -98,17 +108,18 @@ def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
         label = new
 
 
-def direct_sum_norms(m, mask: np.ndarray) -> float:
-    """Spectral norm of the sparse square matrix m restricted to the rows
-    and columns in mask.
-
-    The result is exact for any matrix: the entries are split into the
-    components of their sparsity graph as described in the module
-    docstring, and the norm is the largest over the component blocks.
-    """
+def _entries(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and value of each stored entry of the sparse m, with
+    duplicates summed."""
     m = sparse.csr_array(m)
     m.sum_duplicates()
-    rows, cols, vals = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices, m.data
+    return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices, m.data
+
+
+def _norm_of_entries(rows, cols, vals, mask: np.ndarray) -> float:
+    """Spectral norm of the matrix with entries vals at (rows, cols),
+    restricted to the rows and columns in mask, exact by the components of
+    its sparsity graph (module docstring)."""
     keep = mask[rows] & mask[cols] & (vals != 0)
     rows, cols, vals = rows[keep], cols[keep], vals[keep]
     alone = (np.bincount(rows)[rows] == 1) & (np.bincount(cols)[cols] == 1)
@@ -116,7 +127,7 @@ def direct_sum_norms(m, mask: np.ndarray) -> float:
     rows, cols, vals = rows[~alone], cols[~alone], vals[~alone]
     if vals.size == 0:
         return spec
-    comp = _components(rows, cols, m.shape[0])
+    comp = _components(rows, cols, mask.size)
     order = np.argsort(comp, kind="stable")
     cuts = np.flatnonzero(np.diff(comp[order])) + 1
     for r, c, v in zip(*(np.split(x[order], cuts) for x in (rows, cols, vals))):
@@ -128,11 +139,31 @@ def direct_sum_norms(m, mask: np.ndarray) -> float:
     return spec
 
 
+def direct_sum_norms(m, mask: np.ndarray) -> float:
+    """Spectral norm of the sparse square matrix m restricted to the rows
+    and columns in mask (exact for any matrix)."""
+    return _norm_of_entries(*_entries(m), mask)
+
+
 def projected_norms(space, m, degree: int) -> float:
-    """Spectral norm of P m P for the sparse m, with P the projector onto
-    the states of :meth:`fock.FockSpace.safe_mask` at creator degree
-    `degree` (exact, by :func:`direct_sum_norms`)."""
-    return direct_sum_norms(m, space.safe_mask(degree))
+    """The largest spectral norm of P b P over the D x D blocks b of the
+    sparse m, with P the projector onto the states of
+    :meth:`fock.FockSpace.safe_mask` at creator degree `degree`.
+
+    m may be one Fock operator or any grid of them (each side a multiple
+    of D).  Block (r, c) of an R x C grid is moved onto the diagonal at
+    offset (r C + c) D, and the mask is tiled, so the whole grid is one
+    direct sum with the same graph components as its blocks."""
+    d = space.dim
+    (n_r, rest_r), (n_c, rest_c) = divmod(m.shape[0], d), divmod(m.shape[1], d)
+    if rest_r or rest_c:
+        raise ValueError(f"shape {m.shape} is not a grid of {d} x {d} blocks")
+    rows, cols, vals = _entries(m)
+    mask = space.safe_mask(degree)
+    if n_r * n_c > 1:
+        offset = (rows // d * n_c + cols // d) * d
+        rows, cols, mask = offset + rows % d, offset + cols % d, np.tile(mask, n_r * n_c)
+    return _norm_of_entries(rows, cols, vals, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -140,53 +171,31 @@ def projected_norms(space, m, degree: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def quadratic_residual_matrices(gens: DeformedGenerators, rel: RelationMatrices):
-    """Raw sparse defect matrices of the three relation groups (before
-    projection).  Each quadratic product of generators is formed once."""
-    n = gens.n
-    a, ap = gens.a_ops, gens.aplus_ops
-    dim = gens.space.dim
-    pi = rel.annihilating_projector
-    pairs = [(k, l) for k in range(n) for l in range(n)]
-    a_a = {(k, l): a[k] @ a[l] for k, l in pairs}
-    ap_ap = {(k, l): ap[k] @ ap[l] for k, l in pairs}
-    ap_a = {(k, l): ap[k] @ a[l] for k, l in pairs}
-    zero = sparse.csr_array((dim, dim), dtype=complex)
+def quadratic_residual_matrices(a, ap, ann, cre, cross: dict, sign: int):
+    """The stacked defects of the three quadratic exchange relations of the
+    generators a = [A^i] and ap = [A+_i] (module docstring), for the sparse
+    N^2 D x N^2 D relation operators ann and cre and each cross candidate
+    X in the dict cross:
 
-    def idx(i, j):
-        return i * n + j
+      ann @ aa, an N^2 D x D column, aa holding the blocks A^j A^i;
+      apap @ cre, a D x N^2 D row, apap holding the blocks A+_i A+_j;
+      a_col @ ap_row - 1 - sign kron(1, ap_row) @ X @ kron(1, a_col),
+        an N D x N D grid per candidate, a_col the column of the A^i and
+        ap_row the row of the A+_j;
 
-    res_ann, res_cre = [], []
-    for i in range(n):
-        for j in range(n):
-            m1 = m2 = zero
-            for k, l in pairs:
-                c1 = pi[idx(i, j), idx(k, l)]
-                if c1 != 0:
-                    m1 = m1 + c1 * a_a[l, k]
-                c2 = pi[idx(k, l), idx(i, j)]
-                if c2 != 0:
-                    m2 = m2 + c2 * ap_ap[k, l]
-            res_ann.append(m1)
-            res_cre.append(m2)
-
-    cross = {}
-    s = 1.0 if rel.sign == WEYL else -1.0
-    eye = sparse.eye_array(dim, dtype=complex, format="csr")
-    for name, pt in rel.cross_candidates.items():
-        mats = []
-        for i in range(n):
-            for j in range(n):
-                m = a[i] @ ap[j]
-                if i == j:
-                    m = m - eye
-                for h, k in pairs:
-                    c = pt[idx(i, h), idx(j, k)]
-                    if c != 0:
-                        m = m - s * c * ap_a[h, k]
-                mats.append(m)
-        cross[name] = mats
-    return res_ann, res_cre, cross
+    block (i, j) of each defect sits at pair i N + j, or at grid position
+    (i, j).  Returns (ann defect, cre defect, {name: cross defect})."""
+    n, d = len(a), a[0].shape[0]
+    pairs = [divmod(k, n) for k in range(n * n)]
+    aa = sparse.vstack([a[j] @ a[i] for i, j in pairs], format="csr")
+    apap = sparse.hstack([ap[i] @ ap[j] for i, j in pairs], format="csr")
+    a_col, ap_row = sparse.vstack(a, format="csr"), sparse.hstack(ap, format="csr")
+    eye_n = sparse.eye_array(n)
+    left = sparse.kron(eye_n, ap_row, format="csr")
+    right = sparse.kron(eye_n, a_col, format="csr")
+    direct = a_col @ ap_row - sparse.eye_array(n * d)
+    return (ann @ aa, apap @ cre,
+            {name: direct - sign * (left @ x @ right) for name, x in cross.items()})
 
 
 def dcr_residuals(gens: DeformedGenerators, rel: RelationMatrices,
@@ -201,16 +210,18 @@ def dcr_residuals(gens: DeformedGenerators, rel: RelationMatrices,
         raise ValueError("generator set and relation matrices disagree on N")
     if abs(rel.q - gens.params.q_real) > 1e-12 or rel.sign != gens.params.sign:
         raise ValueError("generator set and relation matrices disagree on (q, sign)")
-    space = gens.space
-    res_ann, res_cre, cross = quadratic_residual_matrices(gens, rel)
+    eye_d = sparse.eye_array(gens.space.dim, format="csr")
+    pi = sparse.kron(rel.annihilating_projector, eye_d, format="csr")
+    ann, cre, cross = quadratic_residual_matrices(
+        gens.a_ops, gens.aplus_ops, pi, pi,
+        {name: sparse.kron(pt, eye_d, format="csr")
+         for name, pt in rel.cross_candidates.items()}, rel.sign)
 
-    def row(name, mats):
-        return CaseResult(name, max(projected_norms(space, m, 2) for m in mats), tol,
-                          {"safe_degree": 2})
+    def row(name, m):
+        return CaseResult(name, projected_norms(gens.space, m, 2), tol, {"safe_degree": 2})
 
-    rows = [row("dcr_aa", res_ann), row("dcr_apap", res_cre)]
-    rows += [row(f"dcr_cross[{name}]", mats) for name, mats in cross.items()]
-    return rows
+    return [row("dcr_aa", ann), row("dcr_apap", cre)] + \
+        [row(f"dcr_cross[{name}]", m) for name, m in cross.items()]
 
 
 def cross_oracle(rows: list[CaseResult]) -> dict:

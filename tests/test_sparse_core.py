@@ -6,7 +6,7 @@ from scipy import sparse
 
 from qheis import braid, deform, fock, suites, verify
 from qheis.fock import Statistics
-from qheis.qspecial import WEYL, DeformParams
+from qheis.qspecial import CLIFFORD, WEYL, DeformParams
 
 SPACES = {
     "bose-2-6": (2, Statistics.BOSE, 6),
@@ -48,9 +48,24 @@ def safe_chain(space, degree, rng):
 
 
 def dense_oracle(space, m, degree):
-    mask = space.safe_mask(degree)
-    sub = m.toarray()[np.ix_(mask, mask)]
-    return np.linalg.norm(sub, 2) if sub.size else 0.0
+    """The largest spectral norm over the D x D blocks of m, each
+    restricted to the safe states."""
+    d, mask = space.dim, space.safe_mask(degree)
+    if not mask.any():
+        return 0.0
+    dense = m.toarray()
+    return max(np.linalg.norm(dense[r:r + d, c:c + d][np.ix_(mask, mask)], 2)
+               for r in range(0, dense.shape[0], d) for c in range(0, dense.shape[1], d))
+
+
+def stacks(space, rng):
+    """Random graded blocks stacked as a column, a row and a 2 x 3 grid."""
+    def block():
+        return random_graded(space, (-1, 0, 1), rng)
+
+    return [sparse.vstack([block() for _ in range(3)]),
+            sparse.hstack([block() for _ in range(4)]),
+            sparse.block_array([[block() for _ in range(3)] for _ in range(2)])]
 
 
 def assert_close(got, want):
@@ -66,6 +81,7 @@ def test_projected_norms_match_dense_oracle(key, grades):
         inputs = [random_graded(space, grades, rng) for _ in range(3)]
         inputs += [random_pattern(space, rng, per_row) for per_row in (1, 3)]
         inputs.append(safe_chain(space, degree, rng))
+        inputs += stacks(space, rng)
         for m in inputs:
             assert_close(verify.projected_norms(space, m, degree),
                          dense_oracle(space, m, degree))
@@ -78,6 +94,8 @@ def test_projected_norms_zero_and_empty(key):
     for degree in (0, 1):
         assert verify.projected_norms(space, sparse.csr_array((d, d), dtype=complex),
                                       degree) == 0.0
+    with pytest.raises(ValueError):
+        verify.projected_norms(space, sparse.csr_array((2 * d, d + 1), dtype=complex), 0)
     m = random_graded(space, (-1, 0, 1), np.random.default_rng(7))
     assert m.nnz > 0
     above = verify.projected_norms(space, m, space.cutoff + 1)
@@ -98,10 +116,75 @@ def test_generators_and_defects_are_sparse():
         for op in gens.a_ops + gens.aplus_ops:
             assert isinstance(op, sparse.csr_array)
             assert op.nnz <= space.dim
-        ann, cre, cross = verify.quadratic_residual_matrices(gens, rel)
-        defects = ann + cre + [m for mats in cross.values() for m in mats]
-        assert len(defects) == 4 * 16
+        ann, cre, cross = dcr_defects(gens, rel)
+        defects = [ann, cre, *cross.values()]
+        d = space.dim
+        assert [m.shape for m in defects] == \
+            [(16 * d, d), (d, 16 * d), (4 * d, 4 * d), (4 * d, 4 * d)]
+        assert sum(m.shape[0] * m.shape[1] for m in defects) == 4 * 16 * d * d
         assert all(sparse.issparse(m) for m in defects)
+
+
+def dcr_defects(gens, rel):
+    """The stacked defects of the deformed commutation relations."""
+    eye_d = sparse.eye_array(gens.space.dim)
+    pi = sparse.kron(rel.annihilating_projector, eye_d, format="csr")
+    cross = {name: sparse.kron(pt, eye_d, format="csr")
+             for name, pt in rel.cross_candidates.items()}
+    return verify.quadratic_residual_matrices(gens.a_ops, gens.aplus_ops, pi, pi,
+                                              cross, rel.sign)
+
+
+def dense_defects(gens, rel):
+    """The defect of each relation and pair (i, j), summed entry by entry
+    over the relation matrices (module docstring of verify), dense."""
+    n, s = gens.n, rel.sign
+    a = [m.toarray() for m in gens.a_ops]
+    ap = [m.toarray() for m in gens.aplus_ops]
+    pi, eye = rel.annihilating_projector, np.eye(gens.space.dim)
+    pairs = [divmod(k, n) for k in range(n * n)]
+    ann = [sum(pi[i * n + j, k * n + l] * (a[l] @ a[k]) for k, l in pairs) for i, j in pairs]
+    cre = [sum(pi[k * n + l, i * n + j] * (ap[k] @ ap[l]) for k, l in pairs)
+           for i, j in pairs]
+    cross = {name: [a[i] @ ap[j] - (i == j) * eye
+                    - s * sum(pt[i * n + h, j * n + k] * (ap[h] @ a[k]) for h, k in pairs)
+                    for i, j in pairs]
+             for name, pt in rel.cross_candidates.items()}
+    return ann, cre, cross
+
+
+def assert_blocks_match(got, want):
+    scale = max(np.abs(w).max() for w in want)
+    assert scale > 0
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("sign", [WEYL, CLIFFORD], ids=["weyl", "clifford"])
+def test_shared_contraction_matches_dense_reference(sign):
+    # random diagonal dressings, so that no relation holds and the defects
+    # are compared at their full size
+    space = (fock.build_space(3, Statistics.BOSE, 3) if sign == WEYL
+             else fock.build_space(3, Statistics.FERMI, None))
+    rng = np.random.default_rng(3)
+
+    def dressing():
+        return sparse.diags_array(rng.uniform(0.5, 2.0, space.dim))
+
+    gens = deform.DeformedGenerators(space, DeformParams(1.3, sign),
+                                     [a @ dressing() for a in space.an],
+                                     [dressing() @ ap for ap in space.ap])
+    rel = braid.build_relations("sl", 3, 1.3, sign)
+    ann, cre, cross = dcr_defects(gens, rel)
+    want_ann, want_cre, want_cross = dense_defects(gens, rel)
+    d = space.dim
+    at = [slice(b * d, (b + 1) * d) for b in range(9)]
+    assert_blocks_match([ann.toarray()[r] for r in at], want_ann)
+    assert_blocks_match([cre.toarray()[:, c] for c in at], want_cre)
+    assert len(cross) == 2
+    for name, m in cross.items():
+        grid = [m.toarray()[at[i], at[j]] for i, j in (divmod(k, 3) for k in range(9))]
+        assert_blocks_match(grid, want_cross[name])
 
 
 def test_sln_at_n4_cutoff8(monkeypatch):

@@ -186,7 +186,7 @@ def test_qnumber_sign_tied_to_statistics():
                if "relation" in r.name)
     assert good < 1e-13
     wrong = deform.DeformedGenerators(sp, DeformParams(1.3, WEYL),
-                                      gens.a_ops, gens.aplus_ops, "mislabeled")
+                                      gens.a_ops, gens.aplus_ops)
     bad = max(r.residual for r in verify.number_op_check(wrong)
               if "relation" in r.name)
     assert bad > 1e-2
