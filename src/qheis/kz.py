@@ -618,7 +618,7 @@ def coassociator_relation_check(system: KZOperatorSystem, params: DeformParams,
     mv = blocks.to_sparse(blocks.matmul(minv, blocks.matmul(v, m)))
     a_t, ap_t = dressed_generators(system, params, dressing)
     rel = sparse.eye_array(n * n * d) - s * mu
-    aa, apap, cross = quadratic_residual_matrices(a_t, ap_t, rel, rel, {"cross": mv}, s)
+    aa, apap, cross = quadratic_residual_matrices(a_t, ap_t, rel, {"cross": mv}, s)
     names = ("coassoc_relation_aa", "coassoc_relation_apap", "coassoc_relation_cross")
     return [CaseResult(name, projected_norms(space, defect, 2), tol, {"cond_M": cond})
             for name, defect in zip(names, (aa, apap, cross["cross"]))]

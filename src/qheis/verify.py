@@ -24,17 +24,17 @@ The quadratic exchange relations (:func:`quadratic_residual_matrices`).
 Pairs of mode indices (i, j) are numbered i N + j, and a relation
 operator is an N^2 D x N^2 D sparse matrix whose D x D block (ij, kl) is
 its entry R^{ij}_{kl}, a Fock operator; a numeric N^2 x N^2 matrix R
-enters as kron(R, 1_D).  For relation operators Ra (annihilators), Rc
-(creators) and a cross candidate X, the three defects are
+enters as kron(R, 1_D).  For a relation operator R and a cross candidate
+X, the three defects are
 
-  annihilators:   sum_{kl} Ra^{ij}_{kl} A^l A^k
-  creators:       sum_{kl} A+_k A+_l Rc^{kl}_{ij}
+  annihilators:   sum_{kl} R^{ij}_{kl} A^l A^k
+  creators:       sum_{kl} A+_k A+_l R^{kl}_{ij}
   cross:          A^i A+_j - delta^i_j - s sum_{hk} A+_h X^{ih}_{jk} A^k
 
 with s = +1 (Weyl) or -1 (Clifford).  The deforming maps use the numeric
-Ra = Rc = Pi, the annihilating projector, and X = Pt, a cross candidate
-(:func:`dcr_residuals`); the coassociator uses Ra = Rc = 1 - s M^-1 P M
-and X = M^-1 V M (``kz.coassociator_relation_check``).  The flip in the
+R = Pi, the annihilating projector, and X = Pt, a cross candidate
+(:func:`dcr_residuals`); the coassociator uses R = 1 - s M^-1 P M and
+X = M^-1 V M (``kz.coassociator_relation_check``).  The flip in the
 annihilator contraction mirrors the transposed index pattern of the
 exchange relations; both patterns are fixed once by the explicit sl(2)
 maps and then apply uniformly.
@@ -159,11 +159,9 @@ def projected_norms(space, m, degree: int) -> float:
     if rest_r or rest_c:
         raise ValueError(f"shape {m.shape} is not a grid of {d} x {d} blocks")
     rows, cols, vals = _entries(m)
-    mask = space.safe_mask(degree)
-    if n_r * n_c > 1:
-        offset = (rows // d * n_c + cols // d) * d
-        rows, cols, mask = offset + rows % d, offset + cols % d, np.tile(mask, n_r * n_c)
-    return _norm_of_entries(rows, cols, vals, mask)
+    offset = (rows // d * n_c + cols // d) * d
+    return _norm_of_entries(offset + rows % d, offset + cols % d, vals,
+                            np.tile(space.safe_mask(degree), n_r * n_c))
 
 
 # ---------------------------------------------------------------------------
@@ -171,20 +169,21 @@ def projected_norms(space, m, degree: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def quadratic_residual_matrices(a, ap, ann, cre, cross: dict, sign: int):
+def quadratic_residual_matrices(a, ap, rel, cross: dict, sign: int):
     """The stacked defects of the three quadratic exchange relations of the
     generators a = [A^i] and ap = [A+_i] (module docstring), for the sparse
-    N^2 D x N^2 D relation operators ann and cre and each cross candidate
-    X in the dict cross:
+    N^2 D x N^2 D relation operator rel and each cross candidate X in the
+    dict cross:
 
-      ann @ aa, an N^2 D x D column, aa holding the blocks A^j A^i;
-      apap @ cre, a D x N^2 D row, apap holding the blocks A+_i A+_j;
+      rel @ aa, an N^2 D x D column, aa holding the blocks A^j A^i;
+      apap @ rel, a D x N^2 D row, apap holding the blocks A+_i A+_j;
       a_col @ ap_row - 1 - sign kron(1, ap_row) @ X @ kron(1, a_col),
         an N D x N D grid per candidate, a_col the column of the A^i and
         ap_row the row of the A+_j;
 
     block (i, j) of each defect sits at pair i N + j, or at grid position
-    (i, j).  Returns (ann defect, cre defect, {name: cross defect})."""
+    (i, j).  Returns (annihilator defect, creator defect,
+    {name: cross defect})."""
     n, d = len(a), a[0].shape[0]
     pairs = [divmod(k, n) for k in range(n * n)]
     aa = sparse.vstack([a[j] @ a[i] for i, j in pairs], format="csr")
@@ -194,7 +193,7 @@ def quadratic_residual_matrices(a, ap, ann, cre, cross: dict, sign: int):
     left = sparse.kron(eye_n, ap_row, format="csr")
     right = sparse.kron(eye_n, a_col, format="csr")
     direct = a_col @ ap_row - sparse.eye_array(n * d)
-    return (ann @ aa, apap @ cre,
+    return (rel @ aa, apap @ rel,
             {name: direct - sign * (left @ x @ right) for name, x in cross.items()})
 
 
@@ -213,7 +212,7 @@ def dcr_residuals(gens: DeformedGenerators, rel: RelationMatrices,
     eye_d = sparse.eye_array(gens.space.dim, format="csr")
     pi = sparse.kron(rel.annihilating_projector, eye_d, format="csr")
     ann, cre, cross = quadratic_residual_matrices(
-        gens.a_ops, gens.aplus_ops, pi, pi,
+        gens.a_ops, gens.aplus_ops, pi,
         {name: sparse.kron(pt, eye_d, format="csr")
          for name, pt in rel.cross_candidates.items()}, rel.sign)
 

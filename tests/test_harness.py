@@ -62,9 +62,9 @@ def test_dcr_products_built_once_per_generator_set(monkeypatch):
     built = []
     original = verify.quadratic_residual_matrices
 
-    def counting(a, ap, ann, cre, cross, sign):
+    def counting(a, ap, rel, cross, sign):
         built.append(a)
-        return original(a, ap, ann, cre, cross, sign)
+        return original(a, ap, rel, cross, sign)
 
     monkeypatch.setattr(verify, "quadratic_residual_matrices", counting)
     # slN: one set per ordering; sl2-*: one set per q

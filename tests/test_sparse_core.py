@@ -131,7 +131,7 @@ def dcr_defects(gens, rel):
     pi = sparse.kron(rel.annihilating_projector, eye_d, format="csr")
     cross = {name: sparse.kron(pt, eye_d, format="csr")
              for name, pt in rel.cross_candidates.items()}
-    return verify.quadratic_residual_matrices(gens.a_ops, gens.aplus_ops, pi, pi,
+    return verify.quadratic_residual_matrices(gens.a_ops, gens.aplus_ops, pi,
                                               cross, rel.sign)
 
 
