@@ -10,8 +10,9 @@ its ``suites.MINIMA``.  Flags override values from the optional JSON
 config file, which in turn override the per-suite defaults.  Every case
 keeps the tolerance its check defines.  The process exits 0 iff every
 case of the executed suite passed, 1 otherwise, 2 on usage errors (an
-unknown flag, a config key or flag the suite does not read, or a value
-out of range among them).
+unknown flag, a config file that is not a JSON object, a config key or
+flag the suite does not read, an empty value list, a value out of range,
+or values that give two units the same name among them).
 """
 
 from __future__ import annotations
@@ -49,9 +50,12 @@ def main(argv=None) -> int:
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
-                overrides.update(json.load(fh))
+                loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read config {args.config}: {exc}")
+        if not isinstance(loaded, dict):
+            parser.error(f"config {args.config} must hold a JSON object")
+        overrides.update(loaded)
     out = overrides.pop("out", None)  # cli's own key, not a suite parameter
     out = args.out or out
     overrides.update((key, getattr(args, key)) for key in PARAMS

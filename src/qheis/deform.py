@@ -15,10 +15,12 @@ dressed versions of the undeformed creators/annihilators:
                     decided by the residual oracle, not assumed here.
 
 All maps reduce to the identity at q = 1, preserve the grading, and fix
-the vacuum and the one-particle states.  Because the dressings are
-diagonal functions of the mode numbers, the removable singularity of
-(n)_{q^2}/n at n = 0 never reaches a nonzero matrix entry; the value 1
-is used there by convention.
+the vacuum and the one-particle states.  Each scalar factor of a
+dressing is tabulated on n = 0..cutoff and indexed by the occupation
+columns of the basis.  Because the dressings are diagonal functions of
+the mode numbers, the removable singularity of (n)_{q^2}/n at n = 0
+never reaches a nonzero matrix entry; the value 1 is used there by
+convention.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .fock import FockSpace, Statistics, diag_fn
+from .fock import FockSpace, Statistics, diag
 from .qspecial import CLIFFORD, DeformParams, qnum, y_sln
 
 
@@ -50,14 +52,24 @@ class DeformedGenerators:
         return sum(ap @ a for ap, a in zip(self.aplus_ops, self.a_ops))
 
 
-def _sqrt_ratio(n_i: float, q: float, at_zero: float = 1.0) -> float:
-    """sqrt((n)_{q^2}/n) with a conventional value at the removable n = 0."""
-    if n_i == 0:
-        return float(np.sqrt(at_zero))
-    val = qnum(n_i, q * q).real / n_i
-    if val < 0:
-        raise ValueError(f"negative dressing ratio at n={n_i}, q={q}")
-    return float(np.sqrt(val))
+def _tabulate(f, cutoff: int) -> np.ndarray:
+    """f(0), ..., f(cutoff): a scalar factor of a dressing on every
+    occupation a mode or a sum of modes can take."""
+    return np.array([f(n) for n in range(cutoff + 1)])
+
+
+def _ratio(q: float, cutoff: int, at_zero: float = 1.0) -> np.ndarray:
+    """(n)_{q^2}/n on n = 0..cutoff, with a conventional value at the
+    removable n = 0."""
+    return _tabulate(lambda n: qnum(n, q * q).real / n if n else at_zero, cutoff)
+
+
+def _sqrt_ratio(q: float, cutoff: int, at_zero: float = 1.0) -> np.ndarray:
+    """sqrt((n)_{q^2}/n) on n = 0..cutoff; raises on a negative ratio."""
+    ratio = _ratio(q, cutoff, at_zero)
+    if (ratio < 0).any():
+        raise ValueError(f"negative dressing ratio at n={np.argmax(ratio < 0)}, q={q}")
+    return np.sqrt(ratio)
 
 
 def sln_candidate_map(
@@ -78,17 +90,15 @@ def sln_candidate_map(
     if ordering not in ("above", "below"):
         raise ValueError("ordering must be 'above' or 'below'")
     q = params.q_real
-    n = space.modes
+    occ = np.array(space.basis)
+    root = _sqrt_ratio(q, space.cutoff, at_zero)
+    power = _tabulate(lambda n: q ** n, space.cutoff)
     a_ops, aplus_ops = [], []
-    for i in range(1, n + 1):
-        tail = range(i, n) if ordering == "above" else range(0, i - 1)
-
-        def dress(t, i=i, tail=tuple(tail)):
-            return _sqrt_ratio(t[i - 1], q, at_zero) * q ** sum(t[j] for j in tail)
-
-        d = diag_fn(space, dress)
-        aplus_ops.append(d @ space.ap[i - 1])
-        a_ops.append(space.an[i - 1] @ d)
+    for k in range(space.modes):
+        tail = occ[:, k + 1:] if ordering == "above" else occ[:, :k]
+        d = diag(root[occ[:, k]] * power[tail.sum(axis=1)])
+        aplus_ops.append(d @ space.ap[k])
+        a_ops.append(space.an[k] @ d)
     return DeformedGenerators(space, params, a_ops, aplus_ops)
 
 
@@ -108,7 +118,8 @@ def sl2_fermi_map(space: FockSpace, params: DeformParams) -> DeformedGenerators:
     if params.sign != CLIFFORD:
         raise ValueError("sl2_fermi_map needs the Clifford sign convention")
     q = params.q_real
-    d1 = diag_fn(space, lambda t: q ** (-t[1]))
+    n2 = np.array(space.basis)[:, 1]
+    d1 = diag(_tabulate(lambda n: q ** (-n), space.cutoff)[n2])
     a_ops = [space.an[0] @ d1, space.an[1]]
     aplus_ops = [d1 @ space.ap[0], space.ap[1]]
     return DeformedGenerators(space, params, a_ops, aplus_ops)
@@ -125,16 +136,11 @@ def sl2_bose_onesided_map(space: FockSpace, params: DeformParams) -> DeformedGen
     if space.modes != 2 or space.statistics is not Statistics.BOSE:
         raise ValueError("needs a 2-mode bosonic space")
     q = params.q_real
-    q2 = q * q
-
-    def ratio(m):
-        return 1.0 if m == 0 else qnum(m, q2).real / m
-
-    d_up = diag_fn(space, lambda t: q ** t[1])
-    d1 = diag_fn(space, lambda t: ratio(t[0]) * q ** t[1])
-    d2 = diag_fn(space, lambda t: ratio(t[1]))
-    aplus_ops = [d_up @ space.ap[0], space.ap[1]]
-    a_ops = [space.an[0] @ d1, space.an[1] @ d2]
+    n1, n2 = np.array(space.basis).T
+    ratio = _ratio(q, space.cutoff)
+    up = _tabulate(lambda n: q ** n, space.cutoff)[n2]
+    aplus_ops = [diag(up) @ space.ap[0], space.ap[1]]
+    a_ops = [space.an[0] @ diag(ratio[n1] * up), space.an[1] @ diag(ratio[n2])]
     return DeformedGenerators(space, params, a_ops, aplus_ops)
 
 
@@ -147,7 +153,9 @@ def sl2_alpha_intertwiner(space: FockSpace, params: DeformParams) -> sparse.csr_
     if space.modes != 2 or space.statistics is not Statistics.BOSE:
         raise ValueError("needs a 2-mode bosonic space")
     q = params.q_real
-    return diag_fn(space, lambda t: np.sqrt((y_sln(t[0], q) * y_sln(t[1], q)).real))
+    n1, n2 = np.array(space.basis).T
+    y = _tabulate(lambda n: y_sln(n, q).real, space.cutoff)
+    return diag(np.sqrt(y[n1] * y[n2]))
 
 
 def inner_automorphism(gens: DeformedGenerators,

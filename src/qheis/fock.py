@@ -1,17 +1,19 @@
-"""Truncated Fock spaces and elementary mode operators.
+"""Truncated Fock spaces: the occupation basis and its stored ladders.
 
 The carrier space for everything in this package is a Fock space over N
 bosonic or fermionic modes, truncated at a maximum total occupation.
 Basis states are occupation tuples (n_1, ..., n_N) in lexicographic
 order, so reports are bit-for-bit reproducible.  Every Fock operator is
-a complex ``scipy.sparse.csr_array``.  Generators are diagonal dressings
-times ladder operators, so they store at most one entry per basis state;
-products and sums of them stay sparse.  Each state's shell (its total
-occupation) is computed once, as :attr:`FockSpace.shell`, and each space
-builds its N annihilators and N creators once, as the read-only
-:attr:`FockSpace.an` and :attr:`FockSpace.ap`.  The particle-number
-grade g of an operator X (meaning [n_tot, X] = g X) is not stored;
-:func:`grade_defect` measures it.
+a complex ``scipy.sparse.csr_array``.  A :class:`FockSpace` is the one
+way to reach its objects: the occupation table ``np.array(space.basis)``,
+the shells (total occupations) :attr:`FockSpace.shell`, and the N
+annihilators and N creators, built once, as the read-only
+:attr:`FockSpace.an` and :attr:`FockSpace.ap` (0-based mode index).  A
+dressing is an array indexed by occupation, made an operator by
+:func:`diag`; a generator, a dressing times a ladder, stores at most one
+entry per basis state, so products and sums of generators stay sparse.
+The particle-number grade g of an operator X ([n_tot, X] = g X) is not
+stored; :func:`grade_defect` measures it.
 
 Truncation contract: on a bosonic space an operator identity of
 creator-degree d is exact only on the subspace with total occupation
@@ -29,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
-from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -73,14 +74,6 @@ class FockSpace:
     def state_index(self, occ: tuple[int, ...]) -> int:
         return self.index[tuple(occ)]
 
-    def occupations(self, i: int) -> np.ndarray:
-        """Vector of n_i over the basis (i is 1-based)."""
-        self._check_mode(i)
-        return np.array([t[i - 1] for t in self.basis], dtype=float)
-
-    def total_occupations(self) -> np.ndarray:
-        return self.shell.astype(float)
-
     def safe_mask(self, degree: int) -> np.ndarray:
         """Basis states on which an identity of creator-degree `degree` is
         exact: total occupation <= cutoff - degree on a bosonic space,
@@ -88,10 +81,6 @@ class FockSpace:
         if self.statistics is Statistics.FERMI:
             return np.ones(self.dim, dtype=bool)
         return self.shell <= self.cutoff - degree
-
-    def _check_mode(self, i: int) -> None:
-        if not 1 <= i <= self.modes:
-            raise ValueError(f"mode index {i} out of range 1..{self.modes}")
 
 
 def build_space(modes: int, statistics: Statistics, cutoff: int | None = None) -> FockSpace:
@@ -119,15 +108,20 @@ def build_space(modes: int, statistics: Statistics, cutoff: int | None = None) -
     return FockSpace(modes, statistics, cutoff, basis, index, shell, an, ap)
 
 
-def _diag(values: np.ndarray) -> sparse.csr_array:
-    """Diagonal CSR array; zero diagonal entries are not stored."""
+def diag(values: np.ndarray) -> sparse.csr_array:
+    """Diagonal CSR array with the given entries, one per basis state; zero
+    entries are not stored.  Raises ValueError on a non-finite entry."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"entry not finite at state {np.argmin(np.isfinite(values))}")
     return sparse.diags_array(values, format="csr", dtype=complex)
 
 
 def _ladder(basis, index: dict, fermi: bool, k: int, step: int) -> sparse.csr_array:
-    """Read-only mode-(k+1) ladder operator.  Row t holds its one entry in
-    the column of t + step e_k (when that state exists), so the CSR arrays
-    are written directly, one state at a time."""
+    """Read-only mode-(k+1) annihilator (step +1) or creator (step -1).
+    Row t holds its one entry in the column of t + step e_k, when that
+    state exists, so the CSR arrays are written directly.  Bose amplitude
+    sqrt(max n_k); Fermi: the Jordan-Wigner sign (-1)**(n_1 + ... + n_k),
+    which makes the anticommutation relations exact on the full space."""
     indptr, indices, vals = [0], [], []
     for t in basis:
         other = t[:k] + (t[k] + step,) + t[k + 1:]
@@ -141,56 +135,6 @@ def _ladder(basis, index: dict, fermi: bool, k: int, step: int) -> sparse.csr_ar
     for arr in (m.data, m.indices, m.indptr):
         arr.flags.writeable = False
     return m
-
-
-def annihilator(space: FockSpace, i: int) -> sparse.csr_array:
-    """Mode-i annihilator (1-based i), the space's stored read-only array.
-
-    Bose: lowers n_i with amplitude sqrt(n_i).  Fermi: Jordan-Wigner
-    convention with sign (-1)**(n_1 + ... + n_{i-1}), which makes the
-    anticommutation relations exact on the full space.
-    """
-    space._check_mode(i)
-    return space.an[i - 1]
-
-
-def creator(space: FockSpace, i: int) -> sparse.csr_array:
-    """Mode-i creator: the conjugate transpose of the annihilator."""
-    space._check_mode(i)
-    return space.ap[i - 1]
-
-
-def number_op(space: FockSpace, i: int) -> sparse.csr_array:
-    """Diagonal operator n_i."""
-    return _diag(space.occupations(i))
-
-
-def total_number(space: FockSpace) -> sparse.csr_array:
-    """Diagonal operator n = sum_i n_i."""
-    return _diag(space.shell)
-
-
-def diag_fn(space: FockSpace, f: Callable[[tuple[int, ...]], complex]) -> sparse.csr_array:
-    """Diagonal operator with entries f(occupation tuple); exact.
-
-    This is the functional calculus used for all invariant dressings.
-    Raises if f is undefined or non-finite on any basis state.
-    """
-    vals = np.empty(space.dim, dtype=complex)
-    for k, t in enumerate(space.basis):
-        v = complex(f(t))
-        if not np.isfinite(v):
-            raise ValueError(f"diag_fn value not finite at state {t}")
-        vals[k] = v
-    return _diag(vals)
-
-
-def commutator(x, y):
-    return x @ y - y @ x
-
-
-def anticommutator(x, y):
-    return x @ y + y @ x
 
 
 def grade_defect(space: FockSpace, op, grade: int) -> float:

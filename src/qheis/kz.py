@@ -573,14 +573,14 @@ def dressed_generators(system: KZOperatorSystem, params: DeformParams,
                        dressing: Callable[[float], float] | None = None):
     """The dressed pair a~^i = I(n) a^i, a~+_i = a+_i I~(n) with
     I~ = (n+1)_{q^(2s)} / ((n+1) I(n)).  dressing is I as a function of the
-    total number; None means I = 1."""
+    total number, tabulated on n = 0..cutoff; None means I = 1."""
     space = system.space
     q2s = params.q_real ** (2 * params.sign)
-    nvec = space.total_occupations()
-    i_vals = np.array([1.0 if dressing is None else dressing(v) for v in nvec])
-    itilde = np.array([qnum(v + 1.0, q2s).real / (v + 1.0) for v in nvec]) / i_vals
-    di = sparse.diags_array(i_vals.astype(complex))
-    dit = sparse.diags_array(itilde.astype(complex))
+    shells = np.arange(space.cutoff + 1, dtype=float)
+    i_vals = np.array([1.0 if dressing is None else dressing(v) for v in shells])
+    itilde = np.array([qnum(v + 1.0, q2s).real / (v + 1.0) for v in shells]) / i_vals
+    di = sparse.diags_array(i_vals[space.shell].astype(complex))
+    dit = sparse.diags_array(itilde[space.shell].astype(complex))
     a_t = [di @ m for m in space.an]
     ap_t = [m @ dit for m in space.ap]
     return a_t, ap_t

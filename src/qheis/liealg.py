@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 from scipy import sparse
 
-from .fock import FockSpace, Statistics, commutator
+from .fock import FockSpace, Statistics
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ def casimir_sigma(space: FockSpace, data: LieData) -> sparse.csr_array:
 def casimir_sl_closed_form(space: FockSpace, data: LieData) -> np.ndarray:
     """Diagonal closed form n(N + s n - s) - n^2/N, s = +1 Bose / -1 Fermi."""
     s = 1.0 if space.statistics is Statistics.BOSE else -1.0
-    n = space.total_occupations()
+    n = space.shell
     return n * (data.n + s * n - s) - n**2 / data.n
 
 
@@ -186,4 +186,5 @@ def classical_action(space: FockSpace, data: LieData, x,
     Only Lie-algebra elements are accepted (labels or linear combinations);
     the extension to general enveloping elements is out of scope.
     """
-    return commutator(sigma(space, data, x), b)
+    s = sigma(space, data, x)
+    return s @ b - b @ s

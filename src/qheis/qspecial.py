@@ -1,7 +1,7 @@
 """Classical and q-deformed special functions.
 
 q-numbers in both normalizations, the q-gamma function and its balanced
-variant, Euler gamma/beta (delegated to scipy, verified by the
+variant, the Euler gamma function (delegated to scipy, verified by the
 reflection identity), the Gauss hypergeometric function 2F1 with its
 0 <-> 1 connection formula, and the diagonal dressing functions
 y_sl / y_so used by the deforming maps.
@@ -22,11 +22,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-TWO_PI_I = 2j * math.pi
 
 WEYL = +1       # symmetric (bosonic) sign convention
 CLIFFORD = -1   # antisymmetric (fermionic) sign convention
@@ -38,7 +36,7 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class DeformParams:
-    """Deformation data: q = e^h, hbar = h/(2 pi i), and the sign convention.
+    """Deformation data: the parameter q and the sign convention.
 
     sign = +1 selects the Weyl (bosonic) branch, -1 the Clifford
     (fermionic) one.
@@ -46,16 +44,12 @@ class DeformParams:
 
     q: complex
     sign: int = WEYL
-    h: complex = field(init=False)
-    hbar: complex = field(init=False)
 
     def __post_init__(self):
         if self.sign not in (WEYL, CLIFFORD):
             raise ValueError("sign must be +1 or -1")
         if self.q == 0:
             raise ValueError("q must be nonzero")
-        object.__setattr__(self, "h", cmath.log(self.q))
-        object.__setattr__(self, "hbar", self.h / TWO_PI_I)
 
     @property
     def q_real(self) -> float:
@@ -90,7 +84,7 @@ def qfactorial(n: int, q) -> complex:
     return out
 
 
-def qgamma(a, q, tol: float = 1e-17):
+def qgamma(a, q):
     """The q-gamma function.
 
     For |q| < 1 the convergent product
@@ -109,8 +103,8 @@ def qgamma(a, q, tol: float = 1e-17):
             if den == 0:
                 raise ZeroDivisionError(f"q-gamma pole at a = {a}")
             out *= num / den
-            # remaining factors are 1 + O(q^k); stop once that is below tol
-            if abs(q) ** (k + 1) < tol * (1.0 - abs(q)):
+            # remaining factors are 1 + O(q^k); stop once that is below 1e-17
+            if abs(q) ** (k + 1) < 1e-17 * (1.0 - abs(q)):
                 return out
             k += 1
             if k > 2_000_000:
@@ -120,14 +114,14 @@ def qgamma(a, q, tol: float = 1e-17):
     return qfactorial(int(np.real(a)) - 1, q)
 
 
-def qgamma_tilde(a, q, tol: float = 1e-17):
+def qgamma_tilde(a, q):
     """Balanced q-gamma: Gamma~_q(a) = Gamma_{q^2}(a) q^(-a(a-3)/2).
 
     Satisfies Gamma~_q(a+1) = [a]_q Gamma~_q(a).
     """
     q = complex(q)
     a = complex(a)
-    return qgamma(a, q * q, tol) * q ** (-a * (a - 3.0) / 2.0)
+    return qgamma(a, q * q) * q ** (-a * (a - 3.0) / 2.0)
 
 
 def gamma(a) -> complex:
@@ -147,15 +141,6 @@ def rgamma(a) -> complex:
     return complex(_rgamma(complex(a)))
 
 
-def beta(a, b) -> complex:
-    """Euler beta B(a, b) = Gamma(a) Gamma(b) / Gamma(a+b).
-
-    Evaluated with the reciprocal gamma in the denominator so that
-    B -> 0 (rather than an error) when a + b hits a pole of Gamma.
-    """
-    return gamma(a) * gamma(b) * rgamma(complex(a) + complex(b))
-
-
 def reflection_residual(a) -> float:
     """|Gamma(a) Gamma(-a) + pi / (a sin(pi a))|, relative; zero in exact arithmetic."""
     a = complex(a)
@@ -171,14 +156,14 @@ def reflection_residual(a) -> float:
 _SERIES_RADIUS = 0.7
 
 
-def _2f1_series(a, b, c, z, nmax: int = 20000):
+def _2f1_series(a, b, c, z):
     """Direct power series with the stopping rule: three consecutive terms
     below 1e-17 times the partial sum."""
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
     term = 1.0 + 0j
     total = term
     small = 0
-    for k in range(nmax):
+    for k in range(20000):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
         total += term
         if abs(term) < 1e-17 * max(abs(total), 1e-300):

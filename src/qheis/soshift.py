@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .fock import FockSpace, Statistics, _diag
+from .fock import FockSpace, Statistics, diag
 from .qspecial import DeformParams, y_son_ratio
 from .verify import CaseResult, projected_norms
 
@@ -63,9 +63,9 @@ def build_orbital(space: FockSpace) -> OrbitalData:
     n_modes = space.modes
     aa = sum(a @ a for a in space.an)
     apap = aa.conj().T.tocsr()
-    ntot = space.total_occupations()
+    ntot = space.shell
     shift = (ntot + n_modes / 2.0 - 1.0) ** 2
-    l2 = _diag(shift) - apap @ aa
+    l2 = diag(shift) - apap @ aa
 
     # l is block diagonal over the shells: assemble it from the shell blocks
     rows, cols, vals = [], [], []
@@ -106,12 +106,11 @@ def l2_commutator_residuals(orb: OrbitalData, tol: float = 1e-12) -> list[CaseRe
     space = orb.space
     nn = space.modes
     l2 = orb.l2
-    nvec = space.total_occupations()
     rows = [CaseResult(f"l2_commutes_{name}", projected_norms(space, l2 @ x - x @ l2, 2),
                        tol, {"safe_degree": 2})
             for name, x in (("aa", orb.aa), ("apap", orb.apap))]
 
-    d_a1, d_a2, d_p1, d_p2 = (_diag(2 * nvec + nn + c) for c in (-3, 1, -1, 3))
+    d_a1, d_a2, d_p1, d_p2 = (diag(2 * space.shell + nn + c) for c in (-3, 1, -1, 3))
     norms_a, norms_ap = [], []
     for ai, api in zip(space.an, space.ap):
         comm_a = l2 @ ai - ai @ l2
@@ -140,9 +139,9 @@ def shift_operators(orb: OrbitalData,
         raise ValueError("sign must be +1 or -1")
     space = orb.space
     nn = space.modes
-    diag = _diag(space.total_occupations() + nn / 2.0 - 1.0) + sign * orb.l
-    alpha_down = [ai @ diag - api @ orb.aa for ai, api in zip(space.an, space.ap)]
-    alpha_up = [api @ diag - orb.apap @ ai for ai, api in zip(space.an, space.ap)]
+    shifted = diag(space.shell + nn / 2.0 - 1.0) + sign * orb.l
+    alpha_down = [ai @ shifted - api @ orb.aa for ai, api in zip(space.an, space.ap)]
+    alpha_up = [api @ shifted - orb.apap @ ai for ai, api in zip(space.an, space.ap)]
     return alpha_down, alpha_up
 
 
@@ -155,7 +154,7 @@ def shift_operator_residuals(orb: OrbitalData, sign: int) -> list[CaseResult]:
     space = orb.space
     nn = space.modes
     alpha_down, alpha_up = shift_operators(orb, sign)
-    diag2 = _diag(space.total_occupations() + nn / 2.0 + 1.0) + sign * orb.l
+    diag2 = diag(space.shell + nn / 2.0 + 1.0) + sign * orb.l
     lmat = orb.l
     eye = sparse.eye_array(space.dim, format="csr")
     norms_order, norms_eige = [], []

@@ -74,7 +74,10 @@ def _coerce(name: str, value):
     several values, a single value otherwise."""
     typ, many, _ = PARAMS[name]
     if many:
-        return tuple(map(typ, value if isinstance(value, (list, tuple)) else [value]))
+        values = tuple(map(typ, value if isinstance(value, (list, tuple)) else [value]))
+        if not values:
+            raise ValueError(f"{name} needs at least one value")
+        return values
     if isinstance(value, (list, tuple)) or (typ is int and int(value) != value):
         raise ValueError(f"{name} takes one {typ.__name__}, not {value!r}")
     return typ(value)
@@ -502,8 +505,12 @@ _BUILDERS = {
 def run_suite(cfg: SuiteConfig) -> Report:
     """Execute a suite.  Each case is named <unit>/<row>.  A unit that
     raises is recorded as a failed case with the diagnostic, and the run
-    continues."""
+    continues.  Raises ValueError, before any unit runs, when two units
+    share a name (say, two q values that print alike)."""
     params, units = _BUILDERS[cfg.suite](cfg)
+    names = [name for name, _ in units]
+    if len(set(names)) < len(names):
+        raise ValueError(f"{cfg.suite}: two units share a name in {names}")
     cases: list[CaseResult] = []
     for name, unit in units:
         try:

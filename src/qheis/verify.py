@@ -272,7 +272,7 @@ def number_op_check(gens: DeformedGenerators, tol: float = 1e-10) -> list[CaseRe
     ]
 
     if gens.space.statistics is Statistics.BOSE:
-        expected = np.array([qnum(t, q2s).real for t in space.total_occupations()])
+        expected = np.array([qnum(t, q2s).real for t in space.shell.astype(float)])
         dev = np.abs(nh.diagonal().real - expected)
         c = nh.tocoo()
         off = np.abs(c.data[c.row != c.col])

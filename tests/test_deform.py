@@ -4,7 +4,7 @@ from scipy import sparse
 
 from qheis import braid, deform, fock, verify
 from qheis.fock import Statistics
-from qheis.qspecial import CLIFFORD, WEYL, DeformParams, qnum
+from qheis.qspecial import CLIFFORD, WEYL, DeformParams, qnum, y_sln
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +38,7 @@ def test_bose_map_matrix_elements(bose_space):
     # vacuum and one-particle states coincide with the classical ones
     vac = bose_space.state_index((0, 0))
     for i, ap in enumerate(gens.aplus_ops, start=1):
-        classical = fock.creator(bose_space, i).toarray()[:, vac]
+        classical = bose_space.ap[i - 1].toarray()[:, vac]
         assert np.linalg.norm(ap.toarray()[:, vac] - classical) < 1e-14
 
 
@@ -46,8 +46,7 @@ def test_bose_number_operator_spectrum(bose_space):
     q = 1.3
     gens = deform.sl2_bose_map(bose_space, DeformParams(q, WEYL))
     nh = gens.number_operator().toarray()
-    ntot = bose_space.total_occupations()
-    expected = np.array([qnum(v, q * q).real for v in ntot])
+    expected = np.array([qnum(v, q * q).real for v in bose_space.shell])
     assert np.abs(np.diag(nh).real - expected).max() < 1e-12
     assert np.abs(nh - np.diag(np.diag(nh))).max() < 1e-12
     # eigenvalue at n = 3 is 1 + q^2 + q^4
@@ -106,14 +105,14 @@ def test_inner_automorphism(bose_space):
     assert cond == 1.0
     assert entrywise_dev(same, gens) == 0.0
 
-    alpha = fock.diag_fn(bose_space, lambda t: q ** (t[0] + t[1]))
+    alpha = fock.diag(q ** bose_space.shell)
     conj, _ = deform.inner_automorphism(gens, alpha)
     before = verify.cross_oracle(verify.dcr_residuals(gens, rel))["winner_residual"]
     after = verify.cross_oracle(verify.dcr_residuals(conj, rel))["winner_residual"]
     assert after < max(10 * before, 1e-12)
 
     # a diagonal alpha is exact at any spread: cond 1e20 is measured, not refused
-    spread = fock.diag_fn(bose_space, lambda t: 1e-20 if sum(t) > 3 else 1.0)
+    spread = fock.diag(np.where(bose_space.shell > 3, 1e-20, 1.0))
     _, cond = deform.inner_automorphism(gens, spread)
     assert cond == 1e20
 
@@ -186,3 +185,70 @@ def test_shape_validation(bose_space, fermi_space):
         deform.sln_candidate_map(fermi_space, DeformParams(1.3, WEYL))
     with pytest.raises(ValueError):
         deform.sln_candidate_map(bose_space, DeformParams(1.3, WEYL), "sideways")
+
+
+def _per_state(space, f):
+    """A diagonal built by one Python call per basis state."""
+    return sparse.diags_array([complex(f(t)) for t in space.basis],
+                              format="csr", dtype=complex)
+
+
+def _reference_maps(space, q):
+    """Each map's generators from per-state dressing functions: the
+    tabulated dressings must reproduce them exactly."""
+    def sqrt_ratio(m):
+        return 1.0 if m == 0 else float(np.sqrt(qnum(m, q * q).real / m))
+
+    def ratio(m):
+        return 1.0 if m == 0 else qnum(m, q * q).real / m
+
+    if space.statistics is Statistics.FERMI:
+        d1 = _per_state(space, lambda t: q ** (-t[1]))
+        yield "fermi", ([space.an[0] @ d1, space.an[1]],
+                        [d1 @ space.ap[0], space.ap[1]])
+        return
+    n = space.modes
+    for ordering in ("above", "below"):
+        a_ops, aplus_ops = [], []
+        for i in range(n):
+            tail = range(i + 1, n) if ordering == "above" else range(i)
+            d = _per_state(space, lambda t, i=i, tail=tail:
+                           sqrt_ratio(t[i]) * q ** sum(t[j] for j in tail))
+            a_ops.append(space.an[i] @ d)
+            aplus_ops.append(d @ space.ap[i])
+        yield ordering, (a_ops, aplus_ops)
+    if n == 2:
+        d_up = _per_state(space, lambda t: q ** t[1])
+        d1 = _per_state(space, lambda t: ratio(t[0]) * q ** t[1])
+        d2 = _per_state(space, lambda t: ratio(t[1]))
+        yield "onesided", ([space.an[0] @ d1, space.an[1] @ d2],
+                           [d_up @ space.ap[0], space.ap[1]])
+        yield "alpha", ([_per_state(space, lambda t: np.sqrt(
+            (y_sln(t[0], q) * y_sln(t[1], q)).real))], [])
+
+
+@pytest.mark.parametrize("q", [0.7, 1.3])
+@pytest.mark.parametrize("modes, stat, cutoff", [
+    (2, Statistics.BOSE, 3), (2, Statistics.BOSE, 12), (3, Statistics.BOSE, 3),
+    (3, Statistics.BOSE, 12), (2, Statistics.FERMI, None)])
+def test_tabulated_dressings_equal_per_state_reference(q, modes, stat, cutoff):
+    space = fock.build_space(modes, stat, cutoff)
+    weyl, clifford = DeformParams(q, WEYL), DeformParams(q, CLIFFORD)
+    built = {
+        "fermi": lambda: deform.sl2_fermi_map(space, clifford),
+        "above": lambda: deform.sln_candidate_map(space, weyl, "above"),
+        "below": lambda: deform.sln_candidate_map(space, weyl, "below"),
+        "onesided": lambda: deform.sl2_bose_onesided_map(space, weyl),
+        "alpha": lambda: deform.DeformedGenerators(
+            space, weyl, [deform.sl2_alpha_intertwiner(space, weyl)], []),
+    }
+    seen = []
+    for name, (a_ref, ap_ref) in _reference_maps(space, q):
+        gens = built[name]()
+        for got, want in zip(gens.a_ops + gens.aplus_ops, a_ref + ap_ref, strict=True):
+            assert got.nnz == want.nnz, name
+            assert np.array_equal(got.toarray(), want.toarray()), name
+        seen.append(name)
+    expected = {Statistics.FERMI: ["fermi"]}.get(
+        stat, ["above", "below"] + (["onesided", "alpha"] if modes == 2 else []))
+    assert seen == expected

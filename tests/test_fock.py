@@ -36,49 +36,51 @@ def test_index_and_basis_are_mutually_inverse(modes, cutoff, fermi):
 
 def test_bose_number_eigenvalues():
     sp = fock.build_space(2, Statistics.BOSE, 4)
-    ada = fock.creator(sp, 1).toarray() @ fock.annihilator(sp, 1).toarray()
+    ada = sp.ap[0].toarray() @ sp.an[0].toarray()
     for k, t in enumerate(sp.basis):
         assert abs(ada[k, k] - t[0]) < 1e-14
 
 
 def test_fermi_car_exact_on_full_space():
     sp = fock.build_space(3, Statistics.FERMI)
-    for i in range(1, 4):
-        for j in range(1, 4):
-            acomm = fock.anticommutator(fock.annihilator(sp, i),
-                                        fock.creator(sp, j)).toarray()
+    for i, a in enumerate(sp.an):
+        for j, ap in enumerate(sp.ap):
+            acomm = (a @ ap + ap @ a).toarray()
             target = np.eye(sp.dim) if i == j else 0.0
             assert np.linalg.norm(acomm - target) == 0.0
     # pure annihilator pairs anticommute as well
-    assert np.linalg.norm(fock.anticommutator(
-        fock.annihilator(sp, 1), fock.annihilator(sp, 2)).toarray()) == 0.0
+    a1, a2 = sp.an[:2]
+    assert np.linalg.norm((a1 @ a2 + a2 @ a1).toarray()) == 0.0
 
 
 def test_bose_ccr_on_safe_subspace():
     sp = fock.build_space(2, Statistics.BOSE, 3)
     safe = np.ix_(sp.safe_mask(1), sp.safe_mask(1))
-    for i in (1, 2):
-        for j in (1, 2):
-            comm = fock.commutator(fock.annihilator(sp, i), fock.creator(sp, j)).toarray()
+    for i, a in enumerate(sp.an):
+        for j, ap in enumerate(sp.ap):
+            comm = (a @ ap - ap @ a).toarray()
             target = np.eye(sp.dim) if i == j else 0.0
             assert np.linalg.norm((comm - target)[safe]) < 1e-13
     # the defect lives only on the top shell: restricting to total <= 2
-    mask = sp.total_occupations() <= 2
-    comm = fock.commutator(fock.annihilator(sp, 1), fock.creator(sp, 1)).toarray()
+    mask = sp.shell <= 2
+    comm = (sp.an[0] @ sp.ap[0] - sp.ap[0] @ sp.an[0]).toarray()
     sub = (comm - np.eye(sp.dim))[np.ix_(mask, mask)]
     assert np.linalg.norm(sub) < 1e-14
 
 
 def test_number_operators():
     sp = fock.build_space(2, Statistics.BOSE, 4)
-    n = fock.total_number(sp).toarray()
+    n = fock.diag(sp.shell).toarray()
     vac = sp.state_index((0, 0))
     assert n[vac, vac] == 0
     k = sp.state_index((1, 2))
     assert n[k, k] == 3
-    summed = sum(fock.creator(sp, i).toarray() @ fock.annihilator(sp, i).toarray()
-                 for i in (1, 2))
+    summed = sum(ap.toarray() @ a.toarray() for a, ap in zip(sp.an, sp.ap))
     assert np.linalg.norm(summed - n) < 1e-13
+    # the mode-i number operator is the i-th column of the occupation table
+    occ = np.array(sp.basis)
+    for a, ap, col in zip(sp.an, sp.ap, occ.T):
+        assert np.linalg.norm((ap @ a).toarray() - np.diag(col)) < 1e-13
 
 
 def test_safe_mask_ranks():
@@ -97,26 +99,32 @@ def test_fermionic_spaces_are_all_safe(modes):
         assert sp.safe_mask(degree).tolist() == [True] * sp.dim
 
 
-def test_diag_fn():
+def test_diag():
     sp = fock.build_space(2, Statistics.BOSE, 3)
-    assert np.allclose(fock.diag_fn(sp, lambda t: 1.0).toarray(), np.eye(sp.dim))
-    d = fock.diag_fn(sp, lambda t: 2.0 ** t[1])
+    assert np.array_equal(fock.diag(np.ones(sp.dim)).toarray(), np.eye(sp.dim))
+    occ = np.array(sp.basis)
+    d = fock.diag(2.0 ** occ[:, 1])
     k = sp.state_index((0, 3))
     assert d.toarray()[k, k] == 8.0
     # diagonal functions commute with the number operators
-    for i in (1, 2):
-        assert np.linalg.norm(
-            fock.commutator(d, fock.number_op(sp, i)).toarray()) == 0.0
-    with pytest.raises(ValueError):
-        fock.diag_fn(sp, lambda t: float("nan"))
+    for a, ap in zip(sp.an, sp.ap):
+        num = ap @ a
+        assert np.linalg.norm((d @ num - num @ d).toarray()) == 0.0
+    # zero entries are not stored: the vacuum's shell is 0
+    n = fock.diag(sp.shell)
+    assert n.nnz == sp.dim - 1 and np.all(n.data != 0)
+    assert fock.diag(np.zeros(sp.dim)).nnz == 0
+    for bad in (np.nan, np.inf):
+        values = np.ones(sp.dim)
+        values[k] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            fock.diag(values)
 
 
 def test_adjointness_and_grades():
     for stat, cut in ((Statistics.BOSE, 4), (Statistics.FERMI, None)):
         sp = fock.build_space(2, stat, cut)
-        for i in (1, 2):
-            a = fock.annihilator(sp, i)
-            ap = fock.creator(sp, i)
+        for a, ap in zip(sp.an, sp.ap):
             assert np.array_equal(ap.toarray(), a.toarray().conj().T)
             assert fock.grade_defect(sp, a, -1) < 1e-13
             assert fock.grade_defect(sp, ap, +1) < 1e-13
@@ -126,17 +134,8 @@ def test_adjointness_and_grades():
 
 def test_ladders_are_stored_read_only():
     sp = fock.build_space(2, Statistics.BOSE, 3)
-    assert fock.annihilator(sp, 2) is sp.an[1]
-    assert fock.creator(sp, 1) is sp.ap[0]
     for op in sp.an + sp.ap:
         for arr in (op.data, op.indices, op.indptr):
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
 
-
-def test_mode_index_out_of_range():
-    sp = fock.build_space(2, Statistics.BOSE, 2)
-    with pytest.raises(ValueError):
-        fock.annihilator(sp, 0)
-    with pytest.raises(ValueError):
-        fock.creator(sp, 3)

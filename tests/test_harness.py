@@ -244,12 +244,22 @@ def test_cli_failure_exit_code(tmp_path, monkeypatch):
     (["suite", "kz-scalar", "--hbar2", "0.5"], None),
     (["suite", "kz-operator", "--eps", "0"], None),
     (["suite", "kz-operator", "--eps", "0.3"], None),
+    (["suite", "slN"], [1]),
+    (["suite", "slN"], 5),
+    (["suite", "slN"], "x"),
+    (["suite", "slN"], {"q": []}),
+    (["suite", "kz-scalar"], {"n": []}),
+    (["suite", "kz-scalar"], {"hbar2": []}),
+    (["suite", "slN", "--q", "1.3", "1.3"], None),
+    (["suite", "slN", "--q", "1.2345671", "1.2345672"], None),
 ], ids=["unknown-suite", "jobs-flag", "jobs-config-key", "tol-flag", "tol-config-key",
         "kz-operator-cutoff-2", "sign-flag", "slN-cutoff-2", "slN-modes-1",
         "sl2-bose-cutoff-2", "soN-orbital-modes-2", "kz-operator-two-q",
         "kz-scalar-eps-1e-9", "kz-scalar-two-eps", "kz-scalar-two-eps-config-key",
         "kz-scalar-n-0.5", "kz-scalar-hbar2-0.5", "kz-operator-eps-0",
-        "kz-operator-eps-0.3"])
+        "kz-operator-eps-0.3", "config-list", "config-number", "config-string",
+        "slN-empty-q", "kz-scalar-empty-n", "kz-scalar-empty-hbar2",
+        "slN-repeated-q", "slN-q-alike-at-6-digits"])
 def test_cli_unknown_suite_usage_error(tmp_path, argv, config):
     if config is not None:
         path = tmp_path / "cfg.json"

@@ -1,0 +1,42 @@
+"""No module of the package, the demos or the tests imports a name it never
+uses.  An import whose statement carries ``# noqa`` is exempt (``kz``
+binds ``expm`` for callers outside the module)."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted(p for d in ("src/qheis", "demos", "tests") for p in (ROOT / d).rglob("*.py"))
+
+
+def unused_imports(text: str) -> list[str]:
+    """'<line>: <name>' for each name the source imports and never reads."""
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    bound = {}  # name an import binds -> line of the statement
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{line}: {name}" for name, line in sorted(bound.items(), key=lambda kv: kv[1])
+            if name not in used]
+
+
+def test_every_import_is_used():
+    assert FILES
+    unused = [f"{path.relative_to(ROOT)}:{entry}" for path in FILES
+              for entry in unused_imports(path.read_text())]
+    assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_the_check_sees_an_unused_import():
+    source = ("from __future__ import annotations\nimport os\n"
+              "import sys  # noqa: F401\nfrom math import (pi,\n    tau)\n"
+              "import os.path as osp\nprint(pi, osp)\n")
+    assert unused_imports(source) == ["2: os", "4: tau"]

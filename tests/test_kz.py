@@ -179,8 +179,8 @@ def test_coassociator_wrong_sign_control(op_system, m_matrix):
 def _dense_p_a(space):
     """P and A = 1 x e_ij x a+_j a^i as dense N^2 D x N^2 D matrices."""
     n, d = space.modes, space.dim
-    an = [fock.annihilator(space, i).toarray() for i in range(1, n + 1)]
-    ap = [fock.creator(space, i).toarray() for i in range(1, n + 1)]
+    an = [m.toarray() for m in space.an]
+    ap = [m.toarray() for m in space.ap]
     e = np.eye(n)
     a = sum(np.kron(np.kron(e, np.outer(e[i], e[j])), ap[j] @ an[i])
             for i in range(n) for j in range(n))
@@ -234,7 +234,7 @@ def test_p_and_a_conserve_the_weight(modes, cutoff):
 
 def test_weight_blocks_reject_a_weight_changing_operator(op_system):
     blocks = op_system.blocks
-    hop = sparse.kron(sparse.eye_array(4), fock.creator(op_system.space, 1))
+    hop = sparse.kron(sparse.eye_array(4), op_system.space.ap[0])
     with pytest.raises(ValueError):
         blocks.gather(hop)
 
