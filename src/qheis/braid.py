@@ -39,10 +39,23 @@ class BraidConventionError(RuntimeError):
 
 
 def _ybe_residual(rhat: np.ndarray, n: int) -> float:
+    """|| R12 R23 R12 - R23 R12 R23 || on C^N x C^N x C^N.  The rightmost
+    factors are R12 = R x 1 and R23 = 1 x R, as tensors with three row legs
+    and one column leg; the other factors act on them leg by leg (einsum,
+    no matrix product)."""
+    r = rhat.reshape(n, n, n, n)
     eye = np.eye(n, dtype=complex)
-    r12 = np.kron(rhat, eye)
-    r23 = np.kron(eye, rhat)
-    return float(np.linalg.norm(r12 @ r23 @ r12 - r23 @ r12 @ r23, 2))
+    shape = (n, n, n, n**3)
+
+    def r12(x):
+        return np.einsum("abcd,cdem->abem", r, x)
+
+    def r23(x):
+        return np.einsum("bcde,adem->abcm", r, x)
+
+    defect = (r12(r23(np.kron(rhat, eye).reshape(shape)))
+              - r23(r12(np.kron(eye, rhat).reshape(shape))))
+    return float(np.linalg.norm(defect.reshape(n**3, n**3), 2))
 
 
 def sl_rhat(n: int, q: float) -> np.ndarray:

@@ -184,8 +184,8 @@ def hermiticity_residual(gens: DeformedGenerators) -> float:
     an identity of creator degree 0."""
     from .verify import projected_norms
 
-    return max(projected_norms(gens.space, a.conj().T - ap, 0)
-               for a, ap in zip(gens.a_ops, gens.aplus_ops))
+    return projected_norms(gens.space, sparse.vstack(
+        [a.conj().T - ap for a, ap in zip(gens.a_ops, gens.aplus_ops)]), 0)
 
 
 def classical_generators(space: FockSpace, params: DeformParams) -> DeformedGenerators:

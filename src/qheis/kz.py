@@ -59,8 +59,9 @@ M = 1 + zeta(2) eta^2 [P, A] + O(h^3), acts trivially on the
 doubly-contravariant tensor a^i a^j, commutes with the image of the
 two-fold coproduct, and conjugates the numeric matrices U = P and
 V = q^s P q^P into the matrices governing the deformed exchange
-relations of the dressed generators a~^i = I(n) a^i,
-a~+_i = a+_i I~(n), I~(n) = (n+1)_{q^(2s)} / ((n+1) I(n)).
+relations of the dressed generators a~^i = a^i, a~+_i = a+_i I~(n),
+I~(n) = (n+1)_{q^(2s)} / (n+1): the paper's family a~^i = I(n) a^i,
+I~(n) = (n+1)_{q^(2s)} / ((n+1) I(n)) at I = 1.
 
 Every integration runs in the logistic coordinate t = log(x/(1-x)).
 There dx/dt = x(1-x) cancels the simple poles at x = 0 and x = 1, so one
@@ -569,27 +570,19 @@ def cross_matrix_v(system: KZOperatorSystem, q: float, sign: int) -> np.ndarray:
     return q**sign * (p @ q_p)
 
 
-def dressed_generators(system: KZOperatorSystem, params: DeformParams,
-                       dressing: Callable[[float], float] | None = None):
-    """The dressed pair a~^i = I(n) a^i, a~+_i = a+_i I~(n) with
-    I~ = (n+1)_{q^(2s)} / ((n+1) I(n)).  dressing is I as a function of the
-    total number, tabulated on n = 0..cutoff; None means I = 1."""
+def dressed_generators(system: KZOperatorSystem, params: DeformParams):
+    """The dressed pair a~^i = a^i, a~+_i = a+_i I~(n) with
+    I~ = (n+1)_{q^(2s)} / (n+1), tabulated on n = 0..cutoff."""
     space = system.space
     q2s = params.q_real ** (2 * params.sign)
-    shells = np.arange(space.cutoff + 1, dtype=float)
-    i_vals = np.array([1.0 if dressing is None else dressing(v) for v in shells])
-    itilde = np.array([qnum(v + 1.0, q2s).real / (v + 1.0) for v in shells]) / i_vals
-    di = sparse.diags_array(i_vals[space.shell].astype(complex))
+    itilde = np.array([qnum(v + 1.0, q2s).real / (v + 1.0)
+                       for v in np.arange(space.cutoff + 1, dtype=float)])
     dit = sparse.diags_array(itilde[space.shell].astype(complex))
-    a_t = [di @ m for m in space.an]
-    ap_t = [m @ dit for m in space.ap]
-    return a_t, ap_t
+    return list(space.an), [m @ dit for m in space.ap]
 
 
 def coassociator_relation_check(system: KZOperatorSystem, params: DeformParams,
-                                m: np.ndarray,
-                                dressing: Callable[[float], float] | None = None,
-                                tol: float = 1e-6) -> list[CaseResult]:
+                                m: np.ndarray, tol: float = 1e-6) -> list[CaseResult]:
     """Residuals of the three exchange relations of the dressed generators,
     with the relation matrices conjugated by M, safe-projected at creator
     degree 2:
@@ -616,7 +609,7 @@ def coassociator_relation_check(system: KZOperatorSystem, params: DeformParams,
                                   sparse.eye_array(d)))
     mu = blocks.to_sparse(blocks.matmul(minv, blocks.matmul(system.p, m)))
     mv = blocks.to_sparse(blocks.matmul(minv, blocks.matmul(v, m)))
-    a_t, ap_t = dressed_generators(system, params, dressing)
+    a_t, ap_t = dressed_generators(system, params)
     rel = sparse.eye_array(n * n * d) - s * mu
     aa, apap, cross = quadratic_residual_matrices(a_t, ap_t, rel, {"cross": mv}, s)
     names = ("coassoc_relation_aa", "coassoc_relation_apap", "coassoc_relation_cross")

@@ -5,7 +5,11 @@ On the N-mode bosonic space the extended invariant
     l^2 = (n + N/2 - 1)^2 - (a+.a+)(a.a)
 
 is positive semidefinite, commutes with n, a.a and a+.a+, and its
-spectral square root l labels joint (n, l) eigenspaces.  The shift
+spectral square root l labels joint (n, l) eigenspaces.  l^2 moves
+occupation between modes in pairs, so it also keeps the parity of each
+mode's occupation: its eigenblocks are the connected components of its
+sparsity graph, which are the (shell, parity) sectors, and l is built
+from one small eigh per sector (build_orbital).  The shift
 operators
 
     alpha^i_s   = a^i (n + N/2 - 1 + s l) - a+_i (a.a)
@@ -36,7 +40,7 @@ from scipy import sparse
 
 from .fock import FockSpace, Statistics, diag
 from .qspecial import DeformParams, y_son_ratio
-from .verify import CaseResult, projected_norms
+from .verify import CaseResult, _components, projected_norms
 
 
 @dataclass
@@ -50,8 +54,16 @@ class OrbitalData:
 
 
 def build_orbital(space: FockSpace) -> OrbitalData:
-    """Diagonalize l^2 within each total-number eigenspace and take the
-    spectral square root.
+    """Diagonalize l^2 on each connected component of its sparsity graph
+    and take the spectral square root.
+
+    l^2 commutes with the total number and with the parity of each mode's
+    occupation, and its components are exactly these (shell, parity)
+    sectors: at N = 3, cutoff 10, 40 blocks of at most 21 states, where
+    the shells reach 66.  Diagonalizing sector by sector keeps l free of
+    rounding noise between sectors.  The spectral grid lists (n, l,
+    multiplicity) per shell, with the levels of a shell's sectors merged
+    at 1e-8.
 
     Eigenvalues in [-1e-10, 0) are clamped to zero; anything below -1e-10
     signals a bug (l^2 is expected positive semidefinite here) and raises.
@@ -67,30 +79,41 @@ def build_orbital(space: FockSpace) -> OrbitalData:
     shift = (ntot + n_modes / 2.0 - 1.0) ** 2
     l2 = diag(shift) - apap @ aa
 
-    # l is block diagonal over the shells: assemble it from the shell blocks
+    # the stored entries of l^2 and a zero at each diagonal place, so that
+    # every node, even one with no stored entry, is in exactly one component
+    coo = l2.tocoo()
+    stored = coo.data != 0
+    nodes = np.arange(space.dim)
+    r, c = (np.concatenate([x[stored], nodes]) for x in (coo.row, coo.col))
+    v = np.concatenate([coo.data[stored], np.zeros(space.dim)])
+    label = _components(r, c, space.dim)
+    order = np.argsort(label, kind="stable")
     rows, cols, vals = [], [], []
-    grid: list[tuple[float, float, int]] = []
-    for n_val in sorted(set(ntot)):
-        sel = np.where(ntot == n_val)[0]
-        block = l2[sel][:, sel].toarray()
+    levels: dict[int, list[float]] = {}
+    for at in np.split(order, np.flatnonzero(np.diff(label[order])) + 1):
+        sel = np.unique(r[at])
+        n_val = int(ntot[sel[0]])
+        block = np.zeros((sel.size, sel.size), dtype=l2.dtype)
+        np.add.at(block, (np.searchsorted(sel, r[at]), np.searchsorted(sel, c[at])), v[at])
         evals, evecs = np.linalg.eigh(block)
         if evals.min() < -1e-10:
             raise ValueError(f"l^2 eigenvalue {evals.min():.3e} below -1e-10 "
                              f"in the n={n_val} block")
-        evals = np.clip(evals, 0.0, None)
-        lvals = np.sqrt(evals)
+        lvals = np.sqrt(np.clip(evals, 0.0, None))
         rows.append(np.repeat(sel, sel.size))
         cols.append(np.tile(sel, sel.size))
         vals.append(((evecs * lvals) @ evecs.conj().T).ravel())
+        levels.setdefault(n_val, []).extend(lvals)
+    grid: list[tuple[float, float, int]] = []
+    for n_val, lvals in levels.items():
         shell: dict[float, int] = {}  # distinct l of this shell -> multiplicity
-        for lv in lvals:
+        for lv in sorted(lvals):
             gl = next((gl for gl in shell if abs(gl - lv) < 1e-8), float(lv))
             shell[gl] = shell.get(gl, 0) + 1
         grid += [(float(n_val), gl, m) for gl, m in shell.items()]
-    spectral_grid = sorted(grid)
     lmat = sparse.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                             shape=l2.shape)
-    return OrbitalData(space, l2, lmat, spectral_grid, aa, apap)
+    return OrbitalData(space, l2, lmat, sorted(grid), aa, apap)
 
 
 def l2_commutator_residuals(orb: OrbitalData, tol: float = 1e-12) -> list[CaseResult]:
@@ -111,7 +134,7 @@ def l2_commutator_residuals(orb: OrbitalData, tol: float = 1e-12) -> list[CaseRe
             for name, x in (("aa", orb.aa), ("apap", orb.apap))]
 
     d_a1, d_a2, d_p1, d_p2 = (diag(2 * space.shell + nn + c) for c in (-3, 1, -1, 3))
-    norms_a, norms_ap = [], []
+    defects_a, defects_ap = [], []
     for ai, api in zip(space.an, space.ap):
         comm_a = l2 @ ai - ai @ l2
         comm_ap = l2 @ api - api @ l2
@@ -119,12 +142,12 @@ def l2_commutator_residuals(orb: OrbitalData, tol: float = 1e-12) -> list[CaseRe
         form_a2 = -ai @ d_a2 + 2 * (orb.aa @ api)
         form_p1 = api @ d_p1 - 2 * (orb.apap @ ai)
         form_p2 = api @ d_p2 - 2 * (ai @ orb.apap)
-        norms_a += [projected_norms(space, comm_a - form, 2) for form in (form_a1, form_a2)]
-        norms_ap += [projected_norms(space, comm_ap - form, 2) for form in (form_p1, form_p2)]
-    rows.append(CaseResult("l2_mixed_commutator_a", max(norms_a), 10 * tol,
-                           {"safe_degree": 2}))
-    rows.append(CaseResult("l2_mixed_commutator_aplus", max(norms_ap), 10 * tol,
-                           {"safe_degree": 2}))
+        defects_a += [comm_a - form_a1, comm_a - form_a2]
+        defects_ap += [comm_ap - form_p1, comm_ap - form_p2]
+    for name, defects in (("a", defects_a), ("aplus", defects_ap)):
+        rows.append(CaseResult(f"l2_mixed_commutator_{name}",
+                               projected_norms(space, sparse.vstack(defects), 2),
+                               10 * tol, {"safe_degree": 2}))
     return rows
 
 
@@ -157,16 +180,17 @@ def shift_operator_residuals(orb: OrbitalData, sign: int) -> list[CaseResult]:
     diag2 = diag(space.shell + nn / 2.0 + 1.0) + sign * orb.l
     lmat = orb.l
     eye = sparse.eye_array(space.dim, format="csr")
-    norms_order, norms_eige = [], []
+    order, eigen = [], []
     for ai, api, down, up in zip(space.an, space.ap, alpha_down, alpha_up):
-        norms_order += [projected_norms(space, down - (ai @ diag2 - orb.aa @ api), 2),
-                        projected_norms(space, up - (api @ diag2 - ai @ orb.apap), 2)]
-        norms_eige += [projected_norms(space, lmat @ up - up @ (lmat + sign * eye), 2),
-                       projected_norms(space, lmat @ down - down @ (lmat - sign * eye), 2)]
+        order += [down - (ai @ diag2 - orb.aa @ api), up - (api @ diag2 - ai @ orb.apap)]
+        eigen += [lmat @ up - up @ (lmat + sign * eye),
+                  lmat @ down - down @ (lmat - sign * eye)]
     return [
-        CaseResult(f"shift_orderings_agree[s={sign:+d}]", max(norms_order),
+        CaseResult(f"shift_orderings_agree[s={sign:+d}]",
+                   projected_norms(space, sparse.vstack(order), 2),
                    1e-12, {"safe_degree": 2}),
-        CaseResult(f"shift_eigen_relations[s={sign:+d}]", max(norms_eige),
+        CaseResult(f"shift_eigen_relations[s={sign:+d}]",
+                   projected_norms(space, sparse.vstack(eigen), 2),
                    1e-10, {"safe_degree": 2}),
     ]
 

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import sparse
 
 from . import braid, deform, liealg, soshift, verify
 from .fock import Statistics, build_space, grade_defect
@@ -156,8 +157,8 @@ def _suite_sl2_bose(cfg: SuiteConfig):
 
     def generator_distance(g1, g0):
         # largest spectral norm of a generator difference, on the whole space
-        return max(verify.projected_norms(space, a - b, 0)
-                   for a, b in zip(g1.a_ops + g1.aplus_ops, g0.a_ops + g0.aplus_ops))
+        return verify.projected_norms(space, sparse.vstack(
+            [a - b for a, b in zip(g1.a_ops + g1.aplus_ops, g0.a_ops + g0.aplus_ops)]), 0)
 
     def alpha_unit(q):
         # conjugating by alpha must reproduce the one-sided generators; its
@@ -265,7 +266,7 @@ def _suite_son_orbital(cfg: SuiteConfig):
 
     units = [("structure", structural)]
     units += [(f"q={q:g}", lambda q=q: functional(q)) for q in cfg.q]
-    units.append(("q=1", classical_metric))
+    units.append(("classical", classical_metric))
     return {"family": "so", "N": cfg.modes, "statistics": "bose",
             "cutoff": cfg.cutoff, "q": list(cfg.q), "sign": WEYL}, units
 

@@ -14,11 +14,13 @@ columns, so the defect is their orthogonal direct sum, and its spectral
 norm is the largest spectral norm among the component blocks, exactly,
 for any matrix and with no labels supplied by the caller.  An entry
 alone in its row and its column is a 1 x 1 block and reads its modulus;
-every other component is a small dense SVD.  The paper's generators are
+the other components are grouped by block shape, and the blocks of one
+shape are one stack and one batched SVD.  The paper's generators are
 diagonal dressings times ladder operators, so the defects of the sl(N)
 relations are partial permutations times a diagonal and need no SVD.
 A stack of D x D defects is measured as the direct sum of its blocks
-(:func:`projected_norms`), so its residual is the largest block norm.
+(:func:`projected_norms`), so its residual is the largest block norm, and
+a check over several generators stacks their defects and makes one call.
 
 The quadratic exchange relations (:func:`quadratic_residual_matrices`).
 Pairs of mode indices (i, j) are numbered i N + j, and a relation
@@ -127,16 +129,28 @@ def _norm_of_entries(rows, cols, vals, mask: np.ndarray) -> float:
     rows, cols, vals = rows[~alone], cols[~alone], vals[~alone]
     if vals.size == 0:
         return spec
-    comp = _components(rows, cols, mask.size)
-    order = np.argsort(comp, kind="stable")
-    cuts = np.flatnonzero(np.diff(comp[order])) + 1
-    for r, c, v in zip(*(np.split(x[order], cuts) for x in (rows, cols, vals))):
-        r_at, ri = np.unique(r, return_inverse=True)
-        c_at, ci = np.unique(c, return_inverse=True)
-        block = np.zeros((r_at.size, c_at.size), dtype=complex)
-        block[ri, ci] = v
-        spec = max(spec, float(np.linalg.svd(block, compute_uv=False)[0]))
+    _, comp = np.unique(_components(rows, cols, mask.size), return_inverse=True)
+    (ri, n_r), (ci, n_c) = _local_index(comp, rows), _local_index(comp, cols)
+    # the components of one block shape are one stack, numbered by rank
+    width = n_c.max() + 1
+    shapes, group = np.unique(n_r * width + n_c, return_inverse=True)
+    rank, count = _local_index(group, np.arange(group.size))
+    for g, s in enumerate(shapes):
+        at = group[comp] == g
+        stack = np.zeros((count[g], *divmod(int(s), width)), dtype=complex)
+        stack[rank[comp[at]], ri[at], ci[at]] = vals[at]
+        spec = max(spec, float(np.linalg.svd(stack, compute_uv=False)[:, 0].max()))
     return spec
+
+
+def _local_index(comp: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position of each entry's index idx among the distinct indices of its
+    component comp (0..K-1), in increasing order, and the number of
+    distinct indices of each component."""
+    base = idx.max() + 1
+    keys, inverse = np.unique(comp * base + idx, return_inverse=True)
+    count = np.bincount(keys // base)
+    return inverse - (np.cumsum(count) - count)[comp], count
 
 
 def direct_sum_norms(m, mask: np.ndarray) -> float:
@@ -264,11 +278,13 @@ def number_op_check(gens: DeformedGenerators, tol: float = 1e-10) -> list[CaseRe
     nh = gens.number_operator()
     out = [
         CaseResult("qnumber_creator_relation",
-                   max(projected_norms(space, nh @ ap - ap - q2s * (ap @ nh), 2)
-                       for ap in gens.aplus_ops), tol, {"safe_degree": 2}),
+                   projected_norms(space, sparse.vstack(
+                       [nh @ ap - ap - q2s * (ap @ nh) for ap in gens.aplus_ops]), 2),
+                   tol, {"safe_degree": 2}),
         CaseResult("qnumber_annihilator_relation",
-                   max(projected_norms(space, nh @ a - (1.0 / q2s) * (-a + a @ nh), 2)
-                       for a in gens.a_ops), tol, {"safe_degree": 2}),
+                   projected_norms(space, sparse.vstack(
+                       [nh @ a - (1.0 / q2s) * (-a + a @ nh) for a in gens.a_ops]), 2),
+                   tol, {"safe_degree": 2}),
     ]
 
     if gens.space.statistics is Statistics.BOSE:
@@ -308,7 +324,7 @@ def metric_invariant_check(gens: DeformedGenerators, c_lower: np.ndarray,
     aca = sum(c_lower[j, i] * (a[i] @ a[j]) for i in range(n) for j in range(n))
     apcap = sum(c_upper[i, j] * (ap[i] @ ap[j]) for i in range(n) for j in range(n))
     factor = 1.0 + q ** (2 - n)
-    norms = [[], [], [], []]
+    defects = [[], [], [], []]
     for i in range(n):
         r1 = aca @ a[i] - a[i] @ aca
         r2 = apcap @ ap[i] - ap[i] @ apcap
@@ -316,12 +332,13 @@ def metric_invariant_check(gens: DeformedGenerators, c_lower: np.ndarray,
             - factor * sum(c_lower[i, j] * a[j] for j in range(n))
         r4 = a[i] @ apcap - q**2 * (apcap @ a[i]) \
             - factor * sum(c_upper[i, j] * ap[j] for j in range(n))
-        for group, r in zip(norms, (r1, r2, r3, r4)):
-            group.append(projected_norms(space, r, 2))
+        for group, r in zip(defects, (r1, r2, r3, r4)):
+            group.append(r)
     names = ["metric_inv_aa_commute", "metric_inv_apap_commute",
              "metric_inv_cross_lower", "metric_inv_cross_upper"]
-    return [CaseResult(name, max(group), tol, {"safe_degree": 2})
-            for name, group in zip(names, norms)]
+    return [CaseResult(name, projected_norms(space, sparse.vstack(group), 2), tol,
+                       {"safe_degree": 2})
+            for name, group in zip(names, defects)]
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +359,7 @@ def invariant_commutant_check(gens: DeformedGenerators, data: LieData,
     if extra_invariants:
         invariants.update(extra_invariants)
     return [CaseResult(f"commutant[{name}]",
-                       max(projected_norms(space, mat @ inv - inv @ mat, 2)
-                           for mat in smats.values()), tol, {"safe_degree": 2})
+                       projected_norms(space, sparse.vstack(
+                           [mat @ inv - inv @ mat for mat in smats.values()]), 2),
+                       tol, {"safe_degree": 2})
             for name, inv in invariants.items()]

@@ -176,6 +176,6 @@ def test_criterion_11_so_orbital():
 def test_criterion_12_metric_invariants_classical():
     report, _ = _run("soN-orbital", cutoff=6, modes=3)
     worst = max(c.residual for c in report.cases
-                if c.name.startswith("q=1/metric_inv_"))
+                if c.name.startswith("classical/metric_inv_"))
     _report(12, "quadratic metric invariants at q=1 (classical generators)",
             worst < 1e-12, f"max residual {worst:.2e} (tol 1e-12)")

@@ -96,3 +96,31 @@ def test_rejections():
         braid.build_relations("sp", 2, 1.3, WEYL)
     with pytest.raises(ValueError):
         braid.build_relations("sl", 2, -1.0, WEYL)
+
+
+def _ybe_kron(rhat, n):
+    """The Yang-Baxter defect from dense N^3 x N^3 Kronecker products."""
+    eye = np.eye(n, dtype=complex)
+    r12, r23 = np.kron(rhat, eye), np.kron(eye, rhat)
+    return float(np.linalg.norm(r12 @ r23 @ r12 - r23 @ r12 @ r23, 2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("family", ["sl", "so"])
+def test_ybe_residual_matches_kron_reference(family, n):
+    for q in (0.7, 1.3):
+        rhat = braid.build_relations(family, n, q, WEYL).rhat
+        assert abs(braid._ybe_residual(rhat, n) - _ybe_kron(rhat, n)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_ybe_residual_reads_a_broken_rhat(n):
+    # lambda = q - 1/q with the wrong sign breaks the braid relation; the
+    # leg-wise defect must read the reference's nonzero value
+    q = 1.3
+    broken = braid.sl_rhat(n, q)
+    lam_at = [i * n + j for i in range(n) for j in range(i + 1, n)]
+    broken[lam_at, lam_at] *= -1
+    want = _ybe_kron(broken, n)
+    assert want > 1e-2
+    assert abs(braid._ybe_residual(broken, n) - want) <= 1e-12 * want

@@ -213,6 +213,16 @@ def test_cli_success_and_report(tmp_path):
     assert all(c["pass"] for c in doc["cases"])
 
 
+def test_cli_son_orbital_at_q_1(tmp_path):
+    # the classical-metric control unit is named apart from the q units
+    out = tmp_path / "rep.json"
+    code = cli.main(["suite", "soN-orbital", "--cutoff", "4", "--q", "1",
+                     "--out", str(out)])
+    assert code == 0
+    units = {c["name"].split("/")[0] for c in json.loads(out.read_text())["cases"]}
+    assert units == {"structure", "q=1", "classical"}
+
+
 def test_cli_failure_exit_code(tmp_path, monkeypatch):
     def failing(_cfg):
         return {}, [("unit", lambda: [CaseResult("too_large", 1.0, 1e-3)])]

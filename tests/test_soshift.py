@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qheis import fock, soshift
+from qheis import fock, soshift, verify
 from qheis.fock import Statistics
 from qheis.qspecial import WEYL, DeformParams
 
@@ -47,6 +47,59 @@ def test_l_is_positive_root(orb3):
     n = np.diag(orb3.space.shell)
     assert np.linalg.norm(lmat @ n - n @ lmat) < 1e-10
     assert np.linalg.norm(lmat @ l2 - l2 @ lmat) < 1e-9
+
+
+def _per_shell_reference(space, l2):
+    """l and the spectral grid from one dense eigh per total-number shell."""
+    d = space.dim
+    lmat = np.zeros((d, d), dtype=complex)
+    grid = []
+    for n_val in sorted(set(space.shell)):
+        sel = np.flatnonzero(space.shell == n_val)
+        evals, evecs = np.linalg.eigh(l2.toarray()[np.ix_(sel, sel)])
+        lvals = np.sqrt(np.clip(evals, 0.0, None))
+        lmat[np.ix_(sel, sel)] = (evecs * lvals) @ evecs.conj().T
+        for lv in np.unique(np.round(lvals, 8)):
+            grid.append((float(n_val), lv, int(np.sum(np.abs(lvals - lv) < 1e-6))))
+    return lmat, grid
+
+
+def test_l_eigenblocks_are_the_components_of_l2(monkeypatch):
+    space = fock.build_space(3, Statistics.BOSE, 10)
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    orb = soshift.build_orbital(space)
+    monkeypatch.undo()
+    # one eigh per (shell, per-mode parity) sector; the shells reach 66 states
+    occ = np.array(space.basis)
+    sectors = {(n, *p) for n, p in zip(space.shell, (occ % 2).tolist())}
+    assert len(sizes) == len(sectors) == 40
+    assert max(sizes) == 21 and sum(sizes) == space.dim
+
+    # every stored entry of l joins two states of one component of l^2
+    c = orb.l2.tocoo()
+    nodes = np.arange(space.dim)
+    label = verify._components(np.concatenate([c.row, nodes]),
+                               np.concatenate([c.col, nodes]), space.dim)[-space.dim:]
+    lc = orb.l.tocoo()
+    assert np.array_equal(label[lc.row], label[lc.col])
+    parity = occ % 2
+    assert np.array_equal(space.shell[lc.row], space.shell[lc.col])
+    assert np.array_equal(parity[lc.row], parity[lc.col])
+
+    l2, lmat = orb.l2.toarray(), orb.l.toarray()
+    assert np.linalg.norm(lmat @ lmat - l2, 2) <= 1e-12 * np.linalg.norm(l2, 2)
+    ref_l, ref_grid = _per_shell_reference(space, orb.l2)
+    assert np.abs(lmat - ref_l).max() <= 1e-12
+    assert len(orb.spectral_grid) == len(ref_grid)
+    for (n, lv, m), (rn, rl, rm) in zip(orb.spectral_grid, sorted(ref_grid)):
+        assert (n, m) == (rn, rm) and abs(lv - rl) < 1e-10
 
 
 @pytest.mark.parametrize("sign", [+1, -1])

@@ -68,6 +68,24 @@ def stacks(space, rng):
             sparse.block_array([[block() for _ in range(3)] for _ in range(2)])]
 
 
+def repeated_blocks(space, rng):
+    """Disjoint random blocks on shuffled rows and columns: many 2 x 3 and
+    3 x 2 blocks, mixed shapes and 1 x 1 singletons.  Each block is scaled
+    up by its place in the sequence, so that the largest norm of a shape
+    is seldom in its first block."""
+    shapes = [(2, 3), (3, 2), (1, 1), (2, 3), (3, 2), (4, 1), (1, 1), (3, 3), (1, 2)]
+    rows, cols = rng.permutation(space.dim), rng.permutation(space.dim)
+    keep = np.zeros((space.dim, space.dim))
+    at_r = at_c = 0
+    for k in range(space.dim):
+        n_r, n_c = shapes[k % len(shapes)]
+        if at_r + n_r > space.dim or at_c + n_c > space.dim:
+            break
+        keep[np.ix_(rows[at_r:at_r + n_r], cols[at_c:at_c + n_c])] = 1.0 + k
+        at_r, at_c = at_r + n_r, at_c + n_c
+    return sparse.csr_array(random_on(keep > 0, rng).multiply(keep))
+
+
 def assert_close(got, want):
     assert abs(got - want) <= 1e-12 * max(abs(want), 1e-300), (got, want)
 
@@ -82,6 +100,7 @@ def test_projected_norms_match_dense_oracle(key, grades):
         inputs += [random_pattern(space, rng, per_row) for per_row in (1, 3)]
         inputs.append(safe_chain(space, degree, rng))
         inputs += stacks(space, rng)
+        inputs += [repeated_blocks(space, rng) for _ in range(2)]
         for m in inputs:
             assert_close(verify.projected_norms(space, m, degree),
                          dense_oracle(space, m, degree))
