@@ -9,7 +9,8 @@ spectral square root l labels joint (n, l) eigenspaces.  l^2 moves
 occupation between modes in pairs, so it also keeps the parity of each
 mode's occupation: its eigenblocks are the connected components of its
 sparsity graph, which are the (shell, parity) sectors, and l is built
-from one small eigh per sector (build_orbital).  The shift
+from one small eigh per sector (build_orbital, through
+verify.component_blocks).  The shift
 operators
 
     alpha^i_s   = a^i (n + N/2 - 1 + s l) - a+_i (a.a)
@@ -40,7 +41,7 @@ from scipy import sparse
 
 from .fock import FockSpace, Statistics, diag
 from .qspecial import DeformParams, y_son_ratio
-from .verify import CaseResult, _components, projected_norms
+from .verify import CaseResult, component_blocks, projected_norms
 
 
 @dataclass
@@ -79,22 +80,17 @@ def build_orbital(space: FockSpace) -> OrbitalData:
     shift = (ntot + n_modes / 2.0 - 1.0) ** 2
     l2 = diag(shift) - apap @ aa
 
-    # the stored entries of l^2 and a zero at each diagonal place, so that
-    # every node, even one with no stored entry, is in exactly one component
+    # the stored entries of l^2, and a zero on the diagonal of each state
+    # with none, so that every state is in exactly one component
     coo = l2.tocoo()
     stored = coo.data != 0
-    nodes = np.arange(space.dim)
-    r, c = (np.concatenate([x[stored], nodes]) for x in (coo.row, coo.col))
-    v = np.concatenate([coo.data[stored], np.zeros(space.dim)])
-    label = _components(r, c, space.dim)
-    order = np.argsort(label, kind="stable")
+    bare = np.setdiff1d(np.arange(space.dim), coo.row[stored])
+    r, c = (np.concatenate([x[stored], bare]) for x in (coo.row, coo.col))
+    v = np.concatenate([coo.data[stored], np.zeros(bare.size)])
     rows, cols, vals = [], [], []
     levels: dict[int, list[float]] = {}
-    for at in np.split(order, np.flatnonzero(np.diff(label[order])) + 1):
-        sel = np.unique(r[at])
+    for sel, _, block in component_blocks(r, c, v, space.dim):
         n_val = int(ntot[sel[0]])
-        block = np.zeros((sel.size, sel.size), dtype=l2.dtype)
-        np.add.at(block, (np.searchsorted(sel, r[at]), np.searchsorted(sel, c[at])), v[at])
         evals, evecs = np.linalg.eigh(block)
         if evals.min() < -1e-10:
             raise ValueError(f"l^2 eigenvalue {evals.min():.3e} below -1e-10 "

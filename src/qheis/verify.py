@@ -14,10 +14,11 @@ columns, so the defect is their orthogonal direct sum, and its spectral
 norm is the largest spectral norm among the component blocks, exactly,
 for any matrix and with no labels supplied by the caller.  An entry
 alone in its row and its column is a 1 x 1 block and reads its modulus;
-the other components are grouped by block shape, and the blocks of one
-shape are one stack and one batched SVD.  The paper's generators are
-diagonal dressings times ladder operators, so the defects of the sl(N)
-relations are partial permutations times a diagonal and need no SVD.
+every other component is a small dense SVD (:func:`component_blocks`,
+which also gives ``soshift.build_orbital`` the eigenblocks of l^2).  The
+paper's generators are diagonal dressings times ladder operators, so the
+defects of the sl(N) relations are partial permutations times a diagonal
+and need no SVD.
 A stack of D x D defects is measured as the direct sum of its blocks
 (:func:`projected_norms`), so its residual is the largest block norm, and
 a check over several generators stacks their defects and makes one call.
@@ -118,6 +119,21 @@ def _entries(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices, m.data
 
 
+def component_blocks(rows, cols, vals, n: int):
+    """The connected components of the sparsity graph of the n x n matrix
+    with entries vals at (rows, cols), one entry per place: for each, its
+    rows and its columns, in increasing order, and its dense block."""
+    comp = _components(rows, cols, n)
+    order = np.argsort(comp, kind="stable")
+    cuts = np.flatnonzero(np.diff(comp[order])) + 1
+    for r, c, v in zip(*(np.split(x[order], cuts) for x in (rows, cols, vals))):
+        r_at, ri = np.unique(r, return_inverse=True)
+        c_at, ci = np.unique(c, return_inverse=True)
+        block = np.zeros((r_at.size, c_at.size), dtype=vals.dtype)
+        block[ri, ci] = v
+        yield r_at, c_at, block
+
+
 def _norm_of_entries(rows, cols, vals, mask: np.ndarray) -> float:
     """Spectral norm of the matrix with entries vals at (rows, cols),
     restricted to the rows and columns in mask, exact by the components of
@@ -126,31 +142,12 @@ def _norm_of_entries(rows, cols, vals, mask: np.ndarray) -> float:
     rows, cols, vals = rows[keep], cols[keep], vals[keep]
     alone = (np.bincount(rows)[rows] == 1) & (np.bincount(cols)[cols] == 1)
     spec = float(np.abs(vals[alone]).max(initial=0.0))
-    rows, cols, vals = rows[~alone], cols[~alone], vals[~alone]
+    rows, cols, vals = rows[~alone], cols[~alone], vals[~alone].astype(complex)
     if vals.size == 0:
         return spec
-    _, comp = np.unique(_components(rows, cols, mask.size), return_inverse=True)
-    (ri, n_r), (ci, n_c) = _local_index(comp, rows), _local_index(comp, cols)
-    # the components of one block shape are one stack, numbered by rank
-    width = n_c.max() + 1
-    shapes, group = np.unique(n_r * width + n_c, return_inverse=True)
-    rank, count = _local_index(group, np.arange(group.size))
-    for g, s in enumerate(shapes):
-        at = group[comp] == g
-        stack = np.zeros((count[g], *divmod(int(s), width)), dtype=complex)
-        stack[rank[comp[at]], ri[at], ci[at]] = vals[at]
-        spec = max(spec, float(np.linalg.svd(stack, compute_uv=False)[:, 0].max()))
+    for _, _, block in component_blocks(rows, cols, vals, mask.size):
+        spec = max(spec, float(np.linalg.svd(block, compute_uv=False)[0]))
     return spec
-
-
-def _local_index(comp: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Position of each entry's index idx among the distinct indices of its
-    component comp (0..K-1), in increasing order, and the number of
-    distinct indices of each component."""
-    base = idx.max() + 1
-    keys, inverse = np.unique(comp * base + idx, return_inverse=True)
-    count = np.bincount(keys // base)
-    return inverse - (np.cumsum(count) - count)[comp], count
 
 
 def direct_sum_norms(m, mask: np.ndarray) -> float:

@@ -107,6 +107,27 @@ def test_projected_norms_match_dense_oracle(key, grades):
 
 
 @pytest.mark.parametrize("key", SPACES)
+def test_component_blocks_reassemble_the_matrix(key):
+    # the blocks, put back at their rows and columns, give the matrix; no
+    # row or column is in two blocks, and each block's rows and columns are
+    # listed in increasing order
+    space = fock.build_space(*SPACES[key])
+    rng = np.random.default_rng([ord(ch) for ch in key])
+    for m in [random_pattern(space, rng, 2), *(repeated_blocks(space, rng) for _ in range(2))]:
+        coo = m.tocoo()
+        rebuilt = np.zeros(m.shape, dtype=complex)
+        seen_r, seen_c = [], []
+        for r, c, block in verify.component_blocks(coo.row, coo.col, coo.data, space.dim):
+            assert block.shape == (r.size, c.size)
+            assert np.all(np.diff(r) > 0) and np.all(np.diff(c) > 0)
+            rebuilt[np.ix_(r, c)] = block
+            seen_r += list(r)
+            seen_c += list(c)
+        assert np.array_equal(rebuilt, m.toarray())
+        assert len(seen_r) == len(set(seen_r)) and len(seen_c) == len(set(seen_c))
+
+
+@pytest.mark.parametrize("key", SPACES)
 def test_projected_norms_zero_and_empty(key):
     space = fock.build_space(*SPACES[key])
     d = space.dim
