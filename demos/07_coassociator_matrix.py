@@ -1,13 +1,13 @@
-"""The coassociator matrix M from the operator path-ordered integral.
+"""The coassociator matrix M of the operator KZ equation.
 
-M is the fundamental solution of the operator KZ equation with
-power-law endpoint prefactors.  P and A both conserve the sl(N) weight
-e_a + e_b + occ of a basis vector (a, b, occ) of C^N x C^N x Fock, so
-the equation is integrated on the weight blocks of M only (one ODE over
-all of them, the blocks of each size stacked), and the endpoint
-prefactors are closed forms per block: an eigenbasis of the symmetric A
-block, and cosh/sinh of P since P^2 = 1.  M comes back as its weight
-blocks; its norms are the largest block norm.  M is
+M is the connection matrix of the equation's two solutions normalized
+at x = 0 and x = 1, each a power series that converges at x = 1/2 in
+about 50 terms, so no integrator runs.  P and A both conserve the sl(N)
+weight e_a + e_b + occ of a basis vector (a, b, occ) of
+C^N x C^N x Fock, so both series are summed on the weight blocks only
+(the blocks of each size stacked, each series in the eigenbasis of its
+P or A blocks).  M comes back as its weight blocks; its norms are the
+largest block norm.  M is
 1 + zeta(2) eta^2 [P, A] + O(h^3), acts trivially on the
 doubly-contravariant tensor a^i a^j, and conjugates the numeric
 relation matrices into the ones the dressed generators satisfy --
@@ -28,7 +28,7 @@ dim = blocks.dim
 print(f"operator system on C^2 x C^2 x Fock: total dimension {dim}")
 sizes = {shape[1]: shape[0] for _, shape in blocks.stacks}
 print(f"{sum(sizes.values())} weight blocks, count by size {sizes}:",
-      f"{blocks.rows.size} ODE state entries instead of {dim * dim}")
+      f"{blocks.rows.size} stored entries of M instead of {dim * dim}")
 
 
 def hbar2_of(h):

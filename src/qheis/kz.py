@@ -1,6 +1,7 @@
 """Reduced Knizhnik-Zamolodchikov machinery: the scalar three-function
 system, its hypergeometric closed forms and x -> 0 limits, and the
-operator-valued path-ordered integral for the coassociator matrix M.
+coassociator matrix M as the connection matrix of the operator KZ
+equation's two normalized Frobenius solutions.
 
 Scalar side.  With s = +-1 (Weyl/Clifford) and eta := 2*hbar the system
 
@@ -39,19 +40,20 @@ A = 1 x e_ij x a+_j a^i, the coassociator matrix is
     M = lim_{x0,y0 -> 0} x0^(-eta P) OrdExp[ eta int (P/x + A/(x-1)) dx ]
         y0^(eta A),
 
-computed as the fundamental solution of the linear operator ODE (not by
-product discretization).  P and A both conserve the sl(N) weight
-e_a + e_b + occ of a basis vector (a, b, occ), so P, A, the propagator,
-both endpoint factors and M are block diagonal over the weights, and no
-block is larger than N^2.  The blocks of one size are stacked into an
-(n_blocks, s, s) array; one ODE evolves all of them (266 entries at
-N = 2, cutoff 5, against 7,056 for the full 84 x 84 propagator), and the
-endpoint factors are closed forms per block: y0^(eta A) from the batched
-eigendecomposition of the real symmetric A blocks, and
-x0^(-eta P) = cosh(c) 1 + sinh(c) P with c = -eta log x0, since P^2 = 1.
-M is returned as its weight blocks (WeightBlocks), and every check
-works on them: norms of a block-diagonal operator are the largest block
-norm (a direct sum), inverses and conjugations go block by block, and
+the connection matrix M = Y0^-1 Y1 of the solutions Y0 = H0(x) x^(eta P)
+and Y1 = H1(1-x) (1-x)^(eta A) of Y' = eta (P/x + A/(x-1)) Y normalized
+at x = 0 and x = 1 (Drinfeld 1990; Le-Murakami 1996).  H0 and H1 are
+power series with constant term 1 whose coefficients follow from a
+linear recursion; both converge at x = 1/2 in about 50 terms, so M
+needs no integrator (coassociator_matrix).  P and A both conserve the
+sl(N) weight e_a + e_b + occ of a basis vector (a, b, occ), so P, A,
+both series and M are block diagonal over the weights, and no block is
+larger than N^2.  The blocks of one size are stacked into an
+(n_blocks, s, s) array, and each series is summed in the eigenbasis of
+its P or A blocks (one batched eigh per stack at construction).  M is
+returned as its weight blocks (WeightBlocks), and every check works on
+them: norms of a block-diagonal operator are the largest block norm (a
+direct sum), inverses and conjugations go block by block, and
 contractions with Fock operators use the blocks as the stored entries
 of a sparse matrix.
 
@@ -63,9 +65,10 @@ relations of the dressed generators a~^i = a^i, a~+_i = a+_i I~(n),
 I~(n) = (n+1)_{q^(2s)} / (n+1): the paper's family a~^i = I(n) a^i,
 I~(n) = (n+1)_{q^(2s)} / ((n+1) I(n)) at I = 1.
 
-Every integration runs in the logistic coordinate t = log(x/(1-x)).
-There dx/dt = x(1-x) cancels the simple poles at x = 0 and x = 1, so one
-solve covers (0, 1) and the step count is independent of eps.
+The scalar system is integrated in the logistic coordinate
+t = log(x/(1-x)).  There dx/dt = x(1-x) cancels the simple poles at
+x = 0 and x = 1, so one solve covers (0, 1) and the step count is
+independent of eps.
 """
 
 from __future__ import annotations
@@ -444,24 +447,16 @@ def _weight_blocks(weights: np.ndarray) -> WeightBlocks:
 @dataclass(frozen=True)
 class KZOperatorSystem:
     """P and A on C^N x C^N x Fock as flat weight blocks (see WeightBlocks),
-    with the eigendecomposition A = vecs diag(vals) vecs^T of each stack of
-    real symmetric A blocks."""
+    with the eigendecompositions P = vecs diag(vals) vecs^T and
+    A = vecs diag(vals) vecs^T of each stack of real symmetric blocks."""
 
     space: FockSpace
     n: int
     blocks: WeightBlocks
     p: np.ndarray
     a: np.ndarray
-    a_eig: tuple  # (vals (n_blocks, s), vecs (n_blocks, s, s)) per stack
-
-    def exp_a(self, c: complex) -> np.ndarray:
-        """exp(c A), flat."""
-        return self.blocks.join([(vecs * np.exp(c * vals)[:, None, :]) @ vecs.transpose(0, 2, 1)
-                                 for vals, vecs in self.a_eig])
-
-    def exp_p(self, c: complex) -> np.ndarray:
-        """exp(c P), flat; P^2 = 1."""
-        return np.cosh(c) * self.blocks.eye + np.sinh(c) * self.p
+    p_eig: tuple  # (vals (n_blocks, s), vecs (n_blocks, s, s)) per stack
+    a_eig: tuple  # the same for A
 
 
 def build_operator_system(space: FockSpace) -> KZOperatorSystem:
@@ -479,43 +474,106 @@ def build_operator_system(space: FockSpace) -> KZOperatorSystem:
     weights = (pair_weights + np.array(space.basis)[None, :, :]).reshape(n * n * d, n)
     blocks = _weight_blocks(weights)
     p, a = blocks.gather(p_sparse).real, blocks.gather(a_sparse).real
+    p_eig = tuple(np.linalg.eigh(stack) for stack in blocks.views(p))
     a_eig = tuple(np.linalg.eigh(stack) for stack in blocks.views(a))
-    return KZOperatorSystem(space, n, blocks, p, a, a_eig)
+    return KZOperatorSystem(space, n, blocks, p, a, p_eig, a_eig)
+
+
+_SERIES_TERMS = 200  # the most terms a Frobenius series may take
+_RESONANCE = 1e-6  # the least relative distance of k - hbar2 (b_i - b_j) from 0
+_TAIL = np.finfo(float).eps / 2  # the series stops once its tail is below this
+
+
+def _frobenius_series(b_vals: np.ndarray, c_vals: np.ndarray, w: np.ndarray,
+                      hbar2: complex, us: np.ndarray) -> np.ndarray:
+    """H(u) at each u in us, for one stack of blocks, in B's eigenbasis:
+    the solution H = sum_k h_k u^k, h_0 = 1, of
+
+        u H' = hbar2 [B, H] - hbar2 u/(1-u) C H,
+
+    with B = diag(b_vals) and C = w diag(c_vals) w^T in that basis.  The
+    coefficients follow from (k - hbar2 (b_i - b_j)) h_k[i, j] =
+    -hbar2 (C S_(k-1))[i, j], S_(k-1) = h_0 + ... + h_(k-1): one batched
+    matmul and one entrywise division per term.
+
+    The series stops once the Frobenius norm of its tail at u_max = max(us)
+    is provably below _TAIL.  With g = |hbar2| max|c| / (k + 1 - |hbar2|
+    max|b_i - b_j|), every later term obeys ||h_j|| <= g ||S_(j-1)|| and
+    ||S_j|| <= (1 + g) ||S_(j-1)||, so the tail after term k is at most
+    g ||S_k|| u_max^(k+1) / (1 - (1 + g) u_max).  Raises IntegrationError
+    at a resonance (a denominator within _RESONANCE k of zero) or when the
+    bound is not met within _SERIES_TERMS terms."""
+    n_blocks, s = b_vals.shape
+    gap = hbar2 * (b_vals[:, :, None] - b_vals[:, None, :])
+    # the nearest k >= 1 to each gap is where its denominator is smallest
+    k_near = np.clip(np.rint(gap.real), 1, _SERIES_TERMS)
+    if np.any(np.abs(k_near - gap) < _RESONANCE * k_near):
+        raise IntegrationError(f"resonant Frobenius series at hbar2 = {hbar2}")
+    c = ((w * c_vals[:, None, :]) @ w.transpose(0, 2, 1)).astype(complex)
+    c_norm, spread = abs(hbar2) * np.abs(c_vals).max(), np.abs(gap).max()
+    u_max = us.max()
+    partial = np.broadcast_to(np.eye(s, dtype=complex), (n_blocks, s, s)).copy()
+    out = np.broadcast_to(partial, (us.size, n_blocks, s, s)).copy()
+    for k in range(1, _SERIES_TERMS + 1):
+        h = (c @ partial) * (-hbar2 / (k - gap))
+        partial += h
+        out += us[:, None, None, None]**k * h
+        g = c_norm / (k + 1 - spread) if k + 1 > spread else math.inf
+        # the Frobenius norm of the whole stack bounds that of each block
+        if (1 + g) * u_max < 1 and (g * np.linalg.norm(partial) * u_max**(k + 1)
+                                    / (1 - (1 + g) * u_max)) <= _TAIL:
+            return out
+    raise IntegrationError(f"Frobenius series not converged in {_SERIES_TERMS} terms")
+
+
+def _coassociators(system: KZOperatorSystem, hbar2: complex, epss) -> list[np.ndarray]:
+    """M(eps) for each eps in epss, as flat weight blocks (coassociator_matrix).
+
+    Per stack: H0 in P's eigenbasis and H1 in A's, each one series summed
+    at 1/2 and at every eps; W = vecs_P^T vecs_A carries one basis into the
+    other.  The eps-independent connection matrix
+    2^(eta P) H0(1/2)^-1 H1(1/2) 2^(-eta A) is formed once."""
+    def power(vals, x):  # x^(hbar2 vals), the diagonal of x^(hbar2 B)
+        return np.exp(math.log(x) * hbar2 * vals)
+
+    us = np.array([0.5, *epss])
+    out = [[] for _ in epss]
+    for (p_vals, p_vecs), (a_vals, a_vecs) in zip(system.p_eig, system.a_eig):
+        w = p_vecs.transpose(0, 2, 1) @ a_vecs
+        # H0 (B, C = P, A) and H1 (B, C = A, P) summed as one stack
+        h = _frobenius_series(np.concatenate([p_vals, a_vals]), np.concatenate([a_vals, p_vals]),
+                              np.concatenate([w, w.transpose(0, 2, 1)]), hbar2, us)
+        h0, h1 = np.split(h, 2, axis=1)
+        mid = (power(p_vals, 2.0)[:, :, None] * np.linalg.solve(h0[0], w @ h1[0])
+               * power(a_vals, 0.5)[:, None, :])
+        for i, eps in enumerate(epss):
+            dp, da = power(p_vals, eps), power(a_vals, eps)
+            left = h0[i + 1] * dp[:, None, :] / dp[:, :, None]
+            right = np.linalg.inv(h1[i + 1]) * da[:, None, :] / da[:, :, None]
+            out[i].append(p_vecs @ left @ mid @ right @ a_vecs.transpose(0, 2, 1))
+    return [system.blocks.join(stacks) for stacks in out]
 
 
 def coassociator_matrix(system: KZOperatorSystem, hbar2: complex, eps: float) -> np.ndarray:
-    """M at regularization eps, as its flat weight blocks: x0 = y0 = eps,
-    power-law prefactors exactly as in the path-ordered integral, interior
-    by the linear operator ODE.
+    """M at regularization eps, as its flat weight blocks: the propagator
+    of Y' = hbar2 (P/x + A/(x-1)) Y from x = 1-eps to x = eps, between the
+    power-law prefactors eps^(-eta P) and eps^(eta A) of the path-ordered
+    integral (eta = hbar2).
 
-    The ODE state is the weight blocks of the propagator; each rhs call
-    forms the real P/x + A/(x-1) once over all of them, makes one batched
-    matmul per block size and scales the result by hbar2.  A real matrix
-    times a complex one is a real matmul on the complex one's (s, 2s)
-    float view, which for these tiny blocks is several times faster than
-    a complex matmul."""
-    blocks = system.blocks
+    No integrator is involved.  The normalized Frobenius solutions
+    Y0 = H0(x) x^(eta P) and Y1 = H1(1-x) (1-x)^(eta A), H0(0) = H1(0) = 1,
+    differ by the constant connection matrix
+    M = Y0^-1 Y1 = 2^(eta P) H0(1/2)^-1 H1(1/2) 2^(-eta A), the eps -> 0
+    limit, and the regularized value is
+
+        M(eps) = eps^(-eta P) H0(eps) eps^(eta P) M eps^(-eta A) H1(eps)^-1 eps^(eta A).
+
+    H0 solves x H0' = eta [P, H0] - eta x/(1-x) A H0 and H1 the same with
+    P and A swapped; both series converge at 1/2 in about 50 terms
+    (_frobenius_series)."""
     if hbar2 == 0:
-        return blocks.eye.astype(complex)
-    c = math.log(eps) * hbar2
-    p, a = system.p, system.a
-    # per block size: the slice and shape of the real coefficient's stack,
-    # and of the (s, 2s) float view of the complex state's stack
-    layout = [(sl, shape, slice(2 * sl.start, 2 * sl.stop), (*shape[:2], 2 * shape[2]))
-              for sl, shape in blocks.stacks]
-
-    def rhs(x, y):
-        g = p * (1.0 / x) + a * (1.0 / (x - 1.0))
-        out = np.empty_like(y)
-        y_f, out_f = np.ascontiguousarray(y).view(float), out.view(float)
-        for sl, shape, sl_f, shape_f in layout:
-            np.matmul(g[sl].reshape(shape), y_f[sl_f].reshape(shape_f),
-                      out=out_f[sl_f].reshape(shape_f))
-        out *= hbar2
-        return out
-
-    y_end = _logistic_leg(rhs, system.exp_a(c), eps, 1.0 - eps).y[:, -1]
-    return blocks.matmul(system.exp_p(-c), y_end)
+        return system.blocks.eye.astype(complex)
+    return _coassociators(system, hbar2, (eps,))[0]
 
 
 def coassociator_with_error(system: KZOperatorSystem, hbar2: complex,
@@ -523,12 +581,11 @@ def coassociator_with_error(system: KZOperatorSystem, hbar2: complex,
     """M extrapolated to eps -> 0, with ||M(eps) - M(eps/2)|| as its error.
 
     The regularization error of M(eps) is linear in eps, so the Richardson
-    combination 2 M(eps/2) - M(eps) of the two solves removes it.  The
-    difference ||M(eps) - M(eps/2)|| is the error of M(eps/2) to first
-    order; it is returned as a conservative bound on the error of the
-    extrapolated M."""
-    m1 = coassociator_matrix(system, hbar2, eps)
-    m2 = coassociator_matrix(system, hbar2, eps / 2.0)
+    combination 2 M(eps/2) - M(eps) of the pair removes it.  The difference
+    ||M(eps) - M(eps/2)|| is the error of M(eps/2) to first order; it is
+    returned as a conservative bound on the error of the extrapolated M.
+    Both members share one pair of series and one connection matrix."""
+    m1, m2 = _coassociators(system, hbar2, (eps, eps / 2.0))
     return 2.0 * m2 - m1, system.blocks.norm(m1 - m2)
 
 
@@ -543,19 +600,20 @@ def acts_trivially_residual(system: KZOperatorSystem, m: np.ndarray) -> float:
 
 def invariance_residual(system: KZOperatorSystem, m: np.ndarray, data) -> float:
     """|| [M, image of the two-fold coproduct of X] || over Lie basis X,
-    with the Fock factor safe-projected at creator degree 2.  Each norm is
-    exact (:func:`verify.direct_sum_norms` splits the commutator along its
-    own sparsity graph; no weight labels are passed)."""
+    with the Fock factor safe-projected at creator degree 2.  The
+    commutators are the diagonal blocks of one block-diagonal matrix, whose
+    norm is the largest of theirs, measured in one exact call
+    (:func:`verify.direct_sum_norms` splits it along its own sparsity
+    graph; no weight labels are passed)."""
     n, d = system.n, system.space.dim
     eye_pairs, eye_d = sparse.eye_array(n * n), sparse.eye_array(d)
     big_m = system.blocks.to_sparse(m)
-    safe = np.tile(system.space.safe_mask(2), n * n)
-    worst = 0.0
+    comms = []
     for lbl, s in sigma_basis(system.space, data).items():
         delta2 = sparse.kron(coproduct_rep(data, lbl), eye_d) + sparse.kron(eye_pairs, s)
-        comm = big_m @ delta2 - delta2 @ big_m
-        worst = max(worst, direct_sum_norms(comm, safe))
-    return worst
+        comms.append(big_m @ delta2 - delta2 @ big_m)
+    safe = np.tile(system.space.safe_mask(2), n * n * len(comms))
+    return direct_sum_norms(sparse.block_diag(comms, format="csr"), safe)
 
 
 def cross_matrix_v(system: KZOperatorSystem, q: float, sign: int) -> np.ndarray:

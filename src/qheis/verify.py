@@ -113,9 +113,12 @@ def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
 
 def _entries(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row, column and value of each stored entry of the sparse m, with
-    duplicates summed."""
+    duplicates summed.  The caller's matrix is left as it was:
+    ``csr_array`` shares its buffers, which ``sum_duplicates`` would sort."""
     m = sparse.csr_array(m)
-    m.sum_duplicates()
+    if not m.has_canonical_format:
+        m = m.copy()
+        m.sum_duplicates()
     return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices, m.data
 
 

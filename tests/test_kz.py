@@ -231,17 +231,42 @@ def test_weight_blocks_reject_a_weight_changing_operator(op_system):
         blocks.gather(hop)
 
 
-@pytest.mark.parametrize("modes,cutoff", [(2, 3), (3, 2)])
-def test_coassociator_matches_dense_oracle(modes, cutoff):
+@pytest.mark.parametrize("modes,cutoff,h", [(2, 3, 0.1), (3, 2, 0.1), (2, 5, 0.1), (2, 3, 0.2)],
+                         ids=["2-3", "3-2", "2-5", "2-3-h=0.2"])
+def test_coassociator_matches_dense_oracle(modes, cutoff, h):
     space = fock.build_space(modes, Statistics.BOSE, cutoff)
     system = kz.build_operator_system(space)
-    m = system.blocks.to_sparse(kz.coassociator_matrix(system, hbar2_of(0.1), 1e-5)).toarray()
+    m = system.blocks.to_sparse(kz.coassociator_matrix(system, hbar2_of(h), 1e-5)).toarray()
     p, a = _dense_p_a(space)
-    assert np.linalg.norm(m - _dense_coassociator(p, a, hbar2_of(0.1), 1e-5), 2) <= 1e-10
+    assert np.linalg.norm(m - _dense_coassociator(p, a, hbar2_of(h), 1e-5), 2) <= 1e-10
     w = _weights(space)
     off_weight = np.any(w[:, None, :] != w[None, :, :], axis=2)
     assert off_weight.any()
     assert np.all(m[off_weight] == 0)
+
+
+def test_truncated_series_misses_the_dense_oracle(monkeypatch):
+    # a tail bound of 1e-3 stops both series after a few terms; the M they
+    # give must miss the oracle by far more than the 1e-10 the full series meets
+    space = fock.build_space(2, Statistics.BOSE, 3)
+    system = kz.build_operator_system(space)
+    p, a = _dense_p_a(space)
+    want = _dense_coassociator(p, a, hbar2_of(0.1), 1e-5)
+    monkeypatch.setattr(kz, "_TAIL", 1e-3)
+    m = system.blocks.to_sparse(kz.coassociator_matrix(system, hbar2_of(0.1), 1e-5)).toarray()
+    assert np.linalg.norm(m - want, 2) > 1e-6
+
+
+def test_series_guards_raise(op_system, monkeypatch):
+    # P's eigenvalues are +-1, so at hbar2 = 1/2 the k = 1 denominator
+    # 1 - hbar2 (1 - (-1)) vanishes; near it the series is refused too
+    for hbar2 in (0.5, 0.5 + 1e-9):
+        with pytest.raises(kz.IntegrationError, match="resonant"):
+            kz.coassociator_matrix(op_system, hbar2, 1e-5)
+    # a series that has not met its tail bound within the term cap
+    monkeypatch.setattr(kz, "_SERIES_TERMS", 5)
+    with pytest.raises(kz.IntegrationError, match="not converged"):
+        kz.coassociator_matrix(op_system, hbar2_of(0.1), 1e-5)
 
 
 def test_invariance_residual_matches_dense_oracle():
@@ -266,21 +291,14 @@ def test_invariance_residual_matches_dense_oracle():
     assert abs(got - want) <= 1e-12 * want, (got, want)
 
 
-def test_coassociator_ode_state_is_the_weight_blocks(op_system, monkeypatch):
-    # N=2, cutoff 5: 33 weight blocks of sizes 1-4 hold 266 entries; the
-    # occupation-shell blocks would hold 1456 and the full 84 x 84
-    # propagator 7056.  One solve covers (eps, 1-eps), and only its
-    # endpoint is read.
-    calls = []
-    real_solve_ivp = kz.solve_ivp
+def test_coassociator_makes_no_ode_solve(op_system, monkeypatch):
+    # M is the connection matrix of two Frobenius series; no integrator runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_ivp called")
 
-    def recording(fun, t_span, y0, **kw):
-        calls.append((y0.size, kw.get("dense_output", False)))
-        return real_solve_ivp(fun, t_span, y0, **kw)
-
-    monkeypatch.setattr(kz, "solve_ivp", recording)
+    monkeypatch.setattr(kz, "solve_ivp", refuse)
     kz.coassociator_matrix(op_system, hbar2_of(0.1), 1e-5)
-    assert calls == [(266, False)]
+    kz.coassociator_with_error(op_system, hbar2_of(0.1), 2e-6)
 
 
 @pytest.mark.parametrize("overrides", [{}, {"q": (0.9946,)}, {"q": (1.2157,)},

@@ -147,6 +147,22 @@ def test_projected_norms_zero_and_empty(key):
         assert above == verify.projected_norms(space, m, 0) > 0.0
 
 
+def test_norms_leave_a_non_canonical_input_unchanged():
+    # row 0 stores columns [2, 0, 1], row 1 a duplicate of column 0
+    data = np.array([3.0, 1.0, 2.0, 0.5, 0.25], dtype=complex)
+    indices = np.array([2, 0, 1, 0, 0], dtype=np.int32)
+    m = sparse.csr_array((data, indices, np.array([0, 3, 5, 5], dtype=np.int32)), shape=(3, 3))
+    assert not m.has_canonical_format
+    before = m.indices.tobytes(), m.data.tobytes()
+    want = np.linalg.norm(m.toarray(), 2)
+    got = verify.direct_sum_norms(m, np.ones(3, dtype=bool))
+    assert abs(got - want) <= 1e-12 * want
+    assert (m.indices.tobytes(), m.data.tobytes()) == before
+    space = fock.build_space(1, Statistics.BOSE, 2)
+    verify.projected_norms(space, m, 0)
+    assert (m.indices.tobytes(), m.data.tobytes()) == before
+
+
 def test_generators_and_defects_are_sparse():
     space = fock.build_space(4, Statistics.BOSE, 7)
     q = 1.3
