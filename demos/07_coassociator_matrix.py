@@ -2,17 +2,19 @@
 
 M is the connection matrix of the equation's two solutions normalized
 at x = 0 and x = 1, each a power series that converges at x = 1/2 in
-about 50 terms, so no integrator runs.  P and A both conserve the sl(N)
+about 50 terms.  So M is exact in closed form: no endpoint
+regularization and no integrator.  P and A both conserve the sl(N)
 weight e_a + e_b + occ of a basis vector (a, b, occ) of
 C^N x C^N x Fock, so both series are summed on the weight blocks only
 (the blocks of each size stacked, each series in the eigenbasis of its
-P or A blocks).  M comes back as its weight blocks; its norms are the
-largest block norm.  M is
+P or A blocks, for several h at once).  M comes back as its weight
+blocks; its norms are the largest block norm.  M is
 1 + zeta(2) eta^2 [P, A] + O(h^3), acts trivially on the
-doubly-contravariant tensor a^i a^j, and conjugates the numeric
-relation matrices into the ones the dressed generators satisfy --
-the operator-level confirmation that the dressing ansatz fulfills the
-deformed exchange relations.
+doubly-contravariant tensor a^i a^j, commutes with the coproduct image
+(checked block to block), and conjugates the numeric relation matrices
+into the ones the dressed generators satisfy -- the operator-level
+confirmation that the dressing ansatz fulfills the deformed exchange
+relations.
 """
 
 import math
@@ -36,13 +38,13 @@ def hbar2_of(h):
 
 
 h = 0.1
-m, err = kz.coassociator_with_error(system, hbar2_of(h), 2e-6)
-print(f"\nM at h = {h}:  ||M - 1|| = {blocks.norm(m - blocks.eye):.4e}")
-print(f"stability under halving the endpoint cutoff: {err:.1e}")
+# M(h) and M(h/2) from one batched series per block size
+m, m_half = kz.coassociator_matrices(system, (hbar2_of(h), hbar2_of(h / 2)))
+n1 = blocks.norm(m - blocks.eye)
+print(f"\nM at h = {h}:  ||M - 1|| = {n1:.4e}")
 
 # M - 1 is second order in h: halving h divides the norm by about four.
-n1 = blocks.norm(kz.coassociator_matrix(system, hbar2_of(h), 1e-5) - blocks.eye)
-m_half = kz.coassociator_matrix(system, hbar2_of(h / 2), 1e-5) - blocks.eye
+m_half = m_half - blocks.eye
 n2 = blocks.norm(m_half)
 print(f"h^2 scaling: ||M(h)-1|| / ||M(h/2)-1|| = {n1 / n2:.2f}")
 # ... and its h^2 coefficient is zeta(2) times the commutator of the residues
@@ -62,13 +64,13 @@ print("M commutes with the coproduct image:",
 # The decisive check: the dressed generators satisfy the exchange
 # relations with matrices conjugated by M.
 params = DeformParams(math.e**h, WEYL)
-print(f"\ndressed exchange relations at q = e^{h} (tolerance 1e-6):")
+print(f"\ndressed exchange relations at q = e^{h} (tolerance 1e-12):")
 for row in kz.coassociator_relation_check(system, params, m):
     print(f"  {row.name:26s} {row.residual:.3e}")
 
 # Controls: at q = 1 everything reduces to the canonical relations
 # exactly, while the wrong statistics sign fails at order one.
-m0 = kz.coassociator_matrix(system, 0.0, 1e-6)
+m0 = kz.coassociator_matrices(system, (0.0,))[0]
 rows0 = kz.coassociator_relation_check(system, DeformParams(1.0, WEYL), m0)
 print("q = 1 control:", f"{max(r.residual for r in rows0):.1e}")
 wrong = kz.coassociator_relation_check(system, DeformParams(math.e**h, CLIFFORD), m)

@@ -8,6 +8,7 @@ byte-identical files.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -41,7 +42,7 @@ DEFAULTS = {
     "soN-orbital": {"q": (0.7, 1.3), "cutoff": 6, "modes": 3},
     "qspecial": {"q": (0.5, 0.9, 1.1, 2.0)},
     "kz-scalar": {"eps": 1e-8, "n": (2.0, 3.0, 5.0), "hbar2": (0.05, 0.1j)},
-    "kz-operator": {"q": (math.e**0.1,), "cutoff": 5, "modes": 2, "eps": 1e-6},
+    "kz-operator": {"q": (math.e**0.1,), "cutoff": 5, "modes": 2},
     "braid": {"q": (0.7, 1.3)},
 }
 SUITE_IDS = tuple(DEFAULTS)
@@ -394,24 +395,24 @@ def _suite_kz_operator(cfg: SuiteConfig):
     if len(cfg.q) != 1:
         raise ValueError(f"kz-operator takes one q value, not {len(cfg.q)}")
     from . import kz
-    kz.check_eps(cfg.eps)  # here, so that an out-of-range eps is a usage error
     space = build_space(cfg.modes, Statistics.BOSE, cfg.cutoff)
     system = kz.build_operator_system(space)
     data = liealg.LieData("sl", cfg.modes)
     q = cfg.q[0]
     h = math.log(q)
-    eps = cfg.eps
 
     def hbar2_of(hh):
         return hh / (math.pi * 1j)
 
+    @functools.cache
+    def coassociators():
+        # M(h) and M(h/2) from one batched series, on first use by a unit,
+        # so that a series error fails each unit that needs it
+        return kz.coassociator_matrices(system, (hbar2_of(h), hbar2_of(h / 2)))
+
     def scaling():
         blocks = system.blocks
-
-        def m_minus_one(hh):  # flat weight blocks of M - 1
-            return kz.coassociator_matrix(system, hbar2_of(hh), 1e-5) - blocks.eye
-
-        m_h, m_h2 = m_minus_one(h), m_minus_one(h / 2)
+        m_h, m_h2 = (m - blocks.eye for m in coassociators())  # flat blocks of M - 1
         n1, n2 = blocks.norm(m_h), blocks.norm(m_h2)
         ratio = n1 / n2
         # M - 1 = zeta(2) eta^2 [P, A] + O(h^3), read off the half-h matrix
@@ -430,31 +431,27 @@ def _suite_kz_operator(cfg: SuiteConfig):
                                   h2_defect(-1), floor=0.3)]
 
     def main_checks():
-        m, err = kz.coassociator_with_error(system, hbar2_of(h), 2 * eps)
-        params = DeformParams(q, WEYL)
-        rows = [CaseResult("coassoc_eps_stability", err, 1e-6,
-                           {"eps_pair": (2 * eps, eps)})]
-        rows.append(CaseResult("coassoc_acts_trivially_on_aa",
-                               kz.acts_trivially_residual(system, m), 1e-6))
-        rows.append(CaseResult("coassoc_invariance",
-                               kz.invariance_residual(system, m, data), 1e-6))
-        rows += kz.coassociator_relation_check(system, params, m, tol=1e-6)
+        m = coassociators()[0]
+        rows = [CaseResult("coassoc_acts_trivially_on_aa",
+                           kz.acts_trivially_residual(system, m), 1e-12),
+                CaseResult("coassoc_invariance",
+                           kz.invariance_residual(system, m, data), 1e-12)]
+        rows += kz.coassociator_relation_check(system, DeformParams(q, WEYL), m, tol=1e-12)
         # wrong-statistics control: the Clifford sign must fail badly
-        wrong = kz.coassociator_relation_check(
-            system, DeformParams(q, CLIFFORD), m, tol=1e-6)
+        wrong = kz.coassociator_relation_check(system, DeformParams(q, CLIFFORD), m)
         rows.append(_negative_control(
             "coassoc_wrong_sign_control",
             max(r.residual for r in wrong)))
         return rows
 
     def classical_control():
-        m = kz.coassociator_matrix(system, 0.0, eps)
+        m = kz.coassociator_matrices(system, (0.0,))[0]
         return kz.coassociator_relation_check(system, DeformParams(1.0, WEYL), m,
                                               tol=1e-12)
 
     units = [("scaling", scaling), ("main", main_checks), ("q=1", classical_control)]
     return {"family": "sl", "N": cfg.modes, "cutoff": cfg.cutoff, "q": q,
-            "h": h, "eps": eps}, units
+            "h": h}, units
 
 
 def _suite_braid(cfg: SuiteConfig):

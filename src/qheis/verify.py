@@ -6,7 +6,7 @@ restricted to the safe states (:meth:`fock.FockSpace.safe_mask`) of the
 identity's creator degree.  Defects are sparse CSR arrays, built without
 any dense D x D intermediate.
 
-How the norms are computed (:func:`direct_sum_norms`): the stored
+How the norms are computed (behind :func:`projected_norms`): the stored
 nonzero entries of the defect that lie inside the safe subspace are the
 edges of a bipartite graph that joins the row and the column of each
 entry.  Its connected components occupy disjoint rows and disjoint
@@ -151,12 +151,6 @@ def _norm_of_entries(rows, cols, vals, mask: np.ndarray) -> float:
     for _, _, block in component_blocks(rows, cols, vals, mask.size):
         spec = max(spec, float(np.linalg.svd(block, compute_uv=False)[0]))
     return spec
-
-
-def direct_sum_norms(m, mask: np.ndarray) -> float:
-    """Spectral norm of the sparse square matrix m restricted to the rows
-    and columns in mask (exact for any matrix)."""
-    return _norm_of_entries(*_entries(m), mask)
 
 
 def projected_norms(space, m, degree: int) -> float:

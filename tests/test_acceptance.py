@@ -150,12 +150,12 @@ def test_criterion_10_coassociator():
                     if not c.name.startswith("q=1/"))
     worst_cl = max(c.residual for c in _rows(report, *relations)
                    if c.name.startswith("q=1/"))
-    ok = (3.2 < ratio < 4.8 and triv < 1e-6 and worst_rel < 1e-6
+    ok = (3.2 < ratio < 4.8 and triv < 1e-12 and worst_rel < 1e-12
           and worst_cl < 1e-12 and dt < 120.0)
     _report(10, "coassociator matrix M (N=2, cutoff 5)",
             ok,
             f"h^2-scaling ratio {ratio:.2f} (in [3.2, 4.8]), M.aa {triv:.2e} "
-            f"(1e-6), relations {worst_rel:.2e} (1e-6), q=1 control "
+            f"(1e-12), relations {worst_rel:.2e} (1e-12), q=1 control "
             f"{worst_cl:.2e} (1e-12), runtime {dt:.1f}s (< 2min)")
 
 

@@ -6,7 +6,7 @@ from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from qheis import fock, kz, liealg, suites
+from qheis import fock, kz, liealg, suites, verify
 from qheis.fock import Statistics
 from qheis.qspecial import CLIFFORD, WEYL, DeformParams
 
@@ -106,14 +106,14 @@ def hbar2_of(h):
 
 @pytest.fixture(scope="module")
 def m_matrix(op_system):
-    return kz.coassociator_matrix(op_system, hbar2_of(0.1), 1e-6)
+    return kz.coassociator_matrices(op_system, (hbar2_of(0.1),))[0]
 
 
 def test_coassociator_h2_scaling(op_system):
     blocks = op_system.blocks
-    n1 = blocks.norm(kz.coassociator_matrix(op_system, hbar2_of(0.1), 1e-5) - blocks.eye)
-    m_half = kz.coassociator_matrix(op_system, hbar2_of(0.05), 1e-5) - blocks.eye
-    n2 = blocks.norm(m_half)
+    m_h, m_half = (m - blocks.eye for m in
+                   kz.coassociator_matrices(op_system, (hbar2_of(0.1), hbar2_of(0.05))))
+    n1, n2 = blocks.norm(m_h), blocks.norm(m_half)
     assert 3.2 < n1 / n2 < 4.8
     # M - 1 = zeta(2) eta^2 [P, A] + O(h^3); the wrong sign is off by ~2
     p, a = op_system.p, op_system.a
@@ -123,38 +123,36 @@ def test_coassociator_h2_scaling(op_system):
     assert blocks.norm(m_half + term) / scale > 1.5
 
 
-def test_coassociator_eps_stability(op_system):
-    m, err = kz.coassociator_with_error(op_system, hbar2_of(0.1), 2e-6)
-    assert err < 1e-6
-
-
-def test_extrapolated_coassociator_is_closer_to_the_limit(op_system, m_matrix):
-    # the regularization error of M(eps) is linear in eps; the Richardson
-    # value 2 M(1e-6) - M(2e-6) must be far closer to M(1e-8) than M(1e-6) is
-    m, _ = kz.coassociator_with_error(op_system, hbar2_of(0.1), 2e-6)
-    m_ref = kz.coassociator_matrix(op_system, hbar2_of(0.1), 1e-8)
-    norm = op_system.blocks.norm
-    assert 10 * norm(m - m_ref) <= norm(m_matrix - m_ref)
+def test_batched_coassociators_match_one_at_a_time(op_system, m_matrix):
+    # one series call for several hbar2 gives each M as its own call does,
+    # and the identity, exactly, at hbar2 = 0
+    hbar2s = (hbar2_of(0.1), 0.0, hbar2_of(-0.07))
+    batch = kz.coassociator_matrices(op_system, hbar2s)
+    assert np.array_equal(batch[1], op_system.blocks.eye)
+    for m, hbar2 in zip(batch, hbar2s):
+        alone = kz.coassociator_matrices(op_system, (hbar2,))[0]
+        assert np.abs(m - alone).max() <= 1e-15
+    assert np.abs(batch[0] - m_matrix).max() <= 1e-15
 
 
 def test_coassociator_acts_trivially(op_system, m_matrix):
-    assert kz.acts_trivially_residual(op_system, m_matrix) < 1e-6
+    assert kz.acts_trivially_residual(op_system, m_matrix) < 1e-12
 
 
 def test_coassociator_invariance(op_system, m_matrix):
     data = liealg.LieData("sl", 2)
-    assert kz.invariance_residual(op_system, m_matrix, data) < 1e-6
+    assert kz.invariance_residual(op_system, m_matrix, data) < 1e-12
 
 
 def test_coassociator_relations(op_system, m_matrix):
     params = DeformParams(math.e**0.1, WEYL)
-    rows = kz.coassociator_relation_check(op_system, params, m_matrix, tol=1e-6)
+    rows = kz.coassociator_relation_check(op_system, params, m_matrix, tol=1e-12)
     for row in rows:
         assert row.passed, (row.name, row.residual)
 
 
 def test_coassociator_classical_control(op_system):
-    m = kz.coassociator_matrix(op_system, 0.0, 1e-6)
+    m = kz.coassociator_matrices(op_system, (0.0,))[0]
     assert np.array_equal(m, op_system.blocks.eye)
     params = DeformParams(1.0, WEYL)
     rows = kz.coassociator_relation_check(op_system, params, m, tol=1e-12)
@@ -164,7 +162,7 @@ def test_coassociator_classical_control(op_system):
 
 def test_coassociator_wrong_sign_control(op_system, m_matrix):
     params = DeformParams(math.e**0.1, CLIFFORD)
-    rows = kz.coassociator_relation_check(op_system, params, m_matrix, tol=1e-6)
+    rows = kz.coassociator_relation_check(op_system, params, m_matrix)
     assert max(r.residual for r in rows) > 1e-2
 
 
@@ -187,24 +185,28 @@ def _weights(space):
                      for a in range(n) for b in range(n) for o in occ])
 
 
-def _dense_coassociator(p, a, hbar2, eps):
-    """M from the full N^2 D x N^2 D ODE, integrated in the logistic
-    coordinate x = 1/(1 + e^-t), where dx/dt = x(1-x) removes both
-    endpoint singularities of P/x + A/(x-1)."""
+def _dense_coassociator(p, a, hbar2, x0=1e-12):
+    """M = 2^(eta P) H0(1/2)^-1 H1(1/2) 2^(-eta A) from the full
+    N^2 D x N^2 D matrices, with H0 and H1 integrated rather than summed:
+    x H0' = eta [P, H0] - eta x/(1-x) A H0 in t = log x, by DOP853 from
+    x0 to 1/2 starting at H0 = 1 (so the start is off by O(x0)), and H1
+    the same with P and A swapped."""
     dim = p.shape[0]
 
-    def rhs(t, y):
-        x = 1.0 / (1.0 + math.exp(-t))
-        return (hbar2 * ((1.0 - x) * p - x * a) @ y.reshape(dim, dim)).reshape(-1)
+    def at_half(b, c):
+        def rhs(t, y):
+            x = math.exp(t)
+            h = y.reshape(dim, dim)
+            return (hbar2 * (b @ h - h @ b - x / (1.0 - x) * (c @ h))).reshape(-1)
 
-    def logit(x):
-        return math.log(x / (1.0 - x))
+        sol = solve_ivp(rhs, (math.log(x0), math.log(0.5)), np.eye(dim, dtype=complex).reshape(-1),
+                        method="DOP853", rtol=1e-12, atol=1e-14)
+        assert sol.success
+        return sol.y[:, -1].reshape(dim, dim)
 
-    y0 = expm(math.log(eps) * hbar2 * a).reshape(-1)
-    sol = solve_ivp(rhs, (logit(1.0 - eps), logit(eps)), y0, method="DOP853",
-                    rtol=1e-12, atol=1e-14)
-    assert sol.success
-    return expm(-math.log(eps) * hbar2 * p) @ sol.y[:, -1].reshape(dim, dim)
+    h0, h1 = at_half(p, a), at_half(a, p)
+    return (expm(math.log(2.0) * hbar2 * p) @ np.linalg.solve(h0, h1)
+            @ expm(-math.log(2.0) * hbar2 * a))
 
 
 @pytest.mark.parametrize("modes,cutoff", [(2, 5), (3, 3), (4, 2)])
@@ -236,9 +238,9 @@ def test_weight_blocks_reject_a_weight_changing_operator(op_system):
 def test_coassociator_matches_dense_oracle(modes, cutoff, h):
     space = fock.build_space(modes, Statistics.BOSE, cutoff)
     system = kz.build_operator_system(space)
-    m = system.blocks.to_sparse(kz.coassociator_matrix(system, hbar2_of(h), 1e-5)).toarray()
+    m = system.blocks.to_sparse(kz.coassociator_matrices(system, (hbar2_of(h),))[0]).toarray()
     p, a = _dense_p_a(space)
-    assert np.linalg.norm(m - _dense_coassociator(p, a, hbar2_of(h), 1e-5), 2) <= 1e-10
+    assert np.linalg.norm(m - _dense_coassociator(p, a, hbar2_of(h)), 2) <= 1e-10
     w = _weights(space)
     off_weight = np.any(w[:, None, :] != w[None, :, :], axis=2)
     assert off_weight.any()
@@ -251,22 +253,29 @@ def test_truncated_series_misses_the_dense_oracle(monkeypatch):
     space = fock.build_space(2, Statistics.BOSE, 3)
     system = kz.build_operator_system(space)
     p, a = _dense_p_a(space)
-    want = _dense_coassociator(p, a, hbar2_of(0.1), 1e-5)
+    want = _dense_coassociator(p, a, hbar2_of(0.1))
     monkeypatch.setattr(kz, "_TAIL", 1e-3)
-    m = system.blocks.to_sparse(kz.coassociator_matrix(system, hbar2_of(0.1), 1e-5)).toarray()
+    m = system.blocks.to_sparse(kz.coassociator_matrices(system, (hbar2_of(0.1),))[0]).toarray()
     assert np.linalg.norm(m - want, 2) > 1e-6
 
 
 def test_series_guards_raise(op_system, monkeypatch):
     # P's eigenvalues are +-1, so at hbar2 = 1/2 the k = 1 denominator
-    # 1 - hbar2 (1 - (-1)) vanishes; near it the series is refused too
-    for hbar2 in (0.5, 0.5 + 1e-9):
+    # 1 - hbar2 (1 - (-1)) vanishes; near it the series is refused too,
+    # also when it shares a batch with a harmless hbar2
+    for hbar2s in ((0.5,), (0.5 + 1e-9,), (hbar2_of(0.1), 0.5)):
         with pytest.raises(kz.IntegrationError, match="resonant"):
-            kz.coassociator_matrix(op_system, hbar2, 1e-5)
+            kz.coassociator_matrices(op_system, hbar2s)
     # a series that has not met its tail bound within the term cap
     monkeypatch.setattr(kz, "_SERIES_TERMS", 5)
     with pytest.raises(kz.IntegrationError, match="not converged"):
-        kz.coassociator_matrix(op_system, hbar2_of(0.1), 1e-5)
+        kz.coassociator_matrices(op_system, (hbar2_of(0.1),))
+
+
+def _random_blocks(system, rng):
+    """A random complex operator that conserves the weight, as flat blocks."""
+    size = system.blocks.rows.size
+    return rng.normal(size=size) + 1j * rng.normal(size=size)
 
 
 def test_invariance_residual_matches_dense_oracle():
@@ -275,9 +284,7 @@ def test_invariance_residual_matches_dense_oracle():
     space = fock.build_space(2, Statistics.BOSE, 3)
     system = kz.build_operator_system(space)
     data = liealg.LieData("sl", 2)
-    rng = np.random.default_rng(11)
-    size = system.blocks.rows.size
-    m = rng.normal(size=size) + 1j * rng.normal(size=size)
+    m = _random_blocks(system, np.random.default_rng(11))
     big_m = system.blocks.to_sparse(m).toarray()
     safe = np.tile(space.safe_mask(2), 4)
     want = 0.0
@@ -291,25 +298,87 @@ def test_invariance_residual_matches_dense_oracle():
     assert abs(got - want) <= 1e-12 * want, (got, want)
 
 
+def _sparse_invariance(system, m, data):
+    """The invariance residual by full N^2 D x N^2 D sparse commutators
+    [M, Delta(X)] (sparse.kron), each normed exactly through the
+    components of its safe-projected sparsity graph."""
+    space, n = system.space, system.n
+    big_m = system.blocks.to_sparse(m)
+    safe = np.tile(space.safe_mask(2), n * n)
+    worst = 0.0
+    for lbl, s in liealg.sigma_basis(space, data).items():
+        delta2 = (sparse.kron(liealg.coproduct_rep(data, lbl), sparse.eye_array(space.dim))
+                  + sparse.kron(sparse.eye_array(n * n), s))
+        comm = sparse.csr_array(big_m @ delta2 - delta2 @ big_m)
+        comm.sum_duplicates()
+        comm = comm.tocoo()
+        keep = safe[comm.row] & safe[comm.col]
+        for _, _, block in verify.component_blocks(comm.row[keep], comm.col[keep],
+                                                   comm.data[keep], comm.shape[0]):
+            worst = max(worst, float(np.linalg.svd(block, compute_uv=False)[0]))
+    return worst
+
+
+@pytest.mark.parametrize("modes,cutoff", [(2, 5), (3, 4), (4, 4)])
+def test_block_invariance_matches_the_sparse_commutators(modes, cutoff):
+    space = fock.build_space(modes, Statistics.BOSE, cutoff)
+    system = kz.build_operator_system(space)
+    data = liealg.LieData("sl", modes)
+    rng = np.random.default_rng(modes * 10 + cutoff)
+    # an O(1) commutator: the two routes agree to rounding
+    m = _random_blocks(system, rng)
+    want = _sparse_invariance(system, m, data)
+    assert want > 0.1
+    assert abs(kz.invariance_residual(system, m, data) - want) <= 1e-12 * want
+    # the exact M sits at the floor by both routes; a 1e-8 perturbation of
+    # it reads alike by both, far above the suite's 1e-12 tolerance
+    exact = kz.coassociator_matrices(system, (hbar2_of(0.1),))[0]
+    assert max(kz.invariance_residual(system, exact, data),
+               _sparse_invariance(system, exact, data)) < 1e-13
+    perturbed = exact + 1e-8 * _random_blocks(system, rng)
+    want = _sparse_invariance(system, perturbed, data)
+    assert want > 1e3 * 1e-12
+    assert abs(kz.invariance_residual(system, perturbed, data) - want) <= 1e-6 * want
+
+
+def test_invariance_refuses_a_coproduct_that_splits_a_block(op_system, m_matrix):
+    # so(2)'s L_12 = e_12 - e_21 moves a weight by both +-(e_1 - e_2)
+    with pytest.raises(ValueError, match="weight blocks"):
+        kz.invariance_residual(op_system, m_matrix, liealg.LieData("so", 2))
+
+
 def test_coassociator_makes_no_ode_solve(op_system, monkeypatch):
     # M is the connection matrix of two Frobenius series; no integrator runs
     def refuse(*args, **kwargs):
         raise AssertionError("solve_ivp called")
 
     monkeypatch.setattr(kz, "solve_ivp", refuse)
-    kz.coassociator_matrix(op_system, hbar2_of(0.1), 1e-5)
-    kz.coassociator_with_error(op_system, hbar2_of(0.1), 2e-6)
+    kz.coassociator_matrices(op_system, (hbar2_of(0.1), hbar2_of(0.05)))
 
 
 @pytest.mark.parametrize("overrides", [{}, {"q": (0.9946,)}, {"q": (1.2157,)},
-                                       {"modes": 3, "cutoff": 3}, {"cutoff": 8}],
-                         ids=["defaults", "q=0.9946", "q=1.2157", "modes=3-cutoff=3", "cutoff=8"])
+                                       {"modes": 3, "cutoff": 3}, {"cutoff": 8},
+                                       {"modes": 3, "cutoff": 8, "q": (1.2,)}],
+                         ids=["defaults", "q=0.9946", "q=1.2157", "modes=3-cutoff=3", "cutoff=8",
+                              "modes=3-cutoff=8-q=1.2"])
 def test_kz_operator_passes_every_case(overrides):
-    # at cutoff 8, relation_cross reads 1.7e-6 > 1e-6 on M(eps/2) and 5e-8
-    # on the extrapolated M
+    # every main row holds to 1e-12 on the exact M; the largest, relation_cross
+    # at (3, 8) with q = 1.2, reads about 1.8e-14
     report = suites.run_suite(suites.make_config("kz-operator", **overrides))
-    assert len(report.cases) == 13
+    assert len(report.cases) == 12
     assert all(c.passed for c in report.cases), [c.name for c in report.cases if not c.passed]
+
+
+def test_series_error_fails_each_unit_that_reads_m(monkeypatch):
+    # M(h) and M(h/2) come from one shared call; when it raises, both units
+    # that read them get their own EXECUTION row, and q=1 still runs
+    monkeypatch.setattr(kz, "_SERIES_TERMS", 5)
+    report = suites.run_suite(suites.make_config("kz-operator", cutoff=3))
+    failed = sorted(c.name for c in report.cases if not c.passed)
+    assert failed == ["main/EXECUTION", "scaling/EXECUTION"]
+    assert all("not converged" in c.metadata["error"] for c in report.cases
+               if c.name.endswith("EXECUTION"))
+    assert len([c for c in report.cases if c.name.startswith("q=1/")]) == 3
 
 
 def test_scalar_trajectory_rows_see_the_integrator(monkeypatch):
