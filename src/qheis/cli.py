@@ -1,7 +1,7 @@
 """Command-line entry point.
 
     qheis suite <id> [--q <f> ...] [--cutoff <int>] [--modes <int>]
-                     [--eps <f>] [--n <f> ...] [--hbar2 <c> ...]
+                     [--n <f> ...] [--hbar2 <c> ...]
                      [--out <path>] [--config <path>]
 
 The parameter flags are those of ``suites.PARAMS``; a suite accepts only

@@ -9,11 +9,11 @@ Scalar side.  With s = +-1 (Weyl/Clifford) and eta := 2*hbar the system
     f2' = eta [  f1/(1-x) - s ((n-1)/(1-x) + 1/x) f2 ]
     f3' = eta [ -s f1/(1-x) + f2/x - s (1/(1-x) - 1/x)(n-1) f3 ]
 
-is integrated from x = 1-eps (seeded with the expansion of the closed
-forms below at 1-x, see integrate_scalar; f2 ~ (1-x)^(s eta (n-1)),
-f1, f3 -> 0) down to small x.  The combination f1 + s f2 + (n+1) f3
-equals s [x(1-x)]^(s eta (n-1)) exactly, f1/f2 satisfies a Riccati
-equation, and the closed forms are
+is integrated from x = 1 - 1e-8 (seeded with the expansion of the
+closed forms below at 1-x, see integrate_scalar; f2 ~ (1-x)^(s eta (n-1)),
+f1, f3 -> 0) down to the caller's x_lo; kz-scalar reads the trajectory
+on [0.02, 0.98].  The combination f1 + s f2 + (n+1) f3 equals
+s [x(1-x)]^(s eta (n-1)) exactly, and the closed forms are
 
     f2 = x^(-s eta) (1-x)^(s eta (n-1)) F(s eta, -s eta, 1 + s eta n; 1-x)
     f1 = (eta/(1 + s eta n)) F(1+s eta, 1-s eta, 2+s eta n; 1-x)
@@ -27,12 +27,13 @@ The limits of the rescaled combinations as x -> 0 are
     l2 = lim x^(-s eta (n-1)) (n f3 + s f2)          = (n l3 - l1)/(n+1)
                                                      = s (n/(n+1)) (1 + 1/[n]_q)
 
-with [n]_q = sin(pi n eta)/sin(pi eta) (q = e^h, eta = h/(pi i)).  The
+with [n]_q = (q^n - q^-n)/(q - q^-1) at q = exp(pi i eta) = e^h.  The
 l1 coefficient follows from the connection-formula asymptotics
 (the surviving term of n f1 - s f2 is n eta Gamma(1+s eta n)
 Gamma(-s eta n) / (Gamma(1+s eta) Gamma(1-s eta)) = -s n/[n]_q), and l2
-is the exact consequence of l1 and l3.  Both numerical routes (closed
-forms, trajectory) are checked against these expressions.
+is the exact consequence of l1 and l3.  The closed forms' own limits
+(limits_closed_route, gamma arithmetic) are checked against these
+expressions.
 
 Operator side.  On C^N x C^N x Fock with P the permutation matrix and
 A = 1 x e_ij x a+_j a^i, the coassociator matrix is
@@ -69,12 +70,13 @@ I~(n) = (n+1)_{q^(2s)} / ((n+1) I(n)) at I = 1.
 
 Only the scalar system is integrated, in the logistic coordinate
 t = log(x/(1-x)).  There dx/dt = x(1-x) cancels the simple poles at
-x = 0 and x = 1, so one solve covers (0, 1) and the step count is
-independent of eps.
+x = 0 and x = 1, so one solve covers the interval and needs no steps
+crowded at either end.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -86,7 +88,8 @@ from scipy.linalg import expm  # noqa: F401  (the benchmark tracer wraps kz.expm
 
 from .fock import FockSpace, Statistics
 from .liealg import coproduct_rep, permutation_matrix, sigma_basis
-from .qspecial import DeformParams, gamma, gauss_2f1, gauss_2f1_deriv, qnum, rgamma
+from .qspecial import (DeformParams, gamma, gauss_2f1, gauss_2f1_deriv, qbracket, qnum,
+                       rgamma)
 from .verify import CaseResult, projected_norms, quadratic_residual_matrices
 
 
@@ -94,26 +97,20 @@ class IntegrationError(RuntimeError):
     pass
 
 
-EPS_RANGE = (1e-8, 1e-3)  # the endpoint regularization distances kz-scalar accepts
-
-
-def check_eps(eps: float) -> None:
-    """Raise ValueError unless eps lies in EPS_RANGE."""
-    lo, hi = EPS_RANGE
-    if not lo <= eps <= hi:
-        raise ValueError(f"eps must lie in [{lo:g}, {hi:g}]")
+# Where the scalar solve starts.  The seed there is the closed forms'
+# expansion (integrate_scalar), so at the kz-scalar defaults this
+# distance to x = 1 shows in no residual.
+_X_HI = 1.0 - 1e-8
 
 
 @dataclass(frozen=True)
 class KZScalarParams:
     """Scalar-system parameters: the number eigenvalue n (>= 1), the
-    doubled deformation parameter eta = 2*hbar, the Weyl/Clifford sign,
-    and the endpoint regularization distance."""
+    doubled deformation parameter eta = 2*hbar and the Weyl/Clifford sign."""
 
     n: float
     hbar2: complex
     sign: int
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.n < 1:
@@ -122,57 +119,24 @@ class KZScalarParams:
             raise ValueError("sign must be +1 or -1")
         if abs(self.hbar2) > 0.2:
             raise ValueError("|hbar2| <= 0.2 required (perturbative regime)")
-        check_eps(self.eps)
-
-
-def qbracket_of_eta(n: float, hbar2: complex) -> complex:
-    """[n]_q for q = exp(pi i eta): sin(pi n eta)/sin(pi eta)."""
-    if hbar2 == 0:
-        return complex(n)
-    return np.sin(np.pi * n * hbar2) / np.sin(np.pi * hbar2)
 
 
 def limits_reference(params: KZScalarParams) -> tuple[complex, complex, complex]:
-    """The closed expressions for (l1, l2, l3)."""
+    """The closed expressions for (l1, l2, l3), [n]_q at q = exp(pi i eta)."""
     s = params.sign
-    l1 = -s * params.n / qbracket_of_eta(params.n, params.hbar2)
+    l1 = -s * params.n / qbracket(params.n, cmath.exp(1j * math.pi * params.hbar2))
     l3 = complex(s)
     l2 = (params.n * l3 - l1) / (params.n + 1.0)
     return l1, l2, l3
 
 
 # ---------------------------------------------------------------------------
-# logistic-coordinate integration of dy/dx = rhs(x, y) on [x_lo, x_hi]
+# scalar system
 # ---------------------------------------------------------------------------
 
 
 def _logit(x: float) -> float:
     return math.log(x / (1.0 - x))
-
-
-def _logistic_leg(rhs: Callable[[float, np.ndarray], np.ndarray], y_start: np.ndarray,
-                  x_lo: float, x_hi: float, dense_output: bool = False):
-    """Integrate dy/dx = rhs(x, y) from x_hi down to x_lo in one DOP853
-    solve (rtol 1e-12, atol 1e-14) in t = log(x/(1-x)), whose rhs
-    x(1-x) rhs(x, y) is regular at both endpoints when rhs has simple
-    poles there.  Returns scipy's solution object; its times are t values."""
-    if not 0 < x_lo < x_hi < 1:
-        raise ValueError("need 0 < x_lo < x_hi < 1")
-
-    def rhs_t(t, y):
-        x = 1.0 / (1.0 + math.exp(-t))
-        return x * (1.0 - x) * rhs(x, y)
-
-    sol = solve_ivp(rhs_t, (_logit(x_hi), _logit(x_lo)), y_start, method="DOP853",
-                    rtol=1e-12, atol=1e-14, dense_output=dense_output)
-    if not sol.success:
-        raise IntegrationError(f"integration failed: {sol.message}")
-    return sol
-
-
-# ---------------------------------------------------------------------------
-# scalar system
-# ---------------------------------------------------------------------------
 
 
 def _scalar_rhs(params: KZScalarParams):
@@ -190,13 +154,13 @@ def _scalar_rhs(params: KZScalarParams):
     return rhs
 
 
-def integrate_scalar(params: KZScalarParams,
-                     x_lo: float | None = None) -> Callable[[float], np.ndarray]:
-    """Integrate the scalar system from x_hi = 1-eps down to x_lo (default eps).
+def integrate_scalar(params: KZScalarParams, x_lo: float) -> Callable[[float], np.ndarray]:
+    """Integrate the scalar system from x_hi = 1 - 1e-8 down to x_lo.
 
-    The seed is the expansion of the closed forms at e = 1 - x_hi, which
-    is exact in floating point (so e is the true distance to x = 1, not
-    the rounded eps):
+    One DOP853 solve (rtol 1e-12, atol 1e-14) in t = log(x/(1-x)), whose
+    rhs x(1-x) rhs(x, y) is regular at both endpoints.  The seed is the
+    expansion of the closed forms at e = 1 - x_hi, which is exact in
+    floating point (so e is the true distance to x = 1):
 
         f2 = x_hi^(-s eta) e^kappa (1 - (s eta)^2 e / (1 + s eta n)),
         f1 = (eta / (1 + s eta n)) x_hi^(-s eta) e^(1 + kappa),
@@ -204,21 +168,32 @@ def integrate_scalar(params: KZScalarParams,
 
     kappa = s eta (n-1), f3 from the exact combination
     f1 + s f2 + (n+1) f3 = s [x(1-x)]^kappa.  The neglected terms are
-    O(e^2) absolute, far below the integration error, so the trajectory
-    rows measure the solve.  Returns the dense trajectory
+    O(e^(2 + Re kappa)) absolute, far below the integration error at the
+    kz-scalar defaults (|kappa| <= 0.2), so the trajectory rows measure
+    the solve.  Returns the dense trajectory
     x -> (f1, f2, f3), which raises ValueError outside [x_lo, x_hi].
     """
-    x_lo = params.eps if x_lo is None else x_lo
+    x_hi = _X_HI
+    if not 0 < x_lo < x_hi:
+        raise ValueError("need 0 < x_lo < x_hi")
     n, eta, s = params.n, params.hbar2, params.sign
     a = s * eta
     kappa = a * (n - 1.0)
-    x_hi = 1.0 - params.eps
     e = 1.0 - x_hi
     f2 = x_hi**(-a) * e**kappa * (1.0 - a * a * e / (1.0 + a * n))
     f1 = (eta / (1.0 + a * n)) * x_hi**(-a) * e ** (1.0 + kappa)
     f3 = (s * (x_hi * e)**kappa - f1 - s * f2) / (n + 1.0)
     y0 = np.array([f1, f2, f3], dtype=complex)
-    sol = _logistic_leg(_scalar_rhs(params), y0, x_lo, x_hi, dense_output=True)
+    rhs = _scalar_rhs(params)
+
+    def rhs_t(t, y):
+        x = 1.0 / (1.0 + math.exp(-t))
+        return x * (1.0 - x) * rhs(x, y)
+
+    sol = solve_ivp(rhs_t, (_logit(x_hi), _logit(x_lo)), y0, method="DOP853",
+                    rtol=1e-12, atol=1e-14, dense_output=True)
+    if not sol.success:
+        raise IntegrationError(f"integration failed: {sol.message}")
 
     def traj(x: float) -> np.ndarray:
         if not x_lo - 1e-15 <= x <= x_hi + 1e-15:
@@ -279,51 +254,15 @@ def scalar_ode_residual(params: KZScalarParams, xs) -> float:
     return worst
 
 
-def combinations(params: KZScalarParams, f) -> np.ndarray:
-    """(n f1 - s f2, n f3 + s f2, f1 + s f2 + (n+1) f3) for a value triple f."""
-    n, s = params.n, params.sign
-    f1, f2, f3 = f
-    return np.array([n * f1 - s * f2, n * f3 + s * f2, f1 + s * f2 + (n + 1.0) * f3])
-
-
 def combination_identity_residual(params: KZScalarParams, traj, xs) -> float:
     """sup |f1 + s f2 + (n+1) f3 - s [x(1-x)]^(s eta (n-1))| along xs."""
-    kappa = params.sign * params.hbar2 * (params.n - 1.0)
+    n, s = params.n, params.sign
+    kappa = s * params.hbar2 * (n - 1.0)
     worst = 0.0
     for x in xs:
-        c3 = combinations(params, traj(x))[2]
-        worst = max(worst, abs(c3 - params.sign * (x * (1.0 - x))**kappa))
+        f1, f2, f3 = traj(x)
+        worst = max(worst, abs(f1 + s * f2 + (n + 1.0) * f3 - s * (x * (1.0 - x))**kappa))
     return float(worst)
-
-
-def riccati_residual(params: KZScalarParams, traj, xs) -> float:
-    """Residual of the Riccati equation for u = f1/f2 along the trajectory."""
-    n, eta, s = params.n, params.hbar2, params.sign
-    rhs = _scalar_rhs(params)
-    worst = 0.0
-    for x in xs:
-        f = traj(x)
-        d = rhs(x, f)
-        u = f[0] / f[1]
-        up = (d[0] * f[1] - f[0] * d[1]) / f[1]**2
-        target = eta * (s * n * (1.0 / x + 1.0 / (1.0 - x)) * u
-                        - 1.0 / x - u**2 / (1.0 - x))
-        worst = max(worst, abs(up - target))
-    return float(worst)
-
-
-def _aitken(seq):
-    s = list(seq)
-    while len(s) >= 3:
-        out = []
-        for i in range(len(s) - 2):
-            d2 = s[i + 2] - 2 * s[i + 1] + s[i]
-            if abs(d2) < 1e-300:
-                out.append(s[i + 2])
-            else:
-                out.append(s[i + 2] - (s[i + 2] - s[i + 1]) ** 2 / d2)
-        s = out
-    return s[-1]
 
 
 def limits_closed_route(params: KZScalarParams) -> tuple[complex, complex, complex]:
@@ -338,8 +277,9 @@ def limits_closed_route(params: KZScalarParams) -> tuple[complex, complex, compl
 
     while the decoupled combination gives l3 = s exactly and l2 follows
     from the exact relation l2 = (n l3 - l1)/(n + 1).  Everything here is
-    gamma arithmetic; agreement with limits_reference (which is sine
-    arithmetic) is a nontrivial reflection-identity check.
+    gamma arithmetic; agreement with limits_reference (which is
+    exponential arithmetic, [n]_q from powers of q) is a nontrivial
+    reflection-identity check.
     """
     n, eta, s = params.n, params.hbar2, params.sign
     a = s * eta
@@ -347,24 +287,6 @@ def limits_closed_route(params: KZScalarParams) -> tuple[complex, complex, compl
     l3 = complex(s)
     l2 = (n * l3 - l1) / (n + 1.0)
     return l1, l2, l3
-
-
-def extract_limits(params: KZScalarParams, traj) -> dict:
-    """The three limits by both routes, plus the reference expressions.
-
-    closed route: analytic x -> 0 limit of the closed forms through the
-    connection formula (limits_closed_route).  trajectory route: rescaled
-    combinations evaluated on the integrated trajectory traj at
-    x = 1e-4, 1e-5, 1e-6 and extrapolated (iterated Aitken, which handles
-    the unknown complex correction exponents).
-    """
-    kappa = params.sign * params.hbar2 * (params.n - 1.0)
-    traj_seq = [combinations(params, traj(x)) * x**(-kappa) for x in (1e-4, 1e-5, 1e-6)]
-    return {
-        "closed": limits_closed_route(params),
-        "reference": limits_reference(params),
-        "trajectory": tuple(_aitken([v[k] for v in traj_seq]) for k in range(3)),
-    }
 
 
 # ---------------------------------------------------------------------------

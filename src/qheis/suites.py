@@ -29,7 +29,6 @@ PARAMS = {
     "q": (float, True, "deformation parameter values"),
     "cutoff": (int, False, "maximum total occupation of the Fock space"),
     "modes": (int, False, "number of modes N"),
-    "eps": (float, False, "endpoint regularization distance"),
     "n": (float, True, "number eigenvalues for the scalar KZ suite"),
     "hbar2": (complex, True, "scalar KZ deformation parameters (complex, e.g. 0.1j)"),
 }
@@ -41,7 +40,7 @@ DEFAULTS = {
     "slN": {"q": (1.3,), "cutoff": 5, "modes": 3},
     "soN-orbital": {"q": (0.7, 1.3), "cutoff": 6, "modes": 3},
     "qspecial": {"q": (0.5, 0.9, 1.1, 2.0)},
-    "kz-scalar": {"eps": 1e-8, "n": (2.0, 3.0, 5.0), "hbar2": (0.05, 0.1j)},
+    "kz-scalar": {"n": (2.0, 3.0, 5.0), "hbar2": (0.05, 0.1j)},
     "kz-operator": {"q": (math.e**0.1,), "cutoff": 5, "modes": 2},
     "braid": {"q": (0.7, 1.3)},
 }
@@ -66,7 +65,6 @@ class SuiteConfig:
     q: tuple | None = None
     cutoff: int | None = None
     modes: int | None = None
-    eps: float | None = None
     n: tuple | None = None
     hbar2: tuple | None = None
 
@@ -358,37 +356,35 @@ def _suite_qspecial(cfg: SuiteConfig):
 
 def _suite_kz_scalar(cfg: SuiteConfig):
     from . import kz  # kz loads scipy.integrate and scipy.linalg; only the kz suites need it
-    # built here, so that an out-of-range n, hbar2 or eps is a usage error
-    params = [kz.KZScalarParams(n=n, hbar2=hbar2, sign=sign, eps=cfg.eps)
+    # built here, so that an out-of-range n or hbar2 is a usage error
+    params = [kz.KZScalarParams(n=n, hbar2=hbar2, sign=sign)
               for n in cfg.n for hbar2 in cfg.hbar2 for sign in (+1, -1)]
+    # c - a - b of the closed forms' connection formula is s n hbar2 (+ 1)
+    for n in cfg.n:
+        for hbar2 in cfg.hbar2:
+            if abs(n * hbar2 - round((n * hbar2).real)) < 1e-12:
+                raise ValueError(f"n*hbar2 = {n * hbar2} is an integer, where the "
+                                 f"closed forms' connection formula is degenerate")
 
     def unit(p):
-        traj = kz.integrate_scalar(p, x_lo=1e-8)
         xs = np.linspace(0.02, 0.98, 33)
+        traj = kz.integrate_scalar(p, xs[0])
         sup = max(np.abs(np.array(traj(x)) - np.array(kz.closed_form_f(p, x))).max()
                   for x in xs)
-        rows = [
+        return [
             CaseResult("trajectory_vs_closed_forms", float(sup), 1e-10),
             CaseResult("combination_identity",
                        kz.combination_identity_residual(p, traj, xs), 1e-10),
-            CaseResult("riccati", kz.riccati_residual(p, traj, xs[::4]), 1e-8),
             CaseResult("closed_forms_satisfy_ode",
                        kz.scalar_ode_residual(p, (0.2, 0.5, 0.8)), 1e-9),
+            CaseResult("limits_closed_route",
+                       float(np.abs(np.array(kz.limits_closed_route(p))
+                                    - np.array(kz.limits_reference(p))).max()), 1e-10),
         ]
-        lims = kz.extract_limits(p, traj)
-        ref = np.array(lims["reference"])
-        rows.append(CaseResult("limits_closed_route",
-                               float(np.abs(np.array(lims["closed"]) - ref).max()),
-                               1e-10))
-        rows.append(CaseResult("limits_trajectory_route",
-                               float(np.abs(np.array(lims["trajectory"]) - ref).max()),
-                               1e-6))
-        return rows
 
     units = [(f"n={p.n:g},hbar2={p.hbar2},s={p.sign:+d}", lambda p=p: unit(p))
              for p in params]
-    return {"n": list(cfg.n), "hbar2": [str(h) for h in cfg.hbar2],
-            "eps": cfg.eps}, units
+    return {"n": list(cfg.n), "hbar2": [str(h) for h in cfg.hbar2]}, units
 
 
 def _suite_kz_operator(cfg: SuiteConfig):

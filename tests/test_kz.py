@@ -16,20 +16,18 @@ def test_params_validation():
         kz.KZScalarParams(n=0.5, hbar2=0.05, sign=+1)
     with pytest.raises(ValueError):
         kz.KZScalarParams(n=2, hbar2=0.5, sign=+1)  # outside perturbative regime
-    with pytest.raises(ValueError):
-        kz.KZScalarParams(n=2, hbar2=0.05, sign=+1, eps=1e-9)
 
 
 def test_trivial_deformation():
-    p = kz.KZScalarParams(n=3, hbar2=0.0, sign=+1, eps=1e-6)
-    traj = kz.integrate_scalar(p, x_lo=1e-6)
+    p = kz.KZScalarParams(n=3, hbar2=0.0, sign=+1)
+    traj = kz.integrate_scalar(p, 1e-6)
     for x in (1e-6, 0.3, 0.7, 1 - 1e-6):
         assert np.allclose(traj(x), [0.0, 1.0, 0.0], atol=1e-14)
 
 
 def test_trajectory_matches_closed_forms():
-    p = kz.KZScalarParams(n=3, hbar2=0.05, sign=+1, eps=1e-8)
-    traj = kz.integrate_scalar(p)
+    p = kz.KZScalarParams(n=3, hbar2=0.05, sign=+1)
+    traj = kz.integrate_scalar(p, 0.02)
     xs = np.linspace(0.02, 0.98, 25)
     sup = max(np.abs(np.array(traj(x)) - np.array(kz.closed_form_f(p, x))).max()
               for x in xs)
@@ -37,8 +35,8 @@ def test_trajectory_matches_closed_forms():
 
 
 def test_combination_identity():
-    p = kz.KZScalarParams(n=2, hbar2=0.1j, sign=+1, eps=1e-8)
-    traj = kz.integrate_scalar(p)
+    p = kz.KZScalarParams(n=2, hbar2=0.1j, sign=+1)
+    traj = kz.integrate_scalar(p, 0.05)
     xs = np.linspace(0.05, 0.95, 19)
     assert kz.combination_identity_residual(p, traj, xs) < 1e-8
 
@@ -59,28 +57,20 @@ def test_boundary_normalization():
     assert abs(f2 * (1 - x) ** (-kappa) - 1.0) < 1e-5
 
 
-def test_riccati():
-    p = kz.KZScalarParams(n=3, hbar2=0.05, sign=-1, eps=1e-8)
-    traj = kz.integrate_scalar(p)
-    assert kz.riccati_residual(p, traj, (0.2, 0.5, 0.8)) < 1e-8
-
-
 def test_limits_both_routes():
-    # real deformation parameter: hbar2 = h/(pi i) with h = 0.1 gives a
-    # real q = e^h; imaginary hbar2 values are exercised alongside
+    # the closed forms' limits (gamma arithmetic) against the reference
+    # expressions (powers of q).  Real deformation parameter: hbar2 =
+    # h/(pi i) with h = 0.1 gives a real q = e^h; imaginary hbar2 values
+    # are exercised alongside
     for n, hbar2, sign in ((2, 0.1 / (math.pi * 1j), +1), (3, 0.05, +1),
                            (5, 0.1j, -1)):
-        p = kz.KZScalarParams(n=n, hbar2=hbar2, sign=sign, eps=1e-8)
-        traj = kz.integrate_scalar(p)
-        lims = kz.extract_limits(p, traj)
-        ref = np.array(lims["reference"])
-        assert np.abs(np.array(lims["closed"]) - ref).max() < 1e-10
-        assert np.abs(np.array(lims["trajectory"]) - ref).max() < 1e-6
+        p = kz.KZScalarParams(n=n, hbar2=hbar2, sign=sign)
+        closed = np.array(kz.limits_closed_route(p))
+        assert np.abs(closed - np.array(kz.limits_reference(p))).max() < 1e-10
 
 
 def test_limit_reference_values():
-    # l1 = -s n/[n]_q with q = exp(pi i hbar2); the two evaluation routes
-    # (gamma arithmetic vs sine arithmetic) must agree
+    # l1 = -s n/[n]_q with q = exp(pi i hbar2), against [2]_q written out
     h = 0.1
     p = kz.KZScalarParams(n=2, hbar2=h / (math.pi * 1j), sign=+1)
     q = math.e**h
@@ -382,7 +372,12 @@ def test_series_error_fails_each_unit_that_reads_m(monkeypatch):
 
 
 def test_scalar_trajectory_rows_see_the_integrator(monkeypatch):
+    # every kz-scalar row that reads the solve is in `rows`, so each one
+    # is held to failing a solve at rtol 1e-6
     rows = ("trajectory_vs_closed_forms", "combination_identity")
+    kinds = {c.name.split("/")[-1]
+             for c in suites.run_suite(suites.make_config("kz-scalar")).cases}
+    assert kinds == {*rows, "closed_forms_satisfy_ode", "limits_closed_route"}
 
     def trajectory_rows():
         report = suites.run_suite(suites.make_config("kz-scalar"))
@@ -401,22 +396,20 @@ def test_scalar_trajectory_rows_see_the_integrator(monkeypatch):
 
 
 def test_scalar_trajectory_range():
-    p = kz.KZScalarParams(n=2, hbar2=0.05, sign=+1, eps=1e-6)
-    traj = kz.integrate_scalar(p, x_lo=1e-3)
+    p = kz.KZScalarParams(n=2, hbar2=0.05, sign=+1)
+    traj = kz.integrate_scalar(p, 1e-3)
     traj(1e-3)
-    traj(1 - 1e-6)
-    for x in (5e-4, 1 - 5e-7, 0.0, 1.0):
+    traj(1 - 1e-8)
+    for x in (5e-4, 1 - 5e-9, 0.0, 1.0):
         with pytest.raises(ValueError):
             traj(x)
 
 
-def test_logistic_leg_rejects_empty_interval():
-    def rhs(x, y):
-        return y / x
-
-    for x_lo, x_hi in ((0.5, 0.5), (0.6, 0.4), (0.0, 0.5), (0.5, 1.0)):
+def test_integrate_scalar_rejects_empty_interval():
+    p = kz.KZScalarParams(n=2, hbar2=0.05, sign=+1)
+    for x_lo in (1 - 1e-8, 1 - 1e-9, 1.0, 0.0, -0.5):
         with pytest.raises(ValueError):
-            kz._logistic_leg(rhs, np.ones(1), x_lo, x_hi)
+            kz.integrate_scalar(p, x_lo)
 
 
 def test_operator_system_validation():
