@@ -57,8 +57,10 @@ stack at construction).  M is returned as its weight blocks
 (WeightBlocks), and every check works on them: norms of a block-diagonal
 operator are the largest block norm (a direct sum), inverses and
 conjugations go block by block, the commutators with the coproduct image
-are block-to-block maps, and contractions with Fock operators use the
-blocks as the stored entries of a sparse matrix.
+are block-to-block maps, and the relation and acts-trivially checks are
+small batched products of the blocks with ladder coefficients fixed per
+block (BlockLadders): on a weight block the dressing is one number, so
+each defect is a partial permutation whose entries those products give.
 
 M = 1 + zeta(2) eta^2 [P, A] + O(h^3), acts trivially on the
 doubly-contravariant tensor a^i a^j, commutes with the image of the
@@ -87,10 +89,10 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm  # noqa: F401  (the benchmark tracer wraps kz.expm)
 
 from .fock import FockSpace, Statistics
-from .liealg import coproduct_rep, permutation_matrix, sigma_basis
+from .liealg import coproduct_rep, sigma_basis
 from .qspecial import (DeformParams, gamma, gauss_2f1, gauss_2f1_deriv, qbracket, qnum,
                        rgamma)
-from .verify import CaseResult, projected_norms, quadratic_residual_matrices
+from .verify import CaseResult
 
 
 class IntegrationError(RuntimeError):
@@ -347,15 +349,6 @@ class WeightBlocks:
         """The full-space operator, with the blocks as its stored entries."""
         return sparse.csr_array((x, (self.rows, self.cols)), shape=(self.dim, self.dim))
 
-    def gather(self, op) -> np.ndarray:
-        """The flat blocks of a sparse full-space operator; ValueError if
-        it has an entry between two different weights."""
-        op = sparse.csr_array(op)
-        coo = op.tocoo()
-        if np.any(self.block_of[coo.row] != self.block_of[coo.col]):
-            raise ValueError("operator does not conserve the weight")
-        return op[self.rows, self.cols]
-
 
 def _weight_blocks(weights: np.ndarray) -> WeightBlocks:
     """Group the basis vectors by weight (one row of weights each)."""
@@ -382,10 +375,29 @@ def _weight_blocks(weights: np.ndarray) -> WeightBlocks:
 
 
 @dataclass(frozen=True)
+class BlockLadders:
+    """The undressed ladder coefficients of one stack of weight blocks, for
+    the relation and acts-trivially checks.  A member v = (k, l, o) of the
+    block of weight W has o = W - e_k - e_l; W - e_i is a Fock state, or
+    missing, for each i.  On a bosonic space a^k a^l = a^l a^k and
+    <W| a+_k a+_l |o> = c_v, so c serves all three quadratic tensors, and
+    the annihilator that undoes alpha's creator is alpha transposed."""
+
+    shell: np.ndarray  # (n_blocks,): the shell |W| - 2 of the block's occupations o
+    c: np.ndarray  # (n_blocks, s): c_v = <o| a^l a^k |W>
+    alpha: np.ndarray  # (n_blocks, N, s): <W - e_i| a+_l |o> at [i, v] with k = i, else 0
+    direct: np.ndarray  # (n_blocks, N, N): <W - e_i| a^i a+_j |W - e_j>
+    safe: np.ndarray  # (n_blocks, s): W and o are states safe at creator degree 2
+    cross_safe: np.ndarray  # (n_blocks, N, N): W - e_i and W - e_j are states safe at degree 2
+
+
+@dataclass(frozen=True)
 class KZOperatorSystem:
     """P and A on C^N x C^N x Fock as flat weight blocks (see WeightBlocks),
     with the eigendecompositions P = vecs diag(vals) vecs^T and
-    A = vecs diag(vals) vecs^T of each stack of real symmetric blocks."""
+    A = vecs diag(vals) vecs^T of each stack of real symmetric blocks, the
+    BlockLadders of each stack, and <0| a^j a+_j |0> per mode j (none when
+    the vacuum is not safe at creator degree 2)."""
 
     space: FockSpace
     n: int
@@ -394,26 +406,55 @@ class KZOperatorSystem:
     a: np.ndarray
     p_eig: tuple  # (vals (n_blocks, s), vecs (n_blocks, s, s)) per stack
     a_eig: tuple  # the same for A
+    ladders: tuple  # BlockLadders per stack
+    vacuum: np.ndarray  # (N,), or (0,)
 
 
 def build_operator_system(space: FockSpace) -> KZOperatorSystem:
-    """Assemble P and A on C^N x C^N x Fock for an sl(N) bosonic space."""
+    """Assemble P and A on C^N x C^N x Fock for an sl(N) bosonic space,
+    entry by entry on the weight blocks.  Within a block, the entry of P
+    between (a, b, o) and (a', b', o') is [a = b' and b = a'], and that of
+    A = 1 x e_ij x a+_j a^i is [a = a'] <m| a^b |o'> <m| a^b' |o>,
+    m = o' - e_b = o - e_b', and the amplitudes are read off the space's
+    stored annihilators."""
     if space.statistics is not Statistics.BOSE:
         raise ValueError("operator system needs a bosonic space")
     n, d = space.modes, space.dim
-    an, ap = space.an, space.ap
-    e = np.eye(n)
-    p_sparse = sparse.kron(permutation_matrix(n), sparse.eye_array(d))
-    a_sparse = sum(sparse.kron(np.kron(e, np.outer(e[i], e[j])), ap[j] @ an[i])
-                   for i in range(n) for j in range(n))
+    # amp[k, y] = <y - e_k| a^k |y> and up[k, x] = the index of x + e_k;
+    # column d stands for a state outside the truncated space
+    amp, up = np.zeros((n, d + 1)), np.full((n, d + 1), d)
+    for k, an in enumerate(space.an):
+        amp[k, an.indices] = an.data.real
+        up[k, np.repeat(np.arange(d), np.diff(an.indptr))] = an.indices
+    safe = np.append(space.safe_mask(2), False)
     # the weight of (a, b, occ) is e_a + e_b + occ
+    e = np.eye(n)
     pair_weights = (e[:, None, :] + e[None, :, :]).reshape(n * n, 1, n)
     weights = (pair_weights + np.array(space.basis)[None, :, :]).reshape(n * n * d, n)
     blocks = _weight_blocks(weights)
-    p, a = blocks.gather(p_sparse).real, blocks.gather(a_sparse).real
+    (a_r, b_r, o_r), (a_c, b_c, o_c) = (np.unravel_index(x, (n, n, d))
+                                        for x in (blocks.rows, blocks.cols))
+    p = ((a_r == b_c) & (b_r == a_c)).astype(float)
+    a = (a_r == a_c) * amp[b_r, o_c] * amp[b_c, o_r]
     p_eig = tuple(np.linalg.eigh(stack) for stack in blocks.views(p))
     a_eig = tuple(np.linalg.eigh(stack) for stack in blocks.views(a))
-    return KZOperatorSystem(space, n, blocks, p, a, p_eig, a_eig)
+    ladders = []
+    for sl, (n_blocks, s, _) in blocks.stacks:
+        k, l, o = np.unravel_index(blocks.rows[sl].reshape(n_blocks, s, s)[:, :, 0], (n, n, d))
+        w_k = up[l, o]  # the state W - e_k of each member
+        w = up[k[:, 0], w_k[:, 0]]  # the state W of each block
+        lam = amp[l, w_k]  # <o| a^l |W - e_k> = <W - e_k| a+_l |o>
+        alpha = (k[:, None, :] == np.arange(n)[:, None]) * lam[:, None, :]
+        w_i = np.full((n_blocks, n), d)  # W - e_i, from the members with k = i
+        w_i[np.arange(n_blocks)[:, None], k] = w_k
+        amp_w = amp[:, w].T
+        ladders.append(BlockLadders(
+            space.shell[o[:, 0]], lam * amp[k, w[:, None]], alpha,
+            amp_w[:, :, None] * amp_w[:, None, :], safe[w][:, None] & safe[o],
+            safe[w_i][:, :, None] & safe[w_i][:, None, :]))
+    vac = space.state_index((0,) * n)
+    vacuum = amp[np.arange(n), up[:, vac]]**2 if safe[vac] else np.zeros(0)
+    return KZOperatorSystem(space, n, blocks, p, a, p_eig, a_eig, tuple(ladders), vacuum)
 
 
 _SERIES_TERMS = 200  # the most terms a Frobenius series may take
@@ -513,13 +554,22 @@ def coassociator_matrices(system: KZOperatorSystem, hbar2s) -> list[np.ndarray]:
     return out
 
 
+def _safe_max(defect: np.ndarray, safe: np.ndarray) -> float:
+    """The largest modulus among the safe entries of a defect: its norm,
+    when each of its D x D Fock blocks holds at most one entry per row and
+    per column."""
+    return float(np.abs(defect[safe]).max(initial=0.0))
+
+
 def acts_trivially_residual(system: KZOperatorSystem, m: np.ndarray) -> float:
     """|| M . (aa) - aa || over the N^2 components, safe-projected at
     creator degree 2: aa is the column of the Fock operators a^i a^j,
-    block (i, j) at pair i N + j."""
-    n, an = system.n, system.space.an
-    aa = sparse.vstack([an[i] @ an[j] for i in range(n) for j in range(n)])
-    return projected_norms(system.space, system.blocks.to_sparse(m) @ aa - aa, 2)
+    block (i, j) at pair i N + j.  Column W of the defect is
+    (M_W - 1) c_W on weight block W (BlockLadders), and each D x D block
+    of it holds at most one entry per row and per column, so its norm is
+    the largest modulus on the safe states."""
+    return max(_safe_max((mw @ lad.c[..., None])[..., 0] - lad.c, lad.safe)
+               for mw, lad in zip(system.blocks.views(m), system.ladders))
 
 
 def invariance_residual(system: KZOperatorSystem, m: np.ndarray, data) -> float:
@@ -577,17 +627,6 @@ def invariance_residual(system: KZOperatorSystem, m: np.ndarray, data) -> float:
     return worst
 
 
-def dressed_generators(system: KZOperatorSystem, params: DeformParams):
-    """The dressed pair a~^i = a^i, a~+_i = a+_i I~(n) with
-    I~ = (n+1)_{q^(2s)} / (n+1), tabulated on n = 0..cutoff."""
-    space = system.space
-    q2s = params.q_real ** (2 * params.sign)
-    itilde = np.array([qnum(v + 1.0, q2s).real / (v + 1.0)
-                       for v in np.arange(space.cutoff + 1, dtype=float)])
-    dit = sparse.diags_array(itilde[space.shell].astype(complex))
-    return list(space.an), [m @ dit for m in space.ap]
-
-
 def coassociator_relation_check(system: KZOperatorSystem, params: DeformParams,
                                 m: np.ndarray, tol: float = 1e-12) -> list[CaseResult]:
     """Residuals of the three exchange relations of the dressed generators,
@@ -599,27 +638,44 @@ def coassociator_relation_check(system: KZOperatorSystem, params: DeformParams,
       (3) a~^i a~+_j  = delta^i_j + s a~+_l (M^-1 V M)^{il}_{jm} a~^m
 
     cond(M), M^-1 and the conjugated U = P and V are taken block by block
-    over the weights; the contraction with the Fock operators is
-    :func:`verify.quadratic_residual_matrices`, with the relation operator
-    1 - s M^-1 P M for (1) and (2) and the cross candidate M^-1 V M.
+    over the weights.  The dressing I~ depends on the shell only, so it
+    is one number on each weight block W, and each defect is a batched
+    product on the blocks with the ladder coefficients of BlockLadders:
+    R_W c_W for (1) and I~(t) I~(t+1) c_W^T R_W for (2), with
+    R_W = 1 - s M_W^-1 P_W M_W and t = |W| - 2, and for (3), at
+    [W - e_i, W - e_j] of Fock block (i, j),
+
+        I~(t+1) direct_ij - delta_ij - s I~(t) (alpha X_W alpha^T)_ij,
+        X_W = M_W^-1 V_W M_W,
+
+    with the vacuum's own term I~(0) <0| a^j a+_j |0> - 1 (W = e_j, no
+    weight block).  Each D x D Fock block of a defect holds at most one
+    entry per row and per column, so its safe-projected norm is the
+    largest modulus among its entries on safe states.
     """
-    space = system.space
-    n, d = system.n, space.dim
-    blocks = system.blocks
-    s = params.sign
+    blocks, s, n = system.blocks, params.sign, system.n
     sv = blocks.singular_values(m)
     cond = float(sv.max() / sv.min())
     if cond > 1e8:
         raise ValueError(f"coassociator matrix numerically singular (cond={cond:.2e})")
-    minv = blocks.join([np.linalg.inv(u) for u in blocks.views(m)])
-    # V = q^s P q^P = q^s ((q + 1/q)/2 P + (q - 1/q)/2), since P^2 = 1
     q = params.q_real
-    v = q**s * ((q + 1.0 / q) / 2.0 * system.p + (q - 1.0 / q) / 2.0 * blocks.eye)
-    mu = blocks.to_sparse(blocks.matmul(minv, blocks.matmul(system.p, m)))
-    mv = blocks.to_sparse(blocks.matmul(minv, blocks.matmul(v, m)))
-    a_t, ap_t = dressed_generators(system, params)
-    rel = sparse.eye_array(n * n * d) - s * mu
-    aa, apap, cross = quadratic_residual_matrices(a_t, ap_t, rel, {"cross": mv}, s)
+    q2s = q ** (2 * s)
+    itilde = np.array([qnum(t + 1.0, q2s).real / (t + 1.0)
+                       for t in range(system.space.cutoff + 2)])
+    # V = q^s P q^P = q^s ((q + 1/q)/2 P + (q - 1/q)/2), since P^2 = 1
+    v_p, v_1 = q**s * (q + 1.0 / q) / 2.0, q**s * (q - 1.0 / q) / 2.0
+    aa = apap = 0.0
+    cross = float(np.abs(itilde[0] * system.vacuum - 1.0).max(initial=0.0))
+    for mw, pw, lad in zip(blocks.views(m), blocks.views(system.p), system.ladders):
+        minv, eye = np.linalg.inv(mw), np.eye(mw.shape[1])
+        rel = eye - s * (minv @ (pw @ mw))
+        xw = minv @ ((v_p * pw + v_1 * eye) @ mw)
+        i0, i1 = itilde[lad.shell][:, None, None], itilde[lad.shell + 1][:, None, None]
+        aa = max(aa, _safe_max((rel @ lad.c[..., None])[..., 0], lad.safe))
+        apap = max(apap, _safe_max((i0 * i1 * lad.c[:, None, :] @ rel)[:, 0], lad.safe))
+        cross = max(cross, _safe_max(
+            i1 * lad.direct - np.eye(n) - s * i0 * (lad.alpha @ xw @ lad.alpha.transpose(0, 2, 1)),
+            lad.cross_safe))
     names = ("coassoc_relation_aa", "coassoc_relation_apap", "coassoc_relation_cross")
-    return [CaseResult(name, projected_norms(space, defect, 2), tol, {"cond_M": cond})
-            for name, defect in zip(names, (aa, apap, cross["cross"]))]
+    return [CaseResult(name, res, tol, {"cond_M": cond})
+            for name, res in zip(names, (aa, apap, cross))]

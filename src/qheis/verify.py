@@ -36,8 +36,7 @@ X, the three defects are
 
 with s = +1 (Weyl) or -1 (Clifford).  The deforming maps use the numeric
 R = Pi, the annihilating projector, and X = Pt, a cross candidate
-(:func:`dcr_residuals`); the coassociator uses R = 1 - s M^-1 P M and
-X = M^-1 V M (``kz.coassociator_relation_check``).  The flip in the
+(:func:`dcr_residuals`).  The flip in the
 annihilator contraction mirrors the transposed index pattern of the
 exchange relations; both patterns are fixed once by the explicit sl(2)
 maps and then apply uniformly.

@@ -8,7 +8,7 @@ from scipy.linalg import expm
 
 from qheis import fock, kz, liealg, suites, verify
 from qheis.fock import Statistics
-from qheis.qspecial import CLIFFORD, WEYL, DeformParams
+from qheis.qspecial import CLIFFORD, WEYL, DeformParams, qnum
 
 
 def test_params_validation():
@@ -156,6 +156,13 @@ def test_coassociator_wrong_sign_control(op_system, m_matrix):
     assert max(r.residual for r in rows) > 1e-2
 
 
+def test_relation_check_refuses_a_near_singular_m(op_system):
+    m = op_system.blocks.eye.astype(complex)
+    m[np.flatnonzero(m)[0]] = 1e-9  # one block of M with cond 1e9
+    with pytest.raises(ValueError, match="numerically singular"):
+        kz.coassociator_relation_check(op_system, DeformParams(1.0, WEYL), m)
+
+
 def _dense_p_a(space):
     """P and A = 1 x e_ij x a+_j a^i as dense N^2 D x N^2 D matrices."""
     n, d = space.modes, space.dim
@@ -214,13 +221,6 @@ def test_p_and_a_conserve_the_weight(modes, cutoff):
     assert np.array_equal(blocks.to_sparse(system.a).toarray(), a)
     assert np.array_equal(w[blocks.rows], w[blocks.cols])
     assert max(shape[1] for _, shape in blocks.stacks) <= modes * modes
-
-
-def test_weight_blocks_reject_a_weight_changing_operator(op_system):
-    blocks = op_system.blocks
-    hop = sparse.kron(sparse.eye_array(4), op_system.space.ap[0])
-    with pytest.raises(ValueError):
-        blocks.gather(hop)
 
 
 @pytest.mark.parametrize("modes,cutoff,h", [(2, 3, 0.1), (3, 2, 0.1), (2, 5, 0.1), (2, 3, 0.2)],
@@ -329,6 +329,82 @@ def test_block_invariance_matches_the_sparse_commutators(modes, cutoff):
     want = _sparse_invariance(system, perturbed, data)
     assert want > 1e3 * 1e-12
     assert abs(kz.invariance_residual(system, perturbed, data) - want) <= 1e-6 * want
+
+
+def _sparse_relations(system, params, m):
+    """The three relation residuals by full N^2 D x N^2 D sparse matrices:
+    M^-1 P M and M^-1 V M contracted with the dressed ladders by
+    verify.quadratic_residual_matrices, normed by verify.projected_norms."""
+    space, blocks, s, q = system.space, system.blocks, params.sign, params.q_real
+    minv = blocks.join([np.linalg.inv(u) for u in blocks.views(m)])
+    v = q**s * ((q + 1.0 / q) / 2.0 * system.p + (q - 1.0 / q) / 2.0 * blocks.eye)
+    mu = blocks.to_sparse(blocks.matmul(minv, blocks.matmul(system.p, m)))
+    mv = blocks.to_sparse(blocks.matmul(minv, blocks.matmul(v, m)))
+    q2s = q ** (2 * s)
+    itilde = np.array([qnum(t + 1.0, q2s).real / (t + 1.0) for t in range(space.cutoff + 1)])
+    dit = sparse.diags_array(itilde[space.shell].astype(complex))
+    rel = sparse.eye_array(blocks.dim) - s * mu
+    aa, apap, cross = verify.quadratic_residual_matrices(
+        list(space.an), [x @ dit for x in space.ap], rel, {"cross": mv}, s)
+    return [verify.projected_norms(space, x, 2) for x in (aa, apap, cross["cross"])]
+
+
+def _sparse_acts_trivially(system, m):
+    """|| M . (aa) - aa || with aa the sparse column of the a^i a^j."""
+    n, an = system.n, system.space.an
+    aa = sparse.vstack([an[i] @ an[j] for i in range(n) for j in range(n)])
+    return [verify.projected_norms(system.space, system.blocks.to_sparse(m) @ aa - aa, 2)]
+
+
+# the deformation of each relation check; None stands for acts_trivially_residual
+CHECKS = {"weyl": DeformParams(math.e**0.1, WEYL), "clifford": DeformParams(math.e**0.1, CLIFFORD),
+          "q=1": DeformParams(1.0, WEYL), "acts_trivially": None}
+
+
+def _by_blocks(system, params, m):
+    if params is None:
+        return [kz.acts_trivially_residual(system, m)]
+    return [r.residual for r in kz.coassociator_relation_check(system, params, m)]
+
+
+def _by_sparse(system, params, m):
+    if params is None:
+        return _sparse_acts_trivially(system, m)
+    return _sparse_relations(system, params, m)
+
+
+@pytest.mark.parametrize("check", list(CHECKS))
+@pytest.mark.parametrize("modes,cutoff", [(2, 3), (2, 5), (3, 4), (4, 4)])
+def test_block_relations_match_the_sparse_route(modes, cutoff, check):
+    system = kz.build_operator_system(fock.build_space(modes, Statistics.BOSE, cutoff))
+    blocks, params = system.blocks, CHECKS[check]
+    rng = np.random.default_rng(modes * 10 + cutoff)
+    # at cutoff 3 no weight block of aa, apap or M . aa is safe: both routes read 0
+    empty = {0, 1} if cutoff == 3 else set()
+
+    def agree(m, rel_tol):
+        """The sparse route's residuals that have a safe block, after
+        checking every residual against the block route's."""
+        got, want = _by_blocks(system, params, m), _by_sparse(system, params, m)
+        for k, (g, w) in enumerate(zip(got, want)):
+            if k in empty:
+                assert g == w == 0.0
+            else:
+                assert abs(g - w) <= rel_tol * w, (k, g, w)
+        return [w for k, w in enumerate(want) if k not in empty] or [math.inf]
+
+    # an O(1) defect: the two routes agree to rounding
+    assert min(agree(_random_blocks(system, rng), 1e-12)) > 0.1
+    # the exact M (the identity at q = 1) sits at the floor by both routes,
+    # except under the wrong sign, where both read O(1); a 1e-8
+    # perturbation of it reads alike by both, far above 1e-12
+    exact = (blocks.eye.astype(complex) if check == "q=1"
+             else kz.coassociator_matrices(system, (hbar2_of(0.1),))[0])
+    if check == "clifford":
+        assert min(agree(exact, 1e-12)) > 0.1
+    else:
+        assert max(*_by_blocks(system, params, exact), *_by_sparse(system, params, exact)) < 1e-13
+        assert min(agree(exact + 1e-8 * _random_blocks(system, rng), 1e-6)) > 1e3 * 1e-12
 
 
 def test_invariance_refuses_a_coproduct_that_splits_a_block(op_system, m_matrix):
