@@ -30,11 +30,11 @@ print(f"\nso(3) at q = 1 + 1e-8: max deviation from the permutation {dev:.1e}")
 # so(N) carries a deformed metric; in the Cartesian basis used here it
 # tends to the identity classically, and its rank-one tensor square is
 # exactly the trace projector of the braid matrix.
-c_lo, c_up = braid.metric(3, q)
+rel = braid.build_relations("so", 3, q, WEYL)
+c_lo, c_up = rel.metric_lower, rel.metric_upper
 print("\nso(3) deformed metric (lower), q = 1.3:")
 print(np.round(c_lo, 4))
 print("C_lower @ C_upper - 1:", f"{np.linalg.norm(c_lo @ c_up - np.eye(3)):.1e}")
-rel = braid.build_relations("so", 3, q, WEYL)
 print("trace projector vs metric tensor square:",
       f"{rel.diagnostics['trace_projector_vs_metric']:.1e}")
 

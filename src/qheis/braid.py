@@ -286,13 +286,3 @@ def build_relations(family: str, n: int, q: float, sign: int = WEYL) -> Relation
         diagnostics=diagnostics,
     )
 
-
-def metric(n: int, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Deformed so(N) metric (lower, upper) in the Cartesian basis.
-
-    The product C_lower @ C_upper is the identity (the FRT normalization,
-    recorded in the diagnostics of build_relations), and the q -> 1 limit
-    of both is the identity matrix.
-    """
-    rel = build_relations("so", n, q, WEYL)
-    return rel.metric_lower, rel.metric_upper

@@ -58,15 +58,15 @@ def _tabulate(f, cutoff: int) -> np.ndarray:
     return np.array([f(n) for n in range(cutoff + 1)])
 
 
-def _ratio(q: float, cutoff: int, at_zero: float = 1.0) -> np.ndarray:
-    """(n)_{q^2}/n on n = 0..cutoff, with a conventional value at the
+def _ratio(q: float, cutoff: int) -> np.ndarray:
+    """(n)_{q^2}/n on n = 0..cutoff, with the conventional value 1 at the
     removable n = 0."""
-    return _tabulate(lambda n: qnum(n, q * q).real / n if n else at_zero, cutoff)
+    return _tabulate(lambda n: qnum(n, q * q).real / n if n else 1.0, cutoff)
 
 
-def _sqrt_ratio(q: float, cutoff: int, at_zero: float = 1.0) -> np.ndarray:
+def _sqrt_ratio(q: float, cutoff: int) -> np.ndarray:
     """sqrt((n)_{q^2}/n) on n = 0..cutoff; raises on a negative ratio."""
-    ratio = _ratio(q, cutoff, at_zero)
+    ratio = _ratio(q, cutoff)
     if (ratio < 0).any():
         raise ValueError(f"negative dressing ratio at n={np.argmax(ratio < 0)}, q={q}")
     return np.sqrt(ratio)
@@ -76,7 +76,6 @@ def sln_candidate_map(
     space: FockSpace,
     params: DeformParams,
     ordering: str = "above",
-    at_zero: float = 1.0,
 ) -> DeformedGenerators:
     """Per-mode candidate deforming map for the Weyl sl(N) algebra.
 
@@ -89,9 +88,9 @@ def sln_candidate_map(
         raise ValueError("the sl(N) candidate map needs a bosonic space")
     if ordering not in ("above", "below"):
         raise ValueError("ordering must be 'above' or 'below'")
-    q = params.q_real
+    q = params.q
     occ = np.array(space.basis)
-    root = _sqrt_ratio(q, space.cutoff, at_zero)
+    root = _sqrt_ratio(q, space.cutoff)
     power = _tabulate(lambda n: q ** n, space.cutoff)
     a_ops, aplus_ops = [], []
     for k in range(space.modes):
@@ -117,7 +116,7 @@ def sl2_fermi_map(space: FockSpace, params: DeformParams) -> DeformedGenerators:
         raise ValueError("sl2_fermi_map needs a 2-mode fermionic space")
     if params.sign != CLIFFORD:
         raise ValueError("sl2_fermi_map needs the Clifford sign convention")
-    q = params.q_real
+    q = params.q
     n2 = np.array(space.basis)[:, 1]
     d1 = diag(_tabulate(lambda n: q ** (-n), space.cutoff)[n2])
     a_ops = [space.an[0] @ d1, space.an[1]]
@@ -135,7 +134,7 @@ def sl2_bose_onesided_map(space: FockSpace, params: DeformParams) -> DeformedGen
     """
     if space.modes != 2 or space.statistics is not Statistics.BOSE:
         raise ValueError("needs a 2-mode bosonic space")
-    q = params.q_real
+    q = params.q
     n1, n2 = np.array(space.basis).T
     ratio = _ratio(q, space.cutoff)
     up = _tabulate(lambda n: q ** n, space.cutoff)[n2]
@@ -152,7 +151,7 @@ def sl2_alpha_intertwiner(space: FockSpace, params: DeformParams) -> sparse.csr_
     """
     if space.modes != 2 or space.statistics is not Statistics.BOSE:
         raise ValueError("needs a 2-mode bosonic space")
-    q = params.q_real
+    q = params.q
     n1, n2 = np.array(space.basis).T
     y = _tabulate(lambda n: y_sln(n, q).real, space.cutoff)
     return diag(np.sqrt(y[n1] * y[n2]))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,26 +37,22 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class DeformParams:
-    """Deformation data: the parameter q and the sign convention.
+    """Deformation data: the real parameter q > 0 (stored as a float)
+    and the sign convention.
 
     sign = +1 selects the Weyl (bosonic) branch, -1 the Clifford
     (fermionic) one.
     """
 
-    q: complex
+    q: float
     sign: int = WEYL
 
     def __post_init__(self):
         if self.sign not in (WEYL, CLIFFORD):
             raise ValueError("sign must be +1 or -1")
-        if self.q == 0:
-            raise ValueError("q must be nonzero")
-
-    @property
-    def q_real(self) -> float:
-        if abs(self.q.imag if isinstance(self.q, complex) else 0.0) > 1e-14:
-            raise ValueError("q is not real")
-        return float(np.real(self.q))
+        if not isinstance(self.q, numbers.Real) or not self.q > 0:
+            raise ValueError(f"q must be a real number > 0, not {self.q!r}")
+        object.__setattr__(self, "q", float(self.q))
 
 
 def qnum(x, q):

@@ -112,7 +112,7 @@ def build_orbital(space: FockSpace) -> OrbitalData:
     return OrbitalData(space, l2, lmat, sorted(grid), aa, apap)
 
 
-def l2_commutator_residuals(orb: OrbitalData, tol: float = 1e-12) -> list[CaseResult]:
+def l2_commutator_residuals(orb: OrbitalData) -> list[CaseResult]:
     """[l^2, a.a] = 0 = [l^2, a+.a+], plus the mixed commutator formulas
 
         [l^2, a^i]  = -a^i (2n - 3 + N) + 2 a+_i (a.a)
@@ -120,13 +120,14 @@ def l2_commutator_residuals(orb: OrbitalData, tol: float = 1e-12) -> list[CaseRe
         [l^2, a+_i] =  a+_i (2n - 1 + N) - 2 (a+.a+) a^i
                     =  a+_i (2n + 3 + N) - 2 a^i (a+.a+)
 
-    in both equivalent orderings.
+    in both equivalent orderings; the commuting rows are held to 1e-12,
+    the mixed ones to 1e-11.
     """
     space = orb.space
     nn = space.modes
     l2 = orb.l2
     rows = [CaseResult(f"l2_commutes_{name}", projected_norms(space, l2 @ x - x @ l2, 2),
-                       tol, {"safe_degree": 2})
+                       1e-12, {"safe_degree": 2})
             for name, x in (("aa", orb.aa), ("apap", orb.apap))]
 
     d_a1, d_a2, d_p1, d_p2 = (diag(2 * space.shell + nn + c) for c in (-3, 1, -1, 3))
@@ -143,7 +144,7 @@ def l2_commutator_residuals(orb: OrbitalData, tol: float = 1e-12) -> list[CaseRe
     for name, defects in (("a", defects_a), ("aplus", defects_ap)):
         rows.append(CaseResult(f"l2_mixed_commutator_{name}",
                                projected_norms(space, sparse.vstack(defects), 2),
-                               10 * tol, {"safe_degree": 2}))
+                               1e-11, {"safe_degree": 2}))
     return rows
 
 
@@ -206,18 +207,18 @@ def _on_grid(by_n: dict[int, list[tuple[float, float]]], n, l) -> bool:
                for gn, gl in by_n.get(round(n), ()))
 
 
-def verify_y_son(orb: OrbitalData, params: DeformParams,
-                 tol: float = 1e-10) -> list[CaseResult]:
+def verify_y_son(orb: OrbitalData, params: DeformParams) -> list[CaseResult]:
     """Evaluate the four functional equations pointwise on the joint
     (n, l) spectrum, with all y-ratios computed by telescoped recurrences.
 
     A point contributes to an equation only if every shifted argument it
-    references is also realized on the grid.
+    references is also realized on the grid.  Each equation is held to
+    1e-10.
     """
     if len(orb.spectral_grid) == 0:
         raise ValueError("empty spectral grid")
     nn = orb.space.modes
-    q = params.q_real
+    q = params.q
     rhs = 1.0 + q ** (nn - 2)
 
     def ratio(n1, l1, n2, l2):
@@ -249,6 +250,6 @@ def verify_y_son(orb: OrbitalData, params: DeformParams,
     for k in range(4):
         if counts[k] == 0:
             raise ValueError(f"grid too small: functional equation {k+1} never realized")
-        rows.append(CaseResult(f"y_so_functional_eq{k+1}", worst[k], tol,
+        rows.append(CaseResult(f"y_so_functional_eq{k+1}", worst[k], 1e-10,
                                {"points": counts[k]}))
     return rows

@@ -214,7 +214,7 @@ def dcr_residuals(gens: DeformedGenerators, rel: RelationMatrices,
     """
     if rel.n != gens.n:
         raise ValueError("generator set and relation matrices disagree on N")
-    if abs(rel.q - gens.params.q_real) > 1e-12 or rel.sign != gens.params.sign:
+    if abs(rel.q - gens.params.q) > 1e-12 or rel.sign != gens.params.sign:
         raise ValueError("generator set and relation matrices disagree on (q, sign)")
     eye_d = sparse.eye_array(gens.space.dim, format="csr")
     pi = sparse.kron(rel.annihilating_projector, eye_d, format="csr")
@@ -267,7 +267,7 @@ def number_op_check(gens: DeformedGenerators, tol: float = 1e-10) -> list[CaseRe
     identities of creator degree 2.
     """
     space = gens.space
-    q2s = gens.params.q_real ** (2 * gens.params.sign)
+    q2s = gens.params.q ** (2 * gens.params.sign)
     nh = gens.number_operator()
     out = [
         CaseResult("qnumber_creator_relation",
@@ -340,19 +340,14 @@ def metric_invariant_check(gens: DeformedGenerators, c_lower: np.ndarray,
 
 
 def invariant_commutant_check(gens: DeformedGenerators, data: LieData,
-                              tol: float = 1e-11,
-                              extra_invariants: dict | None = None) -> list[CaseResult]:
-    """|| [sigma(X), I] || for I = N_h (and any supplied extra invariants),
-    over every Lie basis element X.  Invariance under the classical and
-    the deformed action are equivalent to membership in this commutant.
+                              tol: float = 1e-11) -> list[CaseResult]:
+    """|| [sigma(X), N_h] || over every Lie basis element X.  Invariance
+    under the classical and the deformed action are equivalent to
+    membership in this commutant.
     """
     space = gens.space
-    smats = sigma_basis(space, data)
-    invariants = {"qnumber_operator": gens.number_operator()}
-    if extra_invariants:
-        invariants.update(extra_invariants)
-    return [CaseResult(f"commutant[{name}]",
+    nh = gens.number_operator()
+    return [CaseResult("commutant[qnumber_operator]",
                        projected_norms(space, sparse.vstack(
-                           [mat @ inv - inv @ mat for mat in smats.values()]), 2),
-                       tol, {"safe_degree": 2})
-            for name, inv in invariants.items()]
+                           [mat @ nh - nh @ mat for mat in sigma_basis(space, data).values()]), 2),
+                       tol, {"safe_degree": 2})]

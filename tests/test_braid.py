@@ -61,7 +61,8 @@ def test_sl_projector_ranks_and_annihilator():
 
 def test_so_metric():
     n, q = 3, 1.2
-    c_lo, c_up = braid.metric(n, q)
+    rel = braid.build_relations("so", n, q)
+    c_lo, c_up = rel.metric_lower, rel.metric_upper
     assert np.linalg.norm(c_lo @ c_up - np.eye(n)) < 1e-12
     # independent hand construction of the 3x3 case: weight-basis metric
     # q^(-rho_i) on the antidiagonal, rho = (1/2, 0, -1/2), rotated by the
@@ -75,7 +76,7 @@ def test_so_metric():
                   [1 / np.sqrt(2), 0, -1j / np.sqrt(2)]], dtype=complex)
     assert np.linalg.norm(c_lo - w.T @ c_frt @ w) < 1e-14
     # q -> 1 limit is the identity metric
-    c1_lo, _ = braid.metric(3, 1.0 + 1e-9)
+    c1_lo = braid.build_relations("so", 3, 1.0 + 1e-9).metric_lower
     assert np.abs(c1_lo - np.eye(3)).max() < 1e-6
     # the weight-basis metric is q-symmetric: C^T = D C, D = diag(q^(2 rho))
     d = np.diag([q ** 1.0, 1.0, q ** -1.0])

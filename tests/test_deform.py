@@ -85,12 +85,15 @@ def test_sln_classical_limit():
         assert entrywise_dev(g1, g0) == 0.0
 
 
-def test_removable_singularity_is_invisible(bose_space):
+def test_removable_singularity_is_invisible(bose_space, monkeypatch):
     q = 1.3
     params = DeformParams(q, WEYL)
     alt = 2 * np.log(q) / (q * q - 1)  # the q -> 1-continuous convention
-    ga = deform.sln_candidate_map(bose_space, params, "above", at_zero=1.0)
-    gb = deform.sln_candidate_map(bose_space, params, "above", at_zero=alt)
+    ga = deform.sln_candidate_map(bose_space, params, "above")
+    ratio = deform._ratio
+    monkeypatch.setattr(deform, "_ratio", lambda q, cutoff: np.r_[alt, ratio(q, cutoff)[1:]])
+    gb = deform.sln_candidate_map(bose_space, params, "above")
+    assert deform._sqrt_ratio(q, 6)[0] == np.sqrt(alt)
     assert entrywise_dev(ga, gb) == 0.0
 
 

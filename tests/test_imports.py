@@ -1,12 +1,15 @@
 """No module of the package, the demos or the tests imports a name it never
 uses.  An import whose statement carries ``# noqa`` is exempt (``kz``
-binds ``expm`` for callers outside the module)."""
+binds ``expm`` for callers outside the module).  Every public function of
+the package is read somewhere in the package, so none is kept for the
+tests alone."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for d in ("src/qheis", "demos", "tests") for p in (ROOT / d).rglob("*.py"))
+PACKAGE = sorted((ROOT / "src/qheis").rglob("*.py"))
 
 
 def unused_imports(text: str) -> list[str]:
@@ -40,3 +43,16 @@ def test_the_check_sees_an_unused_import():
               "import sys  # noqa: F401\nfrom math import (pi,\n    tau)\n"
               "import os.path as osp\nprint(pi, osp)\n")
     assert unused_imports(source) == ["2: os", "4: tau"]
+
+
+def test_every_public_function_has_a_caller():
+    trees = {path: ast.parse(path.read_text()) for path in PACKAGE}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    orphans = [f"{path.relative_to(ROOT)}: {node.name}" for path, tree in trees.items()
+               for node in tree.body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+               and node.name not in read]
+    assert PACKAGE
+    assert not orphans, "public functions no module of the package reads:\n" + "\n".join(orphans)

@@ -130,24 +130,23 @@ def test_coassociator_acts_trivially(op_system, m_matrix):
 
 
 def test_coassociator_invariance(op_system, m_matrix):
-    data = liealg.LieData("sl", 2)
-    assert kz.invariance_residual(op_system, m_matrix, data) < 1e-12
+    assert kz.invariance_residual(op_system, m_matrix) < 1e-12
 
 
 def test_coassociator_relations(op_system, m_matrix):
     params = DeformParams(math.e**0.1, WEYL)
-    rows = kz.coassociator_relation_check(op_system, params, m_matrix, tol=1e-12)
+    rows = kz.coassociator_relation_check(op_system, params, m_matrix)
     for row in rows:
-        assert row.passed, (row.name, row.residual)
+        assert row.residual <= 1e-12, (row.name, row.residual)
 
 
 def test_coassociator_classical_control(op_system):
     m = kz.coassociator_matrices(op_system, (0.0,))[0]
     assert np.array_equal(m, op_system.blocks.eye)
     params = DeformParams(1.0, WEYL)
-    rows = kz.coassociator_relation_check(op_system, params, m, tol=1e-12)
+    rows = kz.coassociator_relation_check(op_system, params, m)
     for row in rows:
-        assert row.passed, (row.name, row.residual)
+        assert row.residual <= 1e-12, (row.name, row.residual)
 
 
 def test_coassociator_wrong_sign_control(op_system, m_matrix):
@@ -284,7 +283,7 @@ def test_invariance_residual_matches_dense_oracle():
         comm = (big_m @ delta2 - delta2 @ big_m)[np.ix_(safe, safe)]
         want = max(want, np.linalg.norm(comm, 2))
     assert want > 0.1
-    got = kz.invariance_residual(system, m, data)
+    got = kz.invariance_residual(system, m)
     assert abs(got - want) <= 1e-12 * want, (got, want)
 
 
@@ -319,23 +318,23 @@ def test_block_invariance_matches_the_sparse_commutators(modes, cutoff):
     m = _random_blocks(system, rng)
     want = _sparse_invariance(system, m, data)
     assert want > 0.1
-    assert abs(kz.invariance_residual(system, m, data) - want) <= 1e-12 * want
+    assert abs(kz.invariance_residual(system, m) - want) <= 1e-12 * want
     # the exact M sits at the floor by both routes; a 1e-8 perturbation of
     # it reads alike by both, far above the suite's 1e-12 tolerance
     exact = kz.coassociator_matrices(system, (hbar2_of(0.1),))[0]
-    assert max(kz.invariance_residual(system, exact, data),
+    assert max(kz.invariance_residual(system, exact),
                _sparse_invariance(system, exact, data)) < 1e-13
     perturbed = exact + 1e-8 * _random_blocks(system, rng)
     want = _sparse_invariance(system, perturbed, data)
     assert want > 1e3 * 1e-12
-    assert abs(kz.invariance_residual(system, perturbed, data) - want) <= 1e-6 * want
+    assert abs(kz.invariance_residual(system, perturbed) - want) <= 1e-6 * want
 
 
 def _sparse_relations(system, params, m):
     """The three relation residuals by full N^2 D x N^2 D sparse matrices:
     M^-1 P M and M^-1 V M contracted with the dressed ladders by
     verify.quadratic_residual_matrices, normed by verify.projected_norms."""
-    space, blocks, s, q = system.space, system.blocks, params.sign, params.q_real
+    space, blocks, s, q = system.space, system.blocks, params.sign, params.q
     minv = blocks.join([np.linalg.inv(u) for u in blocks.views(m)])
     v = q**s * ((q + 1.0 / q) / 2.0 * system.p + (q - 1.0 / q) / 2.0 * blocks.eye)
     mu = blocks.to_sparse(blocks.matmul(minv, blocks.matmul(system.p, m)))
@@ -407,10 +406,11 @@ def test_block_relations_match_the_sparse_route(modes, cutoff, check):
         assert min(agree(exact + 1e-8 * _random_blocks(system, rng), 1e-6)) > 1e3 * 1e-12
 
 
-def test_invariance_refuses_a_coproduct_that_splits_a_block(op_system, m_matrix):
-    # so(2)'s L_12 = e_12 - e_21 moves a weight by both +-(e_1 - e_2)
-    with pytest.raises(ValueError, match="weight blocks"):
-        kz.invariance_residual(op_system, m_matrix, liealg.LieData("so", 2))
+def test_weight_blocks_number_the_weights_in_lexicographic_order():
+    # the reference is the row sort of np.unique over the whole weight rows
+    weights = np.random.default_rng(5).integers(0, 4, size=(200, 3))
+    want = np.unique(weights, axis=0, return_inverse=True)[1].reshape(-1)
+    assert np.array_equal(kz._weight_blocks(weights).block_of, want)
 
 
 def test_coassociator_makes_no_ode_solve(op_system, monkeypatch):

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy import sparse
 
 from qheis import fock, liealg
 from qheis.fock import Statistics
@@ -85,65 +84,15 @@ def test_sigma_is_a_homomorphism(family, n, stat, cut):
 def test_sigma_jordan_schwinger_form_and_vacuum():
     sp = fock.build_space(2, Statistics.BOSE, 4)
     data = liealg.LieData("sl", 2)
+    smats = liealg.sigma_basis(sp, data)
     # the raising element acts as a+_1 a^2
-    jplus = liealg.sigma(sp, data, (1, 2)).toarray()
+    jplus = smats[(1, 2)].toarray()
     direct = sp.ap[0].toarray() @ sp.an[1].toarray()
     assert fro(jplus - direct) < 1e-14
     vac = sp.state_index((0, 0))
     for lbl in data.basis_labels:
-        col = liealg.sigma(sp, data, lbl).toarray()[:, vac]
+        col = smats[lbl].toarray()[:, vac]
         assert np.linalg.norm(col) < 1e-14
-
-
-def test_casimir_closed_form():
-    # bosonic sl(2): eigenvalue on the n = 1 shell is 1*(2+1-1) - 1/2
-    sp = fock.build_space(2, Statistics.BOSE, 5)
-    data = liealg.LieData("sl", 2)
-    cas = liealg.casimir_sigma(sp, data).toarray()
-    k = sp.state_index((1, 0))
-    assert abs(cas[k, k] - 1.5) < 1e-13
-    vac = sp.state_index((0, 0))
-    assert abs(cas[vac, vac]) < 1e-14
-    # fermionic sl(3) against the closed form n(N - n + 1) - n^2/N
-    spf = fock.build_space(3, Statistics.FERMI)
-    dataf = liealg.LieData("sl", 3)
-    casf = liealg.casimir_sigma(spf, dataf).toarray()
-    closed = liealg.casimir_sl_closed_form(spf, dataf)
-    assert fro(casf - np.diag(closed)) < 1e-12
-
-
-def test_t_matrix_properties():
-    # sl(2): (rho x rho)(t)/2 equals P - (1/N) with N = 2
-    data = liealg.LieData("sl", 2)
-    t = liealg.t_matrix(data)
-    p = liealg.permutation_matrix(2)
-    assert fro(t / 2 - (p - np.eye(4) / 2)) < 1e-14
-    for family, n in (("sl", 2), ("sl", 3), ("so", 3)):
-        d = liealg.LieData(family, n)
-        tm = liealg.t_matrix(d)
-        pm = liealg.permutation_matrix(n)
-        assert fro(pm @ tm @ pm - tm) < 1e-13  # symmetric under the flip
-        for lbl in d.basis_labels:
-            cop = liealg.coproduct_rep(d, lbl)
-            assert fro(cop @ tm - tm @ cop) < 1e-12  # invariance
-
-
-def test_classical_action():
-    sp = fock.build_space(2, Statistics.BOSE, 5)
-    data = liealg.LieData("sl", 2)
-    safe = np.ix_(sp.safe_mask(2), sp.safe_mask(2))
-
-    ap2 = sp.ap[1]
-    acted = liealg.classical_action(sp, data, (1, 2), ap2).toarray()
-    ap1 = sp.ap[0].toarray()
-    assert np.linalg.norm((acted - ap1)[safe]) < 1e-13
-
-    ident = sparse.eye_array(sp.dim, dtype=complex, format="csr")
-    assert fro(liealg.classical_action(sp, data, (1, 2), ident).toarray()) < 1e-14
-
-    n = fock.diag(sp.shell)
-    for lbl in data.basis_labels:
-        assert fro(liealg.classical_action(sp, data, lbl, n).toarray()) < 1e-13
 
 
 def test_covariance_of_creators():
@@ -153,8 +102,8 @@ def test_covariance_of_creators():
         sp = fock.build_space(n, Statistics.BOSE, 4)
         safe = np.ix_(sp.safe_mask(2), sp.safe_mask(2))
         ap = [m.toarray() for m in sp.ap]
-        for lbl in data.basis_labels:
-            s = liealg.sigma(sp, data, lbl).toarray()
+        for lbl, s in liealg.sigma_basis(sp, data).items():
+            s = s.toarray()
             r = liealg.rho(data, lbl)
             for i in range(n):
                 lhs = s @ ap[i] - ap[i] @ s
@@ -169,5 +118,5 @@ def test_label_validation():
     with pytest.raises(ValueError):
         liealg.rho(liealg.LieData("sl", 2), (3, 1))
     with pytest.raises(ValueError):
-        liealg.sigma(fock.build_space(3, Statistics.BOSE, 2),
-                     liealg.LieData("sl", 2), (1, 1))
+        liealg.sigma_basis(fock.build_space(3, Statistics.BOSE, 2),
+                           liealg.LieData("sl", 2))

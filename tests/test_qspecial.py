@@ -126,8 +126,10 @@ def test_y_so_ratio():
 
 def test_deform_params():
     p = qs.DeformParams(1.3, qs.WEYL)
-    assert p.q_real == 1.3
-    with pytest.raises(ValueError):
-        qs.DeformParams(0.0, qs.WEYL)
+    assert p.q == 1.3
+    assert type(qs.DeformParams(1, qs.WEYL).q) is float
+    for bad in (0.0, -1.3, 1.3 + 0j, float("nan")):
+        with pytest.raises(ValueError):
+            qs.DeformParams(bad, qs.WEYL)
     with pytest.raises(ValueError):
         qs.DeformParams(1.3, 2)

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from qheis import braid, deform, fock, liealg, verify
 from qheis.fock import Statistics
@@ -151,30 +152,33 @@ def test_invariant_commutant():
 
 
 def test_invariant_commutant_with_supplied_quadratics():
-    # so(3): the scalar products a.a and a+.a+ are invariants as well
+    # so(3): N_h is in the commutant, and the scalar products a.a and
+    # a+.a+ are invariants as well
     sp, gens = classical_so_set(3, 5)
     data = liealg.LieData("so", 3)
+    rows = verify.invariant_commutant_check(gens, data, tol=1e-12)
+    assert [r.name for r in rows] == ["commutant[qnumber_operator]"]
+    assert rows[0].passed
     aa = sum(a @ a for a in gens.a_ops)
-    extra = {"a.a": aa, "a+.a+": aa.conj().T}
-    rows = verify.invariant_commutant_check(gens, data, tol=1e-12,
-                                            extra_invariants=extra)
-    assert {r.name for r in rows} == {"commutant[qnumber_operator]",
-                                      "commutant[a.a]", "commutant[a+.a+]"}
-    for row in rows:
-        assert row.passed
+    smats = liealg.sigma_basis(sp, data).values()
+    for inv in (aa, aa.conj().T):
+        assert verify.projected_norms(sp, sparse.vstack(
+            [mat @ inv - inv @ mat for mat in smats]), 2) <= 1e-12
 
 
 def test_fermionic_commutant_check_can_fail():
-    # on the fermionic space the check sees all four states, so the
-    # non-invariant a+_1 a^2 fails it while N_h stays in the commutant
+    # on the fermionic space the check sees all four states: N_h of the
+    # Clifford map stays in the commutant, while doubling A+_1 gives the
+    # non-invariant N_h = 2 n_1 + n_2, which sigma(E_12) = a+_1 a^2 moves
     sp = fock.build_space(2, Statistics.FERMI)
     data = liealg.LieData("sl", 2)
     gens = deform.sl2_fermi_map(sp, DeformParams(1.3, CLIFFORD))
-    rows = {r.name: r for r in verify.invariant_commutant_check(
-        gens, data, tol=1e-12, extra_invariants={"non_invariant": sp.ap[0] @ sp.an[1]})}
-    assert rows["commutant[qnumber_operator]"].passed
-    assert not rows["commutant[non_invariant]"].passed
-    assert rows["commutant[non_invariant]"].residual > 0.5
+    [good] = verify.invariant_commutant_check(gens, data, tol=1e-12)
+    assert good.passed
+    doubled = dataclasses.replace(gens, aplus_ops=[2 * gens.aplus_ops[0], gens.aplus_ops[1]])
+    [bad] = verify.invariant_commutant_check(doubled, data, tol=1e-12)
+    assert not bad.passed
+    assert bad.residual > 0.5
 
 
 def test_qnumber_sign_tied_to_statistics():
