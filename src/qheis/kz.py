@@ -4,15 +4,14 @@ coassociator matrix M as the connection matrix of the operator KZ
 equation's two normalized Frobenius solutions.
 
 Scalar side.  With s = +-1 (Weyl/Clifford) and eta := 2*hbar the system
+is f' = eta (P_s/x + A_s/(x-1)) f on a 3-vector f = (f1, f2, f3), with
 
-    f1' = eta [  s (1/(1-x) + (n-1)/x) f1 - f2/x ]
-    f2' = eta [  f1/(1-x) - s ((n-1)/(1-x) + 1/x) f2 ]
-    f3' = eta [ -s f1/(1-x) + f2/x - s (1/(1-x) - 1/x)(n-1) f3 ]
+    P_s = [[s(n-1), -1, 0], [0, -s, 0], [0, 1, s(n-1)]],
+    A_s = -[[s, 0, 0], [1, -s(n-1), 0], [-s, 0, -s(n-1)]]
 
-is integrated from x = 1 - 1e-8 (seeded with the expansion of the
-closed forms below at 1-x, see integrate_scalar; f2 ~ (1-x)^(s eta (n-1)),
-f1, f3 -> 0) down to the caller's x_lo; kz-scalar reads the trajectory
-on [0.02, 0.98].  The combination f1 + s f2 + (n+1) f3 equals
+(scalar_matrices): the operator equation below on C^3.  The solution
+read is Y1 e2, e2 = (0, 1, 0), so f2 ~ (1-x)^(s eta (n-1)) and f1, f3 -> 0
+as x -> 1.  The combination f1 + s f2 + (n+1) f3 equals
 s [x(1-x)]^(s eta (n-1)) exactly, and the closed forms are
 
     f2 = x^(-s eta) (1-x)^(s eta (n-1)) F(s eta, -s eta, 1 + s eta n; 1-x)
@@ -32,8 +31,9 @@ l1 coefficient follows from the connection-formula asymptotics
 (the surviving term of n f1 - s f2 is n eta Gamma(1+s eta n)
 Gamma(-s eta n) / (Gamma(1+s eta) Gamma(1-s eta)) = -s n/[n]_q), and l2
 is the exact consequence of l1 and l3.  The closed forms' own limits
-(limits_closed_route, gamma arithmetic) are checked against these
-expressions.
+(limits_closed_route, gamma arithmetic) and the limits read off the
+scalar connection matrix M_s (limits_from_connection) are checked against
+these expressions.
 
 Operator side.  On C^N x C^N x Fock with P the permutation matrix and
 A = 1 x e_ij x a+_j a^i, the coassociator matrix is
@@ -48,7 +48,10 @@ power series with constant term 1 whose coefficients follow from a
 linear recursion; both converge at x = 1/2 in about 50 terms, so the
 limit is exact in closed form, with no regularization distance and no
 integrator (coassociator_matrices, which sums the series for several
-hbar2 at once).  P and A both conserve the sl(N) weight e_a + e_b + occ
+hbar2 at once).  The scalar system is solved by the same series
+(_frobenius_series): f = Y1 e2 on x >= 1/2 and Y0 M_s e2 on x < 1/2.
+
+P and A both conserve the sl(N) weight e_a + e_b + occ
 of a basis vector (a, b, occ), so P, A, both series and M are block
 diagonal over the weights, and no block is larger than N^2.  The blocks
 of one size are stacked into an (n_blocks, s, s) array, and each series
@@ -69,11 +72,6 @@ V = q^s P q^P into the matrices governing the deformed exchange
 relations of the dressed generators a~^i = a^i, a~+_i = a+_i I~(n),
 I~(n) = (n+1)_{q^(2s)} / (n+1): the paper's family a~^i = I(n) a^i,
 I~(n) = (n+1)_{q^(2s)} / ((n+1) I(n)) at I = 1.
-
-Only the scalar system is integrated, in the logistic coordinate
-t = log(x/(1-x)).  There dx/dt = x(1-x) cancels the simple poles at
-x = 0 and x = 1, so one solve covers the interval and needs no steps
-crowded at either end.
 """
 
 from __future__ import annotations
@@ -81,11 +79,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp  # noqa: F401  (the benchmark tracer wraps kz.solve_ivp)
 from scipy.linalg import expm  # noqa: F401  (the benchmark tracer wraps kz.expm)
 
 from .fock import FockSpace, Statistics
@@ -97,12 +94,6 @@ from .verify import CaseResult
 
 class IntegrationError(RuntimeError):
     pass
-
-
-# Where the scalar solve starts.  The seed there is the closed forms'
-# expansion (integrate_scalar), so at the kz-scalar defaults this
-# distance to x = 1 shows in no residual.
-_X_HI = 1.0 - 1e-8
 
 
 @dataclass(frozen=True)
@@ -137,72 +128,67 @@ def limits_reference(params: KZScalarParams) -> tuple[complex, complex, complex]
 # ---------------------------------------------------------------------------
 
 
-def _logit(x: float) -> float:
-    return math.log(x / (1.0 - x))
+def scalar_matrices(params: KZScalarParams) -> tuple[np.ndarray, np.ndarray]:
+    """P_s and A_s of the scalar system f' = eta (P_s/x + A_s/(x-1)) f."""
+    n, s = params.n, params.sign
+    p = np.array([[s * (n - 1.0), -1.0, 0.0], [0.0, -s, 0.0], [0.0, 1.0, s * (n - 1.0)]])
+    a = -np.array([[s, 0.0, 0.0], [1.0, -s * (n - 1.0), 0.0], [-s, 0.0, -s * (n - 1.0)]])
+    return p, a
 
 
-def _scalar_rhs(params: KZScalarParams):
-    n, eta, s = params.n, params.hbar2, params.sign
+def _scalar_series(params: KZScalarParams, us):
+    """The eigendecompositions (vals, vecs, vecs^-1) of P_s and A_s,
+    W = vecs_P^-1 vecs_A, and H0 and H1 at each u in us (0 < u <= 1/2),
+    each an (len(us), 3, 3) array in its own matrix's eigenbasis: one
+    _frobenius_series call on the stack of the two."""
+    (p_vals, p_vecs), (a_vals, a_vecs) = (np.linalg.eig(x) for x in scalar_matrices(params))
+    p_inv, a_inv = np.linalg.inv(p_vecs), np.linalg.inv(a_vecs)
+    w, w_inv = p_inv @ a_vecs, a_inv @ p_vecs
+    h = _frobenius_series(np.stack([p_vals, a_vals]), np.stack([a_vals, p_vals]),
+                          np.stack([w, w_inv]), np.stack([w_inv, w]),
+                          np.array([params.hbar2]), us)[:, 0]
+    return (p_vals, p_vecs, p_inv), (a_vals, a_vecs, a_inv), w, h[:, 0], h[:, 1]
 
-    def rhs(x, y):
-        f1, f2, f3 = y
-        om = 1.0 / (1.0 - x)
-        ix = 1.0 / x
-        d1 = eta * (s * (om + (n - 1.0) * ix) * f1 - f2 * ix)
-        d2 = eta * (f1 * om - s * ((n - 1.0) * om + ix) * f2)
-        d3 = eta * (-s * f1 * om + f2 * ix - s * (om - ix) * (n - 1.0) * f3)
-        return np.array([d1, d2, d3])
 
-    return rhs
+def scalar_connection(params: KZScalarParams) -> np.ndarray:
+    """The scalar connection matrix M_s = Y0^-1 Y1 = 2^(eta P_s) H0(1/2)^-1
+    H1(1/2) 2^(-eta A_s), as for the operator system (coassociator_matrices)."""
+    (p_vals, p_vecs, _), (a_vals, _, a_inv), w, h0, h1 = _scalar_series(params, (0.5,))
+    return _connection(params.hbar2, p_vals, p_vecs, a_vals, a_inv, w, h0[0], h1[0])
 
 
-def integrate_scalar(params: KZScalarParams, x_lo: float) -> Callable[[float], np.ndarray]:
-    """Integrate the scalar system from x_hi = 1 - 1e-8 down to x_lo.
+def scalar_trajectory(params: KZScalarParams, m: np.ndarray, xs) -> np.ndarray:
+    """The solution f = Y1 e2 at each x in xs, as a (len(xs), 3) array:
+    H1(1-x) (1-x)^kappa e2 on x >= 1/2 (e2 is a kappa-eigenvector of eta A_s,
+    kappa = s eta (n-1)), and H0(x) x^(eta P_s) m e2 on x < 1/2, where
+    Y1 = Y0 m with m = M_s (scalar_connection).  Every series is summed at
+    a point u = min(x, 1-x) <= 1/2.  Raises ValueError for an x outside
+    (0, 1)."""
+    xs = np.asarray(xs, dtype=float)
+    if not np.all((xs > 0.0) & (xs < 1.0)):
+        raise ValueError("x must lie in (0, 1)")
+    low = xs < 0.5
+    us = np.where(low, xs, 1.0 - xs)
+    (p_vals, p_vecs, p_inv), (_, a_vecs, a_inv), _, h0, h1 = _scalar_series(params, us)
+    kappa = params.sign * params.hbar2 * (params.n - 1.0)
+    near_one = (h1 @ a_inv[:, 1]) @ a_vecs.T * us[:, None]**kappa
+    # x^(eta P_s) is diagonal in P_s's eigenbasis
+    near_zero = h0 @ (us[:, None]**(params.hbar2 * p_vals) * (p_inv @ m[:, 1]))[..., None]
+    return np.where(low[:, None], near_zero[..., 0] @ p_vecs.T, near_one)
 
-    One DOP853 solve (rtol 1e-12, atol 1e-14) in t = log(x/(1-x)), whose
-    rhs x(1-x) rhs(x, y) is regular at both endpoints.  The seed is the
-    expansion of the closed forms at e = 1 - x_hi, which is exact in
-    floating point (so e is the true distance to x = 1):
 
-        f2 = x_hi^(-s eta) e^kappa (1 - (s eta)^2 e / (1 + s eta n)),
-        f1 = (eta / (1 + s eta n)) x_hi^(-s eta) e^(1 + kappa),
-        f3 = (s (x_hi e)^kappa - f1 - s f2) / (n + 1),
+def limits_from_connection(params: KZScalarParams,
+                           m: np.ndarray) -> tuple[complex, complex, complex]:
+    """The x -> 0 limits (l1, l2, l3), read off the connection matrix m = M_s.
 
-    kappa = s eta (n-1), f3 from the exact combination
-    f1 + s f2 + (n+1) f3 = s [x(1-x)]^kappa.  The neglected terms are
-    O(e^(2 + Re kappa)) absolute, far below the integration error at the
-    kz-scalar defaults (|kappa| <= 0.2), so the trajectory rows measure
-    the solve.  Returns the dense trajectory
-    x -> (f1, f2, f3), which raises ValueError outside [x_lo, x_hi].
-    """
-    x_hi = _X_HI
-    if not 0 < x_lo < x_hi:
-        raise ValueError("need 0 < x_lo < x_hi")
-    n, eta, s = params.n, params.hbar2, params.sign
-    a = s * eta
-    kappa = a * (n - 1.0)
-    e = 1.0 - x_hi
-    f2 = x_hi**(-a) * e**kappa * (1.0 - a * a * e / (1.0 + a * n))
-    f1 = (eta / (1.0 + a * n)) * x_hi**(-a) * e ** (1.0 + kappa)
-    f3 = (s * (x_hi * e)**kappa - f1 - s * f2) / (n + 1.0)
-    y0 = np.array([f1, f2, f3], dtype=complex)
-    rhs = _scalar_rhs(params)
-
-    def rhs_t(t, y):
-        x = 1.0 / (1.0 + math.exp(-t))
-        return x * (1.0 - x) * rhs(x, y)
-
-    sol = solve_ivp(rhs_t, (_logit(x_hi), _logit(x_lo)), y0, method="DOP853",
-                    rtol=1e-12, atol=1e-14, dense_output=True)
-    if not sol.success:
-        raise IntegrationError(f"integration failed: {sol.message}")
-
-    def traj(x: float) -> np.ndarray:
-        if not x_lo - 1e-15 <= x <= x_hi + 1e-15:
-            raise ValueError(f"x = {x} outside integrated range")
-        return sol.sol(_logit(x))
-
-    return traj
+    Near 0, f = H0(x) x^(eta P_s) m e2 with H0(0) = 1.  The three
+    combinations vanish on P_s's -s eigenvector, and x^(eta P_s) = x^kappa
+    on its s(n-1) eigenspace, whose projector is Pi = (P_s + s)/(s n), so
+    the limits are l1 = n v1 - s v2, l2 = n v3 + s v2 and
+    l3 = v1 + s v2 + (n+1) v3 of v = Pi m e2."""
+    n, s = params.n, params.sign
+    v1, v2, v3 = (scalar_matrices(params)[0] + s * np.eye(3)) @ m[:, 1] / (s * n)
+    return n * v1 - s * v2, n * v3 + s * v2, v1 + s * v2 + (n + 1.0) * v3
 
 
 def closed_form_f(params: KZScalarParams, x: float) -> tuple[complex, complex, complex]:
@@ -227,7 +213,6 @@ def closed_form_derivs(params: KZScalarParams, x: float) -> tuple[complex, compl
     big_f = gauss_2f1(a, -a, 1.0 + a * n, z)
     big_fp = gauss_2f1_deriv(a, -a, 1.0 + a * n, z)
     pre2 = x**(-a) * z**(a * (n - 1.0))
-    f2 = pre2 * big_f
     d_pre2 = (-a / x - a * (n - 1.0) / z) * pre2
     f2p = d_pre2 * big_f - pre2 * big_fp
 
@@ -235,7 +220,6 @@ def closed_form_derivs(params: KZScalarParams, x: float) -> tuple[complex, compl
     gp = gauss_2f1_deriv(1.0 + a, 1.0 - a, 2.0 + a * n, z)
     c1 = eta / (1.0 + a * n)
     pre1 = x**(-a) * z**(1.0 + a * (n - 1.0))
-    f1 = c1 * g * pre1
     d_pre1 = (-a / x - (1.0 + a * (n - 1.0)) / z) * pre1
     f1p = c1 * (gp * (-1.0) * pre1 + g * d_pre1)
 
@@ -246,25 +230,24 @@ def closed_form_derivs(params: KZScalarParams, x: float) -> tuple[complex, compl
 
 
 def scalar_ode_residual(params: KZScalarParams, xs) -> float:
-    """max over xs of |closed-form derivative - system right-hand side|."""
-    rhs = _scalar_rhs(params)
+    """max over xs of |closed-form derivative - eta (P_s/x + A_s/(x-1)) f|."""
+    p, a = scalar_matrices(params)
     worst = 0.0
     for x in xs:
         f = np.array(closed_form_f(params, x))
         dtrue = np.array(closed_form_derivs(params, x))
-        worst = max(worst, float(np.abs(dtrue - rhs(x, f)).max()))
+        worst = max(worst, float(np.abs(dtrue - params.hbar2 * (p / x + a / (x - 1.0)) @ f).max()))
     return worst
 
 
-def combination_identity_residual(params: KZScalarParams, traj, xs) -> float:
-    """sup |f1 + s f2 + (n+1) f3 - s [x(1-x)]^(s eta (n-1))| along xs."""
+def combination_identity_residual(params: KZScalarParams, f: np.ndarray, xs) -> float:
+    """sup |f1 + s f2 + (n+1) f3 - s [x(1-x)]^(s eta (n-1))| over the rows
+    of f, the solution at the points xs."""
     n, s = params.n, params.sign
     kappa = s * params.hbar2 * (n - 1.0)
-    worst = 0.0
-    for x in xs:
-        f1, f2, f3 = traj(x)
-        worst = max(worst, abs(f1 + s * f2 + (n + 1.0) * f3 - s * (x * (1.0 - x))**kappa))
-    return float(worst)
+    xs = np.asarray(xs, dtype=float)
+    return float(np.abs(f[:, 0] + s * f[:, 1] + (n + 1.0) * f[:, 2]
+                        - s * (xs * (1.0 - xs))**kappa).max())
 
 
 def limits_closed_route(params: KZScalarParams) -> tuple[complex, complex, complex]:
@@ -466,45 +449,49 @@ _RESONANCE = 1e-6  # the least relative distance of k - hbar2 (b_i - b_j) from 0
 _TAIL = np.finfo(float).eps / 2  # the series stops once its tail is below this
 
 
-def _frobenius_series(b_vals: np.ndarray, c_vals: np.ndarray, w: np.ndarray,
-                      hbar2s: np.ndarray) -> np.ndarray:
-    """H(1/2) for each hbar2 in hbar2s, for one stack of blocks, in B's
-    eigenbasis, as an (n_hbar2, n_blocks, s, s) array: the solution
-    H = sum_k h_k u^k, h_0 = 1, of
+def _frobenius_series(b_vals: np.ndarray, c_vals: np.ndarray, w: np.ndarray, w_inv: np.ndarray,
+                      hbar2s: np.ndarray, us) -> np.ndarray:
+    """H(u) at each u in us (0 < u <= 1/2) and hbar2 in hbar2s for one stack
+    of blocks, in B's eigenbasis, as an (n_u, n_hbar2, n_blocks, s, s)
+    array: the solution H = sum_k h_k u^k, h_0 = 1, of
 
         u H' = hbar2 [B, H] - hbar2 u/(1-u) C H,
 
-    with B = diag(b_vals) and C = w diag(c_vals) w^T in that basis.  The
+    with B = diag(b_vals) and C = w diag(c_vals) w_inv in that basis.  The
     coefficients follow from (k - hbar2 (b_i - b_j)) h_k[i, j] =
     -hbar2 (C S_(k-1))[i, j], S_(k-1) = h_0 + ... + h_(k-1): one batched
     matmul and one entrywise division per term, for every hbar2 at once.
 
-    The series stops once the Frobenius norm of its tail at u = 1/2 is
-    provably below _TAIL for every hbar2.  With g = max|hbar2| max|c| /
-    (k + 1 - max|hbar2 (b_i - b_j)|), every later term obeys
-    ||h_j|| <= g ||S_(j-1)|| and ||S_j|| <= (1 + g) ||S_(j-1)||, so the tail
-    after term k is at most g ||S_k|| 2^-(k+1) / (1 - (1 + g)/2).  ||S_k|| is
-    measured only once the bound would hold at its last measured value, so
-    the series may run a few terms past the first k that meets it.  Raises
-    IntegrationError at a resonance (a denominator within _RESONANCE k of
-    zero) or when the bound is not met within _SERIES_TERMS terms."""
+    The series stops once the Frobenius norm of its tail at u = 1/2, which
+    bounds the tail at every u <= 1/2, is provably below _TAIL for every
+    hbar2.  With g = max|hbar2| max||C||_2 / (k + 1 - max|hbar2 (b_i - b_j)|),
+    every later term obeys ||h_j|| <= g ||S_(j-1)|| and
+    ||S_j|| <= (1 + g) ||S_(j-1)||, so the tail after term k is at most
+    g ||S_k|| 2^-(k+1) / (1 - (1 + g)/2).  ||S_k|| is measured only once
+    the bound would hold at its last measured value, so the series may run
+    a few terms past the first k that meets it.  Raises IntegrationError at
+    a resonance (a denominator within _RESONANCE k of zero) or when the
+    bound is not met within _SERIES_TERMS terms."""
     eta = np.asarray(hbar2s, dtype=complex)[:, None, None, None]
     gap = eta * (b_vals[:, :, None] - b_vals[:, None, :])
     # the nearest k >= 1 to each gap is where its denominator is smallest
     k_near = np.clip(np.rint(gap.real), 1, _SERIES_TERMS)
     if np.any(np.abs(k_near - gap) < _RESONANCE * k_near):
         raise IntegrationError(f"resonant Frobenius series at hbar2 in {list(hbar2s)}")
-    c_norm, spread = np.abs(eta).max() * np.abs(c_vals).max(), np.abs(gap).max()
-    minus_eta_c = -eta * ((w * c_vals[:, None, :]) @ w.transpose(0, 2, 1))
+    c = (w * c_vals[:, None, :]) @ w_inv
+    minus_eta_c = -eta * c
+    # C need not be normal, so its spectral norm, not its largest eigenvalue
+    c_norm = np.abs(eta).max() * np.linalg.norm(c, 2, axis=(-2, -1)).max()
+    spread = np.abs(gap).max()
+    us = np.asarray(us, dtype=float)[:, None, None, None, None]
     partial = np.broadcast_to(np.eye(b_vals.shape[1], dtype=complex), gap.shape).copy()
-    out = partial.copy()
+    out = np.broadcast_to(partial, (us.shape[0], *gap.shape)).copy()
     norm = np.linalg.norm(partial)  # ||S||, measured only where the bound may hold
     for k in range(1, _SERIES_TERMS + 1):
         h = minus_eta_c @ partial
         h /= k - gap
         partial += h
-        h *= 0.5**k
-        out += h
+        out += us**k * h
         g = c_norm / (k + 1 - spread) if k + 1 > spread else math.inf
         if g < 1:
             # the Frobenius norm of the whole stack bounds that of each block
@@ -514,6 +501,18 @@ def _frobenius_series(b_vals: np.ndarray, c_vals: np.ndarray, w: np.ndarray,
                 if factor * norm <= _TAIL:
                     return out
     raise IntegrationError(f"Frobenius series not converged in {_SERIES_TERMS} terms")
+
+
+def _connection(eta, p_vals: np.ndarray, p_vecs: np.ndarray, a_vals: np.ndarray,
+                a_inv: np.ndarray, w: np.ndarray, h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
+    """M = 2^(eta P) H0(1/2)^-1 H1(1/2) 2^(-eta A), from H0 in P's
+    eigenbasis and H1 in A's, with P = p_vecs diag(p_vals) p_vecs^-1,
+    A = a_vecs diag(a_vals) a_inv and W = p_vecs^-1 a_vecs; every argument
+    may carry leading batch axes."""
+    # 2^(eta P) and 2^(-eta A) are diagonal in their eigenbases
+    mid = (np.exp(math.log(2.0) * eta * p_vals)[..., None] * np.linalg.solve(h0, w @ h1)
+           * np.exp(-math.log(2.0) * eta * a_vals)[..., None, :])
+    return p_vecs @ mid @ a_inv
 
 
 def coassociator_matrices(system: KZOperatorSystem, hbar2s) -> list[np.ndarray]:
@@ -545,14 +544,14 @@ def coassociator_matrices(system: KZOperatorSystem, hbar2s) -> list[np.ndarray]:
     stacks = []
     for (p_vals, p_vecs), (a_vals, a_vecs) in zip(system.p_eig, system.a_eig):
         w = p_vecs.transpose(0, 2, 1) @ a_vecs
-        # H0 (B, C = P, A) and H1 (B, C = A, P) summed as one stack
+        # H0 (B, C = P, A) and H1 (B, C = A, P) summed as one stack; W is
+        # orthogonal, so W^-1 is its transpose
+        ws = np.concatenate([w, w.transpose(0, 2, 1)])
         h = _frobenius_series(np.concatenate([p_vals, a_vals]), np.concatenate([a_vals, p_vals]),
-                              np.concatenate([w, w.transpose(0, 2, 1)]), hbar2s[live])
+                              ws, ws.transpose(0, 2, 1), hbar2s[live], (0.5,))[0]
         h0, h1 = np.split(h, 2, axis=1)
-        # 2^(eta P) and 2^(-eta A) are diagonal in their eigenbases
-        mid = (np.exp(math.log(2.0) * eta * p_vals)[..., None] * np.linalg.solve(h0, w @ h1)
-               * np.exp(-math.log(2.0) * eta * a_vals)[..., None, :])
-        stacks.append(p_vecs @ mid @ a_vecs.transpose(0, 2, 1))
+        stacks.append(_connection(eta, p_vals, p_vecs, a_vals, a_vecs.transpose(0, 2, 1),
+                                  w, h0, h1))
     for i, at in enumerate(np.flatnonzero(live)):
         out[at] = system.blocks.join([m[i] for m in stacks])
     return out

@@ -261,7 +261,7 @@ def _suite_son_orbital(cfg: SuiteConfig):
         params = DeformParams(1.0, WEYL)
         gens = deform.classical_generators(space, params)
         eye = np.eye(cfg.modes, dtype=complex)
-        return verify.metric_invariant_check(gens, eye, eye, 1.0, tol=1e-12)
+        return verify.metric_invariant_check(gens, eye, eye, 1.0)
 
     units = [("structure", structural)]
     units += [(f"q={q:g}", lambda q=q: functional(q)) for q in cfg.q]
@@ -368,18 +368,20 @@ def _suite_kz_scalar(cfg: SuiteConfig):
 
     def unit(p):
         xs = np.linspace(0.02, 0.98, 33)
-        traj = kz.integrate_scalar(p, xs[0])
-        sup = max(np.abs(np.array(traj(x)) - np.array(kz.closed_form_f(p, x))).max()
-                  for x in xs)
+        m = kz.scalar_connection(p)
+        f = kz.scalar_trajectory(p, m, xs)
+        sup = np.abs(f - np.array([kz.closed_form_f(p, x) for x in xs])).max()
+        ref = np.array(kz.limits_reference(p))
         return [
             CaseResult("trajectory_vs_closed_forms", float(sup), 1e-10),
-            CaseResult("combination_identity",
-                       kz.combination_identity_residual(p, traj, xs), 1e-10),
+            CaseResult("combination_identity", kz.combination_identity_residual(p, f, xs), 1e-10),
             CaseResult("closed_forms_satisfy_ode",
                        kz.scalar_ode_residual(p, (0.2, 0.5, 0.8)), 1e-9),
             CaseResult("limits_closed_route",
-                       float(np.abs(np.array(kz.limits_closed_route(p))
-                                    - np.array(kz.limits_reference(p))).max()), 1e-10),
+                       float(np.abs(np.array(kz.limits_closed_route(p)) - ref).max()), 1e-10),
+            CaseResult("limits_from_connection",
+                       float(np.abs(np.array(kz.limits_from_connection(p, m)) - ref).max()),
+                       1e-10),
         ]
 
     units = [(f"n={p.n:g},hbar2={p.hbar2},s={p.sign:+d}", lambda p=p: unit(p))

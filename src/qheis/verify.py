@@ -298,8 +298,7 @@ def number_op_check(gens: DeformedGenerators, tol: float = 1e-10) -> list[CaseRe
 
 
 def metric_invariant_check(gens: DeformedGenerators, c_lower: np.ndarray,
-                           c_upper: np.ndarray, q: float,
-                           tol: float = 1e-12) -> list[CaseResult]:
+                           c_upper: np.ndarray, q: float) -> list[CaseResult]:
     """Relations of the quadratic invariants A.C.A and A+.C.A+:
 
         [ACA, A^i] = 0
@@ -309,7 +308,7 @@ def metric_invariant_check(gens: DeformedGenerators, c_lower: np.ndarray,
 
     Accepts a user-supplied candidate set; the built-in classical case is
     q = 1 with C the identity, where all four reduce to Weyl-algebra
-    identities.
+    identities.  Each row is held to 1e-12.
     """
     a, ap = gens.a_ops, gens.aplus_ops
     space = gens.space
@@ -329,7 +328,7 @@ def metric_invariant_check(gens: DeformedGenerators, c_lower: np.ndarray,
             group.append(r)
     names = ["metric_inv_aa_commute", "metric_inv_apap_commute",
              "metric_inv_cross_lower", "metric_inv_cross_upper"]
-    return [CaseResult(name, projected_norms(space, sparse.vstack(group), 2), tol,
+    return [CaseResult(name, projected_norms(space, sparse.vstack(group), 2), 1e-12,
                        {"safe_degree": 2})
             for name, group in zip(names, defects)]
 

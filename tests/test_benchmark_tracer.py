@@ -34,7 +34,7 @@ def test_every_name_the_tracer_keys_on_resolves(tracer):
     ("sl2-bose", ("verify.products_s", "verify.norms_s", "verify.norm_calls",
                   "verify.norm_elems", "verify.dcr_calls_per_set", "suites.serialize_s")),
     ("kz-operator", ("kz.self_s", "suites.serialize_s")),
-    ("kz-scalar", ("kz.ode_s", "kz.ode_nfev", "kz.ode_steps")),
+    ("kz-scalar", ("kz.self_s", "qspecial.calls")),
 ])
 def test_traced_pass_reports_its_layers(tracer, suite, layers):
     t = tracer.Tracer()

@@ -1,8 +1,8 @@
 """No module of the package, the demos or the tests imports a name it never
 uses.  An import whose statement carries ``# noqa`` is exempt (``kz``
-binds ``expm`` for callers outside the module).  Every public function of
-the package is read somewhere in the package, so none is kept for the
-tests alone."""
+binds ``solve_ivp`` and ``expm`` for callers outside the module).  Every
+public function of the package is read somewhere in the package, so none
+is kept for the tests alone."""
 
 import ast
 from pathlib import Path

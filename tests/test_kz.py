@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,27 +19,58 @@ def test_params_validation():
         kz.KZScalarParams(n=2, hbar2=0.5, sign=+1)  # outside perturbative regime
 
 
+def _trajectory(p, xs):
+    """The series trajectory at xs, continued below 1/2 by M_s."""
+    return kz.scalar_trajectory(p, kz.scalar_connection(p), xs)
+
+
 def test_trivial_deformation():
     p = kz.KZScalarParams(n=3, hbar2=0.0, sign=+1)
-    traj = kz.integrate_scalar(p, 1e-6)
-    for x in (1e-6, 0.3, 0.7, 1 - 1e-6):
-        assert np.allclose(traj(x), [0.0, 1.0, 0.0], atol=1e-14)
+    f = _trajectory(p, (1e-6, 0.3, 0.7, 1 - 1e-6))
+    assert np.allclose(f, [0.0, 1.0, 0.0], atol=1e-14)
 
 
 def test_trajectory_matches_closed_forms():
     p = kz.KZScalarParams(n=3, hbar2=0.05, sign=+1)
-    traj = kz.integrate_scalar(p, 0.02)
     xs = np.linspace(0.02, 0.98, 25)
-    sup = max(np.abs(np.array(traj(x)) - np.array(kz.closed_form_f(p, x))).max()
-              for x in xs)
-    assert sup < 1e-8
+    f = _trajectory(p, xs)
+    assert np.abs(f - np.array([kz.closed_form_f(p, x) for x in xs])).max() < 1e-13
 
 
 def test_combination_identity():
     p = kz.KZScalarParams(n=2, hbar2=0.1j, sign=+1)
-    traj = kz.integrate_scalar(p, 0.05)
     xs = np.linspace(0.05, 0.95, 19)
-    assert kz.combination_identity_residual(p, traj, xs) < 1e-8
+    f = _trajectory(p, xs)
+    assert kz.combination_identity_residual(p, f, xs) < 1e-13
+
+
+def _default_scalar_params():
+    cfg = suites.make_config("kz-scalar")
+    return [kz.KZScalarParams(n=n, hbar2=hbar2, sign=sign)
+            for n in cfg.n for hbar2 in cfg.hbar2 for sign in (+1, -1)]
+
+
+def test_limits_from_connection_read_e2():
+    # the limits of Y1 e2 read off M_s match the reference; read off M_s e1
+    # in place of M_s e2 they miss by at least 2
+    for p in _default_scalar_params():
+        m, ref = kz.scalar_connection(p), np.array(kz.limits_reference(p))
+        assert np.abs(np.array(kz.limits_from_connection(p, m)) - ref).max() < 1e-14
+        e1 = m[:, [1, 0, 2]]
+        assert np.abs(np.array(kz.limits_from_connection(p, e1)) - ref).max() >= 2.0 - 1e-12
+
+
+def test_trajectory_below_half_reads_the_connection():
+    # the x < 1/2 trajectory continued with M_s(-eta) misses the closed
+    # forms by more than 1e-3 in every default unit (M_s is even in eta up
+    # to O(eta^3)); the limits are no such control, since l1 is even in eta
+    xs = np.linspace(0.02, 0.98, 33)
+    for p in _default_scalar_params():
+        closed = np.array([kz.closed_form_f(p, x) for x in xs])
+        wrong = kz.scalar_connection(dataclasses.replace(p, hbar2=-p.hbar2))
+        miss = np.abs(kz.scalar_trajectory(p, wrong, xs) - closed).max(axis=1)
+        assert miss.max() > 1e-3
+        assert np.all(miss[xs >= 0.5] < 1e-13)
 
 
 def test_closed_forms_satisfy_ode():
@@ -414,12 +446,14 @@ def test_weight_blocks_number_the_weights_in_lexicographic_order():
 
 
 def test_coassociator_makes_no_ode_solve(op_system, monkeypatch):
-    # M is the connection matrix of two Frobenius series; no integrator runs
+    # M, and the scalar system's M_s and trajectory, are sums of Frobenius
+    # series; no integrator runs
     def refuse(*args, **kwargs):
         raise AssertionError("solve_ivp called")
 
     monkeypatch.setattr(kz, "solve_ivp", refuse)
     kz.coassociator_matrices(op_system, (hbar2_of(0.1), hbar2_of(0.05)))
+    suites.run_suite(suites.make_config("kz-scalar"))
 
 
 @pytest.mark.parametrize("overrides", [{}, {"q": (0.9946,)}, {"q": (1.2157,)},
@@ -447,45 +481,41 @@ def test_series_error_fails_each_unit_that_reads_m(monkeypatch):
     assert len([c for c in report.cases if c.name.startswith("q=1/")]) == 3
 
 
-def test_scalar_trajectory_rows_see_the_integrator(monkeypatch):
-    # every kz-scalar row that reads the solve is in `rows`, so each one
-    # is held to failing a solve at rtol 1e-6
-    rows = ("trajectory_vs_closed_forms", "combination_identity")
+def test_scalar_rows_see_a_truncated_series(monkeypatch):
+    # every kz-scalar row that reads the series is in `rows`, so each one
+    # is held to failing when a tail bound of 1e-3 stops the series early
+    rows = ("trajectory_vs_closed_forms", "combination_identity", "limits_from_connection")
     kinds = {c.name.split("/")[-1]
              for c in suites.run_suite(suites.make_config("kz-scalar")).cases}
     assert kinds == {*rows, "closed_forms_satisfy_ode", "limits_closed_route"}
 
-    def trajectory_rows():
+    def series_rows():
         report = suites.run_suite(suites.make_config("kz-scalar"))
         return [c for c in report.cases if c.name.split("/")[-1] in rows]
 
-    good = trajectory_rows()
-    assert len(good) == 24
-    assert all(c.residual < 1e-11 and c.passed for c in good)
-    # the same rows from a solve at rtol 1e-6 must all fail
-    real_solve_ivp = kz.solve_ivp
-    monkeypatch.setattr(kz, "solve_ivp",
-                        lambda *a, **kw: real_solve_ivp(*a, **{**kw, "rtol": 1e-6}))
-    loose = trajectory_rows()
-    assert len(loose) == 24
-    assert not any(c.passed for c in loose)
+    good = series_rows()
+    assert len(good) == 36
+    assert all(c.residual < 1e-13 and c.passed for c in good)
+    monkeypatch.setattr(kz, "_TAIL", 1e-3)
+    truncated = series_rows()
+    assert len(truncated) == 36
+    assert not any(c.passed for c in truncated)
+
+
+def test_kz_scalar_passes_every_case_at_n5_hbar2_019():
+    # n hbar2 = 0.95, near the resonance at 1, where the series take the most terms
+    report = suites.run_suite(suites.make_config("kz-scalar", n=(5.0,), hbar2=(0.19,)))
+    assert len(report.cases) == 10
+    assert all(c.passed for c in report.cases), [c.name for c in report.cases if not c.passed]
 
 
 def test_scalar_trajectory_range():
     p = kz.KZScalarParams(n=2, hbar2=0.05, sign=+1)
-    traj = kz.integrate_scalar(p, 1e-3)
-    traj(1e-3)
-    traj(1 - 1e-8)
-    for x in (5e-4, 1 - 5e-9, 0.0, 1.0):
+    m = kz.scalar_connection(p)
+    kz.scalar_trajectory(p, m, (1e-3, 0.5, 1 - 1e-8))
+    for x in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(ValueError):
-            traj(x)
-
-
-def test_integrate_scalar_rejects_empty_interval():
-    p = kz.KZScalarParams(n=2, hbar2=0.05, sign=+1)
-    for x_lo in (1 - 1e-8, 1 - 1e-9, 1.0, 0.0, -0.5):
-        with pytest.raises(ValueError):
-            kz.integrate_scalar(p, x_lo)
+            kz.scalar_trajectory(p, m, (0.5, x))
 
 
 def test_operator_system_validation():

@@ -121,7 +121,7 @@ def test_metric_invariants_classical():
     # Weyl-algebra identities, e.g. [a.a, a+_i] = 2 a^i and [a.a, a^i] = 0
     sp, gens = classical_so_set(3, 6)
     eye = np.eye(3, dtype=complex)
-    rows = verify.metric_invariant_check(gens, eye, eye, 1.0, tol=1e-12)
+    rows = verify.metric_invariant_check(gens, eye, eye, 1.0)
     for row in rows:
         assert row.passed, (row.name, row.residual)
 
