@@ -48,8 +48,23 @@ class DeformedGenerators:
         return self.space.modes
 
     def number_operator(self) -> sparse.csr_array:
-        """N_h = sum_i A+_i A^i (grade 0)."""
-        return sum(ap @ a for ap, a in zip(self.aplus_ops, self.a_ops))
+        """N_h = sum_i A+_i A^i (grade 0): the row of the A+_i times the
+        column of the A^i, one product."""
+        return (sparse.hstack(self.aplus_ops, format="csr")
+                @ sparse.vstack(self.a_ops, format="csr"))
+
+
+def _scaled(op: sparse.csr_array, left=None, right=None) -> sparse.csr_array:
+    """diag(left) op diag(right), by scaling the stored entry (r, c) of op
+    by left[r] and then by right[c].  Each row of a ladder or a generator
+    holds one entry, so this gives the bits of the two products."""
+    data = op.data
+    if left is not None:
+        data = np.repeat(left, np.diff(op.indptr)) * data
+    if right is not None:
+        data = data * right[op.indices]
+    return sparse.csr_array((data.astype(complex), op.indices.copy(), op.indptr.copy()),
+                            shape=op.shape)
 
 
 def _tabulate(f, cutoff: int) -> np.ndarray:
@@ -95,9 +110,9 @@ def sln_candidate_map(
     a_ops, aplus_ops = [], []
     for k in range(space.modes):
         tail = occ[:, k + 1:] if ordering == "above" else occ[:, :k]
-        d = diag(root[occ[:, k]] * power[tail.sum(axis=1)])
-        aplus_ops.append(d @ space.ap[k])
-        a_ops.append(space.an[k] @ d)
+        d = root[occ[:, k]] * power[tail.sum(axis=1)]
+        aplus_ops.append(_scaled(space.ap[k], left=d))
+        a_ops.append(_scaled(space.an[k], right=d))
     return DeformedGenerators(space, params, a_ops, aplus_ops)
 
 
@@ -118,9 +133,9 @@ def sl2_fermi_map(space: FockSpace, params: DeformParams) -> DeformedGenerators:
         raise ValueError("sl2_fermi_map needs the Clifford sign convention")
     q = params.q
     n2 = np.array(space.basis)[:, 1]
-    d1 = diag(_tabulate(lambda n: q ** (-n), space.cutoff)[n2])
-    a_ops = [space.an[0] @ d1, space.an[1]]
-    aplus_ops = [d1 @ space.ap[0], space.ap[1]]
+    d1 = _tabulate(lambda n: q ** (-n), space.cutoff)[n2]
+    a_ops = [_scaled(space.an[0], right=d1), space.an[1]]
+    aplus_ops = [_scaled(space.ap[0], left=d1), space.ap[1]]
     return DeformedGenerators(space, params, a_ops, aplus_ops)
 
 
@@ -138,8 +153,8 @@ def sl2_bose_onesided_map(space: FockSpace, params: DeformParams) -> DeformedGen
     n1, n2 = np.array(space.basis).T
     ratio = _ratio(q, space.cutoff)
     up = _tabulate(lambda n: q ** n, space.cutoff)[n2]
-    aplus_ops = [diag(up) @ space.ap[0], space.ap[1]]
-    a_ops = [space.an[0] @ diag(ratio[n1] * up), space.an[1] @ diag(ratio[n2])]
+    aplus_ops = [_scaled(space.ap[0], left=up), space.ap[1]]
+    a_ops = [_scaled(space.an[0], right=ratio[n1] * up), _scaled(space.an[1], right=ratio[n2])]
     return DeformedGenerators(space, params, a_ops, aplus_ops)
 
 
@@ -171,20 +186,21 @@ def inner_automorphism(gens: DeformedGenerators,
     if not np.isfinite(cond):
         raise ValueError(f"alpha has a zero or non-finite diagonal entry "
                          f"(cond = {cond:.3e})")
-    inv = sparse.diags_array(1.0 / d, format="csr")
+    inv = 1.0 / d
     out = DeformedGenerators(gens.space, gens.params,
-                             [alpha @ a @ inv for a in gens.a_ops],
-                             [alpha @ ap @ inv for ap in gens.aplus_ops])
+                             [_scaled(a, d, inv) for a in gens.a_ops],
+                             [_scaled(ap, d, inv) for ap in gens.aplus_ops])
     return out, cond
 
 
 def hermiticity_residual(gens: DeformedGenerators) -> float:
     """max_i || (A^i)+ - A+_i || on the whole space (compact case, real q):
-    an identity of creator degree 0."""
+    an identity of creator degree 0, measured on the D x N D row whose
+    block i is (A^i)+ - A+_i."""
     from .verify import projected_norms
 
-    return projected_norms(gens.space, sparse.vstack(
-        [a.conj().T - ap for a, ap in zip(gens.a_ops, gens.aplus_ops)]), 0)
+    return projected_norms(gens.space, sparse.vstack(gens.a_ops, format="csr").conj().T
+                           - sparse.hstack(gens.aplus_ops, format="csr"), 0)
 
 
 def classical_generators(space: FockSpace, params: DeformParams) -> DeformedGenerators:

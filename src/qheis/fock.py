@@ -15,6 +15,16 @@ entry per basis state, so products and sums of generators stay sparse.
 The particle-number grade g of an operator X ([n_tot, X] = g X) is not
 stored; :func:`grade_defect` measures it.
 
+Direct construction: the ladders, :func:`diag`, 1_n (x) X
+(:func:`eye_kron`) and R (x) 1_D (:func:`kron_eye`) are each written as
+one ``csr_array`` from index arrays, with no Python loop over the basis
+(the ladders find each neighbour state by its mixed-radix key) and
+without ``sparse.kron`` or ``sparse.diags_array``, whose fixed cost per
+call exceeds the arithmetic on operators of this size.  The checks stack
+the N generators of a set as an N D x D column or a D x N D row and
+act on the stack with these Kronecker forms, so the number of sparse
+operations of a check does not grow with N.
+
 Truncation contract: on a bosonic space an operator identity of
 creator-degree d is exact only on the subspace with total occupation
 <= cutoff - d; a fermionic space is not truncated, so every identity is
@@ -101,42 +111,81 @@ def build_space(modes: int, statistics: Statistics, cutoff: int | None = None) -
         basis = _bose_basis(modes, cutoff)
         assert len(basis) == math.comb(modes + cutoff, modes)
     index = {t: k for k, t in enumerate(basis)}
-    shell = np.array([sum(t) for t in basis], dtype=int)
+    occ = np.array(basis)
+    shell = occ.sum(axis=1)
     shell.flags.writeable = False
-    an = tuple(_ladder(basis, index, fermi, k, +1) for k in range(modes))
-    ap = tuple(_ladder(basis, index, fermi, k, -1) for k in range(modes))
+    an = tuple(_ladder(occ, cutoff, fermi, k, +1) for k in range(modes))
+    ap = tuple(_ladder(occ, cutoff, fermi, k, -1) for k in range(modes))
     return FockSpace(modes, statistics, cutoff, basis, index, shell, an, ap)
+
+
+def _one_per_row(present: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                 shape: tuple[int, int]) -> sparse.csr_array:
+    """The CSR array whose row r holds vals[r] in column cols[r] where
+    present[r], and nothing elsewhere, written directly."""
+    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+    np.cumsum(present, out=indptr[1:])
+    return sparse.csr_array((vals[present].astype(complex), cols[present].astype(np.int32),
+                             indptr), shape=shape)
 
 
 def diag(values: np.ndarray) -> sparse.csr_array:
     """Diagonal CSR array with the given entries, one per basis state; zero
     entries are not stored.  Raises ValueError on a non-finite entry."""
+    values = np.asarray(values)
     if not np.isfinite(values).all():
         raise ValueError(f"entry not finite at state {np.argmin(np.isfinite(values))}")
-    return sparse.diags_array(values, format="csr", dtype=complex)
+    return _one_per_row(values != 0, np.arange(values.size), values, (values.size,) * 2)
 
 
-def _ladder(basis, index: dict, fermi: bool, k: int, step: int) -> sparse.csr_array:
+def eye_kron(n: int, x) -> sparse.csr_array:
+    """1_n (x) x: n copies of the sparse x down the diagonal, each row
+    stored in the order x stores it."""
+    x = sparse.csr_array(x)
+    nnz, (rows, cols) = x.nnz, x.shape
+    copies = np.arange(n)[:, None]
+    indptr = np.concatenate([[0], (x.indptr[1:] + nnz * copies).ravel()])
+    return sparse.csr_array((np.tile(x.data[:nnz], n), (x.indices[:nnz] + cols * copies).ravel(),
+                             indptr), shape=(n * rows, n * cols))
+
+
+def kron_eye(r: np.ndarray, d: int) -> sparse.csr_array:
+    """R (x) 1_d for a numeric matrix R: row (i, s) holds R_ij in column
+    (j, s) for each nonzero R_ij, in increasing j."""
+    r = np.asarray(r)
+    i, j = np.nonzero(r)
+    s = np.arange(d)
+    rows = (i[:, None] * d + s).ravel()
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(r.shape[0] * d + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=r.shape[0] * d), out=indptr[1:])
+    return sparse.csr_array((np.repeat(r[i, j], d)[order].astype(complex),
+                             (j[:, None] * d + s).ravel()[order], indptr),
+                            shape=(r.shape[0] * d, r.shape[1] * d))
+
+
+def _ladder(occ: np.ndarray, cutoff: int, fermi: bool, k: int, step: int) -> sparse.csr_array:
     """Read-only mode-(k+1) annihilator (step +1) or creator (step -1).
     Row t holds its one entry in the column of t + step e_k, when that
-    state exists, so the CSR arrays are written directly.  Bose amplitude
-    sqrt(max n_k); Fermi: the Jordan-Wigner sign (-1)**(n_1 + ... + n_k),
-    which makes the anticommutation relations exact on the full space."""
-    indptr, indices, vals = [0], [], []
-    for t in basis:
-        other = t[:k] + (t[k] + step,) + t[k + 1:]
-        col = index.get(other)
-        if col is not None:
-            indices.append(col)
-            vals.append((-1.0) ** sum(t[:k]) if fermi else math.sqrt(max(t[k], other[k])))
-        indptr.append(len(indices))
-    m = sparse.csr_array((np.array(vals, dtype=complex), indices, indptr),
-                         shape=(len(basis), len(basis)))
+    state exists.  The basis is in lexicographic order, so the keys
+    sum_k n_k (cutoff + 1)^(N-1-k) of its states increase, and
+    searchsorted finds each neighbour.  Bose amplitude sqrt(max n_k);
+    Fermi: the Jordan-Wigner sign (-1)**(n_1 + ... + n_k), which makes
+    the anticommutation relations exact on the full space."""
+    dim, modes = occ.shape
+    keys = occ @ (cutoff + 1) ** np.arange(modes - 1, -1, -1)
+    moved = occ[:, k] + step
+    target = keys + step * (cutoff + 1) ** (modes - 1 - k)
+    cols = np.minimum(np.searchsorted(keys, target), dim - 1)
+    present = (moved >= 0) & (moved <= cutoff) & (keys[cols] == target)
+    if fermi:
+        vals = np.where(occ[:, :k].sum(axis=1) % 2, -1.0, 1.0)
+    else:
+        vals = np.sqrt(np.maximum(occ[:, k], moved).astype(float))
+    m = _one_per_row(present, cols, vals, (dim, dim))
     for arr in (m.data, m.indices, m.indptr):
         arr.flags.writeable = False
     return m
-
-
 def grade_defect(space: FockSpace, op, grade: int) -> float:
     """Relative Frobenius norm of [n_tot, X] - g X; zero for an X of grade
     g.  Entry (r, c) of [n_tot, X] is (shell_r - shell_c) X_rc."""

@@ -593,14 +593,17 @@ def invariance_residual(system: KZOperatorSystem, m: np.ndarray) -> float:
     # the entries of every Delta(X), X numbered by xs
     xs, rows, cols, vals = [], [], [], []
     occ, pairs = np.arange(d), np.arange(n * n) * d
-    for x, (lbl, sig) in enumerate(sigma_basis(space, data).items()):
+    sigma = sigma_basis(space, data).tocoo()
+    label_of, sigma_row = np.divmod(sigma.row, d)
+    for x, lbl in enumerate(data.basis_labels):
         rep = coproduct_rep(data, lbl)
         p1, p2 = np.nonzero(rep)
-        sig = sig.tocoo()
-        rows += [(p1 * d)[:, None] + occ, pairs[:, None] + sig.row]
-        cols += [(p2 * d)[:, None] + occ, pairs[:, None] + sig.col]
-        vals += [np.repeat(rep[p1, p2], d), np.tile(sig.data, n * n)]
-        xs.append(np.full(p1.size * d + n * n * sig.nnz, x))
+        mine = label_of == x
+        sig_row, sig_col, sig_data = sigma_row[mine], sigma.col[mine], sigma.data[mine]
+        rows += [(p1 * d)[:, None] + occ, pairs[:, None] + sig_row]
+        cols += [(p2 * d)[:, None] + occ, pairs[:, None] + sig_col]
+        vals += [np.repeat(rep[p1, p2], d), np.tile(sig_data, n * n)]
+        xs.append(np.full(p1.size * d + n * n * sig_data.size, x))
     xs, rows, cols, vals = (np.concatenate([a.reshape(-1) for a in arrs])
                             for arrs in (xs, rows, cols, vals))
     safe = np.tile(space.safe_mask(2), n * n)[cols]
@@ -628,20 +631,21 @@ def invariance_residual(system: KZOperatorSystem, m: np.ndarray) -> float:
     return worst
 
 
-def coassociator_relation_check(system: KZOperatorSystem, params: DeformParams,
-                                m: np.ndarray) -> list[CaseResult]:
+def coassociator_relation_check(system: KZOperatorSystem, params: tuple[DeformParams, ...],
+                                m: np.ndarray) -> list[list[CaseResult]]:
     """Residuals of the three exchange relations of the dressed generators,
     with the relation matrices conjugated by M, safe-projected at creator
-    degree 2:
+    degree 2, for each deformation in params (one list of rows each):
 
       (1) a~^i a~^j   = s (M^-1 P M)^{ji}_{lm} a~^m a~^l
       (2) a~+_i a~+_j = s a~+_l a~+_m (M^-1 P M)^{lm}_{ij}
       (3) a~^i a~+_j  = delta^i_j + s a~+_l (M^-1 V M)^{il}_{jm} a~^m
 
-    cond(M), M^-1 and the conjugated U = P and V are taken block by block
-    over the weights.  The dressing I~ depends on the shell only, so it
-    is one number on each weight block W, and each defect is a batched
-    product on the blocks with the ladder coefficients of BlockLadders:
+    cond(M), M^-1 and the conjugated U = P are taken block by block over
+    the weights, once for all of params; V depends on (q, s).  The
+    dressing I~ depends on the shell only, so it is one number on each
+    weight block W, and each defect is a batched product on the blocks
+    with the ladder coefficients of BlockLadders:
     R_W c_W for (1) and I~(t) I~(t+1) c_W^T R_W for (2), with
     R_W = 1 - s M_W^-1 P_W M_W and t = |W| - 2, and for (3), at
     [W - e_i, W - e_j] of Fock block (i, j),
@@ -655,29 +659,37 @@ def coassociator_relation_check(system: KZOperatorSystem, params: DeformParams,
     largest modulus among its entries on safe states.  Each row is held
     to 1e-12.
     """
-    blocks, s, n = system.blocks, params.sign, system.n
+    blocks, n = system.blocks, system.n
     sv = blocks.singular_values(m)
     cond = float(sv.max() / sv.min())
     if cond > 1e8:
         raise ValueError(f"coassociator matrix numerically singular (cond={cond:.2e})")
-    q = params.q
-    q2s = q ** (2 * s)
-    itilde = np.array([qnum(t + 1.0, q2s).real / (t + 1.0)
-                       for t in range(system.space.cutoff + 2)])
-    # V = q^s P q^P = q^s ((q + 1/q)/2 P + (q - 1/q)/2), since P^2 = 1
-    v_p, v_1 = q**s * (q + 1.0 / q) / 2.0, q**s * (q - 1.0 / q) / 2.0
-    aa = apap = 0.0
-    cross = float(np.abs(itilde[0] * system.vacuum - 1.0).max(initial=0.0))
-    for mw, pw, lad in zip(blocks.views(m), blocks.views(system.p), system.ladders):
-        minv, eye = np.linalg.inv(mw), np.eye(mw.shape[1])
-        rel = eye - s * (minv @ (pw @ mw))
-        xw = minv @ ((v_p * pw + v_1 * eye) @ mw)
-        i0, i1 = itilde[lad.shell][:, None, None], itilde[lad.shell + 1][:, None, None]
-        aa = max(aa, _safe_max((rel @ lad.c[..., None])[..., 0], lad.safe))
-        apap = max(apap, _safe_max((i0 * i1 * lad.c[:, None, :] @ rel)[:, 0], lad.safe))
-        cross = max(cross, _safe_max(
-            i1 * lad.direct - np.eye(n) - s * i0 * (lad.alpha @ xw @ lad.alpha.transpose(0, 2, 1)),
-            lad.cross_safe))
-    names = ("coassoc_relation_aa", "coassoc_relation_apap", "coassoc_relation_cross")
-    return [CaseResult(name, res, 1e-12, {"cond_M": cond})
-            for name, res in zip(names, (aa, apap, cross))]
+    shared = []  # per weight block: M^-1 and M^-1 P M
+    for mw, pw in zip(blocks.views(m), blocks.views(system.p)):
+        minv = np.linalg.inv(mw)
+        shared.append((minv, minv @ (pw @ mw)))
+    out = []
+    for par in params:
+        s, q = par.sign, par.q
+        q2s = q ** (2 * s)
+        itilde = np.array([qnum(t + 1.0, q2s).real / (t + 1.0)
+                           for t in range(system.space.cutoff + 2)])
+        # V = q^s P q^P = q^s ((q + 1/q)/2 P + (q - 1/q)/2), since P^2 = 1
+        v_p, v_1 = q**s * (q + 1.0 / q) / 2.0, q**s * (q - 1.0 / q) / 2.0
+        aa = apap = 0.0
+        cross = float(np.abs(itilde[0] * system.vacuum - 1.0).max(initial=0.0))
+        for mw, pw, lad, (minv, pmw) in zip(blocks.views(m), blocks.views(system.p),
+                                             system.ladders, shared):
+            eye = np.eye(mw.shape[1])
+            rel = eye - s * pmw
+            xw = minv @ ((v_p * pw + v_1 * eye) @ mw)
+            i0, i1 = itilde[lad.shell][:, None, None], itilde[lad.shell + 1][:, None, None]
+            aa = max(aa, _safe_max((rel @ lad.c[..., None])[..., 0], lad.safe))
+            apap = max(apap, _safe_max((i0 * i1 * lad.c[:, None, :] @ rel)[:, 0], lad.safe))
+            conj_v = lad.alpha @ xw @ lad.alpha.transpose(0, 2, 1)
+            cross = max(cross, _safe_max(i1 * lad.direct - np.eye(n) - s * i0 * conj_v,
+                                         lad.cross_safe))
+        names = ("coassoc_relation_aa", "coassoc_relation_apap", "coassoc_relation_cross")
+        out.append([CaseResult(name, res, 1e-12, {"cond_M": cond})
+                    for name, res in zip(names, (aa, apap, cross))])
+    return out

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .fock import FockSpace
+from .fock import FockSpace, eye_kron, kron_eye
 
 
 @dataclass(frozen=True)
@@ -64,23 +64,24 @@ def rho(data: LieData, x) -> np.ndarray:
     return m
 
 
-def sigma_basis(space: FockSpace, data: LieData) -> dict[tuple[int, int], sparse.csr_array]:
+def sigma_basis(space: FockSpace, data: LieData) -> sparse.csr_array:
     """The bilinear oscillator realization sigma(x) = rho(x)^i_j a+_i a^j
-    on every basis label, as raw sparse matrices (built afresh on every
-    call)."""
+    of every basis label, as one (L D) x D column whose block k is
+    sigma(x) for the k-th label of data.basis_labels (built afresh on
+    every call).
+
+    Two products, whatever N: the column of the a+_i a^j (block
+    j N + i) is (1_N (x) column of the a+_i) times the column of the a^j,
+    and the coefficients rho(x)^i_j enter as (C (x) 1_D), row k of C
+    holding rho(x_k) at column j N + i.  An entry of sigma(x) sums
+    several pairs only on the diagonal, where i = j, so it adds the same
+    terms in the same order as the definition, to the last bit."""
     if space.modes != data.n:
         raise ValueError(f"space has {space.modes} modes, algebra needs {data.n}")
-    ap, an = space.ap, space.an
-    out = {}
-    for lbl in data.basis_labels:
-        r = rho(data, lbl)
-        m = sparse.csr_array((space.dim, space.dim), dtype=complex)
-        for i in range(data.n):
-            for j in range(data.n):
-                if r[i, j] != 0:
-                    m = m + r[i, j] * (ap[i] @ an[j])
-        out[lbl] = m
-    return out
+    pairs = eye_kron(data.n, sparse.vstack(space.ap, format="csr")) @ \
+        sparse.vstack(space.an, format="csr")
+    coef = np.array([rho(data, lbl).T.ravel() for lbl in data.basis_labels])
+    return kron_eye(coef, space.dim) @ pairs
 
 
 def permutation_matrix(n: int) -> np.ndarray:

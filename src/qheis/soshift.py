@@ -9,8 +9,8 @@ spectral square root l labels joint (n, l) eigenspaces.  l^2 moves
 occupation between modes in pairs, so it also keeps the parity of each
 mode's occupation: its eigenblocks are the connected components of its
 sparsity graph, which are the (shell, parity) sectors, and l is built
-from one small eigh per sector (build_orbital, through
-verify.component_blocks).  The shift
+from one batched eigh per sector size (build_orbital, through
+verify.component_stacks).  The shift
 operators
 
     alpha^i_s   = a^i (n + N/2 - 1 + s l) - a+_i (a.a)
@@ -30,6 +30,12 @@ Every y-ratio telescopes to elementary factors (qspecial.y_son_ratio),
 each equation reduces to (x)_{q^2} - q^2 (x-1)_{q^2} = 1, and at q = 1
 each collapses to s_pm - t_pm = 2.  Cartesian metric c = identity
 throughout.
+
+The mode index runs down stacked columns: shift_operators returns the
+N D x D columns of the alpha^i_s and of the alpha+_i,s, and each
+commutator with the ladders is (1_N (x) X) col - col X on the column of
+the a^i or of the a+_i (fock.eye_kron), so the number of sparse
+products does not grow with N.
 """
 
 from __future__ import annotations
@@ -39,9 +45,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .fock import FockSpace, Statistics, diag
+from .fock import FockSpace, Statistics, diag, eye_kron
 from .qspecial import DeformParams, y_son_ratio
-from .verify import CaseResult, component_blocks, projected_norms
+from .verify import CaseResult, component_stacks, projected_norms
 
 
 @dataclass
@@ -62,7 +68,8 @@ def build_orbital(space: FockSpace) -> OrbitalData:
     occupation, and its components are exactly these (shell, parity)
     sectors: at N = 3, cutoff 10, 40 blocks of at most 21 states, where
     the shells reach 66.  Diagonalizing sector by sector keeps l free of
-    rounding noise between sectors.  The spectral grid lists (n, l,
+    rounding noise between sectors; the sectors of one size share one
+    batched eigh.  The spectral grid lists (n, l,
     multiplicity) per shell, with the levels of a shell's sectors merged
     at 1e-8.
 
@@ -74,7 +81,7 @@ def build_orbital(space: FockSpace) -> OrbitalData:
     if space.cutoff < 4:
         raise ValueError("cutoff >= 4 required for the shift-equation grid")
     n_modes = space.modes
-    aa = sum(a @ a for a in space.an)
+    aa = sparse.hstack(space.an, format="csr") @ sparse.vstack(space.an, format="csr")
     apap = aa.conj().T.tocsr()
     ntot = space.shell
     shift = (ntot + n_modes / 2.0 - 1.0) ** 2
@@ -89,17 +96,19 @@ def build_orbital(space: FockSpace) -> OrbitalData:
     v = np.concatenate([coo.data[stored], np.zeros(bare.size)])
     rows, cols, vals = [], [], []
     levels: dict[int, list[float]] = {}
-    for sel, _, block in component_blocks(r, c, v, space.dim):
-        n_val = int(ntot[sel[0]])
-        evals, evecs = np.linalg.eigh(block)
+    for sel, _, blocks in component_stacks(r, c, v, space.dim):
+        evals, evecs = np.linalg.eigh(blocks)
         if evals.min() < -1e-10:
+            worst = np.argmin(evals.min(axis=1))
             raise ValueError(f"l^2 eigenvalue {evals.min():.3e} below -1e-10 "
-                             f"in the n={n_val} block")
+                             f"in the n={ntot[sel[worst, 0]]} block")
         lvals = np.sqrt(np.clip(evals, 0.0, None))
-        rows.append(np.repeat(sel, sel.size))
-        cols.append(np.tile(sel, sel.size))
-        vals.append(((evecs * lvals) @ evecs.conj().T).ravel())
-        levels.setdefault(n_val, []).extend(lvals)
+        size = sel.shape[1]
+        rows.append(np.repeat(sel, size, axis=1).ravel())
+        cols.append(np.tile(sel, size).ravel())
+        vals.append(((evecs * lvals[:, None, :]) @ evecs.conj().transpose(0, 2, 1)).ravel())
+        for n_val, lv in zip(ntot[sel[:, 0]], lvals):
+            levels.setdefault(int(n_val), []).extend(lv)
     grid: list[tuple[float, float, int]] = []
     for n_val, lvals in levels.items():
         shell: dict[float, int] = {}  # distinct l of this shell -> multiplicity
@@ -130,27 +139,30 @@ def l2_commutator_residuals(orb: OrbitalData) -> list[CaseResult]:
                        1e-12, {"safe_degree": 2})
             for name, x in (("aa", orb.aa), ("apap", orb.apap))]
 
+    a_col, ap_col = _columns(space)
     d_a1, d_a2, d_p1, d_p2 = (diag(2 * space.shell + nn + c) for c in (-3, 1, -1, 3))
-    defects_a, defects_ap = [], []
-    for ai, api in zip(space.an, space.ap):
-        comm_a = l2 @ ai - ai @ l2
-        comm_ap = l2 @ api - api @ l2
-        form_a1 = -ai @ d_a1 + 2 * (api @ orb.aa)
-        form_a2 = -ai @ d_a2 + 2 * (orb.aa @ api)
-        form_p1 = api @ d_p1 - 2 * (orb.apap @ ai)
-        form_p2 = api @ d_p2 - 2 * (ai @ orb.apap)
-        defects_a += [comm_a - form_a1, comm_a - form_a2]
-        defects_ap += [comm_ap - form_p1, comm_ap - form_p2]
-    for name, defects in (("a", defects_a), ("aplus", defects_ap)):
+    l2_n = eye_kron(nn, l2)
+    comm_a, comm_ap = l2_n @ a_col - a_col @ l2, l2_n @ ap_col - ap_col @ l2
+    form_a1 = -a_col @ d_a1 + 2 * (ap_col @ orb.aa)
+    form_a2 = -a_col @ d_a2 + 2 * (eye_kron(nn, orb.aa) @ ap_col)
+    form_p1 = ap_col @ d_p1 - 2 * (eye_kron(nn, orb.apap) @ a_col)
+    form_p2 = ap_col @ d_p2 - 2 * (a_col @ orb.apap)
+    for name, defects in (("a", [comm_a - form_a1, comm_a - form_a2]),
+                          ("aplus", [comm_ap - form_p1, comm_ap - form_p2])):
         rows.append(CaseResult(f"l2_mixed_commutator_{name}",
                                projected_norms(space, sparse.vstack(defects), 2),
                                1e-11, {"safe_degree": 2}))
     return rows
 
 
-def shift_operators(orb: OrbitalData,
-                    sign: int) -> tuple[list[sparse.csr_array], list[sparse.csr_array]]:
-    """The l-shifting combinations (alpha^i_s list, alpha+_i,s list), s = sign.
+def _columns(space: FockSpace) -> tuple[sparse.csr_array, sparse.csr_array]:
+    """The N D x D columns of the a^i and of the a+_i."""
+    return sparse.vstack(space.an, format="csr"), sparse.vstack(space.ap, format="csr")
+
+
+def shift_operators(orb: OrbitalData, sign: int) -> tuple[sparse.csr_array, sparse.csr_array]:
+    """The l-shifting combinations s = sign, as N D x D columns whose
+    block i is alpha^i_s (first) or alpha+_i,s (second).
 
     Purely classical objects (no q anywhere).  Built from the first
     of the two equivalent orderings; their agreement is a separate check.
@@ -159,9 +171,10 @@ def shift_operators(orb: OrbitalData,
         raise ValueError("sign must be +1 or -1")
     space = orb.space
     nn = space.modes
+    a_col, ap_col = _columns(space)
     shifted = diag(space.shell + nn / 2.0 - 1.0) + sign * orb.l
-    alpha_down = [ai @ shifted - api @ orb.aa for ai, api in zip(space.an, space.ap)]
-    alpha_up = [api @ shifted - orb.apap @ ai for ai, api in zip(space.an, space.ap)]
+    alpha_down = a_col @ shifted - ap_col @ orb.aa
+    alpha_up = ap_col @ shifted - eye_kron(nn, orb.apap) @ a_col
     return alpha_down, alpha_up
 
 
@@ -173,15 +186,14 @@ def shift_operator_residuals(orb: OrbitalData, sign: int) -> list[CaseResult]:
     """
     space = orb.space
     nn = space.modes
-    alpha_down, alpha_up = shift_operators(orb, sign)
+    down, up = shift_operators(orb, sign)
+    a_col, ap_col = _columns(space)
     diag2 = diag(space.shell + nn / 2.0 + 1.0) + sign * orb.l
-    lmat = orb.l
+    l_n = eye_kron(nn, orb.l)
     eye = sparse.eye_array(space.dim, format="csr")
-    order, eigen = [], []
-    for ai, api, down, up in zip(space.an, space.ap, alpha_down, alpha_up):
-        order += [down - (ai @ diag2 - orb.aa @ api), up - (api @ diag2 - ai @ orb.apap)]
-        eigen += [lmat @ up - up @ (lmat + sign * eye),
-                  lmat @ down - down @ (lmat - sign * eye)]
+    order = [down - (a_col @ diag2 - eye_kron(nn, orb.aa) @ ap_col),
+             up - (ap_col @ diag2 - a_col @ orb.apap)]
+    eigen = [l_n @ up - up @ (orb.l + sign * eye), l_n @ down - down @ (orb.l - sign * eye)]
     return [
         CaseResult(f"shift_orderings_agree[s={sign:+d}]",
                    projected_norms(space, sparse.vstack(order), 2),

@@ -433,9 +433,10 @@ def _suite_kz_operator(cfg: SuiteConfig):
                            kz.acts_trivially_residual(system, m), 1e-12),
                 CaseResult("coassoc_invariance",
                            kz.invariance_residual(system, m), 1e-12)]
-        rows += kz.coassociator_relation_check(system, DeformParams(q, WEYL), m)
         # wrong-statistics control: the Clifford sign must fail badly
-        wrong = kz.coassociator_relation_check(system, DeformParams(q, CLIFFORD), m)
+        weyl, wrong = kz.coassociator_relation_check(
+            system, (DeformParams(q, WEYL), DeformParams(q, CLIFFORD)), m)
+        rows += weyl
         rows.append(_negative_control(
             "coassoc_wrong_sign_control",
             max(r.residual for r in wrong)))
@@ -443,7 +444,7 @@ def _suite_kz_operator(cfg: SuiteConfig):
 
     def classical_control():
         m = kz.coassociator_matrices(system, (0.0,))[0]
-        return kz.coassociator_relation_check(system, DeformParams(1.0, WEYL), m)
+        return kz.coassociator_relation_check(system, (DeformParams(1.0, WEYL),), m)[0]
 
     units = [("scaling", scaling), ("main", main_checks), ("q=1", classical_control)]
     return {"family": "sl", "N": cfg.modes, "cutoff": cfg.cutoff, "q": q,

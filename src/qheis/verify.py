@@ -14,20 +14,34 @@ columns, so the defect is their orthogonal direct sum, and its spectral
 norm is the largest spectral norm among the component blocks, exactly,
 for any matrix and with no labels supplied by the caller.  An entry
 alone in its row and its column is a 1 x 1 block and reads its modulus;
-every other component is a small dense SVD (:func:`component_blocks`,
-which also gives ``soshift.build_orbital`` the eigenblocks of l^2).  The
-paper's generators are diagonal dressings times ladder operators, so the
-defects of the sl(N) relations are partial permutations times a diagonal
-and need no SVD.
+the other components are stacked by shape, and each shape takes one
+batched SVD (:func:`component_stacks`, which also gives
+``soshift.build_orbital`` the eigenblocks of l^2, one batched eigh per
+block size).  No block is padded, so each gets the same LAPACK call as
+it would alone.  The paper's generators are diagonal dressings times
+ladder operators, so the defects of the sl(N) relations are partial
+permutations times a diagonal and need no SVD.
 A stack of D x D defects is measured as the direct sum of its blocks
 (:func:`projected_norms`), so its residual is the largest block norm, and
 a check over several generators stacks their defects and makes one call.
+
+Stacked generators.  The N generators of a set enter the checks as one
+N D x D column (block i is A^i) or one D x N D row, so every check forms
+its defects with a number of sparse products that does not depend on N
+or on the Lie basis: a commutator with each generator is
+(1_N (x) X) col - col X, the number operator is row times column, and
+contractions with numeric coefficients go through R (x) 1_D.  Both
+Kronecker forms are written directly from index arrays
+(``fock.eye_kron``, ``fock.kron_eye``).  Each entry of a stacked defect
+sums the same products as in the defect of one generator, in the same
+order wherever it has more than two terms, so the residuals are the same
+to the last bit.
 
 The quadratic exchange relations (:func:`quadratic_residual_matrices`).
 Pairs of mode indices (i, j) are numbered i N + j, and a relation
 operator is an N^2 D x N^2 D sparse matrix whose D x D block (ij, kl) is
 its entry R^{ij}_{kl}, a Fock operator; a numeric N^2 x N^2 matrix R
-enters as kron(R, 1_D).  For a relation operator R and a cross candidate
+enters as R (x) 1_D.  For a relation operator R and a cross candidate
 X, the three defects are
 
   annihilators:   sum_{kl} R^{ij}_{kl} A^l A^k
@@ -52,7 +66,7 @@ from scipy import sparse
 from . import __version__
 from .braid import RelationMatrices
 from .deform import DeformedGenerators
-from .fock import Statistics
+from .fock import Statistics, eye_kron, kron_eye
 from .liealg import LieData, sigma_basis
 from .qspecial import qnum
 
@@ -121,19 +135,36 @@ def _entries(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices, m.data
 
 
-def component_blocks(rows, cols, vals, n: int):
+def component_stacks(rows, cols, vals, n: int):
     """The connected components of the sparsity graph of the n x n matrix
-    with entries vals at (rows, cols), one entry per place: for each, its
-    rows and its columns, in increasing order, and its dense block."""
-    comp = _components(rows, cols, n)
-    order = np.argsort(comp, kind="stable")
-    cuts = np.flatnonzero(np.diff(comp[order])) + 1
-    for r, c, v in zip(*(np.split(x[order], cuts) for x in (rows, cols, vals))):
-        r_at, ri = np.unique(r, return_inverse=True)
-        c_at, ci = np.unique(c, return_inverse=True)
-        block = np.zeros((r_at.size, c_at.size), dtype=vals.dtype)
-        block[ri, ci] = v
-        yield r_at, c_at, block
+    with entries vals at (rows, cols), one entry per place, grouped by
+    shape.  For each distinct shape p x q, in increasing order: the rows
+    (k x p) and the columns (k x q) of its k components, each in
+    increasing order, and their dense blocks, stacked k x p x q.  The
+    local places of all entries come from two np.unique calls, and no
+    block is padded, so a batched SVD or eigh makes the same LAPACK call
+    on each block as it would on the block alone."""
+    comp = np.unique(_components(rows, cols, n), return_inverse=True)[1]
+    at_r, local_r = np.unique(comp * n + rows, return_inverse=True)
+    at_c, local_c = np.unique(comp * n + cols, return_inverse=True)
+    size_r, size_c = np.bincount(at_r // n), np.bincount(at_c // n)
+    start_r, start_c = np.cumsum(size_r) - size_r, np.cumsum(size_c) - size_c
+    local_r, local_c = local_r - start_r[comp], local_c - start_c[comp]
+    # the components grouped by shape, and the place of each in its stack
+    shapes, shape_of, count = np.unique(size_r * (n + 1) + size_c, return_inverse=True,
+                                        return_counts=True)
+    by_shape, first = np.argsort(shape_of, kind="stable"), np.cumsum(count) - count
+    slot = np.empty_like(shape_of)
+    slot[by_shape] = np.arange(by_shape.size) - np.repeat(first, count)
+    entries = np.argsort(shape_of[comp], kind="stable")
+    cuts = np.cumsum(np.bincount(shape_of[comp]))[:-1]
+    for shape, members, picked in zip(shapes, np.split(by_shape, first[1:]),
+                                      np.split(entries, cuts)):
+        p, q = divmod(int(shape), n + 1)
+        stack = np.zeros((members.size, p, q), dtype=vals.dtype)
+        stack[slot[comp[picked]], local_r[picked], local_c[picked]] = vals[picked]
+        yield (at_r[start_r[members][:, None] + np.arange(p)] % n,
+               at_c[start_c[members][:, None] + np.arange(q)] % n, stack)
 
 
 def _norm_of_entries(rows, cols, vals, mask: np.ndarray) -> float:
@@ -147,8 +178,8 @@ def _norm_of_entries(rows, cols, vals, mask: np.ndarray) -> float:
     rows, cols, vals = rows[~alone], cols[~alone], vals[~alone].astype(complex)
     if vals.size == 0:
         return spec
-    for _, _, block in component_blocks(rows, cols, vals, mask.size):
-        spec = max(spec, float(np.linalg.svd(block, compute_uv=False)[0]))
+    for _, _, stack in component_stacks(rows, cols, vals, mask.size):
+        spec = max(spec, float(np.linalg.svd(stack, compute_uv=False)[:, 0].max()))
     return spec
 
 
@@ -182,9 +213,11 @@ def quadratic_residual_matrices(a, ap, rel, cross: dict, sign: int):
     N^2 D x N^2 D relation operator rel and each cross candidate X in the
     dict cross:
 
-      rel @ aa, an N^2 D x D column, aa holding the blocks A^j A^i;
-      apap @ rel, a D x N^2 D row, apap holding the blocks A+_i A+_j;
-      a_col @ ap_row - 1 - sign kron(1, ap_row) @ X @ kron(1, a_col),
+      rel @ aa, an N^2 D x D column, aa = (1_N (x) a_col) a_col holding
+        the blocks A^j A^i;
+      apap @ rel, a D x N^2 D row, apap = ap_row (1_N (x) ap_row)
+        holding the blocks A+_i A+_j;
+      a_col @ ap_row - 1 - sign (1_N (x) ap_row) @ X @ (1_N (x) a_col),
         an N D x N D grid per candidate, a_col the column of the A^i and
         ap_row the row of the A+_j;
 
@@ -192,13 +225,9 @@ def quadratic_residual_matrices(a, ap, rel, cross: dict, sign: int):
     (i, j).  Returns (annihilator defect, creator defect,
     {name: cross defect})."""
     n, d = len(a), a[0].shape[0]
-    pairs = [divmod(k, n) for k in range(n * n)]
-    aa = sparse.vstack([a[j] @ a[i] for i, j in pairs], format="csr")
-    apap = sparse.hstack([ap[i] @ ap[j] for i, j in pairs], format="csr")
     a_col, ap_row = sparse.vstack(a, format="csr"), sparse.hstack(ap, format="csr")
-    eye_n = sparse.eye_array(n)
-    left = sparse.kron(eye_n, ap_row, format="csr")
-    right = sparse.kron(eye_n, a_col, format="csr")
+    left, right = eye_kron(n, ap_row), eye_kron(n, a_col)
+    aa, apap = right @ a_col, ap_row @ left
     direct = a_col @ ap_row - sparse.eye_array(n * d)
     return (rel @ aa, apap @ rel,
             {name: direct - sign * (left @ x @ right) for name, x in cross.items()})
@@ -216,12 +245,10 @@ def dcr_residuals(gens: DeformedGenerators, rel: RelationMatrices,
         raise ValueError("generator set and relation matrices disagree on N")
     if abs(rel.q - gens.params.q) > 1e-12 or rel.sign != gens.params.sign:
         raise ValueError("generator set and relation matrices disagree on (q, sign)")
-    eye_d = sparse.eye_array(gens.space.dim, format="csr")
-    pi = sparse.kron(rel.annihilating_projector, eye_d, format="csr")
+    d = gens.space.dim
     ann, cre, cross = quadratic_residual_matrices(
-        gens.a_ops, gens.aplus_ops, pi,
-        {name: sparse.kron(pt, eye_d, format="csr")
-         for name, pt in rel.cross_candidates.items()}, rel.sign)
+        gens.a_ops, gens.aplus_ops, kron_eye(rel.annihilating_projector, d),
+        {name: kron_eye(pt, d) for name, pt in rel.cross_candidates.items()}, rel.sign)
 
     def row(name, m):
         return CaseResult(name, projected_norms(gens.space, m, 2), tol, {"safe_degree": 2})
@@ -269,14 +296,14 @@ def number_op_check(gens: DeformedGenerators, tol: float = 1e-10) -> list[CaseRe
     space = gens.space
     q2s = gens.params.q ** (2 * gens.params.sign)
     nh = gens.number_operator()
+    nh_n = eye_kron(gens.n, nh)
+    a_col, ap_col = (sparse.vstack(ops, format="csr") for ops in (gens.a_ops, gens.aplus_ops))
     out = [
         CaseResult("qnumber_creator_relation",
-                   projected_norms(space, sparse.vstack(
-                       [nh @ ap - ap - q2s * (ap @ nh) for ap in gens.aplus_ops]), 2),
+                   projected_norms(space, nh_n @ ap_col - ap_col - q2s * (ap_col @ nh), 2),
                    tol, {"safe_degree": 2}),
         CaseResult("qnumber_annihilator_relation",
-                   projected_norms(space, sparse.vstack(
-                       [nh @ a - (1.0 / q2s) * (-a + a @ nh) for a in gens.a_ops]), 2),
+                   projected_norms(space, nh_n @ a_col - (1.0 / q2s) * (-a_col + a_col @ nh), 2),
                    tol, {"safe_degree": 2}),
     ]
 
@@ -310,27 +337,23 @@ def metric_invariant_check(gens: DeformedGenerators, c_lower: np.ndarray,
     q = 1 with C the identity, where all four reduce to Weyl-algebra
     identities.  Each row is held to 1e-12.
     """
-    a, ap = gens.a_ops, gens.aplus_ops
-    space = gens.space
-    n = gens.n
-    aca = sum(c_lower[j, i] * (a[i] @ a[j]) for i in range(n) for j in range(n))
-    apcap = sum(c_upper[i, j] * (ap[i] @ ap[j]) for i in range(n) for j in range(n))
+    space, n, d = gens.space, gens.n, gens.space.dim
+    a_row, ap_row = (sparse.hstack(ops, format="csr") for ops in (gens.a_ops, gens.aplus_ops))
+    a_col, ap_col = (sparse.vstack(ops, format="csr") for ops in (gens.a_ops, gens.aplus_ops))
+    # C_ij A^j and C^ij A+_j down the column, and the invariants contracted with them
+    c_a, c_ap = kron_eye(c_lower, d) @ a_col, kron_eye(c_upper, d) @ ap_col
+    aca = a_row @ (kron_eye(c_lower.T, d) @ a_col)
+    apcap = ap_row @ c_ap
+    aca_n, apcap_n = eye_kron(n, aca), eye_kron(n, apcap)
     factor = 1.0 + q ** (2 - n)
-    defects = [[], [], [], []]
-    for i in range(n):
-        r1 = aca @ a[i] - a[i] @ aca
-        r2 = apcap @ ap[i] - ap[i] @ apcap
-        r3 = aca @ ap[i] - q**2 * (ap[i] @ aca) \
-            - factor * sum(c_lower[i, j] * a[j] for j in range(n))
-        r4 = a[i] @ apcap - q**2 * (apcap @ a[i]) \
-            - factor * sum(c_upper[i, j] * ap[j] for j in range(n))
-        for group, r in zip(defects, (r1, r2, r3, r4)):
-            group.append(r)
+    defects = [aca_n @ a_col - a_col @ aca,
+               apcap_n @ ap_col - ap_col @ apcap,
+               aca_n @ ap_col - q**2 * (ap_col @ aca) - factor * c_a,
+               a_col @ apcap - q**2 * (apcap_n @ a_col) - factor * c_ap]
     names = ["metric_inv_aa_commute", "metric_inv_apap_commute",
              "metric_inv_cross_lower", "metric_inv_cross_upper"]
-    return [CaseResult(name, projected_norms(space, sparse.vstack(group), 2), 1e-12,
-                       {"safe_degree": 2})
-            for name, group in zip(names, defects)]
+    return [CaseResult(name, projected_norms(space, defect, 2), 1e-12, {"safe_degree": 2})
+            for name, defect in zip(names, defects)]
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +369,8 @@ def invariant_commutant_check(gens: DeformedGenerators, data: LieData,
     """
     space = gens.space
     nh = gens.number_operator()
+    sigma = sigma_basis(space, data)
+    labels = len(data.basis_labels)
     return [CaseResult("commutant[qnumber_operator]",
-                       projected_norms(space, sparse.vstack(
-                           [mat @ nh - nh @ mat for mat in sigma_basis(space, data).values()]), 2),
+                       projected_norms(space, sigma @ nh - eye_kron(labels, nh) @ sigma, 2),
                        tol, {"safe_degree": 2})]

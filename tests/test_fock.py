@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from qheis import fock
 from qheis.fock import Statistics
@@ -139,3 +142,79 @@ def test_ladders_are_stored_read_only():
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
 
+
+
+# ---------------------------------------------------------------------------
+# the direct constructions against their definitions
+# ---------------------------------------------------------------------------
+
+
+def same_csr(got, want):
+    """Equal stored entries, in the same order, row by row."""
+    return (got.shape == want.shape and np.array_equal(got.indptr, want.indptr)
+            and np.array_equal(got.indices, want.indices)
+            and np.array_equal(got.data, want.data))
+
+
+def test_eye_kron_is_kron_with_the_identity():
+    rng = np.random.default_rng(3)
+    x = sparse.random_array((5, 7), density=0.3, rng=rng, format="csr") * (1 + 2j)
+    x = sparse.csr_array(x)
+    x.data[::3] = 0.0  # explicit zeros are copied
+    empty_rows = sparse.csr_array(np.diag([1.0, 0.0, 2.0, 0.0])[:, ::-1])
+    # a non-canonical x: unsorted columns in a row and a duplicate entry
+    unsorted = sparse.csr_array((np.array([1.0, 2.0, 3.0, 4.0]), np.array([2, 0, 1, 1]),
+                                 np.array([0, 2, 2, 4])), shape=(3, 3))
+    assert not unsorted.has_canonical_format
+    for n in (1, 3):
+        for op in (x, empty_rows, unsorted):
+            got = fock.eye_kron(n, op)
+            want = sparse.kron(sparse.eye_array(n), op, format="csr")
+            assert got.shape == want.shape
+            assert np.array_equal(got.toarray(), want.toarray())
+        # each copy keeps the stored order of x, which a product sums in
+        assert same_csr(fock.eye_kron(n, x), sparse.kron(sparse.eye_array(n), x, format="csr"))
+
+
+def test_kron_eye_is_kron_of_the_numeric_matrix():
+    rng = np.random.default_rng(4)
+    r = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    r[rng.random((4, 4)) < 0.4] = 0.0
+    r[2] = 0.0  # an empty row of R: D empty rows of R (x) 1_D
+    for d in (1, 5):
+        assert same_csr(fock.kron_eye(r, d),
+                        sparse.kron(r, sparse.eye_array(d), format="csr").astype(complex))
+    assert fock.kron_eye(np.zeros((3, 3)), 4).nnz == 0
+
+
+def test_diag_is_diags_array():
+    values = np.array([0.0, 1.5, -2.0, 0.0, 3.0 + 1.0j, 0.0])
+    assert same_csr(fock.diag(values), sparse.diags_array(values, format="csr", dtype=complex))
+
+
+def loop_ladder(space, k, step):
+    """The ladder state by state: row t holds its one entry in the column
+    of t + step e_k, when that state exists."""
+    fermi = space.statistics is Statistics.FERMI
+    indptr, indices, vals = [0], [], []
+    for t in space.basis:
+        other = t[:k] + (t[k] + step,) + t[k + 1:]
+        col = space.index.get(other)
+        if col is not None:
+            indices.append(col)
+            vals.append((-1.0) ** sum(t[:k]) if fermi else math.sqrt(max(t[k], other[k])))
+        indptr.append(len(indices))
+    return sparse.csr_array((np.array(vals, dtype=complex), indices, indptr),
+                            shape=(space.dim, space.dim))
+
+
+@pytest.mark.parametrize("modes,stat,cut", [
+    (1, Statistics.BOSE, 5), (2, Statistics.BOSE, 1), (2, Statistics.BOSE, 6),
+    (3, Statistics.BOSE, 4), (4, Statistics.BOSE, 3),
+    (1, Statistics.FERMI, None), (2, Statistics.FERMI, None), (4, Statistics.FERMI, None),
+])
+def test_ladders_are_the_per_state_loop(modes, stat, cut):
+    sp = fock.build_space(modes, stat, cut)
+    for k in range(modes):
+        assert same_csr(sp.an[k], loop_ladder(sp, k, +1))
+        assert same_csr(sp.ap[k], loop_ladder(sp, k, -1))

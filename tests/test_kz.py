@@ -167,7 +167,7 @@ def test_coassociator_invariance(op_system, m_matrix):
 
 def test_coassociator_relations(op_system, m_matrix):
     params = DeformParams(math.e**0.1, WEYL)
-    rows = kz.coassociator_relation_check(op_system, params, m_matrix)
+    rows = kz.coassociator_relation_check(op_system, (params,), m_matrix)[0]
     for row in rows:
         assert row.residual <= 1e-12, (row.name, row.residual)
 
@@ -176,22 +176,31 @@ def test_coassociator_classical_control(op_system):
     m = kz.coassociator_matrices(op_system, (0.0,))[0]
     assert np.array_equal(m, op_system.blocks.eye)
     params = DeformParams(1.0, WEYL)
-    rows = kz.coassociator_relation_check(op_system, params, m)
+    rows = kz.coassociator_relation_check(op_system, (params,), m)[0]
     for row in rows:
         assert row.residual <= 1e-12, (row.name, row.residual)
 
 
 def test_coassociator_wrong_sign_control(op_system, m_matrix):
     params = DeformParams(math.e**0.1, CLIFFORD)
-    rows = kz.coassociator_relation_check(op_system, params, m_matrix)
+    rows = kz.coassociator_relation_check(op_system, (params,), m_matrix)[0]
     assert max(r.residual for r in rows) > 1e-2
+
+
+def test_one_relation_check_for_both_signs(op_system, m_matrix):
+    # the shared cond(M), M^-1 and M^-1 P M give each sign the rows of its own call
+    signs = (DeformParams(math.e**0.1, WEYL), DeformParams(math.e**0.1, CLIFFORD))
+    both = kz.coassociator_relation_check(op_system, signs, m_matrix)
+    alone = [kz.coassociator_relation_check(op_system, (p,), m_matrix)[0] for p in signs]
+    assert [[(r.name, r.residual, r.metadata) for r in rows] for rows in both] == \
+        [[(r.name, r.residual, r.metadata) for r in rows] for rows in alone]
 
 
 def test_relation_check_refuses_a_near_singular_m(op_system):
     m = op_system.blocks.eye.astype(complex)
     m[np.flatnonzero(m)[0]] = 1e-9  # one block of M with cond 1e9
     with pytest.raises(ValueError, match="numerically singular"):
-        kz.coassociator_relation_check(op_system, DeformParams(1.0, WEYL), m)
+        kz.coassociator_relation_check(op_system, (DeformParams(1.0, WEYL),), m)[0]
 
 
 def _dense_p_a(space):
@@ -309,9 +318,10 @@ def test_invariance_residual_matches_dense_oracle():
     big_m = system.blocks.to_sparse(m).toarray()
     safe = np.tile(space.safe_mask(2), 4)
     want = 0.0
-    for lbl, s in liealg.sigma_basis(space, data).items():
-        delta2 = (np.kron(liealg.coproduct_rep(data, lbl), np.eye(space.dim))
-                  + np.kron(np.eye(4), s.toarray()))
+    sigma, d = liealg.sigma_basis(space, data).toarray(), space.dim
+    for k, lbl in enumerate(data.basis_labels):
+        delta2 = (np.kron(liealg.coproduct_rep(data, lbl), np.eye(d))
+                  + np.kron(np.eye(4), sigma[k * d:(k + 1) * d]))
         comm = (big_m @ delta2 - delta2 @ big_m)[np.ix_(safe, safe)]
         want = max(want, np.linalg.norm(comm, 2))
     assert want > 0.1
@@ -327,16 +337,17 @@ def _sparse_invariance(system, m, data):
     big_m = system.blocks.to_sparse(m)
     safe = np.tile(space.safe_mask(2), n * n)
     worst = 0.0
-    for lbl, s in liealg.sigma_basis(space, data).items():
-        delta2 = (sparse.kron(liealg.coproduct_rep(data, lbl), sparse.eye_array(space.dim))
-                  + sparse.kron(sparse.eye_array(n * n), s))
+    sigma, d = liealg.sigma_basis(space, data), space.dim
+    for k, lbl in enumerate(data.basis_labels):
+        delta2 = (sparse.kron(liealg.coproduct_rep(data, lbl), sparse.eye_array(d))
+                  + sparse.kron(sparse.eye_array(n * n), sigma[k * d:(k + 1) * d]))
         comm = sparse.csr_array(big_m @ delta2 - delta2 @ big_m)
         comm.sum_duplicates()
         comm = comm.tocoo()
         keep = safe[comm.row] & safe[comm.col]
-        for _, _, block in verify.component_blocks(comm.row[keep], comm.col[keep],
+        for _, _, stack in verify.component_stacks(comm.row[keep], comm.col[keep],
                                                    comm.data[keep], comm.shape[0]):
-            worst = max(worst, float(np.linalg.svd(block, compute_uv=False)[0]))
+            worst = max(worst, float(np.linalg.svd(stack, compute_uv=False)[:, 0].max()))
     return worst
 
 
@@ -395,7 +406,7 @@ CHECKS = {"weyl": DeformParams(math.e**0.1, WEYL), "clifford": DeformParams(math
 def _by_blocks(system, params, m):
     if params is None:
         return [kz.acts_trivially_residual(system, m)]
-    return [r.residual for r in kz.coassociator_relation_check(system, params, m)]
+    return [r.residual for r in kz.coassociator_relation_check(system, (params,), m)[0]]
 
 
 def _by_sparse(system, params, m):

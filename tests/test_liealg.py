@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from qheis import fock, liealg
 from qheis.fock import Statistics
@@ -7,6 +8,35 @@ from qheis.fock import Statistics
 
 def fro(m):
     return float(np.linalg.norm(m))
+
+
+def sigma_blocks(space, data):
+    """sigma(x) of each basis label, as dense arrays cut from the column
+    that sigma_basis returns."""
+    sigma, d = liealg.sigma_basis(space, data).toarray(), space.dim
+    return {lbl: sigma[k * d:(k + 1) * d] for k, lbl in enumerate(data.basis_labels)}
+
+
+@pytest.mark.parametrize("family,n,stat,cut", [
+    ("sl", 2, Statistics.BOSE, 6),
+    ("sl", 3, Statistics.BOSE, 4),
+    ("sl", 3, Statistics.FERMI, None),
+    ("so", 3, Statistics.BOSE, 4),
+    ("so", 4, Statistics.BOSE, 3),
+])
+def test_sigma_basis_is_its_definition(family, n, stat, cut):
+    # sum over (i, j) of rho(x)_ij a+_i a^j, one sparse addition per term
+    # in (i, j) order: the two products of sigma_basis give the same bits
+    data = liealg.LieData(family, n)
+    sp = fock.build_space(n, stat, cut)
+    for lbl, got in sigma_blocks(sp, data).items():
+        r = liealg.rho(data, lbl)
+        want = sparse.csr_array((sp.dim, sp.dim), dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                if r[i, j] != 0:
+                    want = want + r[i, j] * (sp.ap[i] @ sp.an[j])
+        assert np.array_equal(got, want.toarray()), lbl
 
 
 def test_rho_defining_matrices():
@@ -59,7 +89,7 @@ def test_rho_representation_property(family, n):
 def test_sigma_is_a_homomorphism(family, n, stat, cut):
     data = liealg.LieData(family, n)
     sp = fock.build_space(n, stat, cut)
-    smats = {lbl: m.toarray() for lbl, m in liealg.sigma_basis(sp, data).items()}
+    smats = sigma_blocks(sp, data)
     worst = 0.0
     for (i, j), mx in smats.items():
         for (h, k), my in smats.items():
@@ -84,14 +114,14 @@ def test_sigma_is_a_homomorphism(family, n, stat, cut):
 def test_sigma_jordan_schwinger_form_and_vacuum():
     sp = fock.build_space(2, Statistics.BOSE, 4)
     data = liealg.LieData("sl", 2)
-    smats = liealg.sigma_basis(sp, data)
+    smats = sigma_blocks(sp, data)
     # the raising element acts as a+_1 a^2
-    jplus = smats[(1, 2)].toarray()
+    jplus = smats[(1, 2)]
     direct = sp.ap[0].toarray() @ sp.an[1].toarray()
     assert fro(jplus - direct) < 1e-14
     vac = sp.state_index((0, 0))
     for lbl in data.basis_labels:
-        col = smats[lbl].toarray()[:, vac]
+        col = smats[lbl][:, vac]
         assert np.linalg.norm(col) < 1e-14
 
 
@@ -102,8 +132,7 @@ def test_covariance_of_creators():
         sp = fock.build_space(n, Statistics.BOSE, 4)
         safe = np.ix_(sp.safe_mask(2), sp.safe_mask(2))
         ap = [m.toarray() for m in sp.ap]
-        for lbl, s in liealg.sigma_basis(sp, data).items():
-            s = s.toarray()
+        for lbl, s in sigma_blocks(sp, data).items():
             r = liealg.rho(data, lbl)
             for i in range(n):
                 lhs = s @ ap[i] - ap[i] @ s

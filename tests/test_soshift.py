@@ -66,21 +66,24 @@ def _per_shell_reference(space, l2):
 
 def test_l_eigenblocks_are_the_components_of_l2(monkeypatch):
     space = fock.build_space(3, Statistics.BOSE, 10)
-    sizes = []
+    sizes, calls = [], []
     eigh = np.linalg.eigh
 
     def counting(a, *args, **kwargs):
-        sizes.append(a.shape[0])
+        calls.append(a.shape[-1])
+        sizes.extend([a.shape[-1]] * a.shape[0])
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     orb = soshift.build_orbital(space)
     monkeypatch.undo()
-    # one eigh per (shell, per-mode parity) sector; the shells reach 66 states
+    # one block per (shell, per-mode parity) sector, the shells reach 66
+    # states, and one batched eigh per block size
     occ = np.array(space.basis)
     sectors = {(n, *p) for n, p in zip(space.shell, (occ % 2).tolist())}
     assert len(sizes) == len(sectors) == 40
     assert max(sizes) == 21 and sum(sizes) == space.dim
+    assert sorted(calls) == sorted(set(sizes))
 
     # every stored entry of l joins two states of one component of l^2
     c = orb.l2.tocoo()
@@ -113,11 +116,26 @@ def test_shift_operators(orb3, orb4, sign):
 def test_shift_operators_are_classical(orb3):
     # no deformation parameter enters the construction at all
     down, up = soshift.shift_operators(orb3, +1)
-    assert len(down) == len(up) == 3
-    for op in down:
-        assert fock.grade_defect(orb3.space, op, -1) < 1e-13
-    for op in up:
-        assert fock.grade_defect(orb3.space, op, +1) < 1e-13
+    d = orb3.space.dim
+    assert down.shape == up.shape == (3 * d, d)
+    for i in range(3):
+        assert fock.grade_defect(orb3.space, down[i * d:(i + 1) * d], -1) < 1e-13
+        assert fock.grade_defect(orb3.space, up[i * d:(i + 1) * d], +1) < 1e-13
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_shift_operator_blocks_are_their_definition(orb3, orb4, sign):
+    # block i of the stacked columns is a^i (n + N/2 - 1 + s l) - a+_i (a.a)
+    # and a+_i (n + N/2 - 1 + s l) - (a+.a+) a^i, built one mode at a time
+    for orb in (orb3, orb4):
+        space, d = orb.space, orb.space.dim
+        down, up = soshift.shift_operators(orb, sign)
+        shifted = fock.diag(space.shell + space.modes / 2.0 - 1.0) + sign * orb.l
+        for i, (ai, api) in enumerate(zip(space.an, space.ap)):
+            assert np.array_equal(down[i * d:(i + 1) * d].toarray(),
+                                  (ai @ shifted - api @ orb.aa).toarray())
+            assert np.array_equal(up[i * d:(i + 1) * d].toarray(),
+                                  (api @ shifted - orb.apap @ ai).toarray())
 
 
 @pytest.mark.parametrize("q", [0.7, 1.3])
