@@ -7,6 +7,7 @@ from qheis.qspecial import WEYL, DeformParams
 
 sp = fock.build_space(3, Statistics.BOSE, cutoff=6)
 orb = soshift.build_orbital(sp)
+ops = soshift.StructureOperands(orb)  # the ladder products the checks share
 
 print("joint (n, l) spectrum of the 3-mode space (n, l, multiplicity):")
 for n, l, m in orb.spectral_grid[:8]:
@@ -15,13 +16,13 @@ print("  ...")
 
 # l^2 commutes with the quadratic scalars; the mixed commutators close
 # on the printed first-order formulas.
-for row in soshift.l2_commutator_residuals(orb):
+for row in soshift.l2_commutator_residuals(ops):
     print(f"{row.name:28s} {row.residual:.2e}")
 
 # The shift operators move l by one unit; both printed orderings of
 # their definition agree as matrices.
 for sign in (+1, -1):
-    for row in soshift.shift_operator_residuals(orb, sign):
+    for row in soshift.shift_operator_residuals(ops, sign):
         print(f"{row.name:28s} {row.residual:.2e}")
 
 # The four functional equations determining the so(N) dressing ratio,

@@ -25,12 +25,13 @@ convention.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from .fock import FockSpace, Statistics, diag
+from .fock import FockSpace, LadderTable, Statistics, diag, ladder_table
 from .qspecial import CLIFFORD, DeformParams, qnum, y_sln
 
 
@@ -47,11 +48,28 @@ class DeformedGenerators:
     def n(self) -> int:
         return self.space.modes
 
+    @functools.cached_property
+    def ladders(self) -> tuple[LadderTable, LadderTable]:
+        """The gather tables of the A^i and of the A+_i, read once from
+        the CSR arrays (:func:`fock.ladder_table`).  Raises ValueError
+        when a generator is not a dressed ladder."""
+        return (ladder_table(self.space, self.a_ops, +1),
+                ladder_table(self.space, self.aplus_ops, -1))
+
+    def number_diagonal(self) -> np.ndarray:
+        """The diagonal of N_h = sum_i A+_i A^i (grade 0), with the sink's 0
+        appended (D + 1 entries).  Entry s adds A+_i[s] A^i[s - e_i] over
+        increasing i, the terms and the order of the sparse product of the
+        row of the A+_i and the column of the A^i."""
+        a, ap = self.ladders
+        nh = np.zeros(self.space.dim + 1, dtype=complex)
+        for i in range(self.n):
+            nh = nh + ap.vals[i] * a.vals[i, ap.cols[i]]
+        return nh
+
     def number_operator(self) -> sparse.csr_array:
-        """N_h = sum_i A+_i A^i (grade 0): the row of the A+_i times the
-        column of the A^i, one product."""
-        return (sparse.hstack(self.aplus_ops, format="csr")
-                @ sparse.vstack(self.a_ops, format="csr"))
+        """N_h as a diagonal operator."""
+        return diag(self.number_diagonal()[:-1])
 
 
 def _scaled(op: sparse.csr_array, left=None, right=None) -> sparse.csr_array:
@@ -104,7 +122,7 @@ def sln_candidate_map(
     if ordering not in ("above", "below"):
         raise ValueError("ordering must be 'above' or 'below'")
     q = params.q
-    occ = np.array(space.basis)
+    occ = space.occ
     root = _sqrt_ratio(q, space.cutoff)
     power = _tabulate(lambda n: q ** n, space.cutoff)
     a_ops, aplus_ops = [], []
@@ -132,7 +150,7 @@ def sl2_fermi_map(space: FockSpace, params: DeformParams) -> DeformedGenerators:
     if params.sign != CLIFFORD:
         raise ValueError("sl2_fermi_map needs the Clifford sign convention")
     q = params.q
-    n2 = np.array(space.basis)[:, 1]
+    n2 = space.occ[:, 1]
     d1 = _tabulate(lambda n: q ** (-n), space.cutoff)[n2]
     a_ops = [_scaled(space.an[0], right=d1), space.an[1]]
     aplus_ops = [_scaled(space.ap[0], left=d1), space.ap[1]]
@@ -150,7 +168,7 @@ def sl2_bose_onesided_map(space: FockSpace, params: DeformParams) -> DeformedGen
     if space.modes != 2 or space.statistics is not Statistics.BOSE:
         raise ValueError("needs a 2-mode bosonic space")
     q = params.q
-    n1, n2 = np.array(space.basis).T
+    n1, n2 = space.occ.T
     ratio = _ratio(q, space.cutoff)
     up = _tabulate(lambda n: q ** n, space.cutoff)[n2]
     aplus_ops = [_scaled(space.ap[0], left=up), space.ap[1]]
@@ -167,7 +185,7 @@ def sl2_alpha_intertwiner(space: FockSpace, params: DeformParams) -> sparse.csr_
     if space.modes != 2 or space.statistics is not Statistics.BOSE:
         raise ValueError("needs a 2-mode bosonic space")
     q = params.q
-    n1, n2 = np.array(space.basis).T
+    n1, n2 = space.occ.T
     y = _tabulate(lambda n: y_sln(n, q).real, space.cutoff)
     return diag(np.sqrt(y[n1] * y[n2]))
 
@@ -195,12 +213,16 @@ def inner_automorphism(gens: DeformedGenerators,
 
 def hermiticity_residual(gens: DeformedGenerators) -> float:
     """max_i || (A^i)+ - A+_i || on the whole space (compact case, real q):
-    an identity of creator degree 0, measured on the D x N D row whose
-    block i is (A^i)+ - A+_i."""
-    from .verify import projected_norms
+    an identity of creator degree 0.  Row t of block i holds
+    conj(A^i[t - e_i]) - A+_i[t] in the column of t - e_i, one shift per
+    block (``verify.shift_norm``)."""
+    from .verify import shift_norm
 
-    return projected_norms(gens.space, sparse.vstack(gens.a_ops, format="csr").conj().T
-                           - sparse.hstack(gens.aplus_ops, format="csr"), 0)
+    a, ap = gens.ladders
+    n, d = gens.n, gens.space.dim
+    down = gens.space.shift_targets(-np.eye(n, dtype=int))
+    return shift_norm(gens.space, np.conj(a.vals[np.arange(n)[:, None], down]) - ap.vals[:, :d],
+                      down, 0)
 
 
 def classical_generators(space: FockSpace, params: DeformParams) -> DeformedGenerators:

@@ -35,11 +35,16 @@ The mode index runs down stacked columns: shift_operators returns the
 N D x D columns of the alpha^i_s and of the alpha+_i,s, and each
 commutator with the ladders is (1_N (x) X) col - col X on the column of
 the a^i or of the a+_i (fock.eye_kron), so the number of sparse
-products does not grow with N.
+products does not grow with N.  The commutator and shift-operator checks
+take their shared operands (the columns, their products with a.a and
+a+.a+, 1_N (x) l) from one StructureOperands, which builds each once.
+verify_y_son looks up the shifted arguments of every grid point at once,
+by searchsorted on the grid sorted by (shell, l).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,7 +126,43 @@ def build_orbital(space: FockSpace) -> OrbitalData:
     return OrbitalData(space, l2, lmat, sorted(grid), aa, apap)
 
 
-def l2_commutator_residuals(orb: OrbitalData) -> list[CaseResult]:
+class StructureOperands:
+    """The operands that the structure checks of one orbital set share,
+    each built on first use and kept while this object lives (the
+    checks of one ``soN-orbital`` unit): the columns of the a^i and of
+    the a+_i, the four products of a column with a.a or a+.a+ (two of
+    them through 1_N (x) X), and 1_N (x) l."""
+
+    def __init__(self, orb: OrbitalData):
+        self.orb = orb
+
+    @functools.cached_property
+    def columns(self) -> tuple[sparse.csr_array, sparse.csr_array]:
+        space = self.orb.space
+        return sparse.vstack(space.an, format="csr"), sparse.vstack(space.ap, format="csr")
+
+    @functools.cached_property
+    def ap_aa(self) -> sparse.csr_array:
+        return self.columns[1] @ self.orb.aa          # block i: a+_i (a.a)
+
+    @functools.cached_property
+    def a_apap(self) -> sparse.csr_array:
+        return self.columns[0] @ self.orb.apap        # block i: a^i (a+.a+)
+
+    @functools.cached_property
+    def aa_ap(self) -> sparse.csr_array:
+        return eye_kron(self.orb.space.modes, self.orb.aa) @ self.columns[1]    # (a.a) a+_i
+
+    @functools.cached_property
+    def apap_a(self) -> sparse.csr_array:
+        return eye_kron(self.orb.space.modes, self.orb.apap) @ self.columns[0]  # (a+.a+) a^i
+
+    @functools.cached_property
+    def l_n(self) -> sparse.csr_array:
+        return eye_kron(self.orb.space.modes, self.orb.l)
+
+
+def l2_commutator_residuals(ops: StructureOperands) -> list[CaseResult]:
     """[l^2, a.a] = 0 = [l^2, a+.a+], plus the mixed commutator formulas
 
         [l^2, a^i]  = -a^i (2n - 3 + N) + 2 a+_i (a.a)
@@ -132,6 +173,7 @@ def l2_commutator_residuals(orb: OrbitalData) -> list[CaseResult]:
     in both equivalent orderings; the commuting rows are held to 1e-12,
     the mixed ones to 1e-11.
     """
+    orb = ops.orb
     space = orb.space
     nn = space.modes
     l2 = orb.l2
@@ -139,14 +181,14 @@ def l2_commutator_residuals(orb: OrbitalData) -> list[CaseResult]:
                        1e-12, {"safe_degree": 2})
             for name, x in (("aa", orb.aa), ("apap", orb.apap))]
 
-    a_col, ap_col = _columns(space)
+    a_col, ap_col = ops.columns
     d_a1, d_a2, d_p1, d_p2 = (diag(2 * space.shell + nn + c) for c in (-3, 1, -1, 3))
     l2_n = eye_kron(nn, l2)
     comm_a, comm_ap = l2_n @ a_col - a_col @ l2, l2_n @ ap_col - ap_col @ l2
-    form_a1 = -a_col @ d_a1 + 2 * (ap_col @ orb.aa)
-    form_a2 = -a_col @ d_a2 + 2 * (eye_kron(nn, orb.aa) @ ap_col)
-    form_p1 = ap_col @ d_p1 - 2 * (eye_kron(nn, orb.apap) @ a_col)
-    form_p2 = ap_col @ d_p2 - 2 * (a_col @ orb.apap)
+    form_a1 = -a_col @ d_a1 + 2 * ops.ap_aa
+    form_a2 = -a_col @ d_a2 + 2 * ops.aa_ap
+    form_p1 = ap_col @ d_p1 - 2 * ops.apap_a
+    form_p2 = ap_col @ d_p2 - 2 * ops.a_apap
     for name, defects in (("a", [comm_a - form_a1, comm_a - form_a2]),
                           ("aplus", [comm_ap - form_p1, comm_ap - form_p2])):
         rows.append(CaseResult(f"l2_mixed_commutator_{name}",
@@ -155,12 +197,8 @@ def l2_commutator_residuals(orb: OrbitalData) -> list[CaseResult]:
     return rows
 
 
-def _columns(space: FockSpace) -> tuple[sparse.csr_array, sparse.csr_array]:
-    """The N D x D columns of the a^i and of the a+_i."""
-    return sparse.vstack(space.an, format="csr"), sparse.vstack(space.ap, format="csr")
-
-
-def shift_operators(orb: OrbitalData, sign: int) -> tuple[sparse.csr_array, sparse.csr_array]:
+def shift_operators(ops: StructureOperands,
+                    sign: int) -> tuple[sparse.csr_array, sparse.csr_array]:
     """The l-shifting combinations s = sign, as N D x D columns whose
     block i is alpha^i_s (first) or alpha+_i,s (second).
 
@@ -169,30 +207,26 @@ def shift_operators(orb: OrbitalData, sign: int) -> tuple[sparse.csr_array, spar
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    space = orb.space
-    nn = space.modes
-    a_col, ap_col = _columns(space)
-    shifted = diag(space.shell + nn / 2.0 - 1.0) + sign * orb.l
-    alpha_down = a_col @ shifted - ap_col @ orb.aa
-    alpha_up = ap_col @ shifted - eye_kron(nn, orb.apap) @ a_col
-    return alpha_down, alpha_up
+    orb = ops.orb
+    a_col, ap_col = ops.columns
+    shifted = diag(orb.space.shell + orb.space.modes / 2.0 - 1.0) + sign * orb.l
+    return a_col @ shifted - ops.ap_aa, ap_col @ shifted - ops.apap_a
 
 
-def shift_operator_residuals(orb: OrbitalData, sign: int) -> list[CaseResult]:
+def shift_operator_residuals(ops: StructureOperands, sign: int) -> list[CaseResult]:
     """Two checks per sign: the double equalities defining each alpha
     (its two equivalent orderings agree), and the eigen-shift relations
 
         l alpha+_i,s = alpha+_i,s (l + s),   l alpha^i_s = alpha^i_s (l - s).
     """
+    orb = ops.orb
     space = orb.space
-    nn = space.modes
-    down, up = shift_operators(orb, sign)
-    a_col, ap_col = _columns(space)
-    diag2 = diag(space.shell + nn / 2.0 + 1.0) + sign * orb.l
-    l_n = eye_kron(nn, orb.l)
+    down, up = shift_operators(ops, sign)
+    a_col, ap_col = ops.columns
+    diag2 = diag(space.shell + space.modes / 2.0 + 1.0) + sign * orb.l
     eye = sparse.eye_array(space.dim, format="csr")
-    order = [down - (a_col @ diag2 - eye_kron(nn, orb.aa) @ ap_col),
-             up - (ap_col @ diag2 - a_col @ orb.apap)]
+    order = [down - (a_col @ diag2 - ops.aa_ap), up - (ap_col @ diag2 - ops.a_apap)]
+    l_n = ops.l_n
     eigen = [l_n @ up - up @ (orb.l + sign * eye), l_n @ down - down @ (orb.l - sign * eye)]
     return [
         CaseResult(f"shift_orderings_agree[s={sign:+d}]",
@@ -204,19 +238,46 @@ def shift_operator_residuals(orb: OrbitalData, sign: int) -> list[CaseResult]:
     ]
 
 
-def _grid_by_n(grid) -> dict[int, list[tuple[float, float]]]:
-    """The (n, l) points of a spectral grid keyed on round(n); the grid's n
-    values are total occupations, so every point lands under its own n."""
-    by_n: dict[int, list[tuple[float, float]]] = {}
-    for gn, gl, _ in grid:
-        by_n.setdefault(round(gn), []).append((gn, gl))
-    return by_n
+def _grid_by_n(grid):
+    """The (n, l) points of a spectral grid sorted by shell round(n) and
+    then by l, as (width, keys, n, l) arrays with the sort key
+    round(n) width + l.  The width is a power of two above the spread of
+    the l values plus 2, so the keys of a shell lie in one interval and
+    the intervals of two shells are more than 2 apart."""
+    gn, gl = (np.array([p[k] for p in grid], dtype=float) for k in (0, 1))
+    width = 2.0 ** np.ceil(np.log2(np.ptp(gl) + 2.0))
+    keys = np.round(gn) * width + gl
+    order = np.argsort(keys, kind="stable")
+    return width, keys[order], gn[order], gl[order]
 
 
-def _on_grid(by_n: dict[int, list[tuple[float, float]]], n, l) -> bool:
-    """Whether (n, l) is within 1e-6 in both coordinates of a grid point."""
-    return any(abs(gn - n) < 1e-6 and abs(gl - l) < 1e-6
-               for gn, gl in by_n.get(round(n), ()))
+def _on_grid(by_n, n, l) -> np.ndarray:
+    """Whether each (n, l) is within 1e-6 in both coordinates of a grid
+    point of its shell round(n) (n and l arrays of one shape).  searchsorted
+    places the key of (n, l) among the sorted keys; a point within the
+    window, if there is one, lies in the key interval of the shell, so the
+    nearest grid point below or above the key is within it too, and only
+    those two are tested."""
+    width, keys, gn, gl = by_n
+    n, l = np.asarray(n, dtype=float), np.asarray(l, dtype=float)
+    shell = np.round(n)
+    at = np.searchsorted(keys, shell * width + l)
+    found = np.zeros(n.shape, dtype=bool)
+    for near in (np.maximum(at - 1, 0), np.minimum(at, keys.size - 1)):
+        found |= ((np.round(gn[near]) == shell) & (np.abs(gn[near] - n) < 1e-6)
+                  & (np.abs(gl[near] - l) < 1e-6))
+    return found
+
+
+# The four functional equations: the (n, l) offsets of the arguments
+# (top1, bot1, top2, bot2) of their two y-ratios, and the sign of l in
+# their coefficients s and t (module docstring)
+_EQUATIONS = (
+    (((1, 1), (2, 0), (-1, 1), (0, 0)), -1),
+    (((1, -1), (2, 0), (-1, -1), (0, 0)), +1),
+    (((0, 0), (1, -1), (-2, 0), (-1, -1)), -1),
+    (((0, 0), (1, 1), (-2, 0), (-1, 1)), +1),
+)
 
 
 def verify_y_son(orb: OrbitalData, params: DeformParams) -> list[CaseResult]:
@@ -224,7 +285,8 @@ def verify_y_son(orb: OrbitalData, params: DeformParams) -> list[CaseResult]:
     (n, l) spectrum, with all y-ratios computed by telescoped recurrences.
 
     A point contributes to an equation only if every shifted argument it
-    references is also realized on the grid.  Each equation is held to
+    references is also realized on the grid; the arguments of all points
+    are looked up at once (:func:`_on_grid`).  Each equation is held to
     1e-10.
     """
     if len(orb.spectral_grid) == 0:
@@ -232,36 +294,24 @@ def verify_y_son(orb: OrbitalData, params: DeformParams) -> list[CaseResult]:
     nn = orb.space.modes
     q = params.q
     rhs = 1.0 + q ** (nn - 2)
-
-    def ratio(n1, l1, n2, l2):
-        # y(n2, l2) / y(n1, l1)
-        return y_son_ratio(n1, l1, n2, l2, nn, q)
-
     by_n = _grid_by_n(orb.spectral_grid)
-    worst = [0.0, 0.0, 0.0, 0.0]
-    counts = [0, 0, 0, 0]
-    for n, l, _ in orb.spectral_grid:
-        sm, sp = n + nn / 2.0 + 1.0 - l, n + nn / 2.0 + 1.0 + l
-        tm, tp = n + nn / 2.0 - 1.0 - l, n + nn / 2.0 - 1.0 + l
-        eqs = [
-            (0, (n + 1, l + 1), (n + 2, l), (n - 1, l + 1), (n, l), sm, tm),
-            (1, (n + 1, l - 1), (n + 2, l), (n - 1, l - 1), (n, l), sp, tp),
-            (2, (n, l), (n + 1, l - 1), (n - 2, l), (n - 1, l - 1), sm, tm),
-            (3, (n, l), (n + 1, l + 1), (n - 2, l), (n - 1, l + 1), sp, tp),
-        ]
-        for k, top1, bot1, top2, bot2, coeff1, coeff2 in eqs:
-            pts = [top1, bot1, top2, bot2]
-            if not all(_on_grid(by_n, *p) for p in pts):
-                continue
-            r1 = ratio(*bot1, *top1)
-            r2 = ratio(*bot2, *top2)
-            val = coeff1 * r1 - q**2 * coeff2 * r2
-            worst[k] = max(worst[k], abs(val - rhs))
-            counts[k] += 1
+    grid_n, grid_l = by_n[2], by_n[3]
+    offsets = {o for args, _ in _EQUATIONS for o in args}
+    realized = {(dn, dl): _on_grid(by_n, grid_n + dn, grid_l + dl) for dn, dl in offsets}
     rows = []
-    for k in range(4):
-        if counts[k] == 0:
+    for k, (args, sign) in enumerate(_EQUATIONS):
+        worst, count = 0.0, 0
+        for at in np.flatnonzero(np.logical_and.reduce([realized[o] for o in args])):
+            n, l = float(grid_n[at]), float(grid_l[at])
+            top1, bot1, top2, bot2 = ((n + dn, l + dl) for dn, dl in args)
+            coeff1 = n + nn / 2.0 + 1.0 + sign * l   # s_-+
+            coeff2 = n + nn / 2.0 - 1.0 + sign * l   # t_-+
+            r1 = y_son_ratio(*bot1, *top1, nn, q)    # y(top1) / y(bot1)
+            r2 = y_son_ratio(*bot2, *top2, nn, q)
+            val = coeff1 * r1 - q**2 * coeff2 * r2
+            worst = max(worst, abs(val - rhs))
+            count += 1
+        if count == 0:
             raise ValueError(f"grid too small: functional equation {k+1} never realized")
-        rows.append(CaseResult(f"y_so_functional_eq{k+1}", worst[k], 1e-10,
-                               {"points": counts[k]}))
+        rows.append(CaseResult(f"y_so_functional_eq{k+1}", worst, 1e-10, {"points": count}))
     return rows

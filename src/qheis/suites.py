@@ -248,9 +248,11 @@ def _suite_son_orbital(cfg: SuiteConfig):
     orb = soshift.build_orbital(space)
 
     def structural():
-        rows = soshift.l2_commutator_residuals(orb)
+        # one set of shared operands for the unit's checks, freed with it
+        ops = soshift.StructureOperands(orb)
+        rows = soshift.l2_commutator_residuals(ops)
         for s in (+1, -1):
-            rows += soshift.shift_operator_residuals(orb, s)
+            rows += soshift.shift_operator_residuals(ops, s)
         return rows
 
     def functional(q):

@@ -3,57 +3,74 @@
 Each check returns CaseResult rows (name, residual, tolerance, pass,
 metadata).  Residuals are spectral norms of the identity's defect
 restricted to the safe states (:meth:`fock.FockSpace.safe_mask`) of the
-identity's creator degree.  Defects are sparse CSR arrays, built without
-any dense D x D intermediate.
+identity's creator degree.  No defect is a dense D x D matrix.
 
-How the norms are computed (behind :func:`projected_norms`): the stored
-nonzero entries of the defect that lie inside the safe subspace are the
-edges of a bipartite graph that joins the row and the column of each
-entry.  Its connected components occupy disjoint rows and disjoint
-columns, so the defect is their orthogonal direct sum, and its spectral
-norm is the largest spectral norm among the component blocks, exactly,
-for any matrix and with no labels supplied by the caller.  An entry
-alone in its row and its column is a 1 x 1 block and reads its modulus;
-the other components are stacked by shape, and each shape takes one
-batched SVD (:func:`component_stacks`, which also gives
-``soshift.build_orbital`` the eigenblocks of l^2, one batched eigh per
-block size).  No block is padded, so each gets the same LAPACK call as
-it would alone.  The paper's generators are diagonal dressings times
-ladder operators, so the defects of the sl(N) relations are partial
-permutations times a diagonal and need no SVD.
-A stack of D x D defects is measured as the direct sum of its blocks
-(:func:`projected_norms`), so its residual is the largest block norm, and
-a check over several generators stacks their defects and makes one call.
+Dressed ladders: one shift per defect block.  The paper realizes each
+deformation as a change of generators A^i = a^i d_i(n), A+_i = d_i(n)
+a+_i: a diagonal dressing times a ladder.  So A^i sends each Fock state
+to the one state s + e_i, A+_i to s - e_i, and a product or sum of such
+terms in which every term moves s by the same vector v is a weighted
+shift: row s holds one entry, in the column of s + v.  Distinct rows then
+have distinct columns, so the block is a partial permutation times a
+diagonal, and its spectral norm is exactly its largest modulus over the
+rows whose row state and target state are both safe
+(:func:`shift_norm`).  The checks of the sl(N) generator sets are built
+this way on the sets' ladder tables (``deform.DeformedGenerators.ladders``,
+``fock.ladder_table``), read once from the CSR arrays: each entry of a
+defect is a few gathers and entrywise sums, and the target of each block
+comes from the occupation keys of its shift
+(``FockSpace.shift_targets``), never from the path of a product, which
+a zero dressing or a fermionic creator on an occupied mode would cut.  Every
+entry sums the same products, with the same factors in the same order,
+as the sparse products of the stacked generators did, so each residual
+is that route's to the last bit (``tests/sparse_route.py`` keeps it as
+the oracle).  These checks make no sparse product and no BLAS call:
+:func:`dcr_residuals` (through :func:`quadratic_residual_matrices`),
+:func:`number_op_check`, :func:`invariant_commutant_check` and
+``deform.hermiticity_residual``.  A generator that stores two entries in
+one row, or one off its ladder's shift, and a relation matrix that
+couples pairs of different weight, are rejected with ValueError: their
+blocks would not be one shift.
 
-Stacked generators.  The N generators of a set enter the checks as one
-N D x D column (block i is A^i) or one D x N D row, so every check forms
-its defects with a number of sparse products that does not depend on N
-or on the Lie basis: a commutator with each generator is
-(1_N (x) X) col - col X, the number operator is row times column, and
-contractions with numeric coefficients go through R (x) 1_D.  Both
-Kronecker forms are written directly from index arrays
-(``fock.eye_kron``, ``fock.kron_eye``).  Each entry of a stacked defect
-sums the same products as in the defect of one generator, in the same
-order wherever it has more than two terms, so the residuals are the same
-to the last bit.
+Any other defect (the so(N) shift operators, the metric invariants, a
+generator distance) is a sparse CSR array, normed by
+:func:`projected_norms`: the stored nonzero entries of the defect that
+lie inside the safe subspace are the edges of a bipartite graph that
+joins the row and the column of each entry.  Its connected components
+occupy disjoint rows and disjoint columns, so the defect is their
+orthogonal direct sum, and its spectral norm is the largest spectral
+norm among the component blocks, exactly, for any matrix and with no
+labels supplied by the caller.  An entry alone in its row and its column
+is a 1 x 1 block and reads its modulus; the other components are stacked
+by shape, and each shape takes one batched SVD (:func:`component_stacks`,
+which also gives ``soshift.build_orbital`` the eigenblocks of l^2, one
+batched eigh per block size).  No block is padded, so each gets the same
+LAPACK call as it would alone.  A stack of D x D defects is measured as
+the direct sum of its blocks (:func:`projected_norms`), so its residual
+is the largest block norm, and a check over several generators stacks
+their defects and makes one call.  The N generators of a set enter these
+checks as one N D x D column (block i is A^i) or one D x N D row, and
+contractions with numeric coefficients go through R (x) 1_D
+(``fock.eye_kron``, ``fock.kron_eye``), so the number of sparse products
+does not depend on N.
 
 The quadratic exchange relations (:func:`quadratic_residual_matrices`).
-Pairs of mode indices (i, j) are numbered i N + j, and a relation
-operator is an N^2 D x N^2 D sparse matrix whose D x D block (ij, kl) is
-its entry R^{ij}_{kl}, a Fock operator; a numeric N^2 x N^2 matrix R
-enters as R (x) 1_D.  For a relation operator R and a cross candidate
-X, the three defects are
+Pairs of mode indices (i, j) are numbered i N + j, and a relation matrix
+is a numeric N^2 x N^2 matrix R.  For a relation matrix R and a cross
+candidate X, the three defects are
 
-  annihilators:   sum_{kl} R^{ij}_{kl} A^l A^k
-  creators:       sum_{kl} A+_k A+_l R^{kl}_{ij}
+  annihilators:   sum_{kl} R^{ij}_{kl} A^l A^k        (shift e_i + e_j)
+  creators:       sum_{kl} A+_k A+_l R^{kl}_{ij}      (shift -e_i - e_j)
   cross:          A^i A+_j - delta^i_j - s sum_{hk} A+_h X^{ih}_{jk} A^k
+                                                      (shift e_i - e_j)
 
-with s = +1 (Weyl) or -1 (Clifford).  The deforming maps use the numeric
-R = Pi, the annihilating projector, and X = Pt, a cross candidate
-(:func:`dcr_residuals`).  The flip in the
-annihilator contraction mirrors the transposed index pattern of the
-exchange relations; both patterns are fixed once by the explicit sl(2)
-maps and then apply uniformly.
+with s = +1 (Weyl) or -1 (Clifford).  A term moves s by the weight of
+its pair, so a relation that couples only pairs of one weight gives one
+shift per block.  The deforming maps use R = Pi, the annihilating
+projector, and X = Pt, a cross candidate (:func:`dcr_residuals`).  The
+flip in the annihilator contraction mirrors the transposed index pattern
+of the exchange relations; both patterns are fixed once by the explicit
+sl(2) maps and then apply uniformly.
 """
 
 from __future__ import annotations
@@ -66,8 +83,8 @@ from scipy import sparse
 from . import __version__
 from .braid import RelationMatrices
 from .deform import DeformedGenerators
-from .fock import Statistics, eye_kron, kron_eye
-from .liealg import LieData, sigma_basis
+from .fock import Statistics, eye_kron, kron_eye, ladder_table
+from .liealg import LieData, rho
 from .qspecial import qnum
 
 
@@ -207,30 +224,81 @@ def projected_norms(space, m, degree: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def shift_norm(space, vals: np.ndarray, targets: np.ndarray, degree: int) -> float:
+    """The largest spectral norm of P b P over the blocks b of a stack of
+    weighted shifts, with P the projector onto the states of
+    :meth:`fock.FockSpace.safe_mask` at creator degree `degree`: row s of
+    block b holds vals[b, s] in column targets[b, s] (D for none), and
+    targets[b] is s -> s + v_b for one shift v_b per block.  Distinct rows
+    of a block then have distinct columns, so b is a partial permutation
+    times a diagonal, and its norm is its largest modulus over the rows
+    whose row state and target state are both safe (module docstring)."""
+    safe = np.append(space.safe_mask(degree), False)
+    return float(np.abs(vals[safe[:-1] & safe[targets]]).max(initial=0.0))
+
+
+def _pair_entries(m, n: int):
+    """Row, column and value of each nonzero entry of the numeric
+    N^2 x N^2 relation matrix m, in row-major order.  Raises ValueError on
+    an entry that couples two pairs of mode indices of different weight
+    ({i, j} and {k, l} differ), whose defect block would not be one
+    shift."""
+    m = np.asarray(m, dtype=complex)
+    r, c = np.nonzero(m)
+    (i, j), (k, l) = divmod(r, n), divmod(c, n)
+    bad = (np.minimum(i, j) != np.minimum(k, l)) | (np.maximum(i, j) != np.maximum(k, l))
+    if bad.any():
+        raise ValueError(f"relation entry ({r[bad][0]}, {c[bad][0]}) couples pairs of "
+                         f"different weight")
+    return r, c, m[r, c]
+
+
+def _sum_rows(rows: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
+    """out[r] = the sum of the terms[e] with rows[e] == r, added from 0 in
+    the order of e (np.add.at on the flat index adds one at a time)."""
+    d = terms.shape[1]
+    out = np.zeros(size * d, dtype=complex)
+    np.add.at(out, (rows[:, None] * d + np.arange(d)).ravel(), terms.ravel())
+    return out.reshape(size, d)
+
+
 def quadratic_residual_matrices(a, ap, rel, cross: dict, sign: int):
     """The stacked defects of the three quadratic exchange relations of the
-    generators a = [A^i] and ap = [A+_i] (module docstring), for the sparse
-    N^2 D x N^2 D relation operator rel and each cross candidate X in the
-    dict cross:
+    generators with gather tables a (the A^i) and ap (the A+_i), for the
+    numeric N^2 x N^2 relation matrix rel and each numeric cross candidate
+    X in the dict cross (module docstring).  Each defect is an N^2 x D
+    array of values: row s of block b = i N + j holds its one entry in the
+    column of s + e_i + e_j (annihilators), s - e_i - e_j (creators) or
+    s + e_i - e_j (cross).  Returns (annihilator defect, creator defect,
+    {name: cross defect}).
 
-      rel @ aa, an N^2 D x D column, aa = (1_N (x) a_col) a_col holding
-        the blocks A^j A^i;
-      apap @ rel, a D x N^2 D row, apap = ap_row (1_N (x) ap_row)
-        holding the blocks A+_i A+_j;
-      a_col @ ap_row - 1 - sign (1_N (x) ap_row) @ X @ (1_N (x) a_col),
-        an N D x N D grid per candidate, a_col the column of the A^i and
-        ap_row the row of the A+_j;
+    Each entry sums the terms that the sparse products of the stacked
+    generators summed, with the same factors in the same order
+    (:func:`_sum_rows`): the nonzeros of rel in row-major order, and the
+    cross terms of a diagonal block over decreasing h, the order in which
+    the product of the stacks stored them.  Raises ValueError when rel or
+    a candidate couples pairs of different weight."""
+    n, d = a.vals.shape[0], a.vals.shape[1] - 1
+    i, j = divmod(np.arange(n * n), n)
 
-    block (i, j) of each defect sits at pair i N + j, or at grid position
-    (i, j).  Returns (annihilator defect, creator defect,
-    {name: cross defect})."""
-    n, d = len(a), a[0].shape[0]
-    a_col, ap_row = sparse.vstack(a, format="csr"), sparse.hstack(ap, format="csr")
-    left, right = eye_kron(n, ap_row), eye_kron(n, a_col)
-    aa, apap = right @ a_col, ap_row @ left
-    direct = a_col @ ap_row - sparse.eye_array(n * d)
-    return (rel @ aa, apap @ rel,
-            {name: direct - sign * (left @ x @ right) for name, x in cross.items()})
+    def product(x, first, then):
+        # row s of (operator first[e]) (operator then[e]), for each e
+        return x.vals[first, :d] * x.vals[then[:, None], x.cols[first, :d]]
+
+    r, c, v = _pair_entries(rel, n)
+    (k_r, l_r), (k_c, l_c) = divmod(r, n), divmod(c, n)
+    ann = _sum_rows(r, v[:, None] * product(a, l_c, k_c), n * n)   # R^{ij}_{kl} A^l A^k
+    cre = _sum_rows(c, product(ap, k_r, l_r) * v[:, None], n * n)  # A+_k A+_l R^{kl}_{ij}
+    direct = a.vals[i, :d] * ap.vals[j[:, None], a.cols[i, :d]]  # A^i A+_j - delta
+    direct[i == j] -= 1
+    out = {}
+    for name, x in cross.items():
+        r, c, v = _pair_entries(x, n)
+        (i_x, h), (j_x, k) = divmod(r, n), divmod(c, n)
+        # A+_h X^{ih}_{jk} A^k into block (i, j), over decreasing h
+        terms = (ap.vals[h, :d] * v[:, None]) * a.vals[k[:, None], ap.cols[h, :d]]
+        out[name] = direct - sign * _sum_rows((i_x * n + j_x)[::-1], terms[::-1], n * n)
+    return ann, cre, out
 
 
 def dcr_residuals(gens: DeformedGenerators, rel: RelationMatrices,
@@ -239,22 +307,27 @@ def dcr_residuals(gens: DeformedGenerators, rel: RelationMatrices,
     creator degree 2.
 
     Three groups: annihilating projector against A (x) A, against
-    A+ (x) A+, and the cross relation for each carried candidate.
+    A+ (x) A+, and the cross relation for each carried candidate.  Raises
+    ValueError when a generator is not a dressed ladder or a relation
+    matrix couples pairs of different weight.
     """
     if rel.n != gens.n:
         raise ValueError("generator set and relation matrices disagree on N")
     if abs(rel.q - gens.params.q) > 1e-12 or rel.sign != gens.params.sign:
         raise ValueError("generator set and relation matrices disagree on (q, sign)")
-    d = gens.space.dim
+    space, n = gens.space, gens.n
     ann, cre, cross = quadratic_residual_matrices(
-        gens.a_ops, gens.aplus_ops, kron_eye(rel.annihilating_projector, d),
-        {name: kron_eye(pt, d) for name, pt in rel.cross_candidates.items()}, rel.sign)
+        *gens.ladders, rel.annihilating_projector, rel.cross_candidates, rel.sign)
+    eye = np.eye(n, dtype=int)
+    weight = (eye[:, None] + eye[None, :]).reshape(n * n, n)
+    moved = (eye[:, None] - eye[None, :]).reshape(n * n, n)
+    up, down, across = np.split(space.shift_targets(np.concatenate([weight, -weight, moved])), 3)
 
-    def row(name, m):
-        return CaseResult(name, projected_norms(gens.space, m, 2), tol, {"safe_degree": 2})
+    def row(name, m, targets):
+        return CaseResult(name, shift_norm(space, m, targets, 2), tol, {"safe_degree": 2})
 
-    return [row("dcr_aa", ann), row("dcr_apap", cre)] + \
-        [row(f"dcr_cross[{name}]", m) for name, m in cross.items()]
+    return [row("dcr_aa", ann, up), row("dcr_apap", cre, down)] + \
+        [row(f"dcr_cross[{name}]", m, across) for name, m in cross.items()]
 
 
 def cross_oracle(rows: list[CaseResult]) -> dict:
@@ -291,28 +364,29 @@ def number_op_check(gens: DeformedGenerators, tol: float = 1e-10) -> list[CaseRe
     deviation divided by max(1, max |(n)_{q^{2s}}|), held to 1e-12, so that
     it measures rounding relative to the eigenvalues at every cutoff; the metadata
     keep the raw deviation and the scale.  The two relations are
-    identities of creator degree 2.
+    identities of creator degree 2.  N_h of dressed ladders is diagonal
+    (:meth:`deform.DeformedGenerators.number_diagonal`), so block i of
+    each relation's defect moves s by -e_i or by +e_i alone.
     """
-    space = gens.space
+    space, d = gens.space, gens.space.dim
     q2s = gens.params.q ** (2 * gens.params.sign)
-    nh = gens.number_operator()
-    nh_n = eye_kron(gens.n, nh)
-    a_col, ap_col = (sparse.vstack(ops, format="csr") for ops in (gens.a_ops, gens.aplus_ops))
+    a, ap = gens.ladders
+    nh = gens.number_diagonal()
+    eye = np.eye(gens.n, dtype=int)
+    up, down = np.split(space.shift_targets(np.concatenate([eye, -eye])), 2)
+    av, apv = a.vals[:, :d], ap.vals[:, :d]
     out = [
         CaseResult("qnumber_creator_relation",
-                   projected_norms(space, nh_n @ ap_col - ap_col - q2s * (ap_col @ nh), 2),
+                   shift_norm(space, nh[:d] * apv - apv - q2s * (apv * nh[down]), down, 2),
                    tol, {"safe_degree": 2}),
         CaseResult("qnumber_annihilator_relation",
-                   projected_norms(space, nh_n @ a_col - (1.0 / q2s) * (-a_col + a_col @ nh), 2),
+                   shift_norm(space, nh[:d] * av - (1.0 / q2s) * (-av + av * nh[up]), up, 2),
                    tol, {"safe_degree": 2}),
     ]
 
     if gens.space.statistics is Statistics.BOSE:
         expected = np.array([qnum(t, q2s).real for t in space.shell.astype(float)])
-        dev = np.abs(nh.diagonal().real - expected)
-        c = nh.tocoo()
-        off = np.abs(c.data[c.row != c.col])
-        raw = float(max(dev.max(), off.max(initial=0.0)))
+        raw = float(np.abs(nh[:d].real - expected).max())
         scale = max(1.0, float(np.abs(expected).max()))
         out.append(CaseResult("qnumber_spectrum", raw / scale, 1e-12,
                               {"safe_degree": 0, "raw_residual": raw, "scale": scale}))
@@ -366,11 +440,31 @@ def invariant_commutant_check(gens: DeformedGenerators, data: LieData,
     """|| [sigma(X), N_h] || over every Lie basis element X.  Invariance
     under the classical and the deformed action are equivalent to
     membership in this commutant.
+
+    sigma(X) = rho(X)^i_j a+_i a^j, and a+_i a^j moves s by e_j - e_i, so
+    the pairs of one shift make one piece of sigma(X), summed in
+    increasing j N + i as the sparse product sums them.  A sl(N) basis
+    element has one piece, an so(N) one has two, so the defect stack is
+    measured by the exact component norm, which reads the modulus of each
+    entry of a one-shift block.
     """
-    space = gens.space
-    nh = gens.number_operator()
-    sigma = sigma_basis(space, data)
-    labels = len(data.basis_labels)
-    return [CaseResult("commutant[qnumber_operator]",
-                       projected_norms(space, sigma @ nh - eye_kron(labels, nh) @ sigma, 2),
-                       tol, {"safe_degree": 2})]
+    space, n, d = gens.space, gens.n, gens.space.dim
+    if space.modes != data.n:
+        raise ValueError(f"space has {space.modes} modes, algebra needs {data.n}")
+    nh = gens.number_diagonal()
+    an, ap = ladder_table(space, space.an, +1), ladder_table(space, space.ap, -1)
+    coef = np.array([rho(data, lbl).T.ravel() for lbl in data.basis_labels])
+    label, p = np.nonzero(coef)   # rho(x)^i_j at column p = j N + i
+    j, i = divmod(p, n)
+    pieces, first, piece = np.unique(label * n * n + np.where(i == j, 0, p),
+                                     return_index=True, return_inverse=True)
+    sigma = _sum_rows(piece, coef[label, p][:, None]
+                      * (ap.vals[i, :d] * an.vals[j[:, None], ap.cols[i, :d]]), pieces.size)
+    eye = np.eye(n, dtype=int)
+    targets = space.shift_targets(eye[j[first]] - eye[i[first]])
+    defect = sigma * nh[targets] - nh[:d] * sigma
+    at = (pieces // (n * n))[:, None] * d   # block of the piece's label
+    kept = targets < d
+    mask = np.tile(space.safe_mask(2), len(data.basis_labels))
+    norm = _norm_of_entries((at + np.arange(d))[kept], (at + targets)[kept], defect[kept], mask)
+    return [CaseResult("commutant[qnumber_operator]", norm, tol, {"safe_degree": 2})]

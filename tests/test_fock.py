@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -218,3 +219,28 @@ def test_ladders_are_the_per_state_loop(modes, stat, cut):
     for k in range(modes):
         assert same_csr(sp.an[k], loop_ladder(sp, k, +1))
         assert same_csr(sp.ap[k], loop_ladder(sp, k, -1))
+
+
+@pytest.mark.parametrize("modes,cutoff", [(2, 12), (3, 10), (4, 7), (5, 3), (6, 10), (1, 1)])
+def test_bose_basis_is_the_filtered_enumeration(modes, cutoff):
+    # only the states that exist are built, in the order of the sorted
+    # enumeration of all (cutoff + 1)^N tuples
+    old = tuple(sorted(t for t in itertools.product(range(cutoff + 1), repeat=modes)
+                       if sum(t) <= cutoff))
+    new = fock._bose_basis(modes, cutoff)
+    assert new == old
+    assert all(type(n) is int for n in new[-1])
+
+
+@pytest.mark.parametrize("modes,stat,cut", [(1, Statistics.BOSE, 4), (3, Statistics.BOSE, 4),
+                                            (4, Statistics.BOSE, 3), (3, Statistics.FERMI, None)])
+def test_shift_targets_are_the_state_lookup(modes, stat, cut):
+    sp = fock.build_space(modes, stat, cut)
+    shifts = np.array(list(itertools.product(range(-2, 3), repeat=modes)))
+    targets = sp.shift_targets(shifts)
+    assert targets.shape == (len(shifts), sp.dim)
+    for v, row in zip(shifts, targets):
+        want = [sp.index.get(tuple(np.add(t, v).tolist()), sp.dim) for t in sp.basis]
+        assert row.tolist() == want
+    assert sp.unit_steps.shape == (2, modes, sp.dim + 1)
+    assert (sp.unit_steps[:, :, sp.dim] == sp.dim).all()

@@ -7,6 +7,7 @@ from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+import sparse_route
 from qheis import fock, kz, liealg, suites, verify
 from qheis.fock import Statistics
 from qheis.qspecial import CLIFFORD, WEYL, DeformParams, qnum
@@ -375,8 +376,9 @@ def test_block_invariance_matches_the_sparse_commutators(modes, cutoff):
 
 def _sparse_relations(system, params, m):
     """The three relation residuals by full N^2 D x N^2 D sparse matrices:
-    M^-1 P M and M^-1 V M contracted with the dressed ladders by
-    verify.quadratic_residual_matrices, normed by verify.projected_norms."""
+    M^-1 P M and M^-1 V M contracted with the dressed ladders by the
+    sparse route's quadratic_residual_matrices (tests/sparse_route.py),
+    normed by verify.projected_norms."""
     space, blocks, s, q = system.space, system.blocks, params.sign, params.q
     minv = blocks.join([np.linalg.inv(u) for u in blocks.views(m)])
     v = q**s * ((q + 1.0 / q) / 2.0 * system.p + (q - 1.0 / q) / 2.0 * blocks.eye)
@@ -386,7 +388,7 @@ def _sparse_relations(system, params, m):
     itilde = np.array([qnum(t + 1.0, q2s).real / (t + 1.0) for t in range(space.cutoff + 1)])
     dit = sparse.diags_array(itilde[space.shell].astype(complex))
     rel = sparse.eye_array(blocks.dim) - s * mu
-    aa, apap, cross = verify.quadratic_residual_matrices(
+    aa, apap, cross = sparse_route.quadratic_residual_matrices(
         list(space.an), [x @ dit for x in space.ap], rel, {"cross": mv}, s)
     return [verify.projected_norms(space, x, 2) for x in (aa, apap, cross["cross"])]
 

@@ -1,0 +1,184 @@
+"""The ladder-table route of the dressed-ladder checks against the sparse
+route it replaced (tests/sparse_route.py), row by row and bit for bit,
+and its guards."""
+
+import ast
+import inspect
+import textwrap
+
+import numpy as np
+import pytest
+from scipy import sparse
+
+import sparse_route
+from qheis import braid, deform, fock, liealg, verify
+from qheis.fock import Statistics
+from qheis.qspecial import CLIFFORD, WEYL, DeformParams
+
+QS = (0.5, 0.7, 1.3, 2.0)
+
+
+def dressed_map(space, params, ordering):
+    """A+_i = d_i(n) a+_i and A^i = a^i d_i(n), with d_i(n) the sl(N)
+    candidate dressing of an ordering on a bosonic space, and
+    q^(-sum n_j) over the same modes j on a fermionic one."""
+    if space.statistics is Statistics.BOSE:
+        return deform.sln_candidate_map(space, params, ordering)
+    occ, a, ap = space.occ, [], []
+    for k in range(space.modes):
+        tail = occ[:, k + 1:] if ordering == "above" else occ[:, :k]
+        d = params.q ** (-tail.sum(axis=1).astype(float))
+        a.append(deform._scaled(space.an[k], right=d))
+        ap.append(deform._scaled(space.ap[k], left=d))
+    return deform.DeformedGenerators(space, params, a, ap)
+
+
+def random_map(space, params, rng):
+    """Random positive dressings: no relation holds, so every defect is
+    compared at full size."""
+    def d():
+        return rng.uniform(0.5, 2.0, space.dim)
+    return deform.DeformedGenerators(space, params,
+                                     [deform._scaled(x, right=d()) for x in space.an],
+                                     [deform._scaled(x, left=d()) for x in space.ap])
+
+
+def both_routes(gens, rel, data):
+    """(ladder route, sparse route) pairs of every row of the four checks."""
+    pairs = list(zip(verify.dcr_residuals(gens, rel), sparse_route.dcr_residuals(gens, rel)))
+    pairs += zip(verify.number_op_check(gens), sparse_route.number_op_check(gens))
+    pairs += zip(verify.invariant_commutant_check(gens, data),
+                 sparse_route.invariant_commutant_check(gens, data))
+    herm = [deform.hermiticity_residual(gens), sparse_route.hermiticity_residual(gens)]
+    pairs.append(tuple(verify.CaseResult("hermiticity", h, 1.0) for h in herm))
+    return pairs
+
+
+@pytest.mark.parametrize("stat", [Statistics.BOSE, Statistics.FERMI], ids=["weyl", "clifford"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ladder_route_is_the_sparse_route_bit_for_bit(n, stat):
+    sign = WEYL if stat is Statistics.BOSE else CLIFFORD
+    space = fock.build_space(n, stat, {2: 8, 3: 6, 4: 5}[n])
+    data = liealg.LieData("sl", n)
+    rng = np.random.default_rng(n)
+    compared = 0
+    for q in QS:
+        params = DeformParams(q, sign)
+        rel = braid.build_relations("sl", n, q, sign)
+        for gens in (dressed_map(space, params, "above"), dressed_map(space, params, "below"),
+                     random_map(space, params, rng)):
+            for new, old in both_routes(gens, rel, data):
+                assert new.name == old.name
+                assert (new.residual, new.metadata) == (old.residual, old.metadata), new.name
+                compared += new.residual > 0.1
+    assert compared > 0  # some rows are compared far from the floor
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_so_commutant_is_the_sparse_route(n):
+    # an so(N) basis element moves by two shifts, so its commutant defect
+    # needs the component norm; it reads as the sparse route's
+    space = fock.build_space(n, Statistics.BOSE, 5)
+    data = liealg.LieData("so", n)
+    params = DeformParams(1.0, WEYL)
+    for gens in (deform.classical_generators(space, params),
+                 random_map(space, params, np.random.default_rng(n))):
+        [new] = verify.invariant_commutant_check(gens, data)
+        [old] = sparse_route.invariant_commutant_check(gens, data)
+        assert new.residual == old.residual
+    assert new.residual > 1.0
+
+
+def test_number_operator_is_the_sparse_product():
+    space = fock.build_space(3, Statistics.BOSE, 5)
+    gens = random_map(space, DeformParams(1.3, WEYL), np.random.default_rng(1))
+    new, old = gens.number_operator(), sparse_route.number_operator(gens)
+    assert (new != old).nnz == 0
+    assert gens.number_diagonal()[-1] == 0  # the sink
+
+
+def test_ladder_tables_are_the_csr_entries():
+    space = fock.build_space(3, Statistics.BOSE, 4)
+    gens = deform.sln_candidate_map(space, DeformParams(1.3, WEYL))
+    d = space.dim
+    for table, ops in zip(gens.ladders, (gens.a_ops, gens.aplus_ops)):
+        assert table.cols.shape == table.vals.shape == (3, d + 1)
+        assert (table.cols[:, d] == d).all() and (table.vals[:, d] == 0).all()
+        for i, op in enumerate(ops):
+            cols = np.minimum(table.cols[i, :d], d - 1)  # a row with no entry holds 0
+            back = sparse.csr_array((table.vals[i, :d], (np.arange(d), cols)), shape=(d, d))
+            assert np.array_equal(back.toarray(), op.toarray())
+            assert (table.vals[i, :d][table.cols[i, :d] == d] == 0).all()
+    assert gens.ladders is gens.ladders  # read once
+
+
+def test_two_entries_in_a_row_are_rejected():
+    space = fock.build_space(2, Statistics.BOSE, 5)
+    params = DeformParams(1.3, WEYL)
+    gens = deform.sl2_bose_map(space, params)
+    rel = braid.build_relations("sl", 2, 1.3, WEYL)
+    # a^1 + a^2 stores two entries in most rows
+    bad = deform.DeformedGenerators(space, params, [gens.a_ops[0] + gens.a_ops[1],
+                                                    gens.a_ops[1]], gens.aplus_ops)
+    with pytest.raises(ValueError, match="entries in row"):
+        verify.dcr_residuals(bad, rel)
+    # one entry per row, but off the ladder's shift: a+_1 in place of a^1
+    moved = deform.DeformedGenerators(space, params, [gens.aplus_ops[0], gens.a_ops[1]],
+                                      gens.aplus_ops)
+    with pytest.raises(ValueError, match="not a dressed ladder"):
+        verify.dcr_residuals(moved, rel)
+
+
+def test_relations_coupling_different_weights_are_rejected():
+    space = fock.build_space(2, Statistics.BOSE, 5)
+    gens = deform.sl2_bose_map(space, DeformParams(1.3, WEYL))
+    rel = braid.build_relations("sl", 2, 1.3, WEYL)
+    a, ap = gens.ladders
+    pi = rel.annihilating_projector
+    with pytest.raises(ValueError, match="different weight"):
+        coupled = pi.copy()
+        coupled[0, 3] = 0.5  # pair (1, 1) with pair (2, 2)
+        verify.quadratic_residual_matrices(a, ap, coupled, rel.cross_candidates, rel.sign)
+    with pytest.raises(ValueError, match="different weight"):
+        cross = dict(rel.cross_candidates)
+        cross["qR"] = cross["qR"] + 0.5 * np.eye(4)[::-1]
+        verify.quadratic_residual_matrices(a, ap, pi, cross, rel.sign)
+
+
+def test_delta_term_targets_the_row_where_the_creator_leaves_the_space():
+    # the delta of the cross relation sits on the diagonal of every state,
+    # also where A+_j finds the mode occupied and A^i A+_j has no entry; a
+    # target read off that product path drops it, and the Clifford control
+    # at q = 1.3 would read 0.408 in place of 0.650
+    space = fock.build_space(2, Statistics.FERMI)
+    gens = deform.sl2_fermi_map(space, DeformParams(1.3, CLIFFORD))
+    rel = braid.build_relations("sl", 2, 1.3, CLIFFORD)
+    rows = {r.name: r.residual for r in verify.dcr_residuals(gens, rel)}
+    old = {r.name: r.residual for r in sparse_route.dcr_residuals(gens, rel)}
+    assert rows == old
+    assert rows["dcr_cross[qR]"] < 1e-15
+    assert abs(rows["dcr_cross[qR_inv]"] - 0.6498722033542244) < 1e-15
+
+
+ROUTE = (verify.shift_norm, verify._pair_entries, verify._sum_rows,
+         verify.quadratic_residual_matrices, verify.dcr_residuals, verify.number_op_check,
+         verify.invariant_commutant_check, deform.hermiticity_residual,
+         deform.DeformedGenerators.number_diagonal, fock.ladder_table,
+         fock.FockSpace.shift_targets, fock._unit_steps)
+BLAS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "kron", "outer", "solve",
+        "svd", "eigh", "inv"}
+
+
+def test_the_route_makes_no_blas_call():
+    # a dense contraction such as R @ aa (16 x 16 times 16 x 331) wakes
+    # OpenBLAS's worker thread and raises the CPU time of a pass although
+    # its wall time falls: the route gathers and adds entrywise only
+    found = []
+    for fn in ROUTE + (deform.DeformedGenerators.ladders.func,):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{fn.__qualname__}: @")
+            if isinstance(node, ast.Attribute) and node.attr in BLAS:
+                found.append(f"{fn.__qualname__}: {node.attr}")
+    assert not found, found

@@ -30,7 +30,7 @@ def test_spectrum_labels(orb3, orb4):
 
 def test_l2_commutators(orb3, orb4):
     for orb in (orb3, orb4):
-        rows = {r.name: r for r in soshift.l2_commutator_residuals(orb)}
+        rows = {r.name: r for r in soshift.l2_commutator_residuals(soshift.StructureOperands(orb))}
         assert rows["l2_commutes_aa"].residual < 1e-12
         assert rows["l2_commutes_apap"].residual < 1e-12
         assert rows["l2_mixed_commutator_a"].residual < 1e-11
@@ -108,14 +108,15 @@ def test_l_eigenblocks_are_the_components_of_l2(monkeypatch):
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_shift_operators(orb3, orb4, sign):
     for orb in (orb3, orb4):
-        rows = {r.name: r for r in soshift.shift_operator_residuals(orb, sign)}
+        ops = soshift.StructureOperands(orb)
+        rows = {r.name: r for r in soshift.shift_operator_residuals(ops, sign)}
         assert rows[f"shift_orderings_agree[s={sign:+d}]"].residual < 1e-12
         assert rows[f"shift_eigen_relations[s={sign:+d}]"].residual < 1e-10
 
 
 def test_shift_operators_are_classical(orb3):
     # no deformation parameter enters the construction at all
-    down, up = soshift.shift_operators(orb3, +1)
+    down, up = soshift.shift_operators(soshift.StructureOperands(orb3), +1)
     d = orb3.space.dim
     assert down.shape == up.shape == (3 * d, d)
     for i in range(3):
@@ -129,7 +130,7 @@ def test_shift_operator_blocks_are_their_definition(orb3, orb4, sign):
     # and a+_i (n + N/2 - 1 + s l) - (a+.a+) a^i, built one mode at a time
     for orb in (orb3, orb4):
         space, d = orb.space, orb.space.dim
-        down, up = soshift.shift_operators(orb, sign)
+        down, up = soshift.shift_operators(soshift.StructureOperands(orb), sign)
         shifted = fock.diag(space.shell + space.modes / 2.0 - 1.0) + sign * orb.l
         for i, (ai, api) in enumerate(zip(space.an, space.ap)):
             assert np.array_equal(down[i * d:(i + 1) * d].toarray(),
@@ -185,4 +186,26 @@ def test_input_validation():
         soshift.build_orbital(fock.build_space(3, Statistics.BOSE, 3))
     orb = soshift.build_orbital(fock.build_space(3, Statistics.BOSE, 4))
     with pytest.raises(ValueError):
-        soshift.shift_operators(orb, 0)
+        soshift.shift_operators(soshift.StructureOperands(orb), 0)
+
+
+def test_structure_operands_are_built_once(orb3, monkeypatch):
+    # one 1_N (x) X each for l^2, a.a, a+.a+ and l when the checks share
+    # their operands, where each check alone builds its own (nine in all);
+    # the rows are the same, bit for bit
+    kron_of = []
+    eye_kron = soshift.eye_kron
+    monkeypatch.setattr(soshift, "eye_kron", lambda n, x: kron_of.append(id(x)) or eye_kron(n, x))
+
+    def rows(shared):
+        out = soshift.l2_commutator_residuals(shared())
+        for sign in (+1, -1):
+            out += soshift.shift_operator_residuals(shared(), sign)
+        return [(r.name, r.residual, r.metadata) for r in out]
+
+    ops = soshift.StructureOperands(orb3)
+    once = rows(lambda: ops)
+    assert sorted(kron_of) == sorted({id(orb3.l2), id(orb3.aa), id(orb3.apap), id(orb3.l)})
+    kron_of.clear()
+    assert rows(lambda: soshift.StructureOperands(orb3)) == once
+    assert len(kron_of) == 9

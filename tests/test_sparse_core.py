@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import sparse_route
 from qheis import braid, deform, fock, suites, verify
 from qheis.fock import Statistics
 from qheis.qspecial import CLIFFORD, WEYL, DeformParams
@@ -183,13 +184,14 @@ def test_generators_and_defects_are_sparse():
 
 
 def dcr_defects(gens, rel):
-    """The stacked defects of the deformed commutation relations."""
+    """The stacked defects of the deformed commutation relations, by the
+    sparse route (tests/sparse_route.py)."""
     eye_d = sparse.eye_array(gens.space.dim)
     pi = sparse.kron(rel.annihilating_projector, eye_d, format="csr")
     cross = {name: sparse.kron(pt, eye_d, format="csr")
              for name, pt in rel.cross_candidates.items()}
-    return verify.quadratic_residual_matrices(gens.a_ops, gens.aplus_ops, pi,
-                                              cross, rel.sign)
+    return sparse_route.quadratic_residual_matrices(gens.a_ops, gens.aplus_ops, pi,
+                                                    cross, rel.sign)
 
 
 def dense_defects(gens, rel):

@@ -310,22 +310,31 @@ def test_projected_norms_is_the_loop_norm_bit_for_bit(modes, stat, cut):
 
 
 def test_dcr_products_do_not_grow_with_n(monkeypatch):
-    # the generators enter as stacked columns and rows, so the number of
-    # sparse products is the same for every N
-    counts = {}
-    for n in (2, 4):
-        sp = fock.build_space(n, Statistics.BOSE, 3)
-        gens = deform.sln_candidate_map(sp, DeformParams(1.3, WEYL))
-        rel = braid.build_relations("sl", n, 1.3, WEYL)
-        products = []
-        original = sparse.csr_array._matmul_sparse
+    # the checks of a dressed-ladder set gather on its ladder tables, so
+    # they make no sparse product at any N: not the relation defects, the
+    # number operator, the commutant nor the hermiticity row
+    products = []
+    original = sparse.csr_array._matmul_sparse
 
-        def counting(self, other, products=products, original=original):
-            products.append(other.shape)
-            return original(self, other)
+    def counting(self, other):
+        products.append(other.shape)
+        return original(self, other)
 
-        monkeypatch.setattr(sparse.csr_array, "_matmul_sparse", counting)
-        verify.dcr_residuals(gens, rel)
-        monkeypatch.undo()
-        counts[n] = len(products)
-    assert counts[2] == counts[4] > 0
+    for n in (2, 3, 4):
+        for stat, cut in ((Statistics.BOSE, 3), (Statistics.FERMI, None)):
+            sp = fock.build_space(n, stat, cut)
+            sign = WEYL if stat is Statistics.BOSE else CLIFFORD
+            gens = deform.classical_generators(sp, DeformParams(1.3, sign))
+            rel = braid.build_relations("sl", n, 1.3, sign)
+            data = liealg.LieData("sl", n)
+            monkeypatch.setattr(sparse.csr_array, "_matmul_sparse", counting)
+            verify.dcr_residuals(gens, rel)
+            verify.number_op_check(gens)
+            verify.invariant_commutant_check(gens, data)
+            deform.hermiticity_residual(gens)
+            monkeypatch.undo()
+    assert products == []
+    # the counter sees a product when there is one
+    monkeypatch.setattr(sparse.csr_array, "_matmul_sparse", counting)
+    sp.an[0] @ sp.ap[0]
+    assert len(products) == 1
