@@ -21,68 +21,75 @@ columns of the basis.  Because the dressings are diagonal functions of
 the mode numbers, the removable singularity of (n)_{q^2}/n at n = 0
 never reaches a nonzero matrix entry; the value 1 is used there by
 convention.
+
+A generator set holds the A^i and the A+_i as two ladder tables
+(``fock.LadderTable``) on the columns of the space's own ladders, and a
+map only scales their values (:func:`_dressed`): every generator is a
+dressed ladder by construction, and no map writes a sparse matrix.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from .fock import FockSpace, LadderTable, Statistics, diag, ladder_table
+from .fock import FockSpace, LadderTable, Statistics
 from .qspecial import CLIFFORD, DeformParams, qnum, y_sln
 
 
 @dataclass
 class DeformedGenerators:
-    """A set of N deformed annihilators/creators on a Fock space."""
+    """A set of N deformed annihilators A^i (grade -1) and creators A+_i
+    (grade +1) on a Fock space, as the ladder tables a and ap.  Raises
+    ValueError unless the tables hold the columns of the space's own
+    annihilators and creators (the arrays themselves), with values of
+    their shape."""
 
     space: FockSpace
     params: DeformParams
-    a_ops: list[sparse.csr_array]       # grade -1
-    aplus_ops: list[sparse.csr_array]   # grade +1
+    a: LadderTable
+    ap: LadderTable
+
+    def __post_init__(self):
+        for table, ladder, name in ((self.a, self.space.an, "annihilator"),
+                                    (self.ap, self.space.ap, "creator")):
+            if table.cols is not ladder.cols or table.vals.shape != ladder.vals.shape:
+                raise ValueError(f"the {name} table is not on the columns of the "
+                                 f"space's {name}s")
 
     @property
     def n(self) -> int:
         return self.space.modes
-
-    @functools.cached_property
-    def ladders(self) -> tuple[LadderTable, LadderTable]:
-        """The gather tables of the A^i and of the A+_i, read once from
-        the CSR arrays (:func:`fock.ladder_table`).  Raises ValueError
-        when a generator is not a dressed ladder."""
-        return (ladder_table(self.space, self.a_ops, +1),
-                ladder_table(self.space, self.aplus_ops, -1))
 
     def number_diagonal(self) -> np.ndarray:
         """The diagonal of N_h = sum_i A+_i A^i (grade 0), with the sink's 0
         appended (D + 1 entries).  Entry s adds A+_i[s] A^i[s - e_i] over
         increasing i, the terms and the order of the sparse product of the
         row of the A+_i and the column of the A^i."""
-        a, ap = self.ladders
+        a, ap = self.a, self.ap
         nh = np.zeros(self.space.dim + 1, dtype=complex)
         for i in range(self.n):
             nh = nh + ap.vals[i] * a.vals[i, ap.cols[i]]
         return nh
 
-    def number_operator(self) -> sparse.csr_array:
-        """N_h as a diagonal operator."""
-        return diag(self.number_diagonal()[:-1])
 
+def _dressed(table: LadderTable, left=None, right=None) -> LadderTable:
+    """diag(left_i) X_i diag(right_i) for each operator X_i of the table:
+    the entry of row s, in column c, is scaled by left[i, s] and then by
+    right[i, c].  left and right are N x D, or one D-array for every i;
+    a side that is None is not scaled."""
+    n, d = table.cols.shape[0], table.cols.shape[1] - 1
 
-def _scaled(op: sparse.csr_array, left=None, right=None) -> sparse.csr_array:
-    """diag(left) op diag(right), by scaling the stored entry (r, c) of op
-    by left[r] and then by right[c].  Each row of a ladder or a generator
-    holds one entry, so this gives the bits of the two products."""
-    data = op.data
+    def padded(x):  # the sink column, whose entries are 0 anyway
+        return np.column_stack([np.broadcast_to(x, (n, d)), np.zeros(n)])
+
+    vals = table.vals
     if left is not None:
-        data = np.repeat(left, np.diff(op.indptr)) * data
+        vals = padded(left) * vals
     if right is not None:
-        data = data * right[op.indices]
-    return sparse.csr_array((data.astype(complex), op.indices.copy(), op.indptr.copy()),
-                            shape=op.shape)
+        vals = vals * np.take_along_axis(padded(right), table.cols, axis=1)
+    return LadderTable(table.cols, vals)
 
 
 def _tabulate(f, cutoff: int) -> np.ndarray:
@@ -125,13 +132,13 @@ def sln_candidate_map(
     occ = space.occ
     root = _sqrt_ratio(q, space.cutoff)
     power = _tabulate(lambda n: q ** n, space.cutoff)
-    a_ops, aplus_ops = [], []
+    d = []
     for k in range(space.modes):
         tail = occ[:, k + 1:] if ordering == "above" else occ[:, :k]
-        d = root[occ[:, k]] * power[tail.sum(axis=1)]
-        aplus_ops.append(_scaled(space.ap[k], left=d))
-        a_ops.append(_scaled(space.an[k], right=d))
-    return DeformedGenerators(space, params, a_ops, aplus_ops)
+        d.append(root[occ[:, k]] * power[tail.sum(axis=1)])
+    d = np.array(d)
+    return DeformedGenerators(space, params, _dressed(space.an, right=d),
+                              _dressed(space.ap, left=d))
 
 
 def sl2_bose_map(space: FockSpace, params: DeformParams) -> DeformedGenerators:
@@ -152,9 +159,9 @@ def sl2_fermi_map(space: FockSpace, params: DeformParams) -> DeformedGenerators:
     q = params.q
     n2 = space.occ[:, 1]
     d1 = _tabulate(lambda n: q ** (-n), space.cutoff)[n2]
-    a_ops = [_scaled(space.an[0], right=d1), space.an[1]]
-    aplus_ops = [_scaled(space.ap[0], left=d1), space.ap[1]]
-    return DeformedGenerators(space, params, a_ops, aplus_ops)
+    d = np.stack([d1, np.ones(space.dim)])
+    return DeformedGenerators(space, params, _dressed(space.an, right=d),
+                              _dressed(space.ap, left=d))
 
 
 def sl2_bose_onesided_map(space: FockSpace, params: DeformParams) -> DeformedGenerators:
@@ -171,13 +178,14 @@ def sl2_bose_onesided_map(space: FockSpace, params: DeformParams) -> DeformedGen
     n1, n2 = space.occ.T
     ratio = _ratio(q, space.cutoff)
     up = _tabulate(lambda n: q ** n, space.cutoff)[n2]
-    aplus_ops = [_scaled(space.ap[0], left=up), space.ap[1]]
-    a_ops = [_scaled(space.an[0], right=ratio[n1] * up), _scaled(space.an[1], right=ratio[n2])]
-    return DeformedGenerators(space, params, a_ops, aplus_ops)
+    return DeformedGenerators(space, params,
+                              _dressed(space.an, right=np.stack([ratio[n1] * up, ratio[n2]])),
+                              _dressed(space.ap, left=np.stack([up, np.ones(space.dim)])))
 
 
-def sl2_alpha_intertwiner(space: FockSpace, params: DeformParams) -> sparse.csr_array:
-    """Diagonal alpha with alpha . sl2_bose_map . alpha^-1 = one-sided map.
+def sl2_alpha_intertwiner(space: FockSpace, params: DeformParams) -> np.ndarray:
+    """The diagonal of the alpha with alpha . sl2_bose_map . alpha^-1 =
+    one-sided map, one entry per basis state.
 
     alpha = sqrt(y(n_1) y(n_2)) with y(m) = Gamma(m+1)/Gamma_{q^2}(m+1),
     evaluated by integer recurrences.
@@ -187,27 +195,24 @@ def sl2_alpha_intertwiner(space: FockSpace, params: DeformParams) -> sparse.csr_
     q = params.q
     n1, n2 = space.occ.T
     y = _tabulate(lambda n: y_sln(n, q).real, space.cutoff)
-    return diag(np.sqrt(y[n1] * y[n2]))
+    return np.sqrt(y[n1] * y[n2])
 
 
 def inner_automorphism(gens: DeformedGenerators,
-                       alpha: sparse.csr_array) -> tuple[DeformedGenerators, float]:
-    """Conjugate a generator set by a diagonal alpha = diag(d): A -> alpha A
-    alpha^-1 scales entry (r, c) by d_r/d_c, exact to a few ulps whatever
-    the spread of d.  Returns the new set and cond(alpha) = max|d|/min|d|;
-    raises ValueError unless alpha is diagonal with finite nonzero d."""
-    d = alpha.diagonal()
-    if alpha.count_nonzero() > np.count_nonzero(d):
-        raise ValueError("alpha must be diagonal")
+                       d: np.ndarray) -> tuple[DeformedGenerators, float]:
+    """Conjugate a generator set by alpha = diag(d), d one entry per basis
+    state: A -> alpha A alpha^-1 scales entry (r, c) by d_r/d_c, exact to a
+    few ulps whatever the spread of d.  Returns the new set and
+    cond(alpha) = max|d|/min|d|; raises ValueError unless every d is
+    finite and nonzero."""
     mag = np.abs(d)
     cond = float(mag.max() / mag.min()) if mag.min() > 0 else np.inf
     if not np.isfinite(cond):
         raise ValueError(f"alpha has a zero or non-finite diagonal entry "
                          f"(cond = {cond:.3e})")
     inv = 1.0 / d
-    out = DeformedGenerators(gens.space, gens.params,
-                             [_scaled(a, d, inv) for a in gens.a_ops],
-                             [_scaled(ap, d, inv) for ap in gens.aplus_ops])
+    out = DeformedGenerators(gens.space, gens.params, _dressed(gens.a, d, inv),
+                             _dressed(gens.ap, d, inv))
     return out, cond
 
 
@@ -218,7 +223,7 @@ def hermiticity_residual(gens: DeformedGenerators) -> float:
     block (``verify.shift_norm``)."""
     from .verify import shift_norm
 
-    a, ap = gens.ladders
+    a, ap = gens.a, gens.ap
     n, d = gens.n, gens.space.dim
     down = gens.space.shift_targets(-np.eye(n, dtype=int))
     return shift_norm(gens.space, np.conj(a.vals[np.arange(n)[:, None], down]) - ap.vals[:, :d],
@@ -227,4 +232,4 @@ def hermiticity_residual(gens: DeformedGenerators) -> float:
 
 def classical_generators(space: FockSpace, params: DeformParams) -> DeformedGenerators:
     """The undeformed generators packaged as a (trivially) deformed set."""
-    return DeformedGenerators(space, params, list(space.an), list(space.ap))
+    return DeformedGenerators(space, params, space.an, space.ap)

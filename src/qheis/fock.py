@@ -1,33 +1,36 @@
-"""Truncated Fock spaces: the occupation basis and its stored ladders.
+"""Truncated Fock spaces: the occupation basis and its ladder tables.
 
 The carrier space for everything in this package is a Fock space over N
 bosonic or fermionic modes, truncated at a maximum total occupation.
 Basis states are occupation tuples (n_1, ..., n_N) in lexicographic
-order, so reports are bit-for-bit reproducible.  Every Fock operator is
-a complex ``scipy.sparse.csr_array``.  A :class:`FockSpace` is the one
-way to reach its objects: the read-only occupation table
+order, so reports are bit-for-bit reproducible.  A :class:`FockSpace` is
+the one way to reach its objects: the read-only occupation table
 :attr:`FockSpace.occ` (D x N, one row per basis state), the shells
 (total occupations) :attr:`FockSpace.shell`, the state s + v that a
 shift v reaches from each s (:meth:`FockSpace.shift_targets`), and the N
 annihilators and N creators, built once, as the read-only
-:attr:`FockSpace.an` and :attr:`FockSpace.ap` (0-based mode index).  A
-dressing is an array indexed by occupation, made an operator by
-:func:`diag`; a generator, a dressing times a ladder, stores at most one
-entry per basis state, so products and sums of generators stay sparse.
-The particle-number grade g of an operator X ([n_tot, X] = g X) is not
-stored; :func:`grade_defect` measures it.
+:attr:`FockSpace.an` and :attr:`FockSpace.ap` (0-based mode index).
 
-Direct construction: the ladders, :func:`diag`, 1_n (x) X
-(:func:`eye_kron`) and R (x) 1_D (:func:`kron_eye`) are each written as
-one ``csr_array`` from index arrays, with no Python loop over the basis
-(the ladders find each neighbour state by its mixed-radix key, and the
-bosonic basis is built only from the states that exist) and
+Stored form: a ladder, and a generator that dresses it (``deform``),
+stores at most one entry per basis state, so it is stored as a
+:class:`LadderTable`, the column and the value of each row's entry, on
+which the checks of dressed generators gather and add (``verify``).
+Where a check needs a sparse product, the N operators of a table are
+written on demand as one complex ``scipy.sparse.csr_array``: the
+N D x D column (:func:`column`) or the D x N D row (:func:`row`).  A
+dressing is an array indexed by occupation, made an operator by
+:func:`diag`.  The particle-number grade g of an operator X
+([n_tot, X] = g X) is not stored; :func:`grade_defect` measures it.
+
+Direct construction: the tables, :func:`column`, :func:`row`,
+:func:`diag`, 1_n (x) X (:func:`eye_kron`) and R (x) 1_D
+(:func:`kron_eye`) are written from index arrays, with no Python loop
+over the basis (each neighbour state is found by its mixed-radix key,
+and the bosonic basis is built only from the states that exist) and
 without ``sparse.kron`` or ``sparse.diags_array``, whose fixed cost per
-call exceeds the arithmetic on operators of this size.  The checks stack
-the N generators of a set as an N D x D column or a D x N D row and
-act on the stack with these Kronecker forms, so the number of sparse
-operations of a check does not grow with N; the checks of the dressed
-sl(N) generators make none at all (``verify``).
+call exceeds the arithmetic on operators of this size.  The sparse
+checks act on a stacked column or row with these Kronecker forms, so
+their number of sparse operations does not grow with N.
 
 Truncation contract: on a bosonic space an operator identity of
 creator-degree d is exact only on the subspace with total occupation
@@ -56,8 +59,8 @@ class Statistics(Enum):
     FERMI = "fermi"
 
 
-def _bose_basis(modes: int, cutoff: int) -> tuple[tuple[int, ...], ...]:
-    """The occupation tuples with sum <= cutoff in lexicographic order, one
+def _bose_basis(modes: int, cutoff: int) -> np.ndarray:
+    """The occupation rows with sum <= cutoff in lexicographic order, one
     mode at a time: each prefix, in order, is followed by every value its
     remaining budget allows, in increasing order, so only the states that
     exist are ever built."""
@@ -67,17 +70,30 @@ def _bose_basis(modes: int, cutoff: int) -> tuple[tuple[int, ...], ...]:
         first = np.cumsum(room) - room
         values = np.arange(room.sum()) - np.repeat(first, room)
         prefixes = np.column_stack([np.repeat(prefixes, room, axis=0), values])
-    return tuple(map(tuple, prefixes.tolist()))
+    return prefixes
 
 
-def _fermi_basis(modes: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(product(range(2), repeat=modes)))
+def _fermi_basis(modes: int) -> np.ndarray:
+    return np.array(list(product(range(2), repeat=modes)), dtype=int)
+
+
+class LadderTable(NamedTuple):
+    """N operators that store at most one entry per row, as gather tables:
+    row s of operator i holds vals[i, s] in column cols[i, s].  Both have
+    D + 1 columns.  A row with no entry, and the appended sink row D,
+    hold column D and value 0, so a chain of gathers needs no mask: row s
+    of the product of operators l and k holds vals[l, s] vals[k, c] in
+    column cols[k, c], c = cols[l, s]."""
+
+    cols: np.ndarray
+    vals: np.ndarray
 
 
 @dataclass(frozen=True)
 class FockSpace:
     """Occupation-number basis for N modes with a total-occupation cutoff,
-    with its mode ladders.
+    with its mode ladders.  (modes, statistics, cutoff) fix the space, so
+    they alone are compared.
 
     For fermions the cutoff is forced to N (each mode holds 0 or 1).
     """
@@ -85,20 +101,22 @@ class FockSpace:
     modes: int
     statistics: Statistics
     cutoff: int
-    basis: tuple[tuple[int, ...], ...]
-    index: dict = field(repr=False, hash=False, compare=False)
-    occ: np.ndarray = field(repr=False, hash=False, compare=False)  # D x N occupations
-    shell: np.ndarray = field(repr=False, hash=False, compare=False)  # n_tot per state
-    unit_steps: np.ndarray = field(repr=False, hash=False, compare=False)  # s -+ e_k per mode
-    an: tuple = field(repr=False, hash=False, compare=False)  # a^1 .. a^N
-    ap: tuple = field(repr=False, hash=False, compare=False)  # a+_1 .. a+_N
+    occ: np.ndarray = field(repr=False, compare=False)  # D x N occupations
+    shell: np.ndarray = field(repr=False, compare=False)  # n_tot per state
+    an: LadderTable = field(repr=False, compare=False)  # a^1 .. a^N
+    ap: LadderTable = field(repr=False, compare=False)  # a+_1 .. a+_N
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.occ.shape[0]
 
-    def state_index(self, occ: tuple[int, ...]) -> int:
-        return self.index[tuple(occ)]
+    def state_index(self, occ) -> int:
+        """The index of the basis state with occupations occ; KeyError when
+        it is not a state of the space."""
+        hit = np.flatnonzero((self.occ == np.asarray(occ)).all(axis=1))
+        if hit.size == 0:
+            raise KeyError(tuple(occ))
+        return int(hit[0])
 
     def safe_mask(self, degree: int) -> np.ndarray:
         """Basis states on which an identity of creator-degree `degree` is
@@ -114,14 +132,15 @@ class FockSpace:
         holds D where s + v is not a state of the space.
 
         Each target is reached by single steps s -> s -+ e_k, lowering
-        first (:attr:`unit_steps`, found by mixed-radix keys).  Lowering
-        first, every occupation moves monotonically from that of s to that
-        of s + v, and the total never exceeds the larger of their totals,
-        so every state on the way exists whenever s + v does: the target
-        is there whether or not a product of dressed ladders reaches it."""
+        first (the columns of the creators, then of the annihilators).
+        Lowering first, every occupation moves monotonically from that of
+        s to that of s + v, and the total never exceeds the larger of
+        their totals, so every state on the way exists whenever s + v
+        does: the target is there whether or not a product of dressed
+        ladders reaches it."""
         shifts = np.asarray(shifts)
         targets = np.tile(np.arange(self.dim), (len(shifts), 1))
-        for steps, count in zip(self.unit_steps, (-shifts, shifts)):
+        for steps, count in ((self.ap.cols, -shifts), (self.an.cols, shifts)):
             for k in range(self.modes):
                 for r in range(count[:, k].max(initial=0)):
                     move = count[:, k] > r
@@ -139,22 +158,18 @@ def build_space(modes: int, statistics: Statistics, cutoff: int | None = None) -
         raise ValueError("need at least one mode")
     fermi = statistics is Statistics.FERMI
     if fermi:
-        basis = _fermi_basis(modes)
+        occ = _fermi_basis(modes)
         cutoff = modes
     else:
         if cutoff is None or cutoff < 1:
             raise ValueError("bosonic space needs cutoff >= 1")
-        basis = _bose_basis(modes, cutoff)
-        assert len(basis) == math.comb(modes + cutoff, modes)
-    index = {t: k for k, t in enumerate(basis)}
-    occ = np.array(basis)
+        occ = _bose_basis(modes, cutoff)
+        assert len(occ) == math.comb(modes + cutoff, modes)
     shell = occ.sum(axis=1)
-    steps = _unit_steps(occ, cutoff)
-    for arr in (occ, shell, steps):
+    an, ap = _ladders(occ, _unit_steps(occ, cutoff), fermi)
+    for arr in (occ, shell, *an, *ap):
         arr.flags.writeable = False
-    an = tuple(_ladder(occ, steps[1, k], fermi, k, +1) for k in range(modes))
-    ap = tuple(_ladder(occ, steps[0, k], fermi, k, -1) for k in range(modes))
-    return FockSpace(modes, statistics, cutoff, basis, index, occ, shell, steps, an, ap)
+    return FockSpace(modes, statistics, cutoff, occ, shell, an, ap)
 
 
 def _unit_steps(occ: np.ndarray, cutoff: int) -> np.ndarray:
@@ -175,14 +190,50 @@ def _unit_steps(occ: np.ndarray, cutoff: int) -> np.ndarray:
     return np.column_stack([steps, np.full(2 * modes, dim)]).reshape(2, modes, dim + 1)
 
 
-def _one_per_row(present: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-                 shape: tuple[int, int]) -> sparse.csr_array:
-    """The CSR array whose row r holds vals[r] in column cols[r] where
-    present[r], and nothing elsewhere, written directly."""
+def _ladders(occ: np.ndarray, steps: np.ndarray,
+             fermi: bool) -> tuple[LadderTable, LadderTable]:
+    """The tables of the N annihilators and of the N creators.  Row t of
+    a^k holds its one entry in the column of t + e_k, and row t of a+_k in
+    that of t - e_k (the steps of :func:`_unit_steps`), when that state
+    exists.  Bose amplitudes sqrt(n_k + 1) and sqrt(n_k); Fermi: the
+    Jordan-Wigner sign (-1)**(n_1 + ... + n_{k-1}) of the modes before k,
+    which makes the anticommutation relations exact on the full space."""
+    dim = occ.shape[0]
+    sign = np.where((np.cumsum(occ, axis=1) - occ) % 2, -1.0, 1.0)
+    tables = []
+    for cols, step in ((steps[1], +1), (steps[0], -1)):
+        amp = sign if fermi else np.sqrt(np.maximum(occ, occ + step).astype(float))
+        vals = np.zeros(cols.shape, dtype=complex)
+        vals[:, :dim] = np.where(cols[:, :dim] < dim, amp.T, 0.0)
+        tables.append(LadderTable(cols, vals))
+    return tables[0], tables[1]
+
+
+def _stored(present: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+            shape: tuple[int, int]) -> sparse.csr_array:
+    """The CSR array whose row r stores vals[r, e] in column cols[r, e] for
+    each e with present[r, e], in increasing e (R x E arrays, R rows),
+    written directly."""
     indptr = np.zeros(shape[0] + 1, dtype=np.int32)
-    np.cumsum(present, out=indptr[1:])
+    np.cumsum(present.sum(axis=1), out=indptr[1:])
     return sparse.csr_array((vals[present].astype(complex), cols[present].astype(np.int32),
                              indptr), shape=shape)
+
+
+def column(table: LadderTable) -> sparse.csr_array:
+    """The N D x D column whose block i is operator i of the table, with
+    every entry of a row that has one stored, also one of value 0."""
+    n, d = table.cols.shape[0], table.cols.shape[1] - 1
+    cols = table.cols[:, :d].reshape(-1, 1)
+    return _stored(cols < d, cols, table.vals[:, :d].reshape(-1, 1), (n * d, d))
+
+
+def row(table: LadderTable) -> sparse.csr_array:
+    """The D x N D row whose block i is operator i of the table: row s
+    stores the entries of the N operators in increasing i."""
+    n, d = table.cols.shape[0], table.cols.shape[1] - 1
+    cols = table.cols[:, :d].T
+    return _stored(cols < d, cols + d * np.arange(n), table.vals[:, :d].T, (d, n * d))
 
 
 def diag(values: np.ndarray) -> sparse.csr_array:
@@ -191,7 +242,8 @@ def diag(values: np.ndarray) -> sparse.csr_array:
     values = np.asarray(values)
     if not np.isfinite(values).all():
         raise ValueError(f"entry not finite at state {np.argmin(np.isfinite(values))}")
-    return _one_per_row(values != 0, np.arange(values.size), values, (values.size,) * 2)
+    return _stored((values != 0)[:, None], np.arange(values.size)[:, None], values[:, None],
+                   (values.size,) * 2)
 
 
 def eye_kron(n: int, x) -> sparse.csr_array:
@@ -220,69 +272,27 @@ def kron_eye(r: np.ndarray, d: int) -> sparse.csr_array:
                             shape=(r.shape[0] * d, r.shape[1] * d))
 
 
-def _ladder(occ: np.ndarray, cols: np.ndarray, fermi: bool, k: int,
-            step: int) -> sparse.csr_array:
-    """Read-only mode-(k+1) annihilator (step +1) or creator (step -1).
-    Row t holds its one entry in the column of t + step e_k, cols[t] from
-    :func:`_unit_steps`, when that state exists.  Bose amplitude
-    sqrt(max n_k); Fermi: the Jordan-Wigner sign (-1)**(n_1 + ... + n_k),
-    which makes the anticommutation relations exact on the full space."""
-    dim = occ.shape[0]
-    cols = cols[:dim]
-    if fermi:
-        vals = np.where(occ[:, :k].sum(axis=1) % 2, -1.0, 1.0)
-    else:
-        vals = np.sqrt(np.maximum(occ[:, k], occ[:, k] + step).astype(float))
-    m = _one_per_row(cols < dim, cols, vals, (dim, dim))
-    for arr in (m.data, m.indices, m.indptr):
-        arr.flags.writeable = False
-    return m
+def _sum_rows(rows: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
+    """out[r] = the sum of the terms[e] with rows[e] == r, added from 0 in
+    the order of e (np.add.at on the flat index adds one at a time): the
+    entries of a sum of products of ladder tables, in the order a sparse
+    product adds them."""
+    d = terms.shape[1]
+    out = np.zeros(size * d, dtype=complex)
+    np.add.at(out, (rows[:, None] * d + np.arange(d)).ravel(), terms.ravel())
+    return out.reshape(size, d)
 
 
-class LadderTable(NamedTuple):
-    """N operators that store at most one entry per row, as gather tables:
-    row s of operator i holds vals[i, s] in column cols[i, s].  Both have
-    D + 1 columns.  A row with no entry, and the appended sink row D,
-    hold column D and value 0, so a chain of gathers needs no mask: row s
-    of the product of operators l and k holds vals[l, s] vals[k, c] in
-    column cols[k, c], c = cols[l, s]."""
-
-    cols: np.ndarray
-    vals: np.ndarray
-
-
-def ladder_table(space: FockSpace, ops, step: int) -> LadderTable:
-    """The gather tables of the N dressed ladders ops, read once from
-    their CSR arrays.  Raises ValueError unless each op stores at most one
-    entry per row, and stores a nonzero entry of row s of op i only in the
-    column of s + step e_i (step +1 for annihilators, -1 for creators)."""
-    n, d = len(ops), space.dim
-    ops = [op if op.format == "csr" else sparse.csr_array(op) for op in ops]
-    stored = np.diff(np.array([op.indptr for op in ops]), axis=1)
-    if stored.max(initial=0) > 1:
-        i, r = np.unravel_index(np.argmax(stored), stored.shape)
-        raise ValueError(f"operator {i + 1} stores {stored[i, r]} entries in row {r}; "
-                         f"a dressed ladder stores at most one")
-    # one entry per row at most, so the stored entries are in row order
-    present = stored == 1
-    cols = np.full((n, d + 1), d)
-    vals = np.zeros((n, d + 1), dtype=complex)
-    cols[:, :d][present] = np.concatenate([op.indices[:op.nnz] for op in ops])
-    vals[:, :d][present] = np.concatenate([op.data[:op.nnz] for op in ops])
-    expected = space.unit_steps[(step + 1) // 2, :, :d]
-    off = present & (cols[:, :d] != expected) & (vals[:, :d] != 0)
-    if off.any():
-        i = np.argmax(off.any(axis=1)) + 1
-        raise ValueError(f"operator {i} is not a dressed ladder: it stores an entry off "
-                         f"the shift {step:+d} e_{i}")
-    return LadderTable(cols, vals)
-
-
-def grade_defect(space: FockSpace, op, grade: int) -> float:
-    """Relative Frobenius norm of [n_tot, X] - g X; zero for an X of grade
-    g.  Entry (r, c) of [n_tot, X] is (shell_r - shell_c) X_rc."""
-    m = sparse.coo_array(op)
-    shell = space.shell
-    num = np.linalg.norm((shell[m.row] - shell[m.col] - grade) * m.data)
-    den = np.linalg.norm(m.data)
-    return float(num / den) if den > 0 else 0.0
+def grade_defect(space: FockSpace, table: LadderTable, grade: int) -> float:
+    """The largest relative Frobenius norm of [n_tot, X] - g X over the
+    operators X of the table; zero when each has grade g.  Entry (r, c) of
+    [n_tot, X] is (shell_r - shell_c) X_rc, over the stored entries."""
+    d = space.dim
+    worst = 0.0
+    for cols, vals in zip(table.cols[:, :d], table.vals[:, :d]):
+        rows = np.flatnonzero(cols < d)
+        data = vals[rows]
+        num = np.linalg.norm((space.shell[rows] - space.shell[cols[rows]] - grade) * data)
+        den = np.linalg.norm(data)
+        worst = max(worst, float(num / den) if den > 0 else 0.0)
+    return worst

@@ -81,12 +81,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.integrate import solve_ivp  # noqa: F401  (the benchmark tracer wraps kz.solve_ivp)
 from scipy.linalg import expm  # noqa: F401  (the benchmark tracer wraps kz.expm)
 
 from .fock import FockSpace, Statistics
-from .liealg import LieData, coproduct_rep, sigma_basis
+from .liealg import LieData, coproduct_rep, sigma_entries
 from .qspecial import (DeformParams, gamma, gauss_2f1, gauss_2f1_deriv, qbracket, qnum,
                        rgamma)
 from .verify import CaseResult
@@ -328,10 +327,6 @@ class WeightBlocks:
         s = int(self.size[ids[0]])
         return x[self.start[ids][:, None] + np.arange(s * s)].reshape(-1, s, s)
 
-    def to_sparse(self, x: np.ndarray) -> sparse.csr_array:
-        """The full-space operator, with the blocks as its stored entries."""
-        return sparse.csr_array((x, (self.rows, self.cols)), shape=(self.dim, self.dim))
-
 
 def _weight_blocks(weights: np.ndarray) -> WeightBlocks:
     """Group the basis vectors by weight (one row of nonnegative integer
@@ -403,21 +398,18 @@ def build_operator_system(space: FockSpace) -> KZOperatorSystem:
     between (a, b, o) and (a', b', o') is [a = b' and b = a'], and that of
     A = 1 x e_ij x a+_j a^i is [a = a'] <m| a^b |o'> <m| a^b' |o>,
     m = o' - e_b = o - e_b', and the amplitudes are read off the space's
-    stored annihilators."""
+    ladder tables."""
     if space.statistics is not Statistics.BOSE:
         raise ValueError("operator system needs a bosonic space")
     n, d = space.modes, space.dim
-    # amp[k, y] = <y - e_k| a^k |y> and up[k, x] = the index of x + e_k;
-    # column d stands for a state outside the truncated space
-    amp, up = np.zeros((n, d + 1)), np.full((n, d + 1), d)
-    for k, an in enumerate(space.an):
-        amp[k, an.indices] = an.data.real
-        up[k, np.repeat(np.arange(d), np.diff(an.indptr))] = an.indices
+    # amp[k, y] = <y - e_k| a^k |y> = <y| a+_k |y - e_k> and up[k, x] = the
+    # index of x + e_k; column d stands for a state outside the truncated space
+    amp, up = space.ap.vals.real, space.an.cols
     safe = np.append(space.safe_mask(2), False)
     # the weight of (a, b, occ) is e_a + e_b + occ
     e = np.eye(n, dtype=int)
     pair_weights = (e[:, None, :] + e[None, :, :]).reshape(n * n, 1, n)
-    weights = (pair_weights + np.array(space.basis)[None, :, :]).reshape(n * n * d, n)
+    weights = (pair_weights + space.occ[None, :, :]).reshape(n * n * d, n)
     blocks = _weight_blocks(weights)
     (a_r, b_r, o_r), (a_c, b_c, o_c) = (np.unravel_index(x, (n, n, d))
                                         for x in (blocks.rows, blocks.cols))
@@ -593,13 +585,12 @@ def invariance_residual(system: KZOperatorSystem, m: np.ndarray) -> float:
     # the entries of every Delta(X), X numbered by xs
     xs, rows, cols, vals = [], [], [], []
     occ, pairs = np.arange(d), np.arange(n * n) * d
-    sigma = sigma_basis(space, data).tocoo()
-    label_of, sigma_row = np.divmod(sigma.row, d)
+    label_of, sigma_row, sigma_col, sigma_data = sigma_entries(space, data)
     for x, lbl in enumerate(data.basis_labels):
         rep = coproduct_rep(data, lbl)
         p1, p2 = np.nonzero(rep)
         mine = label_of == x
-        sig_row, sig_col, sig_data = sigma_row[mine], sigma.col[mine], sigma.data[mine]
+        sig_row, sig_col, sig_data = sigma_row[mine], sigma_col[mine], sigma_data[mine]
         rows += [(p1 * d)[:, None] + occ, pairs[:, None] + sig_row]
         cols += [(p2 * d)[:, None] + occ, pairs[:, None] + sig_col]
         vals += [np.repeat(rep[p1, p2], d), np.tile(sig_data, n * n)]

@@ -1,7 +1,8 @@
 """Classical sl(N) and so(N) structure data.
 
 Defining representations rho, the bilinear oscillator (Jordan-Schwinger)
-realization sigma on a Fock space, the flip P on C^N x C^N and the
+realization sigma on a Fock space (the stored entries of every sigma(x),
+read off the ladder tables), the flip P on C^N x C^N and the
 two-fold coproduct in the defining representation.
 
 Conventions:
@@ -22,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from .fock import FockSpace, eye_kron, kron_eye
+from .fock import FockSpace, _sum_rows
 
 
 @dataclass(frozen=True)
@@ -64,24 +64,34 @@ def rho(data: LieData, x) -> np.ndarray:
     return m
 
 
-def sigma_basis(space: FockSpace, data: LieData) -> sparse.csr_array:
+def sigma_entries(space: FockSpace, data: LieData):
     """The bilinear oscillator realization sigma(x) = rho(x)^i_j a+_i a^j
-    of every basis label, as one (L D) x D column whose block k is
-    sigma(x) for the k-th label of data.basis_labels (built afresh on
-    every call).
+    of every basis label, as its stored entries: flat arrays (label, row,
+    col, value), value being entry (row, col) of sigma(x) for x the
+    label-th of data.basis_labels.
 
-    Two products, whatever N: the column of the a+_i a^j (block
-    j N + i) is (1_N (x) column of the a+_i) times the column of the a^j,
-    and the coefficients rho(x)^i_j enter as (C (x) 1_D), row k of C
-    holding rho(x_k) at column j N + i.  An entry of sigma(x) sums
-    several pairs only on the diagonal, where i = j, so it adds the same
-    terms in the same order as the definition, to the last bit."""
+    a+_i a^j moves each state s by e_j - e_i, so the pairs of one shift
+    make one piece of sigma(x), a weighted shift whose row s holds its
+    one entry in the column of s + e_j - e_i (``FockSpace.shift_targets``).
+    A sl(N) label has one piece (the pairs i = j for a diagonal label), an
+    so(N) label has two.  The entries of a piece are gathered from the
+    ladder tables and summed in increasing j N + i, the terms and the
+    order of the sparse product that stacked the a+_i a^j."""
     if space.modes != data.n:
         raise ValueError(f"space has {space.modes} modes, algebra needs {data.n}")
-    pairs = eye_kron(data.n, sparse.vstack(space.ap, format="csr")) @ \
-        sparse.vstack(space.an, format="csr")
+    n, d = data.n, space.dim
+    an, ap = space.an, space.ap
     coef = np.array([rho(data, lbl).T.ravel() for lbl in data.basis_labels])
-    return kron_eye(coef, space.dim) @ pairs
+    label, p = np.nonzero(coef)   # rho(x)^i_j at column p = j N + i
+    j, i = divmod(p, n)
+    pieces, first, piece = np.unique(label * n * n + np.where(i == j, 0, p),
+                                     return_index=True, return_inverse=True)
+    sigma = _sum_rows(piece, coef[label, p][:, None]
+                      * (ap.vals[i, :d] * an.vals[j[:, None], ap.cols[i, :d]]), pieces.size)
+    eye = np.eye(n, dtype=int)
+    targets = space.shift_targets(eye[j[first]] - eye[i[first]])
+    at, row = np.nonzero(targets < d)
+    return pieces[at] // (n * n), row, targets[at, row], sigma[at, row]
 
 
 def permutation_matrix(n: int) -> np.ndarray:

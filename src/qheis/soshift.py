@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .fock import FockSpace, Statistics, diag, eye_kron
+from .fock import FockSpace, Statistics, column, diag, eye_kron, row
 from .qspecial import DeformParams, y_son_ratio
 from .verify import CaseResult, component_stacks, projected_norms
 
@@ -86,7 +86,7 @@ def build_orbital(space: FockSpace) -> OrbitalData:
     if space.cutoff < 4:
         raise ValueError("cutoff >= 4 required for the shift-equation grid")
     n_modes = space.modes
-    aa = sparse.hstack(space.an, format="csr") @ sparse.vstack(space.an, format="csr")
+    aa = row(space.an) @ column(space.an)
     apap = aa.conj().T.tocsr()
     ntot = space.shell
     shift = (ntot + n_modes / 2.0 - 1.0) ** 2
@@ -139,7 +139,7 @@ class StructureOperands:
     @functools.cached_property
     def columns(self) -> tuple[sparse.csr_array, sparse.csr_array]:
         space = self.orb.space
-        return sparse.vstack(space.an, format="csr"), sparse.vstack(space.ap, format="csr")
+        return column(space.an), column(space.ap)
 
     @functools.cached_property
     def ap_aa(self) -> sparse.csr_array:

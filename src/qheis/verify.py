@@ -15,10 +15,10 @@ have distinct columns, so the block is a partial permutation times a
 diagonal, and its spectral norm is exactly its largest modulus over the
 rows whose row state and target state are both safe
 (:func:`shift_norm`).  The checks of the sl(N) generator sets are built
-this way on the sets' ladder tables (``deform.DeformedGenerators.ladders``,
-``fock.ladder_table``), read once from the CSR arrays: each entry of a
-defect is a few gathers and entrywise sums, and the target of each block
-comes from the occupation keys of its shift
+this way on the sets' ladder tables (``deform.DeformedGenerators.a`` and
+``.ap``, ``fock.LadderTable``), the one stored form of a dressed ladder:
+each entry of a defect is a few gathers and entrywise sums, and the
+target of each block comes from the occupation keys of its shift
 (``FockSpace.shift_targets``), never from the path of a product, which
 a zero dressing or a fermionic creator on an occupied mode would cut.  Every
 entry sums the same products, with the same factors in the same order,
@@ -27,13 +27,14 @@ is that route's to the last bit (``tests/sparse_route.py`` keeps it as
 the oracle).  These checks make no sparse product and no BLAS call:
 :func:`dcr_residuals` (through :func:`quadratic_residual_matrices`),
 :func:`number_op_check`, :func:`invariant_commutant_check` and
-``deform.hermiticity_residual``.  A generator that stores two entries in
-one row, or one off its ladder's shift, and a relation matrix that
-couples pairs of different weight, are rejected with ValueError: their
-blocks would not be one shift.
+``deform.hermiticity_residual``.  A generator set cannot hold anything
+but dressed ladders (its tables are on the space's ladder columns), and
+a relation matrix that couples pairs of different weight is rejected
+with ValueError: its blocks would not be one shift.
 
 Any other defect (the so(N) shift operators, the metric invariants, a
-generator distance) is a sparse CSR array, normed by
+generator distance) is a sparse CSR array, written from the tables on
+demand (``fock.column``, ``fock.row``) and normed by
 :func:`projected_norms`: the stored nonzero entries of the defect that
 lie inside the safe subspace are the edges of a bipartite graph that
 joins the row and the column of each entry.  Its connected components
@@ -83,8 +84,8 @@ from scipy import sparse
 from . import __version__
 from .braid import RelationMatrices
 from .deform import DeformedGenerators
-from .fock import Statistics, eye_kron, kron_eye, ladder_table
-from .liealg import LieData, rho
+from .fock import Statistics, _sum_rows, column, eye_kron, kron_eye, row
+from .liealg import LieData, sigma_entries
 from .qspecial import qnum
 
 
@@ -115,10 +116,6 @@ class Report:
 
     def __post_init__(self):
         self.cases = sorted(self.cases, key=lambda c: c.name)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.cases)
 
 
 def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
@@ -253,15 +250,6 @@ def _pair_entries(m, n: int):
     return r, c, m[r, c]
 
 
-def _sum_rows(rows: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
-    """out[r] = the sum of the terms[e] with rows[e] == r, added from 0 in
-    the order of e (np.add.at on the flat index adds one at a time)."""
-    d = terms.shape[1]
-    out = np.zeros(size * d, dtype=complex)
-    np.add.at(out, (rows[:, None] * d + np.arange(d)).ravel(), terms.ravel())
-    return out.reshape(size, d)
-
-
 def quadratic_residual_matrices(a, ap, rel, cross: dict, sign: int):
     """The stacked defects of the three quadratic exchange relations of the
     generators with gather tables a (the A^i) and ap (the A+_i), for the
@@ -308,8 +296,7 @@ def dcr_residuals(gens: DeformedGenerators, rel: RelationMatrices,
 
     Three groups: annihilating projector against A (x) A, against
     A+ (x) A+, and the cross relation for each carried candidate.  Raises
-    ValueError when a generator is not a dressed ladder or a relation
-    matrix couples pairs of different weight.
+    ValueError when a relation matrix couples pairs of different weight.
     """
     if rel.n != gens.n:
         raise ValueError("generator set and relation matrices disagree on N")
@@ -317,17 +304,17 @@ def dcr_residuals(gens: DeformedGenerators, rel: RelationMatrices,
         raise ValueError("generator set and relation matrices disagree on (q, sign)")
     space, n = gens.space, gens.n
     ann, cre, cross = quadratic_residual_matrices(
-        *gens.ladders, rel.annihilating_projector, rel.cross_candidates, rel.sign)
+        gens.a, gens.ap, rel.annihilating_projector, rel.cross_candidates, rel.sign)
     eye = np.eye(n, dtype=int)
     weight = (eye[:, None] + eye[None, :]).reshape(n * n, n)
     moved = (eye[:, None] - eye[None, :]).reshape(n * n, n)
     up, down, across = np.split(space.shift_targets(np.concatenate([weight, -weight, moved])), 3)
 
-    def row(name, m, targets):
+    def case(name, m, targets):
         return CaseResult(name, shift_norm(space, m, targets, 2), tol, {"safe_degree": 2})
 
-    return [row("dcr_aa", ann, up), row("dcr_apap", cre, down)] + \
-        [row(f"dcr_cross[{name}]", m, across) for name, m in cross.items()]
+    return [case("dcr_aa", ann, up), case("dcr_apap", cre, down)] + \
+        [case(f"dcr_cross[{name}]", m, across) for name, m in cross.items()]
 
 
 def cross_oracle(rows: list[CaseResult]) -> dict:
@@ -370,7 +357,7 @@ def number_op_check(gens: DeformedGenerators, tol: float = 1e-10) -> list[CaseRe
     """
     space, d = gens.space, gens.space.dim
     q2s = gens.params.q ** (2 * gens.params.sign)
-    a, ap = gens.ladders
+    a, ap = gens.a, gens.ap
     nh = gens.number_diagonal()
     eye = np.eye(gens.n, dtype=int)
     up, down = np.split(space.shift_targets(np.concatenate([eye, -eye])), 2)
@@ -412,8 +399,8 @@ def metric_invariant_check(gens: DeformedGenerators, c_lower: np.ndarray,
     identities.  Each row is held to 1e-12.
     """
     space, n, d = gens.space, gens.n, gens.space.dim
-    a_row, ap_row = (sparse.hstack(ops, format="csr") for ops in (gens.a_ops, gens.aplus_ops))
-    a_col, ap_col = (sparse.vstack(ops, format="csr") for ops in (gens.a_ops, gens.aplus_ops))
+    a_row, ap_row = row(gens.a), row(gens.ap)
+    a_col, ap_col = column(gens.a), column(gens.ap)
     # C_ij A^j and C^ij A+_j down the column, and the invariants contracted with them
     c_a, c_ap = kron_eye(c_lower, d) @ a_col, kron_eye(c_upper, d) @ ap_col
     aca = a_row @ (kron_eye(c_lower.T, d) @ a_col)
@@ -441,30 +428,17 @@ def invariant_commutant_check(gens: DeformedGenerators, data: LieData,
     under the classical and the deformed action are equivalent to
     membership in this commutant.
 
-    sigma(X) = rho(X)^i_j a+_i a^j, and a+_i a^j moves s by e_j - e_i, so
-    the pairs of one shift make one piece of sigma(X), summed in
-    increasing j N + i as the sparse product sums them.  A sl(N) basis
-    element has one piece, an so(N) one has two, so the defect stack is
-    measured by the exact component norm, which reads the modulus of each
-    entry of a one-shift block.
+    N_h is diagonal, so entry (s, c) of the defect is sigma(X)_sc
+    (N_h[c] - N_h[s]), on the stored entries of sigma(X)
+    (``liealg.sigma_entries``).  A sl(N) basis element has one piece, an
+    so(N) one has two, so the defect stack is measured by the exact
+    component norm, which reads the modulus of each entry of a one-shift
+    block.
     """
-    space, n, d = gens.space, gens.n, gens.space.dim
-    if space.modes != data.n:
-        raise ValueError(f"space has {space.modes} modes, algebra needs {data.n}")
+    space, d = gens.space, gens.space.dim
     nh = gens.number_diagonal()
-    an, ap = ladder_table(space, space.an, +1), ladder_table(space, space.ap, -1)
-    coef = np.array([rho(data, lbl).T.ravel() for lbl in data.basis_labels])
-    label, p = np.nonzero(coef)   # rho(x)^i_j at column p = j N + i
-    j, i = divmod(p, n)
-    pieces, first, piece = np.unique(label * n * n + np.where(i == j, 0, p),
-                                     return_index=True, return_inverse=True)
-    sigma = _sum_rows(piece, coef[label, p][:, None]
-                      * (ap.vals[i, :d] * an.vals[j[:, None], ap.cols[i, :d]]), pieces.size)
-    eye = np.eye(n, dtype=int)
-    targets = space.shift_targets(eye[j[first]] - eye[i[first]])
-    defect = sigma * nh[targets] - nh[:d] * sigma
-    at = (pieces // (n * n))[:, None] * d   # block of the piece's label
-    kept = targets < d
+    label, rows, cols, sigma = sigma_entries(space, data)
+    defect = sigma * nh[cols] - nh[rows] * sigma
     mask = np.tile(space.safe_mask(2), len(data.basis_labels))
-    norm = _norm_of_entries((at + np.arange(d))[kept], (at + targets)[kept], defect[kept], mask)
+    norm = _norm_of_entries(label * d + rows, label * d + cols, defect, mask)
     return [CaseResult("commutant[qnumber_operator]", norm, tol, {"safe_degree": 2})]

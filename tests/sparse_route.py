@@ -1,9 +1,11 @@
 """The sparse route of the dressed-ladder checks, kept as the oracle of
-the ladder-table route in ``qheis.verify`` and ``qheis.deform``.
+the ladder-table route in ``qheis.fock``, ``qheis.liealg``,
+``qheis.verify`` and ``qheis.deform``.
 
 These are the definitions the package used before the ladder tables, as
-they were, with the package's names imported: every defect is a sparse
-CSR product of the stacked generators, measured by
+they were, with the package's names imported: every ladder and generator
+is a CSR array (:func:`csr_list` reads them off ``fock.column``), every
+defect is a sparse CSR product of the stacked generators, measured by
 ``verify.projected_norms``.  ``quadratic_residual_matrices`` takes lists
 of sparse generators and sparse N^2 D x N^2 D relation operators, so it
 also serves relations whose entries are Fock operators (``tests/test_kz.py``).
@@ -12,17 +14,83 @@ also serves relations whose entries are Fock operators (``tests/test_kz.py``).
 import numpy as np
 from scipy import sparse
 
-from qheis.fock import Statistics, eye_kron, kron_eye
-from qheis.liealg import sigma_basis
+from qheis.fock import FockSpace, Statistics, column, eye_kron, kron_eye
+from qheis.liealg import LieData, rho
 from qheis.qspecial import qnum
 from qheis.verify import CaseResult, projected_norms
+
+
+def csr_list(table) -> list:
+    """The N operators of a ladder table as D x D CSR arrays: the blocks
+    of ``fock.column``."""
+    col = column(table)
+    d = col.shape[1]
+    return [col[i * d:(i + 1) * d] for i in range(col.shape[0] // d)]
+
+
+def _one_per_row(present: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                 shape: tuple[int, int]) -> sparse.csr_array:
+    """The CSR array whose row r holds vals[r] in column cols[r] where
+    present[r], and nothing elsewhere, written directly."""
+    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+    np.cumsum(present, out=indptr[1:])
+    return sparse.csr_array((vals[present].astype(complex), cols[present].astype(np.int32),
+                             indptr), shape=shape)
+
+
+def _ladder(occ: np.ndarray, cols: np.ndarray, fermi: bool, k: int,
+            step: int) -> sparse.csr_array:
+    """Read-only mode-(k+1) annihilator (step +1) or creator (step -1).
+    Row t holds its one entry in the column of t + step e_k, cols[t] from
+    :func:`_unit_steps`, when that state exists.  Bose amplitude
+    sqrt(max n_k); Fermi: the Jordan-Wigner sign (-1)**(n_1 + ... + n_k),
+    which makes the anticommutation relations exact on the full space."""
+    dim = occ.shape[0]
+    cols = cols[:dim]
+    if fermi:
+        vals = np.where(occ[:, :k].sum(axis=1) % 2, -1.0, 1.0)
+    else:
+        vals = np.sqrt(np.maximum(occ[:, k], occ[:, k] + step).astype(float))
+    m = _one_per_row(cols < dim, cols, vals, (dim, dim))
+    for arr in (m.data, m.indices, m.indptr):
+        arr.flags.writeable = False
+    return m
+
+
+def grade_defect(space: FockSpace, op, grade: int) -> float:
+    """Relative Frobenius norm of [n_tot, X] - g X; zero for an X of grade
+    g.  Entry (r, c) of [n_tot, X] is (shell_r - shell_c) X_rc."""
+    m = sparse.coo_array(op)
+    shell = space.shell
+    num = np.linalg.norm((shell[m.row] - shell[m.col] - grade) * m.data)
+    den = np.linalg.norm(m.data)
+    return float(num / den) if den > 0 else 0.0
+
+
+def sigma_basis(space: FockSpace, data: LieData) -> sparse.csr_array:
+    """The bilinear oscillator realization sigma(x) = rho(x)^i_j a+_i a^j
+    of every basis label, as one (L D) x D column whose block k is
+    sigma(x) for the k-th label of data.basis_labels (built afresh on
+    every call).
+
+    Two products, whatever N: the column of the a+_i a^j (block
+    j N + i) is (1_N (x) column of the a+_i) times the column of the a^j,
+    and the coefficients rho(x)^i_j enter as (C (x) 1_D), row k of C
+    holding rho(x_k) at column j N + i.  An entry of sigma(x) sums
+    several pairs only on the diagonal, where i = j, so it adds the same
+    terms in the same order as the definition, to the last bit."""
+    if space.modes != data.n:
+        raise ValueError(f"space has {space.modes} modes, algebra needs {data.n}")
+    pairs = eye_kron(data.n, column(space.ap)) @ column(space.an)
+    coef = np.array([rho(data, lbl).T.ravel() for lbl in data.basis_labels])
+    return kron_eye(coef, space.dim) @ pairs
 
 
 def number_operator(gens) -> sparse.csr_array:
     """N_h = sum_i A+_i A^i (grade 0): the row of the A+_i times the
     column of the A^i, one product."""
-    return (sparse.hstack(gens.aplus_ops, format="csr")
-            @ sparse.vstack(gens.a_ops, format="csr"))
+    return (sparse.hstack(csr_list(gens.ap), format="csr")
+            @ sparse.vstack(csr_list(gens.a), format="csr"))
 
 
 def quadratic_residual_matrices(a, ap, rel, cross: dict, sign: int):
@@ -65,7 +133,7 @@ def dcr_residuals(gens, rel, tol: float = 1e-10) -> list:
         raise ValueError("generator set and relation matrices disagree on (q, sign)")
     d = gens.space.dim
     ann, cre, cross = quadratic_residual_matrices(
-        gens.a_ops, gens.aplus_ops, kron_eye(rel.annihilating_projector, d),
+        csr_list(gens.a), csr_list(gens.ap), kron_eye(rel.annihilating_projector, d),
         {name: kron_eye(pt, d) for name, pt in rel.cross_candidates.items()}, rel.sign)
 
     def row(name, m):
@@ -92,7 +160,7 @@ def number_op_check(gens, tol: float = 1e-10) -> list:
     q2s = gens.params.q ** (2 * gens.params.sign)
     nh = number_operator(gens)
     nh_n = eye_kron(gens.n, nh)
-    a_col, ap_col = (sparse.vstack(ops, format="csr") for ops in (gens.a_ops, gens.aplus_ops))
+    a_col, ap_col = (sparse.vstack(csr_list(t), format="csr") for t in (gens.a, gens.ap))
     out = [
         CaseResult("qnumber_creator_relation",
                    projected_norms(space, nh_n @ ap_col - ap_col - q2s * (ap_col @ nh), 2),
@@ -132,5 +200,5 @@ def hermiticity_residual(gens) -> float:
     """max_i || (A^i)+ - A+_i || on the whole space (compact case, real q):
     an identity of creator degree 0, measured on the D x N D row whose
     block i is (A^i)+ - A+_i."""
-    return projected_norms(gens.space, sparse.vstack(gens.a_ops, format="csr").conj().T
-                           - sparse.hstack(gens.aplus_ops, format="csr"), 0)
+    return projected_norms(gens.space, sparse.vstack(csr_list(gens.a), format="csr").conj().T
+                           - sparse.hstack(csr_list(gens.ap), format="csr"), 0)

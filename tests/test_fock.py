@@ -6,15 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
+import sparse_route
 from qheis import fock
 from qheis.fock import Statistics
+from sparse_route import csr_list
 
 
 def test_dimensions():
     assert fock.build_space(2, Statistics.FERMI).dim == 4
     assert fock.build_space(2, Statistics.BOSE, 3).dim == 10  # C(5, 2)
     sp = fock.build_space(1, Statistics.BOSE, 5)
-    assert sp.basis == tuple((k,) for k in range(6))
+    assert sp.occ.tolist() == [[k] for k in range(6)]
 
 
 def test_build_space_rejects_bad_input():
@@ -32,42 +34,55 @@ def test_build_space_rejects_bad_input():
 def test_index_and_basis_are_mutually_inverse(modes, cutoff, fermi):
     sp = fock.build_space(modes, Statistics.FERMI if fermi else Statistics.BOSE,
                           cutoff)
-    for k, t in enumerate(sp.basis):
+    basis = list(map(tuple, sp.occ.tolist()))
+    for k, t in enumerate(basis):
         assert sp.state_index(t) == k
     # lexicographic ordering is strict
-    assert list(sp.basis) == sorted(sp.basis)
+    assert basis == sorted(set(basis))
+    with pytest.raises(KeyError):
+        sp.state_index((sp.cutoff + 1,) + (0,) * (modes - 1))
+
+
+def test_spaces_compare_by_what_fixes_them():
+    sp = fock.build_space(2, Statistics.BOSE, 3)
+    assert sp == fock.build_space(2, Statistics.BOSE, 3)
+    assert hash(sp) == hash(fock.build_space(2, Statistics.BOSE, 3))
+    assert sp != fock.build_space(2, Statistics.BOSE, 4)
+    assert fock.build_space(2, Statistics.FERMI) != fock.build_space(2, Statistics.BOSE, 2)
 
 
 def test_bose_number_eigenvalues():
     sp = fock.build_space(2, Statistics.BOSE, 4)
-    ada = sp.ap[0].toarray() @ sp.an[0].toarray()
-    for k, t in enumerate(sp.basis):
+    ada = csr_list(sp.ap)[0].toarray() @ csr_list(sp.an)[0].toarray()
+    for k, t in enumerate(sp.occ):
         assert abs(ada[k, k] - t[0]) < 1e-14
 
 
 def test_fermi_car_exact_on_full_space():
     sp = fock.build_space(3, Statistics.FERMI)
-    for i, a in enumerate(sp.an):
-        for j, ap in enumerate(sp.ap):
+    an, ap_ops = csr_list(sp.an), csr_list(sp.ap)
+    for i, a in enumerate(an):
+        for j, ap in enumerate(ap_ops):
             acomm = (a @ ap + ap @ a).toarray()
             target = np.eye(sp.dim) if i == j else 0.0
             assert np.linalg.norm(acomm - target) == 0.0
     # pure annihilator pairs anticommute as well
-    a1, a2 = sp.an[:2]
+    a1, a2 = an[:2]
     assert np.linalg.norm((a1 @ a2 + a2 @ a1).toarray()) == 0.0
 
 
 def test_bose_ccr_on_safe_subspace():
     sp = fock.build_space(2, Statistics.BOSE, 3)
     safe = np.ix_(sp.safe_mask(1), sp.safe_mask(1))
-    for i, a in enumerate(sp.an):
-        for j, ap in enumerate(sp.ap):
+    an, ap_ops = csr_list(sp.an), csr_list(sp.ap)
+    for i, a in enumerate(an):
+        for j, ap in enumerate(ap_ops):
             comm = (a @ ap - ap @ a).toarray()
             target = np.eye(sp.dim) if i == j else 0.0
             assert np.linalg.norm((comm - target)[safe]) < 1e-13
     # the defect lives only on the top shell: restricting to total <= 2
     mask = sp.shell <= 2
-    comm = (sp.an[0] @ sp.ap[0] - sp.ap[0] @ sp.an[0]).toarray()
+    comm = (an[0] @ ap_ops[0] - ap_ops[0] @ an[0]).toarray()
     sub = (comm - np.eye(sp.dim))[np.ix_(mask, mask)]
     assert np.linalg.norm(sub) < 1e-14
 
@@ -79,11 +94,11 @@ def test_number_operators():
     assert n[vac, vac] == 0
     k = sp.state_index((1, 2))
     assert n[k, k] == 3
-    summed = sum(ap.toarray() @ a.toarray() for a, ap in zip(sp.an, sp.ap))
+    an, ap_ops = csr_list(sp.an), csr_list(sp.ap)
+    summed = sum(ap.toarray() @ a.toarray() for a, ap in zip(an, ap_ops))
     assert np.linalg.norm(summed - n) < 1e-13
     # the mode-i number operator is the i-th column of the occupation table
-    occ = np.array(sp.basis)
-    for a, ap, col in zip(sp.an, sp.ap, occ.T):
+    for a, ap, col in zip(an, ap_ops, sp.occ.T):
         assert np.linalg.norm((ap @ a).toarray() - np.diag(col)) < 1e-13
 
 
@@ -106,12 +121,11 @@ def test_fermionic_spaces_are_all_safe(modes):
 def test_diag():
     sp = fock.build_space(2, Statistics.BOSE, 3)
     assert np.array_equal(fock.diag(np.ones(sp.dim)).toarray(), np.eye(sp.dim))
-    occ = np.array(sp.basis)
-    d = fock.diag(2.0 ** occ[:, 1])
+    d = fock.diag(2.0 ** sp.occ[:, 1])
     k = sp.state_index((0, 3))
     assert d.toarray()[k, k] == 8.0
     # diagonal functions commute with the number operators
-    for a, ap in zip(sp.an, sp.ap):
+    for a, ap in zip(csr_list(sp.an), csr_list(sp.ap)):
         num = ap @ a
         assert np.linalg.norm((d @ num - num @ d).toarray()) == 0.0
     # zero entries are not stored: the vacuum's shell is 0
@@ -128,20 +142,37 @@ def test_diag():
 def test_adjointness_and_grades():
     for stat, cut in ((Statistics.BOSE, 4), (Statistics.FERMI, None)):
         sp = fock.build_space(2, stat, cut)
-        for a, ap in zip(sp.an, sp.ap):
+        for a, ap in zip(csr_list(sp.an), csr_list(sp.ap)):
             assert np.array_equal(ap.toarray(), a.toarray().conj().T)
-            assert fock.grade_defect(sp, a, -1) < 1e-13
-            assert fock.grade_defect(sp, ap, +1) < 1e-13
-            # the grade is measured, not stored: the wrong one shows
-            assert fock.grade_defect(sp, a, +1) > 1
+        assert fock.grade_defect(sp, sp.an, -1) < 1e-13
+        assert fock.grade_defect(sp, sp.ap, +1) < 1e-13
+        # the grade is measured, not stored: the wrong one shows
+        assert fock.grade_defect(sp, sp.an, +1) > 1
+
+
+@pytest.mark.parametrize("modes,stat,cut", [(2, Statistics.BOSE, 4), (3, Statistics.BOSE, 3),
+                                            (3, Statistics.FERMI, None)])
+def test_grade_defect_is_the_sparse_definition(modes, stat, cut):
+    # the table reads the stored entries of each operator in row order, so
+    # the norms are those of the sparse definition to the bit
+    sp = fock.build_space(modes, stat, cut)
+    rng = np.random.default_rng(modes)
+    for table in (sp.an, sp.ap):
+        dressed = fock.LadderTable(table.cols,
+                                   table.vals * rng.uniform(0.5, 2.0, table.vals.shape))
+        for grade in (-1, 0, 1, 2):
+            want = max(sparse_route.grade_defect(sp, op, grade) for op in csr_list(dressed))
+            assert fock.grade_defect(sp, dressed, grade) == want
 
 
 def test_ladders_are_stored_read_only():
     sp = fock.build_space(2, Statistics.BOSE, 3)
-    for op in sp.an + sp.ap:
-        for arr in (op.data, op.indices, op.indptr):
+    for table in (sp.an, sp.ap):
+        for arr in table:
             with pytest.raises(ValueError):
-                arr[0] = arr[0]
+                arr[0, 0] = arr[0, 0]
+    with pytest.raises(ValueError):
+        sp.occ[0, 0] = 1
 
 
 
@@ -197,10 +228,11 @@ def loop_ladder(space, k, step):
     """The ladder state by state: row t holds its one entry in the column
     of t + step e_k, when that state exists."""
     fermi = space.statistics is Statistics.FERMI
+    index = {t: c for c, t in enumerate(map(tuple, space.occ.tolist()))}
     indptr, indices, vals = [0], [], []
-    for t in space.basis:
+    for t in index:
         other = t[:k] + (t[k] + step,) + t[k + 1:]
-        col = space.index.get(other)
+        col = index.get(other)
         if col is not None:
             indices.append(col)
             vals.append((-1.0) ** sum(t[:k]) if fermi else math.sqrt(max(t[k], other[k])))
@@ -216,9 +248,35 @@ def loop_ladder(space, k, step):
 ])
 def test_ladders_are_the_per_state_loop(modes, stat, cut):
     sp = fock.build_space(modes, stat, cut)
-    for k in range(modes):
-        assert same_csr(sp.an[k], loop_ladder(sp, k, +1))
-        assert same_csr(sp.ap[k], loop_ladder(sp, k, -1))
+    for k, (a, ap) in enumerate(zip(csr_list(sp.an), csr_list(sp.ap))):
+        assert same_csr(a, loop_ladder(sp, k, +1))
+        assert same_csr(ap, loop_ladder(sp, k, -1))
+    # a row with no entry, and the sink row, hold column D and value 0
+    for table in (sp.an, sp.ap):
+        assert table.cols.shape == table.vals.shape == (modes, sp.dim + 1)
+        assert (table.vals[table.cols == sp.dim] == 0).all()
+        assert (table.cols[:, sp.dim] == sp.dim).all()
+
+
+@pytest.mark.parametrize("modes,stat,cut", [
+    (1, Statistics.BOSE, 5), (2, Statistics.BOSE, 1), (3, Statistics.BOSE, 4),
+    (4, Statistics.BOSE, 3), (1, Statistics.FERMI, None), (3, Statistics.FERMI, None),
+])
+def test_column_and_row_are_the_stacked_csr_ladders(modes, stat, cut):
+    # the CSR ladders of the package before the tables, stacked by scipy,
+    # stored entry for entry in the same order
+    sp = fock.build_space(modes, stat, cut)
+    fermi = stat is Statistics.FERMI
+    steps = fock._unit_steps(sp.occ, sp.cutoff)
+    old = {"an": [sparse_route._ladder(sp.occ, steps[1, k], fermi, k, +1) for k in range(modes)],
+           "ap": [sparse_route._ladder(sp.occ, steps[0, k], fermi, k, -1) for k in range(modes)]}
+    for name, ops in old.items():
+        table = getattr(sp, name)
+        assert same_csr(fock.column(table), sparse.vstack(ops, format="csr"))
+        assert same_csr(fock.row(table), sparse.hstack(ops, format="csr"))
+        # an entry dressed to 0 stays stored, as in a scaled CSR array
+        zeroed = fock.LadderTable(table.cols, 0 * table.vals)
+        assert fock.column(zeroed).nnz == fock.row(zeroed).nnz == fock.column(table).nnz
 
 
 @pytest.mark.parametrize("modes,cutoff", [(2, 12), (3, 10), (4, 7), (5, 3), (6, 10), (1, 1)])
@@ -228,8 +286,8 @@ def test_bose_basis_is_the_filtered_enumeration(modes, cutoff):
     old = tuple(sorted(t for t in itertools.product(range(cutoff + 1), repeat=modes)
                        if sum(t) <= cutoff))
     new = fock._bose_basis(modes, cutoff)
-    assert new == old
-    assert all(type(n) is int for n in new[-1])
+    assert list(map(tuple, new.tolist())) == list(old)
+    assert new.dtype == int
 
 
 @pytest.mark.parametrize("modes,stat,cut", [(1, Statistics.BOSE, 4), (3, Statistics.BOSE, 4),
@@ -239,8 +297,7 @@ def test_shift_targets_are_the_state_lookup(modes, stat, cut):
     shifts = np.array(list(itertools.product(range(-2, 3), repeat=modes)))
     targets = sp.shift_targets(shifts)
     assert targets.shape == (len(shifts), sp.dim)
+    index = {t: c for c, t in enumerate(map(tuple, sp.occ.tolist()))}
     for v, row in zip(shifts, targets):
-        want = [sp.index.get(tuple(np.add(t, v).tolist()), sp.dim) for t in sp.basis]
+        want = [index.get(tuple(np.add(t, v).tolist()), sp.dim) for t in index]
         assert row.tolist() == want
-    assert sp.unit_steps.shape == (2, modes, sp.dim + 1)
-    assert (sp.unit_steps[:, :, sp.dim] == sp.dim).all()

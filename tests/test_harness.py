@@ -77,23 +77,23 @@ def test_dcr_products_built_once_per_generator_set(monkeypatch):
 @pytest.mark.parametrize("suite", ["sl2-bose", "sl2-fermi", "slN", "soN-orbital",
                                    "kz-operator"])
 def test_ladders_built_once_per_space(suite, monkeypatch):
-    # every operator reuses the 2N ladders its space built
+    # every operator reuses the ladder tables its space built, in one call
     spaces, ladders = [], []
-    build_space, ladder = fock.build_space, fock._ladder
+    build_space, ladder = fock.build_space, fock._ladders
 
     def counting_build(*args, **kwargs):
         spaces.append(build_space(*args, **kwargs))
         return spaces[-1]
 
-    def counting_ladder(*args, **kwargs):
+    def counting_ladders(*args, **kwargs):
         ladders.append(args)
         return ladder(*args, **kwargs)
 
     monkeypatch.setattr(suites, "build_space", counting_build)
-    monkeypatch.setattr(fock, "_ladder", counting_ladder)
-    assert suites.run_suite(suites.make_config(suite)).all_passed
+    monkeypatch.setattr(fock, "_ladders", counting_ladders)
+    assert all(c.passed for c in suites.run_suite(suites.make_config(suite)).cases)
     assert spaces
-    assert len(ladders) == sum(2 * sp.modes for sp in spaces)
+    assert len(ladders) == len(spaces)
 
 
 @pytest.mark.parametrize("sizes", ["defaults", "minima"])
@@ -247,6 +247,7 @@ def test_cli_failure_exit_code(tmp_path, monkeypatch):
     (["suite", "sl2-bose", "--cutoff", "2"], None),
     (["suite", "soN-orbital", "--modes", "2"], None),
     (["suite", "kz-operator", "--q", "0.9", "1.2"], None),
+    (["suite", "kz-operator", "--q", "1.0"], None),
     (["suite", "kz-scalar", "--eps", "1e-9"], None),
     (["suite", "kz-scalar", "--eps", "1e-6", "1e-7"], None),
     (["suite", "kz-scalar"], {"eps": [1e-6, 1e-7]}),
@@ -267,7 +268,7 @@ def test_cli_failure_exit_code(tmp_path, monkeypatch):
     (["suite", "slN", "--q", "1.2345671", "1.2345672"], None),
 ], ids=["unknown-suite", "jobs-flag", "jobs-config-key", "tol-flag", "tol-config-key",
         "kz-operator-cutoff-2", "sign-flag", "slN-cutoff-2", "slN-modes-1",
-        "sl2-bose-cutoff-2", "soN-orbital-modes-2", "kz-operator-two-q",
+        "sl2-bose-cutoff-2", "soN-orbital-modes-2", "kz-operator-two-q", "kz-operator-q-1",
         "kz-scalar-eps-1e-9", "kz-scalar-two-eps", "kz-scalar-two-eps-config-key",
         "kz-scalar-n-0.5", "kz-scalar-hbar2-0.5", "kz-scalar-n5-hbar2-0.2",
         "kz-scalar-n10-hbar2-0.1", "kz-scalar-hbar2-0", "kz-operator-eps-0",

@@ -1,8 +1,9 @@
 """No module of the package, the demos or the tests imports a name it never
 uses.  An import whose statement carries ``# noqa`` is exempt (``kz``
 binds ``solve_ivp`` and ``expm`` for callers outside the module).  Every
-public function of the package is read somewhere in the package, so none
-is kept for the tests alone."""
+public function of the package, and every public method and property of
+its classes, is read somewhere in the package, so none is kept for the
+tests or the demos alone."""
 
 import ast
 from pathlib import Path
@@ -45,17 +46,33 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports(source) == ["2: os", "4: tau"]
 
 
+def public_definitions(tree: ast.Module):
+    """(name, line) of each public module-level function, and of each
+    public method and property of a module-level class."""
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        for member in members:
+            if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                yield member.name, member.lineno
+
+
 def test_every_public_function_has_a_caller():
     trees = {path: ast.parse(path.read_text()) for path in PACKAGE}
     read = {node.id if isinstance(node, ast.Name) else node.attr
             for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
-    orphans = [f"{path.relative_to(ROOT)}: {node.name}" for path, tree in trees.items()
-               for node in tree.body
-               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-               and node.name not in read]
+    orphans = [f"{path.relative_to(ROOT)}:{line}: {name}" for path, tree in trees.items()
+               for name, line in public_definitions(tree) if name not in read]
     assert PACKAGE
-    assert not orphans, "public functions no module of the package reads:\n" + "\n".join(orphans)
+    assert not orphans, ("public functions, methods and properties no module of the "
+                         "package reads:\n" + "\n".join(orphans))
+
+
+def test_the_caller_check_sees_class_members():
+    source = ("class A:\n    x: int\n    def used(self): pass\n"
+              "    @property\n    def p(self): pass\n    def _private(self): pass\n"
+              "def f(): pass\n")
+    assert list(public_definitions(ast.parse(source))) == [("used", 3), ("p", 5), ("f", 7)]
 
 
 def test_no_kron_or_diags_array_in_the_package():

@@ -11,6 +11,7 @@ import sparse_route
 from qheis import fock, kz, liealg, suites, verify
 from qheis.fock import Statistics
 from qheis.qspecial import CLIFFORD, WEYL, DeformParams, qnum
+from sparse_route import csr_list
 
 
 def test_params_validation():
@@ -204,11 +205,17 @@ def test_relation_check_refuses_a_near_singular_m(op_system):
         kz.coassociator_relation_check(op_system, (DeformParams(1.0, WEYL),), m)[0]
 
 
+def to_sparse(blocks, x):
+    """The full-space operator of the flat weight blocks x, with the blocks
+    as its stored entries."""
+    return sparse.csr_array((x, (blocks.rows, blocks.cols)), shape=(blocks.dim, blocks.dim))
+
+
 def _dense_p_a(space):
     """P and A = 1 x e_ij x a+_j a^i as dense N^2 D x N^2 D matrices."""
     n, d = space.modes, space.dim
-    an = [m.toarray() for m in space.an]
-    ap = [m.toarray() for m in space.ap]
+    an = [m.toarray() for m in csr_list(space.an)]
+    ap = [m.toarray() for m in csr_list(space.ap)]
     e = np.eye(n)
     a = sum(np.kron(np.kron(e, np.outer(e[i], e[j])), ap[j] @ an[i])
             for i in range(n) for j in range(n))
@@ -218,7 +225,7 @@ def _dense_p_a(space):
 def _weights(space):
     """The sl(N) weight e_a + e_b + occ of each basis vector (a, b, occ)."""
     n = space.modes
-    occ = np.array(space.basis)
+    occ = space.occ
     return np.array([np.eye(n)[a] + np.eye(n)[b] + o
                      for a in range(n) for b in range(n) for o in occ])
 
@@ -258,8 +265,8 @@ def test_p_and_a_conserve_the_weight(modes, cutoff):
     # the flat weight blocks of the system are exactly these P and A
     system = kz.build_operator_system(space)
     blocks = system.blocks
-    assert np.array_equal(blocks.to_sparse(system.p).toarray(), p)
-    assert np.array_equal(blocks.to_sparse(system.a).toarray(), a)
+    assert np.array_equal(to_sparse(blocks, system.p).toarray(), p)
+    assert np.array_equal(to_sparse(blocks, system.a).toarray(), a)
     assert np.array_equal(w[blocks.rows], w[blocks.cols])
     assert max(shape[1] for _, shape in blocks.stacks) <= modes * modes
 
@@ -269,7 +276,7 @@ def test_p_and_a_conserve_the_weight(modes, cutoff):
 def test_coassociator_matches_dense_oracle(modes, cutoff, h):
     space = fock.build_space(modes, Statistics.BOSE, cutoff)
     system = kz.build_operator_system(space)
-    m = system.blocks.to_sparse(kz.coassociator_matrices(system, (hbar2_of(h),))[0]).toarray()
+    m = to_sparse(system.blocks, kz.coassociator_matrices(system, (hbar2_of(h),))[0]).toarray()
     p, a = _dense_p_a(space)
     assert np.linalg.norm(m - _dense_coassociator(p, a, hbar2_of(h)), 2) <= 1e-10
     w = _weights(space)
@@ -286,7 +293,7 @@ def test_truncated_series_misses_the_dense_oracle(monkeypatch):
     p, a = _dense_p_a(space)
     want = _dense_coassociator(p, a, hbar2_of(0.1))
     monkeypatch.setattr(kz, "_TAIL", 1e-3)
-    m = system.blocks.to_sparse(kz.coassociator_matrices(system, (hbar2_of(0.1),))[0]).toarray()
+    m = to_sparse(system.blocks, kz.coassociator_matrices(system, (hbar2_of(0.1),))[0]).toarray()
     assert np.linalg.norm(m - want, 2) > 1e-6
 
 
@@ -316,10 +323,10 @@ def test_invariance_residual_matches_dense_oracle():
     system = kz.build_operator_system(space)
     data = liealg.LieData("sl", 2)
     m = _random_blocks(system, np.random.default_rng(11))
-    big_m = system.blocks.to_sparse(m).toarray()
+    big_m = to_sparse(system.blocks, m).toarray()
     safe = np.tile(space.safe_mask(2), 4)
     want = 0.0
-    sigma, d = liealg.sigma_basis(space, data).toarray(), space.dim
+    sigma, d = sparse_route.sigma_basis(space, data).toarray(), space.dim
     for k, lbl in enumerate(data.basis_labels):
         delta2 = (np.kron(liealg.coproduct_rep(data, lbl), np.eye(d))
                   + np.kron(np.eye(4), sigma[k * d:(k + 1) * d]))
@@ -335,10 +342,10 @@ def _sparse_invariance(system, m, data):
     [M, Delta(X)] (sparse.kron), each normed exactly through the
     components of its safe-projected sparsity graph."""
     space, n = system.space, system.n
-    big_m = system.blocks.to_sparse(m)
+    big_m = to_sparse(system.blocks, m)
     safe = np.tile(space.safe_mask(2), n * n)
     worst = 0.0
-    sigma, d = liealg.sigma_basis(space, data), space.dim
+    sigma, d = sparse_route.sigma_basis(space, data), space.dim
     for k, lbl in enumerate(data.basis_labels):
         delta2 = (sparse.kron(liealg.coproduct_rep(data, lbl), sparse.eye_array(d))
                   + sparse.kron(sparse.eye_array(n * n), sigma[k * d:(k + 1) * d]))
@@ -382,22 +389,22 @@ def _sparse_relations(system, params, m):
     space, blocks, s, q = system.space, system.blocks, params.sign, params.q
     minv = blocks.join([np.linalg.inv(u) for u in blocks.views(m)])
     v = q**s * ((q + 1.0 / q) / 2.0 * system.p + (q - 1.0 / q) / 2.0 * blocks.eye)
-    mu = blocks.to_sparse(blocks.matmul(minv, blocks.matmul(system.p, m)))
-    mv = blocks.to_sparse(blocks.matmul(minv, blocks.matmul(v, m)))
+    mu = to_sparse(blocks, blocks.matmul(minv, blocks.matmul(system.p, m)))
+    mv = to_sparse(blocks, blocks.matmul(minv, blocks.matmul(v, m)))
     q2s = q ** (2 * s)
     itilde = np.array([qnum(t + 1.0, q2s).real / (t + 1.0) for t in range(space.cutoff + 1)])
     dit = sparse.diags_array(itilde[space.shell].astype(complex))
     rel = sparse.eye_array(blocks.dim) - s * mu
     aa, apap, cross = sparse_route.quadratic_residual_matrices(
-        list(space.an), [x @ dit for x in space.ap], rel, {"cross": mv}, s)
+        csr_list(space.an), [x @ dit for x in csr_list(space.ap)], rel, {"cross": mv}, s)
     return [verify.projected_norms(space, x, 2) for x in (aa, apap, cross["cross"])]
 
 
 def _sparse_acts_trivially(system, m):
     """|| M . (aa) - aa || with aa the sparse column of the a^i a^j."""
-    n, an = system.n, system.space.an
+    n, an = system.n, csr_list(system.space.an)
     aa = sparse.vstack([an[i] @ an[j] for i in range(n) for j in range(n)])
-    return [verify.projected_norms(system.space, system.blocks.to_sparse(m) @ aa - aa, 2)]
+    return [verify.projected_norms(system.space, to_sparse(system.blocks, m) @ aa - aa, 2)]
 
 
 # the deformation of each relation check; None stands for acts_trivially_residual

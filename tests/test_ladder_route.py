@@ -1,6 +1,6 @@
 """The ladder-table route of the dressed-ladder checks against the sparse
 route it replaced (tests/sparse_route.py), row by row and bit for bit,
-and its guards."""
+and the guards of the tables."""
 
 import ast
 import inspect
@@ -8,7 +8,6 @@ import textwrap
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 import sparse_route
 from qheis import braid, deform, fock, liealg, verify
@@ -24,23 +23,21 @@ def dressed_map(space, params, ordering):
     q^(-sum n_j) over the same modes j on a fermionic one."""
     if space.statistics is Statistics.BOSE:
         return deform.sln_candidate_map(space, params, ordering)
-    occ, a, ap = space.occ, [], []
+    occ, d = space.occ, []
     for k in range(space.modes):
         tail = occ[:, k + 1:] if ordering == "above" else occ[:, :k]
-        d = params.q ** (-tail.sum(axis=1).astype(float))
-        a.append(deform._scaled(space.an[k], right=d))
-        ap.append(deform._scaled(space.ap[k], left=d))
-    return deform.DeformedGenerators(space, params, a, ap)
+        d.append(params.q ** (-tail.sum(axis=1).astype(float)))
+    return deform.DeformedGenerators(space, params, deform._dressed(space.an, right=np.array(d)),
+                                     deform._dressed(space.ap, left=np.array(d)))
 
 
 def random_map(space, params, rng):
     """Random positive dressings: no relation holds, so every defect is
     compared at full size."""
     def d():
-        return rng.uniform(0.5, 2.0, space.dim)
-    return deform.DeformedGenerators(space, params,
-                                     [deform._scaled(x, right=d()) for x in space.an],
-                                     [deform._scaled(x, left=d()) for x in space.ap])
+        return rng.uniform(0.5, 2.0, (space.modes, space.dim))
+    return deform.DeformedGenerators(space, params, deform._dressed(space.an, right=d()),
+                                     deform._dressed(space.ap, left=d()))
 
 
 def both_routes(gens, rel, data):
@@ -92,48 +89,77 @@ def test_so_commutant_is_the_sparse_route(n):
 def test_number_operator_is_the_sparse_product():
     space = fock.build_space(3, Statistics.BOSE, 5)
     gens = random_map(space, DeformParams(1.3, WEYL), np.random.default_rng(1))
-    new, old = gens.number_operator(), sparse_route.number_operator(gens)
-    assert (new != old).nnz == 0
-    assert gens.number_diagonal()[-1] == 0  # the sink
+    nh = gens.number_diagonal()
+    old = sparse_route.number_operator(gens)
+    assert np.array_equal(nh[:-1], old.diagonal())
+    assert old.count_nonzero() == np.count_nonzero(old.diagonal())
+    assert nh[-1] == 0  # the sink
 
 
 def test_ladder_tables_are_the_csr_entries():
+    # the tables of a generator set store the entries of the sparse
+    # products a^i diag(d_i) and diag(d_i) a+_i, and nothing else
     space = fock.build_space(3, Statistics.BOSE, 4)
     gens = deform.sln_candidate_map(space, DeformParams(1.3, WEYL))
-    d = space.dim
-    for table, ops in zip(gens.ladders, (gens.a_ops, gens.aplus_ops)):
+    occ, d = space.occ, space.dim
+    root = deform._sqrt_ratio(1.3, space.cutoff)
+    power = deform._tabulate(lambda n: 1.3 ** n, space.cutoff)
+    for k, (a, ap, a0, ap0) in enumerate(zip(*map(sparse_route.csr_list, (
+            gens.a, gens.ap, space.an, space.ap)))):
+        dress = fock.diag(root[occ[:, k]] * power[occ[:, k + 1:].sum(axis=1)])
+        for got, want in ((a, a0 @ dress), (ap, dress @ ap0)):
+            assert np.array_equal(got.toarray(), want.toarray())
+            assert got.nnz == want.nnz
+    for table in (gens.a, gens.ap):
         assert table.cols.shape == table.vals.shape == (3, d + 1)
         assert (table.cols[:, d] == d).all() and (table.vals[:, d] == 0).all()
-        for i, op in enumerate(ops):
-            cols = np.minimum(table.cols[i, :d], d - 1)  # a row with no entry holds 0
-            back = sparse.csr_array((table.vals[i, :d], (np.arange(d), cols)), shape=(d, d))
-            assert np.array_equal(back.toarray(), op.toarray())
-            assert (table.vals[i, :d][table.cols[i, :d] == d] == 0).all()
-    assert gens.ladders is gens.ladders  # read once
+        assert (table.vals[table.cols == d] == 0).all()
 
 
-def test_two_entries_in_a_row_are_rejected():
+def test_dressed_is_the_scaled_csr():
+    # diag(left) X diag(right), scaled entry by entry: left, then right
+    space = fock.build_space(3, Statistics.BOSE, 4)
+    rng = np.random.default_rng(2)
+    left, right = rng.uniform(0.5, 2.0, (2, 3, space.dim))
+    for table in (space.an, space.ap):
+        got = sparse_route.csr_list(deform._dressed(table, left, right))
+        for k, op in enumerate(sparse_route.csr_list(table)):
+            rows = np.repeat(np.arange(space.dim), np.diff(op.indptr))
+            want = left[k][rows] * op.data * right[k][op.indices]
+            assert np.array_equal(got[k].data, want)
+            assert np.array_equal(got[k].indices, op.indices)
+    # one dressing for every mode broadcasts
+    same = deform._dressed(space.an, left[0])
+    assert np.array_equal(same.vals, deform._dressed(space.an, np.tile(left[0], (3, 1))).vals)
+
+
+def test_generators_must_be_on_the_space_ladders():
     space = fock.build_space(2, Statistics.BOSE, 5)
     params = DeformParams(1.3, WEYL)
     gens = deform.sl2_bose_map(space, params)
-    rel = braid.build_relations("sl", 2, 1.3, WEYL)
-    # a^1 + a^2 stores two entries in most rows
-    bad = deform.DeformedGenerators(space, params, [gens.a_ops[0] + gens.a_ops[1],
-                                                    gens.a_ops[1]], gens.aplus_ops)
-    with pytest.raises(ValueError, match="entries in row"):
-        verify.dcr_residuals(bad, rel)
-    # one entry per row, but off the ladder's shift: a+_1 in place of a^1
-    moved = deform.DeformedGenerators(space, params, [gens.aplus_ops[0], gens.a_ops[1]],
-                                      gens.aplus_ops)
-    with pytest.raises(ValueError, match="not a dressed ladder"):
-        verify.dcr_residuals(moved, rel)
+    assert gens.a.cols is space.an.cols and gens.ap.cols is space.ap.cols
+    # a+_1 in place of the annihilators: one entry per row, off their shift
+    with pytest.raises(ValueError, match="annihilator table is not on the columns"):
+        deform.DeformedGenerators(space, params, gens.ap, gens.ap)
+    # equal columns that are not the space's own arrays
+    copied = fock.LadderTable(space.ap.cols.copy(), gens.ap.vals)
+    with pytest.raises(ValueError, match="creator table is not on the columns"):
+        deform.DeformedGenerators(space, params, gens.a, copied)
+    # the tables of another space of the same shape
+    other = fock.build_space(2, Statistics.BOSE, 5)
+    with pytest.raises(ValueError, match="not on the columns"):
+        deform.DeformedGenerators(space, params, other.an, other.ap)
+    # values that do not fit the columns
+    short = fock.LadderTable(space.an.cols, gens.a.vals[:, :-1])
+    with pytest.raises(ValueError, match="not on the columns"):
+        deform.DeformedGenerators(space, params, short, gens.ap)
 
 
 def test_relations_coupling_different_weights_are_rejected():
     space = fock.build_space(2, Statistics.BOSE, 5)
     gens = deform.sl2_bose_map(space, DeformParams(1.3, WEYL))
     rel = braid.build_relations("sl", 2, 1.3, WEYL)
-    a, ap = gens.ladders
+    a, ap = gens.a, gens.ap
     pi = rel.annihilating_projector
     with pytest.raises(ValueError, match="different weight"):
         coupled = pi.copy()
@@ -160,10 +186,10 @@ def test_delta_term_targets_the_row_where_the_creator_leaves_the_space():
     assert abs(rows["dcr_cross[qR_inv]"] - 0.6498722033542244) < 1e-15
 
 
-ROUTE = (verify.shift_norm, verify._pair_entries, verify._sum_rows,
+ROUTE = (verify.shift_norm, verify._pair_entries, fock._sum_rows,
          verify.quadratic_residual_matrices, verify.dcr_residuals, verify.number_op_check,
-         verify.invariant_commutant_check, deform.hermiticity_residual,
-         deform.DeformedGenerators.number_diagonal, fock.ladder_table,
+         verify.invariant_commutant_check, liealg.sigma_entries, deform.hermiticity_residual,
+         deform.DeformedGenerators.number_diagonal, deform._dressed,
          fock.FockSpace.shift_targets, fock._unit_steps)
 BLAS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "kron", "outer", "solve",
         "svd", "eigh", "inv"}
@@ -174,7 +200,7 @@ def test_the_route_makes_no_blas_call():
     # OpenBLAS's worker thread and raises the CPU time of a pass although
     # its wall time falls: the route gathers and adds entrywise only
     found = []
-    for fn in ROUTE + (deform.DeformedGenerators.ladders.func,):
+    for fn in ROUTE:
         tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
         for node in ast.walk(tree):
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import sparse_route
 from qheis import fock, liealg
 from qheis.fock import Statistics
+from sparse_route import csr_list
 
 
 def fro(m):
@@ -11,10 +13,13 @@ def fro(m):
 
 
 def sigma_blocks(space, data):
-    """sigma(x) of each basis label, as dense arrays cut from the column
-    that sigma_basis returns."""
-    sigma, d = liealg.sigma_basis(space, data).toarray(), space.dim
-    return {lbl: sigma[k * d:(k + 1) * d] for k, lbl in enumerate(data.basis_labels)}
+    """sigma(x) of each basis label, as dense arrays written from the
+    entries that sigma_entries returns (one per place)."""
+    label, row, col, value = liealg.sigma_entries(space, data)
+    assert len(set(zip(label.tolist(), row.tolist(), col.tolist()))) == label.size
+    blocks = np.zeros((len(data.basis_labels), space.dim, space.dim), dtype=complex)
+    blocks[label, row, col] = value
+    return dict(zip(data.basis_labels, blocks))
 
 
 @pytest.mark.parametrize("family,n,stat,cut", [
@@ -26,17 +31,21 @@ def sigma_blocks(space, data):
 ])
 def test_sigma_basis_is_its_definition(family, n, stat, cut):
     # sum over (i, j) of rho(x)_ij a+_i a^j, one sparse addition per term
-    # in (i, j) order: the two products of sigma_basis give the same bits
+    # in (i, j) order: the two products of the sparse sigma_basis and the
+    # gathers of sigma_entries give the same bits
     data = liealg.LieData(family, n)
     sp = fock.build_space(n, stat, cut)
-    for lbl, got in sigma_blocks(sp, data).items():
+    an, ap = csr_list(sp.an), csr_list(sp.ap)
+    oracle, d = sparse_route.sigma_basis(sp, data).toarray(), sp.dim
+    for k, (lbl, got) in enumerate(sigma_blocks(sp, data).items()):
         r = liealg.rho(data, lbl)
         want = sparse.csr_array((sp.dim, sp.dim), dtype=complex)
         for i in range(n):
             for j in range(n):
                 if r[i, j] != 0:
-                    want = want + r[i, j] * (sp.ap[i] @ sp.an[j])
+                    want = want + r[i, j] * (ap[i] @ an[j])
         assert np.array_equal(got, want.toarray()), lbl
+        assert np.array_equal(got, oracle[k * d:(k + 1) * d]), lbl
 
 
 def test_rho_defining_matrices():
@@ -117,7 +126,7 @@ def test_sigma_jordan_schwinger_form_and_vacuum():
     smats = sigma_blocks(sp, data)
     # the raising element acts as a+_1 a^2
     jplus = smats[(1, 2)]
-    direct = sp.ap[0].toarray() @ sp.an[1].toarray()
+    direct = csr_list(sp.ap)[0].toarray() @ csr_list(sp.an)[1].toarray()
     assert fro(jplus - direct) < 1e-14
     vac = sp.state_index((0, 0))
     for lbl in data.basis_labels:
@@ -131,7 +140,7 @@ def test_covariance_of_creators():
         data = liealg.LieData(family, n)
         sp = fock.build_space(n, Statistics.BOSE, 4)
         safe = np.ix_(sp.safe_mask(2), sp.safe_mask(2))
-        ap = [m.toarray() for m in sp.ap]
+        ap = [m.toarray() for m in csr_list(sp.ap)]
         for lbl, s in sigma_blocks(sp, data).items():
             r = liealg.rho(data, lbl)
             for i in range(n):
@@ -147,5 +156,5 @@ def test_label_validation():
     with pytest.raises(ValueError):
         liealg.rho(liealg.LieData("sl", 2), (3, 1))
     with pytest.raises(ValueError):
-        liealg.sigma_basis(fock.build_space(3, Statistics.BOSE, 2),
-                           liealg.LieData("sl", 2))
+        liealg.sigma_entries(fock.build_space(3, Statistics.BOSE, 2),
+                             liealg.LieData("sl", 2))

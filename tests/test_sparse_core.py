@@ -8,6 +8,7 @@ import sparse_route
 from qheis import braid, deform, fock, suites, verify
 from qheis.fock import Statistics
 from qheis.qspecial import CLIFFORD, WEYL, DeformParams
+from sparse_route import csr_list
 
 SPACES = {
     "bose-2-6": (2, Statistics.BOSE, 6),
@@ -171,9 +172,10 @@ def test_generators_and_defects_are_sparse():
     rel = braid.build_relations("sl", 4, q, WEYL)
     for ordering in ("above", "below"):
         gens = deform.sln_candidate_map(space, DeformParams(q, WEYL), ordering)
-        for op in gens.a_ops + gens.aplus_ops:
-            assert isinstance(op, sparse.csr_array)
-            assert op.nnz <= space.dim
+        for table in (gens.a, gens.ap):
+            col = fock.column(table)
+            assert isinstance(col, sparse.csr_array)
+            assert col.nnz <= 4 * space.dim
         ann, cre, cross = dcr_defects(gens, rel)
         defects = [ann, cre, *cross.values()]
         d = space.dim
@@ -190,7 +192,7 @@ def dcr_defects(gens, rel):
     pi = sparse.kron(rel.annihilating_projector, eye_d, format="csr")
     cross = {name: sparse.kron(pt, eye_d, format="csr")
              for name, pt in rel.cross_candidates.items()}
-    return sparse_route.quadratic_residual_matrices(gens.a_ops, gens.aplus_ops, pi,
+    return sparse_route.quadratic_residual_matrices(csr_list(gens.a), csr_list(gens.ap), pi,
                                                     cross, rel.sign)
 
 
@@ -198,8 +200,8 @@ def dense_defects(gens, rel):
     """The defect of each relation and pair (i, j), summed entry by entry
     over the relation matrices (module docstring of verify), dense."""
     n, s = gens.n, rel.sign
-    a = [m.toarray() for m in gens.a_ops]
-    ap = [m.toarray() for m in gens.aplus_ops]
+    a = [m.toarray() for m in csr_list(gens.a)]
+    ap = [m.toarray() for m in csr_list(gens.ap)]
     pi, eye = rel.annihilating_projector, np.eye(gens.space.dim)
     pairs = [divmod(k, n) for k in range(n * n)]
     ann = [sum(pi[i * n + j, k * n + l] * (a[l] @ a[k]) for k, l in pairs) for i, j in pairs]
@@ -228,11 +230,11 @@ def test_shared_contraction_matches_dense_reference(sign):
     rng = np.random.default_rng(3)
 
     def dressing():
-        return sparse.diags_array(rng.uniform(0.5, 2.0, space.dim))
+        return rng.uniform(0.5, 2.0, (space.modes, space.dim))
 
     gens = deform.DeformedGenerators(space, DeformParams(1.3, sign),
-                                     [a @ dressing() for a in space.an],
-                                     [dressing() @ ap for ap in space.ap])
+                                     deform._dressed(space.an, right=dressing()),
+                                     deform._dressed(space.ap, left=dressing()))
     rel = braid.build_relations("sl", 3, 1.3, sign)
     ann, cre, cross = dcr_defects(gens, rel)
     want_ann, want_cre, want_cross = dense_defects(gens, rel)
@@ -260,5 +262,5 @@ def test_sln_at_n4_cutoff8(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting)
     report = suites.run_suite(suites.make_config("slN", modes=4, cutoff=8))
     assert len(report.cases) == 2
-    assert report.all_passed, [(c.name, c.residual) for c in report.cases]
+    assert all(c.passed for c in report.cases), [(c.name, c.residual) for c in report.cases]
     assert not svd_calls
