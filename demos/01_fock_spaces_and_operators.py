@@ -3,15 +3,26 @@
 Builds bosonic and fermionic spaces, reads the mode ladders each space
 stores as ladder tables (``space.an``, ``space.ap``: row s of the mode
 i + 1 operator holds ``vals[i, s]`` in column ``cols[i, s]``), writes
-them as sparse arrays where a product needs them (``fock.column``: the
-N D x D stack of the N operators), and shows where the commutation
-relations hold exactly versus where the cutoff bites.
+them out as dense matrices to show where the commutation relations hold
+exactly versus where the cutoff bites, and multiplies operators that are
+not ladders as dense blocks on the (shell, parity) sectors of a space
+(``fock.BlockOperator``).
 """
 
 import numpy as np
 
-from qheis import fock
+from qheis import fock, verify
 from qheis.fock import Statistics
+
+
+def dense(table, i):
+    """Operator i of a ladder table as a dense D x D matrix."""
+    d = table.cols.shape[1] - 1
+    m = np.zeros((d, d), dtype=complex)
+    rows = np.flatnonzero(table.cols[i, :d] < d)
+    m[rows, table.cols[i, rows]] = table.vals[i, rows]
+    return m
+
 
 # A 2-mode bosonic space keeping every state with total occupation <= 3.
 sp = fock.build_space(2, Statistics.BOSE, cutoff=3)
@@ -21,9 +32,8 @@ s = sp.state_index((0, 1))
 print(f"a^1 on state (0, 1): the table holds {sp.an.vals[0, s].real:.4f} in column",
       sp.an.cols[0, s], "=", tuple(sp.occ[sp.an.cols[0, s]].tolist()))
 
-d = sp.dim
-a1, ap1 = fock.column(sp.an)[:d], fock.column(sp.ap)[:d]
-comm = (a1 @ ap1 - ap1 @ a1).toarray() - np.eye(sp.dim)
+a1, ap1 = dense(sp.an, 0), dense(sp.ap, 0)
+comm = a1 @ ap1 - ap1 @ a1 - np.eye(sp.dim)
 
 # On the full truncated space the canonical commutator has a defect --
 # but only on the top shell, where a+ has nowhere to go.
@@ -36,22 +46,37 @@ print("same on the degree-1 safe subspace:  ",
 # Fermions carry Jordan-Wigner strings, so anticommutators are exact
 # everywhere; no truncation is involved.
 spf = fock.build_space(3, Statistics.FERMI)
-an, ap = (fock.column(t).toarray().reshape(3, spf.dim, spf.dim) for t in (spf.an, spf.ap))
+an = [dense(spf.an, i) for i in range(3)]
+ap = [dense(spf.ap, i) for i in range(3)]
 worst = max(
     np.linalg.norm(an[i] @ ap[j] + ap[j] @ an[i] - (np.eye(spf.dim) if i == j else 0.0), 2)
     for i in range(3) for j in range(3))
 print(f"\nfermionic space dim {spf.dim}; worst CAR residual: {worst:.3e}")
 
+# Operators that are not ladders live on the (shell, parity of each
+# mode) sectors: a.a moves (n, p) to (n - 2, p), so it is one dense block
+# per sector.  A product with a ladder table is a gather, and
+# verify.projected_norms reads the norm block by block.
+sp3 = fock.build_space(3, Statistics.BOSE, cutoff=6)
+eye = fock.diagonal(sp3, np.ones(sp3.dim))
+aa = (sp3.an @ (sp3.an @ eye)).sum_labels()
+apap = (sp3.ap @ (sp3.ap @ eye)).sum_labels()
+defect = aa @ apap - apap @ aa - fock.diagonal(sp3, 4.0 * sp3.shell + 2 * sp3.modes)
+sectors = sp3.sectors
+print(f"\n3-mode space dim {sp3.dim}: {sectors.size.size} sectors, the largest "
+      f"{sectors.size.max()} states")
+print("||[a.a, a+.a+] - (4n + 2N)|| on the degree-2 safe subspace:",
+      f"{verify.projected_norms(sp3, defect, 2):.3e}")
+
 # Diagonal functional calculus: any function of the mode numbers is an
 # exact diagonal operator.  Every invariant dressing in the package is
-# built this way: tabulate the function on the occupations 0..cutoff,
-# index the table by a column of the occupation table, and hand the
-# values to fock.diag.
+# built this way: tabulate the function on the occupations 0..cutoff and
+# index the table by a column of the occupation table.
 q = 1.3
-occ = sp.occ
-dress = fock.diag((q ** np.arange(sp.cutoff + 1))[occ[:, 1]])
-print("\nq^(n_2) diagonal on state (0, 3):",
-      dress[sp.state_index((0, 3)), sp.state_index((0, 3))].real)
+dress = (q ** np.arange(sp.cutoff + 1))[sp.occ[:, 1]]
+print("\nq^(n_2) on state (0, 3):", dress[sp.state_index((0, 3))])
+print("its norm as a block operator:",
+      f"{verify.projected_norms(sp, fock.diagonal(sp, dress), 0):.4f} = q^3")
 
 # Grade bookkeeping: [n_tot, X] = g X identifies creators (+1),
 # annihilators (-1), and invariants (0).

@@ -1,5 +1,7 @@
 """so(N) orbital machinery: the generator l, shift operators, and the
-functional equations of the so(N) dressing."""
+functional equations of the so(N) dressing.  l^2, l, a.a and a+.a+ are
+block operators on the (shell, parity) sectors of the space
+(``fock.BlockOperator``): l is one eigh-built block per sector."""
 
 from qheis import fock, soshift
 from qheis.fock import Statistics
@@ -7,7 +9,11 @@ from qheis.qspecial import WEYL, DeformParams
 
 sp = fock.build_space(3, Statistics.BOSE, cutoff=6)
 orb = soshift.build_orbital(sp)
-ops = soshift.StructureOperands(orb)  # the ladder products the checks share
+# the ladder tables, and their products with a.a and a+.a+, that the
+# structure checks share
+ops = soshift.StructureOperands(orb)
+print(f"l: {orb.l.layout.label.size} sector blocks, {orb.l.size} stored entries "
+      f"on a space of dimension {sp.dim}")
 
 print("joint (n, l) spectrum of the 3-mode space (n, l, multiplicity):")
 for n, l, m in orb.spectral_grid[:8]:

@@ -7,11 +7,9 @@ On the N-mode bosonic space the extended invariant
 is positive semidefinite, commutes with n, a.a and a+.a+, and its
 spectral square root l labels joint (n, l) eigenspaces.  l^2 moves
 occupation between modes in pairs, so it also keeps the parity of each
-mode's occupation: its eigenblocks are the connected components of its
-sparsity graph, which are the (shell, parity) sectors, and l is built
-from one batched eigh per sector size (build_orbital, through
-verify.component_stacks).  The shift
-operators
+mode's occupation: it is block diagonal on the (shell, parity) sectors,
+and l is built from one batched eigh per sector size (build_orbital).
+The shift operators
 
     alpha^i_s   = a^i (n + N/2 - 1 + s l) - a+_i (a.a)
     alpha+_i,s  = a+_i (n + N/2 - 1 + s l) - (a+.a+) a_i        (s = +-1)
@@ -31,13 +29,16 @@ each equation reduces to (x)_{q^2} - q^2 (x-1)_{q^2} = 1, and at q = 1
 each collapses to s_pm - t_pm = 2.  Cartesian metric c = identity
 throughout.
 
-The mode index runs down stacked columns: shift_operators returns the
-N D x D columns of the alpha^i_s and of the alpha+_i,s, and each
-commutator with the ladders is (1_N (x) X) col - col X on the column of
-the a^i or of the a+_i (fock.eye_kron), so the number of sparse
-products does not grow with N.  The commutator and shift-operator checks
-take their shared operands (the columns, their products with a.a and
-a+.a+, 1_N (x) l) from one StructureOperands, which builds each once.
+Every operator here is a block operator on the (shell, parity) sectors
+of the space (``fock.BlockOperator``): l^2, l, a.a and a+.a+ map each
+sector to one sector, a^i and a+_i move (k, p) to (k -+ 1, p xor e_i),
+and a product or sum of them maps each sector to one sector again.  l^2
+and l are one block per sector; each a^i enters as the real ladder table
+of the space, so a product with it is a gather, and the N modes run down
+the stack of a block operator, so a check makes the same number of
+products at every N.  The commutator and shift-operator checks take
+their shared operands (the ladders and their products with a.a and
+a+.a+) from one StructureOperands, which builds each once.
 verify_y_son looks up the shifted arguments of every grid point at once,
 by searchsorted on the grid sorted by (shell, l).
 """
@@ -48,35 +49,39 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from .fock import FockSpace, Statistics, column, diag, eye_kron, row
+from .fock import BlockOperator, FockSpace, LadderTable, Statistics, diagonal
 from .qspecial import DeformParams, y_son_ratio
-from .verify import CaseResult, component_stacks, projected_norms
+from .verify import CaseResult, projected_norms
+
+
+def _real_ladders(space: FockSpace) -> tuple[LadderTable, LadderTable]:
+    """The space's annihilators and creators with their real amplitudes."""
+    return (LadderTable(space.an.cols, space.an.vals.real),
+            LadderTable(space.ap.cols, space.ap.vals.real))
 
 
 @dataclass
 class OrbitalData:
     space: FockSpace
-    l2: sparse.csr_array
-    l: sparse.csr_array
+    l2: BlockOperator
+    l: BlockOperator
     spectral_grid: list  # (n, l, multiplicity) triples
-    aa: sparse.csr_array     # a.a with the identity metric
-    apap: sparse.csr_array   # a+.a+
+    aa: BlockOperator     # a.a with the identity metric
+    apap: BlockOperator   # a+.a+
 
 
 def build_orbital(space: FockSpace) -> OrbitalData:
-    """Diagonalize l^2 on each connected component of its sparsity graph
-    and take the spectral square root.
+    """Diagonalize l^2 on each (shell, parity) sector and take the
+    spectral square root.
 
     l^2 commutes with the total number and with the parity of each mode's
-    occupation, and its components are exactly these (shell, parity)
-    sectors: at N = 3, cutoff 10, 40 blocks of at most 21 states, where
-    the shells reach 66.  Diagonalizing sector by sector keeps l free of
-    rounding noise between sectors; the sectors of one size share one
-    batched eigh.  The spectral grid lists (n, l,
-    multiplicity) per shell, with the levels of a shell's sectors merged
-    at 1e-8.
+    occupation, and a sector is a block of it: at N = 3, cutoff 10, 40
+    blocks of at most 21 states, where the shells reach 66.
+    Diagonalizing sector by sector keeps l free of rounding noise between
+    sectors; the sectors of one size share one batched eigh.  The
+    spectral grid lists (n, l, multiplicity) per shell, with the levels of
+    a shell's sectors merged at 1e-8.
 
     Eigenvalues in [-1e-10, 0) are clamped to zero; anything below -1e-10
     signals a bug (l^2 is expected positive semidefinite here) and raises.
@@ -85,81 +90,65 @@ def build_orbital(space: FockSpace) -> OrbitalData:
         raise ValueError("orbital data needs a bosonic space with N >= 3 modes")
     if space.cutoff < 4:
         raise ValueError("cutoff >= 4 required for the shift-equation grid")
-    n_modes = space.modes
-    aa = row(space.an) @ column(space.an)
-    apap = aa.conj().T.tocsr()
-    ntot = space.shell
-    shift = (ntot + n_modes / 2.0 - 1.0) ** 2
-    l2 = diag(shift) - apap @ aa
+    an, ap = _real_ladders(space)
+    eye = diagonal(space, np.ones(space.dim))
+    aa = (an @ (an @ eye)).sum_labels()
+    apap = (ap @ (ap @ eye)).sum_labels()
+    l2 = diagonal(space, (space.shell + space.modes / 2.0 - 1.0) ** 2) - apap @ aa
 
-    # the stored entries of l^2, and a zero on the diagonal of each state
-    # with none, so that every state is in exactly one component
-    coo = l2.tocoo()
-    stored = coo.data != 0
-    bare = np.setdiff1d(np.arange(space.dim), coo.row[stored])
-    r, c = (np.concatenate([x[stored], bare]) for x in (coo.row, coo.col))
-    v = np.concatenate([coo.data[stored], np.zeros(bare.size)])
-    rows, cols, vals = [], [], []
+    shell = space.shell[space.sectors.members[space.sectors.start]]
+    roots = []
     levels: dict[int, list[float]] = {}
-    for sel, _, blocks in component_stacks(r, c, v, space.dim):
+    for src, _, blocks in l2.stacks():
         evals, evecs = np.linalg.eigh(blocks)
         if evals.min() < -1e-10:
             worst = np.argmin(evals.min(axis=1))
             raise ValueError(f"l^2 eigenvalue {evals.min():.3e} below -1e-10 "
-                             f"in the n={ntot[sel[worst, 0]]} block")
+                             f"in the n={shell[src[worst]]} block")
         lvals = np.sqrt(np.clip(evals, 0.0, None))
-        size = sel.shape[1]
-        rows.append(np.repeat(sel, size, axis=1).ravel())
-        cols.append(np.tile(sel, size).ravel())
-        vals.append(((evecs * lvals[:, None, :]) @ evecs.conj().transpose(0, 2, 1)).ravel())
-        for n_val, lv in zip(ntot[sel[:, 0]], lvals):
+        roots.append(((evecs * lvals[:, None, :]) @ evecs.transpose(0, 2, 1)).ravel())
+        for n_val, lv in zip(shell[src], lvals):
             levels.setdefault(int(n_val), []).extend(lv)
     grid: list[tuple[float, float, int]] = []
     for n_val, lvals in levels.items():
-        shell: dict[float, int] = {}  # distinct l of this shell -> multiplicity
+        distinct: dict[float, int] = {}  # distinct l of this shell -> multiplicity
         for lv in sorted(lvals):
-            gl = next((gl for gl in shell if abs(gl - lv) < 1e-8), float(lv))
-            shell[gl] = shell.get(gl, 0) + 1
-        grid += [(float(n_val), gl, m) for gl, m in shell.items()]
-    lmat = sparse.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                            shape=l2.shape)
+            gl = next((gl for gl in distinct if abs(gl - lv) < 1e-8), float(lv))
+            distinct[gl] = distinct.get(gl, 0) + 1
+        grid += [(float(n_val), gl, m) for gl, m in distinct.items()]
+    lmat = BlockOperator(l2.sectors, l2.layout, np.concatenate(roots))
     return OrbitalData(space, l2, lmat, sorted(grid), aa, apap)
 
 
 class StructureOperands:
     """The operands that the structure checks of one orbital set share,
     each built on first use and kept while this object lives (the
-    checks of one ``soN-orbital`` unit): the columns of the a^i and of
-    the a+_i, the four products of a column with a.a or a+.a+ (two of
-    them through 1_N (x) X), and 1_N (x) l."""
+    checks of one ``soN-orbital`` unit): the real ladder tables of the
+    a^i and of the a+_i, and the four stacks of a ladder times a.a or
+    a+.a+."""
 
     def __init__(self, orb: OrbitalData):
         self.orb = orb
 
     @functools.cached_property
-    def columns(self) -> tuple[sparse.csr_array, sparse.csr_array]:
-        space = self.orb.space
-        return column(space.an), column(space.ap)
+    def ladders(self) -> tuple[LadderTable, LadderTable]:
+        return _real_ladders(self.orb.space)
 
     @functools.cached_property
-    def ap_aa(self) -> sparse.csr_array:
-        return self.columns[1] @ self.orb.aa          # block i: a+_i (a.a)
+    def ap_aa(self) -> BlockOperator:
+        return self.ladders[1] @ self.orb.aa          # block i: a+_i (a.a)
 
     @functools.cached_property
-    def a_apap(self) -> sparse.csr_array:
-        return self.columns[0] @ self.orb.apap        # block i: a^i (a+.a+)
+    def a_apap(self) -> BlockOperator:
+        return self.ladders[0] @ self.orb.apap        # block i: a^i (a+.a+)
 
     @functools.cached_property
-    def aa_ap(self) -> sparse.csr_array:
-        return eye_kron(self.orb.space.modes, self.orb.aa) @ self.columns[1]    # (a.a) a+_i
+    def aa_ap(self) -> BlockOperator:
+        return self.orb.aa @ self.ladders[1]          # (a.a) a+_i
 
     @functools.cached_property
-    def apap_a(self) -> sparse.csr_array:
-        return eye_kron(self.orb.space.modes, self.orb.apap) @ self.columns[0]  # (a+.a+) a^i
-
-    @functools.cached_property
-    def l_n(self) -> sparse.csr_array:
-        return eye_kron(self.orb.space.modes, self.orb.l)
+    def apap_a(self) -> BlockOperator:
+        return self.orb.apap @ self.ladders[0]        # (a+.a+) a^i
 
 
 def l2_commutator_residuals(ops: StructureOperands) -> list[CaseResult]:
@@ -171,7 +160,8 @@ def l2_commutator_residuals(ops: StructureOperands) -> list[CaseResult]:
                     =  a+_i (2n + 3 + N) - 2 a^i (a+.a+)
 
     in both equivalent orderings; the commuting rows are held to 1e-12,
-    the mixed ones to 1e-11.
+    the mixed ones to 1e-11.  A mixed row is the larger norm of its two
+    orderings' defects.
     """
     orb = ops.orb
     space = orb.space
@@ -181,26 +171,26 @@ def l2_commutator_residuals(ops: StructureOperands) -> list[CaseResult]:
                        1e-12, {"safe_degree": 2})
             for name, x in (("aa", orb.aa), ("apap", orb.apap))]
 
-    a_col, ap_col = ops.columns
-    d_a1, d_a2, d_p1, d_p2 = (diag(2 * space.shell + nn + c) for c in (-3, 1, -1, 3))
-    l2_n = eye_kron(nn, l2)
-    comm_a, comm_ap = l2_n @ a_col - a_col @ l2, l2_n @ ap_col - ap_col @ l2
-    form_a1 = -a_col @ d_a1 + 2 * ops.ap_aa
-    form_a2 = -a_col @ d_a2 + 2 * ops.aa_ap
-    form_p1 = ap_col @ d_p1 - 2 * ops.apap_a
-    form_p2 = ap_col @ d_p2 - 2 * ops.a_apap
+    a, ap = ops.ladders
+    d_a1, d_a2, d_p1, d_p2 = (diagonal(space, 2.0 * space.shell + nn + c) for c in (-3, 1, -1, 3))
+    comm_a, comm_ap = l2 @ a - a @ l2, l2 @ ap - ap @ l2
+    form_a1 = 2 * ops.ap_aa - a @ d_a1
+    form_a2 = 2 * ops.aa_ap - a @ d_a2
+    form_p1 = ap @ d_p1 - 2 * ops.apap_a
+    form_p2 = ap @ d_p2 - 2 * ops.a_apap
     for name, defects in (("a", [comm_a - form_a1, comm_a - form_a2]),
                           ("aplus", [comm_ap - form_p1, comm_ap - form_p2])):
         rows.append(CaseResult(f"l2_mixed_commutator_{name}",
-                               projected_norms(space, sparse.vstack(defects), 2),
+                               max(projected_norms(space, m, 2) for m in defects),
                                1e-11, {"safe_degree": 2}))
     return rows
 
 
 def shift_operators(ops: StructureOperands,
-                    sign: int) -> tuple[sparse.csr_array, sparse.csr_array]:
-    """The l-shifting combinations s = sign, as N D x D columns whose
-    block i is alpha^i_s (first) or alpha+_i,s (second).
+                    sign: int) -> tuple[BlockOperator, BlockOperator]:
+    """The l-shifting combinations s = sign, as stacks of N block
+    operators whose operator i is alpha^i_s (first) or alpha+_i,s
+    (second).
 
     Purely classical objects (no q anywhere).  Built from the first
     of the two equivalent orderings; their agreement is a separate check.
@@ -208,32 +198,32 @@ def shift_operators(ops: StructureOperands,
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     orb = ops.orb
-    a_col, ap_col = ops.columns
-    shifted = diag(orb.space.shell + orb.space.modes / 2.0 - 1.0) + sign * orb.l
-    return a_col @ shifted - ops.ap_aa, ap_col @ shifted - ops.apap_a
+    a, ap = ops.ladders
+    shifted = diagonal(orb.space, orb.space.shell + orb.space.modes / 2.0 - 1.0) + sign * orb.l
+    return a @ shifted - ops.ap_aa, ap @ shifted - ops.apap_a
 
 
 def shift_operator_residuals(ops: StructureOperands, sign: int) -> list[CaseResult]:
     """Two checks per sign: the double equalities defining each alpha
     (its two equivalent orderings agree), and the eigen-shift relations
 
-        l alpha+_i,s = alpha+_i,s (l + s),   l alpha^i_s = alpha^i_s (l - s).
+        l alpha+_i,s = alpha+_i,s (l + s),   l alpha^i_s = alpha^i_s (l - s),
+
+    each row the larger norm of its two defects.
     """
     orb = ops.orb
-    space = orb.space
+    space, l = orb.space, orb.l
     down, up = shift_operators(ops, sign)
-    a_col, ap_col = ops.columns
-    diag2 = diag(space.shell + space.modes / 2.0 + 1.0) + sign * orb.l
-    eye = sparse.eye_array(space.dim, format="csr")
-    order = [down - (a_col @ diag2 - ops.aa_ap), up - (ap_col @ diag2 - ops.a_apap)]
-    l_n = ops.l_n
-    eigen = [l_n @ up - up @ (orb.l + sign * eye), l_n @ down - down @ (orb.l - sign * eye)]
+    a, ap = ops.ladders
+    diag2 = diagonal(space, space.shell + space.modes / 2.0 + 1.0) + sign * l
+    order = [down - (a @ diag2 - ops.aa_ap), up - (ap @ diag2 - ops.a_apap)]
+    eigen = [l @ up - up @ l - sign * up, l @ down - down @ l + sign * down]
     return [
         CaseResult(f"shift_orderings_agree[s={sign:+d}]",
-                   projected_norms(space, sparse.vstack(order), 2),
+                   max(projected_norms(space, m, 2) for m in order),
                    1e-12, {"safe_degree": 2}),
         CaseResult(f"shift_eigen_relations[s={sign:+d}]",
-                   projected_norms(space, sparse.vstack(eigen), 2),
+                   max(projected_norms(space, m, 2) for m in eigen),
                    1e-10, {"safe_degree": 2}),
     ]
 

@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
 
 from . import braid, deform, liealg, soshift, verify
-from .fock import Statistics, build_space, column, grade_defect
+from .fock import Statistics, build_space, grade_defect
 from .qspecial import (CLIFFORD, WEYL, DeformParams, connection_residual,
                        gauss_2f1, gauss_2f1_deriv, hyper_ode_residual, qgamma,
                        qgamma_tilde, qnum, qbracket, reflection_residual,
@@ -153,11 +152,6 @@ def _suite_sl2_bose(cfg: SuiteConfig):
             max(grade_defect(space, gens.a, -1), grade_defect(space, gens.ap, +1)), 1e-13))
         return rows
 
-    def generator_distance(g1, g0):
-        # largest spectral norm of a generator difference, on the whole space
-        return verify.projected_norms(space, sparse.vstack(
-            [column(g1.a) - column(g0.a), column(g1.ap) - column(g0.ap)]), 0)
-
     def alpha_unit(q):
         # conjugating by alpha must reproduce the one-sided generators; its
         # own unit, so that a failure here erases no sibling row
@@ -168,7 +162,7 @@ def _suite_sl2_bose(cfg: SuiteConfig):
         oneside = deform.sl2_bose_onesided_map(space, params)
         return [
             CaseResult("alpha_reproduces_onesided_map",
-                       generator_distance(conj, oneside), 1e-12, {"cond_alpha": cond}),
+                       verify.generator_distance(conj, oneside), 1e-12, {"cond_alpha": cond}),
             _negative_control("onesided_hermiticity_nonzero_control",
                               deform.hermiticity_residual(oneside), floor=1e-3,
                               note="one-sided dressing is not *-compatible"),
@@ -184,7 +178,7 @@ def _suite_sl2_bose(cfg: SuiteConfig):
         def devnorm(e):
             g1 = deform.sl2_bose_map(space, DeformParams(1.0 + e, WEYL))
             g0 = deform.classical_generators(space, DeformParams(1.0, WEYL))
-            return generator_distance(g1, g0)
+            return verify.generator_distance(g1, g0)
         ratio = devnorm(1e-3) / devnorm(5e-4)
         return [CaseResult("classical_limit_linear_scaling", abs(ratio - 2.0), 0.5,
                            {"ratio": ratio})]

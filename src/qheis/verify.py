@@ -32,28 +32,27 @@ but dressed ladders (its tables are on the space's ladder columns), and
 a relation matrix that couples pairs of different weight is rejected
 with ValueError: its blocks would not be one shift.
 
-Any other defect (the so(N) shift operators, the metric invariants, a
-generator distance) is a sparse CSR array, written from the tables on
-demand (``fock.column``, ``fock.row``) and normed by
-:func:`projected_norms`: the stored nonzero entries of the defect that
-lie inside the safe subspace are the edges of a bipartite graph that
-joins the row and the column of each entry.  Its connected components
-occupy disjoint rows and disjoint columns, so the defect is their
-orthogonal direct sum, and its spectral norm is the largest spectral
-norm among the component blocks, exactly, for any matrix and with no
-labels supplied by the caller.  An entry alone in its row and its column
-is a 1 x 1 block and reads its modulus; the other components are stacked
-by shape, and each shape takes one batched SVD (:func:`component_stacks`,
-which also gives ``soshift.build_orbital`` the eigenblocks of l^2, one
-batched eigh per block size).  No block is padded, so each gets the same
-LAPACK call as it would alone.  A stack of D x D defects is measured as
-the direct sum of its blocks (:func:`projected_norms`), so its residual
-is the largest block norm, and a check over several generators stacks
-their defects and makes one call.  The N generators of a set enter these
-checks as one N D x D column (block i is A^i) or one D x N D row, and
-contractions with numeric coefficients go through R (x) 1_D
-(``fock.eye_kron``, ``fock.kron_eye``), so the number of sparse products
-does not depend on N.
+The generator distance of ``sl2-bose`` (:func:`generator_distance`) is
+the difference of two such sets, normed the same way.
+
+Block operators: one block per sector.  The so(N) defects (the
+commutators and shift operators of ``soshift`` and the metric invariants,
+:func:`metric_invariant_check`) mix the states of a shell, but each
+keeps or flips the parity of each mode's occupation by a fixed rule, so
+it maps every (shell, parity) sector to one sector and no two sectors to
+one (``fock.BlockOperator``).  It is then the orthogonal direct sum of
+its blocks, and its spectral norm is the largest block norm, exactly; a
+sector lies in one shell, so the safe projector keeps or drops whole
+blocks, and the blocks of one shape take one batched SVD
+(:func:`projected_norms`).  No block is padded.  The N relations of a
+check run down the stack of a block operator, so the number of block
+products does not depend on N.
+
+The entries of sigma(x) (``liealg.sigma_entries``) are normed by the
+components of their sparsity graph (:func:`component_stacks`), which are
+disjoint in rows and in columns: an entry alone in its row and its
+column reads its modulus, and the other components are stacked by shape,
+one batched SVD each (:func:`invariant_commutant_check`).
 
 The quadratic exchange relations (:func:`quadratic_residual_matrices`).
 Pairs of mode indices (i, j) are numbered i N + j, and a relation matrix
@@ -79,12 +78,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from . import __version__
 from .braid import RelationMatrices
 from .deform import DeformedGenerators
-from .fock import Statistics, _sum_rows, column, eye_kron, kron_eye, row
+from .fock import BlockOperator, LadderTable, Statistics, _sum_rows, diagonal
 from .liealg import LieData, sigma_entries
 from .qspecial import qnum
 
@@ -138,17 +136,6 @@ def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
         label = new
 
 
-def _entries(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row, column and value of each stored entry of the sparse m, with
-    duplicates summed.  The caller's matrix is left as it was:
-    ``csr_array`` shares its buffers, which ``sum_duplicates`` would sort."""
-    m = sparse.csr_array(m)
-    if not m.has_canonical_format:
-        m = m.copy()
-        m.sum_duplicates()
-    return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices, m.data
-
-
 def component_stacks(rows, cols, vals, n: int):
     """The connected components of the sparsity graph of the n x n matrix
     with entries vals at (rows, cols), one entry per place, grouped by
@@ -197,23 +184,24 @@ def _norm_of_entries(rows, cols, vals, mask: np.ndarray) -> float:
     return spec
 
 
-def projected_norms(space, m, degree: int) -> float:
-    """The largest spectral norm of P b P over the D x D blocks b of the
-    sparse m, with P the projector onto the states of
-    :meth:`fock.FockSpace.safe_mask` at creator degree `degree`.
+def projected_norms(space, m: BlockOperator, degree: int) -> float:
+    """The largest spectral norm of P b P over the operators b of the stack
+    m of block operators (``fock.BlockOperator``), with P the projector
+    onto the states of :meth:`fock.FockSpace.safe_mask` at creator degree
+    `degree`.
 
-    m may be one Fock operator or any grid of them (each side a multiple
-    of D).  Block (r, c) of an R x C grid is moved onto the diagonal at
-    offset (r C + c) D, and the mask is tiled, so the whole grid is one
-    direct sum with the same graph components as its blocks."""
-    d = space.dim
-    (n_r, rest_r), (n_c, rest_c) = divmod(m.shape[0], d), divmod(m.shape[1], d)
-    if rest_r or rest_c:
-        raise ValueError(f"shape {m.shape} is not a grid of {d} x {d} blocks")
-    rows, cols, vals = _entries(m)
-    offset = (rows // d * n_c + cols // d) * d
-    return _norm_of_entries(offset + rows % d, offset + cols % d, vals,
-                            np.tile(space.safe_mask(degree), n_r * n_c))
+    Each operator maps every sector to one sector, and no two sectors to
+    the same one, so it is the direct sum of its blocks; a sector lies in
+    one shell, so P keeps or drops whole blocks, and the norm is the
+    largest over the kept blocks, one batched SVD per shape."""
+    sectors = m.sectors
+    safe = space.safe_mask(degree)[sectors.members[sectors.start]]
+    spec = 0.0
+    for src, dst, stack in m.stacks():
+        kept = stack[safe[src] & safe[dst]]
+        if kept.size:
+            spec = max(spec, float(np.linalg.svd(kept, compute_uv=False)[:, 0].max()))
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +220,17 @@ def shift_norm(space, vals: np.ndarray, targets: np.ndarray, degree: int) -> flo
     whose row state and target state are both safe (module docstring)."""
     safe = np.append(space.safe_mask(degree), False)
     return float(np.abs(vals[safe[:-1] & safe[targets]]).max(initial=0.0))
+
+
+def generator_distance(g1: DeformedGenerators, g0: DeformedGenerators) -> float:
+    """The largest spectral norm of A^i_1 - A^i_0 and of A+_i,1 - A+_i,0
+    over i, on the whole space (creator degree 0).  Both sets are dressed
+    ladders on the space's ladder columns, so each difference is a
+    weighted shift (:func:`shift_norm`)."""
+    d = g1.space.dim
+    vals = np.concatenate([g1.a.vals - g0.a.vals, g1.ap.vals - g0.ap.vals])
+    targets = np.concatenate([g1.a.cols, g1.ap.cols])
+    return shift_norm(g1.space, vals[:, :d], targets[:, :d], 0)
 
 
 def _pair_entries(m, n: int):
@@ -385,6 +384,17 @@ def number_op_check(gens: DeformedGenerators, tol: float = 1e-10) -> list[CaseRe
 # ---------------------------------------------------------------------------
 
 
+def _metric_diagonal(c: np.ndarray, n: int) -> np.ndarray:
+    """The diagonal of the N x N metric c; ValueError when c has an
+    off-diagonal entry."""
+    c = np.asarray(c)
+    off = c - np.diag(np.diag(c))
+    if c.shape != (n, n) or off.any():
+        raise ValueError("the metric invariant checks take a diagonal metric: an "
+                         "off-diagonal entry would map a sector to several sectors")
+    return np.diag(c)
+
+
 def metric_invariant_check(gens: DeformedGenerators, c_lower: np.ndarray,
                            c_upper: np.ndarray, q: float) -> list[CaseResult]:
     """Relations of the quadratic invariants A.C.A and A+.C.A+:
@@ -397,20 +407,26 @@ def metric_invariant_check(gens: DeformedGenerators, c_lower: np.ndarray,
     Accepts a user-supplied candidate set; the built-in classical case is
     q = 1 with C the identity, where all four reduce to Weyl-algebra
     identities.  Each row is held to 1e-12.
+
+    The defects are block operators on the (shell, parity) sectors
+    (``fock.BlockOperator``), the N relations of a row one stack.  A
+    diagonal C keeps ACA and A+CA+ on one sector each, since
+    A^i A^i moves (k, p) to (k - 2, p); an off-diagonal entry would not, and
+    raises ValueError.
     """
-    space, n, d = gens.space, gens.n, gens.space.dim
-    a_row, ap_row = row(gens.a), row(gens.ap)
-    a_col, ap_col = column(gens.a), column(gens.ap)
-    # C_ij A^j and C^ij A+_j down the column, and the invariants contracted with them
-    c_a, c_ap = kron_eye(c_lower, d) @ a_col, kron_eye(c_upper, d) @ ap_col
-    aca = a_row @ (kron_eye(c_lower.T, d) @ a_col)
-    apcap = ap_row @ c_ap
-    aca_n, apcap_n = eye_kron(n, aca), eye_kron(n, apcap)
+    space, n = gens.space, gens.n
+    a, ap = gens.a, gens.ap
+    c_a = LadderTable(a.cols, _metric_diagonal(c_lower, n)[:, None] * a.vals)     # C_ii A^i
+    c_ap = LadderTable(ap.cols, _metric_diagonal(c_upper, n)[:, None] * ap.vals)  # C^ii A+_i
+    eye = diagonal(space, np.ones(space.dim))
+    c_a_blocks, c_ap_blocks = c_a @ eye, c_ap @ eye
+    aca = (c_a_blocks @ a).sum_labels()        # sum_i C_ii A^i A^i
+    apcap = (c_ap_blocks @ ap).sum_labels()    # sum_i C^ii A+_i A+_i
     factor = 1.0 + q ** (2 - n)
-    defects = [aca_n @ a_col - a_col @ aca,
-               apcap_n @ ap_col - ap_col @ apcap,
-               aca_n @ ap_col - q**2 * (ap_col @ aca) - factor * c_a,
-               a_col @ apcap - q**2 * (apcap_n @ a_col) - factor * c_ap]
+    defects = [aca @ a - a @ aca,
+               apcap @ ap - ap @ apcap,
+               aca @ ap - q**2 * (ap @ aca) - factor * c_a_blocks,
+               a @ apcap - q**2 * (apcap @ a) - factor * c_ap_blocks]
     names = ["metric_inv_aa_commute", "metric_inv_apap_commute",
              "metric_inv_cross_lower", "metric_inv_cross_upper"]
     return [CaseResult(name, projected_norms(space, defect, 2), 1e-12, {"safe_degree": 2})

@@ -3,26 +3,140 @@ the ladder-table route in ``qheis.fock``, ``qheis.liealg``,
 ``qheis.verify`` and ``qheis.deform``.
 
 These are the definitions the package used before the ladder tables, as
-they were, with the package's names imported: every ladder and generator
-is a CSR array (:func:`csr_list` reads them off ``fock.column``), every
-defect is a sparse CSR product of the stacked generators, measured by
-``verify.projected_norms``.  ``quadratic_residual_matrices`` takes lists
-of sparse generators and sparse N^2 D x N^2 D relation operators, so it
-also serves relations whose entries are Fock operators (``tests/test_kz.py``).
+they were: every ladder and generator is a CSR array (:func:`csr_list`
+reads them off :func:`column`), every defect is a sparse CSR product of
+the stacked generators, measured by :func:`projected_norms`.
+``quadratic_residual_matrices`` takes lists of sparse generators and
+sparse N^2 D x N^2 D relation operators, so it also serves relations
+whose entries are Fock operators (``tests/test_kz.py``).
+
+The package itself holds no CSR array: the CSR writers (:func:`column`,
+:func:`row`, :func:`diag`, :func:`eye_kron`, :func:`kron_eye`) and the
+exact norm of a sparse matrix (:func:`projected_norms`, through the
+package's ``verify._norm_of_entries``) live here, and :func:`dense`
+writes a block operator of the package (``fock.BlockOperator``) as a
+dense array.
 """
 
 import numpy as np
 from scipy import sparse
 
-from qheis.fock import FockSpace, Statistics, column, eye_kron, kron_eye
+from qheis.fock import FockSpace, Statistics
 from qheis.liealg import LieData, rho
 from qheis.qspecial import qnum
-from qheis.verify import CaseResult, projected_norms
+from qheis.verify import CaseResult, _norm_of_entries
+
+
+def _stored(present: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+            shape: tuple[int, int]) -> sparse.csr_array:
+    """The CSR array whose row r stores vals[r, e] in column cols[r, e] for
+    each e with present[r, e], in increasing e (R x E arrays, R rows),
+    written directly."""
+    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+    np.cumsum(present.sum(axis=1), out=indptr[1:])
+    return sparse.csr_array((vals[present].astype(complex), cols[present].astype(np.int32),
+                             indptr), shape=shape)
+
+
+def column(table) -> sparse.csr_array:
+    """The N D x D column whose block i is operator i of the ladder table,
+    with every entry of a row that has one stored, also one of value 0."""
+    n, d = table.cols.shape[0], table.cols.shape[1] - 1
+    cols = table.cols[:, :d].reshape(-1, 1)
+    return _stored(cols < d, cols, table.vals[:, :d].reshape(-1, 1), (n * d, d))
+
+
+def row(table) -> sparse.csr_array:
+    """The D x N D row whose block i is operator i of the table: row s
+    stores the entries of the N operators in increasing i."""
+    n, d = table.cols.shape[0], table.cols.shape[1] - 1
+    cols = table.cols[:, :d].T
+    return _stored(cols < d, cols + d * np.arange(n), table.vals[:, :d].T, (d, n * d))
+
+
+def diag(values: np.ndarray) -> sparse.csr_array:
+    """Diagonal CSR array with the given entries, one per basis state; zero
+    entries are not stored.  Raises ValueError on a non-finite entry."""
+    values = np.asarray(values)
+    if not np.isfinite(values).all():
+        raise ValueError(f"entry not finite at state {np.argmin(np.isfinite(values))}")
+    return _stored((values != 0)[:, None], np.arange(values.size)[:, None], values[:, None],
+                   (values.size,) * 2)
+
+
+def eye_kron(n: int, x) -> sparse.csr_array:
+    """1_n (x) x: n copies of the sparse x down the diagonal, each row
+    stored in the order x stores it."""
+    x = sparse.csr_array(x)
+    nnz, (rows, cols) = x.nnz, x.shape
+    copies = np.arange(n)[:, None]
+    indptr = np.concatenate([[0], (x.indptr[1:] + nnz * copies).ravel()])
+    return sparse.csr_array((np.tile(x.data[:nnz], n), (x.indices[:nnz] + cols * copies).ravel(),
+                             indptr), shape=(n * rows, n * cols))
+
+
+def kron_eye(r: np.ndarray, d: int) -> sparse.csr_array:
+    """R (x) 1_d for a numeric matrix R: row (i, s) holds R_ij in column
+    (j, s) for each nonzero R_ij, in increasing j."""
+    r = np.asarray(r)
+    i, j = np.nonzero(r)
+    s = np.arange(d)
+    rows = (i[:, None] * d + s).ravel()
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(r.shape[0] * d + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=r.shape[0] * d), out=indptr[1:])
+    return sparse.csr_array((np.repeat(r[i, j], d)[order].astype(complex),
+                             (j[:, None] * d + s).ravel()[order], indptr),
+                            shape=(r.shape[0] * d, r.shape[1] * d))
+
+
+def entries(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and value of each stored entry of the sparse m, with
+    duplicates summed.  The caller's matrix is left as it was:
+    ``csr_array`` shares its buffers, which ``sum_duplicates`` would sort."""
+    m = sparse.csr_array(m)
+    if not m.has_canonical_format:
+        m = m.copy()
+        m.sum_duplicates()
+    return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices, m.data
+
+
+def projected_norms(space, m, degree: int) -> float:
+    """The largest spectral norm of P b P over the D x D blocks b of the
+    sparse m, with P the projector onto the states of ``safe_mask`` at
+    creator degree `degree`, exact by the components of the sparsity
+    graph (``verify._norm_of_entries``).
+
+    m may be one Fock operator or any grid of them (each side a multiple
+    of D).  Block (r, c) of an R x C grid is moved onto the diagonal at
+    offset (r C + c) D, and the mask is tiled, so the whole grid is one
+    direct sum with the same graph components as its blocks."""
+    d = space.dim
+    (n_r, rest_r), (n_c, rest_c) = divmod(m.shape[0], d), divmod(m.shape[1], d)
+    if rest_r or rest_c:
+        raise ValueError(f"shape {m.shape} is not a grid of {d} x {d} blocks")
+    rows, cols, vals = entries(m)
+    offset = (rows // d * n_c + cols // d) * d
+    return _norm_of_entries(offset + rows % d, offset + cols % d, vals,
+                            np.tile(space.safe_mask(degree), n_r * n_c))
+
+
+def dense(op) -> np.ndarray:
+    """The stack of L operators of the block operator op as one dense
+    L D x D column whose block l is operator l."""
+    sec, lay = op.sectors, op.layout
+    d = sec.of.size
+    out = np.zeros((lay.dk.size * d, d), dtype=op.data.dtype)
+    for (src, dst, stack), (b0, b1, _, _) in zip(op.stacks(), lay.groups):
+        for label, s, t, block in zip(lay.label[b0:b1], src, dst, stack):
+            rows = label * d + sec.members[sec.start[t]:sec.start[t] + sec.size[t]]
+            out[np.ix_(rows, sec.members[sec.start[s]:sec.start[s] + sec.size[s]])] = block
+    return out
 
 
 def csr_list(table) -> list:
     """The N operators of a ladder table as D x D CSR arrays: the blocks
-    of ``fock.column``."""
+    of :func:`column`."""
     col = column(table)
     d = col.shape[1]
     return [col[i * d:(i + 1) * d] for i in range(col.shape[0] // d)]

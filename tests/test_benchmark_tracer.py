@@ -30,11 +30,15 @@ def test_every_name_the_tracer_keys_on_resolves(tracer):
     assert KEYED | set(tracer.COUNTERS) | tracer.HOLD_ARGS <= names
 
 
+# the norm layers time verify.projected_norms, which the so(N) checks call
+# on their block operators; the dressed-ladder checks of sl2-bose norm
+# their weighted shifts by verify.shift_norm
 @pytest.mark.parametrize("suite,layers", [
-    ("sl2-bose", ("verify.products_s", "verify.norms_s", "verify.norm_calls",
-                  "verify.norm_elems", "verify.dcr_calls_per_set", "suites.serialize_s")),
+    ("sl2-bose", ("verify.products_s", "verify.dcr_calls_per_set", "suites.serialize_s")),
     ("kz-operator", ("kz.self_s", "suites.serialize_s")),
     ("kz-scalar", ("kz.self_s", "qspecial.calls")),
+    ("soN-orbital", ("verify.norms_s", "verify.norm_calls", "verify.norm_elems",
+                     "fock.calls", "soshift.self_s")),
 ])
 def test_traced_pass_reports_its_layers(tracer, suite, layers):
     t = tracer.Tracer()

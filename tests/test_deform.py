@@ -243,7 +243,7 @@ def test_tabulated_dressings_equal_per_state_reference(q, modes, stat, cutoff):
         "above": lambda: ops(deform.sln_candidate_map(space, weyl, "above")),
         "below": lambda: ops(deform.sln_candidate_map(space, weyl, "below")),
         "onesided": lambda: ops(deform.sl2_bose_onesided_map(space, weyl)),
-        "alpha": lambda: [fock.diag(deform.sl2_alpha_intertwiner(space, weyl))],
+        "alpha": lambda: [sparse_route.diag(deform.sl2_alpha_intertwiner(space, weyl))],
     }
     seen = []
     for name, reference in _reference_maps(space, q):

@@ -75,20 +75,33 @@ def test_the_caller_check_sees_class_members():
     assert list(public_definitions(ast.parse(source))) == [("used", 3), ("p", 5), ("f", 7)]
 
 
-def test_no_kron_or_diags_array_in_the_package():
-    # 1_n (x) X, R (x) 1_D and diagonals are written from index arrays
-    # (fock.eye_kron, fock.kron_eye, fock.diag); sparse.kron and
-    # sparse.diags_array cost a fixed 0.4 ms and 0.16 ms a call on the
-    # small operators of the checks
-    banned = {"kron", "diags_array"}
+def scipy_sparse_imports(tree: ast.Module) -> list[int]:
+    """The line of each statement that imports scipy.sparse or a module or
+    name from it."""
     found = []
-    for path in PACKAGE:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute) and node.attr in banned \
-                    and isinstance(node.value, ast.Name) and node.value.id == "sparse":
-                found.append(f"{path.relative_to(ROOT)}:{node.lineno}: sparse.{node.attr}")
-            if isinstance(node, ast.ImportFrom) and node.module == "scipy.sparse":
-                found += [f"{path.relative_to(ROOT)}:{node.lineno}: {alias.name}"
-                          for alias in node.names if alias.name in banned]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name == "scipy.sparse" or name.startswith("scipy.sparse.") for name in names):
+            found.append(node.lineno)
+    return found
+
+
+def test_no_module_of_the_package_imports_scipy_sparse():
+    # the package's operators are ladder tables and sector block operators;
+    # CSR arrays live in tests/sparse_route.py, the oracle of the tests
+    found = [f"{path.relative_to(ROOT)}:{line}" for path in PACKAGE
+             for line in scipy_sparse_imports(ast.parse(path.read_text()))]
     assert PACKAGE
-    assert not found, "sparse.kron or sparse.diags_array in the package:\n" + "\n".join(found)
+    assert not found, "scipy.sparse imported in the package:\n" + "\n".join(found)
+
+
+def test_the_sparse_import_check_sees_every_form():
+    source = ("from scipy import sparse\nimport scipy.sparse\nimport scipy.sparse as sp\n"
+              "from scipy.sparse import csr_array\nfrom scipy.sparse.linalg import svds\n"
+              "from scipy import special\nimport scipy.linalg\nfrom scipy.special import gamma\n")
+    assert scipy_sparse_imports(ast.parse(source)) == [1, 2, 3, 4, 5]

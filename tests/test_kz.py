@@ -385,7 +385,7 @@ def _sparse_relations(system, params, m):
     """The three relation residuals by full N^2 D x N^2 D sparse matrices:
     M^-1 P M and M^-1 V M contracted with the dressed ladders by the
     sparse route's quadratic_residual_matrices (tests/sparse_route.py),
-    normed by verify.projected_norms."""
+    normed by sparse_route.projected_norms."""
     space, blocks, s, q = system.space, system.blocks, params.sign, params.q
     minv = blocks.join([np.linalg.inv(u) for u in blocks.views(m)])
     v = q**s * ((q + 1.0 / q) / 2.0 * system.p + (q - 1.0 / q) / 2.0 * blocks.eye)
@@ -397,14 +397,14 @@ def _sparse_relations(system, params, m):
     rel = sparse.eye_array(blocks.dim) - s * mu
     aa, apap, cross = sparse_route.quadratic_residual_matrices(
         csr_list(space.an), [x @ dit for x in csr_list(space.ap)], rel, {"cross": mv}, s)
-    return [verify.projected_norms(space, x, 2) for x in (aa, apap, cross["cross"])]
+    return [sparse_route.projected_norms(space, x, 2) for x in (aa, apap, cross["cross"])]
 
 
 def _sparse_acts_trivially(system, m):
     """|| M . (aa) - aa || with aa the sparse column of the a^i a^j."""
     n, an = system.n, csr_list(system.space.an)
     aa = sparse.vstack([an[i] @ an[j] for i in range(n) for j in range(n)])
-    return [verify.projected_norms(system.space, to_sparse(system.blocks, m) @ aa - aa, 2)]
+    return [sparse_route.projected_norms(system.space, to_sparse(system.blocks, m) @ aa - aa, 2)]
 
 
 # the deformation of each relation check; None stands for acts_trivially_residual

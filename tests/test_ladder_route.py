@@ -8,6 +8,7 @@ import textwrap
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import sparse_route
 from qheis import braid, deform, fock, liealg, verify
@@ -106,7 +107,7 @@ def test_ladder_tables_are_the_csr_entries():
     power = deform._tabulate(lambda n: 1.3 ** n, space.cutoff)
     for k, (a, ap, a0, ap0) in enumerate(zip(*map(sparse_route.csr_list, (
             gens.a, gens.ap, space.an, space.ap)))):
-        dress = fock.diag(root[occ[:, k]] * power[occ[:, k + 1:].sum(axis=1)])
+        dress = sparse_route.diag(root[occ[:, k]] * power[occ[:, k + 1:].sum(axis=1)])
         for got, want in ((a, a0 @ dress), (ap, dress @ ap0)):
             assert np.array_equal(got.toarray(), want.toarray())
             assert got.nnz == want.nnz
@@ -186,7 +187,27 @@ def test_delta_term_targets_the_row_where_the_creator_leaves_the_space():
     assert abs(rows["dcr_cross[qR_inv]"] - 0.6498722033542244) < 1e-15
 
 
-ROUTE = (verify.shift_norm, verify._pair_entries, fock._sum_rows,
+@pytest.mark.parametrize("cutoff", [4, 12, 20, 24])
+def test_generator_distance_is_the_sparse_norm_bit_for_bit(cutoff):
+    # the distance between two dressed-ladder sets, as sl2-bose reads it
+    # (the alpha row and the classical-limit scaling), by shift_norm and by
+    # the exact norm of the stacked CSR differences
+    space = fock.build_space(2, Statistics.BOSE, cutoff)
+    for q in (0.7, 1.3):
+        params = DeformParams(q, WEYL)
+        pairs = [(deform.inner_automorphism(deform.sl2_bose_map(space, params),
+                                            deform.sl2_alpha_intertwiner(space, params))[0],
+                  deform.sl2_bose_onesided_map(space, params)),
+                 (deform.sl2_bose_map(space, params),
+                  deform.classical_generators(space, DeformParams(1.0, WEYL)))]
+        for g1, g0 in pairs:
+            old = sparse_route.projected_norms(space, sparse.vstack(
+                [sparse_route.column(g1.a) - sparse_route.column(g0.a),
+                 sparse_route.column(g1.ap) - sparse_route.column(g0.ap)]), 0)
+            assert verify.generator_distance(g1, g0) == old > 0
+
+
+ROUTE = (verify.shift_norm, verify.generator_distance, verify._pair_entries, fock._sum_rows,
          verify.quadratic_residual_matrices, verify.dcr_residuals, verify.number_op_check,
          verify.invariant_commutant_check, liealg.sigma_entries, deform.hermiticity_residual,
          deform.DeformedGenerators.number_diagonal, deform._dressed,

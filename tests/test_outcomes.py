@@ -1,8 +1,9 @@
 """Pass/fail of every case of a fixed set of suite calls, against the map
 checked in as tests/outcomes.json: every operator-algebra call of the
-benchmark's plans for seeds 0-3 (perfbench/run.py), and three calls that
-hold known failures (sl2-bose at cutoffs 20 and 24, slN at N = 4,
-cutoff 24; ROADMAP item 3).  A refactor keeps the map; a change that
+benchmark's plans for seeds 0-3 (perfbench/run.py), and four calls that
+hold known failures of absolute tolerances on terms that grow with the
+cutoff (sl2-bose at cutoffs 20 and 24, slN at N = 4, cutoff 24, and
+soN-orbital at N = 3, cutoff 20; ROADMAP item 2).  A refactor keeps the map; a change that
 flips a case rewrites it on purpose (``python tests/test_outcomes.py``)
 and records the flip in CHANGES.md."""
 
@@ -19,7 +20,8 @@ ROOT = Path(__file__).resolve().parents[1]
 MAP = Path(__file__).resolve().parent / "outcomes.json"
 SEEDS = range(4)
 KNOWN_FAILURES = (["suite", "sl2-bose", "--cutoff", "20"], ["suite", "sl2-bose", "--cutoff", "24"],
-                  ["suite", "slN", "--modes", "4", "--cutoff", "24"])
+                  ["suite", "slN", "--modes", "4", "--cutoff", "24"],
+                  ["suite", "soN-orbital", "--modes", "3", "--cutoff", "20"])
 
 
 def benchmark_calls() -> list:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 import sparse_route
 from qheis import fock, soshift, verify
@@ -40,8 +41,8 @@ def test_l2_commutators(orb3, orb4):
 
 
 def test_l_is_positive_root(orb3):
-    l2 = orb3.l2.toarray()
-    lmat = orb3.l.toarray()
+    l2 = sparse_route.dense(orb3.l2)
+    lmat = sparse_route.dense(orb3.l)
     assert np.linalg.norm(lmat @ lmat - l2, 2) < 1e-10
     evals = np.linalg.eigvalsh(lmat)
     assert evals.min() > -1e-10
@@ -58,7 +59,7 @@ def _per_shell_reference(space, l2):
     grid = []
     for n_val in sorted(set(space.shell)):
         sel = np.flatnonzero(space.shell == n_val)
-        evals, evecs = np.linalg.eigh(l2.toarray()[np.ix_(sel, sel)])
+        evals, evecs = np.linalg.eigh(l2[np.ix_(sel, sel)])
         lvals = np.sqrt(np.clip(evals, 0.0, None))
         lmat[np.ix_(sel, sel)] = (evecs * lvals) @ evecs.conj().T
         for lv in np.unique(np.round(lvals, 8)):
@@ -87,20 +88,22 @@ def test_l_eigenblocks_are_the_components_of_l2(monkeypatch):
     assert max(sizes) == 21 and sum(sizes) == space.dim
     assert sorted(calls) == sorted(set(sizes))
 
-    # every stored entry of l joins two states of one component of l^2
-    c = orb.l2.tocoo()
+    # the sectors are the connected components of the sparsity graph of
+    # l^2, and every nonzero entry of l joins two states of one component
+    l2, lmat = sparse_route.dense(orb.l2), sparse_route.dense(orb.l)
+    row, col = np.nonzero(l2)
     nodes = np.arange(space.dim)
-    label = verify._components(np.concatenate([c.row, nodes]),
-                               np.concatenate([c.col, nodes]), space.dim)[-space.dim:]
-    lc = orb.l.tocoo()
-    assert np.array_equal(label[lc.row], label[lc.col])
+    label = verify._components(np.concatenate([row, nodes]),
+                               np.concatenate([col, nodes]), space.dim)[-space.dim:]
+    assert np.unique(label).size == len(sectors)
+    row, col = np.nonzero(lmat)
+    assert np.array_equal(label[row], label[col])
     parity = occ % 2
-    assert np.array_equal(space.shell[lc.row], space.shell[lc.col])
-    assert np.array_equal(parity[lc.row], parity[lc.col])
+    assert np.array_equal(space.shell[row], space.shell[col])
+    assert np.array_equal(parity[row], parity[col])
 
-    l2, lmat = orb.l2.toarray(), orb.l.toarray()
     assert np.linalg.norm(lmat @ lmat - l2, 2) <= 1e-12 * np.linalg.norm(l2, 2)
-    ref_l, ref_grid = _per_shell_reference(space, orb.l2)
+    ref_l, ref_grid = _per_shell_reference(space, l2)
     assert np.abs(lmat - ref_l).max() <= 1e-12
     assert len(orb.spectral_grid) == len(ref_grid)
     for (n, lv, m), (rn, rl, rm) in zip(orb.spectral_grid, sorted(ref_grid)):
@@ -118,7 +121,8 @@ def test_shift_operators(orb3, orb4, sign):
 
 def test_shift_operators_are_classical(orb3):
     # no deformation parameter enters the construction at all
-    down, up = soshift.shift_operators(soshift.StructureOperands(orb3), +1)
+    down, up = map(sparse_route.dense,
+                   soshift.shift_operators(soshift.StructureOperands(orb3), +1))
     d = orb3.space.dim
     assert down.shape == up.shape == (3 * d, d)
     for i in range(3):
@@ -132,13 +136,14 @@ def test_shift_operator_blocks_are_their_definition(orb3, orb4, sign):
     # and a+_i (n + N/2 - 1 + s l) - (a+.a+) a^i, built one mode at a time
     for orb in (orb3, orb4):
         space, d = orb.space, orb.space.dim
-        down, up = soshift.shift_operators(soshift.StructureOperands(orb), sign)
-        shifted = fock.diag(space.shell + space.modes / 2.0 - 1.0) + sign * orb.l
+        down, up = map(sparse_route.dense,
+                       soshift.shift_operators(soshift.StructureOperands(orb), sign))
+        lmat, aa, apap = (sparse.csr_array(sparse_route.dense(x))
+                          for x in (orb.l, orb.aa, orb.apap))
+        shifted = sparse_route.diag(space.shell + space.modes / 2.0 - 1.0) + sign * lmat
         for i, (ai, api) in enumerate(zip(csr_list(space.an), csr_list(space.ap))):
-            assert np.array_equal(down[i * d:(i + 1) * d].toarray(),
-                                  (ai @ shifted - api @ orb.aa).toarray())
-            assert np.array_equal(up[i * d:(i + 1) * d].toarray(),
-                                  (api @ shifted - orb.apap @ ai).toarray())
+            assert np.array_equal(down[i * d:(i + 1) * d], (ai @ shifted - api @ aa).toarray())
+            assert np.array_equal(up[i * d:(i + 1) * d], (api @ shifted - apap @ ai).toarray())
 
 
 @pytest.mark.parametrize("q", [0.7, 1.3])
@@ -192,22 +197,25 @@ def test_input_validation():
 
 
 def test_structure_operands_are_built_once(orb3, monkeypatch):
-    # one 1_N (x) X each for l^2, a.a, a+.a+ and l when the checks share
-    # their operands, where each check alone builds its own (nine in all);
-    # the rows are the same, bit for bit
-    kron_of = []
-    eye_kron = soshift.eye_kron
-    monkeypatch.setattr(soshift, "eye_kron", lambda n, x: kron_of.append(id(x)) or eye_kron(n, x))
+    # the four products of a ladder with a.a or a+.a+ are built once when
+    # the checks share their operands, where each check alone builds its
+    # own (twelve in all); with the four commutators of l^2 with a.a and
+    # a+.a+, eight products or sixteen take a.a or a+.a+; the rows are the
+    # same, bit for bit
+    factors = []
+    product = fock.block_product
+    monkeypatch.setattr(fock, "block_product",
+                        lambda x, y: factors.append({id(x), id(y)}) or product(x, y))
 
     def rows(shared):
+        factors.clear()
         out = soshift.l2_commutator_residuals(shared())
         for sign in (+1, -1):
             out += soshift.shift_operator_residuals(shared(), sign)
-        return [(r.name, r.residual, r.metadata) for r in out]
+        quadratic = sum(bool(f & {id(orb3.aa), id(orb3.apap)}) for f in factors)
+        return [(r.name, r.residual, r.metadata) for r in out], quadratic
 
     ops = soshift.StructureOperands(orb3)
-    once = rows(lambda: ops)
-    assert sorted(kron_of) == sorted({id(orb3.l2), id(orb3.aa), id(orb3.apap), id(orb3.l)})
-    kron_of.clear()
-    assert rows(lambda: soshift.StructureOperands(orb3)) == once
-    assert len(kron_of) == 9
+    once, built = rows(lambda: ops)
+    assert built == 8
+    assert rows(lambda: soshift.StructureOperands(orb3)) == (once, 16)

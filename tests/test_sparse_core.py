@@ -104,7 +104,7 @@ def test_projected_norms_match_dense_oracle(key, grades):
         inputs += stacks(space, rng)
         inputs += [repeated_blocks(space, rng) for _ in range(2)]
         for m in inputs:
-            assert_close(verify.projected_norms(space, m, degree),
+            assert_close(sparse_route.projected_norms(space, m, degree),
                          dense_oracle(space, m, degree))
 
 
@@ -137,19 +137,19 @@ def test_projected_norms_zero_and_empty(key):
     space = fock.build_space(*SPACES[key])
     d = space.dim
     for degree in (0, 1):
-        assert verify.projected_norms(space, sparse.csr_array((d, d), dtype=complex),
+        assert sparse_route.projected_norms(space, sparse.csr_array((d, d), dtype=complex),
                                       degree) == 0.0
     with pytest.raises(ValueError):
-        verify.projected_norms(space, sparse.csr_array((2 * d, d + 1), dtype=complex), 0)
+        sparse_route.projected_norms(space, sparse.csr_array((2 * d, d + 1), dtype=complex), 0)
     m = random_graded(space, (-1, 0, 1), np.random.default_rng(7))
     assert m.nnz > 0
-    above = verify.projected_norms(space, m, space.cutoff + 1)
+    above = sparse_route.projected_norms(space, m, space.cutoff + 1)
     if space.statistics is Statistics.BOSE:
         # degree above the cutoff: the safe subspace is empty
         assert above == 0.0
     else:
         # a fermionic space is safe at every degree
-        assert above == verify.projected_norms(space, m, 0) > 0.0
+        assert above == sparse_route.projected_norms(space, m, 0) > 0.0
 
 
 def test_norms_leave_a_non_canonical_input_unchanged():
@@ -161,7 +161,7 @@ def test_norms_leave_a_non_canonical_input_unchanged():
     before = m.indices.tobytes(), m.data.tobytes()
     want = np.linalg.norm(m.toarray(), 2)
     space = fock.build_space(1, Statistics.BOSE, 2)
-    got = verify.projected_norms(space, m, 0)
+    got = sparse_route.projected_norms(space, m, 0)
     assert abs(got - want) <= 1e-12 * want
     assert (m.indices.tobytes(), m.data.tobytes()) == before
 
@@ -173,7 +173,7 @@ def test_generators_and_defects_are_sparse():
     for ordering in ("above", "below"):
         gens = deform.sln_candidate_map(space, DeformParams(q, WEYL), ordering)
         for table in (gens.a, gens.ap):
-            col = fock.column(table)
+            col = sparse_route.column(table)
             assert isinstance(col, sparse.csr_array)
             assert col.nnz <= 4 * space.dim
         ann, cre, cross = dcr_defects(gens, rel)

@@ -165,7 +165,7 @@ def test_invariant_commutant_with_supplied_quadratics():
     sigma = sparse_route.sigma_basis(sp, data)
     for inv in (aa, aa.conj().T):
         labels = len(data.basis_labels)
-        assert verify.projected_norms(
+        assert sparse_route.projected_norms(
             sp, sigma @ inv - sparse.kron(sparse.eye_array(labels), inv) @ sigma, 2) <= 1e-12
 
 
@@ -231,7 +231,7 @@ def loop_projected_norm(space, m, degree):
     """projected_norms with loop_norm in place of the batched norm."""
     d = space.dim
     n_r, n_c = m.shape[0] // d, m.shape[1] // d
-    rows, cols, vals = verify._entries(m)
+    rows, cols, vals = sparse_route.entries(m)
     offset = (rows // d * n_c + cols // d) * d
     return loop_norm(offset + rows % d, offset + cols % d, vals,
                      np.tile(space.safe_mask(degree), n_r * n_c))
@@ -307,7 +307,7 @@ def test_projected_norms_is_the_loop_norm_bit_for_bit(modes, stat, cut):
     for degree in (0, 1, 2, space.cutoff + 1):
         for m in (matrix(1, 1), matrix(3, 1), matrix(1, 4), matrix(2, 3)):
             for form in (m, m.toarray()):
-                assert verify.projected_norms(space, form, degree) == \
+                assert sparse_route.projected_norms(space, form, degree) == \
                     loop_projected_norm(space, m, degree)
 
 
@@ -338,5 +338,5 @@ def test_dcr_products_do_not_grow_with_n(monkeypatch):
     assert products == []
     # the counter sees a product when there is one
     monkeypatch.setattr(sparse.csr_array, "_matmul_sparse", counting)
-    fock.column(sp.an) @ fock.row(sp.ap)
+    sparse_route.column(sp.an) @ sparse_route.row(sp.ap)
     assert len(products) == 1
