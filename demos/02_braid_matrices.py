@@ -16,8 +16,7 @@ print("sl(2) braid matrix (entries q, 1, q - 1/q):")
 print(np.round(braid.sl_rhat(2, q).real, 4), "\n")
 
 for family, n in (("sl", 2), ("sl", 3), ("so", 3), ("so", 4)):
-    rel = braid.build_relations(family, n, q, WEYL)
-    d = rel.diagnostics
+    d = braid.relation_diagnostics(braid.build_relations(family, n, q, WEYL))
     print(f"{family}({n}):  Yang-Baxter {d['yang_baxter']:.1e}   "
           f"characteristic {d['characteristic']:.1e}   "
           f"projector ranks {d['projector_ranks']}")
@@ -36,7 +35,7 @@ print("\nso(3) deformed metric (lower), q = 1.3:")
 print(np.round(c_lo, 4))
 print("C_lower @ C_upper - 1:", f"{np.linalg.norm(c_lo @ c_up - np.eye(3)):.1e}")
 print("trace projector vs metric tensor square:",
-      f"{rel.diagnostics['trace_projector_vs_metric']:.1e}")
+      f"{braid.relation_diagnostics(rel)['trace_projector_vs_metric']:.1e}")
 
 # Two cross-relation candidates are always carried; the residual engine
 # decides which one the explicit maps satisfy (see demo 03).

@@ -40,22 +40,21 @@ class BraidConventionError(RuntimeError):
 
 def _ybe_residual(rhat: np.ndarray, n: int) -> float:
     """|| R12 R23 R12 - R23 R12 R23 || on C^N x C^N x C^N.  The rightmost
-    factors are R12 = R x 1 and R23 = 1 x R, as tensors with three row legs
-    and one column leg; the other factors act on them leg by leg (einsum,
-    no matrix product)."""
-    r = rhat.reshape(n, n, n, n)
+    factors are R12 = R x 1 and R23 = 1 x R, with row legs (a, b, c) and
+    one column leg; R12 acts on them as matrix products on the rows
+    (a, b), batched over c, and R23 on the rows (b, c), batched over a.
+    Batched, each product stays below the size at which BLAS starts its
+    worker threads."""
     eye = np.eye(n, dtype=complex)
-    shape = (n, n, n, n**3)
 
     def r12(x):
-        return np.einsum("abcd,cdem->abem", r, x)
+        return (rhat @ x.reshape(n * n, n, -1).swapaxes(0, 1)).swapaxes(0, 1).reshape(n**3, -1)
 
     def r23(x):
-        return np.einsum("bcde,adem->abcm", r, x)
+        return (rhat @ x.reshape(n, n * n, -1)).reshape(n**3, -1)
 
-    defect = (r12(r23(np.kron(rhat, eye).reshape(shape)))
-              - r23(r12(np.kron(eye, rhat).reshape(shape))))
-    return float(np.linalg.norm(defect.reshape(n**3, n**3), 2))
+    defect = r12(r23(np.kron(rhat, eye))) - r23(r12(np.kron(eye, rhat)))
+    return float(np.linalg.norm(defect, 2))
 
 
 def sl_rhat(n: int, q: float) -> np.ndarray:
@@ -117,8 +116,8 @@ def so_metric_frt(n: int, q: float) -> np.ndarray:
 
     The sign of the exponent is pinned by the braid matrix itself: the
     rank-one spectral projector of Rhat at eigenvalue q^(1-N) must be
-    proportional to C^{ij} C_{kl}, and that selects -rho (checked in the
-    build_relations diagnostics).
+    proportional to C^{ij} C_{kl}, and that selects -rho (checked by
+    relation_diagnostics).
     """
     rho = _so_rho_vector(n)
     c = np.zeros((n, n), dtype=complex)
@@ -156,7 +155,7 @@ class RelationMatrices:
     cross_candidates: dict  # name -> matrix; the DCR oracle picks the winner
     metric_lower: np.ndarray | None = None
     metric_upper: np.ndarray | None = None
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict)  # the guard's residuals
 
 
 def _sl_projectors(rhat: np.ndarray, q: float) -> list:
@@ -203,7 +202,6 @@ def build_relations(family: str, n: int, q: float, sign: int = WEYL) -> Relation
     if family not in ("sl", "so"):
         raise ValueError(f"unknown family {family!r}")
 
-    diagnostics: dict = {}
     metric_lower = metric_upper = None
     eye2 = np.eye(n * n, dtype=complex)
 
@@ -231,38 +229,13 @@ def build_relations(family: str, n: int, q: float, sign: int = WEYL) -> Relation
         anni = projectors[1][1]  # q-antisymmetrizer; the trace part stays free
 
     ybe = _ybe_residual(rhat, n)
-    diagnostics["yang_baxter"] = ybe
-    diagnostics["characteristic"] = float(char)
+    diagnostics = {"yang_baxter": ybe, "characteristic": float(char)}
     scale = float(np.linalg.norm(rhat, 2))
     if ybe > 1e-9 * max(scale**3, 1.0) or char > 1e-9 * max(scale**3, 1.0):
         raise BraidConventionError(
             f"braid matrix for {family}({n}), q={q} fails its invariants: "
             f"YBE={ybe:.3e}, char={char:.3e}"
         )
-
-    # completeness / orthogonality of the spectral projectors
-    tot = sum(p for _, p in projectors)
-    diagnostics["projector_completeness"] = float(np.linalg.norm(tot - eye2, 2))
-    ortho = 0.0
-    for a, (_, pa) in enumerate(projectors):
-        for b, (_, pb) in enumerate(projectors):
-            tgt = pa if a == b else 0.0
-            ortho = max(ortho, float(np.linalg.norm(pa @ pb - tgt, 2)))
-    diagnostics["projector_orthogonality"] = ortho
-    diagnostics["projector_ranks"] = tuple(int(round(np.trace(p).real)) for _, p in projectors)
-
-    if metric_lower is not None:
-        diagnostics["metric_normalization"] = float(
-            np.linalg.norm(metric_lower @ metric_upper - np.eye(n), 2)
-        )
-        if q != 1.0:
-            # the trace projector must be the rank-one C x C tensor
-            v = metric_upper.reshape(-1)
-            wvec = metric_lower.reshape(-1)
-            nu = wvec @ v
-            diagnostics["trace_projector_vs_metric"] = float(
-                np.linalg.norm(projectors[2][1] - np.outer(v, wvec) / nu, 2)
-            )
 
     # cross candidates q^sign * Rhat and q^sign * Rhat^(-1); only the DCR
     # oracle can tell which one the explicit maps satisfy
@@ -286,3 +259,36 @@ def build_relations(family: str, n: int, q: float, sign: int = WEYL) -> Relation
         diagnostics=diagnostics,
     )
 
+
+def relation_diagnostics(rel: RelationMatrices) -> dict:
+    """The invariants of the relation matrices beyond the guard of
+    build_relations (rel.diagnostics, whose Yang-Baxter and characteristic
+    residuals the result repeats): completeness, orthogonality and ranks
+    of the spectral projectors, and for so(N) the normalization
+    C_lower C_upper = 1 of the metric and, for q != 1, the distance of the
+    trace projector from the rank-one tensor C^{ij} C_{kl} / nu."""
+    n, projectors = rel.n, rel.projectors
+    out = dict(rel.diagnostics)
+    tot = sum(p for _, p in projectors)
+    out["projector_completeness"] = float(np.linalg.norm(tot - np.eye(n * n), 2))
+    ortho = 0.0
+    for a, (_, pa) in enumerate(projectors):
+        for b, (_, pb) in enumerate(projectors):
+            tgt = pa if a == b else 0.0
+            ortho = max(ortho, float(np.linalg.norm(pa @ pb - tgt, 2)))
+    out["projector_orthogonality"] = ortho
+    out["projector_ranks"] = tuple(int(round(np.trace(p).real)) for _, p in projectors)
+
+    if rel.metric_lower is not None:
+        out["metric_normalization"] = float(
+            np.linalg.norm(rel.metric_lower @ rel.metric_upper - np.eye(n), 2)
+        )
+        if rel.q != 1.0:
+            # the trace projector must be the rank-one C x C tensor
+            v = rel.metric_upper.reshape(-1)
+            wvec = rel.metric_lower.reshape(-1)
+            nu = wvec @ v
+            out["trace_projector_vs_metric"] = float(
+                np.linalg.norm(projectors[2][1] - np.outer(v, wvec) / nu, 2)
+            )
+    return out

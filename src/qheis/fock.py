@@ -314,6 +314,16 @@ class BlockLayout:
         row, col = np.divmod(np.arange(self.total) - self.offset[block], self.width[block])
         return block, row, col
 
+    @functools.cached_property
+    def row_starts(self) -> tuple[np.ndarray, np.ndarray]:
+        """The flat offset of the first entry of each row of each block,
+        block after block, and the place of each block's first row in it:
+        the cuts of np.add.reduceat over the entries, then over the rows."""
+        first = np.cumsum(self.height) - self.height
+        block = np.repeat(np.arange(self.height.size), self.height)
+        row = np.arange(block.size) - first[block]
+        return self.offset[block] + row * self.width[block], first
+
 
 @dataclass(frozen=True, eq=False, repr=False)
 class BlockOperator:

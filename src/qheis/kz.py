@@ -72,6 +72,13 @@ V = q^s P q^P into the matrices governing the deformed exchange
 relations of the dressed generators a~^i = a^i, a~+_i = a+_i I~(n),
 I~(n) = (n+1)_{q^(2s)} / (n+1): the paper's family a~^i = I(n) a^i,
 I~(n) = (n+1)_{q^(2s)} / ((n+1) I(n)) at I = 1.
+
+Dependencies.  Both sides need numpy alone: importing kz, and running
+the operator side, loads no scipy module.  The scalar side's closed forms
+take the gamma function from ``qspecial``, which loads scipy.special on
+first use.  scipy's solve_ivp and expm stay reachable as kz.solve_ivp and
+kz.expm, imported on first lookup (module ``__getattr__``), for the
+benchmark tracer, which times them as layers of their own.
 """
 
 from __future__ import annotations
@@ -81,14 +88,28 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp  # noqa: F401  (the benchmark tracer wraps kz.solve_ivp)
-from scipy.linalg import expm  # noqa: F401  (the benchmark tracer wraps kz.expm)
 
 from .fock import FockSpace, Statistics
 from .liealg import LieData, coproduct_rep, sigma_entries
 from .qspecial import (DeformParams, gamma, gauss_2f1, gauss_2f1_deriv, qbracket, qnum,
                        rgamma)
 from .verify import CaseResult
+
+
+def __getattr__(name):
+    """scipy's solve_ivp and expm, imported on the first lookup of
+    kz.solve_ivp or kz.expm and then bound in the module.  No function of
+    kz calls either; the benchmark tracer looks both up to time them as
+    layers of their own, so they stay reachable without an import of kz
+    loading scipy."""
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp as found
+    elif name == "expm":
+        from scipy.linalg import expm as found
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = found
+    return found
 
 
 class IntegrationError(RuntimeError):

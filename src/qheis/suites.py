@@ -350,7 +350,7 @@ def _suite_qspecial(cfg: SuiteConfig):
 
 
 def _suite_kz_scalar(cfg: SuiteConfig):
-    from . import kz  # kz loads scipy.integrate and scipy.linalg; only the kz suites need it
+    from . import kz  # only the kz suites need kz; its scalar side loads scipy.special
     # built here, so that an out-of-range n or hbar2 is a usage error
     params = [kz.KZScalarParams(n=n, hbar2=hbar2, sign=sign)
               for n in cfg.n for hbar2 in cfg.hbar2 for sign in (+1, -1)]
@@ -453,8 +453,7 @@ def _suite_braid(cfg: SuiteConfig):
     combos = [("sl", 2), ("sl", 3), ("so", 3), ("so", 4)]
 
     def unit(family, n, q):
-        rel = braid.build_relations(family, n, q, WEYL)
-        d = rel.diagnostics
+        d = braid.relation_diagnostics(braid.build_relations(family, n, q, WEYL))
         rows = [
             CaseResult("yang_baxter", d["yang_baxter"], 1e-12),
             CaseResult("characteristic", d["characteristic"], 1e-12),

@@ -43,7 +43,10 @@ it maps every (shell, parity) sector to one sector and no two sectors to
 one (``fock.BlockOperator``).  It is then the orthogonal direct sum of
 its blocks, and its spectral norm is the largest block norm, exactly; a
 sector lies in one shell, so the safe projector keeps or drops whole
-blocks, and the blocks of one shape take one batched SVD
+blocks.  A block's norm lies between its largest row 2-norm and its
+Frobenius norm, so a kept block whose Frobenius norm is below the largest
+row norm of any kept block cannot hold the maximum; only the others are
+factorized, the blocks of one shape in one batched SVD
 (:func:`projected_norms`).  No block is padded.  The N relations of a
 check run down the stack of a block operator, so the number of block
 products does not depend on N.
@@ -171,9 +174,12 @@ def component_stacks(rows, cols, vals, n: int):
 def _norm_of_entries(rows, cols, vals, mask: np.ndarray) -> float:
     """Spectral norm of the matrix with entries vals at (rows, cols),
     restricted to the rows and columns in mask, exact by the components of
-    its sparsity graph (module docstring)."""
+    its sparsity graph (module docstring).  Raises ValueError when a kept
+    entry is not finite."""
     keep = mask[rows] & mask[cols] & (vals != 0)
     rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    if not np.isfinite(vals).all():
+        raise ValueError("a kept entry is not finite")
     alone = (np.bincount(rows)[rows] == 1) & (np.bincount(cols)[cols] == 1)
     spec = float(np.abs(vals[alone]).max(initial=0.0))
     rows, cols, vals = rows[~alone], cols[~alone], vals[~alone].astype(complex)
@@ -193,14 +199,38 @@ def projected_norms(space, m: BlockOperator, degree: int) -> float:
     Each operator maps every sector to one sector, and no two sectors to
     the same one, so it is the direct sum of its blocks; a sector lies in
     one shell, so P keeps or drops whole blocks, and the norm is the
-    largest over the kept blocks, one batched SVD per shape."""
-    sectors = m.sectors
+    largest over the kept blocks.
+
+    Only the blocks that can hold that largest norm are factorized.  The
+    norm of block b lies between the largest 2-norm l_b of its rows and
+    its Frobenius norm f_b, both read off the squared entries by two
+    reductions over the layout's rows (``BlockLayout.row_starts``).  A
+    block with f_b^2 <= (1 - 1e-9) max_b l_b^2 has a norm below another's,
+    far beyond rounding, so the others take one batched SVD per shape,
+    the same LAPACK call each would take alone: the result is the largest
+    over all kept blocks to the last bit.  Raises ValueError when a kept
+    block holds an entry that is not finite, where no norm is meaningful
+    (an SVD would read nan or fail to converge)."""
+    lay, sectors = m.layout, m.sectors
     safe = space.safe_mask(degree)[sectors.members[sectors.start]]
+    kept = safe[lay.src] & safe[lay.dst]
+    if not kept.any():
+        return 0.0
+    starts, first = lay.row_starts
+    with np.errstate(over="ignore"):
+        rows = np.add.reduceat(np.abs(m.data) ** 2, starts)
+        frobenius = np.add.reduceat(rows, first)
+    lower = np.maximum.reduceat(rows, first)[kept].max()
+    if not np.isfinite(frobenius[kept]).all():
+        if not np.isfinite(m.data[np.repeat(kept, lay.height * lay.width)]).all():
+            raise ValueError("a kept block holds a non-finite entry")
+        lower = 0.0  # finite entries whose squares overflow: factorize every block
+    wanted = kept & (frobenius > (1 - 1e-9) * lower)
     spec = 0.0
-    for src, dst, stack in m.stacks():
-        kept = stack[safe[src] & safe[dst]]
-        if kept.size:
-            spec = max(spec, float(np.linalg.svd(kept, compute_uv=False)[:, 0].max()))
+    for (b0, b1, _, _), (_, _, stack) in zip(lay.groups, m.stacks()):
+        picked = stack[wanted[b0:b1]]
+        if picked.size:
+            spec = max(spec, float(np.linalg.svd(picked, compute_uv=False)[:, 0].max()))
     return spec
 
 

@@ -1,11 +1,16 @@
 """Block operators on the (shell, parity) sectors (``fock.BlockOperator``)
 against dense matrices: the sectors, every kind of product, the sum over
-a stack and the exact norm ``verify.projected_norms``."""
+a stack and the exact norm ``verify.projected_norms``, which factorizes
+only the blocks that can hold the largest norm and must read the largest
+over all of them to the last bit."""
+
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qheis import deform, fock, verify
+from qheis import deform, fock, suites, verify
 from qheis.fock import Statistics
 from qheis.qspecial import WEYL, DeformParams
 from sparse_route import dense
@@ -137,3 +142,141 @@ def test_metric_invariants_take_a_diagonal_metric_only():
             verify.metric_invariant_check(gens, lower, upper, 1.0)
     scaled = np.diag([1.0, 2.0, 0.5])
     assert all(r.passed for r in verify.metric_invariant_check(gens, scaled, scaled, 1.0))
+
+
+@functools.cache
+def cached_space(key):
+    return fock.build_space(*SPACES[key])
+
+
+def every_block_norm(space, op, degree):
+    """The largest norm of the blocks P keeps, from one SVD of every kept
+    block (the norm without pruning)."""
+    sec = op.sectors
+    safe = space.safe_mask(degree)[sec.members[sec.start]]
+    spec = 0.0
+    for src, dst, blocks in op.stacks():
+        kept = blocks[safe[src] & safe[dst]]
+        if kept.size:
+            spec = max(spec, float(np.linalg.svd(kept, compute_uv=False)[:, 0].max()))
+    return spec
+
+
+def block_slice(lay, b):
+    return slice(lay.offset[b], lay.offset[b] + lay.height[b] * lay.width[b])
+
+
+@st.composite
+def block_operators(draw):
+    """A block operator with random entries on a random layout of a small
+    space, shaped so that the largest norm sits in a thin (1 x k or k x 1)
+    block, in two blocks of equal norm, in the one nonzero block, or is 0."""
+    key = draw(st.sampled_from(sorted(SPACES)))
+    space = cached_space(key)
+    size = draw(st.integers(1, 3))
+    dk = draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+    flip = draw(st.lists(st.integers(0, (1 << space.modes) - 1), min_size=size,
+                         max_size=size))
+    lay = space.sectors.layout(np.array(dk), np.array(flip))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.normal(size=lay.total)
+    if draw(st.booleans()):
+        data = data + 1j * rng.normal(size=lay.total)
+    shape = draw(st.sampled_from(["random", "thin", "tie", "single", "zero"]))
+    blocks = np.arange(lay.label.size)
+    if shape == "thin":
+        thin = blocks[(np.minimum(lay.height, lay.width) == 1) & (lay.height * lay.width > 1)]
+        if thin.size:
+            data[block_slice(lay, draw(st.sampled_from(thin.tolist())))] *= 100.0
+    elif shape == "tie":
+        for m, k in {(int(m), int(k)) for m, k in zip(lay.height, lay.width)}:
+            same = blocks[(lay.height == m) & (lay.width == k)]
+            for b in same[1:]:
+                data[block_slice(lay, b)] = data[block_slice(lay, same[0])]
+    elif shape == "single" and blocks.size:
+        keep = block_slice(lay, draw(st.sampled_from(blocks.tolist())))
+        data[:keep.start] = data[keep.stop:] = 0
+    elif shape == "zero":
+        data[:] = 0
+    return space, fock.BlockOperator(space.sectors, lay, data)
+
+
+@given(block_operators())
+@settings(max_examples=150, deadline=None)
+def test_projected_norms_is_the_norm_of_every_block_bit_for_bit(case):
+    space, op = case
+    for degree in range(space.cutoff + 2):
+        assert verify.projected_norms(space, op, degree) == every_block_norm(space, op, degree)
+
+
+def test_projected_norms_refuses_a_non_finite_kept_entry():
+    space = fock.build_space(3, Statistics.BOSE, 5)
+    top = int(np.flatnonzero(space.shell == space.cutoff)[0])
+    for bad in (np.inf, -np.inf, np.nan, complex(0, np.inf)):
+        values = np.ones(space.dim, dtype=complex)
+        values[7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            verify.projected_norms(space, fock.diagonal(space, values), 0)
+        # a block that P drops may hold anything
+        values = np.ones(space.dim, dtype=complex)
+        values[top] = bad
+        assert verify.projected_norms(space, fock.diagonal(space, values), 1) == 1.0
+    # finite entries whose squares overflow are normed without pruning
+    values = np.ones(space.dim)
+    values[[3, 9]] = 1e200, -2e200
+    op = fock.diagonal(space, values)
+    assert verify.projected_norms(space, op, 0) == every_block_norm(space, op, 0) == 2e200
+
+
+def test_component_norm_refuses_a_non_finite_kept_entry():
+    rows, cols = np.array([0, 0, 1, 2]), np.array([0, 1, 1, 3])
+    mask = np.ones(4, dtype=bool)
+    for bad in (np.inf, np.nan):
+        for at in (1, 3):  # in a component of several entries, or alone
+            vals = np.array([1.0, 2.0, 0.5, 1.5], dtype=complex)
+            vals[at] = bad
+            with pytest.raises(ValueError, match="not finite"):
+                verify._norm_of_entries(rows, cols, vals, mask)
+            # dropped by the mask: the rest is normed
+            mask_out = mask.copy()
+            mask_out[cols[at]] = False
+            assert np.isfinite(verify._norm_of_entries(rows, cols, vals, mask_out))
+
+
+def test_a_non_finite_generator_entry_fails_its_unit(monkeypatch):
+    def broken(space, params):
+        vals = space.an.vals.copy()
+        vals[0, 0] = np.inf  # a^1 on the vacuum, a safe state
+        return deform.DeformedGenerators(space, params, fock.LadderTable(space.an.cols, vals),
+                                         space.ap)
+
+    monkeypatch.setattr(deform, "classical_generators", broken)
+    with np.errstate(all="ignore"):  # inf times a zero entry: as outside the tests
+        report = suites.run_suite(suites.make_config("soN-orbital", modes=3, cutoff=4))
+    failed = {c.name: c.metadata for c in report.cases if not c.passed}
+    assert list(failed) == ["classical/EXECUTION"]
+    assert "non-finite" in failed["classical/EXECUTION"]["error"]
+
+
+def test_projected_norms_factorizes_few_blocks(monkeypatch):
+    # at the benchmark's soN-orbital point the bounds leave at most 10% of
+    # the kept blocks to the SVD
+    kept, factorized = [0], [0]
+    norms, svd = verify.projected_norms, np.linalg.svd
+
+    def counting_norms(space, m, degree):
+        sec, lay = m.sectors, m.layout
+        safe = space.safe_mask(degree)[sec.members[sec.start]]
+        kept[0] += int((safe[lay.src] & safe[lay.dst]).sum())
+        return norms(space, m, degree)
+
+    def counting_svd(a, *args, **kwargs):
+        factorized[0] += a.shape[0]
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(suites.soshift, "projected_norms", counting_norms)
+    monkeypatch.setattr(verify, "projected_norms", counting_norms)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    suites.run_suite(suites.make_config("soN-orbital", modes=3, cutoff=10))
+    assert kept[0] > 1000
+    assert factorized[0] <= 0.1 * kept[0], (factorized, kept)

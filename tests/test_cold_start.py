@@ -1,11 +1,12 @@
 """The CLI starts without the modules only some suites need.
 
-Importing ``qheis.cli``, and running the operator-algebra suites and
-``braid``, loads no scipy module at all: numpy is the package's one
-dependency until a suite needs scipy's special functions (``qspecial``)
-or its linear algebra (the kz suites).  Each check runs in a fresh
-interpreter, because this test process has already imported
-``qheis.kz`` and scipy.
+Importing ``qheis.cli``, and running the operator-algebra suites,
+``braid`` and ``kz-operator``, loads no scipy module at all: numpy is the
+package's one dependency until a suite needs scipy's special functions
+(``qspecial``, and ``kz-scalar`` through ``qspecial.gamma``).  ``qheis.kz``
+binds scipy's ``solve_ivp`` and ``expm`` on their first lookup only.  Each
+check runs in a fresh interpreter, because this test process has already
+imported ``qheis.kz`` and scipy.
 """
 
 import json
@@ -16,7 +17,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-PROBE = """
+HEADER = """
 import json, os, sys
 HEAVY = ("qheis.kz", "scipy.integrate", "scipy.optimize", "scipy.linalg",
          "scipy.special", "scipy.sparse.csgraph", "scipy.sparse.linalg")
@@ -27,28 +28,64 @@ def loaded():
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
+def run(*argv):
+    qheis.cli.main(["suite", *argv, "--out", os.devnull])
+"""
+
+CLI_PROBE = HEADER + """
 import qheis.cli
 seen = {"import": loaded(), "scipy at import": scipy_modules()}
 for argv in (["sl2-fermi"], ["braid"], ["slN", "--cutoff", "3"]):
-    qheis.cli.main(["suite", *argv, "--out", os.devnull])
+    run(*argv)
 seen["light suites"] = loaded()
 for argv in (["sl2-bose"], ["soN-orbital"]):
-    qheis.cli.main(["suite", *argv, "--out", os.devnull])
+    run(*argv)
 seen["scipy after the numpy-only suites"] = scipy_modules()
-qheis.cli.main(["suite", "qspecial", "--out", os.devnull])
+run("qspecial")
 seen["qspecial"] = loaded()
-qheis.cli.main(["suite", "kz-operator", "--cutoff", "3", "--out", os.devnull])
-seen["kz-operator"] = loaded()
+print(json.dumps(seen))
+"""
+
+KZ_PROBE = HEADER + """
+import qheis.kz
+seen = {"scipy at import": scipy_modules()}
+import qheis.cli
+before = set(scipy_modules())
+run("kz-operator", "--cutoff", "3")
+seen["kz-operator adds"] = sorted(set(scipy_modules()) - before)
+before = set(scipy_modules())
+run("kz-scalar", "--n", "1")
+seen["kz-scalar adds"] = sorted(set(scipy_modules()) - before)
+print(json.dumps(seen))
+"""
+
+LOOKUP_PROBE = """
+import json
+import qheis.kz as kz
+seen = {"bound at import": [n for n in ("solve_ivp", "expm") if n in vars(kz)]}
+import scipy.integrate, scipy.linalg
+seen["solve_ivp"] = kz.solve_ivp is scipy.integrate.solve_ivp
+seen["expm"] = kz.expm is scipy.linalg.expm
+seen["bound after lookup"] = [n for n in ("solve_ivp", "expm") if n in vars(kz)]
+try:
+    kz.no_such_name
+    seen["other names"] = "found"
+except AttributeError:
+    seen["other names"] = "AttributeError"
 print(json.dumps(seen))
 """
 
 
-def test_cli_loads_heavy_modules_only_for_the_suites_that_use_them():
+def probe(code: str) -> dict:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, "-c", PROBE], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_loads_heavy_modules_only_for_the_suites_that_use_them():
+    seen = probe(CLI_PROBE)
     assert seen["import"] == []
     assert seen["light suites"] == []
     assert seen["scipy at import"] == []
@@ -56,4 +93,18 @@ def test_cli_loads_heavy_modules_only_for_the_suites_that_use_them():
     assert "scipy.special" in seen["qspecial"]
     assert "qheis.kz" not in seen["qspecial"]
     assert "scipy.integrate" not in seen["qspecial"]
-    assert {"qheis.kz", "scipy.integrate"} <= set(seen["kz-operator"])
+
+
+def test_kz_suites_load_scipy_special_at_most():
+    seen = probe(KZ_PROBE)
+    assert seen["scipy at import"] == []
+    assert seen["kz-operator adds"] == []
+    added = set(seen["kz-scalar adds"])
+    assert "scipy.special" in added
+    assert not {"scipy.integrate", "scipy.linalg", "scipy.optimize"} & added
+
+
+def test_kz_binds_scipy_routines_on_first_lookup():
+    assert probe(LOOKUP_PROBE) == {"bound at import": [], "solve_ivp": True, "expm": True,
+                                   "bound after lookup": ["solve_ivp", "expm"],
+                                   "other names": "AttributeError"}

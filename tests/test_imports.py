@@ -1,6 +1,5 @@
 """No module of the package, the demos or the tests imports a name it never
-uses.  An import whose statement carries ``# noqa`` is exempt (``kz``
-binds ``solve_ivp`` and ``expm`` for callers outside the module).  Every
+uses.  An import whose statement carries ``# noqa`` is exempt.  Every
 public function of the package, and every public method and property of
 its classes, is read somewhere in the package, so none is kept for the
 tests or the demos alone."""

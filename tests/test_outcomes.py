@@ -1,6 +1,7 @@
 """Pass/fail of every case of a fixed set of suite calls, against the map
-checked in as tests/outcomes.json: every operator-algebra call of the
-benchmark's plans for seeds 0-3 (perfbench/run.py), and four calls that
+checked in as tests/outcomes.json: every operator-algebra and
+kz-coassociator call of the benchmark's plans for seeds 0-3
+(perfbench/run.py), and four calls that
 hold known failures of absolute tolerances on terms that grow with the
 cutoff (sl2-bose at cutoffs 20 and 24, slN at N = 4, cutoff 24, and
 soN-orbital at N = 3, cutoff 20; ROADMAP item 2).  A refactor keeps the map; a change that
@@ -19,14 +20,15 @@ from qheis import cli
 ROOT = Path(__file__).resolve().parents[1]
 MAP = Path(__file__).resolve().parent / "outcomes.json"
 SEEDS = range(4)
+WORKLOADS = ("operator-algebra", "kz-coassociator")
 KNOWN_FAILURES = (["suite", "sl2-bose", "--cutoff", "20"], ["suite", "sl2-bose", "--cutoff", "24"],
                   ["suite", "slN", "--modes", "4", "--cutoff", "24"],
                   ["suite", "soN-orbital", "--modes", "3", "--cutoff", "20"])
 
 
 def benchmark_calls() -> list:
-    """The argv of every operator-algebra call of the plans for SEEDS, in
-    plan order, from perfbench/run.py as it stands."""
+    """The argv of every call of the plans of WORKLOADS for SEEDS, in plan
+    order, from perfbench/run.py as it stands."""
     bench = ROOT / "perfbench"
     sys.path.insert(0, str(bench))  # run.py imports its tracer
     try:
@@ -35,7 +37,8 @@ def benchmark_calls() -> list:
         spec.loader.exec_module(run)
     finally:
         sys.path.remove(str(bench))
-    return [argv for seed in SEEDS for _, argv in run.plan("operator-algebra", seed)]
+    return [argv for workload in WORKLOADS for seed in SEEDS
+            for _, argv in run.plan(workload, seed)]
 
 
 def outcomes(argv, tmp: Path) -> dict:
