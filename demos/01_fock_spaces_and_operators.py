@@ -58,11 +58,11 @@ print(f"\nfermionic space dim {spf.dim}; worst CAR residual: {worst:.3e}")
 # per sector.  A product with a ladder table is a gather, and
 # verify.projected_norms reads the norm block by block.
 sp3 = fock.build_space(3, Statistics.BOSE, cutoff=6)
-eye = fock.diagonal(sp3, np.ones(sp3.dim))
+sectors = sp3.sectors
+eye = fock.diagonal(sectors, np.ones(sp3.dim))
 aa = (sp3.an @ (sp3.an @ eye)).sum_labels()
 apap = (sp3.ap @ (sp3.ap @ eye)).sum_labels()
-defect = aa @ apap - apap @ aa - fock.diagonal(sp3, 4.0 * sp3.shell + 2 * sp3.modes)
-sectors = sp3.sectors
+defect = aa @ apap - apap @ aa - fock.diagonal(sectors, 4.0 * sp3.shell + 2 * sp3.modes)
 print(f"\n3-mode space dim {sp3.dim}: {sectors.size.size} sectors, the largest "
       f"{sectors.size.max()} states")
 print("||[a.a, a+.a+] - (4n + 2N)|| on the degree-2 safe subspace:",
@@ -76,7 +76,7 @@ q = 1.3
 dress = (q ** np.arange(sp.cutoff + 1))[sp.occ[:, 1]]
 print("\nq^(n_2) on state (0, 3):", dress[sp.state_index((0, 3))])
 print("its norm as a block operator:",
-      f"{verify.projected_norms(sp, fock.diagonal(sp, dress), 0):.4f} = q^3")
+      f"{verify.projected_norms(sp, fock.diagonal(sp.sectors, dress), 0):.4f} = q^3")
 
 # Grade bookkeeping: [n_tot, X] = g X identifies creators (+1),
 # annihilators (-1), and invariants (0).

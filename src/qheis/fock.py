@@ -19,18 +19,20 @@ dressing is an array indexed by occupation.  The particle-number grade g
 of an operator X ([n_tot, X] = g X) is not stored; :func:`grade_defect`
 measures it.
 
-Block operators: an operator that moves the shell by a fixed step and
-flips the parities of the occupations of a fixed set of modes (l^2 and l
-of ``soshift``, a.a, a+.a+, a^i, and their products) maps each
-(shell, parity) sector (:class:`Sectors`,
-:attr:`FockSpace.sectors`) to one sector.  A :class:`BlockOperator`
+Block operators: a :class:`Partition` splits a basis into parts keyed
+by integer vectors (a coordinate may be taken modulo an integer), and an
+operator that moves every key by one vector maps each part to one part.
+The Fock sectors (:attr:`FockSpace.sectors`) are keyed by
+(shell, n_N mod 2, ..., n_1 mod 2), so l^2 and l of ``soshift``, a.a,
+a+.a+, a^i and their products map each sector to one sector; the weight
+blocks of ``kz`` are keyed by the sl(N) weight.  A :class:`BlockOperator`
 stores a stack of such operators as one unpadded dense block per
-(operator, source sector), the blocks of one shape stacked in one flat
-array (:class:`BlockLayout`).  A product with a ladder table is one
-gather, a product of two block operators one batched product per shape
-(:func:`block_product`), and a diagonal is one block per sector
-(:func:`diagonal`); the layouts and the gather plans are built once per
-space.
+(operator, source part), the blocks of one shape stacked in one flat
+array (:class:`BlockLayout`), and is built from its entries
+(:meth:`BlockOperator.from_entries`, :func:`diagonal`) or as a product:
+with a ladder table one gather, with a block operator one batched
+product per shape (:func:`block_product`).  The layouts and the plans
+are built once per partition.
 
 Direct construction: the tables are written from index arrays, with no
 Python loop over the basis (each neighbour state is found by its
@@ -117,9 +119,18 @@ class FockSpace:
         return self.occ.shape[0]
 
     @functools.cached_property
-    def sectors(self) -> Sectors:
-        """The (shell, parity) sectors of the space, built on first use."""
-        return Sectors(self)
+    def sectors(self) -> Partition:
+        """The (shell, parity) sectors of the space, built on first use:
+        the partition keyed by (shell, n_N mod 2, ..., n_1 mod 2).  The key
+        is linear in the occupations, so a ladder moves it by its mode's
+        column of the key matrix, lowered by an annihilator and raised by
+        a creator."""
+        keys = np.vstack([np.ones(self.modes, dtype=int), np.eye(self.modes, dtype=int)[::-1]])
+        # (columns, the columns of the inverse shift, moves) of each ladder: the
+        # entry of an annihilator's table in column c is in row c - e_i, the
+        # creator's column of c, and the other way round
+        ladders = ((self.an.cols, self.ap.cols, -keys.T), (self.ap.cols, self.an.cols, keys.T))
+        return Partition(self.occ @ keys.T, [0] + [2] * self.modes, self.shell, ladders)
 
     def state_index(self, occ) -> int:
         """The index of the basis state with occupations occ; KeyError when
@@ -133,9 +144,14 @@ class FockSpace:
         """Basis states on which an identity of creator-degree `degree` is
         exact: total occupation <= cutoff - degree on a bosonic space,
         every state on a fermionic one."""
+        return self.safe_shells(self.shell, degree)
+
+    def safe_shells(self, shell: np.ndarray, degree: int) -> np.ndarray:
+        """Which of the total occupations `shell` are those of safe states
+        at creator degree `degree` (:meth:`safe_mask`)."""
         if self.statistics is Statistics.FERMI:
-            return np.ones(self.dim, dtype=bool)
-        return self.shell <= self.cutoff - degree
+            return np.ones(np.shape(shell), dtype=bool)
+        return shell <= self.cutoff - degree
 
     def shift_targets(self, shifts) -> np.ndarray:
         """The state s + v for every basis state s and every row v of the
@@ -220,78 +236,96 @@ def _ladders(occ: np.ndarray, steps: np.ndarray,
     return tables[0], tables[1]
 
 
-class Sectors:
-    """The (shell, parity of each mode's occupation) sectors of a space,
-    with the layouts and gather plans of the block operators on them, each
-    built on first use and kept with the space.
+class Partition:
+    """A partition of a basis into parts, with the layouts and gather plans
+    of the block operators on it, each built on first use and kept with
+    the partition.
 
-    Sector k holds the states members[start[k]:start[k] + size[k]] in
-    increasing index, and state s is the place[s]-th state of sector
-    of[s].  The sectors are numbered in the increasing order of the key
-    shell 2^N + sum_i (n_i mod 2) 2^i, so the sector that a shift of the
-    shell by dk and of the parities by the bits flip reaches from key K is
-    found by searching for K + dk 2^N with its parity bits xor flip."""
+    Each state has a key, an integer vector whose coordinate c is taken
+    modulo moduli[c] where that is not 0, and a part is the set of states
+    of one key.  The parts are numbered in the lexicographic order of
+    their keys (key[k], the first coordinate leading); part k holds the
+    states members[start[k]:start[k] + size[k]] in increasing index, state
+    s is the place[s]-th state of part of[s], and shell[k] is the total
+    occupation of the Fock states of part k, which must be one per part.
 
-    def __init__(self, space: FockSpace):
-        dim, modes = space.dim, space.modes
-        self.radix = 1 << modes
-        bits = (space.occ % 2) @ (1 << np.arange(modes))
-        self.keys, self.of = np.unique(space.shell * self.radix + bits, return_inverse=True)
+    An operator moves the parts by a key vector v when it maps each part
+    k to the part keyed key[k] + v, where there is one, and to nothing
+    where there is none (:class:`BlockLayout`); moves compose by addition.
+    ladders holds, for each ladder table that a product may gather from
+    (:func:`block_product`), its columns, the columns of its inverse
+    shift, and the move of each of its operators."""
+
+    def __init__(self, keys, moduli, shell, ladders=()):
+        self.moduli = np.asarray(moduli)
+        keys = self._reduced(np.asarray(keys))
+        # each key as the mixed-radix number of its offsets from the least
+        # key, the first coordinate leading, so the numbers sort as the keys
+        # do; a coordinate modulo m has the digits 0..m-1
+        cyclic = self.moduli > 0
+        self.low = np.where(cyclic, 0, keys.min(axis=0))
+        self.span = np.where(cyclic, self.moduli, keys.max(axis=0) - self.low + 1)
+        self.radix = np.append(np.cumprod(self.span[:0:-1])[::-1], 1)
+        self.codes, self.of = np.unique((keys - self.low) @ self.radix, return_inverse=True)
         self.size = np.bincount(self.of)
         self.start = np.cumsum(self.size) - self.size
         self.members = np.argsort(self.of, kind="stable")
-        self.place = np.empty(dim, dtype=int)
-        self.place[self.members] = np.arange(dim) - np.repeat(self.start, self.size)
-        # (columns, the columns of the inverse shift, shell step) of each ladder:
-        # the entry of an annihilator's table in column c is in row c - e_i,
-        # the creator's column of c, and the other way round
-        self.ladders = ((space.an.cols, space.ap.cols, -1), (space.ap.cols, space.an.cols, +1))
+        self.place = np.empty(self.of.size, dtype=int)
+        self.place[self.members] = np.arange(self.of.size) - np.repeat(self.start, self.size)
+        self.key = keys[self.members[self.start]]
+        self.shell = np.asarray(shell)[self.members[self.start]]
+        self.ladders = ladders
         self._layouts: dict = {}
         self._plans: dict = {}
 
-    def layout(self, dk: np.ndarray, flip: np.ndarray) -> BlockLayout:
+    def _reduced(self, keys: np.ndarray) -> np.ndarray:
+        """keys with each coordinate that has a modulus taken modulo it."""
+        return np.where(self.moduli > 0, keys % np.maximum(self.moduli, 1), keys)
+
+    def layout(self, moves) -> BlockLayout:
         """The layout of a stack of operators whose operator l moves the
-        shell by dk[l] and the parity bits by flip[l]."""
-        key = (tuple(dk.tolist()), tuple(flip.tolist()))
+        parts by the key vector moves[l]."""
+        moves = self._reduced(np.asarray(moves))
+        key = tuple(map(tuple, moves.tolist()))
         if key not in self._layouts:
-            shell, bits = np.divmod(self.keys, self.radix)
-            want = (shell + dk[:, None]) * self.radix + (bits ^ flip[:, None])
-            at = np.minimum(np.searchsorted(self.keys, want), self.keys.size - 1)
-            self._layouts[key] = BlockLayout(dk, flip, np.where(self.keys[at] == want, at, -1),
-                                             self.size)
+            target = self._reduced(self.key + moves[:, None, :]) - self.low
+            want = target @ self.radix
+            at = np.minimum(np.searchsorted(self.codes, want), self.codes.size - 1)
+            found = ((target >= 0) & (target < self.span)).all(axis=2) & (self.codes[at] == want)
+            self._layouts[key] = BlockLayout(moves, np.where(found, at, -1), self.size)
         return self._layouts[key]
 
     def plan(self, key, build):
-        """The gather or product plan stored under key, from build() on
-        first use."""
+        """The gather or product plan stored under key, with the layout of
+        its product, from build() on first use."""
         if key not in self._plans:
             self._plans[key] = build()
         return self._plans[key]
 
-    def ladder(self, table: LadderTable):
-        """(columns, inverse columns, shell step) of the space's ladder whose
-        columns the table holds; ValueError for any other table."""
-        for ladder in self.ladders:
+    def ladder(self, table: LadderTable) -> int:
+        """The number of the partition's ladder whose columns the table
+        holds; ValueError for any other table."""
+        for k, ladder in enumerate(self.ladders):
             if table.cols is ladder[0]:
-                return ladder
+                return k
         raise ValueError("a block product takes a ladder table on the columns of the "
                          "space's own annihilators or creators")
 
 
 class BlockLayout:
-    """Where the blocks of a stack of L operators on the sectors lie in one
-    flat array.  Operator l moves each sector (k, p) to the one sector
-    (k + dk[l], p xor flip[l]), so it holds one block, a dense
-    size(target) x size(source) matrix, per source whose target exists
-    (target[l, source], -1 where there is none).  Block b belongs to
-    operator label[b] and maps sector src[b] to dst[b]; its
+    """Where the blocks of a stack of L operators on the parts of a
+    partition lie in one flat array.  Operator l moves each part by the
+    key vector moves[l], so it holds one block, a dense
+    size(target) x size(source) matrix, per source part whose target
+    exists (target[l, source], -1 where there is none).  Block b belongs
+    to operator label[b] and maps part src[b] to dst[b]; its
     height x width entries are row-major from offset[b].  The blocks are
     ordered by shape, then by operator and source, so the blocks of one
     shape form one (B, height, width) stack: the groups (first block,
     last block + 1, height, width)."""
 
-    def __init__(self, dk: np.ndarray, flip: np.ndarray, target: np.ndarray, size: np.ndarray):
-        self.dk, self.flip = dk, flip
+    def __init__(self, moves: np.ndarray, target: np.ndarray, size: np.ndarray):
+        self.moves = moves
         label, src = np.nonzero(target >= 0)
         dst = target[label, src]
         height, width = size[dst], size[src]
@@ -327,18 +361,43 @@ class BlockLayout:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class BlockOperator:
-    """A stack of operators on the sector blocks of a space (see
+    """A stack of operators on the blocks of a partition (see
     :class:`BlockLayout`): the values of its blocks, flat.  Block
     operators of one layout add and scale entry by entry; ``@`` multiplies
     two block operators, or a block operator and a ladder table of the
-    space (:func:`block_product`).  A stack of one operator broadcasts
-    against a stack of L."""
+    partition (:func:`block_product`).  A stack of one operator
+    broadcasts against a stack of L."""
 
-    sectors: Sectors
+    partition: Partition
     layout: BlockLayout
     data: np.ndarray
 
     __array_ufunc__ = None  # a numpy scalar on the left defers to __rmul__
+
+    @classmethod
+    def from_entries(cls, parts: Partition, rows, cols, vals, label=0) -> BlockOperator:
+        """The stack whose operator label[e] holds vals[e] in row rows[e]
+        and column cols[e], for each entry e (label may be one number), the
+        entries of one place summed in the order of e.  An operator moves
+        the parts as any one of its entries does, from the part of its
+        column to the part of its row, and an operator without entries
+        keeps them; ValueError when another entry of the operator does
+        not agree, as when the operator maps one part to two parts."""
+        rows, cols, vals = np.asarray(rows), np.asarray(cols), np.asarray(vals)
+        label = np.broadcast_to(label, rows.shape)
+        src, dst = parts.of[cols], parts.of[rows]
+        ops, one = np.unique(label, return_index=True)  # an entry of each operator
+        moves = np.zeros((label.max(initial=0) + 1, parts.key.shape[1]), dtype=int)
+        moves[ops] = parts.key[dst[one]] - parts.key[src[one]]
+        lay = parts.layout(moves)
+        b = lay.at[label, src]
+        bad = (b < 0) | (lay.dst[b] != dst)
+        if bad.any():
+            raise ValueError(f"operator {label[bad][0]} maps part {src[bad][0]} to two parts, "
+                             f"or two parts by different moves")
+        data = np.zeros(lay.total, dtype=np.result_type(vals, float))
+        np.add.at(data, lay.offset[b] + parts.place[rows] * lay.width[b] + parts.place[cols], vals)
+        return cls(parts, lay, data)
 
     @property
     def size(self) -> int:
@@ -346,7 +405,7 @@ class BlockOperator:
         return self.data.size
 
     def stacks(self):
-        """(source sectors, target sectors, (B, height, width) view of the
+        """(source parts, target parts, (B, height, width) view of the
         blocks) for each shape."""
         lay = self.layout
         for b0, b1, m, n in lay.groups:
@@ -356,15 +415,16 @@ class BlockOperator:
 
     def sum_labels(self) -> BlockOperator:
         """The sum of the operators of the stack, which must move the
-        sectors alike: each shape then holds the same run of sources for
+        parts alike: each shape then holds the same run of sources for
         every operator, one after the other."""
         lay = self.layout
-        if (lay.dk != lay.dk[0]).any() or (lay.flip != lay.flip[0]).any():
-            raise ValueError("the operators of the stack move the sectors differently")
-        out = self.sectors.layout(lay.dk[:1], lay.flip[:1])
-        parts = [stack.reshape(lay.dk.size, -1).sum(axis=0) for _, _, stack in self.stacks()]
-        return BlockOperator(self.sectors, out,
-                             np.concatenate(parts) if parts else self.data[:0])
+        if (lay.moves != lay.moves[0]).any():
+            raise ValueError("the operators of the stack move the parts differently")
+        out = self.partition.layout(lay.moves[:1])
+        sums = [stack.reshape(lay.moves.shape[0], -1).sum(axis=0)
+                for _, _, stack in self.stacks()]
+        return BlockOperator(self.partition, out,
+                             np.concatenate(sums) if sums else self.data[:0])
 
     def _values(self, other) -> np.ndarray:
         """The values of other, a block operator of the same layout."""
@@ -373,15 +433,15 @@ class BlockOperator:
         return other.data
 
     def __add__(self, other):
-        return BlockOperator(self.sectors, self.layout, self.data + self._values(other))
+        return BlockOperator(self.partition, self.layout, self.data + self._values(other))
 
     def __sub__(self, other):
-        return BlockOperator(self.sectors, self.layout, self.data - self._values(other))
+        return BlockOperator(self.partition, self.layout, self.data - self._values(other))
 
     def __mul__(self, scalar):
         if not isinstance(scalar, numbers.Number):
             return NotImplemented
-        return BlockOperator(self.sectors, self.layout, scalar * self.data)
+        return BlockOperator(self.partition, self.layout, scalar * self.data)
 
     __rmul__ = __mul__
 
@@ -392,35 +452,32 @@ class BlockOperator:
         return block_product(other, self)
 
 
-def diagonal(space: FockSpace, values: np.ndarray) -> BlockOperator:
+def diagonal(partition: Partition, values: np.ndarray) -> BlockOperator:
     """The diagonal operator with entry values[s] at state s, as one block
-    per sector."""
-    sec = space.sectors
-    lay = sec.layout(np.zeros(1, dtype=int), np.zeros(1, dtype=int))
-    block, row, col = lay.entries
-    on = row == col
-    data = np.zeros(lay.total, dtype=np.result_type(values, float))
-    data[on] = values[sec.members[sec.start[lay.src[block[on]]] + row[on]]]
-    return BlockOperator(sec, lay, data)
+    per part."""
+    states = np.arange(partition.of.size)
+    return BlockOperator.from_entries(partition, states, states, values)
 
 
 def _runs(*keys: np.ndarray) -> list[tuple[int, int]]:
     """(first, last + 1) of each run of equal key tuples in the sorted
     arrays keys."""
-    first = np.flatnonzero(np.diff(np.stack(keys), axis=1, prepend=-1).any(axis=0))
-    return list(zip(first.tolist(), np.append(first[1:], keys[0].size).tolist()))
+    stacked = np.stack(keys)
+    cuts = (np.flatnonzero((stacked[:, 1:] != stacked[:, :-1]).any(axis=0)) + 1).tolist()
+    bounds = [0, *cuts, stacked.shape[1]] if stacked.shape[1] else []
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _composed(sec: Sectors, first: BlockLayout, dk: np.ndarray, flip: np.ndarray):
+def _composed(parts: Partition, first: BlockLayout, moves: np.ndarray):
     """The layout of a product of two stacks, one of layout first and one
-    whose operator l moves the sectors by (dk[l], flip[l]), with the
-    operator of each factor that each operator of the product takes."""
-    n_1, n_2 = first.dk.size, dk.size
+    whose operator l moves the parts by moves[l], with the operator of
+    each factor that each operator of the product takes."""
+    n_1, n_2 = first.moves.shape[0], moves.shape[0]
     if n_1 != n_2 and 1 not in (n_1, n_2):
         raise ValueError(f"stacks of {n_1} and {n_2} operators do not multiply")
     labels = np.arange(max(n_1, n_2))
     p_1, p_2 = np.minimum(labels, n_1 - 1), np.minimum(labels, n_2 - 1)
-    return sec.layout(first.dk[p_1] + dk[p_2], first.flip[p_1] ^ flip[p_2]), p_1, p_2
+    return parts.layout(first.moves[p_1] + moves[p_2]), p_1, p_2
 
 
 def block_product(x, y) -> BlockOperator:
@@ -438,24 +495,25 @@ def block_product(x, y) -> BlockOperator:
         return _gather(y, x, rows=True)
     if isinstance(y, LadderTable):
         return _gather(x, y, rows=False)
-    sec = x.sectors
-    if y.sectors is not sec:
-        raise ValueError("block operators of different spaces")
-    lay, p_x, p_y = _composed(sec, x.layout, y.layout.dk, y.layout.flip)
-    plan = sec.plan(("product", x.layout, y.layout), lambda: _product_plan(lay, p_x, p_y,
-                                                                          x.layout, y.layout))
+    parts = x.partition
+    if y.partition is not parts:
+        raise ValueError("block operators of different partitions")
+    lay, plan = parts.plan(("product", x.layout, y.layout),
+                           lambda: _product_plan(parts, x.layout, y.layout))
     data = np.zeros(lay.total, dtype=np.result_type(x.data, y.data))
     for out, at_x, at_y, (count, m, k, n) in plan:
         data[out] = (x.data[at_x].reshape(count, m, k)
-                     @ y.data[at_y].reshape(count, k, n)).reshape(count, -1)
-    return BlockOperator(sec, lay, data)
+                     @ y.data[at_y].reshape(count, k, n)).reshape(-1)
+    return BlockOperator(parts, lay, data)
 
 
-def _product_plan(lay: BlockLayout, p_x, p_y, x: BlockLayout, y: BlockLayout) -> list:
-    """For each shape (height, inner, width) of the blocks of x y: the
-    flat places of the product's blocks and of their factors."""
+def _product_plan(parts: Partition, x: BlockLayout, y: BlockLayout):
+    """The layout of x y and, for each shape (height, inner, width) of its
+    blocks, the flat places of the product's blocks and of their
+    factors."""
+    lay, p_x, p_y = _composed(parts, x, y.moves)
     if y.total == 0:
-        return []
+        return lay, []
     label = lay.label
     b_y = y.at[p_y[label], lay.src]
     b_x = x.at[p_x[label], y.dst[b_y]]
@@ -464,44 +522,55 @@ def _product_plan(lay: BlockLayout, p_x, p_y, x: BlockLayout, y: BlockLayout) ->
     m, k, n = lay.height[sel], y.height[b_y], lay.width[sel]
     order = np.lexsort((n, k, m))
     sel, b_x, b_y, m, k, n = (v[order] for v in (sel, b_x, b_y, m, k, n))
+    out, at_x, at_y = lay.offset[sel], x.offset[b_x], y.offset[b_y]
+    heights, inners, widths = m.tolist(), k.tolist(), n.tolist()
     plan = []
     for f, e in _runs(m, k, n):
-        mm, kk, nn = int(m[f]), int(k[f]), int(n[f])
-        plan.append((lay.offset[sel[f:e], None] + np.arange(mm * nn),
-                     x.offset[b_x[f:e], None] + np.arange(mm * kk),
-                     y.offset[b_y[f:e], None] + np.arange(kk * nn), (e - f, mm, kk, nn)))
-    return plan
+        mm, kk, nn = heights[f], inners[f], widths[f]
+        plan.append((_places(out[f:e], mm * nn), _places(at_x[f:e], mm * kk),
+                     _places(at_y[f:e], kk * nn), (e - f, mm, kk, nn)))
+    return lay, plan
+
+
+def _places(first: np.ndarray, area: int):
+    """The flat places of the entries of blocks of one area that start at
+    first: a slice, which reads a view, when each block follows the one
+    before it, else an index array."""
+    starts = first.tolist()
+    if all(b - a == area for a, b in zip(starts, starts[1:])):
+        return slice(starts[0], starts[-1] + area)
+    return (first[:, None] + np.arange(area)).reshape(-1)
 
 
 def _gather(x: BlockOperator, table: LadderTable, rows: bool) -> BlockOperator:
     """table x (rows) or x table, by one gather from the flat values of x
     (:func:`block_product`)."""
-    sec = x.sectors
-    cols, inverse, step = sec.ladder(table)
-    n_t = cols.shape[0]
-    lay, p_x, p_t = _composed(sec, x.layout, np.full(n_t, step), 1 << np.arange(n_t))
+    parts = x.partition
+    ladder = parts.ladder(table)
 
     def build():
         # each row (T X) or column (X T) of the product is a line of x, the
         # line of state t, scaled by the table's entry in row s
+        cols, inverse, moves = parts.ladders[ladder]
+        lay, p_x, p_t = _composed(parts, x.layout, moves)
         d, of_x = cols.shape[1] - 1, x.layout
         if not of_x.total:  # x holds no block: the product is zero
-            return np.zeros(lay.total, dtype=int), np.full(lay.total, d)
+            return lay, np.zeros(lay.total, dtype=int), np.full(lay.total, d)
         block, row, col = lay.entries
         along, across = (col, row) if rows else (row, col)
         first = np.flatnonzero(along == 0)  # the first entry of each line
         b, k = block[first], across[first]
         label = lay.label[b]
         if rows:  # row r of T_i X: T_i[r] times row t of X, t the column of that entry
-            s = sec.members[sec.start[lay.dst[b]] + k]
+            s = parts.members[parts.start[lay.dst[b]] + k]
             t = cols[p_t[label], s]
         else:  # column c of X T_i: T_i[s] times column s of X, s the row whose entry is in c
-            s = t = inverse[p_t[label], sec.members[sec.start[lay.src[b]] + k]]
+            s = t = inverse[p_t[label], parts.members[parts.start[lay.src[b]] + k]]
         hit = np.minimum(t, d - 1)
-        b_x = of_x.at[p_x[label], lay.src[b] if rows else sec.of[hit]]
+        b_x = of_x.at[p_x[label], lay.src[b] if rows else parts.of[hit]]
         found = (t < d) & (b_x >= 0)
         width = of_x.width[b_x]
-        begin = np.where(found, of_x.offset[b_x] + sec.place[hit] * (width if rows else 1),
+        begin = np.where(found, of_x.offset[b_x] + parts.place[hit] * (width if rows else 1),
                          of_x.total)
         stride = np.where(found, 1 if rows else width, 0)
         if rows:  # the entries of a row are consecutive
@@ -509,10 +578,10 @@ def _gather(x: BlockOperator, table: LadderTable, rows: bool) -> BlockOperator:
         else:
             line = (np.cumsum(lay.width) - lay.width)[block] + col
         place = begin[line] + along * stride[line]
-        return place.astype(np.int32), (p_t[label] * (d + 1) + s)[line].astype(np.int32)
+        return lay, place.astype(np.int32), (p_t[label] * (d + 1) + s)[line].astype(np.int32)
 
-    place, weight = sec.plan(("gather", rows, step, x.layout), build)
-    return BlockOperator(sec, lay, np.append(x.data, 0)[place] * table.vals.reshape(-1)[weight])
+    lay, place, weight = parts.plan(("gather", rows, ladder, x.layout), build)
+    return BlockOperator(parts, lay, np.append(x.data, 0)[place] * table.vals.reshape(-1)[weight])
 
 
 def _sum_rows(rows: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:

@@ -53,17 +53,20 @@ hbar2 at once).  The scalar system is solved by the same series
 
 P and A both conserve the sl(N) weight e_a + e_b + occ
 of a basis vector (a, b, occ), so P, A, both series and M are block
-diagonal over the weights, and no block is larger than N^2.  The blocks
-of one size are stacked into an (n_blocks, s, s) array, and each series
-is summed in the eigenbasis of its P or A blocks (one batched eigh per
-stack at construction).  M is returned as its weight blocks
-(WeightBlocks), and every check works on them: norms of a block-diagonal
-operator are the largest block norm (a direct sum), inverses and
-conjugations go block by block, the commutators with the coproduct image
-are block-to-block maps, and the relation and acts-trivially checks are
-small batched products of the blocks with ladder coefficients fixed per
-block (BlockLadders): on a weight block the dressing is one number, so
-each defect is a partial permutation whose entries those products give.
+diagonal over the weights, and no block is larger than N^2.  They are
+block operators (``fock.BlockOperator``) on the weight partition, whose
+parts are keyed by the weight, built from their entries; the blocks of
+one size form one stack, and each series is summed in the eigenbasis of
+its P or A blocks (one batched eigh per stack at construction).  M is
+returned as a block operator of the same layout, and every check works
+on its blocks: norms are ``verify.projected_norms`` (the largest block
+norm, a direct sum), products and conjugations are block products, the
+coproduct images Delta(X) are one stack of block operators that moves
+each weight by the weight of X, and the relation and acts-trivially
+checks are small batched products of the blocks with ladder
+coefficients fixed per block (BlockLadders): on a weight block the
+dressing is one number, so each defect is a partial permutation whose
+entries those products give.
 
 M = 1 + zeta(2) eta^2 [P, A] + O(h^3), acts trivially on the
 doubly-contravariant tensor a^i a^j, commutes with the image of the
@@ -84,16 +87,17 @@ benchmark tracer, which times them as layers of their own.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockSpace, Statistics
+from .fock import BlockOperator, FockSpace, Partition, Statistics, diagonal
 from .liealg import LieData, coproduct_rep, sigma_entries
 from .qspecial import (DeformParams, gamma, gauss_2f1, gauss_2f1_deriv, qbracket, qnum,
                        rgamma)
-from .verify import CaseResult
+from .verify import CaseResult, projected_norms
 
 
 def __getattr__(name):
@@ -300,84 +304,6 @@ def limits_closed_route(params: KZScalarParams) -> tuple[complex, complex, compl
 
 
 @dataclass(frozen=True)
-class WeightBlocks:
-    """The weight blocks of C^N x C^N x Fock, and the flat storage of an
-    operator that is block diagonal over them.
-
-    Such an operator is one flat array: block after block, each block
-    row-major, the blocks ordered by size so that the blocks of one size
-    s form the contiguous stack ``flat[sl].reshape(n_blocks, s, s)`` of
-    one ``stacks`` entry.  rows and cols are the full-space row and column
-    of each flat entry; block_of numbers the block of each basis vector,
-    and place is its row (and column) within that block."""
-
-    dim: int
-    block_of: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    stacks: tuple  # (slice of the flat array, (n_blocks, s, s)) per size s
-    place: np.ndarray  # the place of each basis vector within its block
-    size: np.ndarray  # the size of each block
-    start: np.ndarray  # the offset of each block's first flat entry
-
-    @property
-    def eye(self) -> np.ndarray:
-        return (self.rows == self.cols).astype(float)
-
-    def views(self, x: np.ndarray) -> list[np.ndarray]:
-        """The (n_blocks, s, s) stacks of a flat operator."""
-        return [x[sl].reshape(shape) for sl, shape in self.stacks]
-
-    def join(self, stacks) -> np.ndarray:
-        return np.concatenate([b.reshape(-1) for b in stacks])
-
-    def matmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.join([u @ v for u, v in zip(self.views(x), self.views(y))])
-
-    def singular_values(self, x: np.ndarray) -> np.ndarray:
-        return np.concatenate([np.linalg.svd(u, compute_uv=False).reshape(-1)
-                               for u in self.views(x)])
-
-    def norm(self, x: np.ndarray) -> float:
-        """Spectral norm: the largest over the blocks (a direct sum)."""
-        return float(self.singular_values(x).max())
-
-    def pick(self, x: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        """The (len(ids), s, s) stack of the blocks ids, all of size s, of a
-        flat operator."""
-        s = int(self.size[ids[0]])
-        return x[self.start[ids][:, None] + np.arange(s * s)].reshape(-1, s, s)
-
-
-def _weight_blocks(weights: np.ndarray) -> WeightBlocks:
-    """Group the basis vectors by weight (one row of nonnegative integer
-    weights each).  Each weight is keyed by the integer whose digits in
-    base max + 1 are its entries, so the blocks are numbered in the
-    lexicographic order of their weights."""
-    dim, n = weights.shape
-    base = weights.max() + 1
-    block_of = np.unique(weights @ base ** np.arange(n - 1, -1, -1), return_inverse=True)[1]
-    sizes = np.bincount(block_of)
-    # the basis vectors by block size, then block; in index order within a block
-    members = np.lexsort((block_of, sizes[block_of]))
-    rows, cols, stacks = [], [], []
-    place, start = np.zeros(dim, dtype=int), np.zeros(sizes.size, dtype=int)
-    at = flat = 0
-    for s in np.unique(sizes).tolist():
-        n_blocks = int(np.count_nonzero(sizes == s))
-        idx = members[at:at + n_blocks * s].reshape(n_blocks, s)
-        rows.append(np.repeat(idx, s, axis=1).reshape(-1))
-        cols.append(np.tile(idx, (1, s)).reshape(-1))
-        stacks.append((slice(flat, flat + n_blocks * s * s), (n_blocks, s, s)))
-        place[idx] = np.arange(s)
-        start[block_of[idx[:, 0]]] = flat + s * s * np.arange(n_blocks)
-        at += n_blocks * s
-        flat += n_blocks * s * s
-    return WeightBlocks(dim, block_of, np.concatenate(rows), np.concatenate(cols),
-                        tuple(stacks), place, sizes, start)
-
-
-@dataclass(frozen=True)
 class BlockLadders:
     """The undressed ladder coefficients of one stack of weight blocks, for
     the relation and acts-trivially checks.  A member v = (k, l, o) of the
@@ -386,7 +312,6 @@ class BlockLadders:
     <W| a+_k a+_l |o> = c_v, so c serves all three quadratic tensors, and
     the annihilator that undoes alpha's creator is alpha transposed."""
 
-    shell: np.ndarray  # (n_blocks,): the shell |W| - 2 of the block's occupations o
     c: np.ndarray  # (n_blocks, s): c_v = <o| a^l a^k |W>
     alpha: np.ndarray  # (n_blocks, N, s): <W - e_i| a+_l |o> at [i, v] with k = i, else 0
     direct: np.ndarray  # (n_blocks, N, N): <W - e_i| a^i a+_j |W - e_j>
@@ -396,51 +321,64 @@ class BlockLadders:
 
 @dataclass(frozen=True)
 class KZOperatorSystem:
-    """P and A on C^N x C^N x Fock as flat weight blocks (see WeightBlocks),
-    with the eigendecompositions P = vecs diag(vals) vecs^T and
-    A = vecs diag(vals) vecs^T of each stack of real symmetric blocks, the
-    BlockLadders of each stack, and <0| a^j a+_j |0> per mode j (none when
-    the vacuum is not safe at creator degree 2)."""
+    """P and A on C^N x C^N x Fock as block operators on the weight
+    partition (``fock.BlockOperator``), with the eigendecompositions
+    P = vecs diag(vals) vecs^T and A = vecs diag(vals) vecs^T of each
+    stack of their real symmetric blocks, the BlockLadders of each stack,
+    and <0| a^j a+_j |0> per mode j (none when the vacuum is not safe at
+    creator degree 2)."""
 
     space: FockSpace
     n: int
-    blocks: WeightBlocks
-    p: np.ndarray
-    a: np.ndarray
+    p: BlockOperator
+    a: BlockOperator
     p_eig: tuple  # (vals (n_blocks, s), vecs (n_blocks, s, s)) per stack
     a_eig: tuple  # the same for A
     ladders: tuple  # BlockLadders per stack
     vacuum: np.ndarray  # (N,), or (0,)
 
+    @functools.cached_property
+    def eye(self) -> BlockOperator:
+        """The identity, on the layout of P, A and M."""
+        return diagonal(self.p.partition, np.ones(self.p.partition.of.size))
+
 
 def build_operator_system(space: FockSpace) -> KZOperatorSystem:
     """Assemble P and A on C^N x C^N x Fock for an sl(N) bosonic space,
-    entry by entry on the weight blocks.  Within a block, the entry of P
-    between (a, b, o) and (a', b', o') is [a = b' and b = a'], and that of
-    A = 1 x e_ij x a+_j a^i is [a = a'] <m| a^b |o'> <m| a^b' |o>,
-    m = o' - e_b = o - e_b', and the amplitudes are read off the space's
+    from their entries, on the weight partition: basis vector (a, b, o)
+    is keyed by its weight e_a + e_b + o, and both P and A keep it.  P
+    maps (a, b, o) to (b, a, o), and A = 1 x e_ij x a+_j a^i maps it to
+    (a, i, o - e_i + e_b) for each i, with the amplitude
+    <o - e_i| a^i |o> <o - e_i + e_b| a+_b |o - e_i> read off the space's
     ladder tables."""
     if space.statistics is not Statistics.BOSE:
         raise ValueError("operator system needs a bosonic space")
     n, d = space.modes, space.dim
-    # amp[k, y] = <y - e_k| a^k |y> = <y| a+_k |y - e_k> and up[k, x] = the
-    # index of x + e_k; column d stands for a state outside the truncated space
-    amp, up = space.ap.vals.real, space.an.cols
+    # amp[k, y] = <y - e_k| a^k |y> = <y| a+_k |y - e_k>, down[k, y] the index
+    # of y - e_k and up[k, x] that of x + e_k; column d stands for a state
+    # outside the truncated space
+    amp, down, up = space.ap.vals.real, space.ap.cols, space.an.cols
     safe = np.append(space.safe_mask(2), False)
-    # the weight of (a, b, occ) is e_a + e_b + occ
     e = np.eye(n, dtype=int)
-    pair_weights = (e[:, None, :] + e[None, :, :]).reshape(n * n, 1, n)
-    weights = (pair_weights + space.occ[None, :, :]).reshape(n * n * d, n)
-    blocks = _weight_blocks(weights)
-    (a_r, b_r, o_r), (a_c, b_c, o_c) = (np.unravel_index(x, (n, n, d))
-                                        for x in (blocks.rows, blocks.cols))
-    p = ((a_r == b_c) & (b_r == a_c)).astype(float)
-    a = (a_r == a_c) * amp[b_r, o_c] * amp[b_c, o_r]
-    p_eig = tuple(np.linalg.eigh(stack) for stack in blocks.views(p))
-    a_eig = tuple(np.linalg.eigh(stack) for stack in blocks.views(a))
+    weights = ((e[:, None, None, :] + e[None, :, None, :]) + space.occ).reshape(n * n * d, n)
+    parts = Partition(weights, np.zeros(n, dtype=int), np.tile(space.shell, n * n))
+    cols = np.arange(n * n * d)
+    a_c, b_c, o_c = np.unravel_index(cols, (n, n, d))
+    p = BlockOperator.from_entries(parts, (b_c * n + a_c) * d + o_c, cols, np.ones(cols.size))
+    # the entry of A in column (a, b, o) and row (a, i, o - e_i + e_b), for each i with o_i > 0
+    i = np.arange(n)[:, None]
+    o_r = up[b_c, down[i, o_c]]
+    hit = o_r < d
+    a = BlockOperator.from_entries(parts, ((a_c * n + i) * d + o_r)[hit],
+                                   np.broadcast_to(cols, hit.shape)[hit],
+                                   (amp[i, o_c] * amp[b_c, o_r])[hit])
+    p_eig = tuple(np.linalg.eigh(stack) for _, _, stack in p.stacks())
+    a_eig = tuple(np.linalg.eigh(stack) for _, _, stack in a.stacks())
     ladders = []
-    for sl, (n_blocks, s, _) in blocks.stacks:
-        k, l, o = np.unravel_index(blocks.rows[sl].reshape(n_blocks, s, s)[:, :, 0], (n, n, d))
+    for src, _, stack in p.stacks():
+        n_blocks, s = stack.shape[:2]
+        members = parts.members[parts.start[src][:, None] + np.arange(s)]
+        k, l, o = np.unravel_index(members, (n, n, d))
         w_k = up[l, o]  # the state W - e_k of each member
         w = up[k[:, 0], w_k[:, 0]]  # the state W of each block
         lam = amp[l, w_k]  # <o| a^l |W - e_k> = <W - e_k| a+_l |o>
@@ -449,12 +387,11 @@ def build_operator_system(space: FockSpace) -> KZOperatorSystem:
         w_i[np.arange(n_blocks)[:, None], k] = w_k
         amp_w = amp[:, w].T
         ladders.append(BlockLadders(
-            space.shell[o[:, 0]], lam * amp[k, w[:, None]], alpha,
-            amp_w[:, :, None] * amp_w[:, None, :], safe[w][:, None] & safe[o],
-            safe[w_i][:, :, None] & safe[w_i][:, None, :]))
+            lam * amp[k, w[:, None]], alpha, amp_w[:, :, None] * amp_w[:, None, :],
+            safe[w][:, None] & safe[o], safe[w_i][:, :, None] & safe[w_i][:, None, :]))
     vac = space.state_index((0,) * n)
     vacuum = amp[np.arange(n), up[:, vac]]**2 if safe[vac] else np.zeros(0)
-    return KZOperatorSystem(space, n, blocks, p, a, p_eig, a_eig, tuple(ladders), vacuum)
+    return KZOperatorSystem(space, n, p, a, p_eig, a_eig, tuple(ladders), vacuum)
 
 
 _SERIES_TERMS = 200  # the most terms a Frobenius series may take
@@ -528,9 +465,9 @@ def _connection(eta, p_vals: np.ndarray, p_vecs: np.ndarray, a_vals: np.ndarray,
     return p_vecs @ mid @ a_inv
 
 
-def coassociator_matrices(system: KZOperatorSystem, hbar2s) -> list[np.ndarray]:
-    """The coassociator M at each hbar2 in hbar2s, as flat weight blocks:
-    the regularized path-ordered integral
+def coassociator_matrices(system: KZOperatorSystem, hbar2s) -> list[BlockOperator]:
+    """The coassociator M at each hbar2 in hbar2s, as a block operator on
+    the layout of P and A: the regularized path-ordered integral
 
         M = lim_{eps -> 0} eps^(-eta P) OrdExp[eta int_eps^(1-eps) (P/x + A/(x-1)) dx]
             eps^(eta A)
@@ -550,7 +487,8 @@ def coassociator_matrices(system: KZOperatorSystem, hbar2s) -> list[np.ndarray]:
     is involved.  M is the identity, exactly, at hbar2 = 0."""
     hbar2s = np.asarray(hbar2s, dtype=complex)
     live = hbar2s != 0
-    out = [system.blocks.eye.astype(complex) for _ in hbar2s]
+    parts, lay = system.p.partition, system.p.layout
+    out = [complex(1) * system.eye for _ in hbar2s]
     if not live.any():
         return out
     eta = hbar2s[live][:, None, None]
@@ -566,7 +504,7 @@ def coassociator_matrices(system: KZOperatorSystem, hbar2s) -> list[np.ndarray]:
         stacks.append(_connection(eta, p_vals, p_vecs, a_vals, a_vecs.transpose(0, 2, 1),
                                   w, h0, h1))
     for i, at in enumerate(np.flatnonzero(live)):
-        out[at] = system.blocks.join([m[i] for m in stacks])
+        out[at] = BlockOperator(parts, lay, np.concatenate([m[i].reshape(-1) for m in stacks]))
     return out
 
 
@@ -577,7 +515,7 @@ def _safe_max(defect: np.ndarray, safe: np.ndarray) -> float:
     return float(np.abs(defect[safe]).max(initial=0.0))
 
 
-def acts_trivially_residual(system: KZOperatorSystem, m: np.ndarray) -> float:
+def acts_trivially_residual(system: KZOperatorSystem, m: BlockOperator) -> float:
     """|| M . (aa) - aa || over the N^2 components, safe-projected at
     creator degree 2: aa is the column of the Fock operators a^i a^j,
     block (i, j) at pair i N + j.  Column W of the defect is
@@ -585,24 +523,21 @@ def acts_trivially_residual(system: KZOperatorSystem, m: np.ndarray) -> float:
     of it holds at most one entry per row and per column, so its norm is
     the largest modulus on the safe states."""
     return max(_safe_max((mw @ lad.c[..., None])[..., 0] - lad.c, lad.safe)
-               for mw, lad in zip(system.blocks.views(m), system.ladders))
+               for (_, _, mw), lad in zip(m.stacks(), system.ladders))
 
 
-def invariance_residual(system: KZOperatorSystem, m: np.ndarray) -> float:
+def invariance_residual(system: KZOperatorSystem, m: BlockOperator) -> float:
     """|| [M, image of the two-fold coproduct of X] || over the sl(N) basis
     X, with the Fock factor safe-projected at creator degree 2.
 
-    Delta(X) = rho(X) x 1 x 1 + 1 x rho(X) x 1 + 1 x 1 x sigma(X) maps
-    each weight block w into exactly one block w' (for E_ij, the weight
-    shifts by e_i - e_j), so each commutator is the direct sum of its
-    block-to-block maps M_w' D - D M_w, D the w -> w' block of Delta(X).
-    A weight block lies in one shell (its weight sums to 2 + shell), and
-    Delta(X) keeps the shell, so a map is safe or unsafe as a whole; the
-    residual is the largest singular value among the safe ones: exact, in
-    one batched SVD per pair of block sizes."""
-    blocks, space = system.blocks, system.space
-    data = LieData("sl", system.n)
-    n, d = system.n, space.dim
+    Delta(X) = rho(X) x 1 x 1 + 1 x rho(X) x 1 + 1 x 1 x sigma(X) moves
+    every weight by one vector (for E_ij, by e_i - e_j), so the Delta(X)
+    are one stack of block operators on the weight partition, built from
+    their entries, and the residual is the norm of the stack
+    M Delta - Delta M (``verify.projected_norms``): a weight block lies in
+    one shell (its weight sums to 2 + shell), which Delta(X) keeps."""
+    space, n, d = system.space, system.n, system.space.dim
+    data = LieData("sl", n)
     # the entries of every Delta(X), X numbered by xs
     xs, rows, cols, vals = [], [], [], []
     occ, pairs = np.arange(d), np.arange(n * n) * d
@@ -618,33 +553,12 @@ def invariance_residual(system: KZOperatorSystem, m: np.ndarray) -> float:
         xs.append(np.full(p1.size * d + n * n * sig_data.size, x))
     xs, rows, cols, vals = (np.concatenate([a.reshape(-1) for a in arrs])
                             for arrs in (xs, rows, cols, vals))
-    safe = np.tile(space.safe_mask(2), n * n)[cols]
-    xs, rows, cols, vals = xs[safe], rows[safe], cols[safe], vals[safe]
-    # the (X, w) pair of each entry, and the one w' that pair must map into
-    n_all = blocks.size.size
-    keys, pair = np.unique(xs * n_all + blocks.block_of[cols], return_inverse=True)
-    to_key = xs * n_all + blocks.block_of[rows]
-    dst = np.zeros(keys.size, dtype=int)
-    dst[pair] = to_key
-    w_from, w_to = keys % n_all, dst % n_all
-    # one stack per shape (size of w', size of w)
-    shapes, kind = np.unique(np.stack([blocks.size[w_to], blocks.size[w_from]], axis=1),
-                             axis=0, return_inverse=True)
-    worst = 0.0
-    for k in range(len(shapes)):
-        chosen = kind.reshape(-1) == k
-        slot = np.cumsum(chosen) - 1  # the place of each chosen pair in the stack
-        at = chosen[pair]
-        to, fro = w_to[chosen], w_from[chosen]
-        dd = np.zeros((to.size, *shapes[k]), dtype=complex)
-        np.add.at(dd, (slot[pair[at]], blocks.place[rows[at]], blocks.place[cols[at]]), vals[at])
-        comm = blocks.pick(m, to) @ dd - dd @ blocks.pick(m, fro)
-        worst = max(worst, float(np.linalg.svd(comm, compute_uv=False)[:, 0].max()))
-    return worst
+    delta = BlockOperator.from_entries(m.partition, rows, cols, vals.astype(complex), xs)
+    return projected_norms(space, m @ delta - delta @ m, 2)
 
 
 def coassociator_relation_check(system: KZOperatorSystem, params: tuple[DeformParams, ...],
-                                m: np.ndarray) -> list[list[CaseResult]]:
+                                m: BlockOperator) -> list[list[CaseResult]]:
     """Residuals of the three exchange relations of the dressed generators,
     with the relation matrices conjugated by M, safe-projected at creator
     degree 2, for each deformation in params (one list of rows each):
@@ -653,14 +567,13 @@ def coassociator_relation_check(system: KZOperatorSystem, params: tuple[DeformPa
       (2) a~+_i a~+_j = s a~+_l a~+_m (M^-1 P M)^{lm}_{ij}
       (3) a~^i a~+_j  = delta^i_j + s a~+_l (M^-1 V M)^{il}_{jm} a~^m
 
-    cond(M), M^-1 and the conjugated U = P are taken block by block over
-    the weights, once for all of params; V depends on (q, s).  The
-    dressing I~ depends on the shell only, so it is one number on each
-    weight block W, and each defect is a batched product on the blocks
-    with the ladder coefficients of BlockLadders:
-    R_W c_W for (1) and I~(t) I~(t+1) c_W^T R_W for (2), with
-    R_W = 1 - s M_W^-1 P_W M_W and t = |W| - 2, and for (3), at
-    [W - e_i, W - e_j] of Fock block (i, j),
+    cond(M), M^-1 (block by block) and the conjugated U = P are taken once
+    for all of params; V depends on (q, s).  The dressing I~ depends on
+    the shell only, so it is one number on each weight block W, and each
+    defect is a batched product on the blocks with the ladder
+    coefficients of BlockLadders: R_W c_W for (1) and
+    I~(t) I~(t+1) c_W^T R_W for (2), with R_W = 1 - s M_W^-1 P_W M_W and
+    t = |W| - 2, and for (3), at [W - e_i, W - e_j] of Fock block (i, j),
 
         I~(t+1) direct_ij - delta_ij - s I~(t) (alpha X_W alpha^T)_ij,
         X_W = M_W^-1 V_W M_W,
@@ -669,17 +582,21 @@ def coassociator_relation_check(system: KZOperatorSystem, params: tuple[DeformPa
     weight block).  Each D x D Fock block of a defect holds at most one
     entry per row and per column, so its safe-projected norm is the
     largest modulus among its entries on safe states.  Each row is held
-    to 1e-12.
+    to 1e-12.  Raises ValueError when M holds an entry that is not finite
+    or is numerically singular (cond(M) >= 1e8, a zero block included).
     """
-    blocks, n = system.blocks, system.n
-    sv = blocks.singular_values(m)
+    n, eye = system.n, system.eye
+    if not np.isfinite(m.data).all():
+        raise ValueError("coassociator matrix holds a non-finite entry")
+    sv = np.concatenate([np.linalg.svd(mw, compute_uv=False).reshape(-1)
+                         for _, _, mw in m.stacks()])
+    if sv.max() >= 1e8 * sv.min():
+        raise ValueError(f"coassociator matrix numerically singular (singular values "
+                         f"{sv.min():.2e} to {sv.max():.2e})")
     cond = float(sv.max() / sv.min())
-    if cond > 1e8:
-        raise ValueError(f"coassociator matrix numerically singular (cond={cond:.2e})")
-    shared = []  # per weight block: M^-1 and M^-1 P M
-    for mw, pw in zip(blocks.views(m), blocks.views(system.p)):
-        minv = np.linalg.inv(mw)
-        shared.append((minv, minv @ (pw @ mw)))
+    minv = BlockOperator(m.partition, m.layout,
+                         np.concatenate([np.linalg.inv(mw).reshape(-1) for _, _, mw in m.stacks()]))
+    conj_p = minv @ (system.p @ m)
     out = []
     for par in params:
         s, q = par.sign, par.q
@@ -688,18 +605,17 @@ def coassociator_relation_check(system: KZOperatorSystem, params: tuple[DeformPa
                            for t in range(system.space.cutoff + 2)])
         # V = q^s P q^P = q^s ((q + 1/q)/2 P + (q - 1/q)/2), since P^2 = 1
         v_p, v_1 = q**s * (q + 1.0 / q) / 2.0, q**s * (q - 1.0 / q) / 2.0
+        rel = eye - s * conj_p
+        conj_v = minv @ ((v_p * system.p + v_1 * eye) @ m)
         aa = apap = 0.0
         cross = float(np.abs(itilde[0] * system.vacuum - 1.0).max(initial=0.0))
-        for mw, pw, lad, (minv, pmw) in zip(blocks.views(m), blocks.views(system.p),
-                                             system.ladders, shared):
-            eye = np.eye(mw.shape[1])
-            rel = eye - s * pmw
-            xw = minv @ ((v_p * pw + v_1 * eye) @ mw)
-            i0, i1 = itilde[lad.shell][:, None, None], itilde[lad.shell + 1][:, None, None]
-            aa = max(aa, _safe_max((rel @ lad.c[..., None])[..., 0], lad.safe))
-            apap = max(apap, _safe_max((i0 * i1 * lad.c[:, None, :] @ rel)[:, 0], lad.safe))
-            conj_v = lad.alpha @ xw @ lad.alpha.transpose(0, 2, 1)
-            cross = max(cross, _safe_max(i1 * lad.direct - np.eye(n) - s * i0 * conj_v,
+        for (src, _, rw), (_, _, xw), lad in zip(rel.stacks(), conj_v.stacks(), system.ladders):
+            t = m.partition.shell[src]  # |W| - 2 on each weight block W
+            i0, i1 = itilde[t][:, None, None], itilde[t + 1][:, None, None]
+            aa = max(aa, _safe_max((rw @ lad.c[..., None])[..., 0], lad.safe))
+            apap = max(apap, _safe_max((i0 * i1 * lad.c[:, None, :] @ rw)[:, 0], lad.safe))
+            alpha_x = lad.alpha @ xw @ lad.alpha.transpose(0, 2, 1)
+            cross = max(cross, _safe_max(i1 * lad.direct - np.eye(n) - s * i0 * alpha_x,
                                          lad.cross_safe))
         names = ("coassoc_relation_aa", "coassoc_relation_apap", "coassoc_relation_cross")
         out.append([CaseResult(name, res, 1e-12, {"cond_M": cond})

@@ -91,12 +91,12 @@ def build_orbital(space: FockSpace) -> OrbitalData:
     if space.cutoff < 4:
         raise ValueError("cutoff >= 4 required for the shift-equation grid")
     an, ap = _real_ladders(space)
-    eye = diagonal(space, np.ones(space.dim))
+    eye = diagonal(space.sectors, np.ones(space.dim))
     aa = (an @ (an @ eye)).sum_labels()
     apap = (ap @ (ap @ eye)).sum_labels()
-    l2 = diagonal(space, (space.shell + space.modes / 2.0 - 1.0) ** 2) - apap @ aa
+    l2 = diagonal(space.sectors, (space.shell + space.modes / 2.0 - 1.0) ** 2) - apap @ aa
 
-    shell = space.shell[space.sectors.members[space.sectors.start]]
+    shell = space.sectors.shell
     roots = []
     levels: dict[int, list[float]] = {}
     for src, _, blocks in l2.stacks():
@@ -116,7 +116,7 @@ def build_orbital(space: FockSpace) -> OrbitalData:
             gl = next((gl for gl in distinct if abs(gl - lv) < 1e-8), float(lv))
             distinct[gl] = distinct.get(gl, 0) + 1
         grid += [(float(n_val), gl, m) for gl, m in distinct.items()]
-    lmat = BlockOperator(l2.sectors, l2.layout, np.concatenate(roots))
+    lmat = BlockOperator(l2.partition, l2.layout, np.concatenate(roots))
     return OrbitalData(space, l2, lmat, sorted(grid), aa, apap)
 
 
@@ -172,7 +172,8 @@ def l2_commutator_residuals(ops: StructureOperands) -> list[CaseResult]:
             for name, x in (("aa", orb.aa), ("apap", orb.apap))]
 
     a, ap = ops.ladders
-    d_a1, d_a2, d_p1, d_p2 = (diagonal(space, 2.0 * space.shell + nn + c) for c in (-3, 1, -1, 3))
+    d_a1, d_a2, d_p1, d_p2 = (diagonal(space.sectors, 2.0 * space.shell + nn + c)
+                              for c in (-3, 1, -1, 3))
     comm_a, comm_ap = l2 @ a - a @ l2, l2 @ ap - ap @ l2
     form_a1 = 2 * ops.ap_aa - a @ d_a1
     form_a2 = 2 * ops.aa_ap - a @ d_a2
@@ -197,9 +198,9 @@ def shift_operators(ops: StructureOperands,
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    orb = ops.orb
+    orb, space = ops.orb, ops.orb.space
     a, ap = ops.ladders
-    shifted = diagonal(orb.space, orb.space.shell + orb.space.modes / 2.0 - 1.0) + sign * orb.l
+    shifted = diagonal(space.sectors, space.shell + space.modes / 2.0 - 1.0) + sign * orb.l
     return a @ shifted - ops.ap_aa, ap @ shifted - ops.apap_a
 
 
@@ -215,7 +216,7 @@ def shift_operator_residuals(ops: StructureOperands, sign: int) -> list[CaseResu
     space, l = orb.space, orb.l
     down, up = shift_operators(ops, sign)
     a, ap = ops.ladders
-    diag2 = diagonal(space, space.shell + space.modes / 2.0 + 1.0) + sign * l
+    diag2 = diagonal(space.sectors, space.shell + space.modes / 2.0 + 1.0) + sign * l
     order = [down - (a @ diag2 - ops.aa_ap), up - (ap @ diag2 - ops.a_apap)]
     eigen = [l @ up - up @ l - sign * up, l @ down - down @ l + sign * down]
     return [

@@ -21,7 +21,7 @@ from .qspecial import (CLIFFORD, WEYL, DeformParams, connection_residual,
                        gauss_2f1, gauss_2f1_deriv, hyper_ode_residual, qgamma,
                        qgamma_tilde, qnum, qbracket, reflection_residual,
                        y_sln, y_son_ratio)
-from .verify import CaseResult, Report
+from .verify import CaseResult, Report, projected_norms
 
 # The suite parameters: name -> (type, takes several values, help text).
 PARAMS = {
@@ -406,17 +406,19 @@ def _suite_kz_operator(cfg: SuiteConfig):
         return kz.coassociator_matrices(system, (hbar2_of(h), hbar2_of(h / 2)))
 
     def scaling():
-        blocks = system.blocks
-        m_h, m_h2 = (m - blocks.eye for m in coassociators())  # flat blocks of M - 1
-        n1, n2 = blocks.norm(m_h), blocks.norm(m_h2)
+        def norm(x):
+            return projected_norms(space, x, 0)
+
+        m_h, m_h2 = (m - system.eye for m in coassociators())
+        n1, n2 = norm(m_h), norm(m_h2)
         ratio = n1 / n2
         # M - 1 = zeta(2) eta^2 [P, A] + O(h^3), read off the half-h matrix
         h2_term = math.pi**2 / 6 * hbar2_of(h / 2)**2 * (
-            blocks.matmul(system.p, system.a) - blocks.matmul(system.a, system.p))
-        scale = blocks.norm(h2_term)
+            system.p @ system.a - system.a @ system.p)
+        scale = norm(h2_term)
 
         def h2_defect(sign):
-            return blocks.norm(m_h2 - sign * h2_term) / scale
+            return norm(m_h2 - sign * h2_term) / scale
 
         return [CaseResult("coassoc_h2_scaling", abs(ratio - 4.0), 0.8,
                            {"ratio": ratio, "norm_h": n1, "norm_half_h": n2}),

@@ -35,21 +35,22 @@ with ValueError: its blocks would not be one shift.
 The generator distance of ``sl2-bose`` (:func:`generator_distance`) is
 the difference of two such sets, normed the same way.
 
-Block operators: one block per sector.  The so(N) defects (the
+Block operators: one block per part.  The so(N) defects (the
 commutators and shift operators of ``soshift`` and the metric invariants,
 :func:`metric_invariant_check`) mix the states of a shell, but each
 keeps or flips the parity of each mode's occupation by a fixed rule, so
 it maps every (shell, parity) sector to one sector and no two sectors to
-one (``fock.BlockOperator``).  It is then the orthogonal direct sum of
-its blocks, and its spectral norm is the largest block norm, exactly; a
-sector lies in one shell, so the safe projector keeps or drops whole
-blocks.  A block's norm lies between its largest row 2-norm and its
-Frobenius norm, so a kept block whose Frobenius norm is below the largest
-row norm of any kept block cannot hold the maximum; only the others are
-factorized, the blocks of one shape in one batched SVD
-(:func:`projected_norms`).  No block is padded.  The N relations of a
-check run down the stack of a block operator, so the number of block
-products does not depend on N.
+one (``fock.BlockOperator``); the KZ operators (``kz``) do the same on
+the weight blocks of C^N x C^N x Fock.  Such an operator is the
+orthogonal direct sum of its blocks, and its spectral norm is the
+largest block norm, exactly; a part lies in one shell, so the safe
+projector keeps or drops whole blocks.  A block's norm lies between its
+largest row 2-norm and its Frobenius norm, so a kept block whose
+Frobenius norm is below the largest row norm of any kept block cannot
+hold the maximum; only the others are factorized, the blocks of one
+shape in one batched SVD (:func:`projected_norms`).  No block is padded.
+The N relations of a check run down the stack of a block operator, so
+the number of block products does not depend on N.
 
 The entries of sigma(x) (``liealg.sigma_entries``) are normed by the
 components of their sparsity graph (:func:`component_stacks`), which are
@@ -193,13 +194,14 @@ def _norm_of_entries(rows, cols, vals, mask: np.ndarray) -> float:
 def projected_norms(space, m: BlockOperator, degree: int) -> float:
     """The largest spectral norm of P b P over the operators b of the stack
     m of block operators (``fock.BlockOperator``), with P the projector
-    onto the states of :meth:`fock.FockSpace.safe_mask` at creator degree
-    `degree`.
+    onto the states whose shell is safe at creator degree `degree`
+    (:meth:`fock.FockSpace.safe_shells`).
 
-    Each operator maps every sector to one sector, and no two sectors to
-    the same one, so it is the direct sum of its blocks; a sector lies in
-    one shell, so P keeps or drops whole blocks, and the norm is the
-    largest over the kept blocks.
+    Each operator maps every part of its partition to one part, and no
+    two parts to the same one, so it is the direct sum of its blocks; a
+    part lies in one shell (``fock.Partition.shell``), so P keeps or
+    drops whole blocks, and the norm is the largest over the kept
+    blocks.
 
     Only the blocks that can hold that largest norm are factorized.  The
     norm of block b lies between the largest 2-norm l_b of its rows and
@@ -211,8 +213,8 @@ def projected_norms(space, m: BlockOperator, degree: int) -> float:
     over all kept blocks to the last bit.  Raises ValueError when a kept
     block holds an entry that is not finite, where no norm is meaningful
     (an SVD would read nan or fail to converge)."""
-    lay, sectors = m.layout, m.sectors
-    safe = space.safe_mask(degree)[sectors.members[sectors.start]]
+    lay = m.layout
+    safe = space.safe_shells(m.partition.shell, degree)
     kept = safe[lay.src] & safe[lay.dst]
     if not kept.any():
         return 0.0
@@ -448,7 +450,7 @@ def metric_invariant_check(gens: DeformedGenerators, c_lower: np.ndarray,
     a, ap = gens.a, gens.ap
     c_a = LadderTable(a.cols, _metric_diagonal(c_lower, n)[:, None] * a.vals)     # C_ii A^i
     c_ap = LadderTable(ap.cols, _metric_diagonal(c_upper, n)[:, None] * ap.vals)  # C^ii A+_i
-    eye = diagonal(space, np.ones(space.dim))
+    eye = diagonal(space.sectors, np.ones(space.dim))
     c_a_blocks, c_ap_blocks = c_a @ eye, c_ap @ eye
     aca = (c_a_blocks @ a).sum_labels()        # sum_i C_ii A^i A^i
     apcap = (c_ap_blocks @ ap).sum_labels()    # sum_i C^ii A+_i A+_i

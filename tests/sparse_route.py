@@ -124,9 +124,9 @@ def projected_norms(space, m, degree: int) -> float:
 def dense(op) -> np.ndarray:
     """The stack of L operators of the block operator op as one dense
     L D x D column whose block l is operator l."""
-    sec, lay = op.sectors, op.layout
+    sec, lay = op.partition, op.layout
     d = sec.of.size
-    out = np.zeros((lay.dk.size * d, d), dtype=op.data.dtype)
+    out = np.zeros((lay.moves.shape[0] * d, d), dtype=op.data.dtype)
     for (src, dst, stack), (b0, b1, _, _) in zip(op.stacks(), lay.groups):
         for label, s, t, block in zip(lay.label[b0:b1], src, dst, stack):
             rows = label * d + sec.members[sec.start[t]:sec.start[t] + sec.size[t]]

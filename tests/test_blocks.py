@@ -1,5 +1,7 @@
-"""Block operators on the (shell, parity) sectors (``fock.BlockOperator``)
-against dense matrices: the sectors, every kind of product, the sum over
+"""Block operators (``fock.BlockOperator``) against dense matrices, on
+both partitions the package builds: the (shell, parity) sectors of a Fock
+space and the weight blocks of the KZ operator system.  The numbering of
+the parts, construction from entries, every kind of product, the sum over
 a stack and the exact norm ``verify.projected_norms``, which factorizes
 only the blocks that can hold the largest norm and must read the largest
 over all of them to the last bit."""
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qheis import deform, fock, suites, verify
+from qheis import deform, fock, kz, suites, verify
 from qheis.fock import Statistics
 from qheis.qspecial import WEYL, DeformParams
 from sparse_route import dense
@@ -22,6 +24,38 @@ SPACES = {
     "bose-4-4": (4, Statistics.BOSE, 4),
     "fermi-3": (3, Statistics.FERMI, None),
 }
+# the weight partitions of C^N x C^N x Fock(N, cutoff) (``kz``)
+WEIGHTS = {"weight-2-3": (2, 3), "weight-3-3": (3, 3)}
+
+
+@functools.cache
+def cached_space(key):
+    return fock.build_space(*SPACES[key])
+
+
+@functools.cache
+def cached_weights(key):
+    """(Fock space, weight partition, shell of each basis vector)."""
+    space = fock.build_space(WEIGHTS[key][0], Statistics.BOSE, WEIGHTS[key][1])
+    system = kz.build_operator_system(space)
+    return space, system.p.partition, np.tile(space.shell, space.modes**2)
+
+
+def partition_of(key):
+    """(Fock space, partition, shell of each state) of a key of SPACES or
+    WEIGHTS."""
+    if key in WEIGHTS:
+        return cached_weights(key)
+    space = cached_space(key)
+    return space, space.sectors, space.shell
+
+
+def fock_moves(modes, dk, flip):
+    """The sector moves of operators that move the shell by dk[l] and flip
+    the parities of the modes in the bit mask flip[l]: the key is
+    (shell, n_N mod 2, ..., n_1 mod 2)."""
+    bits = (np.array(flip)[:, None] >> np.arange(modes)[::-1]) & 1
+    return np.column_stack([dk, bits])
 
 
 def table_matrices(table, d):
@@ -34,14 +68,37 @@ def table_matrices(table, d):
 
 
 def random_block(space, rng, dk, flip):
-    """A block operator with random entries on the layout of the shifts
-    (dk[l], flip[l])."""
-    lay = space.sectors.layout(np.array(dk), np.array(flip))
-    return fock.BlockOperator(space.sectors, lay, rng.normal(size=lay.total))
+    """A block operator on the sectors with random entries on the layout of
+    the shifts (dk[l], flip[l])."""
+    return random_moved(space.sectors, rng, fock_moves(space.modes, dk, flip))
+
+
+def random_moved(parts, rng, moves):
+    """A block operator with random entries on the layout of the moves."""
+    lay = parts.layout(np.array(moves))
+    return fock.BlockOperator(parts, lay, rng.normal(size=lay.total))
 
 
 def stack(op, d):
     return dense(op).reshape(-1, d, d)
+
+
+def sector_numbers(space):
+    """The sector of each state by the rank of
+    shell 2^N + sum_i (n_i mod 2) 2^i: the shell first, then the parity
+    bits, mode N leading."""
+    bits = (space.occ % 2) @ (1 << np.arange(space.modes))
+    return np.unique(space.shell * (1 << space.modes) + bits, return_inverse=True)[1]
+
+
+def weight_numbers(key):
+    """The weight block of each basis vector (a, b, o) by the rank of its
+    weight e_a + e_b + o in the lexicographic order of np.unique's row sort."""
+    n, cutoff = WEIGHTS[key]
+    space = fock.build_space(n, Statistics.BOSE, cutoff)
+    e = np.eye(n, dtype=int)
+    weights = (e[:, None, None] + e[None, :, None] + space.occ).reshape(-1, n)
+    return np.unique(weights, axis=0, return_inverse=True)[1].reshape(-1)
 
 
 @pytest.mark.parametrize("key", SPACES)
@@ -60,13 +117,59 @@ def test_sectors_partition_the_basis_by_shell_and_parity(key):
     assert len(keys) == sec.size.size
 
 
+@pytest.mark.parametrize("key", [*SPACES, *WEIGHTS, "random"])
+def test_partitions_number_their_parts_by_key(key):
+    if key == "random":  # negative keys, a modulus, and a constant coordinate
+        keys = np.random.default_rng(5).integers(-3, 4, size=(200, 3))
+        keys[:, 2] = 7
+        shell = np.zeros(200, dtype=int)
+        parts = fock.Partition(keys, [0, 2, 0], shell)
+        keys[:, 1] %= 2
+        want = np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1)
+    elif key in WEIGHTS:
+        _, parts, shell = partition_of(key)
+        want = weight_numbers(key)
+    else:
+        space, parts, shell = partition_of(key)
+        want = sector_numbers(space)
+    assert np.array_equal(parts.of, want)
+    assert np.array_equal(np.unique(parts.key, axis=0), parts.key)  # in lexicographic order
+    assert np.array_equal(shell, parts.shell[parts.of])
+
+
+def test_from_entries_refuses_an_operator_that_maps_a_part_to_two():
+    space = fock.build_space(3, Statistics.BOSE, 4)
+    parts = space.sectors
+    one, two = space.state_index((1, 0, 0)), space.state_index((0, 1, 0))
+    vac = space.state_index((0, 0, 0))
+    # the vacuum to two sectors of shell 1; as two operators, it is allowed
+    with pytest.raises(ValueError, match="maps part 0 to two parts"):
+        fock.BlockOperator.from_entries(parts, [one, two], [vac, vac], [1.0, 2.0])
+    ok = fock.BlockOperator.from_entries(parts, [one, two], [vac, vac], [1.0, 2.0], [0, 1])
+    assert np.array_equal(stack(ok, space.dim)[:, [one, two], vac], [[1, 0], [0, 2]])
+    # on the weight partition: (0, 0, vacuum) has weight 2 e_1, and a state
+    # of each other weight of that shell is a second target
+    fock_space, weights, _ = partition_of("weight-2-3")
+    d = fock_space.dim  # basis vector d is (0, 1, vacuum), of weight e_1 + e_2
+    with pytest.raises(ValueError, match="two parts"):
+        fock.BlockOperator.from_entries(weights, [0, d], [0, 0], [1.0, 1.0])
+    # no entries: the zero operator that keeps the parts
+    nothing = np.zeros(0, dtype=int)
+    none = fock.BlockOperator.from_entries(weights, nothing, nothing, np.zeros(0))
+    assert none.layout is fock.diagonal(weights, np.ones(weights.of.size)).layout
+    assert not none.data.any()
+    # entries at one place add up
+    both = fock.BlockOperator.from_entries(weights, [d, d], [0, 0], [1.0, 2.0])
+    assert dense(both)[d, 0] == 3.0 and np.count_nonzero(dense(both)) == 1
+
+
 @pytest.mark.parametrize("key", SPACES)
 def test_products_are_the_dense_products(key):
     space = fock.build_space(*SPACES[key])
     d, n = space.dim, space.modes
     rng = np.random.default_rng([ord(ch) for ch in key])
     an, ap = table_matrices(space.an, d), table_matrices(space.ap, d)
-    eye = fock.diagonal(space, np.ones(d))
+    eye = fock.diagonal(space.sectors, np.ones(d))
     assert np.array_equal(dense(eye), np.eye(d))
     # the ladders in block form, from either side
     for table, mats in ((space.an, an), (space.ap, ap)):
@@ -97,6 +200,41 @@ def test_products_are_the_dense_products(key):
     assert np.allclose(dense(np.float64(0.5) * one + one), 1.5 * x)
 
 
+@pytest.mark.parametrize("key", WEIGHTS)
+def test_weight_block_products_are_the_dense_products(key):
+    space, parts, _ = partition_of(key)
+    n = space.modes
+    d = parts.of.size
+    rng = np.random.default_rng([ord(ch) for ch in key])
+    eye = fock.diagonal(parts, np.ones(d))
+    assert np.array_equal(dense(eye), np.eye(d))
+    e = np.eye(n, dtype=int)
+    one = random_moved(parts, rng, [[0] * n])
+    x = dense(one)
+    step = random_moved(parts, rng, [e[0] - e[1]])  # E_12-like: some targets are missing
+    y = dense(step)
+    many = random_moved(parts, rng, [e[0] - e[1], e[1] - e[0], e[0]])  # a stack of three
+    z = stack(many, d)
+    assert np.allclose(dense(one @ step), x @ y, atol=1e-13)
+    assert np.allclose(dense(step @ one), y @ x, atol=1e-13)
+    assert np.allclose(dense(step @ step), y @ y, atol=1e-13)
+    assert np.allclose(stack(one @ many, d), x @ z, atol=1e-13)
+    assert np.allclose(stack(many @ step, d), z @ y, atol=1e-13)
+    assert np.allclose(stack(many @ many, d), z @ z, atol=1e-13)  # operator by operator
+    assert np.array_equal(dense(eye @ one), x) and np.array_equal(dense(one @ eye), x)
+    # sums, scalars and the sum over a stack
+    assert np.allclose(dense(2 * step - one @ (1j * step)), 2 * y - 1j * x @ y, atol=1e-13)
+    alike = random_moved(parts, rng, [e[0] - e[1]] * 3)
+    assert np.allclose(dense(alike.sum_labels()), stack(alike, d).sum(axis=0), atol=1e-13)
+    # a block operator built from its dense entries is the same operator
+    label, rows, cols = np.nonzero(z.reshape(-1, d, d))
+    again = fock.BlockOperator.from_entries(parts, rows, cols, z[label, rows, cols], label)
+    assert again.layout is many.layout and np.array_equal(again.data, many.data)
+    # weight blocks take no ladder table
+    with pytest.raises(ValueError):
+        space.an @ one
+
+
 def test_stacks_of_different_shifts_refuse_to_add_or_sum():
     space = fock.build_space(3, Statistics.BOSE, 4)
     rng = np.random.default_rng(1)
@@ -113,18 +251,32 @@ def test_stacks_of_different_shifts_refuse_to_add_or_sum():
         other.an @ one
 
 
-@pytest.mark.parametrize("key", SPACES)
+def safe_states(key, degree):
+    """The safe states at creator degree `degree` of the partition of key:
+    the safe Fock states, or the (a, b, o) whose o is safe."""
+    space = partition_of(key)[0]
+    mask = space.safe_mask(degree)
+    return np.tile(mask, space.modes**2) if key in WEIGHTS else mask
+
+
+@pytest.mark.parametrize("key", [*SPACES, *WEIGHTS])
 def test_projected_norms_is_the_dense_norm(key):
-    space = fock.build_space(*SPACES[key])
-    d, n = space.dim, space.modes
+    space, parts, _ = partition_of(key)
+    d, n = parts.of.size, space.modes
     rng = np.random.default_rng([ord(ch) for ch in key] + [7])
-    ops = [random_block(space, rng, [0], [0]), random_block(space, rng, [-2], [0]),
-           random_block(space, rng, [1] * n, list(1 << np.arange(n))),
-           random_block(space, rng, [-3] * n, list(1 << np.arange(n)))]
+    if key in WEIGHTS:
+        e = np.eye(n, dtype=int)
+        ops = [random_moved(parts, rng, [0 * e[0]]), random_moved(parts, rng, [e[0] - e[1]]),
+               random_moved(parts, rng, [e[0], -e[1], e[1] - e[0]]),
+               random_moved(parts, rng, -2 * e)]
+    else:
+        ops = [random_block(space, rng, [0], [0]), random_block(space, rng, [-2], [0]),
+               random_block(space, rng, [1] * n, list(1 << np.arange(n))),
+               random_block(space, rng, [-3] * n, list(1 << np.arange(n)))]
     for op in ops:
         assert op.size == op.data.size == sum(s.size for _, _, s in op.stacks())
         for degree in range(space.cutoff + 2):
-            mask = space.safe_mask(degree)
+            mask = safe_states(key, degree)
             want = max((np.linalg.norm(b[np.ix_(mask, mask)], 2) if mask.any() else 0.0)
                        for b in stack(op, d))
             got = verify.projected_norms(space, op, degree)
@@ -144,16 +296,12 @@ def test_metric_invariants_take_a_diagonal_metric_only():
     assert all(r.passed for r in verify.metric_invariant_check(gens, scaled, scaled, 1.0))
 
 
-@functools.cache
-def cached_space(key):
-    return fock.build_space(*SPACES[key])
-
-
-def every_block_norm(space, op, degree):
-    """The largest norm of the blocks P keeps, from one SVD of every kept
-    block (the norm without pruning)."""
-    sec = op.sectors
-    safe = space.safe_mask(degree)[sec.members[sec.start]]
+def every_block_norm(op, mask):
+    """The largest norm of the blocks that the projector onto the states
+    in mask keeps, from one SVD of every kept block (the norm without
+    pruning)."""
+    parts = op.partition
+    safe = mask[parts.members[parts.start]]
     spec = 0.0
     for src, dst, blocks in op.stacks():
         kept = blocks[safe[src] & safe[dst]]
@@ -171,13 +319,18 @@ def block_operators(draw):
     """A block operator with random entries on a random layout of a small
     space, shaped so that the largest norm sits in a thin (1 x k or k x 1)
     block, in two blocks of equal norm, in the one nonzero block, or is 0."""
-    key = draw(st.sampled_from(sorted(SPACES)))
-    space = cached_space(key)
+    key = draw(st.sampled_from(sorted(SPACES) + sorted(WEIGHTS)))
+    space, parts, _ = partition_of(key)
     size = draw(st.integers(1, 3))
-    dk = draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
-    flip = draw(st.lists(st.integers(0, (1 << space.modes) - 1), min_size=size,
-                         max_size=size))
-    lay = space.sectors.layout(np.array(dk), np.array(flip))
+    if key in WEIGHTS:
+        moves = [draw(st.lists(st.integers(-1, 1), min_size=space.modes,
+                               max_size=space.modes)) for _ in range(size)]
+    else:
+        dk = draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+        flip = draw(st.lists(st.integers(0, (1 << space.modes) - 1), min_size=size,
+                             max_size=size))
+        moves = fock_moves(space.modes, dk, flip)
+    lay = parts.layout(np.array(moves))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     data = rng.normal(size=lay.total)
     if draw(st.booleans()):
@@ -198,15 +351,17 @@ def block_operators(draw):
         data[:keep.start] = data[keep.stop:] = 0
     elif shape == "zero":
         data[:] = 0
-    return space, fock.BlockOperator(space.sectors, lay, data)
+    return key, fock.BlockOperator(parts, lay, data)
 
 
 @given(block_operators())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_projected_norms_is_the_norm_of_every_block_bit_for_bit(case):
-    space, op = case
+    key, op = case
+    space = partition_of(key)[0]
     for degree in range(space.cutoff + 2):
-        assert verify.projected_norms(space, op, degree) == every_block_norm(space, op, degree)
+        want = every_block_norm(op, safe_states(key, degree))
+        assert verify.projected_norms(space, op, degree) == want
 
 
 def test_projected_norms_refuses_a_non_finite_kept_entry():
@@ -216,16 +371,16 @@ def test_projected_norms_refuses_a_non_finite_kept_entry():
         values = np.ones(space.dim, dtype=complex)
         values[7] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            verify.projected_norms(space, fock.diagonal(space, values), 0)
+            verify.projected_norms(space, fock.diagonal(space.sectors, values), 0)
         # a block that P drops may hold anything
         values = np.ones(space.dim, dtype=complex)
         values[top] = bad
-        assert verify.projected_norms(space, fock.diagonal(space, values), 1) == 1.0
+        assert verify.projected_norms(space, fock.diagonal(space.sectors, values), 1) == 1.0
     # finite entries whose squares overflow are normed without pruning
     values = np.ones(space.dim)
     values[[3, 9]] = 1e200, -2e200
-    op = fock.diagonal(space, values)
-    assert verify.projected_norms(space, op, 0) == every_block_norm(space, op, 0) == 2e200
+    op = fock.diagonal(space.sectors, values)
+    assert verify.projected_norms(space, op, 0) == every_block_norm(op, space.safe_mask(0)) == 2e200
 
 
 def test_component_norm_refuses_a_non_finite_kept_entry():
@@ -265,8 +420,8 @@ def test_projected_norms_factorizes_few_blocks(monkeypatch):
     norms, svd = verify.projected_norms, np.linalg.svd
 
     def counting_norms(space, m, degree):
-        sec, lay = m.sectors, m.layout
-        safe = space.safe_mask(degree)[sec.members[sec.start]]
+        safe = space.safe_shells(m.partition.shell, degree)
+        lay = m.layout
         kept[0] += int((safe[lay.src] & safe[lay.dst]).sum())
         return norms(space, m, degree)
 

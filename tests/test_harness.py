@@ -99,16 +99,19 @@ def test_ladders_built_once_per_space(suite, monkeypatch):
 @pytest.mark.parametrize("sizes", ["defaults", "minima"])
 def test_every_safe_subspace_a_check_uses_has_two_states(sizes, monkeypatch):
     # a check restricted to a single state (the vacuum) cannot tell an
-    # invariant from a non-invariant operator, so its negative result is vacuous
+    # invariant from a non-invariant operator, so its negative result is vacuous.
+    # Every safe set goes through safe_shells: of the states (safe_mask), or
+    # of the parts of a block operator's partition (projected_norms), each
+    # part holding at least one state
     kept = []
-    safe_mask = fock.FockSpace.safe_mask
+    safe_shells = fock.FockSpace.safe_shells
 
-    def recording(space, degree):
-        mask = safe_mask(space, degree)
+    def recording(space, shell, degree):
+        mask = safe_shells(space, shell, degree)
         kept.append((space.statistics, space.cutoff, degree, int(mask.sum())))
         return mask
 
-    monkeypatch.setattr(fock.FockSpace, "safe_mask", recording)
+    monkeypatch.setattr(fock.FockSpace, "safe_shells", recording)
     for suite in suites.SUITE_IDS:
         kept.clear()
         overrides = suites.MINIMA.get(suite, {}) if sizes == "minima" else {}

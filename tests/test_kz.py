@@ -134,17 +134,19 @@ def m_matrix(op_system):
 
 
 def test_coassociator_h2_scaling(op_system):
-    blocks = op_system.blocks
-    m_h, m_half = (m - blocks.eye for m in
+    def norm(x):
+        return verify.projected_norms(op_system.space, x, 0)
+
+    m_h, m_half = (m - op_system.eye for m in
                    kz.coassociator_matrices(op_system, (hbar2_of(0.1), hbar2_of(0.05))))
-    n1, n2 = blocks.norm(m_h), blocks.norm(m_half)
+    n1, n2 = norm(m_h), norm(m_half)
     assert 3.2 < n1 / n2 < 4.8
     # M - 1 = zeta(2) eta^2 [P, A] + O(h^3); the wrong sign is off by ~2
     p, a = op_system.p, op_system.a
-    term = math.pi**2 / 6 * hbar2_of(0.05)**2 * (blocks.matmul(p, a) - blocks.matmul(a, p))
-    scale = blocks.norm(term)
-    assert blocks.norm(m_half - term) / scale < 0.3
-    assert blocks.norm(m_half + term) / scale > 1.5
+    term = math.pi**2 / 6 * hbar2_of(0.05)**2 * (p @ a - a @ p)
+    scale = norm(term)
+    assert norm(m_half - term) / scale < 0.3
+    assert norm(m_half + term) / scale > 1.5
 
 
 def test_batched_coassociators_match_one_at_a_time(op_system, m_matrix):
@@ -152,11 +154,11 @@ def test_batched_coassociators_match_one_at_a_time(op_system, m_matrix):
     # and the identity, exactly, at hbar2 = 0
     hbar2s = (hbar2_of(0.1), 0.0, hbar2_of(-0.07))
     batch = kz.coassociator_matrices(op_system, hbar2s)
-    assert np.array_equal(batch[1], op_system.blocks.eye)
+    assert np.array_equal(batch[1].data, op_system.eye.data)
     for m, hbar2 in zip(batch, hbar2s):
         alone = kz.coassociator_matrices(op_system, (hbar2,))[0]
-        assert np.abs(m - alone).max() <= 1e-15
-    assert np.abs(batch[0] - m_matrix).max() <= 1e-15
+        assert np.abs((m - alone).data).max() <= 1e-15
+    assert np.abs((batch[0] - m_matrix).data).max() <= 1e-15
 
 
 def test_coassociator_acts_trivially(op_system, m_matrix):
@@ -176,7 +178,7 @@ def test_coassociator_relations(op_system, m_matrix):
 
 def test_coassociator_classical_control(op_system):
     m = kz.coassociator_matrices(op_system, (0.0,))[0]
-    assert np.array_equal(m, op_system.blocks.eye)
+    assert np.array_equal(m.data, op_system.eye.data)
     params = DeformParams(1.0, WEYL)
     rows = kz.coassociator_relation_check(op_system, (params,), m)[0]
     for row in rows:
@@ -199,16 +201,39 @@ def test_one_relation_check_for_both_signs(op_system, m_matrix):
 
 
 def test_relation_check_refuses_a_near_singular_m(op_system):
-    m = op_system.blocks.eye.astype(complex)
-    m[np.flatnonzero(m)[0]] = 1e-9  # one block of M with cond 1e9
+    m = complex(1) * op_system.eye
+    m.data[np.flatnonzero(m.data)[0]] = 1e-9  # one block of M with cond 1e9
     with pytest.raises(ValueError, match="numerically singular"):
         kz.coassociator_relation_check(op_system, (DeformParams(1.0, WEYL),), m)[0]
 
 
-def to_sparse(blocks, x):
-    """The full-space operator of the flat weight blocks x, with the blocks
-    as its stored entries."""
-    return sparse.csr_array((x, (blocks.rows, blocks.cols)), shape=(blocks.dim, blocks.dim))
+@pytest.mark.parametrize("zero", ["one block", "every block"])
+def test_relation_check_refuses_a_zero_block(op_system, zero):
+    # cond(M) is infinite: refused as singular, with no division by zero
+    m = complex(1) * op_system.eye
+    b0, _, height, width = m.layout.groups[-1]  # a block of the largest size
+    first = m.layout.offset[b0]
+    m.data[first:first + height * width if zero == "one block" else None] = 0
+    with pytest.raises(ValueError, match="numerically singular"):
+        kz.coassociator_relation_check(op_system, (DeformParams(1.0, WEYL),), m)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_relation_check_refuses_a_non_finite_m(op_system, m_matrix, bad):
+    m = complex(1) * m_matrix
+    m.data[m.size // 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        kz.coassociator_relation_check(op_system, (DeformParams(math.e**0.1, WEYL),), m)
+
+
+def to_sparse(op):
+    """The full-space operator of the block operator op on the weight
+    partition, with its blocks as the stored entries."""
+    parts, lay = op.partition, op.layout
+    block, row, col = lay.entries
+    rows = parts.members[parts.start[lay.dst[block]] + row]
+    cols = parts.members[parts.start[lay.src[block]] + col]
+    return sparse.csr_array((op.data, (rows, cols)), shape=(parts.of.size,) * 2)
 
 
 def _dense_p_a(space):
@@ -262,13 +287,17 @@ def test_p_and_a_conserve_the_weight(modes, cutoff):
     for op in (p, a):
         rows, cols = np.nonzero(op)
         assert rows.size and np.array_equal(w[rows], w[cols])
-    # the flat weight blocks of the system are exactly these P and A
+    # the block operators of the system are exactly these P and A, on one
+    # block per weight
     system = kz.build_operator_system(space)
-    blocks = system.blocks
-    assert np.array_equal(to_sparse(blocks, system.p).toarray(), p)
-    assert np.array_equal(to_sparse(blocks, system.a).toarray(), a)
-    assert np.array_equal(w[blocks.rows], w[blocks.cols])
-    assert max(shape[1] for _, shape in blocks.stacks) <= modes * modes
+    assert np.array_equal(to_sparse(system.p).toarray(), p)
+    assert np.array_equal(to_sparse(system.a).toarray(), a)
+    assert system.a.layout is system.p.layout
+    rows, cols = to_sparse(system.p).nonzero()
+    assert np.array_equal(w[rows], w[cols])
+    parts = system.p.partition
+    assert np.array_equal(w[parts.members[parts.start]], parts.key)
+    assert parts.size.max() <= modes * modes
 
 
 @pytest.mark.parametrize("modes,cutoff,h", [(2, 3, 0.1), (3, 2, 0.1), (2, 5, 0.1), (2, 3, 0.2)],
@@ -276,7 +305,7 @@ def test_p_and_a_conserve_the_weight(modes, cutoff):
 def test_coassociator_matches_dense_oracle(modes, cutoff, h):
     space = fock.build_space(modes, Statistics.BOSE, cutoff)
     system = kz.build_operator_system(space)
-    m = to_sparse(system.blocks, kz.coassociator_matrices(system, (hbar2_of(h),))[0]).toarray()
+    m = to_sparse(kz.coassociator_matrices(system, (hbar2_of(h),))[0]).toarray()
     p, a = _dense_p_a(space)
     assert np.linalg.norm(m - _dense_coassociator(p, a, hbar2_of(h)), 2) <= 1e-10
     w = _weights(space)
@@ -293,7 +322,7 @@ def test_truncated_series_misses_the_dense_oracle(monkeypatch):
     p, a = _dense_p_a(space)
     want = _dense_coassociator(p, a, hbar2_of(0.1))
     monkeypatch.setattr(kz, "_TAIL", 1e-3)
-    m = to_sparse(system.blocks, kz.coassociator_matrices(system, (hbar2_of(0.1),))[0]).toarray()
+    m = to_sparse(kz.coassociator_matrices(system, (hbar2_of(0.1),))[0]).toarray()
     assert np.linalg.norm(m - want, 2) > 1e-6
 
 
@@ -311,9 +340,11 @@ def test_series_guards_raise(op_system, monkeypatch):
 
 
 def _random_blocks(system, rng):
-    """A random complex operator that conserves the weight, as flat blocks."""
-    size = system.blocks.rows.size
-    return rng.normal(size=size) + 1j * rng.normal(size=size)
+    """A random complex operator that conserves the weight, as a block
+    operator on the layout of P and A."""
+    size = system.p.size
+    return fock.BlockOperator(system.p.partition, system.p.layout,
+                              rng.normal(size=size) + 1j * rng.normal(size=size))
 
 
 def test_invariance_residual_matches_dense_oracle():
@@ -323,7 +354,7 @@ def test_invariance_residual_matches_dense_oracle():
     system = kz.build_operator_system(space)
     data = liealg.LieData("sl", 2)
     m = _random_blocks(system, np.random.default_rng(11))
-    big_m = to_sparse(system.blocks, m).toarray()
+    big_m = to_sparse(m).toarray()
     safe = np.tile(space.safe_mask(2), 4)
     want = 0.0
     sigma, d = sparse_route.sigma_basis(space, data).toarray(), space.dim
@@ -342,7 +373,7 @@ def _sparse_invariance(system, m, data):
     [M, Delta(X)] (sparse.kron), each normed exactly through the
     components of its safe-projected sparsity graph."""
     space, n = system.space, system.n
-    big_m = to_sparse(system.blocks, m)
+    big_m = to_sparse(m)
     safe = np.tile(space.safe_mask(2), n * n)
     worst = 0.0
     sigma, d = sparse_route.sigma_basis(space, data), space.dim
@@ -386,15 +417,16 @@ def _sparse_relations(system, params, m):
     M^-1 P M and M^-1 V M contracted with the dressed ladders by the
     sparse route's quadratic_residual_matrices (tests/sparse_route.py),
     normed by sparse_route.projected_norms."""
-    space, blocks, s, q = system.space, system.blocks, params.sign, params.q
-    minv = blocks.join([np.linalg.inv(u) for u in blocks.views(m)])
-    v = q**s * ((q + 1.0 / q) / 2.0 * system.p + (q - 1.0 / q) / 2.0 * blocks.eye)
-    mu = to_sparse(blocks, blocks.matmul(minv, blocks.matmul(system.p, m)))
-    mv = to_sparse(blocks, blocks.matmul(minv, blocks.matmul(v, m)))
+    space, s, q = system.space, params.sign, params.q
+    minv = fock.BlockOperator(m.partition, m.layout, np.concatenate(
+        [np.linalg.inv(u).reshape(-1) for _, _, u in m.stacks()]))
+    v = q**s * ((q + 1.0 / q) / 2.0 * system.p + (q - 1.0 / q) / 2.0 * system.eye)
+    mu = to_sparse(minv @ (system.p @ m))
+    mv = to_sparse(minv @ (v @ m))
     q2s = q ** (2 * s)
     itilde = np.array([qnum(t + 1.0, q2s).real / (t + 1.0) for t in range(space.cutoff + 1)])
     dit = sparse.diags_array(itilde[space.shell].astype(complex))
-    rel = sparse.eye_array(blocks.dim) - s * mu
+    rel = sparse.eye_array(mu.shape[0]) - s * mu
     aa, apap, cross = sparse_route.quadratic_residual_matrices(
         csr_list(space.an), [x @ dit for x in csr_list(space.ap)], rel, {"cross": mv}, s)
     return [sparse_route.projected_norms(space, x, 2) for x in (aa, apap, cross["cross"])]
@@ -404,7 +436,7 @@ def _sparse_acts_trivially(system, m):
     """|| M . (aa) - aa || with aa the sparse column of the a^i a^j."""
     n, an = system.n, csr_list(system.space.an)
     aa = sparse.vstack([an[i] @ an[j] for i in range(n) for j in range(n)])
-    return [sparse_route.projected_norms(system.space, to_sparse(system.blocks, m) @ aa - aa, 2)]
+    return [sparse_route.projected_norms(system.space, to_sparse(m) @ aa - aa, 2)]
 
 
 # the deformation of each relation check; None stands for acts_trivially_residual
@@ -428,7 +460,7 @@ def _by_sparse(system, params, m):
 @pytest.mark.parametrize("modes,cutoff", [(2, 3), (2, 5), (3, 4), (4, 4)])
 def test_block_relations_match_the_sparse_route(modes, cutoff, check):
     system = kz.build_operator_system(fock.build_space(modes, Statistics.BOSE, cutoff))
-    blocks, params = system.blocks, CHECKS[check]
+    params = CHECKS[check]
     rng = np.random.default_rng(modes * 10 + cutoff)
     # at cutoff 3 no weight block of aa, apap or M . aa is safe: both routes read 0
     empty = {0, 1} if cutoff == 3 else set()
@@ -449,20 +481,13 @@ def test_block_relations_match_the_sparse_route(modes, cutoff, check):
     # the exact M (the identity at q = 1) sits at the floor by both routes,
     # except under the wrong sign, where both read O(1); a 1e-8
     # perturbation of it reads alike by both, far above 1e-12
-    exact = (blocks.eye.astype(complex) if check == "q=1"
+    exact = (complex(1) * system.eye if check == "q=1"
              else kz.coassociator_matrices(system, (hbar2_of(0.1),))[0])
     if check == "clifford":
         assert min(agree(exact, 1e-12)) > 0.1
     else:
         assert max(*_by_blocks(system, params, exact), *_by_sparse(system, params, exact)) < 1e-13
         assert min(agree(exact + 1e-8 * _random_blocks(system, rng), 1e-6)) > 1e3 * 1e-12
-
-
-def test_weight_blocks_number_the_weights_in_lexicographic_order():
-    # the reference is the row sort of np.unique over the whole weight rows
-    weights = np.random.default_rng(5).integers(0, 4, size=(200, 3))
-    want = np.unique(weights, axis=0, return_inverse=True)[1].reshape(-1)
-    assert np.array_equal(kz._weight_blocks(weights).block_of, want)
 
 
 def test_coassociator_makes_no_ode_solve(op_system, monkeypatch):

@@ -1,7 +1,8 @@
 """Pass/fail of every case of a fixed set of suite calls, against the map
 checked in as tests/outcomes.json: every operator-algebra and
 kz-coassociator call of the benchmark's plans for seeds 0-3
-(perfbench/run.py), and four calls that
+(perfbench/run.py), two points of the kz-operator ladder beyond the
+benchmark's (N = 3 at cutoff 8, N = 2 at cutoff 12), and four calls that
 hold known failures of absolute tolerances on terms that grow with the
 cutoff (sl2-bose at cutoffs 20 and 24, slN at N = 4, cutoff 24, and
 soN-orbital at N = 3, cutoff 20; ROADMAP item 2).  A refactor keeps the map; a change that
@@ -21,6 +22,8 @@ ROOT = Path(__file__).resolve().parents[1]
 MAP = Path(__file__).resolve().parent / "outcomes.json"
 SEEDS = range(4)
 WORKLOADS = ("operator-algebra", "kz-coassociator")
+LADDER = (["suite", "kz-operator", "--modes", "3", "--cutoff", "8"],
+          ["suite", "kz-operator", "--modes", "2", "--cutoff", "12"])
 KNOWN_FAILURES = (["suite", "sl2-bose", "--cutoff", "20"], ["suite", "sl2-bose", "--cutoff", "24"],
                   ["suite", "slN", "--modes", "4", "--cutoff", "24"],
                   ["suite", "soN-orbital", "--modes", "3", "--cutoff", "20"])
@@ -50,7 +53,7 @@ def outcomes(argv, tmp: Path) -> dict:
     return cases
 
 
-CALLS = [" ".join(argv) for argv in benchmark_calls() + list(KNOWN_FAILURES)]
+CALLS = [" ".join(argv) for argv in benchmark_calls() + list(LADDER) + list(KNOWN_FAILURES)]
 
 
 def test_the_map_holds_these_calls():
