@@ -4,9 +4,9 @@ Builds bosonic and fermionic spaces, reads the mode ladders each space
 stores as ladder tables (``space.an``, ``space.ap``: row s of the mode
 i + 1 operator holds ``vals[i, s]`` in column ``cols[i, s]``), writes
 them out as dense matrices to show where the commutation relations hold
-exactly versus where the cutoff bites, and multiplies operators that are
-not ladders as dense blocks on the (shell, parity) sectors of a space
-(``fock.BlockOperator``).
+exactly versus where the cutoff bites, and multiplies the ladders and
+their products as dense blocks on the (shell, parity) sectors of a space
+(``space.ladder_blocks``, ``fock.BlockOperator``).
 """
 
 import numpy as np
@@ -53,15 +53,16 @@ worst = max(
     for i in range(3) for j in range(3))
 print(f"\nfermionic space dim {spf.dim}; worst CAR residual: {worst:.3e}")
 
-# Operators that are not ladders live on the (shell, parity of each
-# mode) sectors: a.a moves (n, p) to (n - 2, p), so it is one dense block
-# per sector.  A product with a ladder table is a gather, and
+# The ladders in block form live on the (shell, parity of each mode)
+# sectors: a^i moves (n, p) to (n - 1, p xor e_i), and a.a moves (n, p)
+# to (n - 2, p), so it is one dense block per sector.  Every product of
+# block operators is one batched product per block shape, and
 # verify.projected_norms reads the norm block by block.
 sp3 = fock.build_space(3, Statistics.BOSE, cutoff=6)
 sectors = sp3.sectors
-eye = fock.diagonal(sectors, np.ones(sp3.dim))
-aa = (sp3.an @ (sp3.an @ eye)).sum_labels()
-apap = (sp3.ap @ (sp3.ap @ eye)).sum_labels()
+an3, ap3 = sp3.ladder_blocks
+aa = (an3 @ an3).sum_labels()
+apap = (ap3 @ ap3).sum_labels()
 defect = aa @ apap - apap @ aa - fock.diagonal(sectors, 4.0 * sp3.shell + 2 * sp3.modes)
 print(f"\n3-mode space dim {sp3.dim}: {sectors.size.size} sectors, the largest "
       f"{sectors.size.max()} states")

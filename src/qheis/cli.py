@@ -11,8 +11,9 @@ config file, which in turn override the per-suite defaults.  Every case
 keeps the tolerance its check defines.  The process exits 0 iff every
 case of the executed suite passed, 1 otherwise, 2 on usage errors (an
 unknown flag, a config file that is not a JSON object, a config key or
-flag the suite does not read, an empty value list, a value out of range,
-or values that give two units the same name among them).
+flag the suite does not read, a config ``out`` that is not a non-empty
+string, an empty value list, a value out of range, or values that give
+two units the same name among them), each found before any unit runs.
 """
 
 from __future__ import annotations
@@ -56,8 +57,12 @@ def main(argv=None) -> int:
         if not isinstance(loaded, dict):
             parser.error(f"config {args.config} must hold a JSON object")
         overrides.update(loaded)
-    out = overrides.pop("out", None)  # cli's own key, not a suite parameter
-    out = args.out or out
+    out = args.out
+    if "out" in overrides:  # cli's own key, not a suite parameter
+        path = overrides.pop("out")
+        if not isinstance(path, str) or not path:
+            parser.error(f"config key out must be a non-empty path string, not {path!r}")
+        out = out or path
     overrides.update((key, getattr(args, key)) for key in PARAMS
                      if getattr(args, key) is not None)
 

@@ -29,10 +29,13 @@ blocks of ``kz`` are keyed by the sl(N) weight.  A :class:`BlockOperator`
 stores a stack of such operators as one unpadded dense block per
 (operator, source part), the blocks of one shape stacked in one flat
 array (:class:`BlockLayout`), and is built from its entries
-(:meth:`BlockOperator.from_entries`, :func:`diagonal`) or as a product:
-with a ladder table one gather, with a block operator one batched
-product per shape (:func:`block_product`).  The layouts and the plans
-are built once per partition.
+(:meth:`BlockOperator.from_entries`, :func:`diagonal`, and
+:func:`ladder_stack` for the operators of a ladder table, as the space's
+own ladders :attr:`FockSpace.ladder_blocks`) or as a product of two
+block operators, one batched product per shape (:func:`block_product`).
+A ladder block holds at most one entry per row and per column, so each
+entry of a product with it is one product of two entries plus exact
+zeros.  The layouts and the plans are built once per partition.
 
 Direct construction: the tables are written from index arrays, with no
 Python loop over the basis (each neighbour state is found by its
@@ -121,16 +124,17 @@ class FockSpace:
     @functools.cached_property
     def sectors(self) -> Partition:
         """The (shell, parity) sectors of the space, built on first use:
-        the partition keyed by (shell, n_N mod 2, ..., n_1 mod 2).  The key
-        is linear in the occupations, so a ladder moves it by its mode's
-        column of the key matrix, lowered by an annihilator and raised by
-        a creator."""
+        the partition keyed by (shell, n_N mod 2, ..., n_1 mod 2)."""
         keys = np.vstack([np.ones(self.modes, dtype=int), np.eye(self.modes, dtype=int)[::-1]])
-        # (columns, the columns of the inverse shift, moves) of each ladder: the
-        # entry of an annihilator's table in column c is in row c - e_i, the
-        # creator's column of c, and the other way round
-        ladders = ((self.an.cols, self.ap.cols, -keys.T), (self.ap.cols, self.an.cols, keys.T))
-        return Partition(self.occ @ keys.T, [0] + [2] * self.modes, self.shell, ladders)
+        return Partition(self.occ @ keys.T, [0] + [2] * self.modes, self.shell)
+
+    @functools.cached_property
+    def ladder_blocks(self) -> tuple[BlockOperator, BlockOperator]:
+        """The N annihilators and the N creators as block operators on the
+        sectors (:func:`ladder_stack`), with their real amplitudes, built
+        on first use."""
+        return (ladder_stack(self, LadderTable(self.an.cols, self.an.vals.real)),
+                ladder_stack(self, LadderTable(self.ap.cols, self.ap.vals.real)))
 
     def state_index(self, occ) -> int:
         """The index of the basis state with occupations occ; KeyError when
@@ -237,9 +241,9 @@ def _ladders(occ: np.ndarray, steps: np.ndarray,
 
 
 class Partition:
-    """A partition of a basis into parts, with the layouts and gather plans
-    of the block operators on it, each built on first use and kept with
-    the partition.
+    """A partition of a basis into parts, with the layouts and product
+    plans of the block operators on it, each built on first use and kept
+    with the partition.
 
     Each state has a key, an integer vector whose coordinate c is taken
     modulo moduli[c] where that is not 0, and a part is the set of states
@@ -251,12 +255,9 @@ class Partition:
 
     An operator moves the parts by a key vector v when it maps each part
     k to the part keyed key[k] + v, where there is one, and to nothing
-    where there is none (:class:`BlockLayout`); moves compose by addition.
-    ladders holds, for each ladder table that a product may gather from
-    (:func:`block_product`), its columns, the columns of its inverse
-    shift, and the move of each of its operators."""
+    where there is none (:class:`BlockLayout`); moves compose by addition."""
 
-    def __init__(self, keys, moduli, shell, ladders=()):
+    def __init__(self, keys, moduli, shell):
         self.moduli = np.asarray(moduli)
         keys = self._reduced(np.asarray(keys))
         # each key as the mixed-radix number of its offsets from the least
@@ -274,7 +275,6 @@ class Partition:
         self.place[self.members] = np.arange(self.of.size) - np.repeat(self.start, self.size)
         self.key = keys[self.members[self.start]]
         self.shell = np.asarray(shell)[self.members[self.start]]
-        self.ladders = ladders
         self._layouts: dict = {}
         self._plans: dict = {}
 
@@ -296,20 +296,11 @@ class Partition:
         return self._layouts[key]
 
     def plan(self, key, build):
-        """The gather or product plan stored under key, with the layout of
-        its product, from build() on first use."""
+        """The product plan stored under key, with the layout of its
+        product, from build() on first use."""
         if key not in self._plans:
             self._plans[key] = build()
         return self._plans[key]
-
-    def ladder(self, table: LadderTable) -> int:
-        """The number of the partition's ladder whose columns the table
-        holds; ValueError for any other table."""
-        for k, ladder in enumerate(self.ladders):
-            if table.cols is ladder[0]:
-                return k
-        raise ValueError("a block product takes a ladder table on the columns of the "
-                         "space's own annihilators or creators")
 
 
 class BlockLayout:
@@ -341,14 +332,6 @@ class BlockLayout:
                        for b0, b1 in _runs(self.height, self.width)]
 
     @functools.cached_property
-    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The block, row and column of each flat entry."""
-        area = self.height * self.width
-        block = np.repeat(np.arange(area.size), area)
-        row, col = np.divmod(np.arange(self.total) - self.offset[block], self.width[block])
-        return block, row, col
-
-    @functools.cached_property
     def row_starts(self) -> tuple[np.ndarray, np.ndarray]:
         """The flat offset of the first entry of each row of each block,
         block after block, and the place of each block's first row in it:
@@ -364,9 +347,8 @@ class BlockOperator:
     """A stack of operators on the blocks of a partition (see
     :class:`BlockLayout`): the values of its blocks, flat.  Block
     operators of one layout add and scale entry by entry; ``@`` multiplies
-    two block operators, or a block operator and a ladder table of the
-    partition (:func:`block_product`).  A stack of one operator
-    broadcasts against a stack of L."""
+    two block operators of one partition (:func:`block_product`).  A
+    stack of one operator broadcasts against a stack of L."""
 
     partition: Partition
     layout: BlockLayout
@@ -446,10 +428,9 @@ class BlockOperator:
     __rmul__ = __mul__
 
     def __matmul__(self, other):
+        if not isinstance(other, BlockOperator):
+            return NotImplemented
         return block_product(self, other)
-
-    def __rmatmul__(self, other):
-        return block_product(other, self)
 
 
 def diagonal(partition: Partition, values: np.ndarray) -> BlockOperator:
@@ -457,6 +438,16 @@ def diagonal(partition: Partition, values: np.ndarray) -> BlockOperator:
     per part."""
     states = np.arange(partition.of.size)
     return BlockOperator.from_entries(partition, states, states, values)
+
+
+def ladder_stack(space: FockSpace, table: LadderTable) -> BlockOperator:
+    """The N operators of a ladder table on the columns of the space's own
+    ladders, as a stack of block operators on its sectors: each moves the
+    sectors as its mode's ladder does."""
+    d = space.dim
+    label, rows = np.nonzero(table.cols[:, :d] < d)
+    return BlockOperator.from_entries(space.sectors, rows, table.cols[label, rows],
+                                      table.vals[label, rows], label)
 
 
 def _runs(*keys: np.ndarray) -> list[tuple[int, int]]:
@@ -468,33 +459,14 @@ def _runs(*keys: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _composed(parts: Partition, first: BlockLayout, moves: np.ndarray):
-    """The layout of a product of two stacks, one of layout first and one
-    whose operator l moves the parts by moves[l], with the operator of
-    each factor that each operator of the product takes."""
-    n_1, n_2 = first.moves.shape[0], moves.shape[0]
-    if n_1 != n_2 and 1 not in (n_1, n_2):
-        raise ValueError(f"stacks of {n_1} and {n_2} operators do not multiply")
-    labels = np.arange(max(n_1, n_2))
-    p_1, p_2 = np.minimum(labels, n_1 - 1), np.minimum(labels, n_2 - 1)
-    return parts.layout(first.moves[p_1] + moves[p_2]), p_1, p_2
+def block_product(x: BlockOperator, y: BlockOperator) -> BlockOperator:
+    """x y, for two block operators of one partition, as a block operator.
 
-
-def block_product(x, y) -> BlockOperator:
-    """x y, for two block operators or a block operator and a ladder table
-    on the columns of the space's own ladders, as a block operator.
-
-    A product with a ladder is a gather: row r of T_i X is T_i[r] times
-    row r + e_i (annihilator) of X, and column c of X T_i is T_i[c - e_i]
-    times column c - e_i of X, each from the block of X that the sector
-    shift names, and zero where that state is not in the space.  A
-    product of two block operators multiplies the blocks that each source
-    passes through, in one batched product per shape (height, inner,
-    width); a block whose middle sector does not exist is zero."""
-    if isinstance(x, LadderTable):
-        return _gather(y, x, rows=True)
-    if isinstance(y, LadderTable):
-        return _gather(x, y, rows=False)
+    Operator l of the product is x_l y_l, where a stack of one operator
+    stands for each l.  Each block of the product multiplies the blocks
+    that its source passes through, in one batched product per shape
+    (height, inner, width); a block whose middle part does not exist is
+    zero."""
     parts = x.partition
     if y.partition is not parts:
         raise ValueError("block operators of different partitions")
@@ -511,7 +483,12 @@ def _product_plan(parts: Partition, x: BlockLayout, y: BlockLayout):
     """The layout of x y and, for each shape (height, inner, width) of its
     blocks, the flat places of the product's blocks and of their
     factors."""
-    lay, p_x, p_y = _composed(parts, x, y.moves)
+    n_x, n_y = x.moves.shape[0], y.moves.shape[0]
+    if n_x != n_y and 1 not in (n_x, n_y):
+        raise ValueError(f"stacks of {n_x} and {n_y} operators do not multiply")
+    labels = np.arange(max(n_x, n_y))
+    p_x, p_y = np.minimum(labels, n_x - 1), np.minimum(labels, n_y - 1)
+    lay = parts.layout(x.moves[p_x] + y.moves[p_y])
     if y.total == 0:
         return lay, []
     label = lay.label
@@ -540,48 +517,6 @@ def _places(first: np.ndarray, area: int):
     if all(b - a == area for a, b in zip(starts, starts[1:])):
         return slice(starts[0], starts[-1] + area)
     return (first[:, None] + np.arange(area)).reshape(-1)
-
-
-def _gather(x: BlockOperator, table: LadderTable, rows: bool) -> BlockOperator:
-    """table x (rows) or x table, by one gather from the flat values of x
-    (:func:`block_product`)."""
-    parts = x.partition
-    ladder = parts.ladder(table)
-
-    def build():
-        # each row (T X) or column (X T) of the product is a line of x, the
-        # line of state t, scaled by the table's entry in row s
-        cols, inverse, moves = parts.ladders[ladder]
-        lay, p_x, p_t = _composed(parts, x.layout, moves)
-        d, of_x = cols.shape[1] - 1, x.layout
-        if not of_x.total:  # x holds no block: the product is zero
-            return lay, np.zeros(lay.total, dtype=int), np.full(lay.total, d)
-        block, row, col = lay.entries
-        along, across = (col, row) if rows else (row, col)
-        first = np.flatnonzero(along == 0)  # the first entry of each line
-        b, k = block[first], across[first]
-        label = lay.label[b]
-        if rows:  # row r of T_i X: T_i[r] times row t of X, t the column of that entry
-            s = parts.members[parts.start[lay.dst[b]] + k]
-            t = cols[p_t[label], s]
-        else:  # column c of X T_i: T_i[s] times column s of X, s the row whose entry is in c
-            s = t = inverse[p_t[label], parts.members[parts.start[lay.src[b]] + k]]
-        hit = np.minimum(t, d - 1)
-        b_x = of_x.at[p_x[label], lay.src[b] if rows else parts.of[hit]]
-        found = (t < d) & (b_x >= 0)
-        width = of_x.width[b_x]
-        begin = np.where(found, of_x.offset[b_x] + parts.place[hit] * (width if rows else 1),
-                         of_x.total)
-        stride = np.where(found, 1 if rows else width, 0)
-        if rows:  # the entries of a row are consecutive
-            line = np.repeat(np.arange(first.size), lay.width[b])
-        else:
-            line = (np.cumsum(lay.width) - lay.width)[block] + col
-        place = begin[line] + along * stride[line]
-        return lay, place.astype(np.int32), (p_t[label] * (d + 1) + s)[line].astype(np.int32)
-
-    lay, place, weight = parts.plan(("gather", rows, ladder, x.layout), build)
-    return BlockOperator(parts, lay, np.append(x.data, 0)[place] * table.vals.reshape(-1)[weight])
 
 
 def _sum_rows(rows: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:

@@ -33,12 +33,13 @@ Every operator here is a block operator on the (shell, parity) sectors
 of the space (``fock.BlockOperator``): l^2, l, a.a and a+.a+ map each
 sector to one sector, a^i and a+_i move (k, p) to (k -+ 1, p xor e_i),
 and a product or sum of them maps each sector to one sector again.  l^2
-and l are one block per sector; each a^i enters as the real ladder table
-of the space, so a product with it is a gather, and the N modes run down
-the stack of a block operator, so a check makes the same number of
-products at every N.  The commutator and shift-operator checks take
-their shared operands (the ladders and their products with a.a and
-a+.a+) from one StructureOperands, which builds each once.
+and l are one block per sector; the a^i and a+_i are the space's ladders
+in block form with real amplitudes (``FockSpace.ladder_blocks``, built
+once per space), so every product is one batched block product, and the
+N modes run down the stack of a block operator, so a check makes the
+same number of products at every N.  The commutator and shift-operator
+checks take their shared operands (the ladders and their products with
+a.a and a+.a+) from one StructureOperands, which builds each once.
 verify_y_son looks up the shifted arguments of every grid point at once,
 by searchsorted on the grid sorted by (shell, l).
 """
@@ -50,15 +51,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import BlockOperator, FockSpace, LadderTable, Statistics, diagonal
+from .fock import BlockOperator, FockSpace, Statistics, diagonal
 from .qspecial import DeformParams, y_son_ratio
 from .verify import CaseResult, projected_norms
-
-
-def _real_ladders(space: FockSpace) -> tuple[LadderTable, LadderTable]:
-    """The space's annihilators and creators with their real amplitudes."""
-    return (LadderTable(space.an.cols, space.an.vals.real),
-            LadderTable(space.ap.cols, space.ap.vals.real))
 
 
 @dataclass
@@ -90,10 +85,9 @@ def build_orbital(space: FockSpace) -> OrbitalData:
         raise ValueError("orbital data needs a bosonic space with N >= 3 modes")
     if space.cutoff < 4:
         raise ValueError("cutoff >= 4 required for the shift-equation grid")
-    an, ap = _real_ladders(space)
-    eye = diagonal(space.sectors, np.ones(space.dim))
-    aa = (an @ (an @ eye)).sum_labels()
-    apap = (ap @ (ap @ eye)).sum_labels()
+    an, ap = space.ladder_blocks
+    aa = (an @ an).sum_labels()
+    apap = (ap @ ap).sum_labels()
     l2 = diagonal(space.sectors, (space.shell + space.modes / 2.0 - 1.0) ** 2) - apap @ aa
 
     shell = space.sectors.shell
@@ -123,16 +117,16 @@ def build_orbital(space: FockSpace) -> OrbitalData:
 class StructureOperands:
     """The operands that the structure checks of one orbital set share,
     each built on first use and kept while this object lives (the
-    checks of one ``soN-orbital`` unit): the real ladder tables of the
-    a^i and of the a+_i, and the four stacks of a ladder times a.a or
-    a+.a+."""
+    checks of one ``soN-orbital`` unit): the four stacks of a ladder
+    times a.a or a+.a+.  The ladders themselves are the space's
+    (``FockSpace.ladder_blocks``)."""
 
     def __init__(self, orb: OrbitalData):
         self.orb = orb
 
-    @functools.cached_property
-    def ladders(self) -> tuple[LadderTable, LadderTable]:
-        return _real_ladders(self.orb.space)
+    @property
+    def ladders(self) -> tuple[BlockOperator, BlockOperator]:
+        return self.orb.space.ladder_blocks
 
     @functools.cached_property
     def ap_aa(self) -> BlockOperator:

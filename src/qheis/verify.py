@@ -86,7 +86,7 @@ import numpy as np
 from . import __version__
 from .braid import RelationMatrices
 from .deform import DeformedGenerators
-from .fock import BlockOperator, LadderTable, Statistics, _sum_rows, diagonal
+from .fock import BlockOperator, LadderTable, Statistics, _sum_rows, ladder_stack
 from .liealg import LieData, sigma_entries
 from .qspecial import qnum
 
@@ -447,18 +447,17 @@ def metric_invariant_check(gens: DeformedGenerators, c_lower: np.ndarray,
     raises ValueError.
     """
     space, n = gens.space, gens.n
-    a, ap = gens.a, gens.ap
-    c_a = LadderTable(a.cols, _metric_diagonal(c_lower, n)[:, None] * a.vals)     # C_ii A^i
-    c_ap = LadderTable(ap.cols, _metric_diagonal(c_upper, n)[:, None] * ap.vals)  # C^ii A+_i
-    eye = diagonal(space.sectors, np.ones(space.dim))
-    c_a_blocks, c_ap_blocks = c_a @ eye, c_ap @ eye
-    aca = (c_a_blocks @ a).sum_labels()        # sum_i C_ii A^i A^i
-    apcap = (c_ap_blocks @ ap).sum_labels()    # sum_i C^ii A+_i A+_i
+    lower, upper = _metric_diagonal(c_lower, n)[:, None], _metric_diagonal(c_upper, n)[:, None]
+    c_a = ladder_stack(space, LadderTable(gens.a.cols, lower * gens.a.vals))     # C_ii A^i
+    c_ap = ladder_stack(space, LadderTable(gens.ap.cols, upper * gens.ap.vals))  # C^ii A+_i
+    a, ap = ladder_stack(space, gens.a), ladder_stack(space, gens.ap)
+    aca = (c_a @ a).sum_labels()        # sum_i C_ii A^i A^i
+    apcap = (c_ap @ ap).sum_labels()    # sum_i C^ii A+_i A+_i
     factor = 1.0 + q ** (2 - n)
     defects = [aca @ a - a @ aca,
                apcap @ ap - ap @ apcap,
-               aca @ ap - q**2 * (ap @ aca) - factor * c_a_blocks,
-               a @ apcap - q**2 * (apcap @ a) - factor * c_ap_blocks]
+               aca @ ap - q**2 * (ap @ aca) - factor * c_a,
+               a @ apcap - q**2 * (apcap @ a) - factor * c_ap]
     names = ["metric_inv_aa_commute", "metric_inv_apap_commute",
              "metric_inv_cross_lower", "metric_inv_cross_upper"]
     return [CaseResult(name, projected_norms(space, defect, 2), 1e-12, {"safe_degree": 2})

@@ -4,7 +4,9 @@ space and the weight blocks of the KZ operator system.  The numbering of
 the parts, construction from entries, every kind of product, the sum over
 a stack and the exact norm ``verify.projected_norms``, which factorizes
 only the blocks that can hold the largest norm and must read the largest
-over all of them to the last bit."""
+over all of them to the last bit.  A product with a ladder in block form
+is, entry by entry, the one product of two entries that a gather from
+the ladder table makes."""
 
 import functools
 
@@ -169,12 +171,15 @@ def test_products_are_the_dense_products(key):
     d, n = space.dim, space.modes
     rng = np.random.default_rng([ord(ch) for ch in key])
     an, ap = table_matrices(space.an, d), table_matrices(space.ap, d)
+    a_blocks, ap_blocks = space.ladder_blocks
+    assert space.ladder_blocks[0] is a_blocks  # built once
     eye = fock.diagonal(space.sectors, np.ones(d))
     assert np.array_equal(dense(eye), np.eye(d))
-    # the ladders in block form, from either side
-    for table, mats in ((space.an, an), (space.ap, ap)):
-        assert np.array_equal(stack(table @ eye, d), mats)
-        assert np.array_equal(stack(eye @ table, d), mats)
+    # the ladders in block form, alone and from either side of the identity
+    for blocks, mats in ((a_blocks, an), (ap_blocks, ap)):
+        assert blocks.data.dtype == float
+        for op in (blocks, blocks @ eye, eye @ blocks):
+            assert np.array_equal(stack(op, d), mats)
     one = random_block(space, rng, [0], [0])
     x = dense(one)
     pair = random_block(space, rng, [-2], [0])  # a.a-like: a middle sector may be missing
@@ -182,22 +187,80 @@ def test_products_are_the_dense_products(key):
     flips = list(1 << np.arange(n))
     many = random_block(space, rng, [1] * n, flips)  # one creator-like operator per mode
     z = stack(many, d)
-    for table, mats in ((space.an, an), (space.ap, ap)):
-        assert np.allclose(stack(table @ one, d), mats @ x, atol=1e-13)
-        assert np.allclose(stack(one @ table, d), x @ mats, atol=1e-13)
-        assert np.allclose(stack(table @ pair, d), mats @ y, atol=1e-13)
-        assert np.allclose(stack(pair @ table, d), y @ mats, atol=1e-13)
-    assert np.allclose(stack(space.an @ many, d), an @ z, atol=1e-13)  # mode by mode
-    assert np.allclose(stack(many @ space.an, d), z @ an, atol=1e-13)
+    for blocks, mats in ((a_blocks, an), (ap_blocks, ap)):
+        assert np.allclose(stack(blocks @ one, d), mats @ x, atol=1e-13)
+        assert np.allclose(stack(one @ blocks, d), x @ mats, atol=1e-13)
+        assert np.allclose(stack(blocks @ pair, d), mats @ y, atol=1e-13)
+        assert np.allclose(stack(pair @ blocks, d), y @ mats, atol=1e-13)
+    assert np.allclose(stack(a_blocks @ many, d), an @ z, atol=1e-13)  # mode by mode
+    assert np.allclose(stack(many @ a_blocks, d), z @ an, atol=1e-13)
     assert np.allclose(dense(one @ pair), x @ y, atol=1e-13)
     assert np.allclose(dense(pair @ one), y @ x, atol=1e-13)
     assert np.allclose(stack(one @ many, d), x @ z, atol=1e-13)
     assert np.allclose(stack(many @ pair, d), z @ y, atol=1e-13)
-    assert np.allclose(stack(space.ap @ (space.an @ eye), d), ap @ an, atol=1e-13)
+    assert np.allclose(stack(ap_blocks @ a_blocks, d), ap @ an, atol=1e-13)
     # sums, scalars and the sum over a stack
-    assert np.allclose(dense(2 * one - pair @ (space.ap @ (space.ap @ eye)).sum_labels()),
+    assert np.allclose(dense(2 * one - pair @ (ap_blocks @ ap_blocks).sum_labels()),
                        2 * x - y @ sum(a @ a for a in ap), atol=1e-13)
     assert np.allclose(dense(np.float64(0.5) * one + one), 1.5 * x)
+
+
+def gathered(table, x, d, rows):
+    """table x (rows) or x table for a ladder table and an L x D x D stack
+    x (L = 1 or N), entry by entry as a gather from the table: row r of
+    T_i X is T_i[r] X[t] for the column t of row r's entry, and column t
+    of X T_i is X[:, r] T_i[r]; zero elsewhere."""
+    out = np.zeros((table.cols.shape[0], d, d), dtype=np.result_type(table.vals, x))
+    for i, (cols, vals) in enumerate(zip(table.cols[:, :d], table.vals[:, :d])):
+        xi = x[min(i, len(x) - 1)]
+        for r in np.flatnonzero(cols < d):
+            if rows:
+                out[i, r, :] = xi[cols[r], :] * vals[r]
+            else:
+                out[i, :, cols[r]] = xi[:, r] * vals[r]
+    return out
+
+
+def dressed_table(space, table, phases):
+    """A dressed ladder table like those of the metric invariant check:
+    C_ii times a q-dressing of the occupations, times the table; with
+    phases, C_ii is a phase."""
+    first = np.arange(1, space.modes + 1)
+    metric = np.exp(1j * first) if phases else first.astype(float)
+    dressing = np.append(1.3 ** (space.shell / 2.0), 0.0)
+    return fock.LadderTable(table.cols, metric[:, None] * dressing * table.vals)
+
+
+@pytest.mark.parametrize("key", ["bose-3-6", "fermi-3"])
+def test_ladder_products_are_the_gathers_bit_for_bit(key):
+    # a ladder block holds at most one entry per row and per column, so
+    # each entry of a product with it is one product of two entries plus
+    # exact zeros: the gather's, to the last bit, whenever one of the two
+    # factors is real-valued.  Where both have imaginary parts the complex
+    # multiply-add of BLAS may round otherwise, and only closeness holds.
+    space = cached_space(key)
+    d, n = space.dim, space.modes
+    rng = np.random.default_rng([ord(ch) for ch in key] + [3])
+    flips = list(1 << np.arange(n))
+    real = [random_block(space, rng, [0], [0]), random_block(space, rng, [-2], [0]),
+            random_block(space, rng, [1] * n, flips)]
+    imag = [op + 1j * random_moved(space.sectors, rng, op.layout.moves) for op in real]
+    cases = []  # (ladder table, the same in block form, operands, bit for bit)
+    for k, table in enumerate((space.an, space.ap)):
+        real_valued = dressed_table(space, table, phases=False)
+        phased = dressed_table(space, table, phases=True)
+        cases += [(table, space.ladder_blocks[k], real + imag, True),
+                  (table, fock.ladder_stack(space, table), real + imag, True),
+                  (real_valued, fock.ladder_stack(space, real_valued), real + imag, True),
+                  (phased, fock.ladder_stack(space, phased), real, True),
+                  (phased, fock.ladder_stack(space, phased), imag, False)]
+    for table, blocks, ops, exact in cases:
+        assert np.array_equal(stack(blocks, d), table_matrices(table, d))
+        same = np.array_equal if exact else functools.partial(np.allclose, atol=1e-13)
+        for op in ops:
+            x = stack(op, d)
+            assert same(stack(blocks @ op, d), gathered(table, x, d, rows=True))
+            assert same(stack(op @ blocks, d), gathered(table, x, d, rows=False))
 
 
 @pytest.mark.parametrize("key", WEIGHTS)
@@ -230,9 +293,12 @@ def test_weight_block_products_are_the_dense_products(key):
     label, rows, cols = np.nonzero(z.reshape(-1, d, d))
     again = fock.BlockOperator.from_entries(parts, rows, cols, z[label, rows, cols], label)
     assert again.layout is many.layout and np.array_equal(again.data, many.data)
-    # weight blocks take no ladder table
-    with pytest.raises(ValueError):
-        space.an @ one
+    # block operators of different partitions do not multiply
+    ladder = space.ladder_blocks[0]
+    with pytest.raises(ValueError, match="different partitions"):
+        ladder @ one
+    with pytest.raises(ValueError, match="different partitions"):
+        one @ ladder
 
 
 def test_stacks_of_different_shifts_refuse_to_add_or_sum():
@@ -245,10 +311,16 @@ def test_stacks_of_different_shifts_refuse_to_add_or_sum():
         random_block(space, rng, [1, 1], [1, 2]).sum_labels()
     with pytest.raises(ValueError):
         random_block(space, rng, [0, 0], [0, 0]) @ random_block(space, rng, [0] * 3, [0] * 3)
-    # a product takes the ladder tables of its own space only
+    # a product takes the ladders of its own space only, in block form
     other = fock.build_space(3, Statistics.BOSE, 4)
-    with pytest.raises(ValueError):
-        other.an @ one
+    with pytest.raises(ValueError, match="different partitions"):
+        other.ladder_blocks[0] @ one
+    with pytest.raises(ValueError, match="different partitions"):
+        one @ other.ladder_blocks[1]
+    with pytest.raises(TypeError):
+        space.an @ one
+    with pytest.raises(TypeError):
+        one @ space.an
 
 
 def safe_states(key, degree):

@@ -269,6 +269,8 @@ def test_cli_failure_exit_code(tmp_path, monkeypatch):
     (["suite", "kz-scalar"], {"hbar2": []}),
     (["suite", "slN", "--q", "1.3", "1.3"], None),
     (["suite", "slN", "--q", "1.2345671", "1.2345672"], None),
+    (["suite", "slN"], {"out": 7}),
+    (["suite", "slN"], {"out": ["a"]}),
 ], ids=["unknown-suite", "jobs-flag", "jobs-config-key", "tol-flag", "tol-config-key",
         "kz-operator-cutoff-2", "sign-flag", "slN-cutoff-2", "slN-modes-1",
         "sl2-bose-cutoff-2", "soN-orbital-modes-2", "kz-operator-two-q", "kz-operator-q-1",
@@ -277,7 +279,7 @@ def test_cli_failure_exit_code(tmp_path, monkeypatch):
         "kz-scalar-n10-hbar2-0.1", "kz-scalar-hbar2-0", "kz-operator-eps-0",
         "kz-operator-eps-0.3", "config-list", "config-number", "config-string",
         "slN-empty-q", "kz-scalar-empty-n", "kz-scalar-empty-hbar2",
-        "slN-repeated-q", "slN-q-alike-at-6-digits"])
+        "slN-repeated-q", "slN-q-alike-at-6-digits", "config-out-number", "config-out-list"])
 def test_cli_unknown_suite_usage_error(tmp_path, argv, config):
     if config is not None:
         path = tmp_path / "cfg.json"
@@ -286,6 +288,18 @@ def test_cli_unknown_suite_usage_error(tmp_path, argv, config):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value", [7, ["a"], 1, "", None, True])
+def test_cli_config_out_must_be_a_path_before_any_unit_runs(tmp_path, monkeypatch, value):
+    # 1 would name stdout's file descriptor to open(), 7 a closed one
+    ran = []
+    monkeypatch.setattr(cli, "run_suite", ran.append)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"out": value}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["suite", "qspecial", "--config", str(path)])
+    assert exc.value.code == 2 and not ran
 
 
 # parameters no suite reads any more: passing one stays a usage error

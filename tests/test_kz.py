@@ -230,7 +230,9 @@ def to_sparse(op):
     """The full-space operator of the block operator op on the weight
     partition, with its blocks as the stored entries."""
     parts, lay = op.partition, op.layout
-    block, row, col = lay.entries
+    area = lay.height * lay.width
+    block = np.repeat(np.arange(area.size), area)
+    row, col = np.divmod(np.arange(lay.total) - lay.offset[block], lay.width[block])
     rows = parts.members[parts.start[lay.dst[block]] + row]
     cols = parts.members[parts.start[lay.src[block]] + col]
     return sparse.csr_array((op.data, (rows, cols)), shape=(parts.of.size,) * 2)

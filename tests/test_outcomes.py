@@ -1,13 +1,15 @@
 """Pass/fail of every case of a fixed set of suite calls, against the map
 checked in as tests/outcomes.json: every operator-algebra and
 kz-coassociator call of the benchmark's plans for seeds 0-3
-(perfbench/run.py), two points of the kz-operator ladder beyond the
-benchmark's (N = 3 at cutoff 8, N = 2 at cutoff 12), and four calls that
-hold known failures of absolute tolerances on terms that grow with the
-cutoff (sl2-bose at cutoffs 20 and 24, slN at N = 4, cutoff 24, and
-soN-orbital at N = 3, cutoff 20; ROADMAP item 2).  A refactor keeps the map; a change that
-flips a case rewrites it on purpose (``python tests/test_outcomes.py``)
-and records the flip in CHANGES.md."""
+(perfbench/run.py), four ladder points beyond the benchmark's
+(kz-operator at N = 3, cutoff 8 and N = 2, cutoff 12; soN-orbital at
+N = 3, cutoff 14 and N = 4, cutoff 8, where its ladder products weigh
+most), and four calls that hold known failures of absolute tolerances on
+terms that grow with the cutoff (sl2-bose at cutoffs 20 and 24, slN at
+N = 4, cutoff 24, and soN-orbital at N = 3, cutoff 20; ROADMAP item 2).
+A refactor keeps the map; a change that flips a case rewrites it on
+purpose (``python tests/test_outcomes.py``) and records the flip in
+CHANGES.md."""
 
 import importlib.util
 import json
@@ -23,7 +25,9 @@ MAP = Path(__file__).resolve().parent / "outcomes.json"
 SEEDS = range(4)
 WORKLOADS = ("operator-algebra", "kz-coassociator")
 LADDER = (["suite", "kz-operator", "--modes", "3", "--cutoff", "8"],
-          ["suite", "kz-operator", "--modes", "2", "--cutoff", "12"])
+          ["suite", "kz-operator", "--modes", "2", "--cutoff", "12"],
+          ["suite", "soN-orbital", "--modes", "3", "--cutoff", "14"],
+          ["suite", "soN-orbital", "--modes", "4", "--cutoff", "8"])
 KNOWN_FAILURES = (["suite", "sl2-bose", "--cutoff", "20"], ["suite", "sl2-bose", "--cutoff", "24"],
                   ["suite", "slN", "--modes", "4", "--cutoff", "24"],
                   ["suite", "soN-orbital", "--modes", "3", "--cutoff", "20"])
