@@ -12,8 +12,9 @@ keeps the tolerance its check defines.  The process exits 0 iff every
 case of the executed suite passed, 1 otherwise, 2 on usage errors (an
 unknown flag, a config file that is not a JSON object, a config key or
 flag the suite does not read, a config ``out`` that is not a non-empty
-string, an empty value list, a value out of range, or values that give
-two units the same name among them), each found before any unit runs.
+string, an empty value list, a value that is not finite, a value out of
+range, or values that give two units the same name among them), each
+found before any unit runs.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ byte-identical files.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import json
 import math
@@ -77,6 +78,8 @@ def _coerce(name: str, value):
         if not values:
             raise ValueError(f"{name} needs at least one value")
         return values
+    if typ is int and isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{name} takes one int, not {value!r}")
     if isinstance(value, (list, tuple)) or (typ is int and int(value) != value):
         raise ValueError(f"{name} takes one {typ.__name__}, not {value!r}")
     return typ(value)
@@ -84,8 +87,8 @@ def _coerce(name: str, value):
 
 def make_config(suite: str, **overrides) -> SuiteConfig:
     """The suite's DEFAULTS with overrides applied.  Raises ValueError for
-    an unknown suite, a parameter the suite does not read, or a value out
-    of range."""
+    an unknown suite, a parameter the suite does not read, a value that is
+    not finite (either part of a complex value), or a value out of range."""
     if suite not in SUITE_IDS:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_IDS}")
     declared = DEFAULTS[suite]
@@ -94,6 +97,9 @@ def make_config(suite: str, **overrides) -> SuiteConfig:
         raise ValueError(f"{suite} does not read {', '.join(unread)}; "
                          f"it reads {', '.join(declared)}")
     values = {**declared, **{k: _coerce(k, v) for k, v in overrides.items()}}
+    for name in ("q", "n", "hbar2"):
+        if not all(map(cmath.isfinite, values.get(name, ()))):
+            raise ValueError(f"{name} values must be finite")
     if any(q <= 0 for q in values.get("q", ())):
         raise ValueError("q values must be positive")
     for name, least in MINIMA.get(suite, {}).items():

@@ -33,7 +33,12 @@ a relation matrix that couples pairs of different weight is rejected
 with ValueError: its blocks would not be one shift.
 
 The generator distance of ``sl2-bose`` (:func:`generator_distance`) is
-the difference of two such sets, normed the same way.
+the difference of two such sets, normed the same way, and so is the
+commutant defect [sigma(X), N_h] of each sl(N) basis element X
+(:func:`invariant_commutant_check`): sigma(E_ij) = a+_i a^j moves every
+state by e_j - e_i, and N_h is diagonal.  An so(N) basis element
+a+_i a^j - a+_j a^i moves by two shifts, and its data are rejected with
+ValueError.
 
 Block operators: one block per part.  The so(N) defects (the
 commutators and shift operators of ``soshift`` and the metric invariants,
@@ -51,12 +56,6 @@ hold the maximum; only the others are factorized, the blocks of one
 shape in one batched SVD (:func:`projected_norms`).  No block is padded.
 The N relations of a check run down the stack of a block operator, so
 the number of block products does not depend on N.
-
-The entries of sigma(x) (``liealg.sigma_entries``) are normed by the
-components of their sparsity graph (:func:`component_stacks`), which are
-disjoint in rows and in columns: an entry alone in its row and its
-column reads its modulus, and the other components are stacked by shape,
-one batched SVD each (:func:`invariant_commutant_check`).
 
 The quadratic exchange relations (:func:`quadratic_residual_matrices`).
 Pairs of mode indices (i, j) are numbered i N + j, and a relation matrix
@@ -118,77 +117,6 @@ class Report:
 
     def __post_init__(self):
         self.cases = sorted(self.cases, key=lambda c: c.name)
-
-
-def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-    """Connected component of each entry (rows[k], cols[k]) in the
-    bipartite graph that joins row r to column c for every entry, as the
-    smallest node of the component (rows are nodes 0..n-1, columns
-    n..2n-1).  Min-label propagation with pointer jumping: each sweep
-    gives both ends of every entry the smaller of their labels, then
-    replaces each label by the label of the node it names."""
-    u, v = rows, cols + n
-    label = np.arange(2 * n)
-    while True:
-        low = np.minimum(label[u], label[v])
-        new = label.copy()
-        np.minimum.at(new, u, low)
-        np.minimum.at(new, v, low)
-        new = new[new]
-        if np.array_equal(new, label):
-            return label[u]
-        label = new
-
-
-def component_stacks(rows, cols, vals, n: int):
-    """The connected components of the sparsity graph of the n x n matrix
-    with entries vals at (rows, cols), one entry per place, grouped by
-    shape.  For each distinct shape p x q, in increasing order: the rows
-    (k x p) and the columns (k x q) of its k components, each in
-    increasing order, and their dense blocks, stacked k x p x q.  The
-    local places of all entries come from two np.unique calls, and no
-    block is padded, so a batched SVD or eigh makes the same LAPACK call
-    on each block as it would on the block alone."""
-    comp = np.unique(_components(rows, cols, n), return_inverse=True)[1]
-    at_r, local_r = np.unique(comp * n + rows, return_inverse=True)
-    at_c, local_c = np.unique(comp * n + cols, return_inverse=True)
-    size_r, size_c = np.bincount(at_r // n), np.bincount(at_c // n)
-    start_r, start_c = np.cumsum(size_r) - size_r, np.cumsum(size_c) - size_c
-    local_r, local_c = local_r - start_r[comp], local_c - start_c[comp]
-    # the components grouped by shape, and the place of each in its stack
-    shapes, shape_of, count = np.unique(size_r * (n + 1) + size_c, return_inverse=True,
-                                        return_counts=True)
-    by_shape, first = np.argsort(shape_of, kind="stable"), np.cumsum(count) - count
-    slot = np.empty_like(shape_of)
-    slot[by_shape] = np.arange(by_shape.size) - np.repeat(first, count)
-    entries = np.argsort(shape_of[comp], kind="stable")
-    cuts = np.cumsum(np.bincount(shape_of[comp]))[:-1]
-    for shape, members, picked in zip(shapes, np.split(by_shape, first[1:]),
-                                      np.split(entries, cuts)):
-        p, q = divmod(int(shape), n + 1)
-        stack = np.zeros((members.size, p, q), dtype=vals.dtype)
-        stack[slot[comp[picked]], local_r[picked], local_c[picked]] = vals[picked]
-        yield (at_r[start_r[members][:, None] + np.arange(p)] % n,
-               at_c[start_c[members][:, None] + np.arange(q)] % n, stack)
-
-
-def _norm_of_entries(rows, cols, vals, mask: np.ndarray) -> float:
-    """Spectral norm of the matrix with entries vals at (rows, cols),
-    restricted to the rows and columns in mask, exact by the components of
-    its sparsity graph (module docstring).  Raises ValueError when a kept
-    entry is not finite."""
-    keep = mask[rows] & mask[cols] & (vals != 0)
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    if not np.isfinite(vals).all():
-        raise ValueError("a kept entry is not finite")
-    alone = (np.bincount(rows)[rows] == 1) & (np.bincount(cols)[cols] == 1)
-    spec = float(np.abs(vals[alone]).max(initial=0.0))
-    rows, cols, vals = rows[~alone], cols[~alone], vals[~alone].astype(complex)
-    if vals.size == 0:
-        return spec
-    for _, _, stack in component_stacks(rows, cols, vals, mask.size):
-        spec = max(spec, float(np.linalg.svd(stack, compute_uv=False)[:, 0].max()))
-    return spec
 
 
 def projected_norms(space, m: BlockOperator, degree: int) -> float:
@@ -471,21 +399,25 @@ def metric_invariant_check(gens: DeformedGenerators, c_lower: np.ndarray,
 
 def invariant_commutant_check(gens: DeformedGenerators, data: LieData,
                               tol: float = 1e-11) -> list[CaseResult]:
-    """|| [sigma(X), N_h] || over every Lie basis element X.  Invariance
+    """|| [sigma(X), N_h] || over every sl(N) basis element X.  Invariance
     under the classical and the deformed action are equivalent to
     membership in this commutant.
 
     N_h is diagonal, so entry (s, c) of the defect is sigma(X)_sc
     (N_h[c] - N_h[s]), on the stored entries of sigma(X)
-    (``liealg.sigma_entries``).  A sl(N) basis element has one piece, an
-    so(N) one has two, so the defect stack is measured by the exact
-    component norm, which reads the modulus of each entry of a one-shift
-    block.
+    (``liealg.sigma_entries``).  Each basis element moves every state by
+    one shift, so its defect is a weighted shift, normed by its largest
+    modulus over the entries whose row and column states are both safe
+    (module docstring).  Raises ValueError for so(N) data, whose basis
+    elements move each state by two shifts.
     """
-    space, d = gens.space, gens.space.dim
+    if data.family != "sl":
+        raise ValueError(f"the commutant check takes sl(N) data, not {data.family}({data.n}): "
+                         f"an so(N) basis element moves each state by two shifts")
+    space = gens.space
     nh = gens.number_diagonal()
-    label, rows, cols, sigma = sigma_entries(space, data)
+    _, rows, cols, sigma = sigma_entries(space, data)
     defect = sigma * nh[cols] - nh[rows] * sigma
-    mask = np.tile(space.safe_mask(2), len(data.basis_labels))
-    norm = _norm_of_entries(label * d + rows, label * d + cols, defect, mask)
+    safe = space.safe_mask(2)
+    norm = float(np.abs(defect[safe[rows] & safe[cols]]).max(initial=0.0))
     return [CaseResult("commutant[qnumber_operator]", norm, tol, {"safe_degree": 2})]

@@ -10,21 +10,23 @@ the stacked generators, measured by :func:`projected_norms`.
 sparse N^2 D x N^2 D relation operators, so it also serves relations
 whose entries are Fock operators (``tests/test_kz.py``).
 
-The package itself holds no CSR array: the CSR writers (:func:`column`,
-:func:`row`, :func:`diag`, :func:`eye_kron`, :func:`kron_eye`) and the
-exact norm of a sparse matrix (:func:`projected_norms`, through the
-package's ``verify._norm_of_entries``) live here, and :func:`dense`
+The package itself holds no CSR array and no sparsity-graph norm: the
+CSR writers (:func:`column`, :func:`row`, :func:`diag`, :func:`eye_kron`,
+:func:`kron_eye`) and the exact norm of a sparse matrix
+(:func:`projected_norms`, through :func:`norm_of_entries`, one SVD per
+connected component of the sparsity graph) live here, and :func:`dense`
 writes a block operator of the package (``fock.BlockOperator``) as a
 dense array.
 """
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from qheis.fock import FockSpace, Statistics
 from qheis.liealg import LieData, rho
 from qheis.qspecial import qnum
-from qheis.verify import CaseResult, _norm_of_entries
+from qheis.verify import CaseResult
 
 
 def _stored(present: np.ndarray, cols: np.ndarray, vals: np.ndarray,
@@ -101,11 +103,43 @@ def entries(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices, m.data
 
 
+def norm_of_entries(rows, cols, vals, mask: np.ndarray) -> float:
+    """Spectral norm of the matrix with entries vals at (rows, cols),
+    restricted to the rows and columns in mask.  The connected components
+    of its sparsity graph, which joins row r to column c for every
+    entry, are disjoint in rows and in columns, so the norm is the
+    largest over the components: an entry alone in its row and its
+    column reads its modulus, and every other component takes one
+    np.linalg.svd of its own dense block.  Raises ValueError when a kept
+    entry is not finite."""
+    keep = mask[rows] & mask[cols] & (vals != 0)
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    if not np.isfinite(vals).all():
+        raise ValueError("a kept entry is not finite")
+    alone = (np.bincount(rows)[rows] == 1) & (np.bincount(cols)[cols] == 1)
+    spec = float(np.abs(vals[alone]).max(initial=0.0))
+    rows, cols, vals = rows[~alone], cols[~alone], vals[~alone].astype(complex)
+    if vals.size == 0:
+        return spec
+    n = mask.size  # rows are nodes 0..n-1, columns n..2n-1
+    graph = sparse.coo_array((np.ones(rows.size), (rows, cols + n)), shape=(2 * n, 2 * n))
+    comp = connected_components(graph, directed=False)[1][rows]
+    order = np.argsort(comp, kind="stable")
+    cuts = np.flatnonzero(np.diff(comp[order])) + 1
+    for r, c, v in zip(*(np.split(x[order], cuts) for x in (rows, cols, vals))):
+        r_at, ri = np.unique(r, return_inverse=True)
+        c_at, ci = np.unique(c, return_inverse=True)
+        block = np.zeros((r_at.size, c_at.size), dtype=complex)
+        block[ri, ci] = v
+        spec = max(spec, float(np.linalg.svd(block, compute_uv=False)[0]))
+    return spec
+
+
 def projected_norms(space, m, degree: int) -> float:
     """The largest spectral norm of P b P over the D x D blocks b of the
     sparse m, with P the projector onto the states of ``safe_mask`` at
     creator degree `degree`, exact by the components of the sparsity
-    graph (``verify._norm_of_entries``).
+    graph (:func:`norm_of_entries`).
 
     m may be one Fock operator or any grid of them (each side a multiple
     of D).  Block (r, c) of an R x C grid is moved onto the diagonal at
@@ -117,8 +151,8 @@ def projected_norms(space, m, degree: int) -> float:
         raise ValueError(f"shape {m.shape} is not a grid of {d} x {d} blocks")
     rows, cols, vals = entries(m)
     offset = (rows // d * n_c + cols // d) * d
-    return _norm_of_entries(offset + rows % d, offset + cols % d, vals,
-                            np.tile(space.safe_mask(degree), n_r * n_c))
+    return norm_of_entries(offset + rows % d, offset + cols % d, vals,
+                           np.tile(space.safe_mask(degree), n_r * n_c))
 
 
 def dense(op) -> np.ndarray:

@@ -455,21 +455,6 @@ def test_projected_norms_refuses_a_non_finite_kept_entry():
     assert verify.projected_norms(space, op, 0) == every_block_norm(op, space.safe_mask(0)) == 2e200
 
 
-def test_component_norm_refuses_a_non_finite_kept_entry():
-    rows, cols = np.array([0, 0, 1, 2]), np.array([0, 1, 1, 3])
-    mask = np.ones(4, dtype=bool)
-    for bad in (np.inf, np.nan):
-        for at in (1, 3):  # in a component of several entries, or alone
-            vals = np.array([1.0, 2.0, 0.5, 1.5], dtype=complex)
-            vals[at] = bad
-            with pytest.raises(ValueError, match="not finite"):
-                verify._norm_of_entries(rows, cols, vals, mask)
-            # dropped by the mask: the rest is normed
-            mask_out = mask.copy()
-            mask_out[cols[at]] = False
-            assert np.isfinite(verify._norm_of_entries(rows, cols, vals, mask_out))
-
-
 def test_a_non_finite_generator_entry_fails_its_unit(monkeypatch):
     def broken(space, params):
         vals = space.an.vals.copy()

@@ -271,6 +271,8 @@ def test_cli_failure_exit_code(tmp_path, monkeypatch):
     (["suite", "slN", "--q", "1.2345671", "1.2345672"], None),
     (["suite", "slN"], {"out": 7}),
     (["suite", "slN"], {"out": ["a"]}),
+    (["suite", "slN"], {"cutoff": float("inf")}),
+    (["suite", "slN"], {"modes": float("nan")}),
 ], ids=["unknown-suite", "jobs-flag", "jobs-config-key", "tol-flag", "tol-config-key",
         "kz-operator-cutoff-2", "sign-flag", "slN-cutoff-2", "slN-modes-1",
         "sl2-bose-cutoff-2", "soN-orbital-modes-2", "kz-operator-two-q", "kz-operator-q-1",
@@ -279,7 +281,8 @@ def test_cli_failure_exit_code(tmp_path, monkeypatch):
         "kz-scalar-n10-hbar2-0.1", "kz-scalar-hbar2-0", "kz-operator-eps-0",
         "kz-operator-eps-0.3", "config-list", "config-number", "config-string",
         "slN-empty-q", "kz-scalar-empty-n", "kz-scalar-empty-hbar2",
-        "slN-repeated-q", "slN-q-alike-at-6-digits", "config-out-number", "config-out-list"])
+        "slN-repeated-q", "slN-q-alike-at-6-digits", "config-out-number", "config-out-list",
+        "config-cutoff-infinity", "config-modes-nan"])
 def test_cli_unknown_suite_usage_error(tmp_path, argv, config):
     if config is not None:
         path = tmp_path / "cfg.json"
@@ -299,6 +302,33 @@ def test_cli_config_out_must_be_a_path_before_any_unit_runs(tmp_path, monkeypatc
     path.write_text(json.dumps({"out": value}))
     with pytest.raises(SystemExit) as exc:
         cli.main(["suite", "qspecial", "--config", str(path)])
+    assert exc.value.code == 2 and not ran
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("suite, name, values", [
+    ("sl2-bose", "q", ["nan"]), ("sl2-bose", "q", ["inf"]), ("sl2-fermi", "q", ["nan"]),
+    ("slN", "q", ["1.3", "nan"]), ("soN-orbital", "q", ["nan"]), ("qspecial", "q", ["nan"]),
+    ("kz-operator", "q", ["nan"]), ("braid", "q", ["inf"]), ("kz-scalar", "n", ["inf"]),
+    ("kz-scalar", "n", ["2", "nan"]), ("kz-scalar", "hbar2", ["nan"]),
+    ("kz-scalar", "hbar2", ["inf"]), ("kz-scalar", "hbar2", ["0.1+infj"]),
+    ("kz-scalar", "hbar2", ["nanj"]),
+], ids=lambda v: "-".join(v) if isinstance(v, list) else v)
+def test_cli_non_finite_value_is_a_usage_error_before_any_unit_runs(
+        tmp_path, monkeypatch, suite, name, values, form):
+    # a config file carries nan and inf as JSON NaN and Infinity, and a
+    # complex value with a non-finite imaginary part as a string
+    ran = []
+    monkeypatch.setattr(cli, "run_suite", ran.append)
+    argv = ["suite", suite, "--out", str(tmp_path / "rep.json")]
+    if form == "flag":
+        argv += [f"--{name}", *values]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({name: [v if "j" in v else float(v) for v in values]}))
+        argv += ["--config", str(path)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
     assert exc.value.code == 2 and not ran
 
 

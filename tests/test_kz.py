@@ -373,7 +373,8 @@ def test_invariance_residual_matches_dense_oracle():
 def _sparse_invariance(system, m, data):
     """The invariance residual by full N^2 D x N^2 D sparse commutators
     [M, Delta(X)] (sparse.kron), each normed exactly through the
-    components of its safe-projected sparsity graph."""
+    components of its safe-projected sparsity graph
+    (``sparse_route.norm_of_entries``)."""
     space, n = system.space, system.n
     big_m = to_sparse(m)
     safe = np.tile(space.safe_mask(2), n * n)
@@ -385,10 +386,7 @@ def _sparse_invariance(system, m, data):
         comm = sparse.csr_array(big_m @ delta2 - delta2 @ big_m)
         comm.sum_duplicates()
         comm = comm.tocoo()
-        keep = safe[comm.row] & safe[comm.col]
-        for _, _, stack in verify.component_stacks(comm.row[keep], comm.col[keep],
-                                                   comm.data[keep], comm.shape[0]):
-            worst = max(worst, float(np.linalg.svd(stack, compute_uv=False)[:, 0].max()))
+        worst = max(worst, sparse_route.norm_of_entries(comm.row, comm.col, comm.data, safe))
     return worst
 
 

@@ -73,18 +73,13 @@ def test_ladder_route_is_the_sparse_route_bit_for_bit(n, stat):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_so_commutant_is_the_sparse_route(n):
-    # an so(N) basis element moves by two shifts, so its commutant defect
-    # needs the component norm; it reads as the sparse route's
+def test_so_commutant_is_refused(n):
+    # an so(N) basis element moves each state by two shifts, so its
+    # commutant defect is not one weighted shift
     space = fock.build_space(n, Statistics.BOSE, 5)
-    data = liealg.LieData("so", n)
-    params = DeformParams(1.0, WEYL)
-    for gens in (deform.classical_generators(space, params),
-                 random_map(space, params, np.random.default_rng(n))):
-        [new] = verify.invariant_commutant_check(gens, data)
-        [old] = sparse_route.invariant_commutant_check(gens, data)
-        assert new.residual == old.residual
-    assert new.residual > 1.0
+    gens = deform.classical_generators(space, DeformParams(1.0, WEYL))
+    with pytest.raises(ValueError, match="sl\\(N\\) data"):
+        verify.invariant_commutant_check(gens, liealg.LieData("so", n))
 
 
 def test_number_operator_is_the_sparse_product():

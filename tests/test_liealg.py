@@ -48,6 +48,28 @@ def test_sigma_basis_is_its_definition(family, n, stat, cut):
         assert np.array_equal(got, oracle[k * d:(k + 1) * d]), lbl
 
 
+def entries_per_place(space, data):
+    """The largest number of entries that one sigma(x) holds in a row and
+    in a column."""
+    label, row, col, _ = liealg.sigma_entries(space, data)
+    return tuple(int(np.unique(label * space.dim + place, return_counts=True)[1].max())
+                 for place in (row, col))
+
+
+@pytest.mark.parametrize("stat,cut", [(Statistics.BOSE, 4), (Statistics.FERMI, None)],
+                         ids=["bose", "fermi"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sl_sigma_is_one_shift_per_label(n, stat, cut):
+    # the commutant check norms each label's defect by its largest modulus,
+    # exact only when the label holds at most one entry per row and per
+    # column
+    sp = fock.build_space(n, stat, cut)
+    assert entries_per_place(sp, liealg.LieData("sl", n)) == (1, 1)
+    # an so(N) label does not: a+_1 a^2 - a+_2 a^1 moves |1, 1> two ways
+    if n > 2 and stat is Statistics.BOSE:
+        assert entries_per_place(sp, liealg.LieData("so", n)) == (2, 2)
+
+
 def test_rho_defining_matrices():
     sl2 = liealg.LieData("sl", 2)
     assert np.allclose(liealg.rho(sl2, (1, 1)), np.diag([0.5, -0.5]))

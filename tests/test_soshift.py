@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 import sparse_route
-from qheis import fock, soshift, verify
+from qheis import fock, soshift
 from qheis.fock import Statistics
 from qheis.qspecial import WEYL, DeformParams
 from sparse_route import csr_list
@@ -91,10 +92,7 @@ def test_l_eigenblocks_are_the_components_of_l2(monkeypatch):
     # the sectors are the connected components of the sparsity graph of
     # l^2, and every nonzero entry of l joins two states of one component
     l2, lmat = sparse_route.dense(orb.l2), sparse_route.dense(orb.l)
-    row, col = np.nonzero(l2)
-    nodes = np.arange(space.dim)
-    label = verify._components(np.concatenate([row, nodes]),
-                               np.concatenate([col, nodes]), space.dim)[-space.dim:]
+    label = connected_components(sparse.csr_array(l2), directed=False)[1]
     assert np.unique(label).size == len(sectors)
     row, col = np.nonzero(lmat)
     assert np.array_equal(label[row], label[col])

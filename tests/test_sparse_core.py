@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 
 import sparse_route
-from qheis import braid, deform, fock, suites, verify
+from qheis import braid, deform, fock, suites
 from qheis.fock import Statistics
 from qheis.qspecial import CLIFFORD, WEYL, DeformParams
 from sparse_route import csr_list
@@ -106,30 +106,6 @@ def test_projected_norms_match_dense_oracle(key, grades):
         for m in inputs:
             assert_close(sparse_route.projected_norms(space, m, degree),
                          dense_oracle(space, m, degree))
-
-
-@pytest.mark.parametrize("key", SPACES)
-def test_component_blocks_reassemble_the_matrix(key):
-    # the blocks, put back at their rows and columns, give the matrix; no
-    # row or column is in two blocks, each block's rows and columns are
-    # listed in increasing order, and each shape has one stack
-    space = fock.build_space(*SPACES[key])
-    rng = np.random.default_rng([ord(ch) for ch in key])
-    for m in [random_pattern(space, rng, 2), *(repeated_blocks(space, rng) for _ in range(2))]:
-        coo = m.tocoo()
-        rebuilt = np.zeros(m.shape, dtype=complex)
-        seen_r, seen_c, shapes = [], [], []
-        for rs, cs, stack in verify.component_stacks(coo.row, coo.col, coo.data, space.dim):
-            shapes.append(stack.shape[1:])
-            for r, c, block in zip(rs, cs, stack):
-                assert block.shape == (r.size, c.size)
-                assert np.all(np.diff(r) > 0) and np.all(np.diff(c) > 0)
-                rebuilt[np.ix_(r, c)] = block
-                seen_r += list(r)
-                seen_c += list(c)
-        assert shapes == sorted(set(shapes))
-        assert np.array_equal(rebuilt, m.toarray())
-        assert len(seen_r) == len(set(seen_r)) and len(seen_c) == len(set(seen_c))
 
 
 @pytest.mark.parametrize("key", SPACES)

@@ -154,19 +154,46 @@ def test_invariant_commutant():
 
 
 def test_invariant_commutant_with_supplied_quadratics():
-    # so(3): N_h is in the commutant, and the scalar products a.a and
-    # a+.a+ are invariants as well
+    # so(3): the scalar products a.a and a+.a+ commute with every sigma(X),
+    # read by the sparse route (the package's check takes sl(N) data)
     sp, gens = classical_so_set(3, 5)
     data = liealg.LieData("so", 3)
-    rows = verify.invariant_commutant_check(gens, data, tol=1e-12)
-    assert [r.name for r in rows] == ["commutant[qnumber_operator]"]
-    assert rows[0].passed
     aa = sum(a @ a for a in csr_list(gens.a))
     sigma = sparse_route.sigma_basis(sp, data)
+    labels = len(data.basis_labels)
     for inv in (aa, aa.conj().T):
-        labels = len(data.basis_labels)
         assert sparse_route.projected_norms(
             sp, sigma @ inv - sparse.kron(sparse.eye_array(labels), inv) @ sigma, 2) <= 1e-12
+    # a non-invariant control: the rotation of modes 1 and 2 moves a.a + a^1 a^2
+    a = csr_list(gens.a)
+    bad = aa + a[0] @ a[1]
+    assert sparse_route.projected_norms(
+        sp, sigma @ bad - sparse.kron(sparse.eye_array(labels), bad) @ sigma, 2) > 0.1
+
+
+def test_commutant_check_refuses_a_non_finite_safe_entry():
+    # a nan or inf N_h entry on a state safe at degree 2 makes the residual
+    # non-finite, which CaseResult refuses; on a top-shell state, which is
+    # not safe, it is dropped with the rest of its row and column
+    sp = fock.build_space(2, Statistics.BOSE, 6)
+    data = liealg.LieData("sl", 2)
+    gens = deform.sl2_bose_map(sp, DeformParams(1.3, WEYL))
+    safe = int(np.flatnonzero((sp.shell == 2) & (sp.occ[:, 0] > 0))[0])
+    top = int(np.flatnonzero((sp.shell == sp.cutoff) & (sp.occ[:, 0] > 0))[0])
+    [clean] = verify.invariant_commutant_check(gens, data, tol=1e-11)
+    for bad in (np.nan, np.inf):
+        for at in (safe, top):
+            vals = gens.ap.vals.copy()
+            vals[0, at] = bad  # A+_1 on that state, so N_h there is bad
+            broken = dataclasses.replace(gens, ap=fock.LadderTable(gens.ap.cols, vals))
+            with np.errstate(invalid="ignore"):  # inf times a zero part, inf - inf
+                assert not np.isfinite(broken.number_diagonal()[at])
+                if at == safe:
+                    with pytest.raises(ValueError, match="non-finite residual"):
+                        verify.invariant_commutant_check(broken, data, tol=1e-11)
+                else:
+                    [row] = verify.invariant_commutant_check(broken, data, tol=1e-11)
+                    assert row.residual == clean.residual
 
 
 def test_fermionic_commutant_check_can_fail():
@@ -197,118 +224,6 @@ def test_qnumber_sign_tied_to_statistics():
     bad = max(r.residual for r in verify.number_op_check(wrong)
               if "relation" in r.name)
     assert bad > 1e-2
-
-
-# ---------------------------------------------------------------------------
-# the batched exact norm against one SVD per component
-# ---------------------------------------------------------------------------
-
-
-def loop_norm(rows, cols, vals, mask):
-    """The oracle: the spectral norm of the masked entries with one
-    np.linalg.svd per connected component of the sparsity graph, each
-    block built on its own, and 1 x 1 components read as a modulus."""
-    keep = mask[rows] & mask[cols] & (vals != 0)
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    alone = (np.bincount(rows)[rows] == 1) & (np.bincount(cols)[cols] == 1)
-    spec = float(np.abs(vals[alone]).max(initial=0.0))
-    rows, cols, vals = rows[~alone], cols[~alone], vals[~alone].astype(complex)
-    if vals.size == 0:
-        return spec
-    comp = verify._components(rows, cols, mask.size)
-    order = np.argsort(comp, kind="stable")
-    cuts = np.flatnonzero(np.diff(comp[order])) + 1
-    for r, c, v in zip(*(np.split(x[order], cuts) for x in (rows, cols, vals))):
-        r_at, ri = np.unique(r, return_inverse=True)
-        c_at, ci = np.unique(c, return_inverse=True)
-        block = np.zeros((r_at.size, c_at.size), dtype=complex)
-        block[ri, ci] = v
-        spec = max(spec, float(np.linalg.svd(block, compute_uv=False)[0]))
-    return spec
-
-
-def loop_projected_norm(space, m, degree):
-    """projected_norms with loop_norm in place of the batched norm."""
-    d = space.dim
-    n_r, n_c = m.shape[0] // d, m.shape[1] // d
-    rows, cols, vals = sparse_route.entries(m)
-    offset = (rows // d * n_c + cols // d) * d
-    return loop_norm(offset + rows % d, offset + cols % d, vals,
-                     np.tile(space.safe_mask(degree), n_r * n_c))
-
-
-# component shapes: 1 x 1, 1 x k, k x 1 and k x m, several of each
-SHAPES = [(1, 1), (1, 3), (3, 1), (2, 3), (3, 2), (1, 1), (4, 4), (2, 3), (1, 3),
-          (3, 1), (3, 2), (2, 2), (5, 3), (2, 2), (4, 4)]
-
-
-def random_blocks(n, rng, zeros=0.0):
-    """Entries of an n x n matrix made of dense random blocks of the SHAPES
-    on shuffled disjoint rows and columns, each scaled by its place so
-    that the largest norm of a shape is seldom in its first block; a
-    fraction `zeros` of the entries is an explicit zero."""
-    rows, cols = rng.permutation(n), rng.permutation(n)
-    out_r, out_c = [], []
-    at_r = at_c = 0
-    for n_r, n_c in SHAPES * n:
-        if at_r + n_r > n or at_c + n_c > n:
-            break
-        r, c = np.meshgrid(rows[at_r:at_r + n_r], cols[at_c:at_c + n_c], indexing="ij")
-        out_r.append(r.ravel())
-        out_c.append(c.ravel())
-        at_r, at_c = at_r + n_r, at_c + n_c
-    sizes = [r.size for r in out_r]
-    vals = (rng.normal(size=sum(sizes)) + 1j * rng.normal(size=sum(sizes))) \
-        * np.repeat(1.0 + np.arange(len(sizes)), sizes)
-    vals[rng.random(vals.size) < zeros] = 0.0
-    return np.concatenate(out_r), np.concatenate(out_c), vals
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_batched_norm_is_the_loop_norm_bit_for_bit(seed):
-    rng = np.random.default_rng(seed)
-    n = 60
-    rows, cols, vals = random_blocks(n, rng, zeros=0.1 * (seed % 3))
-    for mask in (np.ones(n, dtype=bool), rng.random(n) < 0.7, np.zeros(n, dtype=bool)):
-        assert verify._norm_of_entries(rows, cols, vals, mask) == loop_norm(rows, cols, vals, mask)
-    # no entries at all
-    empty = np.array([], dtype=int)
-    assert verify._norm_of_entries(empty, empty, np.array([], dtype=complex),
-                                   np.ones(n, dtype=bool)) == 0.0
-
-
-def test_batched_norm_stacks_each_shape_once():
-    # several blocks of each shape share one SVD call; none is padded
-    rng = np.random.default_rng(7)
-    rows, cols, vals = random_blocks(80, rng)
-    stacks = list(verify.component_stacks(rows, cols, vals, 80))
-    shapes = [stack.shape[1:] for _, _, stack in stacks]
-    assert len(shapes) == len(set(shapes)) == len(set(SHAPES))
-    assert max(stack.shape[0] for _, _, stack in stacks) > 1
-
-
-@pytest.mark.parametrize("modes,stat,cut", [(2, Statistics.BOSE, 7), (3, Statistics.BOSE, 4),
-                                            (3, Statistics.FERMI, None)])
-def test_projected_norms_is_the_loop_norm_bit_for_bit(modes, stat, cut):
-    # dense and sparse m, one block and grids of several D x D blocks, at
-    # every safe degree
-    space = fock.build_space(modes, stat, cut)
-    d = space.dim
-    rng = np.random.default_rng(modes * 10 + d)
-
-    def block():
-        rows, cols, vals = random_blocks(d, rng, zeros=0.1)
-        return sparse.csr_array((vals, (rows, cols)), shape=(d, d))
-
-    def matrix(n_r, n_c):
-        return sparse.block_array([[block() for _ in range(n_c)] for _ in range(n_r)],
-                                  format="csr")
-
-    for degree in (0, 1, 2, space.cutoff + 1):
-        for m in (matrix(1, 1), matrix(3, 1), matrix(1, 4), matrix(2, 3)):
-            for form in (m, m.toarray()):
-                assert sparse_route.projected_norms(space, form, degree) == \
-                    loop_projected_norm(space, m, degree)
 
 
 def test_dcr_products_do_not_grow_with_n(monkeypatch):
