@@ -2,7 +2,8 @@
 Fock spaces, verified numerically.
 
 The package constructs Weyl/Clifford algebras covariant under sl(N) or
-so(N), realizes explicit q-deforming maps inside them, and turns every
+so(N), derives the sl(N) q-deforming maps inside them from the braid
+matrix, and turns every
 implementable algebraic identity (deformed exchange relations,
 invariants, *-structures, braid-matrix properties, the reduced
 Knizhnik-Zamolodchikov machinery behind the coassociator) into residual

@@ -20,8 +20,9 @@ The quadratic exchange relations of the deformed generators are encoded
 by an annihilating projector (contracted with A x A resp. A+ x A+) and a
 cross-relation matrix.  The cross matrix is known only up to the choice
 q^s Rhat versus q^s Rhat^(-1) (s = +1 Weyl, -1 Clifford); both
-candidates are carried and the residual engine decides empirically
-which one the explicit maps satisfy.
+candidates are carried.  Each determines a deforming map
+(``deform.derive_map``), and the relation residuals tell which of the
+two maps satisfies its relations.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ class RelationMatrices:
     rhat: np.ndarray
     projectors: list  # [(eigenvalue, projector matrix)]
     annihilating_projector: np.ndarray
-    cross_candidates: dict  # name -> matrix; the DCR oracle picks the winner
+    cross_candidates: dict  # name -> matrix; each derives a map, the residuals pick one
     metric_lower: np.ndarray | None = None
     metric_upper: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)  # the guard's residuals
@@ -237,8 +238,8 @@ def build_relations(family: str, n: int, q: float, sign: int = WEYL) -> Relation
             f"YBE={ybe:.3e}, char={char:.3e}"
         )
 
-    # cross candidates q^sign * Rhat and q^sign * Rhat^(-1); only the DCR
-    # oracle can tell which one the explicit maps satisfy
+    # cross candidates q^sign * Rhat and q^sign * Rhat^(-1); only the
+    # residuals of the maps they derive tell which one holds
     qs = q ** sign
     cross = {
         "qR": qs * rhat,

@@ -12,15 +12,17 @@ keeps the tolerance its check defines.  The process exits 0 iff every
 case of the executed suite passed, 1 otherwise, 2 on usage errors (an
 unknown flag, a config file that is not a JSON object, a config key or
 flag the suite does not read, a config ``out`` that is not a non-empty
-string, an empty value list, a value that is not finite, a value out of
-range, or values that give two units the same name among them), each
-found before any unit runs.
+string, an ``out`` path that cannot be written, an empty value list, a
+boolean value, a value that is not finite, a value out of range, or
+values that give two units the same name among them), each found before
+any unit runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .suites import PARAMS, SUITE_IDS, make_config, run_suite, emit_report, report_to_json
@@ -42,6 +44,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", default=None,
                     help="JSON file with the same keys as the flags")
     return parser
+
+
+def _writable(path: str) -> bool:
+    """Whether a report can be written to path: it names no directory,
+    and the file, or the directory it would be made in, is writable."""
+    if os.path.isdir(path):
+        return False
+    if os.path.exists(path):
+        return os.access(path, os.W_OK)
+    return os.access(os.path.dirname(path) or ".", os.W_OK)
 
 
 def main(argv=None) -> int:
@@ -66,6 +78,8 @@ def main(argv=None) -> int:
         out = out or path
     overrides.update((key, getattr(args, key)) for key in PARAMS
                      if getattr(args, key) is not None)
+    if out and not _writable(out):
+        parser.error(f"cannot write the report to {out}")
 
     try:
         cfg = make_config(args.id, **overrides)

@@ -1,26 +1,26 @@
-"""Explicit q-deforming maps on truncated Fock spaces.
+"""q-deforming maps on truncated Fock spaces, derived from the braid matrix.
 
 A deforming map realizes generators of the q-deformed algebra as
-dressed versions of the undeformed creators/annihilators:
+dressed versions of the undeformed creators/annihilators,
+A+_i = d_i(n) a+_i and A^i = a^i d_i(n).  Every sl(N) map, Weyl and
+Clifford, comes from one derivation (:func:`derive_map`): the eigenvalue
+x_i(n) of A+_i A^i follows the diagonal of the (i, i) cross relation,
 
-  sl(2), Weyl:      A+_1 = sqrt((n_1)_{q^2}/n_1) q^{n_2} a+_1,
-                    A+_2 = sqrt((n_2)_{q^2}/n_2) a+_2,
-                    A^i  = the mirror-ordered counterparts
-                    (hermitean for real q).
-  sl(2), Clifford:  A+_1 = q^{-n_2} a+_1,  A+_2 = a+_2.
-  sl(N), Weyl:      the per-mode candidate
-                    A+_i = sqrt((n_i)_{q^2}/n_i) q^{sum_{j in S(i)} n_j} a+_i
-                    with S(i) the modes above or below i; which mode
-                    ordering actually satisfies the deformed relations is
-                    decided by the residual oracle, not assumed here.
+  x_i(n) = 1 + s sum_h X^{ih}_{ih} x_h(n - e_i),   x_i = 0 where n_i = 0,
+
+with s = +1 (Weyl) or -1 (Clifford) and X a cross candidate of the
+relation matrices, and d_i = sqrt(x_i/n_i).  For the candidate q^s Rhat
+this gives x_i = (n_i)_{q^{2s}} q^{2s sum_{j>i} n_j}: for sl(2), Weyl,
+A+_1 = sqrt((n_1)_{q^2}/n_1) q^{n_2} a+_1 and A+_2 = sqrt((n_2)_{q^2}/n_2)
+a+_2; for sl(2), Clifford, A+_1 = q^{-n_2} a+_1 and A+_2 = a+_2.  The
+relation residuals decide which candidate holds; the derivation assumes
+none.  Besides, the one-sided Weyl sl(2) map and the intertwiner alpha
+that relates it to the derived one are written out.
 
 All maps reduce to the identity at q = 1, preserve the grading, and fix
-the vacuum and the one-particle states.  Each scalar factor of a
-dressing is tabulated on n = 0..cutoff and indexed by the occupation
-columns of the basis.  Because the dressings are diagonal functions of
-the mode numbers, the removable singularity of (n)_{q^2}/n at n = 0
-never reaches a nonzero matrix entry; the value 1 is used there by
-convention.
+the vacuum and the one-particle states.  The dressings are diagonal
+functions of the mode numbers, so a dressing's value at n_i = 0 never
+reaches a nonzero matrix entry.
 
 A generator set holds the A^i and the A+_i as two ladder tables
 (``fock.LadderTable``) on the columns of the space's own ladders, and a
@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .braid import RelationMatrices
 from .fock import FockSpace, LadderTable, Statistics
 from .qspecial import CLIFFORD, DeformParams, qnum, y_sln
 
@@ -104,64 +105,38 @@ def _ratio(q: float, cutoff: int) -> np.ndarray:
     return _tabulate(lambda n: qnum(n, q * q).real / n if n else 1.0, cutoff)
 
 
-def _sqrt_ratio(q: float, cutoff: int) -> np.ndarray:
-    """sqrt((n)_{q^2}/n) on n = 0..cutoff; raises on a negative ratio."""
-    ratio = _ratio(q, cutoff)
-    if (ratio < 0).any():
-        raise ValueError(f"negative dressing ratio at n={np.argmax(ratio < 0)}, q={q}")
-    return np.sqrt(ratio)
+def derive_map(space: FockSpace, rel: RelationMatrices,
+               candidate: str) -> DeformedGenerators:
+    """The sl(N) generator set that the cross candidate
+    X = rel.cross_candidates[candidate] determines (module docstring):
+    A+_i = sqrt(x_i/n_i) a+_i and A^i its mirror, with x_i(n) the
+    eigenvalue of A+_i A^i from the diagonal of the (i, i) cross relation.
 
-
-def sln_candidate_map(
-    space: FockSpace,
-    params: DeformParams,
-    ordering: str = "above",
-) -> DeformedGenerators:
-    """Per-mode candidate deforming map for the Weyl sl(N) algebra.
-
-    ordering selects which modes enter the exponential tail q^{n_j}:
-    "above" uses j > i, "below" uses j < i.  The operation guarantees
-    only the classical limit, grading and vacuum behaviour; acceptance
-    is decided by the deformed-relation residuals.
-    """
-    if space.statistics is not Statistics.BOSE:
-        raise ValueError("the sl(N) candidate map needs a bosonic space")
-    if ordering not in ("above", "below"):
-        raise ValueError("ordering must be 'above' or 'below'")
-    q = params.q
-    occ = space.occ
-    root = _sqrt_ratio(q, space.cutoff)
-    power = _tabulate(lambda n: q ** n, space.cutoff)
-    d = []
-    for k in range(space.modes):
-        tail = occ[:, k + 1:] if ordering == "above" else occ[:, :k]
-        d.append(root[occ[:, k]] * power[tail.sum(axis=1)])
-    d = np.array(d)
-    return DeformedGenerators(space, params, _dressed(space.an, right=d),
-                              _dressed(space.ap, left=d))
-
-
-def sl2_bose_map(space: FockSpace, params: DeformParams) -> DeformedGenerators:
-    """The explicit symmetric-dressed Weyl sl(2) map (u = 1/v = sqrt(y))."""
-    if space.modes != 2 or space.statistics is not Statistics.BOSE:
-        raise ValueError("sl2_bose_map needs a 2-mode bosonic space")
-    if space.cutoff < 3:
-        raise ValueError("cutoff >= 3 required for meaningful degree-2 checks")
-    return sln_candidate_map(space, params, ordering="above")
-
-
-def sl2_fermi_map(space: FockSpace, params: DeformParams) -> DeformedGenerators:
-    """The explicit Clifford sl(2) map: A+_1 = q^{-n_2} a+_1, A+_2 = a+_2."""
-    if space.modes != 2 or space.statistics is not Statistics.FERMI:
-        raise ValueError("sl2_fermi_map needs a 2-mode fermionic space")
-    if params.sign != CLIFFORD:
-        raise ValueError("sl2_fermi_map needs the Clifford sign convention")
-    q = params.q
-    n2 = space.occ[:, 1]
-    d1 = _tabulate(lambda n: q ** (-n), space.cutoff)[n2]
-    d = np.stack([d1, np.ones(space.dim)])
-    return DeformedGenerators(space, params, _dressed(space.an, right=d),
-                              _dressed(space.ap, left=d))
+    Sweep t of the recursion fixes x on shell t, so space.cutoff sweeps
+    over the whole array fix every shell.  The root is taken in the
+    complex plane: a candidate that the relations reject can give x < 0,
+    and its map stays measurable, failing its relations by a finite
+    amount.  Raises ValueError unless rel is an sl(N) relation of the
+    space's N whose sign fits the space's statistics."""
+    fermi = space.statistics is Statistics.FERMI
+    if rel.family != "sl" or rel.n != space.modes or fermi != (rel.sign == CLIFFORD):
+        raise ValueError(f"no sl({space.modes}) map on a {space.statistics.name.lower()} "
+                         f"space from {rel.family}({rel.n}) relations of sign {rel.sign:+d}")
+    n, d = space.modes, space.dim
+    diag = rel.sign * np.diag(rel.cross_candidates[candidate]).reshape(n, n)  # s X^{ih}_{ih}
+    # x on the states and the sink, where it stays 0; [h, i, s] of down is
+    # the flat index of x_h(s - e_i), the sink's where s - e_i is none
+    x = np.zeros((n, d + 1), dtype=complex)
+    occupied = np.zeros(x.shape, dtype=bool)
+    occupied[:, :d] = space.occ.T > 0
+    down = np.arange(n)[:, None, None] * (d + 1) + space.ap.cols
+    for _ in range(space.cutoff):
+        np.einsum("ih,hid->id", diag, x.take(down), out=x)
+        x += 1
+        x *= occupied
+    dress = np.sqrt(x[:, :d] / np.maximum(space.occ.T, 1))
+    return DeformedGenerators(space, DeformParams(rel.q, rel.sign),
+                              _dressed(space.an, right=dress), _dressed(space.ap, left=dress))
 
 
 def sl2_bose_onesided_map(space: FockSpace, params: DeformParams) -> DeformedGenerators:
@@ -169,8 +144,9 @@ def sl2_bose_onesided_map(space: FockSpace, params: DeformParams) -> DeformedGen
 
     A+_1 = q^{n_2} a+_1, A+_2 = a+_2,
     A^1  = a^1 ((n_1)_{q^2}/n_1) q^{n_2}, A^2 = a^2 ((n_2)_{q^2}/n_2).
-    Not hermitean for real q; related to sl2_bose_map by the inner
-    automorphism of sl2_alpha_intertwiner.
+    Not hermitean for real q; related to the derived map (candidate
+    "qR", :func:`derive_map`) by the inner automorphism of
+    sl2_alpha_intertwiner.
     """
     if space.modes != 2 or space.statistics is not Statistics.BOSE:
         raise ValueError("needs a 2-mode bosonic space")
@@ -184,7 +160,7 @@ def sl2_bose_onesided_map(space: FockSpace, params: DeformParams) -> DeformedGen
 
 
 def sl2_alpha_intertwiner(space: FockSpace, params: DeformParams) -> np.ndarray:
-    """The diagonal of the alpha with alpha . sl2_bose_map . alpha^-1 =
+    """The diagonal of the alpha with alpha . (derived map) . alpha^-1 =
     one-sided map, one entry per basis state.
 
     alpha = sqrt(y(n_1) y(n_2)) with y(m) = Gamma(m+1)/Gamma_{q^2}(m+1),
@@ -225,7 +201,7 @@ def hermiticity_residual(gens: DeformedGenerators) -> float:
 
     a, ap = gens.a, gens.ap
     n, d = gens.n, gens.space.dim
-    down = gens.space.shift_targets(-np.eye(n, dtype=int))
+    down = gens.space.ap.cols[:, :d]  # t - e_i, the single steps of the creators
     return shift_norm(gens.space, np.conj(a.vals[np.arange(n)[:, None], down]) - ap.vals[:, :d],
                       down, 0)
 

@@ -136,6 +136,21 @@ class FockSpace:
         return (ladder_stack(self, LadderTable(self.an.cols, self.an.vals.real)),
                 ladder_stack(self, LadderTable(self.ap.cols, self.ap.vals.real)))
 
+    @functools.cached_property
+    def pair_targets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The states s + e_i + e_j, s - e_i - e_j and s + e_i - e_j of every
+        basis state s (:meth:`shift_targets`), three N^2 x D arrays with
+        the pair (i, j) in row i N + j, read-only and built on first use:
+        the targets of the quadratic exchange relations, which every
+        generator set on the space shares."""
+        eye = np.eye(self.modes, dtype=int)
+        weight = (eye[:, None] + eye[None, :]).reshape(-1, self.modes)
+        moved = (eye[:, None] - eye[None, :]).reshape(-1, self.modes)
+        targets = np.split(self.shift_targets(np.concatenate([weight, -weight, moved])), 3)
+        for arr in targets:
+            arr.flags.writeable = False
+        return tuple(targets)
+
     def state_index(self, occ) -> int:
         """The index of the basis state with occupations occ; KeyError when
         it is not a state of the space."""

@@ -71,13 +71,16 @@ class SuiteConfig:
 
 def _coerce(name: str, value):
     """A value as PARAMS declares it: a tuple when the parameter takes
-    several values, a single value otherwise."""
+    several values, a single value otherwise.  Raises ValueError for a
+    boolean, which would pass as the number 0 or 1."""
     typ, many, _ = PARAMS[name]
+    values = value if isinstance(value, (list, tuple)) else [value]
+    if any(isinstance(v, bool) for v in values):  # bool is an int subclass
+        raise ValueError(f"{name} takes numbers, not {value!r}")
     if many:
-        values = tuple(map(typ, value if isinstance(value, (list, tuple)) else [value]))
         if not values:
             raise ValueError(f"{name} needs at least one value")
-        return values
+        return tuple(map(typ, values))
     if typ is int and isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{name} takes one int, not {value!r}")
     if isinstance(value, (list, tuple)) or (typ is int and int(value) != value):
@@ -121,19 +124,23 @@ def _negative_control(name: str, residual: float, floor: float = 1e-2,
     return CaseResult(name, val, 1.0, meta)
 
 
-def _dcr_with_oracle(gens, rel, tol):
-    """dcr rows with the two cross candidates folded into a winner row and
-    a negative-control row (exactly one candidate is expected to pass)."""
-    rows = verify.dcr_residuals(gens, rel, tol=tol)
-    oracle = verify.cross_oracle(rows)
-    rows = [r for r in rows if not r.name.startswith("dcr_cross")]
-    rows.append(CaseResult("dcr_cross_winner", oracle["winner_residual"], tol,
-                           {"candidate": oracle["winner"],
-                            "loser_residual": oracle["loser_residual"]}))
-    rows.append(_negative_control("cross_negative_control",
-                                  oracle["loser_residual"],
-                                  winner=oracle["winner"]))
-    return rows
+def _derived_dcr(space, rel, tol):
+    """The sl(N) generator set that each cross candidate of rel determines
+    (``deform.derive_map``), checked against that candidate alone.  Returns
+    the set of the candidate whose worst row is smaller, the winner, with
+    its dcr_aa, dcr_apap and dcr_cross_winner rows, and a negative control
+    on the worst row of the other, the loser."""
+    checked = {}
+    for name, x in rel.cross_candidates.items():
+        gens = deform.derive_map(space, rel, name)
+        rows = verify.dcr_residuals(gens, replace(rel, cross_candidates={name: x}), tol=tol)
+        checked[name] = gens, rows, max(r.residual for r in rows)
+    winner, loser = sorted(checked, key=lambda name: checked[name][2])
+    gens, rows, _ = checked[winner]
+    rows = [replace(r, name="dcr_cross_winner" if r.name.startswith("dcr_cross") else r.name,
+                    metadata={**r.metadata, "candidate": winner}) for r in rows]
+    rows.append(_negative_control("cross_negative_control", checked[loser][2], candidate=loser))
+    return gens, rows
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +152,14 @@ def _suite_sl2_bose(cfg: SuiteConfig):
     space = build_space(2, Statistics.BOSE, cfg.cutoff)
     data = liealg.LieData("sl", 2)
 
+    @functools.cache
+    def derived(q):
+        # the derived map and its DCR rows, shared by the q unit and its alpha unit
+        return _derived_dcr(space, braid.build_relations("sl", 2, q, WEYL), tol=1e-10)
+
     def unit(q):
-        params = DeformParams(q, WEYL)
-        gens = deform.sl2_bose_map(space, params)
-        rel = braid.build_relations("sl", 2, q, WEYL)
-        rows = _dcr_with_oracle(gens, rel, tol=1e-10)
-        rows += verify.number_op_check(gens, tol=1e-10)
+        gens, rows = derived(q)
+        rows = rows + verify.number_op_check(gens, tol=1e-10)
         rows.append(CaseResult("hermiticity", deform.hermiticity_residual(gens), 1e-12))
         rows += verify.invariant_commutant_check(gens, data, tol=1e-11)
         rows.append(CaseResult(
@@ -161,11 +170,10 @@ def _suite_sl2_bose(cfg: SuiteConfig):
     def alpha_unit(q):
         # conjugating by alpha must reproduce the one-sided generators; its
         # own unit, so that a failure here erases no sibling row
-        params = DeformParams(q, WEYL)
-        gens = deform.sl2_bose_map(space, params)
-        alpha = deform.sl2_alpha_intertwiner(space, params)
+        gens, _ = derived(q)
+        alpha = deform.sl2_alpha_intertwiner(space, gens.params)
         conj, cond = deform.inner_automorphism(gens, alpha)
-        oneside = deform.sl2_bose_onesided_map(space, params)
+        oneside = deform.sl2_bose_onesided_map(space, gens.params)
         return [
             CaseResult("alpha_reproduces_onesided_map",
                        verify.generator_distance(conj, oneside), 1e-12, {"cond_alpha": cond}),
@@ -180,9 +188,10 @@ def _suite_sl2_bose(cfg: SuiteConfig):
         units.append((f"q={q:g}/alpha", lambda q=q: alpha_unit(q)))
 
     def extra():
-        # classical-limit scaling: deviation from identity is O(q - 1)
+        # classical-limit scaling: deviation from identity is O(q - 1), on
+        # the candidate that every q unit selects
         def devnorm(e):
-            g1 = deform.sl2_bose_map(space, DeformParams(1.0 + e, WEYL))
+            g1 = deform.derive_map(space, braid.build_relations("sl", 2, 1.0 + e, WEYL), "qR")
             g0 = deform.classical_generators(space, DeformParams(1.0, WEYL))
             return verify.generator_distance(g1, g0)
         ratio = devnorm(1e-3) / devnorm(5e-4)
@@ -199,10 +208,7 @@ def _suite_sl2_fermi(cfg: SuiteConfig):
     data = liealg.LieData("sl", 2)
 
     def unit(q):
-        params = DeformParams(q, CLIFFORD)
-        gens = deform.sl2_fermi_map(space, params)
-        rel = braid.build_relations("sl", 2, q, CLIFFORD)
-        rows = _dcr_with_oracle(gens, rel, tol=1e-12)
+        gens, rows = _derived_dcr(space, braid.build_relations("sl", 2, q, CLIFFORD), tol=1e-12)
         rows += verify.number_op_check(gens, tol=1e-12)
         rows.append(CaseResult("hermiticity", deform.hermiticity_residual(gens), 1e-12))
         rows += verify.invariant_commutant_check(gens, data, tol=1e-12)
@@ -217,25 +223,7 @@ def _suite_sln(cfg: SuiteConfig):
     space = build_space(cfg.modes, Statistics.BOSE, cfg.cutoff)
 
     def unit(q):
-        rel = braid.build_relations("sl", cfg.modes, q, WEYL)
-        params = DeformParams(q, WEYL)
-        results = {}
-        for ordering in ("above", "below"):
-            gens = deform.sln_candidate_map(space, params, ordering)
-            full = verify.dcr_residuals(gens, rel, tol=1e-10)
-            oracle = verify.cross_oracle(full)
-            worst = max(r.residual for r in full
-                        if not r.name.startswith("dcr_cross")
-                        or r.name == f"dcr_cross[{oracle['winner']}]")
-            results[ordering] = (worst, oracle)
-        passing = min(results, key=lambda k: results[k][0])
-        failing = "below" if passing == "above" else "above"
-        return [
-            CaseResult(f"candidate_dcr[{passing}]", results[passing][0], 1e-10,
-                       {"cross_winner": results[passing][1]["winner"]}),
-            _negative_control(f"candidate_negative_control[{failing}]",
-                              results[failing][0]),
-        ]
+        return _derived_dcr(space, braid.build_relations("sl", cfg.modes, q, WEYL), tol=1e-10)[1]
 
     units = [(f"q={q:g}", lambda q=q: unit(q)) for q in cfg.q]
     return {"family": "sl", "N": cfg.modes, "statistics": "bose",

@@ -72,8 +72,9 @@ its pair, so a relation that couples only pairs of one weight gives one
 shift per block.  The deforming maps use R = Pi, the annihilating
 projector, and X = Pt, a cross candidate (:func:`dcr_residuals`).  The
 flip in the annihilator contraction mirrors the transposed index pattern
-of the exchange relations; both patterns are fixed once by the explicit
-sl(2) maps and then apply uniformly.
+of the exchange relations.  The diagonal of the cross relation is the
+recursion that derives each map from its candidate
+(``deform.derive_map``); the rest of the relations are then checks.
 """
 
 from __future__ import annotations
@@ -261,37 +262,16 @@ def dcr_residuals(gens: DeformedGenerators, rel: RelationMatrices,
         raise ValueError("generator set and relation matrices disagree on N")
     if abs(rel.q - gens.params.q) > 1e-12 or rel.sign != gens.params.sign:
         raise ValueError("generator set and relation matrices disagree on (q, sign)")
-    space, n = gens.space, gens.n
+    space = gens.space
     ann, cre, cross = quadratic_residual_matrices(
         gens.a, gens.ap, rel.annihilating_projector, rel.cross_candidates, rel.sign)
-    eye = np.eye(n, dtype=int)
-    weight = (eye[:, None] + eye[None, :]).reshape(n * n, n)
-    moved = (eye[:, None] - eye[None, :]).reshape(n * n, n)
-    up, down, across = np.split(space.shift_targets(np.concatenate([weight, -weight, moved])), 3)
+    up, down, across = space.pair_targets
 
     def case(name, m, targets):
         return CaseResult(name, shift_norm(space, m, targets, 2), tol, {"safe_degree": 2})
 
     return [case("dcr_aa", ann, up), case("dcr_apap", cre, down)] + \
         [case(f"dcr_cross[{name}]", m, across) for name, m in cross.items()]
-
-
-def cross_oracle(rows: list[CaseResult]) -> dict:
-    """Decide empirically which cross candidate a generator set satisfies,
-    from the dcr_cross[...] rows of its dcr_residuals.
-
-    Returns winner name, winner/loser residuals, and whether exactly one
-    candidate passed its tolerance (the expected asymmetry).
-    """
-    ranked = sorted((r for r in rows if r.name.startswith("dcr_cross")),
-                    key=lambda r: r.residual)
-    winner, loser = ranked[0], ranked[-1]
-    return {
-        "winner": winner.name.split("[")[1].rstrip("]"),
-        "winner_residual": winner.residual,
-        "loser_residual": loser.residual,
-        "unique": bool(winner.passed and not loser.passed),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +298,7 @@ def number_op_check(gens: DeformedGenerators, tol: float = 1e-10) -> list[CaseRe
     q2s = gens.params.q ** (2 * gens.params.sign)
     a, ap = gens.a, gens.ap
     nh = gens.number_diagonal()
-    eye = np.eye(gens.n, dtype=int)
-    up, down = np.split(space.shift_targets(np.concatenate([eye, -eye])), 2)
+    up, down = space.an.cols[:, :d], space.ap.cols[:, :d]  # s + e_i and s - e_i
     av, apv = a.vals[:, :d], ap.vals[:, :d]
     out = [
         CaseResult("qnumber_creator_relation",

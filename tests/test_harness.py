@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qheis import cli, deform, fock, suites, verify
+from qheis import braid, cli, deform, fock, suites, verify
 from qheis.verify import CaseResult, Report
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,8 +67,8 @@ def test_dcr_products_built_once_per_generator_set(monkeypatch):
         return original(a, ap, rel, cross, sign)
 
     monkeypatch.setattr(verify, "quadratic_residual_matrices", counting)
-    # slN: one set per ordering; sl2-*: one set per q
-    for suite, sets in (("slN", 2), ("sl2-bose", 2), ("sl2-fermi", 2)):
+    # one set per cross candidate and q: slN has one q, sl2-* have two
+    for suite, sets in (("slN", 2), ("sl2-bose", 4), ("sl2-fermi", 4)):
         built.clear()
         suites.run_suite(suites.make_config(suite))
         assert len(built) == sets == len({id(g) for g in built}), suite
@@ -176,7 +176,8 @@ def test_onesided_hermiticity_control_discriminates(monkeypatch):
         assert c.tolerance == 1.0 and c.metadata["required_floor"] == 1e-3
         assert c.residual == 1e-3 / c.metadata["raw_residual"]
     # a *-compatible map in place of the one-sided one must fail the control
-    monkeypatch.setattr(deform, "sl2_bose_onesided_map", deform.sl2_bose_map)
+    monkeypatch.setattr(deform, "sl2_bose_onesided_map", lambda space, params: deform.derive_map(
+        space, braid.build_relations("sl", 2, params.q, params.sign), "qR"))
     rows = control_rows()
     assert len(rows) == 2 and not any(c.passed for c in rows)
 
@@ -303,6 +304,44 @@ def test_cli_config_out_must_be_a_path_before_any_unit_runs(tmp_path, monkeypatc
     with pytest.raises(SystemExit) as exc:
         cli.main(["suite", "qspecial", "--config", str(path)])
     assert exc.value.code == 2 and not ran
+
+
+@pytest.mark.parametrize("suite, config", [
+    ("sl2-fermi", {"q": True}), ("slN", {"q": [1.3, True]}), ("slN", {"modes": True}),
+    ("slN", {"cutoff": False}), ("kz-scalar", {"n": [True]}), ("kz-scalar", {"hbar2": True}),
+], ids=["q-true", "q-list-with-true", "modes-true", "cutoff-false", "n-true", "hbar2-true"])
+def test_cli_boolean_config_value_is_a_usage_error_before_any_unit_runs(
+        tmp_path, monkeypatch, capsys, suite, config):
+    # bool is an int subclass: {"q": true} would run at q = 1, {"modes": true} at N = 1
+    ran = []
+    monkeypatch.setattr(cli, "run_suite", ran.append)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["suite", suite, "--config", str(path)])
+    assert exc.value.code == 2 and not ran
+    assert "takes numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory", "config-key"])
+def test_cli_unwritable_out_is_a_usage_error_before_any_unit_runs(
+        tmp_path, monkeypatch, capsys, where):
+    # found after every unit ran, it would raise and exit 1, which means
+    # that a case failed
+    ran = []
+    monkeypatch.setattr(cli, "run_suite", ran.append)
+    out = str(tmp_path if where == "a-directory" else tmp_path / "missing" / "x.json")
+    argv = ["suite", "braid"]
+    if where == "config-key":
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"out": out}))
+        argv += ["--config", str(path)]
+    else:
+        argv += ["--out", out]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2 and not ran
+    assert out in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("form", ["flag", "config"])

@@ -13,23 +13,16 @@ from scipy import sparse
 import sparse_route
 from qheis import braid, deform, fock, liealg, verify
 from qheis.fock import Statistics
-from qheis.qspecial import CLIFFORD, WEYL, DeformParams
+from qheis.qspecial import CLIFFORD, WEYL, DeformParams, qnum
 
 QS = (0.5, 0.7, 1.3, 2.0)
 
 
-def dressed_map(space, params, ordering):
-    """A+_i = d_i(n) a+_i and A^i = a^i d_i(n), with d_i(n) the sl(N)
-    candidate dressing of an ordering on a bosonic space, and
-    q^(-sum n_j) over the same modes j on a fermionic one."""
-    if space.statistics is Statistics.BOSE:
-        return deform.sln_candidate_map(space, params, ordering)
-    occ, d = space.occ, []
-    for k in range(space.modes):
-        tail = occ[:, k + 1:] if ordering == "above" else occ[:, :k]
-        d.append(params.q ** (-tail.sum(axis=1).astype(float)))
-    return deform.DeformedGenerators(space, params, deform._dressed(space.an, right=np.array(d)),
-                                     deform._dressed(space.ap, left=np.array(d)))
+def derived(space, q):
+    """The map that candidate qR of the sl(N) relations at q derives on
+    the space, with the sign its statistics take."""
+    sign = CLIFFORD if space.statistics is Statistics.FERMI else WEYL
+    return deform.derive_map(space, braid.build_relations("sl", space.modes, q, sign), "qR")
 
 
 def random_map(space, params, rng):
@@ -63,7 +56,8 @@ def test_ladder_route_is_the_sparse_route_bit_for_bit(n, stat):
     for q in QS:
         params = DeformParams(q, sign)
         rel = braid.build_relations("sl", n, q, sign)
-        for gens in (dressed_map(space, params, "above"), dressed_map(space, params, "below"),
+        # the map of qR_inv fails its relations, some at order one
+        for gens in (deform.derive_map(space, rel, "qR"), deform.derive_map(space, rel, "qR_inv"),
                      random_map(space, params, rng)):
             for new, old in both_routes(gens, rel, data):
                 assert new.name == old.name
@@ -94,18 +88,19 @@ def test_number_operator_is_the_sparse_product():
 
 def test_ladder_tables_are_the_csr_entries():
     # the tables of a generator set store the entries of the sparse
-    # products a^i diag(d_i) and diag(d_i) a+_i, and nothing else
+    # products a^i diag(d_i) and diag(d_i) a+_i, and nothing else; the
+    # derived d_i is sqrt((n_i)_{q^2}/n_i) q^(sum_{j>i} n_j), to rounding
     space = fock.build_space(3, Statistics.BOSE, 4)
-    gens = deform.sln_candidate_map(space, DeformParams(1.3, WEYL))
+    gens = derived(space, 1.3)
     occ, d = space.occ, space.dim
-    root = deform._sqrt_ratio(1.3, space.cutoff)
-    power = deform._tabulate(lambda n: 1.3 ** n, space.cutoff)
+    root = np.sqrt([qnum(n, 1.3**2).real / n if n else 1.0 for n in range(space.cutoff + 1)])
     for k, (a, ap, a0, ap0) in enumerate(zip(*map(sparse_route.csr_list, (
             gens.a, gens.ap, space.an, space.ap)))):
-        dress = sparse_route.diag(root[occ[:, k]] * power[occ[:, k + 1:].sum(axis=1)])
+        dress = sparse_route.diag(root[occ[:, k]] * 1.3 ** occ[:, k + 1:].sum(axis=1))
         for got, want in ((a, a0 @ dress), (ap, dress @ ap0)):
-            assert np.array_equal(got.toarray(), want.toarray())
             assert got.nnz == want.nnz
+            assert np.array_equal(got.indices, want.indices)
+            assert np.allclose(got.data, want.data, rtol=1e-14, atol=0)
     for table in (gens.a, gens.ap):
         assert table.cols.shape == table.vals.shape == (3, d + 1)
         assert (table.cols[:, d] == d).all() and (table.vals[:, d] == 0).all()
@@ -132,7 +127,7 @@ def test_dressed_is_the_scaled_csr():
 def test_generators_must_be_on_the_space_ladders():
     space = fock.build_space(2, Statistics.BOSE, 5)
     params = DeformParams(1.3, WEYL)
-    gens = deform.sl2_bose_map(space, params)
+    gens = derived(space, 1.3)
     assert gens.a.cols is space.an.cols and gens.ap.cols is space.ap.cols
     # a+_1 in place of the annihilators: one entry per row, off their shift
     with pytest.raises(ValueError, match="annihilator table is not on the columns"):
@@ -153,7 +148,7 @@ def test_generators_must_be_on_the_space_ladders():
 
 def test_relations_coupling_different_weights_are_rejected():
     space = fock.build_space(2, Statistics.BOSE, 5)
-    gens = deform.sl2_bose_map(space, DeformParams(1.3, WEYL))
+    gens = derived(space, 1.3)
     rel = braid.build_relations("sl", 2, 1.3, WEYL)
     a, ap = gens.a, gens.ap
     pi = rel.annihilating_projector
@@ -173,7 +168,7 @@ def test_delta_term_targets_the_row_where_the_creator_leaves_the_space():
     # target read off that product path drops it, and the Clifford control
     # at q = 1.3 would read 0.408 in place of 0.650
     space = fock.build_space(2, Statistics.FERMI)
-    gens = deform.sl2_fermi_map(space, DeformParams(1.3, CLIFFORD))
+    gens = derived(space, 1.3)
     rel = braid.build_relations("sl", 2, 1.3, CLIFFORD)
     rows = {r.name: r.residual for r in verify.dcr_residuals(gens, rel)}
     old = {r.name: r.residual for r in sparse_route.dcr_residuals(gens, rel)}
@@ -190,10 +185,10 @@ def test_generator_distance_is_the_sparse_norm_bit_for_bit(cutoff):
     space = fock.build_space(2, Statistics.BOSE, cutoff)
     for q in (0.7, 1.3):
         params = DeformParams(q, WEYL)
-        pairs = [(deform.inner_automorphism(deform.sl2_bose_map(space, params),
+        pairs = [(deform.inner_automorphism(derived(space, q),
                                             deform.sl2_alpha_intertwiner(space, params))[0],
                   deform.sl2_bose_onesided_map(space, params)),
-                 (deform.sl2_bose_map(space, params),
+                 (derived(space, q),
                   deform.classical_generators(space, DeformParams(1.0, WEYL)))]
         for g1, g0 in pairs:
             old = sparse_route.projected_norms(space, sparse.vstack(

@@ -146,8 +146,8 @@ def test_generators_and_defects_are_sparse():
     space = fock.build_space(4, Statistics.BOSE, 7)
     q = 1.3
     rel = braid.build_relations("sl", 4, q, WEYL)
-    for ordering in ("above", "below"):
-        gens = deform.sln_candidate_map(space, DeformParams(q, WEYL), ordering)
+    for candidate in rel.cross_candidates:
+        gens = deform.derive_map(space, rel, candidate)
         for table in (gens.a, gens.ap):
             col = sparse_route.column(table)
             assert isinstance(col, sparse.csr_array)
@@ -225,7 +225,7 @@ def test_shared_contraction_matches_dense_reference(sign):
 
 
 def test_sln_at_n4_cutoff8(monkeypatch):
-    # D = 495: out of reach for the dense engine, two cases both passing.
+    # D = 495: out of reach for the dense engine, four cases all passing.
     # Each defect there is a partial permutation times a diagonal, so every
     # component of its sparsity graph is one entry and no norm needs an SVD.
     svd_calls = []
@@ -237,6 +237,6 @@ def test_sln_at_n4_cutoff8(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     report = suites.run_suite(suites.make_config("slN", modes=4, cutoff=8))
-    assert len(report.cases) == 2
+    assert len(report.cases) == 4
     assert all(c.passed for c in report.cases), [(c.name, c.residual) for c in report.cases]
     assert not svd_calls

@@ -5,10 +5,23 @@ import pytest
 from scipy import sparse
 
 import sparse_route
-from qheis import braid, deform, fock, liealg, verify
+from qheis import braid, deform, fock, liealg, suites, verify
 from qheis.fock import Statistics
 from qheis.qspecial import CLIFFORD, WEYL, DeformParams
 from sparse_route import csr_list
+
+
+def derived(space, q):
+    """The map that candidate qR of the sl(N) relations at q derives on
+    the space, with the sign its statistics take."""
+    sign = CLIFFORD if space.statistics is Statistics.FERMI else WEYL
+    return deform.derive_map(space, braid.build_relations("sl", space.modes, q, sign), "qR")
+
+
+def worst_own_dcr(gens, rel, candidate="qR"):
+    """The largest DCR residual of a set against one cross candidate alone."""
+    only = dataclasses.replace(rel, cross_candidates={candidate: rel.cross_candidates[candidate]})
+    return max(r.residual for r in verify.dcr_residuals(gens, only))
 
 
 def test_case_result_invariants():
@@ -34,47 +47,43 @@ def test_classical_dcr_at_q1():
         assert row.residual < 1e-13, row.name
 
 
-def test_oracle_uniqueness_and_stability():
-    # the winning candidate is stable across q and cutoff
+def test_one_candidate_holds_at_every_q_and_cutoff():
+    # the map of one candidate holds its relations, the other's fails at
+    # order one, and the same candidate wins across q and cutoff
     winners = set()
     for cutoff in (5, 8):
         sp = fock.build_space(2, Statistics.BOSE, cutoff)
         for q in (0.7, 1.3):
-            gens = deform.sl2_bose_map(sp, DeformParams(q, WEYL))
             rel = braid.build_relations("sl", 2, q, WEYL)
-            oracle = verify.cross_oracle(verify.dcr_residuals(gens, rel))
-            assert oracle["unique"]
-            assert oracle["winner_residual"] < 1e-10
-            assert oracle["loser_residual"] > 1e-2
-            winners.add(oracle["winner"])
-    assert len(winners) == 1
+            _, rows = suites._derived_dcr(sp, rel, tol=1e-10)
+            rows = {r.name: r for r in rows}
+            assert all(rows[k].residual < 1e-10 for k in ("dcr_aa", "dcr_apap", "dcr_cross_winner"))
+            assert rows["cross_negative_control"].metadata["raw_residual"] > 1e-2
+            winners.add(rows["dcr_cross_winner"].metadata["candidate"])
+    assert winners == {"qR"}
 
 
 def test_residuals_shrink_with_cutoff():
     # safe-projected residuals stay at the numerical floor as the cutoff
     # grows: defects are truncation artifacts only
     worst = {}
+    rel = braid.build_relations("sl", 2, 1.3, WEYL)
     for cutoff in (5, 8):
         sp = fock.build_space(2, Statistics.BOSE, cutoff)
-        gens = deform.sl2_bose_map(sp, DeformParams(1.3, WEYL))
-        rel = braid.build_relations("sl", 2, 1.3, WEYL)
-        worst[cutoff] = verify.cross_oracle(
-            verify.dcr_residuals(gens, rel))["winner_residual"]
+        worst[cutoff] = worst_own_dcr(deform.derive_map(sp, rel, "qR"), rel)
     assert worst[8] <= max(2.0 * worst[5], 1e-13)
 
 
 def test_fermi_dcr_exact():
     sp = fock.build_space(2, Statistics.FERMI)
     for q in (0.7, 1.3):
-        gens = deform.sl2_fermi_map(sp, DeformParams(q, CLIFFORD))
         rel = braid.build_relations("sl", 2, q, CLIFFORD)
-        oracle = verify.cross_oracle(verify.dcr_residuals(gens, rel))
-        assert oracle["winner_residual"] < 1e-13
+        assert worst_own_dcr(deform.derive_map(sp, rel, "qR"), rel) < 1e-13
 
 
 def test_parameter_mismatch_rejected():
     sp = fock.build_space(2, Statistics.BOSE, 5)
-    gens = deform.sl2_bose_map(sp, DeformParams(1.3, WEYL))
+    gens = derived(sp, 1.3)
     rel = braid.build_relations("sl", 2, 0.7, WEYL)
     with pytest.raises(ValueError):
         verify.dcr_residuals(gens, rel)
@@ -86,7 +95,7 @@ def test_parameter_mismatch_rejected():
 def test_number_op_relations():
     sp = fock.build_space(2, Statistics.BOSE, 7)
     for q in (0.7, 1.3):
-        gens = deform.sl2_bose_map(sp, DeformParams(q, WEYL))
+        gens = derived(sp, q)
         for row in verify.number_op_check(gens, tol=1e-10):
             assert row.passed, (row.name, row.residual)
     # q = 1: the deformed number operator is the classical one
@@ -101,8 +110,8 @@ def test_qnumber_spectrum_scale_aware(q):
     # map passes at every cutoff, a map built at 1.01 q fails at every cutoff
     for cutoff in range(4, 17):
         sp = fock.build_space(2, Statistics.BOSE, cutoff)
-        gens = deform.sl2_bose_map(sp, DeformParams(q, WEYL))
-        off = dataclasses.replace(deform.sl2_bose_map(sp, DeformParams(1.01 * q, WEYL)),
+        gens = derived(sp, q)
+        off = dataclasses.replace(derived(sp, 1.01 * q),
                                   params=gens.params)
         good, bad = (next(r for r in verify.number_op_check(g)
                           if r.name == "qnumber_spectrum") for g in (gens, off))
@@ -144,7 +153,7 @@ def test_metric_invariants_negative_control():
 def test_invariant_commutant():
     sp = fock.build_space(2, Statistics.BOSE, 6)
     data = liealg.LieData("sl", 2)
-    gens = deform.sl2_bose_map(sp, DeformParams(1.3, WEYL))
+    gens = derived(sp, 1.3)
     for row in verify.invariant_commutant_check(gens, data, tol=1e-11):
         assert row.passed
     # classical control: [sigma(X), n] = 0 exactly
@@ -177,7 +186,7 @@ def test_commutant_check_refuses_a_non_finite_safe_entry():
     # not safe, it is dropped with the rest of its row and column
     sp = fock.build_space(2, Statistics.BOSE, 6)
     data = liealg.LieData("sl", 2)
-    gens = deform.sl2_bose_map(sp, DeformParams(1.3, WEYL))
+    gens = derived(sp, 1.3)
     safe = int(np.flatnonzero((sp.shell == 2) & (sp.occ[:, 0] > 0))[0])
     top = int(np.flatnonzero((sp.shell == sp.cutoff) & (sp.occ[:, 0] > 0))[0])
     [clean] = verify.invariant_commutant_check(gens, data, tol=1e-11)
@@ -202,7 +211,7 @@ def test_fermionic_commutant_check_can_fail():
     # non-invariant N_h = 2 n_1 + n_2, which sigma(E_12) = a+_1 a^2 moves
     sp = fock.build_space(2, Statistics.FERMI)
     data = liealg.LieData("sl", 2)
-    gens = deform.sl2_fermi_map(sp, DeformParams(1.3, CLIFFORD))
+    gens = derived(sp, 1.3)
     [good] = verify.invariant_commutant_check(gens, data, tol=1e-12)
     assert good.passed
     doubled = dataclasses.replace(gens, ap=fock.LadderTable(
@@ -216,7 +225,7 @@ def test_qnumber_sign_tied_to_statistics():
     # the exponential in the number-operator relations carries q^(2 sign);
     # using the Weyl exponent on the fermionic map must fail visibly
     sp = fock.build_space(2, Statistics.FERMI)
-    gens = deform.sl2_fermi_map(sp, DeformParams(1.3, CLIFFORD))
+    gens = derived(sp, 1.3)
     good = max(r.residual for r in verify.number_op_check(gens)
                if "relation" in r.name)
     assert good < 1e-13
