@@ -112,11 +112,12 @@ def derive_map(space: FockSpace, rel: RelationMatrices,
     A+_i = sqrt(x_i/n_i) a+_i and A^i its mirror, with x_i(n) the
     eigenvalue of A+_i A^i from the diagonal of the (i, i) cross relation.
 
-    Sweep t of the recursion fixes x on shell t, so space.cutoff sweeps
-    over the whole array fix every shell.  The root is taken in the
-    complex plane: a candidate that the relations reject can give x < 0,
-    and its map stays measurable, failing its relations by a finite
-    amount.  Raises ValueError unless rel is an sl(N) relation of the
+    x on shell t reads x on shell t - 1 alone, so one sweep per shell, in
+    increasing order, fixes x on every shell; a sweep gathers x only for
+    the pairs (i, h) whose X^{ih}_{ih} is not zero.  The root is taken in
+    the complex plane: a candidate that the relations reject can give
+    x < 0, and its map stays measurable, failing its relations by a
+    finite amount.  Raises ValueError unless rel is an sl(N) relation of the
     space's N whose sign fits the space's statistics."""
     fermi = space.statistics is Statistics.FERMI
     if rel.family != "sl" or rel.n != space.modes or fermi != (rel.sign == CLIFFORD):
@@ -124,16 +125,23 @@ def derive_map(space: FockSpace, rel: RelationMatrices,
                          f"space from {rel.family}({rel.n}) relations of sign {rel.sign:+d}")
     n, d = space.modes, space.dim
     diag = rel.sign * np.diag(rel.cross_candidates[candidate]).reshape(n, n)  # s X^{ih}_{ih}
-    # x on the states and the sink, where it stays 0; [h, i, s] of down is
-    # the flat index of x_h(s - e_i), the sink's where s - e_i is none
-    x = np.zeros((n, d + 1), dtype=complex)
-    occupied = np.zeros(x.shape, dtype=bool)
-    occupied[:, :d] = space.occ.T > 0
-    down = np.arange(n)[:, None, None] * (d + 1) + space.ap.cols
-    for _ in range(space.cutoff):
-        np.einsum("ih,hid->id", diag, x.take(down), out=x)
-        x += 1
-        x *= occupied
+    # the pairs (i, h) with X^{ih}_{ih} != 0, about half of them; coef[i, p]
+    # is pair p's X where i is its row, else 0, and adds exact zeros
+    i, h = np.nonzero(diag)
+    coef = np.zeros((n, i.size), dtype=diag.dtype)
+    coef[i, np.arange(i.size)] = diag[i, h]
+    # the states by shell; down[p, s] is the flat index of x_h(s - e_i), the
+    # sink's where s - e_i is none
+    order = np.argsort(space.shell, kind="stable")
+    ends = np.cumsum(np.bincount(space.shell)).tolist()
+    down = (h * (d + 1))[:, None] + space.ap.cols[i][:, order]
+    occupied = (space.occ.T > 0)[:, order]
+    x = np.zeros((n, d + 1), dtype=complex)  # on the states and the sink, where it stays 0
+    for first, last in zip(ends[:-1], ends[1:]):  # shells 1, 2, ...
+        swept = np.einsum("ip,ps->is", coef, x.take(down[:, first:last]))
+        swept += 1
+        swept *= occupied[:, first:last]
+        x[:, order[first:last]] = swept
     dress = np.sqrt(x[:, :d] / np.maximum(space.occ.T, 1))
     return DeformedGenerators(space, DeformParams(rel.q, rel.sign),
                               _dressed(space.an, right=dress), _dressed(space.ap, left=dress))

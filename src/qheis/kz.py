@@ -68,6 +68,13 @@ coefficients fixed per block (BlockLadders): on a weight block the
 dressing is one number, so each defect is a partial permutation whose
 entries those products give.
 
+None of P, A, their eigendecompositions, the BlockLadders, the identity
+or the Delta(X) stack depends on q: the system (build_operator_system)
+is fixed by its space, and ``kz-operator`` keeps it on the space
+(``FockSpace.derived``), built once per process for each space held,
+with its weight partition, layouts and product plans.  Its arrays are
+read-only, and only M and what is made from it are computed per call.
+
 M = 1 + zeta(2) eta^2 [P, A] + O(h^3), acts trivially on the
 doubly-contravariant tensor a^i a^j, commutes with the image of the
 two-fold coproduct, and conjugates the numeric matrices U = P and
@@ -93,7 +100,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import BlockOperator, FockSpace, Partition, Statistics, diagonal
+from .fock import BlockOperator, FockSpace, Partition, Statistics, _read_only, diagonal
 from .liealg import LieData, coproduct_rep, sigma_entries
 from .qspecial import (DeformParams, gamma, gauss_2f1, gauss_2f1_deriv, qbracket, qnum,
                        rgamma)
@@ -340,7 +347,34 @@ class KZOperatorSystem:
     @functools.cached_property
     def eye(self) -> BlockOperator:
         """The identity, on the layout of P, A and M."""
-        return diagonal(self.p.partition, np.ones(self.p.partition.of.size))
+        return diagonal(self.p.partition, np.ones(self.p.partition.of.size)).read_only()
+
+    @functools.cached_property
+    def delta(self) -> BlockOperator:
+        """The image Delta(X) = rho(X) x 1 x 1 + 1 x rho(X) x 1 + 1 x 1 x sigma(X)
+        of the two-fold coproduct of every sl(N) basis element X, one
+        stack of block operators on the weight partition built from
+        their entries: Delta(X) moves every weight by one vector (for
+        E_ij, by e_i - e_j)."""
+        space, n, d = self.space, self.n, self.space.dim
+        data = LieData("sl", n)
+        # the entries of every Delta(X), X numbered by xs
+        xs, rows, cols, vals = [], [], [], []
+        occ, pairs = np.arange(d), np.arange(n * n) * d
+        label_of, sigma_row, sigma_col, sigma_data = sigma_entries(space, data)
+        for x, lbl in enumerate(data.basis_labels):
+            rep = coproduct_rep(data, lbl)
+            p1, p2 = np.nonzero(rep)
+            mine = label_of == x
+            sig_row, sig_col, sig_data = sigma_row[mine], sigma_col[mine], sigma_data[mine]
+            rows += [(p1 * d)[:, None] + occ, pairs[:, None] + sig_row]
+            cols += [(p2 * d)[:, None] + occ, pairs[:, None] + sig_col]
+            vals += [np.repeat(rep[p1, p2], d), np.tile(sig_data, n * n)]
+            xs.append(np.full(p1.size * d + n * n * sig_data.size, x))
+        xs, rows, cols, vals = (np.concatenate([a.reshape(-1) for a in arrs])
+                                for arrs in (xs, rows, cols, vals))
+        return BlockOperator.from_entries(self.p.partition, rows, cols, vals.astype(complex),
+                                          xs).read_only()
 
 
 def build_operator_system(space: FockSpace) -> KZOperatorSystem:
@@ -372,8 +406,8 @@ def build_operator_system(space: FockSpace) -> KZOperatorSystem:
     a = BlockOperator.from_entries(parts, ((a_c * n + i) * d + o_r)[hit],
                                    np.broadcast_to(cols, hit.shape)[hit],
                                    (amp[i, o_c] * amp[b_c, o_r])[hit])
-    p_eig = tuple(np.linalg.eigh(stack) for _, _, stack in p.stacks())
-    a_eig = tuple(np.linalg.eigh(stack) for _, _, stack in a.stacks())
+    p_eig = tuple(_read_only(*np.linalg.eigh(stack)) for _, _, stack in p.stacks())
+    a_eig = tuple(_read_only(*np.linalg.eigh(stack)) for _, _, stack in a.stacks())
     ladders = []
     for src, _, stack in p.stacks():
         n_blocks, s = stack.shape[:2]
@@ -386,12 +420,13 @@ def build_operator_system(space: FockSpace) -> KZOperatorSystem:
         w_i = np.full((n_blocks, n), d)  # W - e_i, from the members with k = i
         w_i[np.arange(n_blocks)[:, None], k] = w_k
         amp_w = amp[:, w].T
-        ladders.append(BlockLadders(
+        ladders.append(BlockLadders(*_read_only(
             lam * amp[k, w[:, None]], alpha, amp_w[:, :, None] * amp_w[:, None, :],
-            safe[w][:, None] & safe[o], safe[w_i][:, :, None] & safe[w_i][:, None, :]))
+            safe[w][:, None] & safe[o], safe[w_i][:, :, None] & safe[w_i][:, None, :])))
     vac = space.state_index((0,) * n)
-    vacuum = amp[np.arange(n), up[:, vac]]**2 if safe[vac] else np.zeros(0)
-    return KZOperatorSystem(space, n, p, a, p_eig, a_eig, tuple(ladders), vacuum)
+    vacuum, = _read_only(amp[np.arange(n), up[:, vac]]**2 if safe[vac] else np.zeros(0))
+    return KZOperatorSystem(space, n, p.read_only(), a.read_only(), p_eig, a_eig,
+                            tuple(ladders), vacuum)
 
 
 _SERIES_TERMS = 200  # the most terms a Frobenius series may take
@@ -528,33 +563,13 @@ def acts_trivially_residual(system: KZOperatorSystem, m: BlockOperator) -> float
 
 def invariance_residual(system: KZOperatorSystem, m: BlockOperator) -> float:
     """|| [M, image of the two-fold coproduct of X] || over the sl(N) basis
-    X, with the Fock factor safe-projected at creator degree 2.
-
-    Delta(X) = rho(X) x 1 x 1 + 1 x rho(X) x 1 + 1 x 1 x sigma(X) moves
-    every weight by one vector (for E_ij, by e_i - e_j), so the Delta(X)
-    are one stack of block operators on the weight partition, built from
-    their entries, and the residual is the norm of the stack
-    M Delta - Delta M (``verify.projected_norms``): a weight block lies in
-    one shell (its weight sums to 2 + shell), which Delta(X) keeps."""
-    space, n, d = system.space, system.n, system.space.dim
-    data = LieData("sl", n)
-    # the entries of every Delta(X), X numbered by xs
-    xs, rows, cols, vals = [], [], [], []
-    occ, pairs = np.arange(d), np.arange(n * n) * d
-    label_of, sigma_row, sigma_col, sigma_data = sigma_entries(space, data)
-    for x, lbl in enumerate(data.basis_labels):
-        rep = coproduct_rep(data, lbl)
-        p1, p2 = np.nonzero(rep)
-        mine = label_of == x
-        sig_row, sig_col, sig_data = sigma_row[mine], sigma_col[mine], sigma_data[mine]
-        rows += [(p1 * d)[:, None] + occ, pairs[:, None] + sig_row]
-        cols += [(p2 * d)[:, None] + occ, pairs[:, None] + sig_col]
-        vals += [np.repeat(rep[p1, p2], d), np.tile(sig_data, n * n)]
-        xs.append(np.full(p1.size * d + n * n * sig_data.size, x))
-    xs, rows, cols, vals = (np.concatenate([a.reshape(-1) for a in arrs])
-                            for arrs in (xs, rows, cols, vals))
-    delta = BlockOperator.from_entries(m.partition, rows, cols, vals.astype(complex), xs)
-    return projected_norms(space, m @ delta - delta @ m, 2)
+    X, with the Fock factor safe-projected at creator degree 2: the norm
+    of the stack M Delta - Delta M (``verify.projected_norms``) on the
+    system's stack of the Delta(X) (:attr:`KZOperatorSystem.delta`).  A
+    weight block lies in one shell (its weight sums to 2 + shell), which
+    Delta(X) keeps."""
+    delta = system.delta
+    return projected_norms(system.space, m @ delta - delta @ m, 2)
 
 
 def coassociator_relation_check(system: KZOperatorSystem, params: tuple[DeformParams, ...],

@@ -39,7 +39,12 @@ once per space), so every product is one batched block product, and the
 N modes run down the stack of a block operator, so a check makes the
 same number of products at every N.  The commutator and shift-operator
 checks take their shared operands (the ladders and their products with
-a.a and a+.a+) from one StructureOperands, which builds each once.
+a.a and a+.a+) from one StructureOperands, which builds each once.  The
+orbital data (l^2, l, a.a, a+.a+ and the spectral grid) depend on the
+space alone, so ``soN-orbital`` keeps them on the space
+(``FockSpace.derived``) and builds them once per process for each space
+it holds; a StructureOperands is freed with its unit, since at (3, 20)
+its products are large.
 verify_y_son looks up the shifted arguments of every grid point at once,
 by searchsorted on the grid sorted by (shell, l).
 """
@@ -80,15 +85,18 @@ def build_orbital(space: FockSpace) -> OrbitalData:
 
     Eigenvalues in [-1e-10, 0) are clamped to zero; anything below -1e-10
     signals a bug (l^2 is expected positive semidefinite here) and raises.
+    The operators are read-only: the suite keeps one orbital set per space
+    (``FockSpace.derived``) and shares it between its calls.
     """
     if space.statistics is not Statistics.BOSE or space.modes < 3:
         raise ValueError("orbital data needs a bosonic space with N >= 3 modes")
     if space.cutoff < 4:
         raise ValueError("cutoff >= 4 required for the shift-equation grid")
     an, ap = space.ladder_blocks
-    aa = (an @ an).sum_labels()
-    apap = (ap @ ap).sum_labels()
-    l2 = diagonal(space.sectors, (space.shell + space.modes / 2.0 - 1.0) ** 2) - apap @ aa
+    aa = (an @ an).sum_labels().read_only()
+    apap = (ap @ ap).sum_labels().read_only()
+    l2 = (diagonal(space.sectors, (space.shell + space.modes / 2.0 - 1.0) ** 2)
+          - apap @ aa).read_only()
 
     shell = space.sectors.shell
     roots = []
@@ -110,7 +118,7 @@ def build_orbital(space: FockSpace) -> OrbitalData:
             gl = next((gl for gl in distinct if abs(gl - lv) < 1e-8), float(lv))
             distinct[gl] = distinct.get(gl, 0) + 1
         grid += [(float(n_val), gl, m) for gl, m in distinct.items()]
-    lmat = BlockOperator(l2.partition, l2.layout, np.concatenate(roots))
+    lmat = BlockOperator(l2.partition, l2.layout, np.concatenate(roots)).read_only()
     return OrbitalData(space, l2, lmat, sorted(grid), aa, apap)
 
 

@@ -55,6 +55,16 @@ MINIMA = {
     "kz-operator": {"cutoff": 3, "modes": 2},
 }
 
+# Suites that refuse q = 1, with the reason.
+_ONE_MAP = ("both cross candidates derive the classical map, so "
+            "cross_negative_control cannot fail")
+Q_ONE_REFUSED = {
+    "sl2-bose": _ONE_MAP + ", nor onesided_hermiticity_nonzero_control on a hermitian map",
+    "sl2-fermi": _ONE_MAP,
+    "slN": _ONE_MAP,
+    "kz-operator": "at h = ln q = 0, M = 1 and the h^2 scaling ratio of M - 1 is 0/0",
+}
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -91,7 +101,8 @@ def _coerce(name: str, value):
 def make_config(suite: str, **overrides) -> SuiteConfig:
     """The suite's DEFAULTS with overrides applied.  Raises ValueError for
     an unknown suite, a parameter the suite does not read, a value that is
-    not finite (either part of a complex value), or a value out of range."""
+    not finite (either part of a complex value), a value out of range, or
+    q = 1 for a suite of Q_ONE_REFUSED."""
     if suite not in SUITE_IDS:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_IDS}")
     declared = DEFAULTS[suite]
@@ -105,6 +116,8 @@ def make_config(suite: str, **overrides) -> SuiteConfig:
             raise ValueError(f"{name} values must be finite")
     if any(q <= 0 for q in values.get("q", ())):
         raise ValueError("q values must be positive")
+    if suite in Q_ONE_REFUSED and 1.0 in values["q"]:
+        raise ValueError(f"{suite} needs q != 1: {Q_ONE_REFUSED[suite]}")
     for name, least in MINIMA.get(suite, {}).items():
         if values[name] < least:
             raise ValueError(f"{suite} needs {name} >= {least}; below it a "
@@ -232,7 +245,7 @@ def _suite_sln(cfg: SuiteConfig):
 
 def _suite_son_orbital(cfg: SuiteConfig):
     space = build_space(cfg.modes, Statistics.BOSE, cfg.cutoff)
-    orb = soshift.build_orbital(space)
+    orb = space.derived("orbital", lambda: soshift.build_orbital(space))
 
     def structural():
         # one set of shared operands for the unit's checks, freed with it
@@ -381,12 +394,9 @@ def _suite_kz_scalar(cfg: SuiteConfig):
 def _suite_kz_operator(cfg: SuiteConfig):
     if len(cfg.q) != 1:
         raise ValueError(f"kz-operator takes one q value, not {len(cfg.q)}")
-    if cfg.q[0] == 1.0:
-        raise ValueError("kz-operator needs q != 1: at h = ln q = 0, M = 1 and the "
-                         "h^2 scaling ratio of M - 1 is 0/0")
     from . import kz
     space = build_space(cfg.modes, Statistics.BOSE, cfg.cutoff)
-    system = kz.build_operator_system(space)
+    system = space.derived("kz", lambda: kz.build_operator_system(space))
     q = cfg.q[0]
     h = math.log(q)
 

@@ -86,7 +86,8 @@ import numpy as np
 from . import __version__
 from .braid import RelationMatrices
 from .deform import DeformedGenerators
-from .fock import BlockOperator, LadderTable, Statistics, _sum_rows, ladder_stack
+from .fock import (BlockOperator, LadderTable, Statistics, _read_only, _sum_rows,
+                   ladder_stack)
 from .liealg import LieData, sigma_entries
 from .qspecial import qnum
 
@@ -384,10 +385,10 @@ def invariant_commutant_check(gens: DeformedGenerators, data: LieData,
 
     N_h is diagonal, so entry (s, c) of the defect is sigma(X)_sc
     (N_h[c] - N_h[s]), on the stored entries of sigma(X)
-    (``liealg.sigma_entries``).  Each basis element moves every state by
-    one shift, so its defect is a weighted shift, normed by its largest
-    modulus over the entries whose row and column states are both safe
-    (module docstring).  Raises ValueError for so(N) data, whose basis
+    (``liealg.sigma_entries``, kept on the space).  Each basis element
+    moves every state by one shift, so its defect is a weighted shift,
+    normed by its largest modulus over the entries whose row and column
+    states are both safe (module docstring).  Raises ValueError for so(N) data, whose basis
     elements move each state by two shifts.
     """
     if data.family != "sl":
@@ -395,7 +396,8 @@ def invariant_commutant_check(gens: DeformedGenerators, data: LieData,
                          f"an so(N) basis element moves each state by two shifts")
     space = gens.space
     nh = gens.number_diagonal()
-    _, rows, cols, sigma = sigma_entries(space, data)
+    _, rows, cols, sigma = space.derived(("sigma", data.family, data.n),
+                                         lambda: _read_only(*sigma_entries(space, data)))
     defect = sigma * nh[cols] - nh[rows] * sigma
     safe = space.safe_mask(2)
     norm = float(np.abs(defect[safe[rows] & safe[cols]]).max(initial=0.0))

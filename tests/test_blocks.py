@@ -311,8 +311,10 @@ def test_stacks_of_different_shifts_refuse_to_add_or_sum():
         random_block(space, rng, [1, 1], [1, 2]).sum_labels()
     with pytest.raises(ValueError):
         random_block(space, rng, [0, 0], [0, 0]) @ random_block(space, rng, [0] * 3, [0] * 3)
-    # a product takes the ladders of its own space only, in block form
-    other = fock.build_space(3, Statistics.BOSE, 4)
+    # a product takes the ladders of its own space only, in block form; the
+    # other space of the same shape is built apart from the shared one
+    other = fock._new_space(3, Statistics.BOSE, 4)
+    assert other == space and other is not space
     with pytest.raises(ValueError, match="different partitions"):
         other.ladder_blocks[0] @ one
     with pytest.raises(ValueError, match="different partitions"):

@@ -45,10 +45,79 @@ def test_index_and_basis_are_mutually_inverse(modes, cutoff, fermi):
 
 def test_spaces_compare_by_what_fixes_them():
     sp = fock.build_space(2, Statistics.BOSE, 3)
-    assert sp == fock.build_space(2, Statistics.BOSE, 3)
-    assert hash(sp) == hash(fock.build_space(2, Statistics.BOSE, 3))
+    assert sp == fock._new_space(2, Statistics.BOSE, 3)  # a space of its own
+    assert hash(sp) == hash(fock._new_space(2, Statistics.BOSE, 3))
     assert sp != fock.build_space(2, Statistics.BOSE, 4)
     assert fock.build_space(2, Statistics.FERMI) != fock.build_space(2, Statistics.BOSE, 2)
+
+
+def test_one_space_per_process():
+    assert fock.build_space(3, Statistics.BOSE, 4) is fock.build_space(3, Statistics.BOSE, 4)
+    # the fermionic cutoff is N whatever is asked for
+    fermi = fock.build_space(2, Statistics.FERMI)
+    assert fermi is fock.build_space(2, Statistics.FERMI, 5) and fermi.cutoff == 2
+    # what is built on a space is built once and kept with it
+    assert fermi.sectors is fock.build_space(2, Statistics.FERMI).sectors
+    built = []
+    assert fermi.derived("key", lambda: built.append(1) or "value") == "value"
+    assert fermi.derived("key", lambda: built.append(1) or "other") == "value"
+    assert built == [1]
+
+
+def test_the_least_recently_used_space_is_dropped():
+    fock._interned_space.cache_clear()
+    first, second = (fock.build_space(1, Statistics.BOSE, c) for c in (1, 2))
+    rest = [fock.build_space(1, Statistics.BOSE, c) for c in range(3, fock.SPACES_HELD + 1)]
+    assert fock.build_space(1, Statistics.BOSE, 1) is first  # now the most recent
+    fock.build_space(1, Statistics.BOSE, fock.SPACES_HELD + 1)  # a ninth space
+    assert fock._interned_space.cache_info().currsize == fock.SPACES_HELD == 8
+    assert fock.build_space(1, Statistics.BOSE, 1) is first
+    assert fock.build_space(1, Statistics.BOSE, 3) is rest[0]
+    assert fock.build_space(1, Statistics.BOSE, 2) is not second  # dropped, built anew
+    assert fock.build_space(1, Statistics.BOSE, 2) == second
+
+
+def test_invalid_spaces_raise_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            fock.build_space(2, Statistics.BOSE)
+        with pytest.raises(ValueError):
+            fock.build_space(0, Statistics.FERMI)
+
+
+def test_shared_operands_are_read_only():
+    # no call can change an operand that a later call shares
+    from qheis import suites
+
+    def arrays(x):
+        if isinstance(x, np.ndarray):
+            return [x]
+        if isinstance(x, fock.BlockOperator):
+            return [x.data]
+        if isinstance(x, (tuple, list)):
+            return [a for item in x for a in arrays(item)]
+        return [a for value in vars(x).values() for a in arrays(value)]
+
+    def kept(space, key):
+        return space.derived(key, lambda: pytest.fail(f"{key} is not kept on {space}"))
+
+    fock._interned_space.cache_clear()
+    for suite in ("sl2-bose", "sl2-fermi", "soN-orbital", "kz-operator"):
+        suites.run_suite(suites.make_config(suite))
+    orb_space = fock.build_space(3, Statistics.BOSE, 6)
+    kz_space = fock.build_space(2, Statistics.BOSE, 5)
+    orb, system = kept(orb_space, "orbital"), kept(kz_space, "kz")
+    shared = [orb_space.ladder_blocks, orb_space.pair_targets,
+              [orb.l2, orb.l, orb.aa, orb.apap],
+              [system.p, system.a, system.p_eig, system.a_eig, system.ladders,
+               system.vacuum, system.eye, system.delta],
+              [kept(fock.build_space(2, stat, 8), ("sigma", "sl", 2)) for stat in Statistics]]
+    found = arrays(shared)
+    assert len(found) > 30
+    for arr in found:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.reshape(-1)[:1] = 0
 
 
 def test_bose_number_eigenvalues():

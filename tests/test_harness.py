@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qheis import braid, cli, deform, fock, suites, verify
+from qheis import braid, cli, deform, fock, kz, soshift, suites, verify
 from qheis.verify import CaseResult, Report
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,7 +77,9 @@ def test_dcr_products_built_once_per_generator_set(monkeypatch):
 @pytest.mark.parametrize("suite", ["sl2-bose", "sl2-fermi", "slN", "soN-orbital",
                                    "kz-operator"])
 def test_ladders_built_once_per_space(suite, monkeypatch):
-    # every operator reuses the ladder tables its space built, in one call
+    # every operator reuses the ladder tables its space built, over two calls
+    # in one process: the second call gets the same space and builds none;
+    # the held spaces are dropped first, so that test order does not matter
     spaces, ladders = [], []
     build_space, ladder = fock.build_space, fock._ladders
 
@@ -91,9 +93,31 @@ def test_ladders_built_once_per_space(suite, monkeypatch):
 
     monkeypatch.setattr(suites, "build_space", counting_build)
     monkeypatch.setattr(fock, "_ladders", counting_ladders)
-    assert all(c.passed for c in suites.run_suite(suites.make_config(suite)).cases)
-    assert spaces
-    assert len(ladders) == len(spaces)
+    fock._interned_space.cache_clear()
+    for _ in range(2):
+        assert all(c.passed for c in suites.run_suite(suites.make_config(suite)).cases)
+    assert len(spaces) == 2 * len({id(s) for s in spaces}) > 0
+    assert len(ladders) == len({id(s) for s in spaces})
+
+
+@pytest.mark.parametrize("suite, module, builder", [
+    ("soN-orbital", soshift, "build_orbital"), ("kz-operator", kz, "build_operator_system"),
+    ("sl2-bose", verify, "sigma_entries"), ("sl2-fermi", verify, "sigma_entries"),
+])
+def test_space_operands_built_once_per_space_per_process(suite, module, builder, monkeypatch):
+    # a suite builds the q-independent operands of its space on the first
+    # call of the process only, and each call still gives the same report
+    built = []
+    original = getattr(module, builder)
+    monkeypatch.setattr(module, builder, lambda *args: built.append(args) or original(*args))
+    fock._interned_space.cache_clear()
+    cfg = suites.make_config(suite)
+    first, second = (suites.report_to_json(suites.run_suite(cfg)) for _ in range(2))
+    assert first == second
+    assert len(built) == 1
+    fock._interned_space.cache_clear()  # a dropped space takes its operands with it
+    assert suites.report_to_json(suites.run_suite(cfg)) == first
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize("sizes", ["defaults", "minima"])
@@ -455,6 +479,54 @@ def test_readme_parameter_table_matches_the_schema():
         assert defaults == suites.DEFAULTS[suite], suite
         minima = {name: int(v) for name, v in re.findall(r"`--(\w+) (\d+)`", cells[2])}
         assert minima == suites.MINIMA.get(suite, {}), suite
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("suite", ["sl2-bose", "sl2-fermi", "slN", "kz-operator"])
+def test_cli_q_1_is_a_usage_error_before_any_unit_runs(
+        tmp_path, monkeypatch, capsys, suite, form):
+    # at q = 1 the sl(N) suites' two cross candidates derive one classical
+    # map, so cross_negative_control cannot fail; kz-operator's checks are 0/0
+    ran = []
+    monkeypatch.setattr(cli, "run_suite", ran.append)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(_cli_argv(tmp_path, suite, "q", [1.3, 1.0] if suite != "kz-operator"
+                           else [1.0], form))
+    assert exc.value.code == 2 and not ran
+    assert f"{suite} needs q != 1" in capsys.readouterr().err
+
+
+def test_cli_builds_its_parser_once_per_process(tmp_path, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    with pytest.raises(SystemExit):
+        cli.main(["suite", "slN", "--cutoff", "2"])
+    for _ in range(2):
+        assert cli.main(["suite", "braid", "--out", str(tmp_path / "rep.json")]) == 0
+    assert built == [1]
+    cli._parser.cache_clear()
+
+
+# each suite at its defaults, and the calls of the benchmark's passes
+CALLS = [[suite] for suite in suites.SUITE_IDS] + [
+    ["slN", "--modes", "4", "--cutoff", "7"], ["soN-orbital", "--modes", "3", "--cutoff", "10"],
+    ["sl2-bose", "--cutoff", "12"], ["sl2-fermi"], ["kz-operator"]]
+
+
+@pytest.mark.parametrize("argv", CALLS, ids=" ".join)
+def test_shared_spaces_leave_every_report_unchanged(tmp_path, argv):
+    # a first and a second call in one process give the bytes of a call in a
+    # fresh process, which shares nothing with an earlier call
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    fresh = subprocess.run([sys.executable, "-m", "qheis.cli", "suite", *argv],
+                           env=env, capture_output=True, text=True).stdout
+    fock._interned_space.cache_clear()
+    out = tmp_path / "rep.json"
+    for _ in range(2):
+        cli.main(["suite", *argv, "--out", str(out)])
+        assert out.read_text() == fresh
 
 
 def test_cli_config_file_and_flag_override(tmp_path):

@@ -136,8 +136,10 @@ def test_generators_must_be_on_the_space_ladders():
     copied = fock.LadderTable(space.ap.cols.copy(), gens.ap.vals)
     with pytest.raises(ValueError, match="creator table is not on the columns"):
         deform.DeformedGenerators(space, params, gens.a, copied)
-    # the tables of another space of the same shape
-    other = fock.build_space(2, Statistics.BOSE, 5)
+    # the tables of another space of the same shape, built apart from the
+    # shared one
+    other = fock._new_space(2, Statistics.BOSE, 5)
+    assert other == space and other is not space
     with pytest.raises(ValueError, match="not on the columns"):
         deform.DeformedGenerators(space, params, other.an, other.ap)
     # values that do not fit the columns
