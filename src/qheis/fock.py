@@ -47,8 +47,8 @@ space alone, with no q in it (``soshift``'s orbital data, ``kz``'s
 operator system, ``liealg``'s sigma entries), it keeps on the space
 through :meth:`FockSpace.derived`, so it is built on first use and
 freed with the space.  Shared operands are read-only.  A space held
-after a call keeps its memory (tracemalloc): about 10 MB after
-``slN`` (6, 10), 90 MB after ``slN`` (6, 16), 24 MB after
+after a call keeps its memory (tracemalloc): about 6 MB after
+``slN`` (6, 10), 58 MB after ``slN`` (6, 16), 24 MB after
 ``soN-orbital`` (3, 20) and 4 MB after ``kz-operator`` (3, 8); the bound
 counts spaces, not bytes.  A process that makes one suite call gains
 nothing from this; a process that makes many (tests, sweeps, the
@@ -160,12 +160,13 @@ class FockSpace:
         basis state s (:meth:`shift_targets`), three N^2 x D arrays with
         the pair (i, j) in row i N + j, read-only and built on first use:
         the targets of the quadratic exchange relations, which every
-        generator set on the space shares."""
+        generator set on the space shares.  The indices are at most D, so
+        they are held as int32, half the size of the default integers."""
         eye = np.eye(self.modes, dtype=int)
         weight = (eye[:, None] + eye[None, :]).reshape(-1, self.modes)
         moved = (eye[:, None] - eye[None, :]).reshape(-1, self.modes)
-        targets = np.split(self.shift_targets(np.concatenate([weight, -weight, moved])), 3)
-        return _read_only(*targets)
+        targets = self.shift_targets(np.concatenate([weight, -weight, moved])).astype(np.int32)
+        return _read_only(*np.split(targets, 3))
 
     def derived(self, key, build):
         """The object stored under key, from build() on first use, kept

@@ -44,32 +44,41 @@ A = 1 x e_ij x a+_j a^i, the coassociator matrix is
 the connection matrix M = Y0^-1 Y1 of the solutions Y0 = H0(x) x^(eta P)
 and Y1 = H1(1-x) (1-x)^(eta A) of Y' = eta (P/x + A/(x-1)) Y normalized
 at x = 0 and x = 1 (Drinfeld 1990; Le-Murakami 1996).  H0 and H1 are
-power series with constant term 1 whose coefficients follow from a
-linear recursion; both converge at x = 1/2 in about 50 terms, so the
-limit is exact in closed form, with no regularization distance and no
-integrator (coassociator_matrices, which sums the series for several
-hbar2 at once).  The scalar system is solved by the same series
-(_frobenius_series): f = Y1 e2 on x >= 1/2 and Y0 M_s e2 on x < 1/2.
+power series with constant term 1 in the Koebe variable
+z = (1 - sqrt(1-u))/(1 + sqrt(1-u)) of their argument u, whose
+coefficients follow from a linear recursion; u = 1/2 is
+z = 3 - 2 sqrt 2 ~ 0.172, where both converge in 20-25 terms (about 50
+in u itself), so the limit is exact in closed form, with no
+regularization distance and no integrator (coassociator_matrices,
+which sums the series for several hbar2 at once).  The scalar system is
+solved by the same series (_frobenius_series): f = Y1 e2 on x >= 1/2
+and Y0 M_s e2 on x < 1/2.
 
 P and A both conserve the sl(N) weight e_a + e_b + occ
 of a basis vector (a, b, occ), so P, A, both series and M are block
 diagonal over the weights, and no block is larger than N^2.  They are
 block operators (``fock.BlockOperator``) on the weight partition, whose
 parts are keyed by the weight, built from their entries; the blocks of
-one size form one stack, and each series is summed in the eigenbasis of
-its P or A blocks (one batched eigh per stack at construction).  M is
-returned as a block operator of the same layout, and every check works
-on its blocks: norms are ``verify.projected_norms`` (the largest block
-norm, a direct sum), products and conjugations are block products, the
-coproduct images Delta(X) are one stack of block operators that moves
-each weight by the weight of X, and the relation and acts-trivially
-checks are small batched products of the blocks with ladder
-coefficients fixed per block (BlockLadders): on a weight block the
-dressing is one number, so each defect is a partial permutation whose
-entries those products give.
+one size form one stack.  Relabelling the modes by a permutation maps
+the weight block W to the block pi W and commutes with P and A, so M on
+pi W is M on W with its members relabelled.  The series are therefore
+summed only on the sorted-key blocks (W_1 >= ... >= W_N), one per
+orbit of the mode permutations (18 of 33 blocks at N = 2, cutoff 5; 92
+of 996 at N = 4, cutoff 8), each in the eigenbasis of its P or A block
+(one batched eigh per stack at construction), and one gather fills every
+block of M from them.  M is returned as a block operator of the same
+layout, and every check works on its blocks: norms are
+``verify.projected_norms`` (the largest block norm, a direct sum),
+products and conjugations are block products, the coproduct images
+Delta(X) are one stack of block operators that moves each weight by the
+weight of X, and the relation and acts-trivially checks are small
+batched products of the blocks with ladder coefficients fixed per block
+(BlockLadders): on a weight block the dressing is one number, so each
+defect is a partial permutation whose entries those products give.
 
-None of P, A, their eigendecompositions, the BlockLadders, the identity
-or the Delta(X) stack depends on q: the system (build_operator_system)
+None of P, A, the series operands of the sorted-key blocks
+(SeriesStack), the gather, the BlockLadders, the identity or the
+Delta(X) stack depends on q: the system (build_operator_system)
 is fixed by its space, and ``kz-operator`` keeps it on the space
 (``FockSpace.derived``), built once per process for each space held,
 with its weight partition, layouts and product plans.  Its arrays are
@@ -175,8 +184,11 @@ def _scalar_series(params: KZScalarParams, us):
     (p_vals, p_vecs), (a_vals, a_vecs) = (np.linalg.eig(x) for x in scalar_matrices(params))
     p_inv, a_inv = np.linalg.inv(p_vecs), np.linalg.inv(a_vecs)
     w, w_inv = p_inv @ a_vecs, a_inv @ p_vecs
-    h = _frobenius_series(np.stack([p_vals, a_vals]), np.stack([a_vals, p_vals]),
-                          np.stack([w, w_inv]), np.stack([w_inv, w]),
+    # A_s in P_s's eigenbasis for H0, P_s in A_s's for H1; neither need be
+    # normal, so the bound takes their spectral norms
+    c = np.stack([(w * a_vals) @ w_inv, (w_inv * p_vals) @ w])
+    h = _frobenius_series(np.stack([p_vals, a_vals]), c,
+                          np.linalg.norm(c, 2, axis=(-2, -1)).max(),
                           np.array([params.hbar2]), us)[:, 0]
     return (p_vals, p_vecs, p_inv), (a_vals, a_vecs, a_inv), w, h[:, 0], h[:, 1]
 
@@ -327,20 +339,41 @@ class BlockLadders:
 
 
 @dataclass(frozen=True)
+class SeriesStack:
+    """The q-independent operands of the two Frobenius series on one stack
+    of sorted-key weight blocks (W_1 >= ... >= W_N), one block per
+    mode-permutation orbit: the eigendecompositions
+    P = p_vecs diag(p_vals) p_vecs^T and A = a_vecs diag(a_vals) a_vecs^T
+    of their real symmetric blocks, W = p_vecs^T a_vecs, and the C of each
+    series in its B's eigenbasis, H0's (C = W diag(a_vals) W^T) stacked
+    before H1's (C = W^T diag(p_vals) W).  W is orthogonal, so C is
+    symmetric and c_norm = max |vals| is its spectral norm."""
+
+    p_vals: np.ndarray  # (n_blocks, s)
+    p_vecs: np.ndarray  # (n_blocks, s, s)
+    a_vals: np.ndarray
+    a_vecs: np.ndarray
+    w: np.ndarray  # (n_blocks, s, s)
+    c: np.ndarray  # (2 n_blocks, s, s)
+    c_norm: float
+
+
+@dataclass(frozen=True)
 class KZOperatorSystem:
     """P and A on C^N x C^N x Fock as block operators on the weight
-    partition (``fock.BlockOperator``), with the eigendecompositions
-    P = vecs diag(vals) vecs^T and A = vecs diag(vals) vecs^T of each
-    stack of their real symmetric blocks, the BlockLadders of each stack,
-    and <0| a^j a+_j |0> per mode j (none when the vacuum is not safe at
-    creator degree 2)."""
+    partition (``fock.BlockOperator``), the SeriesStack of each stack of
+    sorted-key blocks, the gather that fills the layout of P from those
+    blocks (entry e of the layout is entry gather[e] of the sorted-key
+    blocks, stack after stack, relabelled by the mode permutation that
+    sorts its weight), the BlockLadders of each stack, and <0| a^j a+_j |0>
+    per mode j (none when the vacuum is not safe at creator degree 2)."""
 
     space: FockSpace
     n: int
     p: BlockOperator
     a: BlockOperator
-    p_eig: tuple  # (vals (n_blocks, s), vecs (n_blocks, s, s)) per stack
-    a_eig: tuple  # the same for A
+    series: tuple  # SeriesStack per stack of sorted-key blocks
+    gather: np.ndarray  # (p.size,)
     ladders: tuple  # BlockLadders per stack
     vacuum: np.ndarray  # (N,), or (0,)
 
@@ -406,8 +439,7 @@ def build_operator_system(space: FockSpace) -> KZOperatorSystem:
     a = BlockOperator.from_entries(parts, ((a_c * n + i) * d + o_r)[hit],
                                    np.broadcast_to(cols, hit.shape)[hit],
                                    (amp[i, o_c] * amp[b_c, o_r])[hit])
-    p_eig = tuple(_read_only(*np.linalg.eigh(stack)) for _, _, stack in p.stacks())
-    a_eig = tuple(_read_only(*np.linalg.eigh(stack)) for _, _, stack in a.stacks())
+    series, gather = _orbit_series(space, p, a)
     ladders = []
     for src, _, stack in p.stacks():
         n_blocks, s = stack.shape[:2]
@@ -425,66 +457,131 @@ def build_operator_system(space: FockSpace) -> KZOperatorSystem:
             safe[w][:, None] & safe[o], safe[w_i][:, :, None] & safe[w_i][:, None, :])))
     vac = space.state_index((0,) * n)
     vacuum, = _read_only(amp[np.arange(n), up[:, vac]]**2 if safe[vac] else np.zeros(0))
-    return KZOperatorSystem(space, n, p.read_only(), a.read_only(), p_eig, a_eig,
+    return KZOperatorSystem(space, n, p.read_only(), a.read_only(), series, gather,
                             tuple(ladders), vacuum)
+
+
+def _orbit_series(space: FockSpace, p: BlockOperator,
+                  a: BlockOperator) -> tuple[tuple, np.ndarray]:
+    """The SeriesStack of each stack of sorted-key weight blocks of P and
+    A, and the gather index that fills every block of their layout from
+    them.
+
+    Relabelling the modes by a permutation pi sends the basis vector
+    (a, b, o) to (pi a, pi b, o') with o'_(pi k) = o_k, and the weight
+    block W to pi W.  P and A commute with it, so M does too: its block at
+    pi W is its block at W with the members relabelled.  Each weight is
+    sorted by the stable descending argsort of its entries, and the
+    blocks of one orbit have one size, so the sorted-key block of each
+    block's orbit lies in the same stack."""
+    n, d = space.modes, space.dim
+    parts = p.partition
+    sort = np.argsort(-parts.key, axis=1, kind="stable")  # sorted key = key[sort]
+    pi = np.argsort(sort, axis=1)
+    rep = np.searchsorted(parts.codes, (np.take_along_axis(parts.key, sort, 1) - parts.low)
+                          @ parts.radix)
+    # the place of each basis vector, relabelled, in the sorted-key block of its orbit
+    a_c, b_c, o_c = np.unravel_index(np.arange(n * n * d), (n, n, d))
+    of = parts.of
+    radix = (space.cutoff + 1) ** np.arange(n - 1, -1, -1)  # increasing in the basis order
+    moved = np.searchsorted(space.occ @ radix,
+                            np.take_along_axis(space.occ[o_c], sort[of], 1) @ radix)
+    place = parts.place[(pi[of, a_c] * n + pi[of, b_c]) * d + moved]
+    series, gather = [], []
+    offset, at = np.zeros(rep.size, dtype=int), 0  # of each sorted-key block in M's data
+    for (src, _, p_stack), (_, _, a_stack) in zip(p.stacks(), a.stacks()):
+        s = p_stack.shape[1]
+        mine = rep[src] == src
+        offset[src[mine]] = at + s * s * np.arange(mine.sum())
+        at += s * s * mine.sum()
+        row = place[parts.members[parts.start[src][:, None] + np.arange(s)]]
+        gather.append((offset[rep[src]][:, None, None] + s * row[:, :, None]
+                       + row[:, None, :]).reshape(-1))
+        p_vals, p_vecs = np.linalg.eigh(p_stack[mine])
+        a_vals, a_vecs = np.linalg.eigh(a_stack[mine])
+        w = p_vecs.transpose(0, 2, 1) @ a_vecs
+        c = np.concatenate([(w * a_vals[:, None, :]) @ w.transpose(0, 2, 1),
+                            (w.transpose(0, 2, 1) * p_vals[:, None, :]) @ w])
+        series.append(SeriesStack(*_read_only(p_vals, p_vecs, a_vals, a_vecs, w, c),
+                                  float(max(np.abs(p_vals).max(), np.abs(a_vals).max()))))
+    return tuple(series), _read_only(np.concatenate(gather))[0]
 
 
 _SERIES_TERMS = 200  # the most terms a Frobenius series may take
 _RESONANCE = 1e-6  # the least relative distance of k - hbar2 (b_i - b_j) from 0
 _TAIL = np.finfo(float).eps / 2  # the series stops once its tail is below this
+_Z_HALF = 3.0 - 2.0 * math.sqrt(2.0)  # the Koebe variable of u = 1/2
 
 
-def _frobenius_series(b_vals: np.ndarray, c_vals: np.ndarray, w: np.ndarray, w_inv: np.ndarray,
+def _frobenius_series(b_vals: np.ndarray, c: np.ndarray, c_norm: float,
                       hbar2s: np.ndarray, us) -> np.ndarray:
     """H(u) at each u in us (0 < u <= 1/2) and hbar2 in hbar2s for one stack
     of blocks, in B's eigenbasis, as an (n_u, n_hbar2, n_blocks, s, s)
-    array: the solution H = sum_k h_k u^k, h_0 = 1, of
+    array: the solution H, H(0) = 1, of
 
         u H' = hbar2 [B, H] - hbar2 u/(1-u) C H,
 
-    with B = diag(b_vals) and C = w diag(c_vals) w_inv in that basis.  The
-    coefficients follow from (k - hbar2 (b_i - b_j)) h_k[i, j] =
-    -hbar2 (C S_(k-1))[i, j], S_(k-1) = h_0 + ... + h_(k-1): one batched
-    matmul and one entrywise division per term, for every hbar2 at once.
+    with B = diag(b_vals) and C = c in that basis, ||C||_2 <= c_norm on
+    every block.  H is analytic in the plane slit along [1, inf), which
+    u = 4z/(1+z)^2 maps from the unit disk, so H is summed as a power
+    series in the Koebe variable z = (1 - sqrt(1-u))/(1 + sqrt(1-u)), in
+    which u = 1/2 is z = 3 - 2 sqrt 2 ~ 0.172.  There u H' = z(1+z)/(1-z) dH/dz and
+    u/(1-u) = 4z/(1-z)^2, so H = sum h_k z^k has h_0 = 1 and
+
+        (k - G) o h_k = -(k - 1 + G) o h_(k-1) - 4 hbar2 C S_(k-1),
+
+    G_ij = hbar2 (b_i - b_j), o the entrywise product and
+    S_k = h_0 + ... + h_k: one batched matmul and a few entrywise
+    operations per term, for every hbar2 at once.
 
     The series stops once the Frobenius norm of its tail at u = 1/2, which
     bounds the tail at every u <= 1/2, is provably below _TAIL for every
-    hbar2.  With g = max|hbar2| max||C||_2 / (k + 1 - max|hbar2 (b_i - b_j)|),
-    every later term obeys ||h_j|| <= g ||S_(j-1)|| and
-    ||S_j|| <= (1 + g) ||S_(j-1)||, so the tail after term k is at most
-    g ||S_k|| 2^-(k+1) / (1 - (1 + g)/2).  ||S_k|| is measured only once
-    the bound would hold at its last measured value, so the series may run
-    a few terms past the first k that meets it.  Raises IntegrationError at
-    a resonance (a denominator within _RESONANCE k of zero) or when the
-    bound is not met within _SERIES_TERMS terms."""
+    hbar2.  With sigma = max|G|, c = max|hbar2| c_norm,
+    rho = max(1, (k + sigma)/(k + 1 - sigma)) and
+    gamma = 4c/(k + 1 - sigma), every later term obeys
+    ||h_j|| <= rho ||h_(j-1)|| + gamma ||S_(j-1)||, and so
+    ||S_j|| <= rho ||h_(j-1)|| + (1 + gamma) ||S_(j-1)||.  The Perron root
+    lambda of [[rho, gamma], [rho, 1 + gamma]] then bounds the growth of
+    V_j = ||h_j|| + (lambda/rho - 1) ||S_j||, so the tail after term k is
+    at most V_k z^(k+1) lambda/(1 - z lambda) once z lambda < 1.  V_k is
+    measured only once the bound would hold at its last measured value,
+    so the series may run a few terms past the first k that meets it.
+    Raises IntegrationError at a resonance (a denominator within
+    _RESONANCE k of zero) or when the bound is not met within
+    _SERIES_TERMS terms."""
     eta = np.asarray(hbar2s, dtype=complex)[:, None, None, None]
     gap = eta * (b_vals[:, :, None] - b_vals[:, None, :])
     # the nearest k >= 1 to each gap is where its denominator is smallest
     k_near = np.clip(np.rint(gap.real), 1, _SERIES_TERMS)
     if np.any(np.abs(k_near - gap) < _RESONANCE * k_near):
         raise IntegrationError(f"resonant Frobenius series at hbar2 in {list(hbar2s)}")
-    c = (w * c_vals[:, None, :]) @ w_inv
-    minus_eta_c = -eta * c
-    # C need not be normal, so its spectral norm, not its largest eigenvalue
-    c_norm = np.abs(eta).max() * np.linalg.norm(c, 2, axis=(-2, -1)).max()
+    minus_4eta_c = -4.0 * eta * c
+    c_bound = 4.0 * np.abs(eta).max() * c_norm
     spread = np.abs(gap).max()
-    us = np.asarray(us, dtype=float)[:, None, None, None, None]
-    partial = np.broadcast_to(np.eye(b_vals.shape[1], dtype=complex), gap.shape).copy()
-    out = np.broadcast_to(partial, (us.shape[0], *gap.shape)).copy()
-    norm = np.linalg.norm(partial)  # ||S||, measured only where the bound may hold
+    root = np.sqrt(1.0 - np.asarray(us, dtype=float))
+    zs = ((1.0 - root) / (1.0 + root))[:, None, None, None, None]
+    h = np.broadcast_to(np.eye(b_vals.shape[1], dtype=complex), gap.shape).copy()
+    partial = h.copy()
+    out = np.broadcast_to(h, (zs.shape[0], *gap.shape)).copy()
+    v = 0.0  # V, measured only where the bound may hold at its last measured value
     for k in range(1, _SERIES_TERMS + 1):
-        h = minus_eta_c @ partial
-        h /= k - gap
+        h = ((1 - k - gap) * h + minus_4eta_c @ partial) / (k - gap)
         partial += h
-        out += us**k * h
-        g = c_norm / (k + 1 - spread) if k + 1 > spread else math.inf
-        if g < 1:
+        out += zs**k * h
+        if k + 1 <= spread:
+            continue
+        rho = max(1.0, (k + spread) / (k + 1 - spread))
+        gamma = c_bound / (k + 1 - spread)
+        trace = rho + 1.0 + gamma
+        lam = (trace + math.sqrt(trace * trace - 4.0 * rho)) / 2.0
+        if _Z_HALF * lam >= 1.0:
+            continue
+        factor = _Z_HALF**(k + 1) * lam / (1.0 - _Z_HALF * lam)
+        if factor * v <= _TAIL:
             # the Frobenius norm of the whole stack bounds that of each block
-            factor = g * 0.5**(k + 1) / (1 - (1 + g) / 2)
-            if factor * norm <= _TAIL:
-                norm = np.linalg.norm(partial)
-                if factor * norm <= _TAIL:
-                    return out
+            v = np.linalg.norm(h) + (lam / rho - 1.0) * np.linalg.norm(partial)
+            if factor * v <= _TAIL:
+                return out
     raise IntegrationError(f"Frobenius series not converged in {_SERIES_TERMS} terms")
 
 
@@ -515,11 +612,13 @@ def coassociator_matrices(system: KZOperatorSystem, hbar2s) -> list[BlockOperato
         M = Y0^-1 Y1 = 2^(eta P) H0(1/2)^-1 H1(1/2) 2^(-eta A).
 
     H0 solves x H0' = eta [P, H0] - eta x/(1-x) A H0 and H1 the same with
-    P and A swapped; both converge at 1/2 in about 50 terms
-    (_frobenius_series).  Per stack of blocks, H0 in P's eigenbasis and H1
-    in A's are summed as one series call for every hbar2 at once;
-    W = vecs_P^T vecs_A carries one basis into the other.  No integrator
-    is involved.  M is the identity, exactly, at hbar2 = 0."""
+    P and A swapped; both converge at 1/2 in 20-25 terms of the Koebe
+    variable (_frobenius_series).  Per stack of sorted-key blocks
+    (:class:`SeriesStack`), H0 in P's eigenbasis and H1 in A's are one
+    series call for every hbar2 at once; W = vecs_P^T vecs_A carries one
+    basis into the other.  One gather (``system.gather``) then fills every
+    block of M, for every hbar2, from its orbit's sorted-key block.  No
+    integrator is involved.  M is the identity, exactly, at hbar2 = 0."""
     hbar2s = np.asarray(hbar2s, dtype=complex)
     live = hbar2s != 0
     parts, lay = system.p.partition, system.p.layout
@@ -528,18 +627,19 @@ def coassociator_matrices(system: KZOperatorSystem, hbar2s) -> list[BlockOperato
         return out
     eta = hbar2s[live][:, None, None]
     stacks = []
-    for (p_vals, p_vecs), (a_vals, a_vecs) in zip(system.p_eig, system.a_eig):
-        w = p_vecs.transpose(0, 2, 1) @ a_vecs
-        # H0 (B, C = P, A) and H1 (B, C = A, P) summed as one stack; W is
-        # orthogonal, so W^-1 is its transpose
-        ws = np.concatenate([w, w.transpose(0, 2, 1)])
-        h = _frobenius_series(np.concatenate([p_vals, a_vals]), np.concatenate([a_vals, p_vals]),
-                              ws, ws.transpose(0, 2, 1), hbar2s[live], (0.5,))[0]
+    for ser in system.series:
+        # H0 (B, C = P, A) and H1 (B, C = A, P) summed as one stack
+        h = _frobenius_series(np.concatenate([ser.p_vals, ser.a_vals]), ser.c, ser.c_norm,
+                              hbar2s[live], (0.5,))[0]
         h0, h1 = np.split(h, 2, axis=1)
-        stacks.append(_connection(eta, p_vals, p_vecs, a_vals, a_vecs.transpose(0, 2, 1),
-                                  w, h0, h1))
+        # W is orthogonal, so W^-1 is its transpose
+        m = _connection(eta, ser.p_vals, ser.p_vecs, ser.a_vals, ser.a_vecs.transpose(0, 2, 1),
+                        ser.w, h0, h1)
+        stacks.append(m.reshape(m.shape[0], -1))
+    # every block relabelled from the sorted-key block of its orbit
+    data = np.concatenate(stacks, axis=1)[:, system.gather]
     for i, at in enumerate(np.flatnonzero(live)):
-        out[at] = BlockOperator(parts, lay, np.concatenate([m[i].reshape(-1) for m in stacks]))
+        out[at] = BlockOperator(parts, lay, data[i])
     return out
 
 

@@ -92,6 +92,8 @@ def test_shared_operands_are_read_only():
     def arrays(x):
         if isinstance(x, np.ndarray):
             return [x]
+        if isinstance(x, float):
+            return []
         if isinstance(x, fock.BlockOperator):
             return [x.data]
         if isinstance(x, (tuple, list)):
@@ -109,11 +111,17 @@ def test_shared_operands_are_read_only():
     orb, system = kept(orb_space, "orbital"), kept(kz_space, "kz")
     shared = [orb_space.ladder_blocks, orb_space.pair_targets,
               [orb.l2, orb.l, orb.aa, orb.apap],
-              [system.p, system.a, system.p_eig, system.a_eig, system.ladders,
+              [system.p, system.a, system.series, system.gather, system.ladders,
                system.vacuum, system.eye, system.delta],
               [kept(fock.build_space(2, stat, 8), ("sigma", "sl", 2)) for stat in Statistics]]
     found = arrays(shared)
     assert len(found) > 30
+    # the kz series operands, one SeriesStack of six arrays per stack of
+    # sorted-key blocks, and the gather are among them
+    assert len(system.series) == len(system.p.layout.groups)
+    assert len(arrays([system.series, system.gather])) == 6 * len(system.series) + 1
+    # the pair targets are indices at most D, held as int32
+    assert all(t.dtype == np.int32 for t in orb_space.pair_targets)
     for arr in found:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):

@@ -302,8 +302,9 @@ def test_p_and_a_conserve_the_weight(modes, cutoff):
     assert parts.size.max() <= modes * modes
 
 
-@pytest.mark.parametrize("modes,cutoff,h", [(2, 3, 0.1), (3, 2, 0.1), (2, 5, 0.1), (2, 3, 0.2)],
-                         ids=["2-3", "3-2", "2-5", "2-3-h=0.2"])
+@pytest.mark.parametrize("modes,cutoff,h", [(2, 3, 0.1), (3, 2, 0.1), (2, 5, 0.1), (2, 3, 0.2),
+                                             (4, 2, 0.1), (3, 3, 0.1)],
+                         ids=["2-3", "3-2", "2-5", "2-3-h=0.2", "4-2", "3-3"])
 def test_coassociator_matches_dense_oracle(modes, cutoff, h):
     space = fock.build_space(modes, Statistics.BOSE, cutoff)
     system = kz.build_operator_system(space)
@@ -326,6 +327,50 @@ def test_truncated_series_misses_the_dense_oracle(monkeypatch):
     monkeypatch.setattr(kz, "_TAIL", 1e-3)
     m = to_sparse(kz.coassociator_matrices(system, (hbar2_of(0.1),))[0]).toarray()
     assert np.linalg.norm(m - want, 2) > 1e-6
+
+
+@pytest.mark.parametrize("modes,cutoff,summed,blocks", [(2, 5, 18, 33), (3, 8, 65, 282),
+                                                         (4, 8, 92, 996)])
+def test_series_runs_on_one_block_per_orbit(modes, cutoff, summed, blocks, monkeypatch):
+    # the series are summed on the sorted-key weight blocks alone, one per
+    # orbit of the mode permutations; H0 and H1 of each share one call
+    system = kz.build_operator_system(fock.build_space(modes, Statistics.BOSE, cutoff))
+    seen = []
+    series = kz._frobenius_series
+
+    def counted(b_vals, *args):
+        seen.append(b_vals.shape[0] // 2)
+        return series(b_vals, *args)
+
+    monkeypatch.setattr(kz, "_frobenius_series", counted)
+    kz.coassociator_matrices(system, (hbar2_of(0.1), hbar2_of(0.05)))
+    parts = system.p.partition
+    assert parts.size.size == blocks
+    assert sum(seen) == summed == np.all(np.diff(parts.key, axis=1) <= 0, axis=1).sum()
+
+
+def _unrelabelled(m):
+    """m with each weight block replaced by the block of the sorted key of
+    its orbit, entry for entry, with its members not relabelled."""
+    parts, lay = m.partition, m.layout
+    part_of = {tuple(key): k for k, key in enumerate(parts.key.tolist())}
+    data = m.data.copy()
+    for b, (src, area) in enumerate(zip(lay.src, lay.height * lay.width)):
+        rep = lay.at[0, part_of[tuple(sorted(parts.key[src].tolist(), reverse=True))]]
+        data[lay.offset[b]:lay.offset[b] + area] = m.data[lay.offset[rep]:lay.offset[rep] + area]
+    return fock.BlockOperator(parts, lay, data)
+
+
+@pytest.mark.parametrize("modes,cutoff", [(2, 3), (2, 5), (3, 5), (3, 8), (4, 8)])
+def test_unrelabelled_fill_fails_the_invariance_row(modes, cutoff):
+    # negative control of the orbit fill: copying each block from its
+    # orbit's sorted-key block without relabelling its members breaks
+    # [M, Delta(X)] = 0 far above the suite's 1e-12, while the exact M holds
+    system = kz.build_operator_system(fock.build_space(modes, Statistics.BOSE, cutoff))
+    for q in (1.18, 1.3):
+        m = kz.coassociator_matrices(system, (hbar2_of(math.log(q)),))[0]
+        assert kz.invariance_residual(system, m) <= 1e-12
+        assert kz.invariance_residual(system, _unrelabelled(m)) > 1e-3
 
 
 def test_series_guards_raise(op_system, monkeypatch):

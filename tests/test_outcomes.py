@@ -1,8 +1,9 @@
 """Pass/fail of every case of a fixed set of suite calls, against the map
 checked in as tests/outcomes.json: every operator-algebra and
 kz-coassociator call of the benchmark's plans for seeds 0-3
-(perfbench/run.py), four ladder points beyond the benchmark's
-(kz-operator at N = 3, cutoff 8 and N = 2, cutoff 12; soN-orbital at
+(perfbench/run.py), five ladder points beyond the benchmark's
+(kz-operator at N = 3, cutoff 8, N = 4, cutoff 8, where M is filled
+from one block per orbit of S_4, and N = 2, cutoff 12; soN-orbital at
 N = 3, cutoff 14 and N = 4, cutoff 8, where its ladder products weigh
 most), and four calls that hold known failures of absolute tolerances on
 terms that grow with the cutoff (sl2-bose at cutoffs 20 and 24, slN at
@@ -25,6 +26,7 @@ MAP = Path(__file__).resolve().parent / "outcomes.json"
 SEEDS = range(4)
 WORKLOADS = ("operator-algebra", "kz-coassociator")
 LADDER = (["suite", "kz-operator", "--modes", "3", "--cutoff", "8"],
+          ["suite", "kz-operator", "--modes", "4", "--cutoff", "8"],
           ["suite", "kz-operator", "--modes", "2", "--cutoff", "12"],
           ["suite", "soN-orbital", "--modes", "3", "--cutoff", "14"],
           ["suite", "soN-orbital", "--modes", "4", "--cutoff", "8"])
