@@ -6,7 +6,10 @@ A+_i A^i follows the diagonal of the (i, i) cross relation, and
 A+_i = sqrt(x_i/n_i) a+_i.  The maps are dressed mode operators, stored
 as the ladder tables of the space with scaled values (``gens.a``,
 ``gens.ap``); the residual engine then checks each map against its own
-candidate, and exactly one of them holds.
+candidate, and exactly one of them holds.  The suites ``sl2-bose``,
+``sl2-fermi`` and ``slN`` run this check, with the q-number,
+hermiticity, commutant and grade rows, as one sl(N) unit per q, on the
+bosonic or the fermionic space.
 """
 
 import dataclasses

@@ -40,7 +40,7 @@ class BraidConventionError(RuntimeError):
 
 
 def _ybe_residual(rhat: np.ndarray, n: int) -> float:
-    """|| R12 R23 R12 - R23 R12 R23 || on C^N x C^N x C^N.  The rightmost
+    """|| R12 R23 R12 - R23 R12 R23 ||_F on C^N x C^N x C^N.  The rightmost
     factors are R12 = R x 1 and R23 = 1 x R, with row legs (a, b, c) and
     one column leg; R12 acts on them as matrix products on the rows
     (a, b), batched over c, and R23 on the rows (b, c), batched over a.
@@ -55,7 +55,7 @@ def _ybe_residual(rhat: np.ndarray, n: int) -> float:
         return (rhat @ x.reshape(n, n * n, -1)).reshape(n**3, -1)
 
     defect = r12(r23(np.kron(rhat, eye))) - r23(r12(np.kron(eye, rhat)))
-    return float(np.linalg.norm(defect, 2))
+    return float(np.linalg.norm(defect))
 
 
 def sl_rhat(n: int, q: float) -> np.ndarray:
@@ -208,7 +208,7 @@ def build_relations(family: str, n: int, q: float, sign: int = WEYL) -> Relation
 
     if family == "sl":
         rhat = sl_rhat(n, q)
-        char = np.linalg.norm((rhat - q * eye2) @ (rhat + eye2 / q), 2)
+        char = np.linalg.norm((rhat - q * eye2) @ (rhat + eye2 / q))
         projectors = _sl_projectors(rhat, q)
         anni = projectors[1][1] if sign == WEYL else projectors[0][1]
     else:
@@ -224,11 +224,14 @@ def build_relations(family: str, n: int, q: float, sign: int = WEYL) -> Relation
             metric_lower = np.eye(n, dtype=complex)
             metric_upper = np.eye(n, dtype=complex)
         char = np.linalg.norm(
-            (rhat - q * eye2) @ (rhat + eye2 / q) @ (rhat - q ** (1 - n) * eye2), 2
+            (rhat - q * eye2) @ (rhat + eye2 / q) @ (rhat - q ** (1 - n) * eye2)
         )
         projectors = _so_projectors(rhat, n, q)
         anni = projectors[1][1]  # q-antisymmetrizer; the trace part stays free
 
+    # Frobenius norms of the defects: they bound the spectral norms without
+    # an SVD of the N^3 x N^3 defect, and against the spectral scale the
+    # guard is no looser than a spectral one
     ybe = _ybe_residual(rhat, n)
     diagnostics = {"yang_baxter": ybe, "characteristic": float(char)}
     scale = float(np.linalg.norm(rhat, 2))

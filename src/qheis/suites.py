@@ -156,91 +156,85 @@ def _derived_dcr(space, rel, tol):
     return gens, rows
 
 
+# The sl(N) unit's tolerances per sign: the DCR and q-number rows,
+# hermiticity, the commutant and the grade bookkeeping.
+_SL_TOLERANCES = {WEYL: (1e-10, 1e-12, 1e-11, 1e-13), CLIFFORD: (1e-12, 1e-12, 1e-12, 1e-13)}
+# The statistics and sign of the spaces that each sl(N) suite checks.
+_SL_SPACES = {"sl2-bose": ("bose", WEYL), "sl2-fermi": ("fermi", CLIFFORD),
+              "slN": (["bose", "fermi"], [WEYL, CLIFFORD])}
+
+
+def _sl_unit(space, q, sign):
+    """The sl(N) map that R-hat derives on space (``_derived_dcr``), with
+    every row it is checked by: the DCRs, the q-number operator,
+    hermiticity, the commutant of the invariants and the grades."""
+    dcr, herm, comm, grade = _SL_TOLERANCES[sign]
+    gens, rows = _derived_dcr(space, braid.build_relations("sl", space.modes, q, sign), tol=dcr)
+    rows += verify.number_op_check(gens, tol=dcr)
+    rows.append(CaseResult("hermiticity", deform.hermiticity_residual(gens), herm))
+    rows += verify.invariant_commutant_check(gens, liealg.LieData("sl", space.modes), tol=comm)
+    rows.append(CaseResult(
+        "grade_bookkeeping",
+        max(grade_defect(space, gens.a, -1), grade_defect(space, gens.ap, +1)), grade))
+    return gens, rows
+
+
+def _sl2_alpha(space, gens):
+    """Conjugating sl(2)'s map by alpha must reproduce the one-sided map."""
+    alpha = deform.sl2_alpha_intertwiner(space, gens.params)
+    conj, cond = deform.inner_automorphism(gens, alpha)
+    oneside = deform.sl2_bose_onesided_map(space, gens.params)
+    return [
+        CaseResult("alpha_reproduces_onesided_map",
+                   verify.generator_distance(conj, oneside), 1e-12, {"cond_alpha": cond}),
+        _negative_control("onesided_hermiticity_nonzero_control",
+                          deform.hermiticity_residual(oneside), floor=1e-3,
+                          note="one-sided dressing is not *-compatible"),
+    ]
+
+
+def _sl2_classical_limit(space):
+    """sl(2)'s map (candidate qR) deviates from the classical one by O(q - 1)."""
+    def devnorm(e):
+        g1 = deform.derive_map(space, braid.build_relations("sl", 2, 1.0 + e, WEYL), "qR")
+        g0 = deform.classical_generators(space, DeformParams(1.0, WEYL))
+        return verify.generator_distance(g1, g0)
+    ratio = devnorm(1e-3) / devnorm(5e-4)
+    return [CaseResult("classical_limit_linear_scaling", abs(ratio - 2.0), 0.5,
+                       {"ratio": ratio})]
+
+
 # ---------------------------------------------------------------------------
 # suite bodies
 # ---------------------------------------------------------------------------
 
 
-def _suite_sl2_bose(cfg: SuiteConfig):
-    space = build_space(2, Statistics.BOSE, cfg.cutoff)
-    data = liealg.LieData("sl", 2)
-
-    @functools.cache
-    def derived(q):
-        # the derived map and its DCR rows, shared by the q unit and its alpha unit
-        return _derived_dcr(space, braid.build_relations("sl", 2, q, WEYL), tol=1e-10)
-
-    def unit(q):
-        gens, rows = derived(q)
-        rows = rows + verify.number_op_check(gens, tol=1e-10)
-        rows.append(CaseResult("hermiticity", deform.hermiticity_residual(gens), 1e-12))
-        rows += verify.invariant_commutant_check(gens, data, tol=1e-11)
-        rows.append(CaseResult(
-            "grade_bookkeeping",
-            max(grade_defect(space, gens.a, -1), grade_defect(space, gens.ap, +1)), 1e-13))
-        return rows
-
-    def alpha_unit(q):
-        # conjugating by alpha must reproduce the one-sided generators; its
-        # own unit, so that a failure here erases no sibling row
-        gens, _ = derived(q)
-        alpha = deform.sl2_alpha_intertwiner(space, gens.params)
-        conj, cond = deform.inner_automorphism(gens, alpha)
-        oneside = deform.sl2_bose_onesided_map(space, gens.params)
-        return [
-            CaseResult("alpha_reproduces_onesided_map",
-                       verify.generator_distance(conj, oneside), 1e-12, {"cond_alpha": cond}),
-            _negative_control("onesided_hermiticity_nonzero_control",
-                              deform.hermiticity_residual(oneside), floor=1e-3,
-                              note="one-sided dressing is not *-compatible"),
-        ]
-
+def _suite_sl(cfg: SuiteConfig):
+    """sl2-bose, sl2-fermi and slN: the sl(N) unit per q on the bosonic
+    space (sl2-bose, slN) and on the fermionic one (sl2-fermi; slN as
+    fermi/q=...).  sl2-bose adds sl(2)'s alpha units and classical limit."""
+    n = cfg.modes or 2
     units = []
-    for q in cfg.q:
-        units.append((f"q={q:g}", lambda q=q: unit(q)))
-        units.append((f"q={q:g}/alpha", lambda q=q: alpha_unit(q)))
-
-    def extra():
-        # classical-limit scaling: deviation from identity is O(q - 1), on
-        # the candidate that every q unit selects
-        def devnorm(e):
-            g1 = deform.derive_map(space, braid.build_relations("sl", 2, 1.0 + e, WEYL), "qR")
-            g0 = deform.classical_generators(space, DeformParams(1.0, WEYL))
-            return verify.generator_distance(g1, g0)
-        ratio = devnorm(1e-3) / devnorm(5e-4)
-        return [CaseResult("classical_limit_linear_scaling", abs(ratio - 2.0), 0.5,
-                           {"ratio": ratio})]
-
-    units.append(("classical-limit", extra))
-    return {"family": "sl", "N": 2, "statistics": "bose", "cutoff": cfg.cutoff,
-            "q": list(cfg.q), "sign": WEYL}, units
-
-
-def _suite_sl2_fermi(cfg: SuiteConfig):
-    space = build_space(2, Statistics.FERMI)
-    data = liealg.LieData("sl", 2)
-
-    def unit(q):
-        gens, rows = _derived_dcr(space, braid.build_relations("sl", 2, q, CLIFFORD), tol=1e-12)
-        rows += verify.number_op_check(gens, tol=1e-12)
-        rows.append(CaseResult("hermiticity", deform.hermiticity_residual(gens), 1e-12))
-        rows += verify.invariant_commutant_check(gens, data, tol=1e-12)
-        return rows
-
-    units = [(f"q={q:g}", lambda q=q: unit(q)) for q in cfg.q]
-    return {"family": "sl", "N": 2, "statistics": "fermi", "q": list(cfg.q),
-            "sign": CLIFFORD}, units
-
-
-def _suite_sln(cfg: SuiteConfig):
-    space = build_space(cfg.modes, Statistics.BOSE, cfg.cutoff)
-
-    def unit(q):
-        return _derived_dcr(space, braid.build_relations("sl", cfg.modes, q, WEYL), tol=1e-10)[1]
-
-    units = [(f"q={q:g}", lambda q=q: unit(q)) for q in cfg.q]
-    return {"family": "sl", "N": cfg.modes, "statistics": "bose",
-            "cutoff": cfg.cutoff, "q": list(cfg.q), "sign": WEYL}, units
+    if cfg.suite != "sl2-fermi":
+        bose = build_space(n, Statistics.BOSE, cfg.cutoff)
+        # the derived map and its rows, shared by the q unit and its alpha unit
+        derived = functools.cache(lambda q: _sl_unit(bose, q, WEYL))
+        for q in cfg.q:
+            units.append((f"q={q:g}", lambda q=q: derived(q)[1]))
+            if cfg.suite == "sl2-bose":
+                # its own unit, so that a failure here erases no sibling row
+                units.append((f"q={q:g}/alpha", lambda q=q: _sl2_alpha(bose, derived(q)[0])))
+    if cfg.suite == "sl2-bose":
+        units.append(("classical-limit", lambda: _sl2_classical_limit(bose)))
+    else:
+        fermi = build_space(n, Statistics.FERMI)
+        prefix = "fermi/" if cfg.suite == "slN" else ""
+        units += [(f"{prefix}q={q:g}", lambda q=q: _sl_unit(fermi, q, CLIFFORD)[1])
+                  for q in cfg.q]
+    statistics, sign = _SL_SPACES[cfg.suite]
+    cutoff = {} if cfg.cutoff is None else {"cutoff": cfg.cutoff}
+    return {"family": "sl", "N": n, "statistics": statistics, **cutoff, "q": list(cfg.q),
+            "sign": sign}, units
 
 
 def _suite_son_orbital(cfg: SuiteConfig):
@@ -489,9 +483,9 @@ def _suite_braid(cfg: SuiteConfig):
 
 
 _BUILDERS = {
-    "sl2-bose": _suite_sl2_bose,
-    "sl2-fermi": _suite_sl2_fermi,
-    "slN": _suite_sln,
+    "sl2-bose": _suite_sl,
+    "sl2-fermi": _suite_sl,
+    "slN": _suite_sl,
     "soN-orbital": _suite_son_orbital,
     "qspecial": _suite_qspecial,
     "kz-scalar": _suite_kz_scalar,

@@ -104,10 +104,11 @@ def test_rejections():
 
 
 def _ybe_kron(rhat, n):
-    """The Yang-Baxter defect from dense N^3 x N^3 Kronecker products."""
+    """The Frobenius norm of the Yang-Baxter defect from dense N^3 x N^3
+    Kronecker products."""
     eye = np.eye(n, dtype=complex)
     r12, r23 = np.kron(rhat, eye), np.kron(eye, rhat)
-    return float(np.linalg.norm(r12 @ r23 @ r12 - r23 @ r12 @ r23, 2))
+    return float(np.linalg.norm(r12 @ r23 @ r12 - r23 @ r12 @ r23))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -95,12 +95,19 @@ def test_qR_wins_at_every_q(n, stat, cutoff):
 @pytest.mark.parametrize("q", [0.7, 1.3])
 @pytest.mark.parametrize("n", [3, 4])
 def test_clifford_sln_holds_every_dcr(n, q):
-    # no suite checks Clifford sl(N) beyond N = 2
     space = fock.build_space(n, Statistics.FERMI)
     rel = braid.build_relations("sl", n, q, CLIFFORD)
     rows = own_dcr(deform.derive_map(space, rel, "qR"), rel, "qR")
     assert [r.name for r in rows] == ["dcr_aa", "dcr_apap", "dcr_cross[qR]"]
     assert max(r.residual for r in rows) <= 1e-14
+    # the fermionic unit of slN: every row of the derived map
+    rows = {r.name: r for r in suites._sl_unit(space, q, CLIFFORD)[1]}
+    assert sorted(rows) == sorted([
+        "dcr_aa", "dcr_apap", "dcr_cross_winner", "cross_negative_control",
+        "qnumber_creator_relation", "qnumber_annihilator_relation", "hermiticity",
+        "commutant[qnumber_operator]", "grade_bookkeeping"])
+    assert all(r.passed for r in rows.values())
+    assert rows["cross_negative_control"].metadata["raw_residual"] >= 1e-2
 
 
 def test_bose_map_matrix_elements(bose_space):

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -67,11 +68,27 @@ def test_dcr_products_built_once_per_generator_set(monkeypatch):
         return original(a, ap, rel, cross, sign)
 
     monkeypatch.setattr(verify, "quadratic_residual_matrices", counting)
-    # one set per cross candidate and q: slN has one q, sl2-* have two
-    for suite, sets in (("slN", 2), ("sl2-bose", 4), ("sl2-fermi", 4)):
+    # one set per cross candidate, q and space: slN has one q on two
+    # spaces, sl2-* have two q on one
+    for suite, sets in (("slN", 4), ("sl2-bose", 4), ("sl2-fermi", 4)):
         built.clear()
         suites.run_suite(suites.make_config(suite))
         assert len(built) == sets == len({id(g) for g in built}), suite
+
+
+@pytest.mark.parametrize("cutoff", [3, 8, 12])
+def test_sln_at_two_modes_runs_the_sl2_units_bit_for_bit(cutoff):
+    # slN's bosonic units are sl2-bose's q units, without its sl(2)-only
+    # alpha and classical-limit units; its fermi/ units are sl2-fermi's
+    def cases(suite, **overrides):
+        return suites.run_suite(suites.make_config(suite, q=(0.7, 1.3), **overrides)).cases
+
+    sln = cases("slN", modes=2, cutoff=cutoff)
+    bose = [c for c in cases("sl2-bose", cutoff=cutoff)
+            if "/alpha/" not in c.name and not c.name.startswith("classical-limit/")]
+    assert [c for c in sln if not c.name.startswith("fermi/")] == bose
+    assert [replace(c, name=c.name.removeprefix("fermi/"))
+            for c in sln if c.name.startswith("fermi/")] == cases("sl2-fermi")
 
 
 @pytest.mark.parametrize("suite", ["sl2-bose", "sl2-fermi", "slN", "soN-orbital",

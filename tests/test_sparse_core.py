@@ -225,9 +225,10 @@ def test_shared_contraction_matches_dense_reference(sign):
 
 
 def test_sln_at_n4_cutoff8(monkeypatch):
-    # D = 495: out of reach for the dense engine, four cases all passing.
-    # Each defect there is a partial permutation times a diagonal, so every
-    # component of its sparsity graph is one entry and no norm needs an SVD.
+    # D = 495: out of reach for the dense engine, the ten rows of the
+    # bosonic unit and the nine of the fermionic one (D = 16) all passing.
+    # Each defect there is a partial permutation times a diagonal, so its
+    # norm is its largest entry (verify.shift_norm) and no norm needs an SVD.
     svd_calls = []
     real_svd = np.linalg.svd
 
@@ -237,6 +238,6 @@ def test_sln_at_n4_cutoff8(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     report = suites.run_suite(suites.make_config("slN", modes=4, cutoff=8))
-    assert len(report.cases) == 4
+    assert len(report.cases) == 19
     assert all(c.passed for c in report.cases), [(c.name, c.residual) for c in report.cases]
     assert not svd_calls
