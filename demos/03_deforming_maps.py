@@ -12,28 +12,25 @@ hermiticity, commutant and grade rows, as one sl(N) unit per q, on the
 bosonic or the fermionic space.
 """
 
-import dataclasses
-
 import numpy as np
 
 from qheis import braid, deform, fock, verify
 from qheis.fock import Statistics
-from qheis.qspecial import CLIFFORD, WEYL, qnum
+from qheis.qspecial import qnum
 
 
 def derive_both(space, rel):
     """{candidate: (generator set, worst DCR residual against that candidate)}"""
     out = {}
-    for name, x in rel.cross_candidates.items():
+    for name in braid.CANDIDATES:
         gens = deform.derive_map(space, rel, name)
-        own = dataclasses.replace(rel, cross_candidates={name: x})
-        out[name] = gens, max(r.residual for r in verify.dcr_residuals(gens, own))
+        out[name] = gens, max(r.residual for r in verify.dcr_residuals(gens, rel, name))
     return out
 
 
 q = 1.3
 sp = fock.build_space(2, Statistics.BOSE, cutoff=8)
-rel = braid.build_relations("sl", 2, q, WEYL)
+rel = braid.build_relations("sl", 2, q)
 
 print("bosonic sl(2), cutoff 8: the map of each candidate, checked against it:")
 maps = derive_both(sp, rel)
@@ -64,11 +61,13 @@ print("one-sided map is not *-compatible:",
       f"{deform.hermiticity_residual(oneside):.2f}")
 
 # Fermions: the same derivation gives A+_1 = q^{-n_2} a+_1, exact on the
-# full 4-dimensional space; and sl(3), Weyl and Clifford.
-for label, space, sign in (
-        ("fermionic sl(2)", fock.build_space(2, Statistics.FERMI), CLIFFORD),
-        ("bosonic sl(3), cutoff 5", fock.build_space(3, Statistics.BOSE, cutoff=5), WEYL),
-        ("fermionic sl(3)", fock.build_space(3, Statistics.FERMI), CLIFFORD)):
-    maps = derive_both(space, braid.build_relations("sl", space.modes, q, sign))
+# full 4-dimensional space; and sl(3), Weyl and Clifford from one set of
+# relation data, the sign read off each space.
+sl3 = braid.build_relations("sl", 3, q)
+for label, space, relations in (
+        ("fermionic sl(2)", fock.build_space(2, Statistics.FERMI), rel),
+        ("bosonic sl(3), cutoff 5", fock.build_space(3, Statistics.BOSE, cutoff=5), sl3),
+        ("fermionic sl(3)", fock.build_space(3, Statistics.FERMI), sl3)):
+    maps = derive_both(space, relations)
     print(f"\n{label}: " + ", ".join(f"{name} {worst:.2e}"
                                      for name, (_, worst) in maps.items()))

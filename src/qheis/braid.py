@@ -16,10 +16,11 @@ raises if any fails.  Conventions here:
           identity as q -> 1.  Eigenvalues q, -1/q, q^(1-N) with
           multiplicities N(N+1)/2 - 1, N(N-1)/2, 1.
 
-The quadratic exchange relations of the deformed generators are encoded
-by an annihilating projector (contracted with A x A resp. A+ x A+) and a
-cross-relation matrix.  The cross matrix is known only up to the choice
-q^s Rhat versus q^s Rhat^(-1) (s = +1 Weyl, -1 Clifford); both
+The relation data of one (family, N, q) hold no Weyl-or-Clifford sign
+s (+1 Weyl, -1 Clifford), so one guarded Rhat serves both algebras.
+The sign picks two pieces on request: the annihilating projector
+(contracted with A x A resp. A+ x A+) and the cross-relation matrix,
+known only up to the choice q^s Rhat versus q^s Rhat^(-1); both
 candidates are carried.  Each determines a deforming map
 (``deform.derive_map``), and the relation residuals tell which of the
 two maps satisfies its relations.
@@ -27,12 +28,16 @@ two maps satisfies its relations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .liealg import permutation_matrix
 from .qspecial import CLIFFORD, WEYL
+
+
+# The names of the two cross candidates, q^s Rhat and q^s Rhat^(-1).
+CANDIDATES = ("qR", "qR_inv")
 
 
 class BraidConventionError(RuntimeError):
@@ -142,21 +147,35 @@ def cartesian_transform(n: int) -> np.ndarray:
     return w
 
 
-@dataclass
+@dataclass(frozen=True)
 class RelationMatrices:
-    """Everything the residual engine needs about one (family, N, q, sign)."""
+    """Everything the residual engine needs about one (family, N, q), for
+    the Weyl and the Clifford sign alike (module docstring)."""
 
     family: str
     n: int
     q: float
-    sign: int
     rhat: np.ndarray
+    rhat_inv: np.ndarray
     projectors: list  # [(eigenvalue, projector matrix)]
-    annihilating_projector: np.ndarray
-    cross_candidates: dict  # name -> matrix; each derives a map, the residuals pick one
-    metric_lower: np.ndarray | None = None
-    metric_upper: np.ndarray | None = None
-    diagnostics: dict = field(default_factory=dict)  # the guard's residuals
+    metric_lower: np.ndarray | None
+    metric_upper: np.ndarray | None
+    diagnostics: dict  # the guard's residuals
+
+    def annihilating_projector(self, sign: int) -> np.ndarray:
+        """The projector contracted with A x A and A+ x A+: the
+        q-antisymmetrizer (eigenvalue -1/q) for Weyl, sl(N)'s
+        q-symmetrizer for Clifford.  so(N) keeps its trace part free and
+        raises ValueError for Clifford."""
+        if self.family == "so" and sign == CLIFFORD:
+            raise ValueError("so(N) is supported for the Weyl sign only")
+        return self.projectors[1 if sign == WEYL else 0][1]
+
+    def cross_candidates(self, sign: int) -> dict:
+        """name -> cross matrix, q^s Rhat and q^s Rhat^(-1): each derives a
+        map, and only the residuals of the maps tell which one holds."""
+        qs = self.q ** sign
+        return dict(zip(CANDIDATES, (qs * self.rhat, qs * self.rhat_inv)))
 
 
 def _sl_projectors(rhat: np.ndarray, q: float) -> list:
@@ -187,19 +206,15 @@ def _so_projectors(rhat: np.ndarray, n: int, q: float) -> list:
     return projs
 
 
-def build_relations(family: str, n: int, q: float, sign: int = WEYL) -> RelationMatrices:
-    """Build and validate the relation matrices for one algebra.
+def build_relations(family: str, n: int, q: float) -> RelationMatrices:
+    """Build and validate the relation data of one algebra; the Weyl and
+    the Clifford sign pick their pieces from it (RelationMatrices).
 
-    sign selects Weyl (+1) or Clifford (-1); so(N) supports Weyl only.
     q = 1 is allowed and collapses everything to the classical
     permutation matrix.
     """
     if q <= 0:
         raise ValueError("q must be positive")
-    if sign not in (WEYL, CLIFFORD):
-        raise ValueError("sign must be +1 or -1")
-    if family == "so" and sign == CLIFFORD:
-        raise ValueError("so(N) is supported for the Weyl sign only")
     if family not in ("sl", "so"):
         raise ValueError(f"unknown family {family!r}")
 
@@ -210,7 +225,6 @@ def build_relations(family: str, n: int, q: float, sign: int = WEYL) -> Relation
         rhat = sl_rhat(n, q)
         char = np.linalg.norm((rhat - q * eye2) @ (rhat + eye2 / q))
         projectors = _sl_projectors(rhat, q)
-        anni = projectors[1][1] if sign == WEYL else projectors[0][1]
     else:
         if q != 1.0:
             w = cartesian_transform(n)
@@ -227,7 +241,6 @@ def build_relations(family: str, n: int, q: float, sign: int = WEYL) -> Relation
             (rhat - q * eye2) @ (rhat + eye2 / q) @ (rhat - q ** (1 - n) * eye2)
         )
         projectors = _so_projectors(rhat, n, q)
-        anni = projectors[1][1]  # q-antisymmetrizer; the trace part stays free
 
     # Frobenius norms of the defects: they bound the spectral norms without
     # an SVD of the N^3 x N^3 defect, and against the spectral scale the
@@ -241,27 +254,8 @@ def build_relations(family: str, n: int, q: float, sign: int = WEYL) -> Relation
             f"YBE={ybe:.3e}, char={char:.3e}"
         )
 
-    # cross candidates q^sign * Rhat and q^sign * Rhat^(-1); only the
-    # residuals of the maps they derive tell which one holds
-    qs = q ** sign
-    cross = {
-        "qR": qs * rhat,
-        "qR_inv": qs * np.linalg.inv(rhat),
-    }
-
-    return RelationMatrices(
-        family=family,
-        n=n,
-        q=q,
-        sign=sign,
-        rhat=rhat,
-        projectors=projectors,
-        annihilating_projector=anni,
-        cross_candidates=cross,
-        metric_lower=metric_lower,
-        metric_upper=metric_upper,
-        diagnostics=diagnostics,
-    )
+    return RelationMatrices(family, n, q, rhat, np.linalg.inv(rhat), projectors,
+                            metric_lower, metric_upper, diagnostics)
 
 
 def relation_diagnostics(rel: RelationMatrices) -> dict:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .braid import RelationMatrices
 from .fock import FockSpace, LadderTable, Statistics
-from .qspecial import CLIFFORD, DeformParams, qnum, y_sln
+from .qspecial import CLIFFORD, WEYL, DeformParams, qnum, y_sln
 
 
 @dataclass
@@ -108,9 +108,10 @@ def _ratio(q: float, cutoff: int) -> np.ndarray:
 def derive_map(space: FockSpace, rel: RelationMatrices,
                candidate: str) -> DeformedGenerators:
     """The sl(N) generator set that the cross candidate
-    X = rel.cross_candidates[candidate] determines (module docstring):
-    A+_i = sqrt(x_i/n_i) a+_i and A^i its mirror, with x_i(n) the
-    eigenvalue of A+_i A^i from the diagonal of the (i, i) cross relation.
+    X = rel.cross_candidates(s)[candidate] determines, s = +1 on a bosonic
+    and -1 on a fermionic space (module docstring): A+_i = sqrt(x_i/n_i)
+    a+_i and A^i its mirror, with x_i(n) the eigenvalue of A+_i A^i from
+    the diagonal of the (i, i) cross relation.
 
     x on shell t reads x on shell t - 1 alone, so one sweep per shell, in
     increasing order, fixes x on every shell; a sweep gathers x only for
@@ -118,13 +119,12 @@ def derive_map(space: FockSpace, rel: RelationMatrices,
     the complex plane: a candidate that the relations reject can give
     x < 0, and its map stays measurable, failing its relations by a
     finite amount.  Raises ValueError unless rel is an sl(N) relation of the
-    space's N whose sign fits the space's statistics."""
-    fermi = space.statistics is Statistics.FERMI
-    if rel.family != "sl" or rel.n != space.modes or fermi != (rel.sign == CLIFFORD):
-        raise ValueError(f"no sl({space.modes}) map on a {space.statistics.name.lower()} "
-                         f"space from {rel.family}({rel.n}) relations of sign {rel.sign:+d}")
+    space's N."""
+    if rel.family != "sl" or rel.n != space.modes:
+        raise ValueError(f"no sl({space.modes}) map from {rel.family}({rel.n}) relations")
+    sign = CLIFFORD if space.statistics is Statistics.FERMI else WEYL
     n, d = space.modes, space.dim
-    diag = rel.sign * np.diag(rel.cross_candidates[candidate]).reshape(n, n)  # s X^{ih}_{ih}
+    diag = sign * np.diag(rel.cross_candidates(sign)[candidate]).reshape(n, n)  # s X^{ih}_{ih}
     # the pairs (i, h) with X^{ih}_{ih} != 0, about half of them; coef[i, p]
     # is pair p's X where i is its row, else 0, and adds exact zeros
     i, h = np.nonzero(diag)
@@ -143,7 +143,7 @@ def derive_map(space: FockSpace, rel: RelationMatrices,
         swept *= occupied[:, first:last]
         x[:, order[first:last]] = swept
     dress = np.sqrt(x[:, :d] / np.maximum(space.occ.T, 1))
-    return DeformedGenerators(space, DeformParams(rel.q, rel.sign),
+    return DeformedGenerators(space, DeformParams(rel.q, sign),
                               _dressed(space.an, right=dress), _dressed(space.ap, left=dress))
 
 

@@ -144,9 +144,9 @@ def _derived_dcr(space, rel, tol):
     its dcr_aa, dcr_apap and dcr_cross_winner rows, and a negative control
     on the worst row of the other, the loser."""
     checked = {}
-    for name, x in rel.cross_candidates.items():
+    for name in braid.CANDIDATES:
         gens = deform.derive_map(space, rel, name)
-        rows = verify.dcr_residuals(gens, replace(rel, cross_candidates={name: x}), tol=tol)
+        rows = verify.dcr_residuals(gens, rel, name, tol=tol)
         checked[name] = gens, rows, max(r.residual for r in rows)
     winner, loser = sorted(checked, key=lambda name: checked[name][2])
     gens, rows, _ = checked[winner]
@@ -156,20 +156,22 @@ def _derived_dcr(space, rel, tol):
     return gens, rows
 
 
-# The sl(N) unit's tolerances per sign: the DCR and q-number rows,
+# The sl(N) unit's tolerances per statistics: the DCR and q-number rows,
 # hermiticity, the commutant and the grade bookkeeping.
-_SL_TOLERANCES = {WEYL: (1e-10, 1e-12, 1e-11, 1e-13), CLIFFORD: (1e-12, 1e-12, 1e-12, 1e-13)}
+_SL_TOLERANCES = {Statistics.BOSE: (1e-10, 1e-12, 1e-11, 1e-13),
+                  Statistics.FERMI: (1e-12, 1e-12, 1e-12, 1e-13)}
 # The statistics and sign of the spaces that each sl(N) suite checks.
 _SL_SPACES = {"sl2-bose": ("bose", WEYL), "sl2-fermi": ("fermi", CLIFFORD),
               "slN": (["bose", "fermi"], [WEYL, CLIFFORD])}
 
 
-def _sl_unit(space, q, sign):
-    """The sl(N) map that R-hat derives on space (``_derived_dcr``), with
-    every row it is checked by: the DCRs, the q-number operator,
-    hermiticity, the commutant of the invariants and the grades."""
-    dcr, herm, comm, grade = _SL_TOLERANCES[sign]
-    gens, rows = _derived_dcr(space, braid.build_relations("sl", space.modes, q, sign), tol=dcr)
+def _sl_unit(space, rel):
+    """The sl(N) map that the relation data rel derive on space
+    (``_derived_dcr``), with every row it is checked by: the DCRs, the
+    q-number operator, hermiticity, the commutant of the invariants and
+    the grades."""
+    dcr, herm, comm, grade = _SL_TOLERANCES[space.statistics]
+    gens, rows = _derived_dcr(space, rel, tol=dcr)
     rows += verify.number_op_check(gens, tol=dcr)
     rows.append(CaseResult("hermiticity", deform.hermiticity_residual(gens), herm))
     rows += verify.invariant_commutant_check(gens, liealg.LieData("sl", space.modes), tol=comm)
@@ -196,7 +198,7 @@ def _sl2_alpha(space, gens):
 def _sl2_classical_limit(space):
     """sl(2)'s map (candidate qR) deviates from the classical one by O(q - 1)."""
     def devnorm(e):
-        g1 = deform.derive_map(space, braid.build_relations("sl", 2, 1.0 + e, WEYL), "qR")
+        g1 = deform.derive_map(space, braid.build_relations("sl", 2, 1.0 + e), "qR")
         g0 = deform.classical_generators(space, DeformParams(1.0, WEYL))
         return verify.generator_distance(g1, g0)
     ratio = devnorm(1e-3) / devnorm(5e-4)
@@ -214,11 +216,14 @@ def _suite_sl(cfg: SuiteConfig):
     space (sl2-bose, slN) and on the fermionic one (sl2-fermi; slN as
     fermi/q=...).  sl2-bose adds sl(2)'s alpha units and classical limit."""
     n = cfg.modes or 2
+    # the relation data of each q, built once per call for every unit of
+    # that q; a build that raises is not kept, so it fails each unit alone
+    relations = functools.cache(lambda q: braid.build_relations("sl", n, q))
     units = []
     if cfg.suite != "sl2-fermi":
         bose = build_space(n, Statistics.BOSE, cfg.cutoff)
         # the derived map and its rows, shared by the q unit and its alpha unit
-        derived = functools.cache(lambda q: _sl_unit(bose, q, WEYL))
+        derived = functools.cache(lambda q: _sl_unit(bose, relations(q)))
         for q in cfg.q:
             units.append((f"q={q:g}", lambda q=q: derived(q)[1]))
             if cfg.suite == "sl2-bose":
@@ -229,7 +234,7 @@ def _suite_sl(cfg: SuiteConfig):
     else:
         fermi = build_space(n, Statistics.FERMI)
         prefix = "fermi/" if cfg.suite == "slN" else ""
-        units += [(f"{prefix}q={q:g}", lambda q=q: _sl_unit(fermi, q, CLIFFORD)[1])
+        units += [(f"{prefix}q={q:g}", lambda q=q: _sl_unit(fermi, relations(q))[1])
                   for q in cfg.q]
     statistics, sign = _SL_SPACES[cfg.suite]
     cutoff = {} if cfg.cutoff is None else {"cutoff": cfg.cutoff}
@@ -453,7 +458,7 @@ def _suite_braid(cfg: SuiteConfig):
     combos = [("sl", 2), ("sl", 3), ("so", 3), ("so", 4)]
 
     def unit(family, n, q):
-        d = braid.relation_diagnostics(braid.build_relations(family, n, q, WEYL))
+        d = braid.relation_diagnostics(braid.build_relations(family, n, q))
         rows = [
             CaseResult("yang_baxter", d["yang_baxter"], 1e-12),
             CaseResult("characteristic", d["characteristic"], 1e-12),
@@ -462,7 +467,7 @@ def _suite_braid(cfg: SuiteConfig):
                        d["projector_orthogonality"], 1e-12,
                        {"ranks": d["projector_ranks"]}),
         ]
-        rel1 = braid.build_relations(family, n, 1.0 + 1e-8, WEYL)
+        rel1 = braid.build_relations(family, n, 1.0 + 1e-8)
         rows.append(CaseResult(
             "classical_limit",
             float(np.linalg.norm(rel1.rhat - liealg.permutation_matrix(n), 2)),

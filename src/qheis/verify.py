@@ -70,11 +70,12 @@ candidate X, the three defects are
 with s = +1 (Weyl) or -1 (Clifford).  A term moves s by the weight of
 its pair, so a relation that couples only pairs of one weight gives one
 shift per block.  The deforming maps use R = Pi, the annihilating
-projector, and X = Pt, a cross candidate (:func:`dcr_residuals`).  The
-flip in the annihilator contraction mirrors the transposed index pattern
-of the exchange relations.  The diagonal of the cross relation is the
-recursion that derives each map from its candidate
-(``deform.derive_map``); the rest of the relations are then checks.
+projector of their sign, and X = Pt, one named cross candidate of that
+sign (:func:`dcr_residuals`).  The flip in the annihilator contraction
+mirrors the transposed index pattern of the exchange relations.  The
+diagonal of the cross relation is the recursion that derives each map
+from its candidate (``deform.derive_map``); the rest of the relations
+are then checks.
 """
 
 from __future__ import annotations
@@ -211,22 +212,22 @@ def _pair_entries(m, n: int):
     return r, c, m[r, c]
 
 
-def quadratic_residual_matrices(a, ap, rel, cross: dict, sign: int):
+def quadratic_residual_matrices(a, ap, rel, cross, sign: int):
     """The stacked defects of the three quadratic exchange relations of the
     generators with gather tables a (the A^i) and ap (the A+_i), for the
-    numeric N^2 x N^2 relation matrix rel and each numeric cross candidate
-    X in the dict cross (module docstring).  Each defect is an N^2 x D
-    array of values: row s of block b = i N + j holds its one entry in the
-    column of s + e_i + e_j (annihilators), s - e_i - e_j (creators) or
+    numeric N^2 x N^2 relation matrix rel and the numeric cross candidate
+    cross (module docstring).  Each defect is an N^2 x D array of values:
+    row s of block b = i N + j holds its one entry in the column of
+    s + e_i + e_j (annihilators), s - e_i - e_j (creators) or
     s + e_i - e_j (cross).  Returns (annihilator defect, creator defect,
-    {name: cross defect}).
+    cross defect).
 
     Each entry sums the terms that the sparse products of the stacked
     generators summed, with the same factors in the same order
     (:func:`_sum_rows`): the nonzeros of rel in row-major order, and the
     cross terms of a diagonal block over decreasing h, the order in which
     the product of the stacks stored them.  Raises ValueError when rel or
-    a candidate couples pairs of different weight."""
+    the candidate couples pairs of different weight."""
     n, d = a.vals.shape[0], a.vals.shape[1] - 1
     i, j = divmod(np.arange(n * n), n)
 
@@ -240,39 +241,37 @@ def quadratic_residual_matrices(a, ap, rel, cross: dict, sign: int):
     cre = _sum_rows(c, product(ap, k_r, l_r) * v[:, None], n * n)  # A+_k A+_l R^{kl}_{ij}
     direct = a.vals[i, :d] * ap.vals[j[:, None], a.cols[i, :d]]  # A^i A+_j - delta
     direct[i == j] -= 1
-    out = {}
-    for name, x in cross.items():
-        r, c, v = _pair_entries(x, n)
-        (i_x, h), (j_x, k) = divmod(r, n), divmod(c, n)
-        # A+_h X^{ih}_{jk} A^k into block (i, j), over decreasing h
-        terms = (ap.vals[h, :d] * v[:, None]) * a.vals[k[:, None], ap.cols[h, :d]]
-        out[name] = direct - sign * _sum_rows((i_x * n + j_x)[::-1], terms[::-1], n * n)
-    return ann, cre, out
+    r, c, v = _pair_entries(cross, n)
+    (i_x, h), (j_x, k) = divmod(r, n), divmod(c, n)
+    # A+_h X^{ih}_{jk} A^k into block (i, j), over decreasing h
+    terms = (ap.vals[h, :d] * v[:, None]) * a.vals[k[:, None], ap.cols[h, :d]]
+    return ann, cre, direct - sign * _sum_rows((i_x * n + j_x)[::-1], terms[::-1], n * n)
 
 
-def dcr_residuals(gens: DeformedGenerators, rel: RelationMatrices,
+def dcr_residuals(gens: DeformedGenerators, rel: RelationMatrices, candidate: str,
                   tol: float = 1e-10) -> list[CaseResult]:
     """Residual rows for the deformed commutation relations, identities of
-    creator degree 2.
+    creator degree 2, with the sign s of the set's parameters.
 
-    Three groups: annihilating projector against A (x) A, against
-    A+ (x) A+, and the cross relation for each carried candidate.  Raises
-    ValueError when a relation matrix couples pairs of different weight.
+    Three rows: the annihilating projector against A (x) A, against
+    A+ (x) A+, and the cross relation of rel.cross_candidates(s)[candidate].
+    Raises ValueError when a relation matrix couples pairs of different weight.
     """
     if rel.n != gens.n:
         raise ValueError("generator set and relation matrices disagree on N")
-    if abs(rel.q - gens.params.q) > 1e-12 or rel.sign != gens.params.sign:
-        raise ValueError("generator set and relation matrices disagree on (q, sign)")
-    space = gens.space
+    if abs(rel.q - gens.params.q) > 1e-12:
+        raise ValueError("generator set and relation matrices disagree on q")
+    space, sign = gens.space, gens.params.sign
     ann, cre, cross = quadratic_residual_matrices(
-        gens.a, gens.ap, rel.annihilating_projector, rel.cross_candidates, rel.sign)
+        gens.a, gens.ap, rel.annihilating_projector(sign), rel.cross_candidates(sign)[candidate],
+        sign)
     up, down, across = space.pair_targets
 
     def case(name, m, targets):
         return CaseResult(name, shift_norm(space, m, targets, 2), tol, {"safe_degree": 2})
 
-    return [case("dcr_aa", ann, up), case("dcr_apap", cre, down)] + \
-        [case(f"dcr_cross[{name}]", m, across) for name, m in cross.items()]
+    return [case("dcr_aa", ann, up), case("dcr_apap", cre, down),
+            case(f"dcr_cross[{candidate}]", cross, across)]
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +310,8 @@ def number_op_check(gens: DeformedGenerators, tol: float = 1e-10) -> list[CaseRe
     ]
 
     if gens.space.statistics is Statistics.BOSE:
-        expected = np.array([qnum(t, q2s).real for t in space.shell.astype(float)])
+        spectrum = np.array([qnum(float(t), q2s).real for t in range(space.cutoff + 1)])
+        expected = spectrum[space.shell]
         raw = float(np.abs(nh[:d].real - expected).max())
         scale = max(1.0, float(np.abs(expected).max()))
         out.append(CaseResult("qnumber_spectrum", raw / scale, 1e-12,

@@ -268,27 +268,29 @@ def quadratic_residual_matrices(a, ap, rel, cross: dict, sign: int):
             {name: direct - sign * (left @ x @ right) for name, x in cross.items()})
 
 
-def dcr_residuals(gens, rel, tol: float = 1e-10) -> list:
-    """Residual rows for the deformed commutation relations, identities of
-    creator degree 2.
+def dcr_residuals(gens, rel, candidate: str, tol: float = 1e-10) -> list:
+    """Residual rows for the deformed commutation relations of the set
+    against the one cross candidate rel.cross_candidates(s)[candidate],
+    with s the sign of the set's parameters: identities of creator
+    degree 2.
 
-    Three groups: annihilating projector against A (x) A, against
-    A+ (x) A+, and the cross relation for each carried candidate.
+    Three rows: annihilating projector against A (x) A, against
+    A+ (x) A+, and the cross relation.
     """
     if rel.n != gens.n:
         raise ValueError("generator set and relation matrices disagree on N")
-    if abs(rel.q - gens.params.q) > 1e-12 or rel.sign != gens.params.sign:
-        raise ValueError("generator set and relation matrices disagree on (q, sign)")
-    d = gens.space.dim
+    if abs(rel.q - gens.params.q) > 1e-12:
+        raise ValueError("generator set and relation matrices disagree on q")
+    d, sign = gens.space.dim, gens.params.sign
     ann, cre, cross = quadratic_residual_matrices(
-        csr_list(gens.a), csr_list(gens.ap), kron_eye(rel.annihilating_projector, d),
-        {name: kron_eye(pt, d) for name, pt in rel.cross_candidates.items()}, rel.sign)
+        csr_list(gens.a), csr_list(gens.ap), kron_eye(rel.annihilating_projector(sign), d),
+        {candidate: kron_eye(rel.cross_candidates(sign)[candidate], d)}, sign)
 
     def row(name, m):
         return CaseResult(name, projected_norms(gens.space, m, 2), tol, {"safe_degree": 2})
 
-    return [row("dcr_aa", ann), row("dcr_apap", cre)] + \
-        [row(f"dcr_cross[{name}]", m) for name, m in cross.items()]
+    return [row("dcr_aa", ann), row("dcr_apap", cre),
+            row(f"dcr_cross[{candidate}]", cross[candidate])]
 
 
 def number_op_check(gens, tol: float = 1e-10) -> list:

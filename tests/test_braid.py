@@ -22,7 +22,7 @@ def test_sl2_rhat_entries():
 @pytest.mark.parametrize("family,n", COMBOS)
 @pytest.mark.parametrize("q", [0.7, 1.3])
 def test_braid_invariants(family, n, q):
-    rel = braid.build_relations(family, n, q, WEYL)
+    rel = braid.build_relations(family, n, q)
     # build_relations computes its guard alone; the other invariants are
     # read on demand
     assert set(rel.diagnostics) == {"yang_baxter", "characteristic"}
@@ -36,31 +36,31 @@ def test_braid_invariants(family, n, q):
 
 @pytest.mark.parametrize("family,n", COMBOS)
 def test_classical_limit(family, n):
-    rel = braid.build_relations(family, n, 1.0 + 1e-8, WEYL)
+    rel = braid.build_relations(family, n, 1.0 + 1e-8)
     p = liealg.permutation_matrix(n)
     assert np.abs(rel.rhat - p).max() < 1e-6
     # q = 1 exactly: every candidate collapses to the permutation
-    rel1 = braid.build_relations(family, n, 1.0, WEYL)
-    for cand in rel1.cross_candidates.values():
+    rel1 = braid.build_relations(family, n, 1.0)
+    for cand in rel1.cross_candidates(WEYL).values():
         assert np.linalg.norm(cand - p) < 1e-14
 
 
 def test_so3_projector_ranks():
-    rel = braid.build_relations("so", 3, 1.3, WEYL)
+    rel = braid.build_relations("so", 3, 1.3)
     assert braid.relation_diagnostics(rel)["projector_ranks"] == (5, 3, 1)
-    rel4 = braid.build_relations("so", 4, 0.7, WEYL)
+    rel4 = braid.build_relations("so", 4, 0.7)
     assert braid.relation_diagnostics(rel4)["projector_ranks"] == (9, 6, 1)
 
 
 def test_sl_projector_ranks_and_annihilator():
-    rel = braid.build_relations("sl", 3, 1.3, WEYL)
+    rel = braid.build_relations("sl", 3, 1.3)
     assert braid.relation_diagnostics(rel)["projector_ranks"] == (6, 3)
     # Weyl annihilating projector is the q-antisymmetrizer (eigenvalue -1/q)
     ev, p_anti = rel.projectors[1]
     assert abs(ev + 1 / 1.3) < 1e-14
-    assert np.linalg.norm(rel.annihilating_projector - p_anti) == 0.0
-    relc = braid.build_relations("sl", 3, 1.3, CLIFFORD)
-    assert np.linalg.norm(relc.annihilating_projector - relc.projectors[0][1]) == 0.0
+    assert np.linalg.norm(rel.annihilating_projector(WEYL) - p_anti) == 0.0
+    # Clifford's is the q-symmetrizer (eigenvalue q), from the same data
+    assert np.linalg.norm(rel.annihilating_projector(CLIFFORD) - rel.projectors[0][1]) == 0.0
 
 
 def test_so_metric():
@@ -90,17 +90,44 @@ def test_so_metric():
 def test_trace_projector_matches_metric():
     for n in (3, 4):
         for q in (0.7, 1.3):
-            rel = braid.build_relations("so", n, q, WEYL)
+            rel = braid.build_relations("so", n, q)
             assert braid.relation_diagnostics(rel)["trace_projector_vs_metric"] < 1e-10
 
 
 def test_rejections():
+    with pytest.raises(ValueError, match="Weyl sign only"):
+        braid.build_relations("so", 3, 1.3).annihilating_projector(CLIFFORD)
     with pytest.raises(ValueError):
-        braid.build_relations("so", 3, 1.3, CLIFFORD)
+        braid.build_relations("sp", 2, 1.3)
     with pytest.raises(ValueError):
-        braid.build_relations("sp", 2, 1.3, WEYL)
-    with pytest.raises(ValueError):
-        braid.build_relations("sl", 2, -1.0, WEYL)
+        braid.build_relations("sl", 2, -1.0)
+
+
+SIGN_FREE = [("sl", 2), ("sl", 3), ("sl", 4), ("so", 3), ("so", 4)]
+
+
+@pytest.mark.parametrize("family,n", SIGN_FREE)
+@pytest.mark.parametrize("q", [0.7, 1.3])
+def test_sign_pieces_are_the_signed_build_bit_for_bit(family, n, q):
+    # the pieces a sign reads off the sign-free data are the arrays that
+    # a build for that sign held: the projector with eigenvalue -1/q for
+    # Weyl (q for sl's Clifford), and q^s Rhat, q^s Rhat^-1 in that order
+    rel = braid.build_relations(family, n, q)
+    if family == "sl":
+        eye = np.eye(n * n, dtype=complex)
+        rhat = braid.sl_rhat(n, q)
+        assert np.array_equal(rel.rhat, rhat)
+        assert np.array_equal(rel.projectors[1][1], (q * eye - rhat) / (q + 1.0 / q))
+        assert np.array_equal(rel.projectors[0][1], (rhat + eye / q) / (q + 1.0 / q))
+    signs = (WEYL, CLIFFORD) if family == "sl" else (WEYL,)
+    for sign in signs:
+        ev, proj = rel.projectors[1 if sign == WEYL else 0]
+        assert ev == (-1.0 / q if sign == WEYL else q)
+        assert rel.annihilating_projector(sign) is proj
+        cross = rel.cross_candidates(sign)
+        assert list(cross) == list(braid.CANDIDATES) == ["qR", "qR_inv"]
+        assert np.array_equal(cross["qR"], q ** sign * rel.rhat)
+        assert np.array_equal(cross["qR_inv"], q ** sign * np.linalg.inv(rel.rhat))
 
 
 def _ybe_kron(rhat, n):
@@ -115,7 +142,7 @@ def _ybe_kron(rhat, n):
 @pytest.mark.parametrize("family", ["sl", "so"])
 def test_ybe_residual_matches_kron_reference(family, n):
     for q in (0.7, 1.3):
-        rhat = braid.build_relations(family, n, q, WEYL).rhat
+        rhat = braid.build_relations(family, n, q).rhat
         assert abs(braid._ybe_residual(rhat, n) - _ybe_kron(rhat, n)) <= 1e-15
 
 

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from scipy import sparse
@@ -23,15 +21,8 @@ def fermi_space():
 
 def derived(space, q, candidate="qR"):
     """The map that a cross candidate of the sl(N) relations at q derives
-    on the space, with the sign its statistics take."""
-    sign = CLIFFORD if space.statistics is Statistics.FERMI else WEYL
-    return deform.derive_map(space, braid.build_relations("sl", space.modes, q, sign), candidate)
-
-
-def own_dcr(gens, rel, candidate):
-    """The DCR rows of a set against one cross candidate alone."""
-    only = dataclasses.replace(rel, cross_candidates={candidate: rel.cross_candidates[candidate]})
-    return verify.dcr_residuals(gens, only)
+    on the space."""
+    return deform.derive_map(space, braid.build_relations("sl", space.modes, q), candidate)
 
 
 def ops(gens):
@@ -81,7 +72,7 @@ def test_qR_wins_at_every_q(n, stat, cutoff):
     space = fock.build_space(n, stat, cutoff)
     sign = CLIFFORD if stat is Statistics.FERMI else WEYL
     for q in (0.63, 0.77, 1.17, 1.43):
-        rel = braid.build_relations("sl", n, q, sign)
+        rel = braid.build_relations("sl", n, q)
         gens, rows = suites._derived_dcr(space, rel, tol=1e-10)
         rows = {r.name: r for r in rows}
         assert gens.params == DeformParams(q, sign)
@@ -96,12 +87,12 @@ def test_qR_wins_at_every_q(n, stat, cutoff):
 @pytest.mark.parametrize("n", [3, 4])
 def test_clifford_sln_holds_every_dcr(n, q):
     space = fock.build_space(n, Statistics.FERMI)
-    rel = braid.build_relations("sl", n, q, CLIFFORD)
-    rows = own_dcr(deform.derive_map(space, rel, "qR"), rel, "qR")
+    rel = braid.build_relations("sl", n, q)
+    rows = verify.dcr_residuals(deform.derive_map(space, rel, "qR"), rel, "qR")
     assert [r.name for r in rows] == ["dcr_aa", "dcr_apap", "dcr_cross[qR]"]
     assert max(r.residual for r in rows) <= 1e-14
     # the fermionic unit of slN: every row of the derived map
-    rows = {r.name: r for r in suites._sl_unit(space, q, CLIFFORD)[1]}
+    rows = {r.name: r for r in suites._sl_unit(space, rel)[1]}
     assert sorted(rows) == sorted([
         "dcr_aa", "dcr_apap", "dcr_cross_winner", "cross_negative_control",
         "qnumber_creator_relation", "qnumber_annihilator_relation", "hermiticity",
@@ -167,7 +158,7 @@ def test_removable_singularity_is_invisible(bose_space, monkeypatch):
 def test_inner_automorphism(bose_space):
     q = 1.3
     params = DeformParams(q, WEYL)
-    rel = braid.build_relations("sl", 2, q, WEYL)
+    rel = braid.build_relations("sl", 2, q)
     gens = deform.derive_map(bose_space, rel, "qR")
 
     ident = np.ones(bose_space.dim)
@@ -177,8 +168,8 @@ def test_inner_automorphism(bose_space):
 
     alpha = q ** bose_space.shell.astype(float)
     conj, _ = deform.inner_automorphism(gens, alpha)
-    before = max(r.residual for r in own_dcr(gens, rel, "qR"))
-    after = max(r.residual for r in own_dcr(conj, rel, "qR"))
+    before = max(r.residual for r in verify.dcr_residuals(gens, rel, "qR"))
+    after = max(r.residual for r in verify.dcr_residuals(conj, rel, "qR"))
     assert after < max(10 * before, 1e-12)
 
     # a diagonal alpha is exact at any spread: cond 1e20 is measured, not refused
@@ -238,13 +229,16 @@ def test_classical_limit_linear_scaling(bose_space):
 
 
 def test_shape_validation(bose_space, fermi_space):
-    # a relation of another N, family or sign than the space takes
-    for space, rel in ((bose_space, braid.build_relations("sl", 3, 1.3, WEYL)),
-                       (bose_space, braid.build_relations("so", 2, 1.3, WEYL)),
-                       (bose_space, braid.build_relations("sl", 2, 1.3, CLIFFORD)),
-                       (fermi_space, braid.build_relations("sl", 2, 1.3, WEYL))):
+    # a relation of another N or family than the space takes
+    for space, rel in ((bose_space, braid.build_relations("sl", 3, 1.3)),
+                       (bose_space, braid.build_relations("so", 2, 1.3)),
+                       (fermi_space, braid.build_relations("sl", 3, 1.3))):
         with pytest.raises(ValueError, match="no sl"):
             deform.derive_map(space, rel, "qR")
+    # one relation serves both spaces, the sign read off each
+    rel = braid.build_relations("sl", 2, 1.3)
+    assert deform.derive_map(bose_space, rel, "qR").params == DeformParams(1.3, WEYL)
+    assert deform.derive_map(fermi_space, rel, "qR").params == DeformParams(1.3, CLIFFORD)
 
 
 def _per_state(space, f):

@@ -76,6 +76,50 @@ def test_dcr_products_built_once_per_generator_set(monkeypatch):
         assert len(built) == sets == len({id(g) for g in built}), suite
 
 
+def test_sln_builds_one_relation_per_q(monkeypatch):
+    # the Weyl and the Clifford units of a q share one R-hat and its guard
+    built = []
+    original = braid.build_relations
+
+    def counting(family, n, q):
+        built.append((family, n, q))
+        return original(family, n, q)
+
+    monkeypatch.setattr(braid, "build_relations", counting)
+    report = suites.run_suite(suites.make_config("slN", q=(0.7, 1.3), cutoff=4))
+    assert all(c.passed for c in report.cases)
+    assert sorted(built) == [("sl", 3, 0.7), ("sl", 3, 1.3)]
+    # the data live for one call: the next call builds and guards them again
+    suites.run_suite(suites.make_config("slN", q=(0.7, 1.3), cutoff=4))
+    assert len(built) == 4
+
+
+@pytest.mark.parametrize("suite, failed", [
+    ("slN", ["fermi/q=1.3/EXECUTION", "q=1.3/EXECUTION"]),
+    ("sl2-bose", ["q=1.3/EXECUTION", "q=1.3/alpha/EXECUTION"]),
+    ("sl2-fermi", ["q=1.3/EXECUTION"])], ids=["slN", "sl2-bose", "sl2-fermi"])
+def test_relation_build_that_raises_fails_each_unit_of_its_q(suite, failed, monkeypatch):
+    # a raising build is not kept: every unit of that q fails on its own,
+    # with the build's error, and the units of the other q keep their rows
+    cfg = suites.make_config(suite, q=(0.7, 1.3))
+    clean = {c.name: (c.residual, c.passed) for c in suites.run_suite(cfg).cases}
+    original = braid.build_relations
+
+    def refuse_one_q(family, n, q):
+        if q == 1.3:
+            raise braid.BraidConventionError("R-hat refused")
+        return original(family, n, q)
+
+    monkeypatch.setattr(braid, "build_relations", refuse_one_q)
+    cases = {c.name: c for c in suites.run_suite(cfg).cases}
+    assert sorted(name for name in cases if name.endswith("/EXECUTION")) == failed
+    assert all("R-hat refused" in cases[name].metadata["error"] for name in failed)
+    kept = {name: (c.residual, c.passed) for name, c in cases.items()
+            if not name.endswith("/EXECUTION")}
+    assert kept == {name: v for name, v in clean.items() if "q=1.3" not in name}
+    assert any("q=0.7" in name for name in kept)
+
+
 @pytest.mark.parametrize("cutoff", [3, 8, 12])
 def test_sln_at_two_modes_runs_the_sl2_units_bit_for_bit(cutoff):
     # slN's bosonic units are sl2-bose's q units, without its sl(2)-only
@@ -218,7 +262,7 @@ def test_onesided_hermiticity_control_discriminates(monkeypatch):
         assert c.residual == 1e-3 / c.metadata["raw_residual"]
     # a *-compatible map in place of the one-sided one must fail the control
     monkeypatch.setattr(deform, "sl2_bose_onesided_map", lambda space, params: deform.derive_map(
-        space, braid.build_relations("sl", 2, params.q, params.sign), "qR"))
+        space, braid.build_relations("sl", 2, params.q), "qR"))
     rows = control_rows()
     assert len(rows) == 2 and not any(c.passed for c in rows)
 

@@ -20,9 +20,8 @@ QS = (0.5, 0.7, 1.3, 2.0)
 
 def derived(space, q):
     """The map that candidate qR of the sl(N) relations at q derives on
-    the space, with the sign its statistics take."""
-    sign = CLIFFORD if space.statistics is Statistics.FERMI else WEYL
-    return deform.derive_map(space, braid.build_relations("sl", space.modes, q, sign), "qR")
+    the space."""
+    return deform.derive_map(space, braid.build_relations("sl", space.modes, q), "qR")
 
 
 def random_map(space, params, rng):
@@ -35,8 +34,11 @@ def random_map(space, params, rng):
 
 
 def both_routes(gens, rel, data):
-    """(ladder route, sparse route) pairs of every row of the four checks."""
-    pairs = list(zip(verify.dcr_residuals(gens, rel), sparse_route.dcr_residuals(gens, rel)))
+    """(ladder route, sparse route) pairs of every row of the four checks,
+    the DCR rows candidate by candidate."""
+    pairs = [pair for candidate in braid.CANDIDATES
+             for pair in zip(verify.dcr_residuals(gens, rel, candidate),
+                             sparse_route.dcr_residuals(gens, rel, candidate), strict=True)]
     pairs += zip(verify.number_op_check(gens), sparse_route.number_op_check(gens))
     pairs += zip(verify.invariant_commutant_check(gens, data),
                  sparse_route.invariant_commutant_check(gens, data))
@@ -55,7 +57,7 @@ def test_ladder_route_is_the_sparse_route_bit_for_bit(n, stat):
     compared = 0
     for q in QS:
         params = DeformParams(q, sign)
-        rel = braid.build_relations("sl", n, q, sign)
+        rel = braid.build_relations("sl", n, q)
         # the map of qR_inv fails its relations, some at order one
         for gens in (deform.derive_map(space, rel, "qR"), deform.derive_map(space, rel, "qR_inv"),
                      random_map(space, params, rng)):
@@ -151,17 +153,15 @@ def test_generators_must_be_on_the_space_ladders():
 def test_relations_coupling_different_weights_are_rejected():
     space = fock.build_space(2, Statistics.BOSE, 5)
     gens = derived(space, 1.3)
-    rel = braid.build_relations("sl", 2, 1.3, WEYL)
+    rel = braid.build_relations("sl", 2, 1.3)
     a, ap = gens.a, gens.ap
-    pi = rel.annihilating_projector
+    pi, cross = rel.annihilating_projector(WEYL), rel.cross_candidates(WEYL)["qR"]
     with pytest.raises(ValueError, match="different weight"):
         coupled = pi.copy()
         coupled[0, 3] = 0.5  # pair (1, 1) with pair (2, 2)
-        verify.quadratic_residual_matrices(a, ap, coupled, rel.cross_candidates, rel.sign)
+        verify.quadratic_residual_matrices(a, ap, coupled, cross, WEYL)
     with pytest.raises(ValueError, match="different weight"):
-        cross = dict(rel.cross_candidates)
-        cross["qR"] = cross["qR"] + 0.5 * np.eye(4)[::-1]
-        verify.quadratic_residual_matrices(a, ap, pi, cross, rel.sign)
+        verify.quadratic_residual_matrices(a, ap, pi, cross + 0.5 * np.eye(4)[::-1], WEYL)
 
 
 def test_delta_term_targets_the_row_where_the_creator_leaves_the_space():
@@ -171,9 +171,11 @@ def test_delta_term_targets_the_row_where_the_creator_leaves_the_space():
     # at q = 1.3 would read 0.408 in place of 0.650
     space = fock.build_space(2, Statistics.FERMI)
     gens = derived(space, 1.3)
-    rel = braid.build_relations("sl", 2, 1.3, CLIFFORD)
-    rows = {r.name: r.residual for r in verify.dcr_residuals(gens, rel)}
-    old = {r.name: r.residual for r in sparse_route.dcr_residuals(gens, rel)}
+    rel = braid.build_relations("sl", 2, 1.3)
+    rows = {r.name: r.residual
+            for c in braid.CANDIDATES for r in verify.dcr_residuals(gens, rel, c)}
+    old = {r.name: r.residual
+           for c in braid.CANDIDATES for r in sparse_route.dcr_residuals(gens, rel, c)}
     assert rows == old
     assert rows["dcr_cross[qR]"] < 1e-15
     assert abs(rows["dcr_cross[qR_inv]"] - 0.6498722033542244) < 1e-15

@@ -145,8 +145,8 @@ def test_norms_leave_a_non_canonical_input_unchanged():
 def test_generators_and_defects_are_sparse():
     space = fock.build_space(4, Statistics.BOSE, 7)
     q = 1.3
-    rel = braid.build_relations("sl", 4, q, WEYL)
-    for candidate in rel.cross_candidates:
+    rel = braid.build_relations("sl", 4, q)
+    for candidate in braid.CANDIDATES:
         gens = deform.derive_map(space, rel, candidate)
         for table in (gens.a, gens.ap):
             col = sparse_route.column(table)
@@ -162,23 +162,24 @@ def test_generators_and_defects_are_sparse():
 
 
 def dcr_defects(gens, rel):
-    """The stacked defects of the deformed commutation relations, by the
-    sparse route (tests/sparse_route.py)."""
-    eye_d = sparse.eye_array(gens.space.dim)
-    pi = sparse.kron(rel.annihilating_projector, eye_d, format="csr")
+    """The stacked defects of the deformed commutation relations, both
+    cross candidates of the set's sign, by the sparse route
+    (tests/sparse_route.py)."""
+    eye_d, sign = sparse.eye_array(gens.space.dim), gens.params.sign
+    pi = sparse.kron(rel.annihilating_projector(sign), eye_d, format="csr")
     cross = {name: sparse.kron(pt, eye_d, format="csr")
-             for name, pt in rel.cross_candidates.items()}
+             for name, pt in rel.cross_candidates(sign).items()}
     return sparse_route.quadratic_residual_matrices(csr_list(gens.a), csr_list(gens.ap), pi,
-                                                    cross, rel.sign)
+                                                    cross, sign)
 
 
 def dense_defects(gens, rel):
     """The defect of each relation and pair (i, j), summed entry by entry
     over the relation matrices (module docstring of verify), dense."""
-    n, s = gens.n, rel.sign
+    n, s = gens.n, gens.params.sign
     a = [m.toarray() for m in csr_list(gens.a)]
     ap = [m.toarray() for m in csr_list(gens.ap)]
-    pi, eye = rel.annihilating_projector, np.eye(gens.space.dim)
+    pi, eye = rel.annihilating_projector(s), np.eye(gens.space.dim)
     pairs = [divmod(k, n) for k in range(n * n)]
     ann = [sum(pi[i * n + j, k * n + l] * (a[l] @ a[k]) for k, l in pairs) for i, j in pairs]
     cre = [sum(pi[k * n + l, i * n + j] * (ap[k] @ ap[l]) for k, l in pairs)
@@ -186,7 +187,7 @@ def dense_defects(gens, rel):
     cross = {name: [a[i] @ ap[j] - (i == j) * eye
                     - s * sum(pt[i * n + h, j * n + k] * (ap[h] @ a[k]) for h, k in pairs)
                     for i, j in pairs]
-             for name, pt in rel.cross_candidates.items()}
+             for name, pt in rel.cross_candidates(s).items()}
     return ann, cre, cross
 
 
@@ -211,7 +212,7 @@ def test_shared_contraction_matches_dense_reference(sign):
     gens = deform.DeformedGenerators(space, DeformParams(1.3, sign),
                                      deform._dressed(space.an, right=dressing()),
                                      deform._dressed(space.ap, left=dressing()))
-    rel = braid.build_relations("sl", 3, 1.3, sign)
+    rel = braid.build_relations("sl", 3, 1.3)
     ann, cre, cross = dcr_defects(gens, rel)
     want_ann, want_cre, want_cross = dense_defects(gens, rel)
     d = space.dim

@@ -13,15 +13,13 @@ from sparse_route import csr_list
 
 def derived(space, q):
     """The map that candidate qR of the sl(N) relations at q derives on
-    the space, with the sign its statistics take."""
-    sign = CLIFFORD if space.statistics is Statistics.FERMI else WEYL
-    return deform.derive_map(space, braid.build_relations("sl", space.modes, q, sign), "qR")
+    the space."""
+    return deform.derive_map(space, braid.build_relations("sl", space.modes, q), "qR")
 
 
-def worst_own_dcr(gens, rel, candidate="qR"):
-    """The largest DCR residual of a set against one cross candidate alone."""
-    only = dataclasses.replace(rel, cross_candidates={candidate: rel.cross_candidates[candidate]})
-    return max(r.residual for r in verify.dcr_residuals(gens, only))
+def worst_dcr(gens, rel, candidate="qR"):
+    """The largest DCR residual of a set against one cross candidate."""
+    return max(r.residual for r in verify.dcr_residuals(gens, rel, candidate))
 
 
 def test_case_result_invariants():
@@ -42,9 +40,12 @@ def test_report_sorts_cases():
 def test_classical_dcr_at_q1():
     sp = fock.build_space(2, Statistics.BOSE, 6)
     gens = deform.classical_generators(sp, DeformParams(1.0, WEYL))
-    rel = braid.build_relations("sl", 2, 1.0, WEYL)
-    for row in verify.dcr_residuals(gens, rel, tol=1e-13):
-        assert row.residual < 1e-13, row.name
+    rel = braid.build_relations("sl", 2, 1.0)
+    for candidate in braid.CANDIDATES:
+        rows = verify.dcr_residuals(gens, rel, candidate, tol=1e-13)
+        assert [r.name for r in rows] == ["dcr_aa", "dcr_apap", f"dcr_cross[{candidate}]"]
+        for row in rows:
+            assert row.residual < 1e-13, row.name
 
 
 def test_one_candidate_holds_at_every_q_and_cutoff():
@@ -54,7 +55,7 @@ def test_one_candidate_holds_at_every_q_and_cutoff():
     for cutoff in (5, 8):
         sp = fock.build_space(2, Statistics.BOSE, cutoff)
         for q in (0.7, 1.3):
-            rel = braid.build_relations("sl", 2, q, WEYL)
+            rel = braid.build_relations("sl", 2, q)
             _, rows = suites._derived_dcr(sp, rel, tol=1e-10)
             rows = {r.name: r for r in rows}
             assert all(rows[k].residual < 1e-10 for k in ("dcr_aa", "dcr_apap", "dcr_cross_winner"))
@@ -67,29 +68,31 @@ def test_residuals_shrink_with_cutoff():
     # safe-projected residuals stay at the numerical floor as the cutoff
     # grows: defects are truncation artifacts only
     worst = {}
-    rel = braid.build_relations("sl", 2, 1.3, WEYL)
+    rel = braid.build_relations("sl", 2, 1.3)
     for cutoff in (5, 8):
         sp = fock.build_space(2, Statistics.BOSE, cutoff)
-        worst[cutoff] = worst_own_dcr(deform.derive_map(sp, rel, "qR"), rel)
+        worst[cutoff] = worst_dcr(deform.derive_map(sp, rel, "qR"), rel)
     assert worst[8] <= max(2.0 * worst[5], 1e-13)
 
 
 def test_fermi_dcr_exact():
     sp = fock.build_space(2, Statistics.FERMI)
     for q in (0.7, 1.3):
-        rel = braid.build_relations("sl", 2, q, CLIFFORD)
-        assert worst_own_dcr(deform.derive_map(sp, rel, "qR"), rel) < 1e-13
+        rel = braid.build_relations("sl", 2, q)
+        assert worst_dcr(deform.derive_map(sp, rel, "qR"), rel) < 1e-13
 
 
 def test_parameter_mismatch_rejected():
     sp = fock.build_space(2, Statistics.BOSE, 5)
     gens = derived(sp, 1.3)
-    rel = braid.build_relations("sl", 2, 0.7, WEYL)
-    with pytest.raises(ValueError):
-        verify.dcr_residuals(gens, rel)
-    rel3 = braid.build_relations("sl", 3, 1.3, WEYL)
-    with pytest.raises(ValueError):
-        verify.dcr_residuals(gens, rel3)
+    rel = braid.build_relations("sl", 2, 0.7)
+    with pytest.raises(ValueError, match="disagree on q"):
+        verify.dcr_residuals(gens, rel, "qR")
+    rel3 = braid.build_relations("sl", 3, 1.3)
+    with pytest.raises(ValueError, match="disagree on N"):
+        verify.dcr_residuals(gens, rel3, "qR")
+    with pytest.raises(KeyError):
+        verify.dcr_residuals(gens, braid.build_relations("sl", 2, 1.3), "R")
 
 
 def test_number_op_relations():
@@ -251,10 +254,11 @@ def test_dcr_products_do_not_grow_with_n(monkeypatch):
             sp = fock.build_space(n, stat, cut)
             sign = WEYL if stat is Statistics.BOSE else CLIFFORD
             gens = deform.classical_generators(sp, DeformParams(1.3, sign))
-            rel = braid.build_relations("sl", n, 1.3, sign)
+            rel = braid.build_relations("sl", n, 1.3)
             data = liealg.LieData("sl", n)
             monkeypatch.setattr(sparse.csr_array, "_matmul_sparse", counting)
-            verify.dcr_residuals(gens, rel)
+            for candidate in braid.CANDIDATES:
+                verify.dcr_residuals(gens, rel, candidate)
             verify.number_op_check(gens)
             verify.invariant_commutant_check(gens, data)
             deform.hermiticity_residual(gens)
