@@ -8,7 +8,7 @@ decomposition -- rather than trusted as transcriptions.
 import numpy as np
 
 from qheis import braid, liealg
-from qheis.qspecial import CLIFFORD, WEYL
+from qheis.fock import Statistics
 
 q = 1.3
 
@@ -37,12 +37,13 @@ print("C_lower @ C_upper - 1:", f"{np.linalg.norm(c_lo @ c_up - np.eye(3)):.1e}"
 print("trace projector vs metric tensor square:",
       f"{braid.relation_diagnostics(rel)['trace_projector_vs_metric']:.1e}")
 
-# The relation data hold no Weyl-or-Clifford sign: the sign s picks the
-# projector that annihilates A x A and scales the two cross candidates
-# q^s Rhat and q^s Rhat^-1; the residual engine decides which one the
-# derived maps satisfy (see demo 03).
+# The relation data hold no Weyl-or-Clifford sign: the statistics of the
+# space fix it (s = +1 Weyl on bosons, -1 Clifford on fermions), and s
+# picks the projector that annihilates A x A and scales the two cross
+# candidates q^s Rhat and q^s Rhat^-1; the residual engine decides which
+# one the derived maps satisfy (see demo 03).
 sl3 = braid.build_relations("sl", 3, q)
-for label, sign in (("Weyl", WEYL), ("Clifford", CLIFFORD)):
-    rank = int(round(np.trace(sl3.annihilating_projector(sign)).real))
-    print(f"\nsl(3), {label}: annihilating projector of rank {rank}, cross candidates",
-          ", ".join(sl3.cross_candidates(sign)))
+for stat in Statistics:
+    rank = int(round(np.trace(sl3.annihilating_projector(stat.sign)).real))
+    print(f"\nsl(3), {stat.value} (s = {stat.sign:+d}): annihilating projector of rank "
+          f"{rank}, cross candidates", ", ".join(sl3.cross_candidates(stat.sign)))

@@ -3,10 +3,12 @@
 Each cross-relation candidate of the relation matrices determines a
 map by one recursion (``deform.derive_map``): the eigenvalue x_i(n) of
 A+_i A^i follows the diagonal of the (i, i) cross relation, and
-A+_i = sqrt(x_i/n_i) a+_i.  The maps are dressed mode operators, stored
-as the ladder tables of the space with scaled values (``gens.a``,
-``gens.ap``); the residual engine then checks each map against its own
-candidate, and exactly one of them holds.  The suites ``sl2-bose``,
+A+_i = sqrt(x_i/n_i) a+_i.  The maps are dressed mode operators at the
+set's q (``gens.q``), stored as the ladder tables of the space with
+scaled values (``gens.a``, ``gens.ap``); the Weyl-or-Clifford sign of
+their relations is the space's (``Statistics.sign``).  The residual
+engine then checks each map against its own candidate, and exactly one
+of them holds.  The suites ``sl2-bose``,
 ``sl2-fermi`` and ``slN`` run this check, with the q-number,
 hermiticity, commutant and grade rows, as one sl(N) unit per q, on the
 bosonic or the fermionic space.
@@ -51,9 +53,9 @@ print("hermiticity residual:", f"{deform.hermiticity_residual(gens):.2e}")
 
 # All deforming maps are related by inner automorphisms.  The diagonal
 # intertwiner alpha turns the symmetric dressing into the one-sided one.
-alpha = deform.sl2_alpha_intertwiner(sp, gens.params)
+alpha = deform.sl2_alpha_intertwiner(sp, gens.q)
 conj, cond = deform.inner_automorphism(gens, alpha)
-oneside = deform.sl2_bose_onesided_map(sp, gens.params)
+oneside = deform.sl2_bose_onesided_map(sp, gens.q)
 dev = np.abs(conj.ap.vals - oneside.ap.vals).max()  # the same columns
 print(f"\nalpha-conjugation reproduces the one-sided map: {dev:.2e} "
       f"(cond alpha = {cond:.1f})")

@@ -5,7 +5,6 @@ block operators on the (shell, parity) sectors of the space
 
 from qheis import fock, soshift
 from qheis.fock import Statistics
-from qheis.qspecial import WEYL, DeformParams
 
 sp = fock.build_space(3, Statistics.BOSE, cutoff=6)
 orb = soshift.build_orbital(sp)
@@ -34,7 +33,7 @@ for sign in (+1, -1):
 # The four functional equations determining the so(N) dressing ratio,
 # checked pointwise on the realized grid with telescoped y-ratios.
 for q in (0.7, 1.3):
-    rows = soshift.verify_y_son(orb, DeformParams(q, WEYL))
+    rows = soshift.verify_y_son(orb, q)
     worst = max(r.residual for r in rows)
     pts = sum(r.metadata["points"] for r in rows)
     print(f"q = {q}: four functional equations, {pts} grid points, "

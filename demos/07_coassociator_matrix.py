@@ -29,8 +29,7 @@ import math
 import numpy as np
 
 from qheis import fock, kz, verify
-from qheis.fock import Statistics
-from qheis.qspecial import WEYL, CLIFFORD, DeformParams
+from qheis.fock import CLIFFORD, WEYL, Statistics
 
 space = fock.build_space(2, Statistics.BOSE, cutoff=5)
 system = kz.build_operator_system(space)
@@ -79,10 +78,10 @@ print("M commutes with the coproduct image:",
 
 # The decisive check: the dressed generators satisfy the exchange
 # relations with matrices conjugated by M.
-# One call checks both statistics signs on the same M: cond(M), M^-1 and
-# M^-1 P M are computed once for both.
-weyl, wrong = kz.coassociator_relation_check(
-    system, (DeformParams(math.e**h, WEYL), DeformParams(math.e**h, CLIFFORD)), m)
+# One call at one q checks both signs on the same M: cond(M), M^-1 and
+# M^-1 P M are computed once for both.  The system is bosonic, so WEYL is
+# its sign and CLIFFORD the wrong-statistics control.
+weyl, wrong = kz.coassociator_relation_check(system, math.e**h, (WEYL, CLIFFORD), m)
 print(f"\ndressed exchange relations at q = e^{h} (tolerance 1e-12):")
 for row in weyl:
     print(f"  {row.name:26s} {row.residual:.3e}")
@@ -90,7 +89,7 @@ for row in weyl:
 # Controls: at q = 1 everything reduces to the canonical relations
 # exactly, while the wrong statistics sign fails at order one.
 m0 = kz.coassociator_matrices(system, (0.0,))[0]
-rows0 = kz.coassociator_relation_check(system, (DeformParams(1.0, WEYL),), m0)[0]
+rows0 = kz.coassociator_relation_check(system, 1.0, (WEYL,), m0)[0]
 print("q = 1 control:", f"{max(r.residual for r in rows0):.1e}")
 print("wrong-sign control (must be large):",
       f"{max(r.residual for r in wrong):.2f}")

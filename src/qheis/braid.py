@@ -28,12 +28,14 @@ two maps satisfies its relations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .fock import CLIFFORD, WEYL
 from .liealg import permutation_matrix
-from .qspecial import CLIFFORD, WEYL
+from .qspecial import checked_q
 
 
 # The names of the two cross candidates, q^s Rhat and q^s Rhat^(-1).
@@ -178,27 +180,14 @@ class RelationMatrices:
         return dict(zip(CANDIDATES, (qs * self.rhat, qs * self.rhat_inv)))
 
 
-def _sl_projectors(rhat: np.ndarray, q: float) -> list:
+def _projectors(rhat: np.ndarray, evs: tuple) -> list:
+    """The spectral projectors of Rhat by Lagrange interpolation,
+    prod_{j != k} (Rhat - l_j) / (l_k - l_j) for each eigenvalue l_k;
+    the eigenvalues must be distinct."""
     eye = np.eye(rhat.shape[0], dtype=complex)
-    sym = (rhat + eye / q) / (q + 1.0 / q)
-    anti = (q * eye - rhat) / (q + 1.0 / q)
-    return [(q, sym), (-1.0 / q, anti)]
-
-
-def _so_projectors(rhat: np.ndarray, n: int, q: float) -> list:
-    dim = rhat.shape[0]
-    eye = np.eye(dim, dtype=complex)
-    if q == 1.0:
-        p = rhat
-        anti = (eye - p) / 2.0
-        # classical trace projector |delta><delta| / N
-        v = np.eye(n, dtype=complex).reshape(-1)
-        tracep = np.outer(v, v) / n
-        return [(1.0, (eye + p) / 2.0 - tracep), (-1.0, anti), (1.0, tracep)]
-    evs = [q, -1.0 / q, q ** (1 - n)]
     projs = []
     for k, lk in enumerate(evs):
-        p = eye.copy()
+        p = eye
         for j, lj in enumerate(evs):
             if j != k:
                 p = p @ (rhat - lj * eye) / (lk - lj)
@@ -206,41 +195,45 @@ def _so_projectors(rhat: np.ndarray, n: int, q: float) -> list:
     return projs
 
 
+def _so_classical_projectors(p: np.ndarray, n: int) -> list:
+    """so(N)'s projectors at q = 1, where Rhat is the permutation p and
+    q = q^(1-N), so that Lagrange cannot split them: the traceless
+    symmetric, antisymmetric and trace parts."""
+    eye = np.eye(n * n, dtype=complex)
+    v = np.eye(n, dtype=complex).reshape(-1)
+    tracep = np.outer(v, v) / n  # |delta><delta| / N
+    return [(1.0, (eye + p) / 2.0 - tracep), (-1.0, (eye - p) / 2.0), (1.0, tracep)]
+
+
 def build_relations(family: str, n: int, q: float) -> RelationMatrices:
     """Build and validate the relation data of one algebra; the Weyl and
     the Clifford sign pick their pieces from it (RelationMatrices).
 
     q = 1 is allowed and collapses everything to the classical
-    permutation matrix.
+    permutation matrix; ValueError unless q is a real number > 0.
     """
-    if q <= 0:
-        raise ValueError("q must be positive")
+    q = checked_q(q)
     if family not in ("sl", "so"):
         raise ValueError(f"unknown family {family!r}")
 
     metric_lower = metric_upper = None
-    eye2 = np.eye(n * n, dtype=complex)
-
     if family == "sl":
         rhat = sl_rhat(n, q)
-        char = np.linalg.norm((rhat - q * eye2) @ (rhat + eye2 / q))
-        projectors = _sl_projectors(rhat, q)
+    elif q != 1.0:
+        w = cartesian_transform(n)
+        w2 = np.kron(w, w)
+        rhat = np.linalg.inv(w2) @ so_rhat_frt(n, q) @ w2
+        metric_lower = w.T @ so_metric_frt(n, q) @ w
+        metric_upper = np.linalg.inv(metric_lower)
     else:
-        if q != 1.0:
-            w = cartesian_transform(n)
-            w2 = np.kron(w, w)
-            rhat = np.linalg.inv(w2) @ so_rhat_frt(n, q) @ w2
-            c_frt = so_metric_frt(n, q)
-            metric_lower = w.T @ c_frt @ w
-            metric_upper = np.linalg.inv(metric_lower)
-        else:
-            rhat = permutation_matrix(n)
-            metric_lower = np.eye(n, dtype=complex)
-            metric_upper = np.eye(n, dtype=complex)
-        char = np.linalg.norm(
-            (rhat - q * eye2) @ (rhat + eye2 / q) @ (rhat - q ** (1 - n) * eye2)
-        )
-        projectors = _so_projectors(rhat, n, q)
+        rhat = permutation_matrix(n)
+        metric_lower = np.eye(n, dtype=complex)
+        metric_upper = np.eye(n, dtype=complex)
+    evs = (q, -1.0 / q) if family == "sl" else (q, -1.0 / q, q ** (1 - n))  # of Rhat
+    eye2 = np.eye(n * n, dtype=complex)
+    char = np.linalg.norm(functools.reduce(np.matmul, [rhat - lam * eye2 for lam in evs]))
+    projectors = (_so_classical_projectors(rhat, n) if family == "so" and q == 1.0
+                  else _projectors(rhat, evs))
 
     # Frobenius norms of the defects: they bound the spectral norms without
     # an SVD of the N^3 x N^3 defect, and against the spectral scale the

@@ -8,8 +8,9 @@ x_i(n) of A+_i A^i follows the diagonal of the (i, i) cross relation,
 
   x_i(n) = 1 + s sum_h X^{ih}_{ih} x_h(n - e_i),   x_i = 0 where n_i = 0,
 
-with s = +1 (Weyl) or -1 (Clifford) and X a cross candidate of the
-relation matrices, and d_i = sqrt(x_i/n_i).  For the candidate q^s Rhat
+with s = +1 (Weyl) on a bosonic and -1 (Clifford) on a fermionic space
+(``fock.Statistics.sign``) and X a cross candidate of the relation
+matrices, and d_i = sqrt(x_i/n_i).  For the candidate q^s Rhat
 this gives x_i = (n_i)_{q^{2s}} q^{2s sum_{j>i} n_j}: for sl(2), Weyl,
 A+_1 = sqrt((n_1)_{q^2}/n_1) q^{n_2} a+_1 and A+_2 = sqrt((n_2)_{q^2}/n_2)
 a+_2; for sl(2), Clifford, A+_1 = q^{-n_2} a+_1 and A+_2 = a+_2.  The
@@ -22,9 +23,10 @@ the vacuum and the one-particle states.  The dressings are diagonal
 functions of the mode numbers, so a dressing's value at n_i = 0 never
 reaches a nonzero matrix entry.
 
-A generator set holds the A^i and the A+_i as two ladder tables
-(``fock.LadderTable``) on the columns of the space's own ladders, and a
-map only scales their values (:func:`_dressed`): every generator is a
+A generator set holds its q, and the A^i and the A+_i as two ladder
+tables (``fock.LadderTable``) on the columns of the space's own ladders;
+its sign is its space's, so a set cannot disagree with its space.  A map
+only scales the tables' values (:func:`_dressed`): every generator is a
 dressed ladder by construction, and no map writes a sparse matrix.
 """
 
@@ -36,23 +38,26 @@ import numpy as np
 
 from .braid import RelationMatrices
 from .fock import FockSpace, LadderTable, Statistics
-from .qspecial import CLIFFORD, WEYL, DeformParams, qnum, y_sln
+from .qspecial import checked_q, qnum, y_sln
 
 
 @dataclass
 class DeformedGenerators:
     """A set of N deformed annihilators A^i (grade -1) and creators A+_i
-    (grade +1) on a Fock space, as the ladder tables a and ap.  Raises
-    ValueError unless the tables hold the columns of the space's own
-    annihilators and creators (the arrays themselves), with values of
-    their shape."""
+    (grade +1) at the deformation parameter q on a Fock space, as the
+    ladder tables a and ap; the space's statistics fix the sign s
+    (``fock.Statistics.sign``).  Raises ValueError unless q is a real
+    number > 0 (stored as a float) and the tables hold the columns of the
+    space's own annihilators and creators (the arrays themselves), with
+    values of their shape."""
 
     space: FockSpace
-    params: DeformParams
+    q: float
     a: LadderTable
     ap: LadderTable
 
     def __post_init__(self):
+        self.q = checked_q(self.q)
         for table, ladder, name in ((self.a, self.space.an, "annihilator"),
                                     (self.ap, self.space.ap, "creator")):
             if table.cols is not ladder.cols or table.vals.shape != ladder.vals.shape:
@@ -122,7 +127,7 @@ def derive_map(space: FockSpace, rel: RelationMatrices,
     space's N."""
     if rel.family != "sl" or rel.n != space.modes:
         raise ValueError(f"no sl({space.modes}) map from {rel.family}({rel.n}) relations")
-    sign = CLIFFORD if space.statistics is Statistics.FERMI else WEYL
+    sign = space.statistics.sign
     n, d = space.modes, space.dim
     diag = sign * np.diag(rel.cross_candidates(sign)[candidate]).reshape(n, n)  # s X^{ih}_{ih}
     # the pairs (i, h) with X^{ih}_{ih} != 0, about half of them; coef[i, p]
@@ -143,11 +148,11 @@ def derive_map(space: FockSpace, rel: RelationMatrices,
         swept *= occupied[:, first:last]
         x[:, order[first:last]] = swept
     dress = np.sqrt(x[:, :d] / np.maximum(space.occ.T, 1))
-    return DeformedGenerators(space, DeformParams(rel.q, sign),
-                              _dressed(space.an, right=dress), _dressed(space.ap, left=dress))
+    return DeformedGenerators(space, rel.q, _dressed(space.an, right=dress),
+                              _dressed(space.ap, left=dress))
 
 
-def sl2_bose_onesided_map(space: FockSpace, params: DeformParams) -> DeformedGenerators:
+def sl2_bose_onesided_map(space: FockSpace, q: float) -> DeformedGenerators:
     """The previously known one-sided map: all of y sits on the annihilators.
 
     A+_1 = q^{n_2} a+_1, A+_2 = a+_2,
@@ -158,25 +163,25 @@ def sl2_bose_onesided_map(space: FockSpace, params: DeformParams) -> DeformedGen
     """
     if space.modes != 2 or space.statistics is not Statistics.BOSE:
         raise ValueError("needs a 2-mode bosonic space")
-    q = params.q
     n1, n2 = space.occ.T
     ratio = _ratio(q, space.cutoff)
     up = _tabulate(lambda n: q ** n, space.cutoff)[n2]
-    return DeformedGenerators(space, params,
+    return DeformedGenerators(space, q,
                               _dressed(space.an, right=np.stack([ratio[n1] * up, ratio[n2]])),
                               _dressed(space.ap, left=np.stack([up, np.ones(space.dim)])))
 
 
-def sl2_alpha_intertwiner(space: FockSpace, params: DeformParams) -> np.ndarray:
+def sl2_alpha_intertwiner(space: FockSpace, q: float) -> np.ndarray:
     """The diagonal of the alpha with alpha . (derived map) . alpha^-1 =
     one-sided map, one entry per basis state.
 
     alpha = sqrt(y(n_1) y(n_2)) with y(m) = Gamma(m+1)/Gamma_{q^2}(m+1),
-    evaluated by integer recurrences.
+    evaluated by integer recurrences.  Raises ValueError unless q is a
+    real number > 0.
     """
+    q = checked_q(q)
     if space.modes != 2 or space.statistics is not Statistics.BOSE:
         raise ValueError("needs a 2-mode bosonic space")
-    q = params.q
     n1, n2 = space.occ.T
     y = _tabulate(lambda n: y_sln(n, q).real, space.cutoff)
     return np.sqrt(y[n1] * y[n2])
@@ -195,7 +200,7 @@ def inner_automorphism(gens: DeformedGenerators,
         raise ValueError(f"alpha has a zero or non-finite diagonal entry "
                          f"(cond = {cond:.3e})")
     inv = 1.0 / d
-    out = DeformedGenerators(gens.space, gens.params, _dressed(gens.a, d, inv),
+    out = DeformedGenerators(gens.space, gens.q, _dressed(gens.a, d, inv),
                              _dressed(gens.ap, d, inv))
     return out, cond
 
@@ -214,6 +219,6 @@ def hermiticity_residual(gens: DeformedGenerators) -> float:
                       down, 0)
 
 
-def classical_generators(space: FockSpace, params: DeformParams) -> DeformedGenerators:
-    """The undeformed generators packaged as a (trivially) deformed set."""
-    return DeformedGenerators(space, params, space.an, space.ap)
+def classical_generators(space: FockSpace) -> DeformedGenerators:
+    """The undeformed generators: the set at q = 1."""
+    return DeformedGenerators(space, 1.0, space.an, space.ap)

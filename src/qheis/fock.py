@@ -82,9 +82,16 @@ from typing import NamedTuple
 import numpy as np
 
 
+WEYL, CLIFFORD = +1, -1  # the sign s of the Weyl (bosonic) and the Clifford (fermionic) algebra
+
+
 class Statistics(Enum):
     BOSE = "bose"
     FERMI = "fermi"
+
+    @property
+    def sign(self) -> int:  # the sign s of the algebra on a space of these statistics
+        return WEYL if self is Statistics.BOSE else CLIFFORD
 
 
 def _bose_basis(modes: int, cutoff: int) -> np.ndarray:

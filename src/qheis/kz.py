@@ -90,7 +90,9 @@ two-fold coproduct, and conjugates the numeric matrices U = P and
 V = q^s P q^P into the matrices governing the deformed exchange
 relations of the dressed generators a~^i = a^i, a~+_i = a+_i I~(n),
 I~(n) = (n+1)_{q^(2s)} / (n+1): the paper's family a~^i = I(n) a^i,
-I~(n) = (n+1)_{q^(2s)} / ((n+1) I(n)) at I = 1.
+I~(n) = (n+1)_{q^(2s)} / ((n+1) I(n)) at I = 1.  The system is bosonic,
+so its sign is WEYL; coassociator_relation_check takes one q and the
+signs to check, CLIFFORD among them as a control that must fail.
 
 Dependencies.  Both sides need numpy alone: importing kz, and running
 the operator side, loads no scipy module.  The scalar side's closed forms
@@ -109,9 +111,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import BlockOperator, FockSpace, Partition, Statistics, _read_only, diagonal
+from .fock import (CLIFFORD, WEYL, BlockOperator, FockSpace, Partition, Statistics, _read_only,
+                   diagonal)
 from .liealg import LieData, coproduct_rep, sigma_entries
-from .qspecial import (DeformParams, gamma, gauss_2f1, gauss_2f1_deriv, qbracket, qnum,
+from .qspecial import (checked_q, gamma, gauss_2f1, gauss_2f1_deriv, qbracket, qnum,
                        rgamma)
 from .verify import CaseResult, projected_norms
 
@@ -672,18 +675,19 @@ def invariance_residual(system: KZOperatorSystem, m: BlockOperator) -> float:
     return projected_norms(system.space, m @ delta - delta @ m, 2)
 
 
-def coassociator_relation_check(system: KZOperatorSystem, params: tuple[DeformParams, ...],
+def coassociator_relation_check(system: KZOperatorSystem, q: float, signs: tuple[int, ...],
                                 m: BlockOperator) -> list[list[CaseResult]]:
-    """Residuals of the three exchange relations of the dressed generators,
-    with the relation matrices conjugated by M, safe-projected at creator
-    degree 2, for each deformation in params (one list of rows each):
+    """Residuals of the three exchange relations of the dressed generators
+    at the deformation parameter q, with the relation matrices conjugated
+    by M, safe-projected at creator degree 2, for each sign s in signs (one
+    list of rows each; WEYL is the system's own, CLIFFORD a control):
 
       (1) a~^i a~^j   = s (M^-1 P M)^{ji}_{lm} a~^m a~^l
       (2) a~+_i a~+_j = s a~+_l a~+_m (M^-1 P M)^{lm}_{ij}
       (3) a~^i a~+_j  = delta^i_j + s a~+_l (M^-1 V M)^{il}_{jm} a~^m
 
     cond(M), M^-1 (block by block) and the conjugated U = P are taken once
-    for all of params; V depends on (q, s).  The dressing I~ depends on
+    for all signs; V depends on s.  The dressing I~ depends on
     the shell only, so it is one number on each weight block W, and each
     defect is a batched product on the blocks with the ladder
     coefficients of BlockLadders: R_W c_W for (1) and
@@ -697,9 +701,13 @@ def coassociator_relation_check(system: KZOperatorSystem, params: tuple[DeformPa
     weight block).  Each D x D Fock block of a defect holds at most one
     entry per row and per column, so its safe-projected norm is the
     largest modulus among its entries on safe states.  Each row is held
-    to 1e-12.  Raises ValueError when M holds an entry that is not finite
+    to 1e-12.  Raises ValueError unless q is a real number > 0 and each
+    sign is WEYL or CLIFFORD, and when M holds an entry that is not finite
     or is numerically singular (cond(M) >= 1e8, a zero block included).
     """
+    q = checked_q(q)
+    if not set(signs) <= {WEYL, CLIFFORD}:
+        raise ValueError(f"signs must be +1 or -1, not {signs!r}")
     n, eye = system.n, system.eye
     if not np.isfinite(m.data).all():
         raise ValueError("coassociator matrix holds a non-finite entry")
@@ -713,8 +721,7 @@ def coassociator_relation_check(system: KZOperatorSystem, params: tuple[DeformPa
                          np.concatenate([np.linalg.inv(mw).reshape(-1) for _, _, mw in m.stacks()]))
     conj_p = minv @ (system.p @ m)
     out = []
-    for par in params:
-        s, q = par.sign, par.q
+    for s in signs:
         q2s = q ** (2 * s)
         itilde = np.array([qnum(t + 1.0, q2s).real / (t + 1.0)
                            for t in range(system.space.cutoff + 2)])

@@ -16,6 +16,8 @@ Domain notes that matter:
   * 2F1 is computed by direct series for |z| <= 0.7 and routed through
     the connection formula otherwise; the degenerate case c - a - b in Z
     is rejected.
+  * A deformation parameter q is a real number > 0 (:func:`checked_q`);
+    the Weyl-or-Clifford sign is not one, the space's statistics fix it.
 """
 
 from __future__ import annotations
@@ -23,36 +25,20 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
-
-WEYL = +1       # symmetric (bosonic) sign convention
-CLIFFORD = -1   # antisymmetric (fermionic) sign convention
 
 
 class ConvergenceError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class DeformParams:
-    """Deformation data: the real parameter q > 0 (stored as a float)
-    and the sign convention.
-
-    sign = +1 selects the Weyl (bosonic) branch, -1 the Clifford
-    (fermionic) one.
-    """
-
-    q: float
-    sign: int = WEYL
-
-    def __post_init__(self):
-        if self.sign not in (WEYL, CLIFFORD):
-            raise ValueError("sign must be +1 or -1")
-        if not isinstance(self.q, numbers.Real) or not self.q > 0:
-            raise ValueError(f"q must be a real number > 0, not {self.q!r}")
-        object.__setattr__(self, "q", float(self.q))
+def checked_q(q) -> float:
+    """The deformation parameter q as a float; ValueError unless it is a
+    real number > 0 (a complex, a nan or a q <= 0 is none)."""
+    if not isinstance(q, numbers.Real) or not q > 0:
+        raise ValueError(f"q must be a real number > 0, not {q!r}")
+    return float(q)
 
 
 def qnum(x, q):

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import BlockOperator, FockSpace, Statistics, diagonal
-from .qspecial import DeformParams, y_son_ratio
+from .qspecial import checked_q, y_son_ratio
 from .verify import CaseResult, projected_norms
 
 
@@ -273,19 +273,20 @@ _EQUATIONS = (
 )
 
 
-def verify_y_son(orb: OrbitalData, params: DeformParams) -> list[CaseResult]:
+def verify_y_son(orb: OrbitalData, q: float) -> list[CaseResult]:
     """Evaluate the four functional equations pointwise on the joint
-    (n, l) spectrum, with all y-ratios computed by telescoped recurrences.
+    (n, l) spectrum at the deformation parameter q, with all y-ratios
+    computed by telescoped recurrences.
 
     A point contributes to an equation only if every shifted argument it
     references is also realized on the grid; the arguments of all points
     are looked up at once (:func:`_on_grid`).  Each equation is held to
-    1e-10.
+    1e-10.  Raises ValueError unless q is a real number > 0.
     """
+    q = checked_q(q)
     if len(orb.spectral_grid) == 0:
         raise ValueError("empty spectral grid")
     nn = orb.space.modes
-    q = params.q
     rhs = 1.0 + q ** (nn - 2)
     by_n = _grid_by_n(orb.spectral_grid)
     grid_n, grid_l = by_n[2], by_n[3]

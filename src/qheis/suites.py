@@ -17,11 +17,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import braid, deform, liealg, soshift, verify
-from .fock import Statistics, build_space, grade_defect
-from .qspecial import (CLIFFORD, WEYL, DeformParams, connection_residual,
-                       gauss_2f1, gauss_2f1_deriv, hyper_ode_residual, qgamma,
-                       qgamma_tilde, qnum, qbracket, reflection_residual,
-                       y_sln, y_son_ratio)
+from .fock import CLIFFORD, WEYL, Statistics, build_space, grade_defect
+from .qspecial import (connection_residual, gauss_2f1, gauss_2f1_deriv, hyper_ode_residual,
+                       qgamma, qgamma_tilde, qnum, qbracket, reflection_residual, y_sln,
+                       y_son_ratio)
 from .verify import CaseResult, Report, projected_norms
 
 # The suite parameters: name -> (type, takes several values, help text).
@@ -160,9 +159,9 @@ def _derived_dcr(space, rel, tol):
 # hermiticity, the commutant and the grade bookkeeping.
 _SL_TOLERANCES = {Statistics.BOSE: (1e-10, 1e-12, 1e-11, 1e-13),
                   Statistics.FERMI: (1e-12, 1e-12, 1e-12, 1e-13)}
-# The statistics and sign of the spaces that each sl(N) suite checks.
-_SL_SPACES = {"sl2-bose": ("bose", WEYL), "sl2-fermi": ("fermi", CLIFFORD),
-              "slN": (["bose", "fermi"], [WEYL, CLIFFORD])}
+# The statistics of the spaces that each sl(N) suite checks.
+_SL_STATISTICS = {"sl2-bose": (Statistics.BOSE,), "sl2-fermi": (Statistics.FERMI,),
+                  "slN": (Statistics.BOSE, Statistics.FERMI)}
 
 
 def _sl_unit(space, rel):
@@ -183,9 +182,9 @@ def _sl_unit(space, rel):
 
 def _sl2_alpha(space, gens):
     """Conjugating sl(2)'s map by alpha must reproduce the one-sided map."""
-    alpha = deform.sl2_alpha_intertwiner(space, gens.params)
+    alpha = deform.sl2_alpha_intertwiner(space, gens.q)
     conj, cond = deform.inner_automorphism(gens, alpha)
-    oneside = deform.sl2_bose_onesided_map(space, gens.params)
+    oneside = deform.sl2_bose_onesided_map(space, gens.q)
     return [
         CaseResult("alpha_reproduces_onesided_map",
                    verify.generator_distance(conj, oneside), 1e-12, {"cond_alpha": cond}),
@@ -199,7 +198,7 @@ def _sl2_classical_limit(space):
     """sl(2)'s map (candidate qR) deviates from the classical one by O(q - 1)."""
     def devnorm(e):
         g1 = deform.derive_map(space, braid.build_relations("sl", 2, 1.0 + e), "qR")
-        g0 = deform.classical_generators(space, DeformParams(1.0, WEYL))
+        g0 = deform.classical_generators(space)
         return verify.generator_distance(g1, g0)
     ratio = devnorm(1e-3) / devnorm(5e-4)
     return [CaseResult("classical_limit_linear_scaling", abs(ratio - 2.0), 0.5,
@@ -219,27 +218,28 @@ def _suite_sl(cfg: SuiteConfig):
     # the relation data of each q, built once per call for every unit of
     # that q; a build that raises is not kept, so it fails each unit alone
     relations = functools.cache(lambda q: braid.build_relations("sl", n, q))
+    checked = _SL_STATISTICS[cfg.suite]
     units = []
-    if cfg.suite != "sl2-fermi":
-        bose = build_space(n, Statistics.BOSE, cfg.cutoff)
+    for stat in checked:
+        space = build_space(n, stat, cfg.cutoff)
         # the derived map and its rows, shared by the q unit and its alpha unit
-        derived = functools.cache(lambda q: _sl_unit(bose, relations(q)))
+        derived = functools.cache(lambda q, space=space: _sl_unit(space, relations(q)))
+        prefix = "fermi/" if stat is Statistics.FERMI and len(checked) > 1 else ""
         for q in cfg.q:
-            units.append((f"q={q:g}", lambda q=q: derived(q)[1]))
+            units.append((f"{prefix}q={q:g}", lambda q=q, derived=derived: derived(q)[1]))
             if cfg.suite == "sl2-bose":
                 # its own unit, so that a failure here erases no sibling row
-                units.append((f"q={q:g}/alpha", lambda q=q: _sl2_alpha(bose, derived(q)[0])))
-    if cfg.suite == "sl2-bose":
-        units.append(("classical-limit", lambda: _sl2_classical_limit(bose)))
-    else:
-        fermi = build_space(n, Statistics.FERMI)
-        prefix = "fermi/" if cfg.suite == "slN" else ""
-        units += [(f"{prefix}q={q:g}", lambda q=q: _sl_unit(fermi, relations(q))[1])
-                  for q in cfg.q]
-    statistics, sign = _SL_SPACES[cfg.suite]
+                units.append((f"q={q:g}/alpha", lambda q=q, space=space, derived=derived:
+                              _sl2_alpha(space, derived(q)[0])))
+        if cfg.suite == "sl2-bose":
+            units.append(("classical-limit", lambda space=space: _sl2_classical_limit(space)))
+
+    def param(values):  # one value per statistics checked, a bare one for one
+        return values[0] if len(values) == 1 else values
+
     cutoff = {} if cfg.cutoff is None else {"cutoff": cfg.cutoff}
-    return {"family": "sl", "N": n, "statistics": statistics, **cutoff, "q": list(cfg.q),
-            "sign": sign}, units
+    return {"family": "sl", "N": n, "statistics": param([s.value for s in checked]), **cutoff,
+            "q": list(cfg.q), "sign": param([s.sign for s in checked])}, units
 
 
 def _suite_son_orbital(cfg: SuiteConfig):
@@ -254,21 +254,16 @@ def _suite_son_orbital(cfg: SuiteConfig):
             rows += soshift.shift_operator_residuals(ops, s)
         return rows
 
-    def functional(q):
-        return soshift.verify_y_son(orb, DeformParams(q, WEYL))
-
     def classical_metric():
         # the four metric-invariant relations for the classical generators
-        params = DeformParams(1.0, WEYL)
-        gens = deform.classical_generators(space, params)
         eye = np.eye(cfg.modes, dtype=complex)
-        return verify.metric_invariant_check(gens, eye, eye, 1.0)
+        return verify.metric_invariant_check(deform.classical_generators(space), eye, eye)
 
     units = [("structure", structural)]
-    units += [(f"q={q:g}", lambda q=q: functional(q)) for q in cfg.q]
+    units += [(f"q={q:g}", lambda q=q: soshift.verify_y_son(orb, q)) for q in cfg.q]
     units.append(("classical", classical_metric))
-    return {"family": "so", "N": cfg.modes, "statistics": "bose",
-            "cutoff": cfg.cutoff, "q": list(cfg.q), "sign": WEYL}, units
+    return {"family": "so", "N": cfg.modes, "statistics": space.statistics.value,
+            "cutoff": cfg.cutoff, "q": list(cfg.q), "sign": space.statistics.sign}, units
 
 
 def _suite_qspecial(cfg: SuiteConfig):
@@ -437,8 +432,7 @@ def _suite_kz_operator(cfg: SuiteConfig):
                 CaseResult("coassoc_invariance",
                            kz.invariance_residual(system, m), 1e-12)]
         # wrong-statistics control: the Clifford sign must fail badly
-        weyl, wrong = kz.coassociator_relation_check(
-            system, (DeformParams(q, WEYL), DeformParams(q, CLIFFORD)), m)
+        weyl, wrong = kz.coassociator_relation_check(system, q, (WEYL, CLIFFORD), m)
         rows += weyl
         rows.append(_negative_control(
             "coassoc_wrong_sign_control",
@@ -447,7 +441,7 @@ def _suite_kz_operator(cfg: SuiteConfig):
 
     def classical_control():
         m = kz.coassociator_matrices(system, (0.0,))[0]
-        return kz.coassociator_relation_check(system, (DeformParams(1.0, WEYL),), m)[0]
+        return kz.coassociator_relation_check(system, 1.0, (WEYL,), m)[0]
 
     units = [("scaling", scaling), ("main", main_checks), ("q=1", classical_control)]
     return {"family": "sl", "N": cfg.modes, "cutoff": cfg.cutoff, "q": q,

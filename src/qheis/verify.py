@@ -251,7 +251,8 @@ def quadratic_residual_matrices(a, ap, rel, cross, sign: int):
 def dcr_residuals(gens: DeformedGenerators, rel: RelationMatrices, candidate: str,
                   tol: float = 1e-10) -> list[CaseResult]:
     """Residual rows for the deformed commutation relations, identities of
-    creator degree 2, with the sign s of the set's parameters.
+    creator degree 2, with the sign s of the set's space
+    (``fock.Statistics.sign``).
 
     Three rows: the annihilating projector against A (x) A, against
     A+ (x) A+, and the cross relation of rel.cross_candidates(s)[candidate].
@@ -259,9 +260,9 @@ def dcr_residuals(gens: DeformedGenerators, rel: RelationMatrices, candidate: st
     """
     if rel.n != gens.n:
         raise ValueError("generator set and relation matrices disagree on N")
-    if abs(rel.q - gens.params.q) > 1e-12:
+    if abs(rel.q - gens.q) > 1e-12:
         raise ValueError("generator set and relation matrices disagree on q")
-    space, sign = gens.space, gens.params.sign
+    space, sign = gens.space, gens.space.statistics.sign
     ann, cre, cross = quadratic_residual_matrices(
         gens.a, gens.ap, rel.annihilating_projector(sign), rel.cross_candidates(sign)[candidate],
         sign)
@@ -285,6 +286,7 @@ def number_op_check(gens: DeformedGenerators, tol: float = 1e-10) -> list[CaseRe
         N_h A+_i = A+_i + q^{2s} A+_i N_h
         N_h A^i  = q^{-2s} (-A^i + A^i N_h)
 
+    with the set's q and the sign s of its space (``fock.Statistics.sign``),
     plus, for bosonic maps, the spectrum check that N_h is diagonal with
     entries (n)_{q^{2s}}.  The spectrum residual is the largest entrywise
     deviation divided by max(1, max |(n)_{q^{2s}}|), held to 1e-12, so that
@@ -295,7 +297,7 @@ def number_op_check(gens: DeformedGenerators, tol: float = 1e-10) -> list[CaseRe
     each relation's defect moves s by -e_i or by +e_i alone.
     """
     space, d = gens.space, gens.space.dim
-    q2s = gens.params.q ** (2 * gens.params.sign)
+    q2s = gens.q ** (2 * space.statistics.sign)
     a, ap = gens.a, gens.ap
     nh = gens.number_diagonal()
     up, down = space.an.cols[:, :d], space.ap.cols[:, :d]  # s + e_i and s - e_i
@@ -336,8 +338,9 @@ def _metric_diagonal(c: np.ndarray, n: int) -> np.ndarray:
 
 
 def metric_invariant_check(gens: DeformedGenerators, c_lower: np.ndarray,
-                           c_upper: np.ndarray, q: float) -> list[CaseResult]:
-    """Relations of the quadratic invariants A.C.A and A+.C.A+:
+                           c_upper: np.ndarray) -> list[CaseResult]:
+    """Relations of the quadratic invariants A.C.A and A+.C.A+, with the
+    set's q:
 
         [ACA, A^i] = 0
         [A+CA+, A+_i] = 0
@@ -354,7 +357,7 @@ def metric_invariant_check(gens: DeformedGenerators, c_lower: np.ndarray,
     A^i A^i moves (k, p) to (k - 2, p); an off-diagonal entry would not, and
     raises ValueError.
     """
-    space, n = gens.space, gens.n
+    space, n, q = gens.space, gens.n, gens.q
     lower, upper = _metric_diagonal(c_lower, n)[:, None], _metric_diagonal(c_upper, n)[:, None]
     c_a = ladder_stack(space, LadderTable(gens.a.cols, lower * gens.a.vals))     # C_ii A^i
     c_ap = ladder_stack(space, LadderTable(gens.ap.cols, upper * gens.ap.vals))  # C^ii A+_i

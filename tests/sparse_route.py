@@ -271,17 +271,16 @@ def quadratic_residual_matrices(a, ap, rel, cross: dict, sign: int):
 def dcr_residuals(gens, rel, candidate: str, tol: float = 1e-10) -> list:
     """Residual rows for the deformed commutation relations of the set
     against the one cross candidate rel.cross_candidates(s)[candidate],
-    with s the sign of the set's parameters: identities of creator
-    degree 2.
+    with s the sign of the set's space: identities of creator degree 2.
 
     Three rows: annihilating projector against A (x) A, against
     A+ (x) A+, and the cross relation.
     """
     if rel.n != gens.n:
         raise ValueError("generator set and relation matrices disagree on N")
-    if abs(rel.q - gens.params.q) > 1e-12:
+    if abs(rel.q - gens.q) > 1e-12:
         raise ValueError("generator set and relation matrices disagree on q")
-    d, sign = gens.space.dim, gens.params.sign
+    d, sign = gens.space.dim, gens.space.statistics.sign
     ann, cre, cross = quadratic_residual_matrices(
         csr_list(gens.a), csr_list(gens.ap), kron_eye(rel.annihilating_projector(sign), d),
         {candidate: kron_eye(rel.cross_candidates(sign)[candidate], d)}, sign)
@@ -307,7 +306,7 @@ def number_op_check(gens, tol: float = 1e-10) -> list:
     identities of creator degree 2.
     """
     space = gens.space
-    q2s = gens.params.q ** (2 * gens.params.sign)
+    q2s = gens.q ** (2 * space.statistics.sign)
     nh = number_operator(gens)
     nh_n = eye_kron(gens.n, nh)
     a_col, ap_col = (sparse.vstack(csr_list(t), format="csr") for t in (gens.a, gens.ap))

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from qheis import deform, fock, kz, suites, verify
 from qheis.fock import Statistics
-from qheis.qspecial import WEYL, DeformParams
 from sparse_route import dense
 
 SPACES = {
@@ -359,15 +358,15 @@ def test_projected_norms_is_the_dense_norm(key):
 
 def test_metric_invariants_take_a_diagonal_metric_only():
     space = fock.build_space(3, Statistics.BOSE, 5)
-    gens = deform.classical_generators(space, DeformParams(1.0, WEYL))
+    gens = deform.classical_generators(space)
     eye = np.eye(3)
     rotated = eye.copy()
     rotated[0, 1] = 0.1
     for lower, upper in ((rotated, eye), (eye, rotated)):
         with pytest.raises(ValueError, match="diagonal metric"):
-            verify.metric_invariant_check(gens, lower, upper, 1.0)
+            verify.metric_invariant_check(gens, lower, upper)
     scaled = np.diag([1.0, 2.0, 0.5])
-    assert all(r.passed for r in verify.metric_invariant_check(gens, scaled, scaled, 1.0))
+    assert all(r.passed for r in verify.metric_invariant_check(gens, scaled, scaled))
 
 
 def every_block_norm(op, mask):
@@ -458,10 +457,10 @@ def test_projected_norms_refuses_a_non_finite_kept_entry():
 
 
 def test_a_non_finite_generator_entry_fails_its_unit(monkeypatch):
-    def broken(space, params):
+    def broken(space):
         vals = space.an.vals.copy()
         vals[0, 0] = np.inf  # a^1 on the vacuum, a safe state
-        return deform.DeformedGenerators(space, params, fock.LadderTable(space.an.cols, vals),
+        return deform.DeformedGenerators(space, 1.0, fock.LadderTable(space.an.cols, vals),
                                          space.ap)
 
     monkeypatch.setattr(deform, "classical_generators", broken)

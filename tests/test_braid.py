@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qheis import braid, liealg
-from qheis.qspecial import CLIFFORD, WEYL
+from qheis.fock import CLIFFORD, WEYL
 
 COMBOS = [("sl", 2), ("sl", 3), ("so", 3), ("so", 4)]
 
@@ -99,8 +99,9 @@ def test_rejections():
         braid.build_relations("so", 3, 1.3).annihilating_projector(CLIFFORD)
     with pytest.raises(ValueError):
         braid.build_relations("sp", 2, 1.3)
-    with pytest.raises(ValueError):
-        braid.build_relations("sl", 2, -1.0)
+    for bad in (-1.0, 0.0, 1.3 + 0j, float("nan")):
+        with pytest.raises(ValueError, match="q must be a real number > 0"):
+            braid.build_relations("sl", 2, bad)
 
 
 SIGN_FREE = [("sl", 2), ("sl", 3), ("sl", 4), ("so", 3), ("so", 4)]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -5,7 +7,7 @@ from scipy import sparse
 import sparse_route
 from qheis import braid, deform, fock, suites, verify
 from qheis.fock import Statistics
-from qheis.qspecial import CLIFFORD, WEYL, DeformParams, qnum, y_sln
+from qheis.qspecial import qnum, y_sln
 from sparse_route import csr_list
 
 
@@ -46,7 +48,7 @@ def test_derived_x_is_the_closed_form(n, stat, q):
     # x_i = (n_i)_{q^{2s}} q^{2s sum_{j>i} n_j}
     space = fock.build_space(n, stat, 8)
     gens = derived(space, q)
-    q2s = q ** (2 * gens.params.sign)
+    q2s = q ** (2 * stat.sign)
     d = space.dim
     x = gens.ap.vals[:, :d] * gens.a.vals[np.arange(n)[:, None], space.ap.cols[:, :d]]
     want = np.array([[qnum(t[i], q2s).real * q2s ** sum(t[i + 1:]) for t in space.occ.tolist()]
@@ -70,12 +72,11 @@ def test_qR_wins_at_every_q(n, stat, cutoff):
     # the selection the suites make: the map of qR holds its relations,
     # the map of qR_inv fails its own at order one
     space = fock.build_space(n, stat, cutoff)
-    sign = CLIFFORD if stat is Statistics.FERMI else WEYL
     for q in (0.63, 0.77, 1.17, 1.43):
         rel = braid.build_relations("sl", n, q)
         gens, rows = suites._derived_dcr(space, rel, tol=1e-10)
         rows = {r.name: r for r in rows}
-        assert gens.params == DeformParams(q, sign)
+        assert gens.q == q and gens.space is space
         assert rows["dcr_cross_winner"].metadata["candidate"] == "qR", q
         assert max(rows[k].residual for k in ("dcr_aa", "dcr_apap", "dcr_cross_winner")) < 1e-13
         control = rows["cross_negative_control"]
@@ -145,19 +146,17 @@ def test_removable_singularity_is_invisible(bose_space, monkeypatch):
     # the one-sided map's value of (n)_{q^2}/n at the removable n = 0
     # reaches no nonzero entry
     q = 1.3
-    params = DeformParams(q, WEYL)
     alt = 2 * np.log(q) / (q * q - 1)  # the q -> 1-continuous convention
-    ga = deform.sl2_bose_onesided_map(bose_space, params)
+    ga = deform.sl2_bose_onesided_map(bose_space, q)
     ratio = deform._ratio
     monkeypatch.setattr(deform, "_ratio", lambda q, cutoff: np.r_[alt, ratio(q, cutoff)[1:]])
-    gb = deform.sl2_bose_onesided_map(bose_space, params)
+    gb = deform.sl2_bose_onesided_map(bose_space, q)
     assert deform._ratio(q, 6)[0] == alt
     assert entrywise_dev(ga, gb) == 0.0
 
 
 def test_inner_automorphism(bose_space):
     q = 1.3
-    params = DeformParams(q, WEYL)
     rel = braid.build_relations("sl", 2, q)
     gens = deform.derive_map(bose_space, rel, "qR")
 
@@ -189,8 +188,7 @@ def test_inner_automorphism_rejects_alpha(bose_space, entry):
 
 def test_alpha_intertwiner(bose_space):
     q = 1.3
-    params = DeformParams(q, WEYL)
-    alpha = deform.sl2_alpha_intertwiner(bose_space, params)
+    alpha = deform.sl2_alpha_intertwiner(bose_space, q)
     vac = bose_space.state_index((0, 0))
     assert abs(alpha[vac] - 1.0) < 1e-15
     k = bose_space.state_index((2, 0))
@@ -198,7 +196,7 @@ def test_alpha_intertwiner(bose_space):
 
     gens = derived(bose_space, q)
     conj, _ = deform.inner_automorphism(gens, alpha)
-    oneside = deform.sl2_bose_onesided_map(bose_space, params)
+    oneside = deform.sl2_bose_onesided_map(bose_space, q)
     assert entrywise_dev(conj, oneside) < 1e-12
 
 
@@ -206,7 +204,7 @@ def test_hermiticity(bose_space):
     for q in (1.0, 1.3):
         gens = derived(bose_space, q)
         assert deform.hermiticity_residual(gens) < 1e-12
-    oneside = deform.sl2_bose_onesided_map(bose_space, DeformParams(1.3, WEYL))
+    oneside = deform.sl2_bose_onesided_map(bose_space, 1.3)
     assert deform.hermiticity_residual(oneside) > 1e-2  # u = y, v = 1 dressing
 
 
@@ -220,7 +218,7 @@ def test_grades(bose_space):
 def test_classical_limit_linear_scaling(bose_space):
     def dev(eps):
         g1 = derived(bose_space, 1.0 + eps)
-        g0 = deform.classical_generators(bose_space, DeformParams(1.0, WEYL))
+        g0 = deform.classical_generators(bose_space)
         return max(np.linalg.norm(a.toarray() - b.toarray(), 2)
                    for a, b in zip(ops(g1), ops(g0)))
 
@@ -235,10 +233,29 @@ def test_shape_validation(bose_space, fermi_space):
                        (fermi_space, braid.build_relations("sl", 3, 1.3))):
         with pytest.raises(ValueError, match="no sl"):
             deform.derive_map(space, rel, "qR")
-    # one relation serves both spaces, the sign read off each
+    # one relation serves both spaces, the sign read off each: each map
+    # holds the relations of its space's sign
     rel = braid.build_relations("sl", 2, 1.3)
-    assert deform.derive_map(bose_space, rel, "qR").params == DeformParams(1.3, WEYL)
-    assert deform.derive_map(fermi_space, rel, "qR").params == DeformParams(1.3, CLIFFORD)
+    for space in (bose_space, fermi_space):
+        gens = deform.derive_map(space, rel, "qR")
+        assert gens.q == 1.3 and gens.space is space
+        assert max(r.residual for r in verify.dcr_residuals(gens, rel, "qR")) < 1e-12
+
+
+def test_generator_set_holds_q_and_no_sign(bose_space):
+    # q belongs to the set, the sign to its space: no field can disagree
+    fields = {f.name for f in dataclasses.fields(deform.DeformedGenerators)}
+    assert fields == {"space", "q", "a", "ap"}
+    gens = deform.DeformedGenerators(bose_space, 1, bose_space.an, bose_space.ap)
+    assert type(gens.q) is float and gens.q == 1.0
+    assert deform.classical_generators(bose_space).q == 1.0
+    for bad in (0.0, -1.3, 1.3 + 0j, float("nan")):
+        for build in (lambda: deform.DeformedGenerators(bose_space, bad, bose_space.an,
+                                                        bose_space.ap),
+                      lambda: deform.sl2_bose_onesided_map(bose_space, bad),
+                      lambda: deform.sl2_alpha_intertwiner(bose_space, bad)):
+            with pytest.raises(ValueError, match="q must be a real number > 0"):
+                build()
 
 
 def _per_state(space, f):
@@ -266,10 +283,9 @@ def _reference_maps(space, q):
 @pytest.mark.parametrize("modes, stat, cutoff", [(2, Statistics.BOSE, 3), (2, Statistics.BOSE, 12)])
 def test_tabulated_dressings_equal_per_state_reference(q, modes, stat, cutoff):
     space = fock.build_space(modes, stat, cutoff)
-    weyl = DeformParams(q, WEYL)
     built = {
-        "onesided": lambda: ops(deform.sl2_bose_onesided_map(space, weyl)),
-        "alpha": lambda: [sparse_route.diag(deform.sl2_alpha_intertwiner(space, weyl))],
+        "onesided": lambda: ops(deform.sl2_bose_onesided_map(space, q)),
+        "alpha": lambda: [sparse_route.diag(deform.sl2_alpha_intertwiner(space, q))],
     }
     seen = []
     for name, reference in _reference_maps(space, q):

@@ -19,6 +19,12 @@ def test_dimensions():
     assert sp.occ.tolist() == [[k] for k in range(6)]
 
 
+def test_statistics_fix_the_sign():
+    # the one map from statistics to the Weyl-or-Clifford sign s
+    assert Statistics.BOSE.sign == fock.WEYL == +1
+    assert Statistics.FERMI.sign == fock.CLIFFORD == -1
+
+
 def test_build_space_rejects_bad_input():
     with pytest.raises(ValueError):
         fock.build_space(0, Statistics.BOSE, 3)

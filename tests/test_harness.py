@@ -261,8 +261,8 @@ def test_onesided_hermiticity_control_discriminates(monkeypatch):
         assert c.tolerance == 1.0 and c.metadata["required_floor"] == 1e-3
         assert c.residual == 1e-3 / c.metadata["raw_residual"]
     # a *-compatible map in place of the one-sided one must fail the control
-    monkeypatch.setattr(deform, "sl2_bose_onesided_map", lambda space, params: deform.derive_map(
-        space, braid.build_relations("sl", 2, params.q), "qR"))
+    monkeypatch.setattr(deform, "sl2_bose_onesided_map", lambda space, q: deform.derive_map(
+        space, braid.build_relations("sl", 2, q), "qR"))
     rows = control_rows()
     assert len(rows) == 2 and not any(c.passed for c in rows)
 

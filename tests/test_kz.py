@@ -9,8 +9,8 @@ from scipy.linalg import expm
 
 import sparse_route
 from qheis import fock, kz, liealg, suites, verify
-from qheis.fock import Statistics
-from qheis.qspecial import CLIFFORD, WEYL, DeformParams, qnum
+from qheis.fock import CLIFFORD, WEYL, Statistics
+from qheis.qspecial import qnum
 from sparse_route import csr_list
 
 
@@ -170,8 +170,7 @@ def test_coassociator_invariance(op_system, m_matrix):
 
 
 def test_coassociator_relations(op_system, m_matrix):
-    params = DeformParams(math.e**0.1, WEYL)
-    rows = kz.coassociator_relation_check(op_system, (params,), m_matrix)[0]
+    rows = kz.coassociator_relation_check(op_system, math.e**0.1, (WEYL,), m_matrix)[0]
     for row in rows:
         assert row.residual <= 1e-12, (row.name, row.residual)
 
@@ -179,23 +178,21 @@ def test_coassociator_relations(op_system, m_matrix):
 def test_coassociator_classical_control(op_system):
     m = kz.coassociator_matrices(op_system, (0.0,))[0]
     assert np.array_equal(m.data, op_system.eye.data)
-    params = DeformParams(1.0, WEYL)
-    rows = kz.coassociator_relation_check(op_system, (params,), m)[0]
+    rows = kz.coassociator_relation_check(op_system, 1.0, (WEYL,), m)[0]
     for row in rows:
         assert row.residual <= 1e-12, (row.name, row.residual)
 
 
 def test_coassociator_wrong_sign_control(op_system, m_matrix):
-    params = DeformParams(math.e**0.1, CLIFFORD)
-    rows = kz.coassociator_relation_check(op_system, (params,), m_matrix)[0]
+    rows = kz.coassociator_relation_check(op_system, math.e**0.1, (CLIFFORD,), m_matrix)[0]
     assert max(r.residual for r in rows) > 1e-2
 
 
 def test_one_relation_check_for_both_signs(op_system, m_matrix):
     # the shared cond(M), M^-1 and M^-1 P M give each sign the rows of its own call
-    signs = (DeformParams(math.e**0.1, WEYL), DeformParams(math.e**0.1, CLIFFORD))
-    both = kz.coassociator_relation_check(op_system, signs, m_matrix)
-    alone = [kz.coassociator_relation_check(op_system, (p,), m_matrix)[0] for p in signs]
+    both = kz.coassociator_relation_check(op_system, math.e**0.1, (WEYL, CLIFFORD), m_matrix)
+    alone = [kz.coassociator_relation_check(op_system, math.e**0.1, (s,), m_matrix)[0]
+             for s in (WEYL, CLIFFORD)]
     assert [[(r.name, r.residual, r.metadata) for r in rows] for rows in both] == \
         [[(r.name, r.residual, r.metadata) for r in rows] for rows in alone]
 
@@ -204,7 +201,7 @@ def test_relation_check_refuses_a_near_singular_m(op_system):
     m = complex(1) * op_system.eye
     m.data[np.flatnonzero(m.data)[0]] = 1e-9  # one block of M with cond 1e9
     with pytest.raises(ValueError, match="numerically singular"):
-        kz.coassociator_relation_check(op_system, (DeformParams(1.0, WEYL),), m)[0]
+        kz.coassociator_relation_check(op_system, 1.0, (WEYL,), m)[0]
 
 
 @pytest.mark.parametrize("zero", ["one block", "every block"])
@@ -215,7 +212,7 @@ def test_relation_check_refuses_a_zero_block(op_system, zero):
     first = m.layout.offset[b0]
     m.data[first:first + height * width if zero == "one block" else None] = 0
     with pytest.raises(ValueError, match="numerically singular"):
-        kz.coassociator_relation_check(op_system, (DeformParams(1.0, WEYL),), m)
+        kz.coassociator_relation_check(op_system, 1.0, (WEYL,), m)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
@@ -223,7 +220,18 @@ def test_relation_check_refuses_a_non_finite_m(op_system, m_matrix, bad):
     m = complex(1) * m_matrix
     m.data[m.size // 2] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        kz.coassociator_relation_check(op_system, (DeformParams(math.e**0.1, WEYL),), m)
+        kz.coassociator_relation_check(op_system, math.e**0.1, (WEYL,), m)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.3, 1.3 + 0j, float("nan")])
+def test_relation_check_refuses_a_bad_q(op_system, m_matrix, bad):
+    with pytest.raises(ValueError, match="q must be a real number > 0"):
+        kz.coassociator_relation_check(op_system, bad, (WEYL,), m_matrix)
+
+
+def test_relation_check_refuses_a_bad_sign(op_system, m_matrix):
+    with pytest.raises(ValueError, match="signs must be"):
+        kz.coassociator_relation_check(op_system, math.e**0.1, (WEYL, 2), m_matrix)
 
 
 def to_sparse(op):
@@ -457,12 +465,12 @@ def test_block_invariance_matches_the_sparse_commutators(modes, cutoff):
     assert abs(kz.invariance_residual(system, perturbed) - want) <= 1e-6 * want
 
 
-def _sparse_relations(system, params, m):
+def _sparse_relations(system, check, m):
     """The three relation residuals by full N^2 D x N^2 D sparse matrices:
     M^-1 P M and M^-1 V M contracted with the dressed ladders by the
     sparse route's quadratic_residual_matrices (tests/sparse_route.py),
     normed by sparse_route.projected_norms."""
-    space, s, q = system.space, params.sign, params.q
+    (q, s), space = check, system.space
     minv = fock.BlockOperator(m.partition, m.layout, np.concatenate(
         [np.linalg.inv(u).reshape(-1) for _, _, u in m.stacks()]))
     v = q**s * ((q + 1.0 / q) / 2.0 * system.p + (q - 1.0 / q) / 2.0 * system.eye)
@@ -484,28 +492,29 @@ def _sparse_acts_trivially(system, m):
     return [sparse_route.projected_norms(system.space, to_sparse(m) @ aa - aa, 2)]
 
 
-# the deformation of each relation check; None stands for acts_trivially_residual
-CHECKS = {"weyl": DeformParams(math.e**0.1, WEYL), "clifford": DeformParams(math.e**0.1, CLIFFORD),
-          "q=1": DeformParams(1.0, WEYL), "acts_trivially": None}
+# the (q, sign) of each relation check; None stands for acts_trivially_residual
+CHECKS = {"weyl": (math.e**0.1, WEYL), "clifford": (math.e**0.1, CLIFFORD),
+          "q=1": (1.0, WEYL), "acts_trivially": None}
 
 
-def _by_blocks(system, params, m):
-    if params is None:
+def _by_blocks(system, check, m):
+    if check is None:
         return [kz.acts_trivially_residual(system, m)]
-    return [r.residual for r in kz.coassociator_relation_check(system, (params,), m)[0]]
+    q, s = check
+    return [r.residual for r in kz.coassociator_relation_check(system, q, (s,), m)[0]]
 
 
-def _by_sparse(system, params, m):
-    if params is None:
+def _by_sparse(system, check, m):
+    if check is None:
         return _sparse_acts_trivially(system, m)
-    return _sparse_relations(system, params, m)
+    return _sparse_relations(system, check, m)
 
 
 @pytest.mark.parametrize("check", list(CHECKS))
 @pytest.mark.parametrize("modes,cutoff", [(2, 3), (2, 5), (3, 4), (4, 4)])
 def test_block_relations_match_the_sparse_route(modes, cutoff, check):
     system = kz.build_operator_system(fock.build_space(modes, Statistics.BOSE, cutoff))
-    params = CHECKS[check]
+    deformation = CHECKS[check]
     rng = np.random.default_rng(modes * 10 + cutoff)
     # at cutoff 3 no weight block of aa, apap or M . aa is safe: both routes read 0
     empty = {0, 1} if cutoff == 3 else set()
@@ -513,7 +522,7 @@ def test_block_relations_match_the_sparse_route(modes, cutoff, check):
     def agree(m, rel_tol):
         """The sparse route's residuals that have a safe block, after
         checking every residual against the block route's."""
-        got, want = _by_blocks(system, params, m), _by_sparse(system, params, m)
+        got, want = _by_blocks(system, deformation, m), _by_sparse(system, deformation, m)
         for k, (g, w) in enumerate(zip(got, want)):
             if k in empty:
                 assert g == w == 0.0
@@ -531,7 +540,8 @@ def test_block_relations_match_the_sparse_route(modes, cutoff, check):
     if check == "clifford":
         assert min(agree(exact, 1e-12)) > 0.1
     else:
-        assert max(*_by_blocks(system, params, exact), *_by_sparse(system, params, exact)) < 1e-13
+        assert max(*_by_blocks(system, deformation, exact),
+                   *_by_sparse(system, deformation, exact)) < 1e-13
         assert min(agree(exact + 1e-8 * _random_blocks(system, rng), 1e-6)) > 1e3 * 1e-12
 
 

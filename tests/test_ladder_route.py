@@ -12,8 +12,8 @@ from scipy import sparse
 
 import sparse_route
 from qheis import braid, deform, fock, liealg, verify
-from qheis.fock import Statistics
-from qheis.qspecial import CLIFFORD, WEYL, DeformParams, qnum
+from qheis.fock import WEYL, Statistics
+from qheis.qspecial import qnum
 
 QS = (0.5, 0.7, 1.3, 2.0)
 
@@ -24,12 +24,12 @@ def derived(space, q):
     return deform.derive_map(space, braid.build_relations("sl", space.modes, q), "qR")
 
 
-def random_map(space, params, rng):
+def random_map(space, q, rng):
     """Random positive dressings: no relation holds, so every defect is
     compared at full size."""
     def d():
         return rng.uniform(0.5, 2.0, (space.modes, space.dim))
-    return deform.DeformedGenerators(space, params, deform._dressed(space.an, right=d()),
+    return deform.DeformedGenerators(space, q, deform._dressed(space.an, right=d()),
                                      deform._dressed(space.ap, left=d()))
 
 
@@ -50,17 +50,15 @@ def both_routes(gens, rel, data):
 @pytest.mark.parametrize("stat", [Statistics.BOSE, Statistics.FERMI], ids=["weyl", "clifford"])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_ladder_route_is_the_sparse_route_bit_for_bit(n, stat):
-    sign = WEYL if stat is Statistics.BOSE else CLIFFORD
     space = fock.build_space(n, stat, {2: 8, 3: 6, 4: 5}[n])
     data = liealg.LieData("sl", n)
     rng = np.random.default_rng(n)
     compared = 0
     for q in QS:
-        params = DeformParams(q, sign)
         rel = braid.build_relations("sl", n, q)
         # the map of qR_inv fails its relations, some at order one
         for gens in (deform.derive_map(space, rel, "qR"), deform.derive_map(space, rel, "qR_inv"),
-                     random_map(space, params, rng)):
+                     random_map(space, q, rng)):
             for new, old in both_routes(gens, rel, data):
                 assert new.name == old.name
                 assert (new.residual, new.metadata) == (old.residual, old.metadata), new.name
@@ -73,14 +71,14 @@ def test_so_commutant_is_refused(n):
     # an so(N) basis element moves each state by two shifts, so its
     # commutant defect is not one weighted shift
     space = fock.build_space(n, Statistics.BOSE, 5)
-    gens = deform.classical_generators(space, DeformParams(1.0, WEYL))
+    gens = deform.classical_generators(space)
     with pytest.raises(ValueError, match="sl\\(N\\) data"):
         verify.invariant_commutant_check(gens, liealg.LieData("so", n))
 
 
 def test_number_operator_is_the_sparse_product():
     space = fock.build_space(3, Statistics.BOSE, 5)
-    gens = random_map(space, DeformParams(1.3, WEYL), np.random.default_rng(1))
+    gens = random_map(space, 1.3, np.random.default_rng(1))
     nh = gens.number_diagonal()
     old = sparse_route.number_operator(gens)
     assert np.array_equal(nh[:-1], old.diagonal())
@@ -128,26 +126,25 @@ def test_dressed_is_the_scaled_csr():
 
 def test_generators_must_be_on_the_space_ladders():
     space = fock.build_space(2, Statistics.BOSE, 5)
-    params = DeformParams(1.3, WEYL)
     gens = derived(space, 1.3)
     assert gens.a.cols is space.an.cols and gens.ap.cols is space.ap.cols
     # a+_1 in place of the annihilators: one entry per row, off their shift
     with pytest.raises(ValueError, match="annihilator table is not on the columns"):
-        deform.DeformedGenerators(space, params, gens.ap, gens.ap)
+        deform.DeformedGenerators(space, 1.3, gens.ap, gens.ap)
     # equal columns that are not the space's own arrays
     copied = fock.LadderTable(space.ap.cols.copy(), gens.ap.vals)
     with pytest.raises(ValueError, match="creator table is not on the columns"):
-        deform.DeformedGenerators(space, params, gens.a, copied)
+        deform.DeformedGenerators(space, 1.3, gens.a, copied)
     # the tables of another space of the same shape, built apart from the
     # shared one
     other = fock._new_space(2, Statistics.BOSE, 5)
     assert other == space and other is not space
     with pytest.raises(ValueError, match="not on the columns"):
-        deform.DeformedGenerators(space, params, other.an, other.ap)
+        deform.DeformedGenerators(space, 1.3, other.an, other.ap)
     # values that do not fit the columns
     short = fock.LadderTable(space.an.cols, gens.a.vals[:, :-1])
     with pytest.raises(ValueError, match="not on the columns"):
-        deform.DeformedGenerators(space, params, short, gens.ap)
+        deform.DeformedGenerators(space, 1.3, short, gens.ap)
 
 
 def test_relations_coupling_different_weights_are_rejected():
@@ -188,12 +185,10 @@ def test_generator_distance_is_the_sparse_norm_bit_for_bit(cutoff):
     # the exact norm of the stacked CSR differences
     space = fock.build_space(2, Statistics.BOSE, cutoff)
     for q in (0.7, 1.3):
-        params = DeformParams(q, WEYL)
         pairs = [(deform.inner_automorphism(derived(space, q),
-                                            deform.sl2_alpha_intertwiner(space, params))[0],
-                  deform.sl2_bose_onesided_map(space, params)),
-                 (derived(space, q),
-                  deform.classical_generators(space, DeformParams(1.0, WEYL)))]
+                                            deform.sl2_alpha_intertwiner(space, q))[0],
+                  deform.sl2_bose_onesided_map(space, q)),
+                 (derived(space, q), deform.classical_generators(space))]
         for g1, g0 in pairs:
             old = sparse_route.projected_norms(space, sparse.vstack(
                 [sparse_route.column(g1.a) - sparse_route.column(g0.a),

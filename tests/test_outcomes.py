@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from qheis import cli
+from qheis import cli, suites
 
 ROOT = Path(__file__).resolve().parents[1]
 MAP = Path(__file__).resolve().parent / "outcomes.json"
@@ -69,6 +69,22 @@ def test_the_map_holds_these_calls():
 @pytest.mark.parametrize("call", CALLS)
 def test_pass_fail_is_the_recorded_map(call, tmp_path):
     assert outcomes(call.split(), tmp_path) == json.loads(MAP.read_text())[call]
+
+
+def test_compare_reports_runs_the_default_suites_and_the_map():
+    # tools/compare_reports.py's calls, read without running any: each suite
+    # at its defaults, then every call of the map
+    spec = importlib.util.spec_from_file_location("compare_reports",
+                                                  ROOT / "tools" / "compare_reports.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    path = list(sys.path)
+    got = tool.calls()
+    assert sys.path == path
+    defaults = [f"suite {suite}" for suite in suites.SUITE_IDS]
+    assert len(defaults) == 8
+    assert got == defaults + sorted(json.loads(MAP.read_text()))
+    assert len(set(got)) == len(got) == 8 + len(CALLS)
 
 
 def test_known_failures_still_fail():

@@ -124,12 +124,12 @@ def test_y_so_ratio():
         qs.y_son_ratio(n, l, n + 1, l, big_n, q)  # parity-violating shift
 
 
-def test_deform_params():
-    p = qs.DeformParams(1.3, qs.WEYL)
-    assert p.q == 1.3
-    assert type(qs.DeformParams(1, qs.WEYL).q) is float
-    for bad in (0.0, -1.3, 1.3 + 0j, float("nan")):
-        with pytest.raises(ValueError):
-            qs.DeformParams(bad, qs.WEYL)
-    with pytest.raises(ValueError):
-        qs.DeformParams(1.3, 2)
+BAD_Q = (0.0, -1.3, 1.3 + 0j, float("nan"))
+
+
+def test_checked_q():
+    assert qs.checked_q(1.3) == 1.3
+    assert type(qs.checked_q(1)) is float
+    for bad in BAD_Q:
+        with pytest.raises(ValueError, match="q must be a real number > 0"):
+            qs.checked_q(bad)

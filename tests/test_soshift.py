@@ -6,7 +6,6 @@ from scipy.sparse.csgraph import connected_components
 import sparse_route
 from qheis import fock, soshift
 from qheis.fock import Statistics
-from qheis.qspecial import WEYL, DeformParams
 from sparse_route import csr_list
 
 
@@ -147,7 +146,7 @@ def test_shift_operator_blocks_are_their_definition(orb3, orb4, sign):
 @pytest.mark.parametrize("q", [0.7, 1.3])
 def test_y_functional_equations(orb3, orb4, q):
     for orb in (orb3, orb4):
-        rows = soshift.verify_y_son(orb, DeformParams(q, WEYL))
+        rows = soshift.verify_y_son(orb, q)
         assert len(rows) == 4
         for row in rows:
             assert row.residual <= 1e-10, (row.name, row.residual)
@@ -177,7 +176,7 @@ def test_grid_lookup_matches_linear_scan(orb3, orb4):
 
 def test_y_equations_classical_reduction(orb3):
     # at q = 1 every y-ratio is 1 and each equation reads s - t = 2
-    rows = soshift.verify_y_son(orb3, DeformParams(1.0, WEYL))
+    rows = soshift.verify_y_son(orb3, 1.0)
     for row in rows:
         assert row.residual < 1e-12
 
@@ -192,6 +191,9 @@ def test_input_validation():
     orb = soshift.build_orbital(fock.build_space(3, Statistics.BOSE, 4))
     with pytest.raises(ValueError):
         soshift.shift_operators(soshift.StructureOperands(orb), 0)
+    for bad in (0.0, -1.3, 1.3 + 0j, float("nan")):
+        with pytest.raises(ValueError, match="q must be a real number > 0"):
+            soshift.verify_y_son(orb, bad)
 
 
 def test_structure_operands_are_built_once(orb3, monkeypatch):

@@ -7,7 +7,6 @@ from scipy import sparse
 import sparse_route
 from qheis import braid, deform, fock, suites
 from qheis.fock import Statistics
-from qheis.qspecial import CLIFFORD, WEYL, DeformParams
 from sparse_route import csr_list
 
 SPACES = {
@@ -165,7 +164,7 @@ def dcr_defects(gens, rel):
     """The stacked defects of the deformed commutation relations, both
     cross candidates of the set's sign, by the sparse route
     (tests/sparse_route.py)."""
-    eye_d, sign = sparse.eye_array(gens.space.dim), gens.params.sign
+    eye_d, sign = sparse.eye_array(gens.space.dim), gens.space.statistics.sign
     pi = sparse.kron(rel.annihilating_projector(sign), eye_d, format="csr")
     cross = {name: sparse.kron(pt, eye_d, format="csr")
              for name, pt in rel.cross_candidates(sign).items()}
@@ -176,7 +175,7 @@ def dcr_defects(gens, rel):
 def dense_defects(gens, rel):
     """The defect of each relation and pair (i, j), summed entry by entry
     over the relation matrices (module docstring of verify), dense."""
-    n, s = gens.n, gens.params.sign
+    n, s = gens.n, gens.space.statistics.sign
     a = [m.toarray() for m in csr_list(gens.a)]
     ap = [m.toarray() for m in csr_list(gens.ap)]
     pi, eye = rel.annihilating_projector(s), np.eye(gens.space.dim)
@@ -198,18 +197,17 @@ def assert_blocks_match(got, want):
         assert np.abs(g - w).max() <= 1e-13 * scale
 
 
-@pytest.mark.parametrize("sign", [WEYL, CLIFFORD], ids=["weyl", "clifford"])
-def test_shared_contraction_matches_dense_reference(sign):
+@pytest.mark.parametrize("stat", [Statistics.BOSE, Statistics.FERMI], ids=["weyl", "clifford"])
+def test_shared_contraction_matches_dense_reference(stat):
     # random diagonal dressings, so that no relation holds and the defects
     # are compared at their full size
-    space = (fock.build_space(3, Statistics.BOSE, 3) if sign == WEYL
-             else fock.build_space(3, Statistics.FERMI, None))
+    space = fock.build_space(3, stat, 3)
     rng = np.random.default_rng(3)
 
     def dressing():
         return rng.uniform(0.5, 2.0, (space.modes, space.dim))
 
-    gens = deform.DeformedGenerators(space, DeformParams(1.3, sign),
+    gens = deform.DeformedGenerators(space, 1.3,
                                      deform._dressed(space.an, right=dressing()),
                                      deform._dressed(space.ap, left=dressing()))
     rel = braid.build_relations("sl", 3, 1.3)

@@ -7,7 +7,6 @@ from scipy import sparse
 import sparse_route
 from qheis import braid, deform, fock, liealg, suites, verify
 from qheis.fock import Statistics
-from qheis.qspecial import CLIFFORD, WEYL, DeformParams
 from sparse_route import csr_list
 
 
@@ -39,7 +38,7 @@ def test_report_sorts_cases():
 
 def test_classical_dcr_at_q1():
     sp = fock.build_space(2, Statistics.BOSE, 6)
-    gens = deform.classical_generators(sp, DeformParams(1.0, WEYL))
+    gens = deform.classical_generators(sp)
     rel = braid.build_relations("sl", 2, 1.0)
     for candidate in braid.CANDIDATES:
         rows = verify.dcr_residuals(gens, rel, candidate, tol=1e-13)
@@ -102,7 +101,7 @@ def test_number_op_relations():
         for row in verify.number_op_check(gens, tol=1e-10):
             assert row.passed, (row.name, row.residual)
     # q = 1: the deformed number operator is the classical one
-    gens1 = deform.classical_generators(sp, DeformParams(1.0, WEYL))
+    gens1 = deform.classical_generators(sp)
     nh = gens1.number_diagonal()[:-1]
     assert np.linalg.norm(nh - sp.shell) < 1e-13
 
@@ -114,8 +113,7 @@ def test_qnumber_spectrum_scale_aware(q):
     for cutoff in range(4, 17):
         sp = fock.build_space(2, Statistics.BOSE, cutoff)
         gens = derived(sp, q)
-        off = dataclasses.replace(derived(sp, 1.01 * q),
-                                  params=gens.params)
+        off = dataclasses.replace(derived(sp, 1.01 * q), q=gens.q)
         good, bad = (next(r for r in verify.number_op_check(g)
                           if r.name == "qnumber_spectrum") for g in (gens, off))
         assert good.passed, (cutoff, good.residual)
@@ -126,7 +124,7 @@ def test_qnumber_spectrum_scale_aware(q):
 
 def classical_so_set(n, cutoff):
     sp = fock.build_space(n, Statistics.BOSE, cutoff)
-    gens = deform.classical_generators(sp, DeformParams(1.0, WEYL))
+    gens = deform.classical_generators(sp)
     return sp, gens
 
 
@@ -135,9 +133,23 @@ def test_metric_invariants_classical():
     # Weyl-algebra identities, e.g. [a.a, a+_i] = 2 a^i and [a.a, a^i] = 0
     sp, gens = classical_so_set(3, 6)
     eye = np.eye(3, dtype=complex)
-    rows = verify.metric_invariant_check(gens, eye, eye, 1.0)
+    rows = verify.metric_invariant_check(gens, eye, eye)
     for row in rows:
         assert row.passed, (row.name, row.residual)
+
+
+def test_metric_invariants_read_q_from_the_set():
+    # the classical operators labelled q = 1.3: the commutators hold no q
+    # and stay, the cross relations take q^2 and 1 + q^(2-N) and fail
+    sp, gens = classical_so_set(3, 6)
+    eye = np.eye(3, dtype=complex)
+    at_1, at_13 = (verify.metric_invariant_check(g, eye, eye)
+                   for g in (gens, dataclasses.replace(gens, q=1.3)))
+    for row1, row13 in zip(at_1, at_13, strict=True):
+        if "commute" in row1.name:
+            assert row13.residual == row1.residual, row1.name
+        else:
+            assert row1.passed and row13.residual > 0.1, row1.name
 
 
 def test_metric_invariants_negative_control():
@@ -148,7 +160,7 @@ def test_metric_invariants_negative_control():
     vals = gens.a.vals.copy()
     vals[0] = vals[0] + delta * vals[0]  # A^1 + delta (a+_1)^T
     bad = fock.LadderTable(gens.a.cols, vals)
-    rows = verify.metric_invariant_check(dataclasses.replace(gens, a=bad), eye, eye, 1.0)
+    rows = verify.metric_invariant_check(dataclasses.replace(gens, a=bad), eye, eye)
     worst = max(r.residual for r in rows)
     assert 1e-4 < worst < 1.0
 
@@ -160,7 +172,7 @@ def test_invariant_commutant():
     for row in verify.invariant_commutant_check(gens, data, tol=1e-11):
         assert row.passed
     # classical control: [sigma(X), n] = 0 exactly
-    gens1 = deform.classical_generators(sp, DeformParams(1.0, WEYL))
+    gens1 = deform.classical_generators(sp)
     for row in verify.invariant_commutant_check(gens1, data, tol=1e-13):
         assert row.passed
 
@@ -226,13 +238,16 @@ def test_fermionic_commutant_check_can_fail():
 
 def test_qnumber_sign_tied_to_statistics():
     # the exponential in the number-operator relations carries q^(2 sign);
-    # using the Weyl exponent on the fermionic map must fail visibly
+    # using the Weyl exponent on the fermionic map must fail visibly.  The
+    # sign is the space's, so the map relabelled q -> 1/q puts the Weyl
+    # exponent q^2 into q^(2 sign)
     sp = fock.build_space(2, Statistics.FERMI)
     gens = derived(sp, 1.3)
     good = max(r.residual for r in verify.number_op_check(gens)
                if "relation" in r.name)
     assert good < 1e-13
-    wrong = deform.DeformedGenerators(sp, DeformParams(1.3, WEYL), gens.a, gens.ap)
+    wrong = deform.DeformedGenerators(sp, 1 / 1.3, gens.a, gens.ap)
+    assert wrong.q ** (2 * sp.statistics.sign) == pytest.approx(1.3**2, rel=1e-15)
     bad = max(r.residual for r in verify.number_op_check(wrong)
               if "relation" in r.name)
     assert bad > 1e-2
@@ -252,9 +267,8 @@ def test_dcr_products_do_not_grow_with_n(monkeypatch):
     for n in (2, 3, 4):
         for stat, cut in ((Statistics.BOSE, 3), (Statistics.FERMI, None)):
             sp = fock.build_space(n, stat, cut)
-            sign = WEYL if stat is Statistics.BOSE else CLIFFORD
-            gens = deform.classical_generators(sp, DeformParams(1.3, sign))
             rel = braid.build_relations("sl", n, 1.3)
+            gens = deform.derive_map(sp, rel, "qR")
             data = liealg.LieData("sl", n)
             monkeypatch.setattr(sparse.csr_array, "_matmul_sparse", counting)
             for candidate in braid.CANDIDATES:
