@@ -11,10 +11,9 @@ engine then checks each map against its own candidate, and exactly one
 of them holds.  The suites ``sl2-bose``,
 ``sl2-fermi`` and ``slN`` run this check, with the q-number,
 hermiticity, commutant and grade rows, as one sl(N) unit per q, on the
-bosonic or the fermionic space.
+bosonic or the fermionic space; on the bosonic one they also conjugate
+the map by alpha into the one-sided map of the earlier literature.
 """
-
-import numpy as np
 
 from qheis import braid, deform, fock, verify
 from qheis.fock import Statistics
@@ -52,15 +51,17 @@ print("N_h eigenvalue on the n = 3 shell:",
 print("hermiticity residual:", f"{deform.hermiticity_residual(gens):.2e}")
 
 # All deforming maps are related by inner automorphisms.  The diagonal
-# intertwiner alpha turns the symmetric dressing into the one-sided one.
-alpha = deform.sl2_alpha_intertwiner(sp, gens.q)
-conj, cond = deform.inner_automorphism(gens, alpha)
-oneside = deform.sl2_bose_onesided_map(sp, gens.q)
-dev = np.abs(conj.ap.vals - oneside.ap.vals).max()  # the same columns
-print(f"\nalpha-conjugation reproduces the one-sided map: {dev:.2e} "
-      f"(cond alpha = {cond:.1f})")
-print("one-sided map is not *-compatible:",
-      f"{deform.hermiticity_residual(oneside):.2f}")
+# intertwiner alpha turns the symmetric dressing into the one-sided one,
+# A+_i = q^{n_(i+1) + ... + n_N} a+_i, at every N.
+print()
+for space in (sp, fock.build_space(3, Statistics.BOSE, cutoff=5)):
+    derived = deform.derive_map(space, braid.build_relations("sl", space.modes, q), "qR")
+    conj, cond = deform.inner_automorphism(derived, deform.alpha_intertwiner(space, q))
+    oneside = deform.onesided_map(space, q)
+    print(f"sl({space.modes}): alpha-conjugation reproduces the one-sided map: "
+          f"{verify.generator_distance(conj, oneside):.2e} (cond alpha = {cond:.1f}); "
+          f"the one-sided map is not *-compatible: "
+          f"{deform.hermiticity_residual(oneside):.2f}")
 
 # Fermions: the same derivation gives A+_1 = q^{-n_2} a+_1, exact on the
 # full 4-dimensional space; and sl(3), Weyl and Clifford from one set of

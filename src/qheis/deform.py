@@ -15,8 +15,9 @@ this gives x_i = (n_i)_{q^{2s}} q^{2s sum_{j>i} n_j}: for sl(2), Weyl,
 A+_1 = sqrt((n_1)_{q^2}/n_1) q^{n_2} a+_1 and A+_2 = sqrt((n_2)_{q^2}/n_2)
 a+_2; for sl(2), Clifford, A+_1 = q^{-n_2} a+_1 and A+_2 = a+_2.  The
 relation residuals decide which candidate holds; the derivation assumes
-none.  Besides, the one-sided Weyl sl(2) map and the intertwiner alpha
-that relates it to the derived one are written out.
+none.  Besides, the one-sided Weyl sl(N) map of the earlier literature
+(:func:`onesided_map`) and the diagonal alpha that conjugates the
+derived Weyl map into it (:func:`alpha_intertwiner`) are written out.
 
 All maps reduce to the identity at q = 1, preserve the grading, and fix
 the vacuum and the one-particle states.  The dressings are diagonal
@@ -152,39 +153,37 @@ def derive_map(space: FockSpace, rel: RelationMatrices,
                               _dressed(space.ap, left=dress))
 
 
-def sl2_bose_onesided_map(space: FockSpace, q: float) -> DeformedGenerators:
-    """The previously known one-sided map: all of y sits on the annihilators.
-
-    A+_1 = q^{n_2} a+_1, A+_2 = a+_2,
-    A^1  = a^1 ((n_1)_{q^2}/n_1) q^{n_2}, A^2 = a^2 ((n_2)_{q^2}/n_2).
-    Not hermitean for real q; related to the derived map (candidate
-    "qR", :func:`derive_map`) by the inner automorphism of
-    sl2_alpha_intertwiner.
-    """
-    if space.modes != 2 or space.statistics is not Statistics.BOSE:
-        raise ValueError("needs a 2-mode bosonic space")
-    n1, n2 = space.occ.T
-    ratio = _ratio(q, space.cutoff)
-    up = _tabulate(lambda n: q ** n, space.cutoff)[n2]
+def onesided_map(space: FockSpace, q: float) -> DeformedGenerators:
+    """The previously known one-sided map, all of y on the annihilators:
+    A+_i = q^{m_i} a+_i and A^i = a^i ((n_i)_{q^2}/n_i) q^{m_i}, with
+    m_i = sum_{j>i} n_j.  Not hermitean for real q; the derived map
+    (candidate "qR", :func:`derive_map`) conjugated by
+    :func:`alpha_intertwiner`.  Raises ValueError unless q is a real
+    number > 0 and the space is bosonic."""
+    q, occ = checked_q(q), _bose_occupations(space)
+    above = np.cumsum(occ[::-1], axis=0)[::-1] - occ  # m_i
+    up = _tabulate(lambda n: q ** n, space.cutoff)[above]
     return DeformedGenerators(space, q,
-                              _dressed(space.an, right=np.stack([ratio[n1] * up, ratio[n2]])),
-                              _dressed(space.ap, left=np.stack([up, np.ones(space.dim)])))
+                              _dressed(space.an, right=_ratio(q, space.cutoff)[occ] * up),
+                              _dressed(space.ap, left=up))
 
 
-def sl2_alpha_intertwiner(space: FockSpace, q: float) -> np.ndarray:
+def alpha_intertwiner(space: FockSpace, q: float) -> np.ndarray:
     """The diagonal of the alpha with alpha . (derived map) . alpha^-1 =
-    one-sided map, one entry per basis state.
-
-    alpha = sqrt(y(n_1) y(n_2)) with y(m) = Gamma(m+1)/Gamma_{q^2}(m+1),
-    evaluated by integer recurrences.  Raises ValueError unless q is a
-    real number > 0.
-    """
-    q = checked_q(q)
-    if space.modes != 2 or space.statistics is not Statistics.BOSE:
-        raise ValueError("needs a 2-mode bosonic space")
-    n1, n2 = space.occ.T
+    one-sided map, one entry per basis state: alpha = sqrt(prod_i y(n_i)),
+    y(m) = Gamma(m+1)/Gamma_{q^2}(m+1) by integer recurrences, multiplied
+    over the modes in order.  Raises ValueError unless q is a real number
+    > 0 and the space is bosonic."""
+    q, occ = checked_q(q), _bose_occupations(space)
     y = _tabulate(lambda n: y_sln(n, q).real, space.cutoff)
-    return np.sqrt(y[n1] * y[n2])
+    return np.sqrt(np.multiply.reduce(y[occ], axis=0))  # row by row, mode 1 first
+
+
+def _bose_occupations(space: FockSpace) -> np.ndarray:
+    """The N x D occupations of a bosonic space; ValueError on another."""
+    if space.statistics is not Statistics.BOSE:
+        raise ValueError("needs a bosonic space")
+    return space.occ.T
 
 
 def inner_automorphism(gens: DeformedGenerators,

@@ -19,8 +19,7 @@ import numpy as np
 from . import braid, deform, liealg, soshift, verify
 from .fock import CLIFFORD, WEYL, Statistics, build_space, grade_defect
 from .qspecial import (connection_residual, gauss_2f1, gauss_2f1_deriv, hyper_ode_residual,
-                       qgamma, qgamma_tilde, qnum, qbracket, reflection_residual, y_sln,
-                       y_son_ratio)
+                       qgamma, qgamma_tilde, qnum, qbracket, reflection_residual, y_son_ratio)
 from .verify import CaseResult, Report, projected_norms
 
 # The suite parameters: name -> (type, takes several values, help text).
@@ -54,13 +53,18 @@ MINIMA = {
     "kz-operator": {"cutoff": 3, "modes": 2},
 }
 
-# Suites that refuse q = 1, with the reason.
+# The statistics of the spaces that each sl(N) suite checks.
+_SL_STATISTICS = {"sl2-bose": (Statistics.BOSE,), "sl2-fermi": (Statistics.FERMI,),
+                  "slN": (Statistics.BOSE, Statistics.FERMI)}
+
+# Suites that refuse q = 1, with the reason; an sl(N) suite's follows from
+# its statistics (at q = 1 a bosonic space's one-sided map is hermitian).
 _ONE_MAP = ("both cross candidates derive the classical map, so "
             "cross_negative_control cannot fail")
 Q_ONE_REFUSED = {
-    "sl2-bose": _ONE_MAP + ", nor onesided_hermiticity_nonzero_control on a hermitian map",
-    "sl2-fermi": _ONE_MAP,
-    "slN": _ONE_MAP,
+    **{suite: _ONE_MAP + (", nor onesided_hermiticity_nonzero_control on a hermitian map"
+                          if Statistics.BOSE in checked else "")
+       for suite, checked in _SL_STATISTICS.items()},
     "kz-operator": "at h = ln q = 0, M = 1 and the h^2 scaling ratio of M - 1 is 0/0",
 }
 
@@ -159,9 +163,6 @@ def _derived_dcr(space, rel, tol):
 # hermiticity, the commutant and the grade bookkeeping.
 _SL_TOLERANCES = {Statistics.BOSE: (1e-10, 1e-12, 1e-11, 1e-13),
                   Statistics.FERMI: (1e-12, 1e-12, 1e-12, 1e-13)}
-# The statistics of the spaces that each sl(N) suite checks.
-_SL_STATISTICS = {"sl2-bose": (Statistics.BOSE,), "sl2-fermi": (Statistics.FERMI,),
-                  "slN": (Statistics.BOSE, Statistics.FERMI)}
 
 
 def _sl_unit(space, rel):
@@ -180,11 +181,11 @@ def _sl_unit(space, rel):
     return gens, rows
 
 
-def _sl2_alpha(space, gens):
-    """Conjugating sl(2)'s map by alpha must reproduce the one-sided map."""
-    alpha = deform.sl2_alpha_intertwiner(space, gens.q)
+def _alpha(space, gens):
+    """Conjugating the derived Weyl map by alpha must give the one-sided map."""
+    alpha = deform.alpha_intertwiner(space, gens.q)
     conj, cond = deform.inner_automorphism(gens, alpha)
-    oneside = deform.sl2_bose_onesided_map(space, gens.q)
+    oneside = deform.onesided_map(space, gens.q)
     return [
         CaseResult("alpha_reproduces_onesided_map",
                    verify.generator_distance(conj, oneside), 1e-12, {"cond_alpha": cond}),
@@ -194,10 +195,11 @@ def _sl2_alpha(space, gens):
     ]
 
 
-def _sl2_classical_limit(space):
-    """sl(2)'s map (candidate qR) deviates from the classical one by O(q - 1)."""
+def _classical_limit(space, relations):
+    """The derived Weyl map (candidate qR) deviates from the classical one
+    by O(q - 1); relations(q) gives the relation data at q."""
     def devnorm(e):
-        g1 = deform.derive_map(space, braid.build_relations("sl", 2, 1.0 + e), "qR")
+        g1 = deform.derive_map(space, relations(1.0 + e), "qR")
         g0 = deform.classical_generators(space)
         return verify.generator_distance(g1, g0)
     ratio = devnorm(1e-3) / devnorm(5e-4)
@@ -213,7 +215,8 @@ def _sl2_classical_limit(space):
 def _suite_sl(cfg: SuiteConfig):
     """sl2-bose, sl2-fermi and slN: the sl(N) unit per q on the bosonic
     space (sl2-bose, slN) and on the fermionic one (sl2-fermi; slN as
-    fermi/q=...).  sl2-bose adds sl(2)'s alpha units and classical limit."""
+    fermi/q=...).  A bosonic space adds an alpha unit per q and one
+    classical-limit unit; the suite id picks the spaces alone."""
     n = cfg.modes or 2
     # the relation data of each q, built once per call for every unit of
     # that q; a build that raises is not kept, so it fails each unit alone
@@ -225,14 +228,16 @@ def _suite_sl(cfg: SuiteConfig):
         # the derived map and its rows, shared by the q unit and its alpha unit
         derived = functools.cache(lambda q, space=space: _sl_unit(space, relations(q)))
         prefix = "fermi/" if stat is Statistics.FERMI and len(checked) > 1 else ""
+        bose = stat is Statistics.BOSE  # on a Clifford space alpha = 1
         for q in cfg.q:
             units.append((f"{prefix}q={q:g}", lambda q=q, derived=derived: derived(q)[1]))
-            if cfg.suite == "sl2-bose":
+            if bose:
                 # its own unit, so that a failure here erases no sibling row
                 units.append((f"q={q:g}/alpha", lambda q=q, space=space, derived=derived:
-                              _sl2_alpha(space, derived(q)[0])))
-        if cfg.suite == "sl2-bose":
-            units.append(("classical-limit", lambda space=space: _sl2_classical_limit(space)))
+                              _alpha(space, derived(q)[0])))
+        if bose:
+            units.append(("classical-limit",
+                          lambda space=space: _classical_limit(space, relations)))
 
     def param(values):  # one value per statistics checked, a bare one for one
         return values[0] if len(values) == 1 else values
@@ -322,16 +327,6 @@ def _suite_qspecial(cfg: SuiteConfig):
         return rows
 
     def dressings():
-        rows = []
-        worst = 0.0
-        for q in (0.7, 1.3, 2.0):
-            q2 = q * q
-            for n in range(0, 12):
-                lhs = y_sln(n + 1, q) / y_sln(n, q)
-                rhs = (n + 1.0) / qnum(n + 1, q2)
-                worst = max(worst, abs(lhs - rhs))
-        rows.append(CaseResult("y_sl_recurrence", worst, 1e-12))
-        rows.append(CaseResult("y_sl_base", abs(y_sln(0, 1.7) - 1.0), 0.0))
         worst = 0.0
         for q in (0.7, 1.3):
             for big_n in (3, 4):
@@ -342,8 +337,7 @@ def _suite_qspecial(cfg: SuiteConfig):
                     direct = y_son_ratio(n, l, n + 2, l, big_n, q)
                     worst = max(worst, abs(via - direct) / abs(direct))
                     worst = max(worst, abs(y_son_ratio(n, l, n, l, big_n, q) - 1.0))
-        rows.append(CaseResult("y_so_ratio_telescoping", worst, 1e-12))
-        return rows
+        return [CaseResult("y_so_ratio_telescoping", worst, 1e-12)]
 
     units = [("gamma-recurrences", gammas), ("reflection", reflection),
              ("hypergeometric", hyper), ("dressings", dressings)]

@@ -32,11 +32,12 @@ but dressed ladders (its tables are on the space's ladder columns), and
 a relation matrix that couples pairs of different weight is rejected
 with ValueError: its blocks would not be one shift.
 
-The generator distance of ``sl2-bose`` (:func:`generator_distance`) is
-the difference of two such sets, normed the same way, and so is the
-commutant defect [sigma(X), N_h] of each sl(N) basis element X
-(:func:`invariant_commutant_check`): sigma(E_ij) = a+_i a^j moves every
-state by e_j - e_i, and N_h is diagonal.  An so(N) basis element
+The generator distance of the alpha and classical-limit rows
+(:func:`generator_distance`) is the difference of two such sets, normed
+the same way, and so is the commutant defect [sigma(X), N_h] of each
+sl(N) basis element X (:func:`invariant_commutant_check`):
+sigma(E_ij) = a+_i a^j moves every state by e_j - e_i, and N_h is
+diagonal.  An so(N) basis element
 a+_i a^j - a+_j a^i moves by two shifts, and its data are rejected with
 ValueError.
 

@@ -142,16 +142,18 @@ def test_fermi_map(fermi_space):
     assert np.linalg.norm(sq) == 0.0
 
 
-def test_removable_singularity_is_invisible(bose_space, monkeypatch):
+@pytest.mark.parametrize("modes, cutoff", [(2, 6), (3, 5)])
+def test_removable_singularity_is_invisible(modes, cutoff, monkeypatch):
     # the one-sided map's value of (n)_{q^2}/n at the removable n = 0
     # reaches no nonzero entry
     q = 1.3
+    space = fock.build_space(modes, Statistics.BOSE, cutoff)
     alt = 2 * np.log(q) / (q * q - 1)  # the q -> 1-continuous convention
-    ga = deform.sl2_bose_onesided_map(bose_space, q)
+    ga = deform.onesided_map(space, q)
     ratio = deform._ratio
     monkeypatch.setattr(deform, "_ratio", lambda q, cutoff: np.r_[alt, ratio(q, cutoff)[1:]])
-    gb = deform.sl2_bose_onesided_map(bose_space, q)
-    assert deform._ratio(q, 6)[0] == alt
+    gb = deform.onesided_map(space, q)
+    assert deform._ratio(q, cutoff)[0] == alt
     assert entrywise_dev(ga, gb) == 0.0
 
 
@@ -188,24 +190,48 @@ def test_inner_automorphism_rejects_alpha(bose_space, entry):
 
 def test_alpha_intertwiner(bose_space):
     q = 1.3
-    alpha = deform.sl2_alpha_intertwiner(bose_space, q)
+    alpha = deform.alpha_intertwiner(bose_space, q)
     vac = bose_space.state_index((0, 0))
     assert abs(alpha[vac] - 1.0) < 1e-15
     k = bose_space.state_index((2, 0))
     assert abs(alpha[k] - np.sqrt(2 / (1 + q * q))) < 1e-14
 
-    gens = derived(bose_space, q)
-    conj, _ = deform.inner_automorphism(gens, alpha)
-    oneside = deform.sl2_bose_onesided_map(bose_space, q)
-    assert entrywise_dev(conj, oneside) < 1e-12
+
+@pytest.mark.parametrize("q", [0.7, 1.3])
+@pytest.mark.parametrize("modes, cutoff", [(2, 8), (3, 6), (4, 7), (5, 5)])
+def test_alpha_conjugates_the_derived_map_into_the_onesided_map(modes, cutoff, q):
+    # at every N: alpha . (derived) . alpha^-1 is A+_i = q^{m_i} a+_i,
+    # A^i = a^i ((n_i)_{q^2}/n_i) q^{m_i}, m_i = sum_{j>i} n_j, which holds
+    # the relations of candidate qR and is not *-compatible (u = y, v = 1)
+    space = fock.build_space(modes, Statistics.BOSE, cutoff)
+    rel = braid.build_relations("sl", modes, q)
+    conj, _ = deform.inner_automorphism(derived(space, q), deform.alpha_intertwiner(space, q))
+    oneside = deform.onesided_map(space, q)
+    assert verify.generator_distance(conj, oneside) <= 1e-12
+    assert max(r.residual for r in verify.dcr_residuals(oneside, rel, "qR")) <= 1e-12
+    assert deform.hermiticity_residual(oneside) > 1e-2
+    # the closed form, on a sample of the states
+    ap, a = csr_list(oneside.ap), csr_list(oneside.a)
+    for t in space.occ.tolist()[::max(1, space.dim // 40)]:
+        s = space.state_index(t)
+        for i in np.flatnonzero(t):
+            below = space.state_index(t[:i] + [t[i] - 1] + t[i + 1:])
+            up = q ** sum(t[i + 1:])
+            assert np.isclose(ap[i][s, below], up * np.sqrt(t[i]), rtol=1e-13, atol=0)
+            assert np.isclose(a[i][below, s], qnum(t[i], q * q).real / np.sqrt(t[i]) * up,
+                              rtol=1e-13, atol=0)
+
+
+def test_onesided_map_and_alpha_need_a_bosonic_space(fermi_space):
+    for build in (deform.onesided_map, deform.alpha_intertwiner):
+        with pytest.raises(ValueError, match="needs a bosonic space"):
+            build(fermi_space, 1.3)
 
 
 def test_hermiticity(bose_space):
     for q in (1.0, 1.3):
         gens = derived(bose_space, q)
         assert deform.hermiticity_residual(gens) < 1e-12
-    oneside = deform.sl2_bose_onesided_map(bose_space, 1.3)
-    assert deform.hermiticity_residual(oneside) > 1e-2  # u = y, v = 1 dressing
 
 
 def test_grades(bose_space):
@@ -252,8 +278,8 @@ def test_generator_set_holds_q_and_no_sign(bose_space):
     for bad in (0.0, -1.3, 1.3 + 0j, float("nan")):
         for build in (lambda: deform.DeformedGenerators(bose_space, bad, bose_space.an,
                                                         bose_space.ap),
-                      lambda: deform.sl2_bose_onesided_map(bose_space, bad),
-                      lambda: deform.sl2_alpha_intertwiner(bose_space, bad)):
+                      lambda: deform.onesided_map(bose_space, bad),
+                      lambda: deform.alpha_intertwiner(bose_space, bad)):
             with pytest.raises(ValueError, match="q must be a real number > 0"):
                 build()
 
@@ -265,8 +291,9 @@ def _per_state(space, f):
 
 
 def _reference_maps(space, q):
-    """The written-out sl(2) maps' generators from per-state dressing
-    functions: the tabulated dressings must reproduce them exactly."""
+    """The sl(2) one-sided map and alpha, written out from per-state
+    dressing functions: the tabulated dressings must reproduce them
+    exactly."""
     def ratio(m):
         return 1.0 if m == 0 else qnum(m, q * q).real / m
 
@@ -284,8 +311,8 @@ def _reference_maps(space, q):
 def test_tabulated_dressings_equal_per_state_reference(q, modes, stat, cutoff):
     space = fock.build_space(modes, stat, cutoff)
     built = {
-        "onesided": lambda: ops(deform.sl2_bose_onesided_map(space, q)),
-        "alpha": lambda: [sparse_route.diag(deform.sl2_alpha_intertwiner(space, q))],
+        "onesided": lambda: ops(deform.onesided_map(space, q)),
+        "alpha": lambda: [sparse_route.diag(deform.alpha_intertwiner(space, q))],
     }
     seen = []
     for name, reference in _reference_maps(space, q):

@@ -77,7 +77,8 @@ def test_dcr_products_built_once_per_generator_set(monkeypatch):
 
 
 def test_sln_builds_one_relation_per_q(monkeypatch):
-    # the Weyl and the Clifford units of a q share one R-hat and its guard
+    # the Weyl and the Clifford units of a q share one R-hat and its guard;
+    # the classical-limit unit builds one per point q = 1 + 1e-3, 1 + 5e-4
     built = []
     original = braid.build_relations
 
@@ -88,14 +89,15 @@ def test_sln_builds_one_relation_per_q(monkeypatch):
     monkeypatch.setattr(braid, "build_relations", counting)
     report = suites.run_suite(suites.make_config("slN", q=(0.7, 1.3), cutoff=4))
     assert all(c.passed for c in report.cases)
-    assert sorted(built) == [("sl", 3, 0.7), ("sl", 3, 1.3)]
+    assert sorted(built) == [("sl", 3, 0.7), ("sl", 3, 1.0 + 5e-4), ("sl", 3, 1.0 + 1e-3),
+                             ("sl", 3, 1.3)]
     # the data live for one call: the next call builds and guards them again
     suites.run_suite(suites.make_config("slN", q=(0.7, 1.3), cutoff=4))
-    assert len(built) == 4
+    assert len(built) == 8
 
 
 @pytest.mark.parametrize("suite, failed", [
-    ("slN", ["fermi/q=1.3/EXECUTION", "q=1.3/EXECUTION"]),
+    ("slN", ["fermi/q=1.3/EXECUTION", "q=1.3/EXECUTION", "q=1.3/alpha/EXECUTION"]),
     ("sl2-bose", ["q=1.3/EXECUTION", "q=1.3/alpha/EXECUTION"]),
     ("sl2-fermi", ["q=1.3/EXECUTION"])], ids=["slN", "sl2-bose", "sl2-fermi"])
 def test_relation_build_that_raises_fails_each_unit_of_its_q(suite, failed, monkeypatch):
@@ -122,15 +124,14 @@ def test_relation_build_that_raises_fails_each_unit_of_its_q(suite, failed, monk
 
 @pytest.mark.parametrize("cutoff", [3, 8, 12])
 def test_sln_at_two_modes_runs_the_sl2_units_bit_for_bit(cutoff):
-    # slN's bosonic units are sl2-bose's q units, without its sl(2)-only
-    # alpha and classical-limit units; its fermi/ units are sl2-fermi's
+    # slN's bosonic units, the alpha and classical-limit units among them,
+    # are sl2-bose's; its fermi/ units are sl2-fermi's
     def cases(suite, **overrides):
         return suites.run_suite(suites.make_config(suite, q=(0.7, 1.3), **overrides)).cases
 
     sln = cases("slN", modes=2, cutoff=cutoff)
-    bose = [c for c in cases("sl2-bose", cutoff=cutoff)
-            if "/alpha/" not in c.name and not c.name.startswith("classical-limit/")]
-    assert [c for c in sln if not c.name.startswith("fermi/")] == bose
+    assert [c for c in sln if not c.name.startswith("fermi/")] == cases("sl2-bose",
+                                                                         cutoff=cutoff)
     assert [replace(c, name=c.name.removeprefix("fermi/"))
             for c in sln if c.name.startswith("fermi/")] == cases("sl2-fermi")
 
@@ -219,16 +220,24 @@ def test_failed_unit_becomes_failed_case(monkeypatch):
     assert "ZeroDivisionError" in rep.cases[0].metadata["error"]
 
 
-def test_ill_conditioned_alpha_erases_no_sibling_row(monkeypatch):
-    # at cutoff 20, cond(alpha) at q=1.3 is about 8.7e15; the diagonal
-    # conjugation is exact regardless, so the alpha row is measured
-    # (presence, not passing: some q=1.3 rows miss their absolute tolerance)
+def run_alpha_suite(suite, cutoff):
+    """A bosonic sl(N) suite, which has alpha units, at q = 0.7 and 1.3:
+    sl2-bose, or slN at N = 3."""
+    modes = {"modes": 3} if suite == "slN" else {}
+    return suites.run_suite(suites.make_config(suite, q=(0.7, 1.3), cutoff=cutoff, **modes))
+
+
+@pytest.mark.parametrize("suite", ["sl2-bose", "slN"])
+def test_ill_conditioned_alpha_erases_no_sibling_row(suite, monkeypatch):
+    # at cutoff 20, cond(alpha) at q=1.3 is about 8.7e15 at every N
+    # (y(20)^-1/2); the diagonal conjugation is exact regardless, so the
+    # alpha row is measured (presence, not passing: some q=1.3 rows miss
+    # their absolute tolerance)
     sibling_rows = ("dcr_aa", "dcr_apap", "dcr_cross_winner", "cross_negative_control",
                     "qnumber_creator_relation", "qnumber_annihilator_relation",
                     "qnumber_spectrum", "hermiticity", "commutant[qnumber_operator]",
                     "grade_bookkeeping")
-    cases = {c.name: c for c in
-             suites.run_suite(suites.make_config("sl2-bose", cutoff=20)).cases}
+    cases = {c.name: c for c in run_alpha_suite(suite, 20).cases}
     assert not [name for name in cases if name.endswith("/EXECUTION")]
     assert cases["q=1.3/alpha/alpha_reproduces_onesided_map"].metadata["cond_alpha"] > 1e15
 
@@ -237,7 +246,7 @@ def test_ill_conditioned_alpha_erases_no_sibling_row(monkeypatch):
         raise ValueError("alpha refused")
 
     monkeypatch.setattr(deform, "inner_automorphism", refuse)
-    report = suites.run_suite(suites.make_config("sl2-bose", cutoff=6))
+    report = run_alpha_suite(suite, 6)
     names = {c.name for c in report.cases}
     for q in ("0.7", "1.3"):
         for row in sibling_rows:
@@ -248,11 +257,11 @@ def test_ill_conditioned_alpha_erases_no_sibling_row(monkeypatch):
     assert all("alpha refused" in c.metadata["error"] for c in failed_units)
 
 
-def test_onesided_hermiticity_control_discriminates(monkeypatch):
+@pytest.mark.parametrize("suite", ["sl2-bose", "slN"])
+def test_onesided_hermiticity_control_discriminates(suite, monkeypatch):
     # encoded like every negative control: floor / raw residual against 1
     def control_rows():
-        report = suites.run_suite(suites.make_config("sl2-bose", cutoff=6))
-        return [c for c in report.cases
+        return [c for c in run_alpha_suite(suite, 6).cases
                 if c.name.endswith("/onesided_hermiticity_nonzero_control")]
 
     rows = control_rows()
@@ -261,8 +270,8 @@ def test_onesided_hermiticity_control_discriminates(monkeypatch):
         assert c.tolerance == 1.0 and c.metadata["required_floor"] == 1e-3
         assert c.residual == 1e-3 / c.metadata["raw_residual"]
     # a *-compatible map in place of the one-sided one must fail the control
-    monkeypatch.setattr(deform, "sl2_bose_onesided_map", lambda space, q: deform.derive_map(
-        space, braid.build_relations("sl", 2, q), "qR"))
+    monkeypatch.setattr(deform, "onesided_map", lambda space, q: deform.derive_map(
+        space, braid.build_relations("sl", space.modes, q), "qR"))
     rows = control_rows()
     assert len(rows) == 2 and not any(c.passed for c in rows)
 

@@ -178,16 +178,16 @@ def test_delta_term_targets_the_row_where_the_creator_leaves_the_space():
     assert abs(rows["dcr_cross[qR_inv]"] - 0.6498722033542244) < 1e-15
 
 
-@pytest.mark.parametrize("cutoff", [4, 12, 20, 24])
-def test_generator_distance_is_the_sparse_norm_bit_for_bit(cutoff):
-    # the distance between two dressed-ladder sets, as sl2-bose reads it
-    # (the alpha row and the classical-limit scaling), by shift_norm and by
-    # the exact norm of the stacked CSR differences
-    space = fock.build_space(2, Statistics.BOSE, cutoff)
+@pytest.mark.parametrize("modes, cutoff", [(2, 4), (2, 12), (2, 20), (2, 24), (3, 4), (3, 10)])
+def test_generator_distance_is_the_sparse_norm_bit_for_bit(modes, cutoff):
+    # the distance between two dressed-ladder sets, as a bosonic sl(N)
+    # unit reads it (the alpha row and the classical-limit scaling), by
+    # shift_norm and by the exact norm of the stacked CSR differences
+    space = fock.build_space(modes, Statistics.BOSE, cutoff)
     for q in (0.7, 1.3):
         pairs = [(deform.inner_automorphism(derived(space, q),
-                                            deform.sl2_alpha_intertwiner(space, q))[0],
-                  deform.sl2_bose_onesided_map(space, q)),
+                                            deform.alpha_intertwiner(space, q))[0],
+                  deform.onesided_map(space, q)),
                  (derived(space, q), deform.classical_generators(space))]
         for g1, g0 in pairs:
             old = sparse_route.projected_norms(space, sparse.vstack(

@@ -71,13 +71,19 @@ def test_pass_fail_is_the_recorded_map(call, tmp_path):
     assert outcomes(call.split(), tmp_path) == json.loads(MAP.read_text())[call]
 
 
-def test_compare_reports_runs_the_default_suites_and_the_map():
-    # tools/compare_reports.py's calls, read without running any: each suite
-    # at its defaults, then every call of the map
+def compare_reports():
+    """tools/compare_reports.py as a module; loading it runs no call."""
     spec = importlib.util.spec_from_file_location("compare_reports",
                                                   ROOT / "tools" / "compare_reports.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_compare_reports_runs_the_default_suites_and_the_map():
+    # tools/compare_reports.py's calls, read without running any: each suite
+    # at its defaults, then every call of the map
+    tool = compare_reports()
     path = list(sys.path)
     got = tool.calls()
     assert sys.path == path
@@ -85,6 +91,24 @@ def test_compare_reports_runs_the_default_suites_and_the_map():
     assert len(defaults) == 8
     assert got == defaults + sorted(json.loads(MAP.read_text()))
     assert len(set(got)) == len(got) == 8 + len(CALLS)
+
+
+def test_compare_reports_lists_the_cases_each_report_changes():
+    def report(*cases):
+        return json.dumps({"suite": "s", "cases": [
+            {"name": name, "residual": residual, "tolerance": 1.0, "pass": passed,
+             "metadata": meta} for name, residual, passed, meta in cases]}).encode()
+
+    before = report(("u/kept", 0.5, True, {}), ("u/gone", 0.1, True, {}),
+                    ("u/worse", 0.25, True, {}), ("u/relabelled", 0.75, True, {"k": 1}))
+    after = report(("u/new", 0.0, True, {}), ("u/kept", 0.5, True, {}),
+                   ("u/worse", 2.5, False, {}), ("u/relabelled", 0.75, True, {"k": 2}))
+    assert compare_reports().case_diff(before, after) == [
+        "  - u/gone",
+        "  + u/new",
+        "  ~ u/worse: residual 0.25 -> 2.5, pass True -> False",
+        "  ~ u/relabelled: residual 0.75 -> 0.75, pass True -> True"]
+    assert compare_reports().case_diff(after, after) == []
 
 
 def test_known_failures_still_fail():

@@ -225,7 +225,8 @@ def test_shared_contraction_matches_dense_reference(stat):
 
 def test_sln_at_n4_cutoff8(monkeypatch):
     # D = 495: out of reach for the dense engine, the ten rows of the
-    # bosonic unit and the nine of the fermionic one (D = 16) all passing.
+    # bosonic unit, its alpha unit's two and the classical limit's one,
+    # and the nine of the fermionic unit (D = 16), all passing.
     # Each defect there is a partial permutation times a diagonal, so its
     # norm is its largest entry (verify.shift_norm) and no norm needs an SVD.
     svd_calls = []
@@ -237,6 +238,6 @@ def test_sln_at_n4_cutoff8(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     report = suites.run_suite(suites.make_config("slN", modes=4, cutoff=8))
-    assert len(report.cases) == 19
+    assert len(report.cases) == 22
     assert all(c.passed for c in report.cases), [(c.name, c.residual) for c in report.cases]
     assert not svd_calls

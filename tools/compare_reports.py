@@ -6,9 +6,11 @@ Runs calls(), the eight suites at their defaults and every call of
 tests/outcomes.json, in this checkout and in the other one: each call in
 a fresh Python process with PYTHONPATH=<tree>/src and
 OPENBLAS_NUM_THREADS=1, the two trees' processes side by side.  Prints
-each call whose report or exit code differs between the trees, then the
-number of calls and of differing ones, and exits 1 if any differ.  A
-change that keeps the arithmetic keeps every report byte for byte.
+each call whose report or exit code differs between the trees, with the
+cases its report adds, removes and changes (the other tree's before this
+one's), then the number of calls and of differing ones, and exits 1 if
+any differ.  A change that keeps the arithmetic keeps every report byte
+for byte.
 """
 
 import json
@@ -49,6 +51,25 @@ def run_both(trees, call: str, tmp: Path) -> list:
             for proc, out in zip(procs, outs)]
 
 
+def case_diff(before: bytes, after: bytes) -> list:
+    """The lines that tell two reports' cases apart: each case only the
+    after report has (+), each case only the before report has (-), and
+    each case of both whose entry differs (~, its residual and pass
+    before -> after), in the order of the reports."""
+    def cases(report):
+        return {c["name"]: c for c in json.loads(report)["cases"]}
+
+    old, new = cases(before), cases(after)
+    lines = [f"  - {name}" for name in old if name not in new]
+    lines += [f"  + {name}" for name in new if name not in old]
+    for name, c in new.items():
+        if name in old and old[name] != c:
+            was = old[name]
+            lines.append(f"  ~ {name}: residual {was['residual']!r} -> {c['residual']!r}, "
+                         f"pass {was['pass']} -> {c['pass']}")
+    return lines
+
+
 def main(argv) -> int:
     if len(argv) != 1 or not (Path(argv[0]) / "src" / "qheis").is_dir():
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -62,6 +83,9 @@ def main(argv) -> int:
                 differing += 1
                 what = "exit code" if code != other_code else "report"
                 print(f"differs ({what}): {call}")
+                if report is not None and other_report is not None:
+                    for line in case_diff(other_report, report):
+                        print(line)
     print(f"{len(todo)} calls, {differing} differing")
     return 1 if differing else 0
 
